@@ -1,0 +1,115 @@
+"""Capture + audit overhead guard.
+
+Every golden, chaos and failure-matrix test -- most of tier-1's wall time --
+runs the simulator the way ``ScenarioEngine`` does: ``InvariantMonitor``
+and ``NoAcceptedRequestDropped`` audit every packet, which means a
+``TraceRecord`` per tx and per rx, two digest lines and a flow-table update
+per send.  This gate prices that path on one box: the same short
+rolling-crash schedule runs once through ``ScenarioEngine`` (audited) and
+once as the same steps on a bare ``Testbed`` with nothing attached
+(unaudited), best of ``REPEATS`` each, and the ratio of the two walls must
+stay within ``OVERHEAD_BUDGET``.
+
+It is a ratio of two runs on one machine, so it is immune to the runner
+drift that makes an absolute packets-per-second gate useless on shared CI,
+and it is always enforced.  Both runs must transmit exactly the same
+packets (auditing is zero-perturbation), which also proves the bare driver
+below really is the engine's schedule.  The observability plane stays off:
+its cost has its own gate (``test_obs_overhead.py``).
+
+    PYTHONPATH=src python -m pytest benchmarks/test_audit_overhead.py -q -s
+
+Before the capture path was rebuilt (PR 12) this ratio was ~1.85x.
+"""
+
+from __future__ import annotations
+
+import gc
+import time
+from typing import Tuple
+
+from repro.chaos.faults import apply_fault, crash
+from repro.chaos.scenario import Scenario, ScenarioEngine
+from repro.experiments.harness import Testbed, TestbedConfig
+
+OVERHEAD_BUDGET = 1.55  # audited wall / unaudited wall, same machine
+REPEATS = 3  # best-of-N: the honest floor for a deterministic workload
+SEED = 2016
+
+SCENARIO = Scenario(
+    name="audit-overhead-rolling-crash",
+    description="rolling instance + store-replica crashes under "
+                "closed-loop bulk transfers",
+    faults=[spec for k in range(3) for spec in (
+        crash(1.0 + 3.0 * k, "lb:serving", duration=2.0),
+        crash(1.1 + 3.0 * k, f"store:{k % 3}", duration=1.5),
+    )],
+    duration=10.0, drain=6.0, clients=6, object_bytes=200_000,
+    object_count=12, num_lb_instances=4, num_store_servers=3,
+    num_backends=3,
+)
+
+
+def _tx_packets(bed: Testbed) -> int:
+    return bed.network.metrics.counter("tx_packets").value
+
+
+def _audited() -> Tuple[float, int]:
+    engine = ScenarioEngine(SCENARIO, lb="yoda", seed=SEED)
+    gc.collect()
+    start = time.perf_counter()
+    outcome = engine.run()
+    wall = time.perf_counter() - start
+    assert outcome.ok, outcome.render()
+    return wall, _tx_packets(engine.bed)
+
+
+def _unaudited() -> Tuple[float, int]:
+    """``ScenarioEngine.build()`` + ``run()``, step for step, minus every
+    monitor and tap."""
+    s = SCENARIO
+    gc.collect()
+    start = time.perf_counter()
+    bed = Testbed(TestbedConfig(
+        seed=SEED, lb="yoda", num_lb_instances=s.num_lb_instances,
+        num_store_servers=s.num_store_servers, num_backends=s.num_backends,
+        client_one_way_latency=s.client_one_way_latency, corpus="flat",
+        flat_object_bytes=s.object_bytes, flat_object_count=s.object_count,
+    ))
+    processes = bed.closed_loop(s.clients, http_timeout=s.http_timeout)
+
+    def fire(spec):
+        applied = apply_fault(bed, spec)
+        bed.loop.call_later(spec.duration, applied.revert)
+    for spec in s.faults:
+        bed.loop.call_later(spec.at, fire, spec)
+    bed.run(s.duration)
+    for proc in processes:
+        proc.stop()
+    bed.network.heal()
+    bed.run(s.drain)
+    wall = time.perf_counter() - start
+    assert sum(p.pages_loaded for p in processes) > 0
+    assert sum(p.broken_pages for p in processes) == 0
+    return wall, _tx_packets(bed)
+
+
+def test_audit_overhead_within_budget():
+    audited = [_audited() for _ in range(REPEATS)]
+    unaudited = [_unaudited() for _ in range(REPEATS)]
+    packets = {pkts for _, pkts in audited + unaudited}
+    assert len(packets) == 1, (
+        f"audited and unaudited runs transmitted different packet counts "
+        f"{sorted(packets)}: auditing perturbed the schedule, or the bare "
+        f"driver drifted from ScenarioEngine.run()"
+    )
+    a = min(wall for wall, _ in audited)
+    u = min(wall for wall, _ in unaudited)
+    ratio = a / u
+    print(f"\n  [bench] audit_overhead: audited {a:.3f} s / unaudited "
+          f"{u:.3f} s = {ratio:.3f}x (budget {OVERHEAD_BUDGET}x, "
+          f"{packets.pop()} packets each)")
+    assert ratio <= OVERHEAD_BUDGET, (
+        f"capture + audit hooks cost {ratio:.3f}x an unaudited run "
+        f"(> {OVERHEAD_BUDGET}x): {a:.3f}s audited vs {u:.3f}s unaudited"
+    )

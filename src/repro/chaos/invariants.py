@@ -20,6 +20,10 @@ The monitor also folds every trace record into a SHA-256 digest, which is
 how scenario determinism (same seed -> byte-identical packet schedule) is
 asserted cheaply.
 
+The per-flow facts those audits need live in one :class:`FlowAuditTable`,
+updated once per wire-tx packet; :class:`NoAcceptedRequestDropped` reads
+the same table.
+
 :class:`ReplicationFactorMonitor` is a second, sampling monitor (a
 periodic process, not a trace tap) for the self-healing store: after any
 store-membership change, every live flow's durable records must be back
@@ -32,13 +36,18 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.flowstate import client_key
 from repro.kvstore.memcached import version_newer
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import (
+    SCOPE_ALL,
+    SCOPE_WIRE_TX,
+    TraceRecord,
+    engine_trace_line,
+)
 from repro.tcp.segment import seq_diff
 
 MAX_VIOLATIONS_KEPT = 50  # per invariant; beyond this only the count grows
@@ -87,13 +96,30 @@ class Verdict:
         return f"{self.invariant}: {status} ({self.checked} checks)"
 
 
+def _verdict(invariant: str, checked: int, violations: List[Violation],
+             count: Optional[int] = None) -> Verdict:
+    """Fold an invariant's violations into its verdict: every one counts
+    (``count``, when the caller kept only some), the first few are shown."""
+    count = len(violations) if count is None else count
+    return Verdict(invariant, count == 0, checked,
+                   violations[:MAX_VIOLATIONS_KEPT], count)
+
+
+# (src endpoint, dst endpoint) as the trace renders them: tables are keyed
+# by the pair itself, which is formatted only inside a Violation
+FlowKey = Tuple[str, str]
+
+
+def _flow_id(key: FlowKey) -> str:
+    return f"{key[0]}>{key[1]}"
+
+
 class _FlowAudit:
     """Book-keeping for one client-facing flow (client ep, vip ep)."""
 
     __slots__ = (
         "opened_at", "client_isn", "synack_seen", "acked_req_bytes",
         "resp_bytes", "fin_from_lb", "fin_from_client", "rst_from_lb",
-        "last_activity",
     )
 
     def __init__(self, opened_at: float):
@@ -105,12 +131,79 @@ class _FlowAudit:
         self.fin_from_lb = False
         self.fin_from_client = False
         self.rst_from_lb = False
-        self.last_activity = opened_at
+
+    @property
+    def clean(self) -> bool:
+        """Orderly close: FINs both ways and response bytes delivered."""
+        return self.fin_from_lb and self.fin_from_client and self.resp_bytes > 0
+
+
+class FlowAuditTable:
+    """The client-side flow table every packet-level invariant reads.
+
+    A wire-tx tap: each send appears exactly once in that stream (the mux
+    -> instance hop is an in-DC deliver, not a wire transmission, so no
+    packet is double-counted).  Invariants subscribe to the packets they
+    judge online; a hook runs *before* the packet updates the flow, so it
+    sees the flow as it stood when the packet hit the wire.
+    """
+
+    scope = SCOPE_WIRE_TX
+
+    def __init__(self, bed):
+        self.vip_client_eps = frozenset({f"{bed.vip}:80"})
+        self.flows: Dict[FlowKey, _FlowAudit] = {}  # (client ep, vip ep)
+        self.acks_audited = 0  # LB -> client ACKs folded into acked_req_bytes
+        # hooks, appended to by the invariants that read this table
+        self.on_synack: List[Callable] = []  # LB -> client: (rec, key, audit)
+        self.on_rst: List[Callable] = []  # LB -> client: (rec, key, audit)
+        self.on_other: List[Callable] = []  # not client-facing: (rec)
+
+    def _flow(self, key: FlowKey, time: float) -> _FlowAudit:
+        audit = self.flows.get(key)
+        if audit is None:  # (opened by the LB only for stray RSTs)
+            audit = self.flows[key] = _FlowAudit(time)
+        return audit
+
+    def record(self, rec: TraceRecord) -> None:
+        flags = rec.flags
+        if rec.dst in self.vip_client_eps:  # client -> LB
+            audit = self._flow((rec.src, rec.dst), rec.time)
+            if "S" in flags and audit.client_isn is None:
+                audit.client_isn = rec.seq
+            if "F" in flags:
+                audit.fin_from_client = True
+        elif rec.src in self.vip_client_eps:  # LB -> client
+            key = (rec.dst, rec.src)
+            audit = self._flow(key, rec.time)
+            if "S" in flags and "." in flags:  # tcpdump style: ACK is "."
+                for hook in self.on_synack:
+                    hook(rec, key, audit)
+                audit.synack_seen = True
+            if "R" in flags:
+                for hook in self.on_rst:
+                    hook(rec, key, audit)
+                audit.rst_from_lb = True
+                return
+            if "F" in flags:
+                audit.fin_from_lb = True
+            if not rec.dropped:
+                audit.resp_bytes += rec.payload_len
+            if "." in flags and audit.client_isn is not None:
+                self.acks_audited += 1
+                acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
+                if acked > audit.acked_req_bytes:
+                    audit.acked_req_bytes = acked
+        else:
+            for hook in self.on_other:
+                hook(rec)
 
 
 class InvariantMonitor:
     """Attach with ``bed.network.add_trace(monitor)``; call
     :meth:`finalize` after the run drains to collect verdicts."""
+
+    scope = SCOPE_ALL  # the digest covers rx records too
 
     def __init__(self, bed, check_storage: Optional[bool] = None):
         self.bed = bed
@@ -124,105 +217,63 @@ class InvariantMonitor:
                              and not (stateless is not None
                                       and stateless.enabled))
         self.check_storage = check_storage
-        self.vips: Set[str] = {bed.vip}
-        self._vip_client_eps = {f"{vip}:80" for vip in self.vips}
-        self.flows: Dict[str, _FlowAudit] = {}
-        self._server_pairs_synned: Set[str] = set()
-        self._server_pairs_checked: Set[str] = set()
+        self.table = FlowAuditTable(bed)
+        self.table.on_rst.append(self._on_rst)
+        if check_storage:
+            self.table.on_synack.append(self._on_synack)
+            self.table.on_other.append(self._on_lb_to_server)
+        self._snat_prefix = f"{bed.vip}:"  # a VIP endpoint that is not :80
+        self._server_pairs_synned: Set[FlowKey] = set()
+        self._server_pairs_checked: Set[FlowKey] = set()
         self.violations: Dict[str, List[Violation]] = {}
         self.violation_counts: Dict[str, int] = {}
         self.checks: Dict[str, int] = {
             "storage-before-ack": 0,
-            "acked-byte-loss": 0,
+            "acked-byte-loss": 0,  # = table.acks_audited, read at finalize
             "flow-conservation": 0,
             "snat-leak": 0,
         }
         self._digest = hashlib.sha256()
-        self.records_seen = 0
 
     # ------------------------------------------------------------ trace tap --
     def record(self, rec: TraceRecord) -> None:
-        self.records_seen += 1
-        self._digest.update(
-            f"{rec.time:.9f}|{rec.point}|{rec.direction}|{rec.src}|{rec.dst}|"
-            f"{rec.flags}|{rec.seq}|{rec.ack}|{rec.payload_len}|{rec.dropped}"
-            .encode()
-        )
-        # Audit the wire-tx stream only: each send appears exactly once
-        # there (the mux -> instance hop is an in-DC deliver, not a wire
-        # transmission, so no packet is double-counted).
-        if rec.point != "wire" or rec.direction != "tx":
-            return
-        if rec.dst in self._vip_client_eps:
-            self._on_client_to_lb(rec)
-        elif rec.src in self._vip_client_eps:
-            self._on_lb_to_client(rec)
-        elif self.check_storage and self._is_vip_snat(rec.src):
-            self._on_lb_to_server(rec)
-
-    def _is_vip_snat(self, ep: str) -> bool:
-        ip, _, port = ep.rpartition(":")
-        return ip in self.vips and port != "80"
+        self._digest.update(engine_trace_line(rec).encode())
+        if rec.direction == "tx" and rec.point == "wire":
+            self.table.record(rec)
 
     # ----------------------------------------------------- client-side audit --
-    def _on_client_to_lb(self, rec: TraceRecord) -> None:
-        flow_id = f"{rec.src}>{rec.dst}"
-        audit = self.flows.get(flow_id)
-        if audit is None:
-            audit = self.flows[flow_id] = _FlowAudit(rec.time)
-        audit.last_activity = rec.time
-        if "S" in rec.flags and audit.client_isn is None:
-            audit.client_isn = rec.seq
-        if "F" in rec.flags:
-            audit.fin_from_client = True
-
-    def _on_lb_to_client(self, rec: TraceRecord) -> None:
-        flow_id = f"{rec.dst}>{rec.src}"
-        audit = self.flows.get(flow_id)
-        if audit is None:
-            # LB spoke first?  Only possible for stray RSTs; track anyway.
-            audit = self.flows[flow_id] = _FlowAudit(rec.time)
-        audit.last_activity = rec.time
-        if "S" in rec.flags and "." in rec.flags:  # tcpdump style: ACK is "."
-            # SYN-ACK on the wire: storage-a must already be durable.
-            if self.check_storage and not audit.fin_from_lb:
-                self.checks["storage-before-ack"] += 1
-                key = client_key(rec.dst, rec.src)
-                if not self._stored_somewhere(key):
-                    self._violate(
-                        "storage-before-ack", rec.time, flow_id,
-                        f"SYN-ACK sent but {key!r} is on no live store",
-                    )
-            audit.synack_seen = True
-        if "R" in rec.flags:
-            audit.rst_from_lb = True
-            if audit.acked_req_bytes > 0:
+    def _on_synack(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+        # SYN-ACK on the wire: storage-a must already be durable.
+        if not audit.fin_from_lb:
+            self.checks["storage-before-ack"] += 1
+            store_key = client_key(rec.dst, rec.src)
+            if not self._stored_somewhere(store_key):
                 self._violate(
-                    "acked-byte-loss", rec.time, flow_id,
-                    f"RST to client after ACKing {audit.acked_req_bytes} "
-                    f"request bytes",
+                    "storage-before-ack", rec.time, _flow_id(key),
+                    f"SYN-ACK sent but {store_key!r} is on no live store",
                 )
-            return
-        if "F" in rec.flags:
-            audit.fin_from_lb = True
-        if not rec.dropped:
-            audit.resp_bytes += rec.payload_len
-        if "." in rec.flags and audit.client_isn is not None:
-            self.checks["acked-byte-loss"] += 1
-            acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
-            if acked > audit.acked_req_bytes:
-                audit.acked_req_bytes = acked
+
+    def _on_rst(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+        if audit.acked_req_bytes > 0:
+            self._violate(
+                "acked-byte-loss", rec.time, _flow_id(key),
+                f"RST to client after ACKing {audit.acked_req_bytes} "
+                f"request bytes",
+            )
 
     # ----------------------------------------------------- server-side audit --
     def _on_lb_to_server(self, rec: TraceRecord) -> None:
-        pair = f"{rec.src}>{rec.dst}"
-        if "S" in rec.flags:
+        if not rec.src.startswith(self._snat_prefix):
+            return
+        pair = (rec.src, rec.dst)
+        flags = rec.flags
+        if "S" in flags:
             # A new backend connection attempt resets this pair's audit
             # (backend switches reuse the SNAT port against a new server).
             self._server_pairs_synned.add(pair)
             self._server_pairs_checked.discard(pair)
             return
-        if ("." in rec.flags and "R" not in rec.flags and "F" not in rec.flags
+        if ("." in flags and "R" not in flags and "F" not in flags
                 and pair in self._server_pairs_synned
                 and pair not in self._server_pairs_checked):
             # First ACK completing the backend handshake: storage-b (the
@@ -233,7 +284,7 @@ class InvariantMonitor:
             key = f"yoda:s:{vip_ip}:{snat_port}:{rec.dst}"
             if not self._stored_somewhere(key):
                 self._violate(
-                    "storage-before-ack", rec.time, pair,
+                    "storage-before-ack", rec.time, _flow_id(pair),
                     f"backend handshake ACK sent but {key!r} is on no "
                     f"live store",
                 )
@@ -273,18 +324,17 @@ class InvariantMonitor:
                 a migrated flow still occupies.
         """
         now = self.bed.loop.now()
+        self.checks["acked-byte-loss"] = self.table.acks_audited
         if strict_before is not None:
-            for flow_id, audit in self.flows.items():
+            for key, audit in self.table.flows.items():
                 if audit.client_isn is None or audit.opened_at >= strict_before:
                     continue
                 self.checks["flow-conservation"] += 1
                 if audit.rst_from_lb:
                     continue  # already reported under acked-byte-loss
-                clean = (audit.fin_from_lb and audit.fin_from_client
-                         and audit.resp_bytes > 0)
-                if not clean:
+                if not audit.clean:
                     self._violate(
-                        "flow-conservation", now, flow_id,
+                        "flow-conservation", now, _flow_id(key),
                         f"flow opened at {audit.opened_at:.3f}s never "
                         f"finished (synack={audit.synack_seen} "
                         f"resp_bytes={audit.resp_bytes} "
@@ -305,17 +355,10 @@ class InvariantMonitor:
                         f"{len(ports)} SNAT ports leaked for {vip}: "
                         f"{sorted(ports)[:8]}",
                     )
-        out = []
-        for invariant, checked in self.checks.items():
-            count = self.violation_counts.get(invariant, 0)
-            out.append(Verdict(
-                invariant=invariant,
-                ok=count == 0,
-                checked=checked,
-                violations=list(self.violations.get(invariant, [])),
-                violation_count=count,
-            ))
-        return out
+        return [_verdict(invariant, checked,
+                         self.violations.get(invariant, []),
+                         self.violation_counts.get(invariant, 0))
+                for invariant, checked in self.checks.items()]
 
     def digest(self) -> str:
         """SHA-256 over every trace record seen (determinism witness)."""
@@ -323,7 +366,7 @@ class InvariantMonitor:
 
 
 class NoAcceptedRequestDropped:
-    """Trace tap: an *accepted* request is never sacrificed.
+    """An *accepted* request is never sacrificed.
 
     The overload-control plane is allowed to refuse work -- but only at
     SYN time, before any state or promise exists.  A flow counts as
@@ -344,71 +387,42 @@ class NoAcceptedRequestDropped:
     weaker than acked-byte-loss + flow-conservation together, so
     attaching it to every scenario can never fail a run the existing
     invariants pass.
+
+    Not a tap: it judges the flows of a :class:`FlowAuditTable` that is
+    one (an :class:`InvariantMonitor`'s, or a table attached on its own).
     """
 
     invariant = "no-accepted-request-dropped"
 
-    def __init__(self, bed):
+    def __init__(self, bed, table: FlowAuditTable):
         self.bed = bed
-        self.vips: Set[str] = {bed.vip}
-        self._vip_client_eps = {f"{vip}:80" for vip in self.vips}
-        self.flows: Dict[str, _FlowAudit] = {}
+        self.table = table
+        table.on_rst.append(self._on_rst)
         self.checks = 0
         self.violations: List[Violation] = []
         self.violation_count = 0
 
-    def _violate(self, time: float, flow: str, detail: str) -> None:
+    def _violate(self, time: float, key: FlowKey, detail: str) -> None:
         self.violation_count += 1
         if len(self.violations) < MAX_VIOLATIONS_KEPT:
-            self.violations.append(Violation(self.invariant, time, flow,
-                                             detail,
+            self.violations.append(Violation(self.invariant, time,
+                                             _flow_id(key), detail,
                                              forensics=_forensics_tail()))
 
-    def record(self, rec: TraceRecord) -> None:
-        if rec.point != "wire" or rec.direction != "tx":
-            return
-        if rec.dst in self._vip_client_eps:
-            flow_id = f"{rec.src}>{rec.dst}"
-            audit = self.flows.get(flow_id)
-            if audit is None:
-                audit = self.flows[flow_id] = _FlowAudit(rec.time)
-            audit.last_activity = rec.time
-            if "S" in rec.flags and audit.client_isn is None:
-                audit.client_isn = rec.seq
-            if "F" in rec.flags:
-                audit.fin_from_client = True
-        elif rec.src in self._vip_client_eps:
-            flow_id = f"{rec.dst}>{rec.src}"
-            audit = self.flows.get(flow_id)
-            if audit is None:
-                audit = self.flows[flow_id] = _FlowAudit(rec.time)
-            audit.last_activity = rec.time
-            if "S" in rec.flags and "." in rec.flags:
-                audit.synack_seen = True
-            if "R" in rec.flags:
-                if (not audit.rst_from_lb and audit.synack_seen
-                        and audit.acked_req_bytes > 0):
-                    self.checks += 1
-                    self._violate(
-                        rec.time, flow_id,
-                        f"accepted request reset "
-                        f"({audit.acked_req_bytes} request bytes acked)",
-                    )
-                audit.rst_from_lb = True
-                return
-            if "F" in rec.flags:
-                audit.fin_from_lb = True
-            if not rec.dropped:
-                audit.resp_bytes += rec.payload_len
-            if "." in rec.flags and audit.client_isn is not None:
-                acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
-                if acked > audit.acked_req_bytes:
-                    audit.acked_req_bytes = acked
+    def _on_rst(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+        if (not audit.rst_from_lb and audit.synack_seen
+                and audit.acked_req_bytes > 0):
+            self.checks += 1
+            self._violate(
+                rec.time, key,
+                f"accepted request reset "
+                f"({audit.acked_req_bytes} request bytes acked)",
+            )
 
     def finalize(self, strict_before: Optional[float] = None) -> Verdict:
         now = self.bed.loop.now()
         if strict_before is not None:
-            for flow_id, audit in self.flows.items():
+            for key, audit in self.table.flows.items():
                 accepted = (audit.client_isn is not None and audit.synack_seen
                             and audit.acked_req_bytes > 0)
                 if not accepted or audit.opened_at >= strict_before:
@@ -416,24 +430,17 @@ class NoAcceptedRequestDropped:
                 self.checks += 1
                 if audit.rst_from_lb:
                     continue  # already reported at the RST
-                clean = (audit.fin_from_lb and audit.fin_from_client
-                         and audit.resp_bytes > 0)
-                if not clean:
+                if not audit.clean:
                     self._violate(
-                        now, flow_id,
+                        now, key,
                         f"accepted flow (opened {audit.opened_at:.3f}s, "
                         f"{audit.acked_req_bytes} bytes acked) never "
                         f"finished (resp_bytes={audit.resp_bytes} "
                         f"fin_lb={audit.fin_from_lb} "
                         f"fin_client={audit.fin_from_client})",
                     )
-        return Verdict(
-            invariant=self.invariant,
-            ok=self.violation_count == 0,
-            checked=self.checks,
-            violations=list(self.violations),
-            violation_count=self.violation_count,
-        )
+        return _verdict(self.invariant, self.checks, self.violations,
+                        self.violation_count)
 
 
 REPLICATION_WINDOW = 2.0  # seconds to restore K replicas after a change
@@ -526,13 +533,8 @@ class ReplicationFactorMonitor:
 
     def finalize(self) -> Verdict:
         self.stop()
-        return Verdict(
-            invariant=self.invariant,
-            ok=self.violation_count == 0,
-            checked=self.checks,
-            violations=list(self.violations),
-            violation_count=self.violation_count,
-        )
+        return _verdict(self.invariant, self.checks, self.violations,
+                        self.violation_count)
 
 
 class EstablishedFlowsSurviveRegionFailover:
@@ -569,13 +571,7 @@ class EstablishedFlowsSurviveRegionFailover:
                         f"error={r.error}",
                         forensics=_forensics_tail(),
                     ))
-        return Verdict(
-            invariant=self.invariant,
-            ok=not violations,
-            checked=checks,
-            violations=violations[:MAX_VIOLATIONS_KEPT],
-            violation_count=len(violations),
-        )
+        return _verdict(self.invariant, checks, violations)
 
 
 class AtMostOneActingLeader:
@@ -630,13 +626,7 @@ class AtMostOneActingLeader:
             if event == "active":
                 checks += 1
                 _claim(epoch, name, time, "election-log")
-        return Verdict(
-            invariant=self.invariant,
-            ok=not violations,
-            checked=checks,
-            violations=violations[:MAX_VIOLATIONS_KEPT],
-            violation_count=len(violations),
-        )
+        return _verdict(self.invariant, checks, violations)
 
 
 class ControlPlaneStaticStability:
@@ -674,13 +664,7 @@ class ControlPlaneStaticStability:
                     f"bytes, error={r.error}",
                     forensics=_forensics_tail(),
                 ))
-        return Verdict(
-            invariant=self.invariant,
-            ok=not violations,
-            checked=checks,
-            violations=violations[:MAX_VIOLATIONS_KEPT],
-            violation_count=len(violations),
-        )
+        return _verdict(self.invariant, checks, violations)
 
 
 class NoSplitBrainPromotion:
@@ -702,13 +686,7 @@ class NoSplitBrainPromotion:
                 "(WAN partition or gray failure misread as region death)",
                 forensics=_forensics_tail(),
             ))
-        return Verdict(
-            invariant=self.invariant,
-            ok=not violations,
-            checked=1,
-            violations=violations,
-            violation_count=len(violations),
-        )
+        return _verdict(self.invariant, 1, violations)
 
 
 class ScaleEventsConverge:
@@ -768,10 +746,4 @@ class ScaleEventsConverge:
                 _flag(e.at,
                       f"{len(recent)} scale events inside {self.window:.0f}s "
                       f"(> {self.max_events_per_window})")
-        return Verdict(
-            invariant=self.invariant,
-            ok=not violations,
-            checked=max(total, len(events)),
-            violations=violations,
-            violation_count=len(violations),
-        )
+        return _verdict(self.invariant, max(total, len(events)), violations)

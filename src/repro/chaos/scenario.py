@@ -213,9 +213,9 @@ class ScenarioEngine:
         self.monitor = InvariantMonitor(self.bed)
         self.bed.network.add_trace(self.monitor)
         # load shedding may refuse work but never sacrifices accepted
-        # requests -- audited on every scenario, not just qos ones
-        self.nar_monitor = NoAcceptedRequestDropped(self.bed)
-        self.bed.network.add_trace(self.nar_monitor)
+        # requests -- audited on every scenario, not just qos ones, off
+        # the flow table the monitor already keeps
+        self.nar_monitor = NoAcceptedRequestDropped(self.bed, self.monitor.table)
         for tap in self.taps:
             self.bed.network.add_trace(tap)
         if self.bed.yoda is not None:

@@ -19,12 +19,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.analysis.stats import cdf_points, median, percentile
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.http.client import FetchResult
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import endpoint_on_host
 
 
 @dataclass
@@ -195,7 +195,7 @@ def run_timeline(
     backend = next(iter(bed.backends.values()))
     retrans = [
         r for r in bed.trace.retransmissions()
-        if r.time > t_fail and r.src.startswith(backend.ip)
+        if r.time > t_fail and endpoint_on_host(r.src, backend.ip)
     ]
     for r in retrans[:4]:
         events.append(TimelineEvent(

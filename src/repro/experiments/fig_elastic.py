@@ -44,6 +44,7 @@ from typing import Dict, List, Optional
 
 from repro.autoscale import ElasticPolicy
 from repro.chaos.invariants import (
+    FlowAuditTable,
     NoAcceptedRequestDropped,
     ScaleEventsConverge,
     Verdict,
@@ -130,8 +131,8 @@ def _run_leg(
     ))
     # the same accepted-work auditor every chaos scenario runs: scale
     # events may refuse new SYNs but must never sacrifice accepted flows
-    nar = NoAcceptedRequestDropped(bed)
-    bed.network.add_trace(nar)
+    flows = bed.network.add_trace(FlowAuditTable(bed))
+    nar = NoAcceptedRequestDropped(bed, flows)
 
     ctl = bed.yoda.controller
     day = trace.config.sim_seconds

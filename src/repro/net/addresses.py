@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from functools import cached_property
+from typing import Iterator
 
 from repro.errors import AddressError
 
@@ -37,8 +38,14 @@ class Endpoint:
         if not 0 <= self.port <= 65535:
             raise AddressError(f"invalid port {self.port}")
 
-    def __str__(self) -> str:
+    @cached_property
+    def text(self) -> str:
+        """``ip:port``, rendered once: the endpoint is immutable and the
+        capture path reads this for every traced packet."""
         return f"{self.ip}:{self.port}"
+
+    def __str__(self) -> str:
+        return self.text
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":

@@ -20,12 +20,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError
 from repro.net.host import Host
 from repro.net.links import FixedLatency, LatencyModel
-from repro.net.packet import PACKET_POOL, Packet, flags_to_str
+from repro.net.packet import _FLAG_STR, PACKET_POOL, Packet
 from repro.obs import OBS
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricRegistry
 from repro.sim.random import SeededRng
-from repro.sim.tracing import PacketTrace, TraceRecord
+from repro.sim.tracing import SCOPE_ALL, SCOPE_WIRE_TX, TraceRecord
 
 DEFAULT_INTRA_DC_LATENCY = 0.00025  # 250 us one-way within the datacenter
 
@@ -66,7 +66,10 @@ class Network:
         self._default_latency = default_latency or FixedLatency(DEFAULT_INTRA_DC_LATENCY)
         self._loss_rate = 0.0
         self._path_faults: Dict[Tuple[str, str], PathFaults] = {}
-        self._traces: List[PacketTrace] = []
+        # taps by scope (see add_trace): every tap is called for a wire-tx
+        # record, only the "all" taps for an rx record
+        self._wire_tx_taps: List = []
+        self._all_taps: List = []
         self._last_delivery: Dict[Tuple[str, str], float] = {}
         # hot-path caches.  The latency-model cache maps a host-name pair
         # to the resolved model; it holds no delivery state (the FIFO
@@ -236,9 +239,20 @@ class Network:
                 return fault
         return None
 
-    def add_trace(self, trace: PacketTrace) -> PacketTrace:
-        """Record every transmission (and drop) into ``trace``."""
-        self._traces.append(trace)
+    def add_trace(self, trace):
+        """Attach a tap: any object with a ``record(rec)`` method.
+
+        A tap whose class sets ``scope = "wire-tx"`` is called only for
+        wire transmissions (and drops), the stream in which every send
+        appears exactly once; any other tap (``scope = "all"``, the
+        default) is also called for every delivery.
+        """
+        scope = getattr(trace, "scope", SCOPE_ALL)
+        if scope not in (SCOPE_ALL, SCOPE_WIRE_TX):
+            raise NetworkError(f"unknown tap scope {scope!r}")
+        self._wire_tx_taps.append(trace)
+        if scope == SCOPE_ALL:
+            self._all_taps.append(trace)
         return trace
 
     # -- shard boundary -------------------------------------------------------
@@ -352,22 +366,22 @@ class Network:
             # whether any packet trace is attached
             OBS.flight(point, "drop",
                        f"{packet.src} > {packet.dst}: "
-                       f"{flags_to_str(packet.flags)} seq={packet.seq} "
+                       f"{_FLAG_STR[packet.flags & 0x1F]} seq={packet.seq} "
                        f"len={packet.payload_len}")
-        if not self._traces:
+        if not self._wire_tx_taps:  # no tap at all: the untraced fast path
             return
+        # tx records are all wire records; rx records are the deliveries
+        taps = self._wire_tx_taps if direction == "tx" else self._all_taps
+        if not taps:
+            return
+        # rendered from the packet as it is at this capture point: a Packet
+        # is mutable and a delivered one may be retained (duplication,
+        # park-and-replay), so the rx record reuses nothing from tx time --
+        # with endpoint text and flag strings cached there is little to reuse
         rec = TraceRecord(
-            time=self.loop.now(),
-            point=point,
-            direction=direction,
-            summary=packet.summary(),
-            src=str(packet.src),
-            dst=str(packet.dst),
-            flags=flags_to_str(packet.flags),
-            seq=packet.seq,
-            ack=packet.ack,
-            payload_len=packet.payload_len,
-            dropped=dropped,
+            self.loop.now(), point, direction, packet.src.text,
+            packet.dst.text, _FLAG_STR[packet.flags & 0x1F], packet.seq,
+            packet.ack, len(packet.payload), dropped,
         )
-        for trace in self._traces:
-            trace.record(rec)
+        for tap in taps:
+            tap.record(rec)

@@ -43,6 +43,12 @@ def flags_to_str(flags: int) -> str:
     return out or "-"
 
 
+# flags_to_str for every 5-bit mask (index with ``flags & 0x1F``): the
+# capture path renders the flags of each traced packet twice (tx and rx),
+# so it indexes instead of building
+_FLAG_STR = tuple(flags_to_str(mask) for mask in range(32))
+
+
 @dataclass(slots=True)
 class Packet:
     """A TCP segment travelling through the simulated network.

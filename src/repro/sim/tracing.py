@@ -10,17 +10,24 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
+
+# Tap scopes (a class attribute ``scope`` on the tap).  Each send appears
+# exactly once in the wire-tx stream, so taps that audit flows subscribe to
+# it alone and are never called for the per-hop rx records.
+SCOPE_ALL = "all"
+SCOPE_WIRE_TX = "wire-tx"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceRecord:
-    """One captured packet."""
+    """One captured packet.  ``Network._record`` builds one positionally
+    for every traced tx and rx, so it is a plain (not frozen) slotted record
+    and carries no rendering that no tap reads."""
 
     time: float
     point: str  # capture point, e.g. "server-3" or "wire"
     direction: str  # "rx" or "tx"
-    summary: str  # human-readable one-liner, tcpdump style
     src: str
     dst: str
     flags: str
@@ -29,27 +36,44 @@ class TraceRecord:
     payload_len: int
     dropped: bool = False
 
+    @property
+    def summary(self) -> str:
+        """Human-readable one-liner, tcpdump style."""
+        return (f"{self.src} > {self.dst}: {self.flags} seq={self.seq} "
+                f"ack={self.ack} len={self.payload_len}")
+
     def __str__(self) -> str:
         drop = " DROPPED" if self.dropped else ""
-        return (
-            f"{self.time:10.6f} {self.point} {self.direction} "
-            f"{self.src} > {self.dst}: {self.flags} seq={self.seq} "
-            f"ack={self.ack} len={self.payload_len}{drop}"
-        )
+        return (f"{self.time:10.6f} {self.point} {self.direction} "
+                f"{self.summary}{drop}")
 
 
 def canonical_trace_line(rec: TraceRecord) -> str:
-    """One record as a stable line; schedule digests are folded over these.
-
-    This is the same rendering the golden-trace suite pins, so a shard
-    worker's running digest and a golden file's digest are directly
-    comparable.
-    """
+    """One record as a stable, readable line; schedule digests are folded
+    over these.  This is the one rendering the golden-trace suite pins, so a
+    shard worker's running digest and a golden file's digest are directly
+    comparable."""
     return (
         f"{rec.time:.9f} {rec.point} {rec.direction} "
         f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
         f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
     )
+
+
+def engine_trace_line(rec: TraceRecord) -> str:
+    """The pipe-separated rendering ``ScenarioOutcome.trace_digest`` (the
+    goldens' ``engine_digest``) is folded over."""
+    return (
+        f"{rec.time:.9f}|{rec.point}|{rec.direction}|{rec.src}|{rec.dst}|"
+        f"{rec.flags}|{rec.seq}|{rec.ack}|{rec.payload_len}|{rec.dropped}"
+    )
+
+
+def endpoint_on_host(endpoint: str, addr: str) -> bool:
+    """Does the rendered ``endpoint`` ("ip:port") match ``addr`` -- a bare
+    IP (any port on that host) or a full "ip:port"?  A bare prefix test
+    would let "10.0.0.1" claim "10.0.0.10:80"."""
+    return endpoint == addr or endpoint.startswith(addr + ":")
 
 
 class DigestTrace:
@@ -106,8 +130,9 @@ class PacketTrace:
             point: only records captured at this point.
             direction: "rx" or "tx".
             flow_between: (addr_a, addr_b) strings -- keep packets whose
-                src/dst endpoints are exactly this unordered pair (prefix
-                match, so "10.0.0.1" matches "10.0.0.1:80").
+                src/dst endpoints are exactly this unordered pair; a bare
+                IP matches every port on that host (see
+                :func:`endpoint_on_host`).
         """
         out: Iterable[TraceRecord] = self.records
         if point is not None:
@@ -118,8 +143,8 @@ class PacketTrace:
             a, b = flow_between
 
             def _matches(r: TraceRecord) -> bool:
-                fwd = r.src.startswith(a) and r.dst.startswith(b)
-                rev = r.src.startswith(b) and r.dst.startswith(a)
+                fwd = endpoint_on_host(r.src, a) and endpoint_on_host(r.dst, b)
+                rev = endpoint_on_host(r.src, b) and endpoint_on_host(r.dst, a)
                 return fwd or rev
 
             out = (r for r in out if _matches(r))

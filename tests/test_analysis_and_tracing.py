@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.analysis.report import render_table
 from repro.analysis.stats import cdf_points, fraction, mean, median, percentile
-from repro.sim.tracing import PacketTrace, TraceRecord
+from repro.sim.tracing import PacketTrace, TraceRecord, endpoint_on_host
 
 
 class TestStats:
@@ -69,7 +69,7 @@ class TestRenderTable:
 def rec(time, point="p", direction="rx", src="1.1.1.1:1", dst="2.2.2.2:2",
         flags=".", seq=0, ack=0, length=0, dropped=False):
     return TraceRecord(time=time, point=point, direction=direction,
-                       summary="", src=src, dst=dst, flags=flags, seq=seq,
+                       src=src, dst=dst, flags=flags, seq=seq,
                        ack=ack, payload_len=length, dropped=dropped)
 
 
@@ -88,6 +88,27 @@ class TestPacketTrace:
         trace.record(rec(3.0, src="10.0.0.3:5", dst="10.0.0.1:80"))
         pair = trace.filter(flow_between=("10.0.0.1", "10.0.0.2"))
         assert len(pair) == 2
+
+    def test_flow_between_bare_ip_does_not_claim_longer_addresses(self):
+        """With >= 10 hosts on a subnet, "10.0.0.1" is a string prefix of
+        "10.0.0.10" .. "10.0.0.19": a bare prefix match selected them."""
+        trace = PacketTrace()
+        trace.record(rec(1.0, src="10.0.0.1:80", dst="10.0.0.2:99"))
+        for host in range(10, 20):
+            trace.record(rec(2.0, src=f"10.0.0.{host}:80", dst="10.0.0.2:99"))
+            trace.record(rec(3.0, src="10.0.0.2:99", dst=f"10.0.0.{host}:80"))
+        assert len(trace) == 21
+        pair = trace.filter(flow_between=("10.0.0.1", "10.0.0.2"))
+        assert [r.time for r in pair] == [1.0]
+        # a full endpoint narrows to that port, and is no prefix either
+        assert len(trace.filter(flow_between=("10.0.0.1:80", "10.0.0.2"))) == 1
+        assert trace.filter(flow_between=("10.0.0.1:8", "10.0.0.2")) == []
+
+    def test_endpoint_on_host(self):
+        assert endpoint_on_host("10.0.0.1:80", "10.0.0.1")
+        assert endpoint_on_host("10.0.0.1:80", "10.0.0.1:80")
+        assert not endpoint_on_host("10.0.0.10:80", "10.0.0.1")
+        assert not endpoint_on_host("10.0.0.1:80", "10.0.0.1:8")
 
     def test_retransmissions_detected(self):
         trace = PacketTrace()

@@ -1,8 +1,14 @@
 """Invariant monitor: synthetic-trace audits and the trace digest."""
 
+import hashlib
+
 import pytest
 
-from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.invariants import (
+    FlowAuditTable,
+    InvariantMonitor,
+    NoAcceptedRequestDropped,
+)
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.sim.tracing import TraceRecord
 
@@ -20,7 +26,7 @@ def make_bed(**overrides):
 def rec(time, src, dst, flags, seq=0, ack=0, payload_len=0, dropped=False,
         point="wire", direction="tx"):
     return TraceRecord(time=time, point=point, direction=direction,
-                       summary="", src=src, dst=dst, flags=flags, seq=seq,
+                       src=src, dst=dst, flags=flags, seq=seq,
                        ack=ack, payload_len=payload_len, dropped=dropped)
 
 
@@ -86,6 +92,55 @@ class TestFlowConservation:
         verdicts = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         assert verdicts["flow-conservation"].ok
         assert verdicts["flow-conservation"].checked == 0
+
+
+class TestSharedFlowAuditTable:
+    """Both packet invariants judge one table, updated once per packet."""
+
+    def test_nar_reads_the_monitors_table(self, monitor_world):
+        bed, monitor, vip_ep = monitor_world
+        nar = NoAcceptedRequestDropped(bed, monitor.table)
+        feed_clean_flow(monitor, vip_ep)
+        assert list(monitor.table.flows) == [(CLIENT, vip_ep)]
+        verdict = nar.finalize(strict_before=1.0)
+        assert verdict.ok and verdict.checked == 1
+
+    def test_accepted_then_reset_fails_both_invariants_once_each(
+            self, monitor_world):
+        bed, monitor, vip_ep = monitor_world
+        nar = NoAcceptedRequestDropped(bed, monitor.table)
+        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.record(rec(0.02, vip_ep, CLIENT, ".", seq=5001, ack=1081))
+        monitor.record(rec(0.03, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        monitor.record(rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        by_name = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
+        # acked-byte-loss judges every RST, the accepted-work invariant
+        # only the first -- the hook sees the flow before the RST lands
+        assert by_name["acked-byte-loss"].violation_count == 2
+        verdict = nar.finalize(strict_before=1.0)
+        assert verdict.violation_count == 1
+        assert verdict.violations[0].flow == f"{CLIENT}>{vip_ep}"
+        assert "80 request bytes" in verdict.violations[0].detail
+
+    def test_syn_stage_shed_is_not_an_accepted_request(self, monitor_world):
+        bed, monitor, vip_ep = monitor_world
+        nar = NoAcceptedRequestDropped(bed, monitor.table)
+        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.record(rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
+        verdict = nar.finalize(strict_before=1.0)
+        assert verdict.ok and verdict.checked == 0
+
+    def test_table_alone_is_a_wire_tx_tap(self):
+        bed = make_bed()
+        table = bed.network.add_trace(FlowAuditTable(bed))
+        nar = NoAcceptedRequestDropped(bed, table)
+        bed.closed_loop(1)
+        bed.run(2.0)
+        assert table.flows and table.acks_audited > 0
+        assert table in bed.network._wire_tx_taps
+        assert table not in bed.network._all_taps
+        assert nar.finalize().ok
 
 
 class TestStorageBeforeAck:
@@ -154,6 +209,23 @@ class TestDigest:
         feed_clean_flow(monitor, vip_ep)
         feed_clean_flow(other, vip_ep, resp=501)
         assert monitor.digest() != other.digest()
+
+    def test_digest_folds_the_engine_line_of_every_record(self, monitor_world):
+        _, monitor, vip_ep = monitor_world
+        records = [
+            rec(0.0, CLIENT, vip_ep, "S", seq=2**32 - 1),
+            rec(0.5, vip_ep, CLIENT, "S.", seq=5, ack=0, dropped=True),
+            rec(1.0, CLIENT, vip_ep, ".", payload_len=7, point="yoda-0",
+                direction="rx"),
+        ]
+        expected = hashlib.sha256()
+        for r in records:
+            monitor.record(r)
+            expected.update(
+                f"{r.time:.9f}|{r.point}|{r.direction}|{r.src}|{r.dst}|"
+                f"{r.flags}|{r.seq}|{r.ack}|{r.payload_len}|{r.dropped}"
+                .encode())
+        assert monitor.digest() == expected.hexdigest()
 
     def test_non_wire_records_still_digested(self, monitor_world):
         bed, monitor, vip_ep = monitor_world

@@ -36,7 +36,7 @@ import pytest
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
-from repro.sim.tracing import TraceRecord
+from repro.sim.tracing import TraceRecord, canonical_trace_line
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_SCHEMA = "golden-trace/v1"
@@ -62,13 +62,20 @@ SCENARIO_VARIANTS: Dict[str, Dict] = {
 }
 
 
-def canonical_line(rec: TraceRecord) -> str:
-    """One record as a stable, readable line; the digest is over these."""
-    return (
-        f"{rec.time:.9f} {rec.point} {rec.direction} "
-        f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
-        f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
-    )
+# (checked, violation_count) per invariant for one pinned run, from the
+# commit before the packet invariants were folded onto one flow-audit table
+# (PR 12): the digest proves the packets did not move, this proves the
+# shared table audits them exactly as the two separate tables did.
+PINNED_AUDIT_COUNTS = {
+    "crash-heal-crash": {
+        "storage-before-ack": (18, 0),
+        "acked-byte-loss": (11082, 0),
+        "flow-conservation": (9, 0),
+        "snat-leak": (3, 0),
+        "no-accepted-request-dropped": (9, 0),
+        "replication-factor": (172, 0),
+    },
+}
 
 
 class GoldenRecorder:
@@ -87,7 +94,7 @@ class GoldenRecorder:
         self.lines: List[str] = []
 
     def record(self, rec: TraceRecord) -> None:
-        line = canonical_line(rec)
+        line = canonical_trace_line(rec)
         data = line.encode()
         self._full.update(data)
         self._block.update(data)
@@ -254,6 +261,9 @@ def test_golden_trace(name):
     # the engine's own digest (InvariantMonitor's field format) is pinned
     # too: it must agree with what the chaos CLI reports for the same run
     assert outcome.trace_digest == golden["engine_digest"]
+    if name in PINNED_AUDIT_COUNTS:
+        assert {v.invariant: (v.checked, v.violation_count)
+                for v in outcome.verdicts} == PINNED_AUDIT_COUNTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_VARIANTS))

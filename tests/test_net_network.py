@@ -10,7 +10,7 @@ from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
-from repro.sim.tracing import PacketTrace
+from repro.sim.tracing import PacketTrace, TraceRecord
 
 
 def _pkt(src_ip, dst_ip, payload=b""):
@@ -169,6 +169,69 @@ def test_trace_marks_drops_at_failed_host(net):
     loop.run()
     rx = [r for r in trace if r.direction == "rx"]
     assert rx and rx[0].dropped
+
+
+class _ScopedTrace(PacketTrace):
+    scope = "wire-tx"
+
+
+def test_wire_tx_tap_sees_the_wire_tx_subsequence_of_an_all_tap(net):
+    """Same records (the very objects), same order, nothing else -- with
+    deliveries, a transmit-side drop, a delivery-side drop and a duplicate
+    in the stream, and whichever tap was attached first."""
+    loop, network = net
+    early = network.add_trace(_ScopedTrace())
+    everything = network.add_trace(PacketTrace())
+    late = network.add_trace(_ScopedTrace())
+    a = network.attach(Host("a", ["10.0.0.1"]))
+    b = network.attach(Host("b", ["10.0.0.2"]))
+    dead = network.attach(Host("dead", ["10.0.0.3"]))
+    b.set_handler(lambda p: None)
+    dead.fail()
+    network.set_duplicate_rate(1.0, src="a", dst="b")
+    for i in range(5):
+        a.send(_pkt("10.0.0.1", "10.0.0.2", payload=b"x" * i))
+        b.send(_pkt("10.0.0.2", "10.0.0.1"))
+        a.send(_pkt("10.0.0.1", "10.0.0.3"))  # dropped at delivery
+        a.send(_pkt("10.0.0.1", "10.9.9.9"))  # dropped at transmit
+    loop.run()
+    wire_tx = [r for r in everything
+               if r.point == "wire" and r.direction == "tx"]
+    assert 0 < len(wire_tx) < len(everything)
+    assert any(r.dropped for r in wire_tx)
+    for scoped in (early, late):
+        assert len(scoped) == len(wire_tx)
+        assert all(x is y for x, y in zip(scoped, wire_tx))
+
+
+def test_untapped_and_wire_tx_only_networks_build_no_rx_record(net, monkeypatch):
+    loop, network = net
+    built = []
+    real = TraceRecord.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[2])
+        real(self, *args, **kwargs)
+    monkeypatch.setattr(TraceRecord, "__init__", counting_init)
+    a = network.attach(Host("a", ["10.0.0.1"]))
+    b = network.attach(Host("b", ["10.0.0.2"]))
+    b.set_handler(lambda p: None)
+    a.send(_pkt("10.0.0.1", "10.0.0.2"))
+    loop.run()
+    assert built == []
+    network.add_trace(_ScopedTrace())
+    a.send(_pkt("10.0.0.1", "10.0.0.2"))
+    loop.run()
+    assert built == ["tx"]
+
+
+def test_unknown_tap_scope_rejected(net):
+    _, network = net
+
+    class Typo(PacketTrace):
+        scope = "wire_tx"
+    with pytest.raises(NetworkError):
+        network.add_trace(Typo())
 
 
 def test_detach_removes_routes(net):

@@ -296,6 +296,18 @@ class TestFlashCrowdScenario:
         nar = next(v for v in outcome.verdicts
                    if v.invariant == "no-accepted-request-dropped")
         assert nar.ok and nar.checked > 0
+        # per-invariant audit counts, pinned at the commit before the
+        # monitors were folded onto one flow-audit table (PR 12): the
+        # shared table must judge exactly the packets the two tables did
+        assert {v.invariant: (v.checked, v.violation_count)
+                for v in outcome.verdicts} == {
+            "storage-before-ack": (930, 0),
+            "acked-byte-loss": (27517, 0),
+            "flow-conservation": (1044, 0),
+            "snat-leak": (3, 0),
+            "no-accepted-request-dropped": (465, 0),
+            "replication-factor": (929, 0),
+        }
 
 
 class TestChaosListCli:

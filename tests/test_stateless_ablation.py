@@ -68,6 +68,21 @@ class TestCrashAblation:
             f"expected mid-flow loss, got failures in {failed or 'nothing'}"
         )
 
+    def test_stateless_audit_counts_are_pinned(self, outcomes):
+        """The ablation must keep failing flow-conservation, by exactly
+        the flow it failed before the monitors shared one flow-audit
+        table (PR 12; values from the commit before)."""
+        _, stateless = outcomes
+        assert {v.invariant: (v.checked, v.violation_count)
+                for v in stateless.verdicts} == {
+            "storage-before-ack": (0, 0),
+            "acked-byte-loss": (13260, 0),
+            "flow-conservation": (17, 1),
+            "snat-leak": (0, 0),
+            "no-accepted-request-dropped": (17, 1),
+            "replication-factor": (0, 0),
+        }
+
     def test_stateless_mode_wrote_no_durable_records(self, outcomes):
         """storage-before-ack is waived in stateless mode because there
         is genuinely nothing to audit -- zero checks, not relaxed ones."""
