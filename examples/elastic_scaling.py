@@ -10,8 +10,8 @@ adding/removing instances breaks connections (Section 2.3, Problem 2).
 Run:  python examples/elastic_scaling.py
 """
 
-from repro.core.controller import AutoscaleConfig
-from repro.core.instance import YodaCostModel
+from repro.autoscale import Autoscaler, ElasticPolicy
+from repro.core import YodaCostModel, YodaServiceConfig
 from repro.experiments.harness import Testbed, TestbedConfig
 
 
@@ -20,17 +20,15 @@ def main() -> None:
     bed = Testbed(TestbedConfig(
         seed=11, lb="yoda", num_lb_instances=3, num_store_servers=2,
         num_backends=4, corpus="flat", flat_object_bytes=10_000,
-        yoda_cost=YodaCostModel(
-            packet_cpu_base=4.0e-6 * scale,
-            packet_cpu_per_byte=1.5e-9 * scale,
-        ),
+        yoda=YodaServiceConfig(cost_model=YodaCostModel().scaled(scale)),
     ))
     controller = bed.yoda.controller
     for _ in range(2):
         bed.yoda.new_spare_instance()
-    controller.enable_autoscaling(AutoscaleConfig(
-        high_watermark=0.70, target=0.55, check_interval=3.0,
-    ))
+    # the paper's CPU-watermark rule: scale out only, bounded by the spares
+    controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+        high_watermark=0.70, target=0.55, check_interval=3.0, drain=False,
+    )))
 
     generator = bed.open_loop(rate=450.0)  # ~150 req/s per instance
     bed.loop.call_later(9.0, lambda: generator.set_rate(900.0))

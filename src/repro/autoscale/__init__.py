@@ -14,9 +14,9 @@ The subsystem splits the loop into three testable layers:
   clocks and event ledger through the leader journal, and flight-records
   every decision.
 
-Nothing here runs unless explicitly armed (``YodaService.enable_elastic``
-or the legacy ``controller.enable_autoscaling``), so golden traces stay
-bit-identical by construction.
+Nothing here runs unless explicitly armed (``YodaServiceConfig.autoscale``
+or ``controller.attach_autoscaler``), so golden traces stay bit-identical
+by construction.
 """
 
 from repro.autoscale.engine import Autoscaler, ScaleEvent

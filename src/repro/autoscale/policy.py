@@ -3,11 +3,10 @@
 The engine is deliberately free of simulator state -- it consumes a
 :class:`~repro.autoscale.signals.SignalSnapshot` and returns a
 :class:`ScaleDecision`; the actuation (and every side effect) lives in
-:mod:`repro.autoscale.engine`.  That split is what lets the legacy
-Fig. 13 CPU-watermark policy ride the same code path as the full
-elastic policy: :meth:`ElasticPolicy.from_legacy` maps the old
-``AutoscaleConfig`` onto a preset whose decisions are arithmetic-
-identical to the historical ``_autoscale_pass``.
+:mod:`repro.autoscale.engine`.  That split is what lets the Fig. 13
+CPU-watermark policy ride the same code path as the full elastic
+policy: with every safety rail at its default (no cooldowns, no step
+limit, CPU as the only signal) the engine is the paper's watermark rule.
 
 State machine (per the auto-scaling-group pattern)::
 
@@ -32,8 +31,8 @@ from repro.autoscale.signals import SignalSnapshot
 
 @dataclass
 class ElasticPolicy:
-    """Knobs for the closed loop.  Defaults mirror the legacy Fig. 13
-    preset; ``from_legacy`` is the canonical way to get that preset."""
+    """Knobs for the closed loop.  The defaults are the paper's Fig. 13
+    CPU-watermark rule: every rail below is off until set."""
 
     # hysteresis band on the primary (CPU) signal
     high_watermark: float = 0.70  # add capacity above this average CPU
@@ -42,7 +41,7 @@ class ElasticPolicy:
     check_interval: float = 5.0
     # secondary pressure signals: queues build before CPU does, so the
     # qos plane's signals can trip scale-out while CPU still looks fine.
-    # None disarms a signal (the legacy preset uses CPU only).
+    # None disarms a signal (Fig. 13 uses CPU only).
     admission_pressure_high: Optional[float] = None  # 1 - bucket fraction
     limiter_saturation_high: Optional[float] = None  # inflight / AIMD limit
     # safety rails
@@ -57,35 +56,13 @@ class ElasticPolicy:
     drain: bool = True
     drain_deadline: Optional[float] = None  # None = controller default
     # refuse new decisions while a drain is still in flight, and raise
-    # typed errors instead of silently holding (the modern loop); the
-    # legacy preset keeps the historical quiet behavior
+    # typed errors instead of silently holding
     serialize_events: bool = False
     # -- store-replica elasticity -----------------------------------------
     scale_stores: bool = False
     instances_per_store: int = 3  # target ceil(live / this) store servers
     min_stores: int = 2  # never below the replication factor
     max_stores: int = 0  # 0 = unbounded
-
-    @classmethod
-    def from_legacy(cls, cfg) -> "ElasticPolicy":
-        """Compatibility preset for ``core.controller.AutoscaleConfig``:
-        same watermarks, same sizing rule, no cooldowns, no step limits,
-        quiet capacity starvation -- decision-for-decision identical to
-        the pre-subsystem ``_autoscale_pass``."""
-        return cls(
-            high_watermark=cfg.high_watermark,
-            low_watermark=cfg.low_watermark,
-            target=cfg.target,
-            check_interval=cfg.check_interval,
-            scale_down=cfg.scale_down,
-            drain=cfg.drain,
-            cooldown_out=0.0,
-            cooldown_in=0.0,
-            step_out=0,
-            step_in=1,
-            min_instances=1,
-            serialize_events=False,
-        )
 
 
 @dataclass
@@ -170,7 +147,7 @@ class PolicyEngine:
                     "hold", reason=f"cooldown-out until t={until:.2f}",
                     signals=snap)
             # size so the current load would land on the target (the
-            # legacy Fig. 13 rule), but always move by at least one
+            # Fig. 13 rule), but always move by at least one
             wanted = max(live + 1, math.ceil(live * snap.avg_cpu / p.target))
             to_add = wanted - live
             if p.step_out > 0:

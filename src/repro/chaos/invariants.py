@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.flowstate import client_key
+from repro.core.service import STORE_REPLICAS
 from repro.kvstore.memcached import version_newer
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
@@ -212,10 +213,8 @@ class InvariantMonitor:
             # stateless dispatch mode waives them by contract: it ACKs
             # without durable writes -- that is the whole bargain, and its
             # losses surface through flow-conservation instead
-            stateless = getattr(bed.config, "stateless", None)
             check_storage = (bed.yoda is not None
-                             and not (stateless is not None
-                                      and stateless.enabled))
+                             and not bed.yoda.config.stateless_enabled)
         self.check_storage = check_storage
         self.table = FlowAuditTable(bed)
         self.table.on_rst.append(self._on_rst)
@@ -493,7 +492,7 @@ class ReplicationFactorMonitor:
         # that is the standby site's stores, not the (dead) primary's
         all_stores = list(yoda.store_servers) + list(yoda.standby_store_servers)
         live_stores = [s for s in all_stores if not s.host.failed]
-        need = min(yoda.config.store_replicas, len(live_stores))
+        need = min(STORE_REPLICAS, len(live_stores))
         if need == 0:
             return
         sampled = set()

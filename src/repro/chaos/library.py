@@ -32,6 +32,10 @@ from repro.chaos.faults import (
 )
 from repro.autoscale.policy import ElasticPolicy
 from repro.chaos.scenario import Scenario
+from repro.core.controller import RegionConfig
+from repro.core.instance import YodaCostModel
+from repro.core.leader import ControllerHAConfig
+from repro.core.service import YodaServiceConfig
 from repro.qos.config import QosConfig
 
 BUILTIN_SCENARIOS: Dict[str, Scenario] = {}
@@ -199,6 +203,15 @@ _register(Scenario(
 ))
 
 
+# the surge arrives from tier-2 clients; tier 0 (the browsers) is only
+# refused once the bucket is truly empty
+_FLASH_CROWD_QOS = QosConfig(
+    admission_rate=30.0,
+    admission_burst=20.0,
+    tier_floors=(0.0, 0.0, 0.6),
+    client_tiers=(("172.16.9.", 2),),
+)
+
 _register(Scenario(
     name="flash-crowd",
     description=(
@@ -219,12 +232,7 @@ _register(Scenario(
     ],
     object_bytes=80_000,
     object_count=8,
-    qos_config=QosConfig(
-        admission_rate=30.0,
-        admission_burst=20.0,
-        tier_floors=(0.0, 0.0, 0.6),
-        client_tiers=(("172.16.9.", 2),),
-    ),
+    yoda=YodaServiceConfig(qos=_FLASH_CROWD_QOS),
 ))
 
 
@@ -247,26 +255,24 @@ _register(Scenario(
     object_bytes=80_000,
     object_count=8,
     num_lb_instances=2,
-    spare_instances=3,
-    cpu_scale=6.0,
     http_timeout=15.0,
     drain=12.0,
-    autoscale=ElasticPolicy(
-        high_watermark=0.70,
-        admission_pressure_high=0.40,
-        check_interval=0.5,
-        cooldown_out=1.5,
-        cooldown_in=8.0,
-        step_out=2,
-        min_instances=2,
-        max_instances=5,
-        scale_down=False,
-    ),
-    qos_config=QosConfig(
-        admission_rate=30.0,
-        admission_burst=20.0,
-        tier_floors=(0.0, 0.0, 0.6),
-        client_tiers=(("172.16.9.", 2),),
+    yoda=YodaServiceConfig(
+        qos=_FLASH_CROWD_QOS,
+        spare_instances=3,
+        # per-packet CPU cost scaled up so the surge's load is visible
+        cost_model=YodaCostModel().scaled(6.0),
+        autoscale=ElasticPolicy(
+            high_watermark=0.70,
+            admission_pressure_high=0.40,
+            check_interval=0.5,
+            cooldown_out=1.5,
+            cooldown_in=8.0,
+            step_out=2,
+            min_instances=2,
+            max_instances=5,
+            scale_down=False,
+        ),
     ),
 ))
 
@@ -289,17 +295,19 @@ _register(Scenario(
     streams=6,
     duration=12.0,
     drain=10.0,
-    standby_site="dc2",
     num_lb_instances=4,
-    autoscale=ElasticPolicy(
-        low_watermark=0.30,
-        check_interval=1.0,
-        scale_down=True,
-        drain=True,
-        drain_deadline=6.0,
-        cooldown_out=30.0,
-        cooldown_in=30.0,
-        min_instances=3,
+    yoda=YodaServiceConfig(
+        region=RegionConfig("dc2"),
+        autoscale=ElasticPolicy(
+            low_watermark=0.30,
+            check_interval=1.0,
+            scale_down=True,
+            drain=True,
+            drain_deadline=6.0,
+            cooldown_out=30.0,
+            cooldown_in=30.0,
+            min_instances=3,
+        ),
     ),
 ))
 
@@ -324,7 +332,7 @@ _register(Scenario(
     streams=6,
     duration=12.0,
     drain=10.0,
-    standby_site="dc2",
+    yoda=YodaServiceConfig(region=RegionConfig("dc2")),
 ))
 
 _register(Scenario(
@@ -342,7 +350,7 @@ _register(Scenario(
         crash(3.0, "lb:serving"),
     ],
     streams=4,
-    standby_site="dc2",
+    yoda=YodaServiceConfig(region=RegionConfig("dc2")),
     drain=10.0,
 ))
 
@@ -362,7 +370,7 @@ _register(Scenario(
         crash(3.5, "lb:serving"),
     ],
     streams=4,
-    standby_site="dc2",
+    yoda=YodaServiceConfig(region=RegionConfig("dc2")),
     drain=10.0,
 ))
 
@@ -383,7 +391,7 @@ _register(Scenario(
         crash(6.5, "lb:serving"),
     ],
     streams=4,
-    num_controllers=3,
+    yoda=YodaServiceConfig(controllers=ControllerHAConfig()),
 ))
 
 _register(Scenario(
@@ -405,8 +413,8 @@ _register(Scenario(
     streams=6,
     duration=12.0,
     drain=12.0,
-    standby_site="dc2",
-    num_controllers=3,
+    yoda=YodaServiceConfig(region=RegionConfig("dc2"),
+                           controllers=ControllerHAConfig()),
 ))
 
 _register(Scenario(
@@ -424,8 +432,8 @@ _register(Scenario(
         crash(4.5, "lb:serving"),
     ],
     streams=4,
-    num_controllers=3,
-    stepdown_grace=2.0,
+    yoda=YodaServiceConfig(
+        controllers=ControllerHAConfig(stepdown_grace=2.0)),
 ))
 
 _register(Scenario(
@@ -447,7 +455,7 @@ _register(Scenario(
     stream_chunks=120,  # ~12 s: alive across both leader restarts
     duration=14.0,
     drain=10.0,
-    num_controllers=3,
+    yoda=YodaServiceConfig(controllers=ControllerHAConfig()),
 ))
 
 

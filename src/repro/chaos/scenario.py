@@ -18,7 +18,7 @@ clean while HAProxy demonstrably breaks flows under the same schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.chaos.faults import AppliedFault, FaultSpec, apply_fault
@@ -33,10 +33,14 @@ from repro.chaos.invariants import (
     ScaleEventsConverge,
     Verdict,
 )
-from repro.core.instance import YodaCostModel
+from repro.core.service import YodaServiceConfig
+from repro.errors import ConfigError
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.l4lb.compact import StatelessConfig
-from repro.qos.config import QosConfig
+
+# the long-lived streaming downloads a scenario may ride alongside its
+# page workload (``Scenario.streams`` of them)
+STREAM_CHUNK_BYTES = 1_000
+STREAM_MAX_STALLS = 8  # probes before a stream gives up
 
 
 @dataclass
@@ -56,29 +60,13 @@ class Scenario:
     num_lb_instances: int = 4
     num_store_servers: int = 3
     num_backends: int = 3
-    qos_config: Optional[QosConfig] = None  # overload-control plane (yoda)
-    # compact stateless dispatch (yoda): enabled=True is the Concury-style
-    # ablation leg -- established flows must NOT survive an instance crash
-    stateless_config: Optional[StatelessConfig] = None
-    # -- multi-region (None = the historical single-site scenario) --
-    standby_site: Optional[str] = None  # e.g. "dc2": build a second region
-    replication: bool = True  # cross-site flow-store shipping (ablation)
-    # -- controller HA (0 = the historical singleton controller) --
-    num_controllers: int = 0  # lease-elected controller replicas
-    lease_ttl: float = 1.5
-    stepdown_grace: float = 0.0  # how long a cut-off leader keeps acting
-    # -- closed-loop elastic scaling (None = autoscaler disarmed) --
-    autoscale: Optional[object] = None  # ElasticPolicy (yoda only)
-    spare_instances: int = 0  # pre-provisioned spare instance VMs
-    cpu_scale: float = 1.0  # scales per-packet CPU cost so load is visible
+    # the yoda tier's planes (qos, stateless, region, controller HA,
+    # autoscale, cost model); the HAProxy leg of a contrast runs without
+    yoda: YodaServiceConfig = field(default_factory=YodaServiceConfig)
     # long-lived streaming downloads riding alongside the page workload;
     # the region-failover invariant audits the ones established pre-kill
     streams: int = 0
     stream_chunks: int = 60
-    stream_chunk_bytes: int = 1_000
-    stream_interval_ms: int = 100
-    stream_stall_timeout: float = 1.0
-    stream_max_stalls: int = 8  # probes before a stream gives up
 
     def timeline(self) -> List[str]:
         return [spec.describe() for spec in sorted(self.faults, key=lambda s: s.at)]
@@ -165,8 +153,9 @@ class ScenarioEngine:
         self.step_window = step_window
         # None = the scenario's own setting; False = the cross-site
         # replication ablation (--no-replication)
-        self.replication = (scenario.replication if replication is None
-                            else replication)
+        region = scenario.yoda.region
+        self.replication = (replication if replication is not None
+                            else region is None or region.replication)
         # extra packet-trace taps (objects with a ``record(rec)`` method)
         # attached alongside the invariant monitor -- the golden-trace
         # suite uses this to capture the full packet schedule
@@ -181,13 +170,17 @@ class ScenarioEngine:
 
     def build(self) -> Testbed:
         s = self.scenario
-        cost = None
-        if s.cpu_scale != 1.0:
-            base = YodaCostModel()
-            cost = YodaCostModel(
-                packet_cpu_base=base.packet_cpu_base * s.cpu_scale,
-                packet_cpu_per_byte=base.packet_cpu_per_byte * s.cpu_scale,
-            )
+        yoda = None
+        if self.lb == "yoda":
+            # the run's ablation switches, on a copy of the scenario's tier
+            yoda = replace(s.yoda, self_healing=self.repair)
+            if yoda.region is not None:
+                yoda.region = replace(yoda.region,
+                                      replication=self.replication)
+        elif s.yoda.region is not None:
+            # the baseline leg sheds the yoda-only planes, but a region's
+            # faults name a site that would not exist
+            raise ConfigError("multi-region is a yoda-only feature")
         self.bed = Testbed(TestbedConfig(
             seed=self.seed,
             lb=self.lb,
@@ -198,17 +191,7 @@ class ScenarioEngine:
             corpus="flat",
             flat_object_bytes=s.object_bytes,
             flat_object_count=s.object_count,
-            kv_self_healing=self.repair,
-            qos=s.qos_config if self.lb == "yoda" else None,
-            stateless=s.stateless_config if self.lb == "yoda" else None,
-            standby_site=s.standby_site,
-            replication=self.replication,
-            num_controllers=s.num_controllers if self.lb == "yoda" else 0,
-            lease_ttl=s.lease_ttl,
-            stepdown_grace=s.stepdown_grace,
-            autoscale=s.autoscale if self.lb == "yoda" else None,
-            spare_instances=s.spare_instances if self.lb == "yoda" else 0,
-            **({"yoda_cost": cost} if cost is not None else {}),
+            yoda=yoda,
         ))
         self.monitor = InvariantMonitor(self.bed)
         self.bed.network.add_trace(self.monitor)
@@ -232,10 +215,8 @@ class ScenarioEngine:
         if s.streams > 0:
             self.fleet = bed.streaming(
                 s.streams, chunks=s.stream_chunks,
-                chunk_bytes=s.stream_chunk_bytes,
-                interval_ms=s.stream_interval_ms, start_at=0.2,
-                stall_timeout=s.stream_stall_timeout,
-                max_stalls=s.stream_max_stalls,
+                chunk_bytes=STREAM_CHUNK_BYTES, start_at=0.2,
+                max_stalls=STREAM_MAX_STALLS,
             )
         for spec in s.faults:
             bed.loop.call_later(spec.at, self._fire, spec)
@@ -256,7 +237,7 @@ class ScenarioEngine:
             verdicts.append(EstablishedFlowsSurviveRegionFailover().finalize(
                 self.fleet.clients, self._region_kill_time))
         controller = bed.yoda.controller if bed.yoda is not None else None
-        if s.standby_site is not None and controller is not None:
+        if controller is not None and bed.yoda.standby_region is not None:
             verdicts.append(NoSplitBrainPromotion().finalize(
                 controller, region_killed=self._region_kill_time is not None))
         replica_set = bed.yoda.replica_set if bed.yoda is not None else None
@@ -291,9 +272,8 @@ class ScenarioEngine:
             failed_over=bool(getattr(controller, "failed_over", False)),
             records_lost=int(
                 getattr(controller, "failover_records_lost", 0) or 0),
-            stateless=bool(self.lb == "yoda"
-                           and s.stateless_config is not None
-                           and s.stateless_config.enabled),
+            stateless=(bed.yoda is not None
+                       and bed.yoda.config.stateless_enabled),
             scale_events=scale_events,
         )
 
@@ -343,6 +323,6 @@ def run_contrast(scenario: Scenario, seed: int = 2016,
     state to replicate and no elastic control loop), so those skip the
     baseline leg."""
     out = {"yoda": run_scenario(scenario, lb="yoda", seed=seed, repair=repair)}
-    if scenario.standby_site is None and scenario.autoscale is None:
+    if scenario.yoda.region is None and scenario.yoda.autoscale is None:
         out["haproxy"] = run_scenario(scenario, lb="haproxy", seed=seed)
     return out

@@ -293,14 +293,18 @@ def _run_chaos(args) -> int:
         started = time.perf_counter()
         repair = not args.no_repair
         replication = False if args.no_replication else None
-        if args.single_controller:
-            import dataclasses
-            scenario = dataclasses.replace(scenario, num_controllers=1)
-        if args.stateless:
-            import dataclasses
+        if args.single_controller or args.stateless:
+            from dataclasses import replace
+
+            from repro.core.leader import ControllerHAConfig
             from repro.l4lb.compact import StatelessConfig
-            scenario = dataclasses.replace(
-                scenario, stateless_config=StatelessConfig(enabled=True))
+            yoda = scenario.yoda
+            if args.single_controller:
+                yoda = replace(yoda, controllers=replace(
+                    yoda.controllers or ControllerHAConfig(), replicas=1))
+            if args.stateless:
+                yoda = replace(yoda, stateless=StatelessConfig(enabled=True))
+            scenario = replace(scenario, yoda=yoda)
         if (args.no_baseline or args.no_replication
                 or args.single_controller or args.stateless):
             # the replication ablation is a YODA-only knob; contrasting

@@ -24,7 +24,7 @@ from repro.core.policy import VipPolicy
 from repro.errors import ControllerError, StaleLeaderEpoch
 from repro.http.server import BackendHttpServer
 from repro.kvstore.client import MemcachedCluster
-from repro.kvstore.sitesync import SiteReplicator
+from repro.kvstore.sitesync import SYNC_INTERVAL, SiteReplicator
 from repro.l4lb.service import L4LoadBalancer
 from repro.obs import OBS
 from repro.qos.drain import DrainCoordinator, DrainState, DrainStatus
@@ -111,6 +111,19 @@ class ControllerHealthView:
 
 
 @dataclass
+class RegionConfig:
+    """The multi-region plane: a standby site the controller promotes
+    when the whole primary region dies."""
+
+    standby_site: str  # e.g. "dc2"; the name fault specs refer to it by
+    # asynchronous cross-site replication of the flow store (the
+    # --no-replication ablation turns this off: the standby promotes
+    # against an empty store and established flows cannot survive)
+    replication: bool = True
+    sync_interval: float = SYNC_INTERVAL  # replicator pacing (lag ablations)
+
+
+@dataclass
 class StandbyRegion:
     """A fully built but idle secondary region, registered for failover.
 
@@ -124,20 +137,6 @@ class StandbyRegion:
     instances: List[YodaInstance]
     kv_cluster: Optional[MemcachedCluster] = None
     replicator: Optional[SiteReplicator] = None
-
-
-@dataclass
-class AutoscaleConfig:
-    """Scale-out policy for Figure 13."""
-
-    high_watermark: float = 0.70  # add instances above this average CPU
-    low_watermark: float = 0.25  # (optional) release spares below this
-    target: float = 0.55  # size so average CPU lands here
-    check_interval: float = 5.0
-    scale_down: bool = False
-    # scale in by draining (make-before-break) instead of the legacy
-    # instant removal that relies on TCPStore failover for every flow
-    drain: bool = False
 
 
 class YodaController:
@@ -171,7 +170,7 @@ class YodaController:
         self._instance_health = ControllerHealthView(down_after, up_after)
         self._kv_health = ControllerHealthView(down_after, up_after)
         # closed-loop elastic scaling (repro.autoscale); None until armed
-        # via enable_autoscaling (legacy preset) or attach_autoscaler
+        # via attach_autoscaler
         self.autoscaler = None
         self.draining: Set[str] = set()
         self.drain_deadline = drain_deadline
@@ -885,18 +884,6 @@ class YodaController:
         self.metrics.counter("stores_decommissioned").inc()
 
     # ------------------------------------------------------------- autoscale --
-    def enable_autoscaling(self, config: Optional[AutoscaleConfig] = None) -> None:
-        """Arm the legacy Fig. 13 CPU-watermark policy.  Since the
-        autoscale subsystem landed this is a compatibility preset: the
-        same watermark/sizing arithmetic runs through
-        ``repro.autoscale``'s policy engine, decision-for-decision
-        identical to the historical in-controller pass."""
-        from repro.autoscale.engine import Autoscaler
-        from repro.autoscale.policy import ElasticPolicy
-
-        policy = ElasticPolicy.from_legacy(config or AutoscaleConfig())
-        self.attach_autoscaler(Autoscaler(self, policy))
-
     def attach_autoscaler(self, autoscaler) -> None:
         """Bind (and start) a closed-loop autoscaler on this replica."""
         if self.autoscaler is not None:

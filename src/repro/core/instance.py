@@ -21,7 +21,7 @@ An instance never owns an end-to-end TCP connection.  It:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.flowstate import FlowPhase, FlowState, yoda_isn
@@ -94,6 +94,13 @@ class YodaCostModel:
 
     def packet_cost(self, pkt: Packet) -> float:
         return self.packet_cpu_base + self.packet_cpu_per_byte * pkt.wire_len
+
+    def scaled(self, factor: float) -> "YodaCostModel":
+        """Per-packet CPU cost times ``factor``: experiments shrink request
+        rates and grow the cost to match, so utilization stays the paper's."""
+        return replace(self,
+                       packet_cpu_base=self.packet_cpu_base * factor,
+                       packet_cpu_per_byte=self.packet_cpu_per_byte * factor)
 
 
 class _LocalFlow:

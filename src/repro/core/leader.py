@@ -34,6 +34,7 @@ checkpointing established flows, and the store keeps replicating.  Only
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.tcpstore import VersionLedger
@@ -51,6 +52,17 @@ JOURNAL_KEY = "yoda:ctl:journal"
 LEASE_TTL = 1.5           # seconds a claim is valid without renewal
 LEASE_SETTLE = 0.25       # claim -> confirm-read delay (lets a duel land)
 FENCE_LOG_CAP = 4096      # per-gate decision log bound
+
+
+@dataclass
+class ControllerHAConfig:
+    """The controller-HA plane: leader-elected controller replicas
+    competing for a fenced lease in the store."""
+
+    replicas: int = 3
+    # how long a leader that cannot reach the lease store keeps acting
+    # past its lease expiry (models a live partitioned old leader)
+    stepdown_grace: float = 0.0
 
 
 class LeaderToken:

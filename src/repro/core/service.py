@@ -8,20 +8,28 @@ hand-assembling hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
-from repro.core.controller import StandbyRegion, YodaController
+from repro.autoscale.engine import Autoscaler
+from repro.autoscale.policy import ElasticPolicy
+from repro.core.controller import (
+    MONITOR_INTERVAL,
+    RegionConfig,
+    StandbyRegion,
+    YodaController,
+)
 from repro.core.instance import YodaCostModel, YodaInstance
 from repro.core.leader import (
+    ControllerHAConfig,
     ControllerReplica,
     ControllerReplicaSet,
     FenceGate,
     LeaderElector,
 )
 from repro.core.policy import VipPolicy
-from repro.core.selector import ScanCostModel
 from repro.core.tcpstore import TcpStore
+from repro.errors import ConfigError
 from repro.http.server import BackendHttpServer
 from repro.kvstore.client import MemcachedCluster, ReplicatingKvClient
 from repro.kvstore.memcached import MemcachedServer
@@ -31,97 +39,97 @@ from repro.l4lb.compact import StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.host import Host
 from repro.net.network import Network
-from repro.qos.config import HardeningConfig, QosConfig
+from repro.qos.config import QosConfig
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
+
+STORE_REPLICAS = 2  # K: TCPStore servers each flow record is written to
+# address plan: "<prefix>.<subnet>.<n>" per tier; the standby region and
+# the replication relay live outside any cell, on subnet 0
+INSTANCE_PREFIX, STORE_PREFIX, CONTROLLER_PREFIX = "10.1", "10.2", "10.8"
+STANDBY_INSTANCE_PREFIX, STANDBY_STORE_PREFIX = "10.5", "10.6"
+STANDBY_ROUTER_IP = "10.255.0.2"
+SYNC_OP_TIMEOUT = 0.25  # relay -> standby store; must exceed the WAN round trip
 
 
 @dataclass
 class YodaServiceConfig:
-    """Deployment sizing knobs (defaults mirror the paper's testbed)."""
+    """One YODA tier: its sizes, its planes and its cell namespace.
+
+    Every yoda-tier option is declared here and nowhere else --
+    ``TestbedConfig`` and ``Scenario`` carry a handle to one of these
+    instead of mirroring its fields.  A plane whose field is ``None`` is
+    absent: nothing of it is constructed, which is what keeps the pinned
+    packet schedules bit-identical.  Defaults mirror the paper's testbed.
+    """
 
     num_instances: int = 10
     num_store_servers: int = 10
     num_muxes: int = 4
-    store_replicas: int = 2
-    mapping_propagation: float = 0.2
-    monitor_interval: float = 0.6
-    down_after: int = 2  # consecutive failed probes to mark down
-    up_after: int = 2  # consecutive good probes to mark up
+    monitor_interval: float = MONITOR_INTERVAL
     kv_op_timeout: float = 0.1
-    kv_max_retries: int = 2
-    kv_dead_after_timeouts: int = 3
-    kv_quarantine: float = 1.0
     # self-healing store: read-repair + hinted handoff in the clients and
     # an anti-entropy sweeper per instance.  Off = the paper's client-side
     # replication exactly as published (the durability ablation).
     self_healing: bool = True
-    repair_interval: float = 0.2
-    repair_rate: float = 200.0  # keys re-replicated per second, per instance
-    repair_burst: float = 40.0
     cost_model: YodaCostModel = field(default_factory=YodaCostModel)
-    scan_cost_model: ScanCostModel = field(default_factory=ScanCostModel)
-    instance_prefix: str = "10.1"
-    store_prefix: str = "10.2"
-    # -- cell namespacing (defaults reproduce the historical flat names/IPs
-    # exactly; the sharded scale world stamps one namespace per cell so
-    # many deployments can share a network -- or be cut across shards) --
+    # -- planes (None = absent) --
+    # overload control; a default QosConfig is armed but neutral -- it
+    # never sheds, breaks or limits
+    qos: Optional[QosConfig] = None
+    # compact stateless fast path; a default StatelessConfig is armed but
+    # inert (snapshots ride every push, dispatch unchanged), enabled=True
+    # flips the mux to O(1) dispatch and the instances to no durable writes
+    stateless: Optional[StatelessConfig] = None
+    region: Optional[RegionConfig] = None  # standby region + replication
+    controllers: Optional[ControllerHAConfig] = None  # None = one singleton
+    # slow-loris guard: kill flows that never complete their request
+    # headers within this many seconds of the SYN
+    header_deadline: Optional[float] = None
+    # closed-loop elastic scaling, applied by :meth:`YodaService.arm_elastic`
+    # once a service is onboarded: the policy every controller (replica)
+    # runs, and the pre-provisioned idle instance VMs it may adopt
+    autoscale: Optional[ElasticPolicy] = None
+    spare_instances: int = 0
+    # -- cell namespace (defaults are the flat names/IPs; ``Testbed``
+    # stamps one namespace per cell so many deployments can share a
+    # network -- or be cut across shards) --
     subnet: int = 0  # third IP octet for instance/store addresses
     site: str = "dc"  # primary site name
     host_prefix: str = ""  # prepended to every host name built here
-    router_name: str = "l4-router"
-    router_ip: str = "10.255.0.1"
-    # overload-control plane (None = not constructed; a default QosConfig
-    # is armed but neutral -- it never sheds, breaks or limits)
-    qos: Optional[QosConfig] = None
-    # one bundle overriding the scattered hardening knobs above, for
-    # sweeps/ablations; defaults equal the historical constants exactly
-    hardening: Optional[HardeningConfig] = None
-    # -- multi-region (None = the historical single-site deployment; a
-    # 1-site build constructs nothing extra and stays bit-identical) --
-    standby_site: Optional[str] = None  # e.g. "dc2": build a standby region
-    num_standby_instances: int = 0  # 0 -> num_instances
-    num_standby_stores: int = 0  # 0 -> num_store_servers
-    standby_instance_prefix: str = "10.5"
-    standby_store_prefix: str = "10.6"
-    standby_router_ip: str = "10.255.0.2"
-    # asynchronous cross-site replication of the flow store (the
-    # --no-replication ablation turns this off: the standby promotes
-    # against an empty store and established flows cannot survive)
-    replication: bool = True
-    sync_interval: float = 0.05
-    sync_rate: float = 400.0
-    sync_burst: float = 80.0
-    sync_op_timeout: float = 0.25  # must exceed the WAN round trip
-    # slow-loris guard: kill flows that never complete their request
-    # headers within this many seconds of the SYN (None = off)
-    header_deadline: Optional[float] = None
-    # compact stateless fast path (None = machinery absent; a default
-    # StatelessConfig is armed but inert -- snapshots are built on every
-    # push, dispatch unchanged; enabled=True flips the mux to O(1)
-    # compact dispatch and the instances to no durable writes)
-    stateless: Optional[StatelessConfig] = None
-    # -- controller HA (0 = the historical singleton controller, built
-    # exactly as before; N > 0 runs N leader-elected controller replicas
-    # competing for a fenced lease in the store -- see core.leader) --
-    num_controllers: int = 0
-    lease_ttl: float = 1.5
-    lease_settle: float = 0.25
-    # how long a leader that cannot reach the lease store keeps acting
-    # past its lease expiry (models a live partitioned old leader)
-    stepdown_grace: float = 0.0
-    controller_prefix: str = "10.8"
 
-    def __post_init__(self) -> None:
-        if self.hardening is not None:
-            h = self.hardening
-            self.monitor_interval = h.monitor_interval
-            self.down_after = h.down_after
-            self.up_after = h.up_after
-            self.kv_op_timeout = h.kv_op_timeout
-            self.kv_max_retries = h.kv_max_retries
-            self.kv_dead_after_timeouts = h.kv_dead_after_timeouts
-            self.kv_quarantine = h.kv_quarantine
+    @property
+    def stateless_enabled(self) -> bool:
+        """Stateless dispatch is on (armed-but-disabled does not count)."""
+        return self.stateless is not None and self.stateless.enabled
+
+    def validate(self) -> None:
+        """Refuse, before anything is built, what cannot work."""
+        for name in ("num_instances", "num_store_servers", "num_muxes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.spare_instances < 0:
+            raise ConfigError(
+                f"spare_instances must be >= 0, got {self.spare_instances}")
+        if self.controllers is not None and self.controllers.replicas < 1:
+            raise ConfigError(
+                f"controllers.replicas must be >= 1, got "
+                f"{self.controllers.replicas} (controllers=None is the singleton)")
+        if self.region is not None:
+            if self.region.standby_site == self.site:
+                raise ConfigError(
+                    f"standby region and primary share the site name {self.site!r}")
+            if self.stateless_enabled:
+                raise ConfigError(
+                    "stateless dispatch writes no durable flow state, so a "
+                    "standby region has nothing to resume established flows "
+                    "from: region and stateless.enabled exclude each other")
+
+    def non_default(self) -> List[str]:
+        """Names of the options that differ from a default tier."""
+        default = YodaServiceConfig()
+        return [f.name for f in fields(self)
+                if getattr(self, f.name) != getattr(default, f.name)]
 
 
 class YodaService:
@@ -139,23 +147,18 @@ class YodaService:
         self.rng = rng
         self.config = config or YodaServiceConfig()
         cfg = self.config
+        cfg.validate()
 
         self.l4lb = L4LoadBalancer(
             loop, network, rng, num_muxes=cfg.num_muxes,
-            mapping_propagation=cfg.mapping_propagation,
-            router_ip=cfg.router_ip, router_name=cfg.router_name,
-            site=cfg.site,
+            router_ip=f"10.255.{cfg.subnet}.1",
+            router_name=f"{cfg.host_prefix}l4-router", site=cfg.site,
             stateless=cfg.stateless,
         )
 
         self.store_servers: List[MemcachedServer] = []
-        for i in range(cfg.num_store_servers):
-            host = network.attach(
-                Host(f"{cfg.host_prefix}tcpstore-{i}",
-                     [f"{cfg.store_prefix}.{cfg.subnet}.{i + 1}"],
-                     site=cfg.site)
-            )
-            self.store_servers.append(MemcachedServer(host, loop))
+        for _ in range(cfg.num_store_servers):
+            self.new_spare_store()
         self.kv_cluster = MemcachedCluster(self.store_servers)
 
         self.instances: List[YodaInstance] = []
@@ -163,28 +166,18 @@ class YodaService:
         for i in range(cfg.num_instances):
             self.instances.append(self._build_instance(i))
         self._next_instance_id = cfg.num_instances
-        self._next_store_id = cfg.num_store_servers
-        self.autoscalers: List = []  # armed by enable_elastic
+        self.autoscalers: List[Autoscaler] = []  # armed by enable_elastic
 
-        controller_kwargs = {}
-        if cfg.qos is not None:
-            controller_kwargs["drain_deadline"] = cfg.qos.drain_deadline
-            controller_kwargs["drain_check_interval"] = cfg.qos.drain_check_interval
-        # singleton controller (the historical default) is constructed in
-        # exactly the same order as always; the replicated control plane
-        # is built strictly after everything else exists
+        # the singleton controller is constructed here, before any standby
+        # region; the replicated control plane is built strictly after
+        # everything else exists
         self._controller: Optional[YodaController] = None
         self.replica_set: Optional[ControllerReplicaSet] = None
         self.controller_replicas: List[ControllerReplica] = []
         self.lease_cluster: Optional[MemcachedCluster] = None
         self.standby_region: Optional[StandbyRegion] = None
-        if cfg.num_controllers == 0:
-            self._controller = YodaController(
-                loop, self.l4lb, self.instances, kv_cluster=self.kv_cluster,
-                monitor_interval=cfg.monitor_interval,
-                down_after=cfg.down_after, up_after=cfg.up_after,
-                rng=self.rng, **controller_kwargs,
-            )
+        if cfg.controllers is None:
+            self._controller = self._build_controller()
 
         # multi-region: everything standby is built strictly after the
         # single-site deployment, so a 1-site run constructs exactly what
@@ -194,11 +187,11 @@ class YodaService:
         self.standby_kv_cluster: Optional[MemcachedCluster] = None
         self.standby_instances: List[YodaInstance] = []
         self.replicator: Optional[SiteReplicator] = None
-        if cfg.standby_site is not None:
-            self._build_standby_region()
+        if cfg.region is not None:
+            self._build_standby_region(cfg.region)
 
-        if cfg.num_controllers > 0:
-            self._build_controller_replicas(controller_kwargs)
+        if cfg.controllers is not None:
+            self._build_controller_replicas(cfg.controllers)
 
     @property
     def controller(self) -> YodaController:
@@ -209,7 +202,13 @@ class YodaService:
         assert self.replica_set is not None
         return self.replica_set.leader_controller
 
-    def _build_controller_replicas(self, controller_kwargs: Dict) -> None:
+    def _build_controller(self) -> YodaController:
+        return YodaController(
+            self.loop, self.l4lb, self.instances, kv_cluster=self.kv_cluster,
+            monitor_interval=self.config.monitor_interval, rng=self.rng,
+        )
+
+    def _build_controller_replicas(self, ha: ControllerHAConfig) -> None:
         """Construct N controller replicas, each a killable host with its
         own lease/journal store client and a cold ``YodaController`` over
         the shared data plane.  The lease cluster is a *union* membership
@@ -225,31 +224,23 @@ class YodaService:
             self.standby_l4lb.fence = FenceGate(self.standby_l4lb.router.name)
         for instance in [*self.instances, *self.standby_instances]:
             instance.fence = FenceGate(instance.name)
-        sites = ([cfg.site] if cfg.standby_site is None
-                 else [cfg.site, cfg.standby_site])
-        for i in range(cfg.num_controllers):
+        sites = ([cfg.site] if cfg.region is None
+                 else [cfg.site, cfg.region.standby_site])
+        for i in range(ha.replicas):
             host = self.network.attach(Host(
                 f"{cfg.host_prefix}ctl-{i}",
-                [f"{cfg.controller_prefix}.{cfg.subnet}.{i + 1}"],
+                [f"{CONTROLLER_PREFIX}.{cfg.subnet}.{i + 1}"],
                 site=sites[i % len(sites)],
             ))
             kv = ReplicatingKvClient(
                 host, self.loop, self.lease_cluster,
                 replicas=min(3, len(lease_servers)),
                 op_timeout=cfg.kv_op_timeout, max_retries=1,
-                dead_after_timeouts=cfg.kv_dead_after_timeouts,
-                quarantine=cfg.kv_quarantine,
                 rng=self.rng.fork(f"kv/{host.name}"),
                 read_repair=False, hinted_handoff=False,
             )
             host.set_handler(kv.handle_response)
-            controller = YodaController(
-                self.loop, self.l4lb, self.instances,
-                kv_cluster=self.kv_cluster,
-                monitor_interval=cfg.monitor_interval,
-                down_after=cfg.down_after, up_after=cfg.up_after,
-                rng=self.rng, **controller_kwargs,
-            )
+            controller = self._build_controller()
             if self.standby_region is not None:
                 controller.register_standby_region(self.standby_region)
             replica = ControllerReplica(host, self.loop, kv, controller,
@@ -258,38 +249,34 @@ class YodaService:
             # claimant; later replicas read its live lease and follow
             elector = LeaderElector(
                 host, self.loop, kv, self.lease_cluster,
-                ttl=cfg.lease_ttl, settle=cfg.lease_settle,
-                grace=cfg.stepdown_grace, start_delay=0.01 + 0.11 * i,
+                grace=ha.stepdown_grace, start_delay=0.01 + 0.11 * i,
             )
             replica.attach_elector(elector)
             self.replica_set.add_replica(replica)
             self.controller_replicas.append(replica)
             elector.start()
 
-    def _build_standby_region(self) -> None:
+    def _build_standby_region(self, region: RegionConfig) -> None:
         """Construct the secondary site: its own L4 LB (router + muxes),
         store cluster and standby instances, plus -- unless ablated -- the
         cross-site replicator relay feeding it.  The controller
         orchestrates promotion when the primary region dies."""
         cfg = self.config
-        site = cfg.standby_site
+        site = region.standby_site
         self.standby_l4lb = L4LoadBalancer(
             self.loop, self.network, self.rng.fork("standby"),
-            num_muxes=cfg.num_muxes,
-            mapping_propagation=cfg.mapping_propagation,
-            router_ip=cfg.standby_router_ip,
+            num_muxes=cfg.num_muxes, router_ip=STANDBY_ROUTER_IP,
             router_name="l4-router-standby", site=site,
             stateless=cfg.stateless,
         )
-        n_stores = cfg.num_standby_stores or cfg.num_store_servers
-        for i in range(n_stores):
+        for i in range(cfg.num_store_servers):
             host = self.network.attach(
                 Host(f"tcpstore-s-{i}",
-                     [f"{cfg.standby_store_prefix}.0.{i + 1}"], site=site)
+                     [f"{STANDBY_STORE_PREFIX}.0.{i + 1}"], site=site)
             )
             self.standby_store_servers.append(MemcachedServer(host, self.loop))
         self.standby_kv_cluster = MemcachedCluster(self.standby_store_servers)
-        if cfg.replication:
+        if region.replication:
             # the relay lives in the PRIMARY site: shipped records pay the
             # real WAN latency, and a region kill takes the relay (and its
             # unshipped backlog) down with everything else
@@ -299,27 +286,20 @@ class YodaService:
             )
             relay_kv = ReplicatingKvClient(
                 relay, self.loop, self.standby_kv_cluster,
-                replicas=cfg.store_replicas,
-                op_timeout=cfg.sync_op_timeout,
-                max_retries=cfg.kv_max_retries,
-                dead_after_timeouts=cfg.kv_dead_after_timeouts,
-                quarantine=cfg.kv_quarantine,
+                replicas=STORE_REPLICAS, op_timeout=SYNC_OP_TIMEOUT,
                 rng=self.rng.fork("kv/sitesync-relay"),
                 read_repair=False, hinted_handoff=False,
             )
             relay.set_handler(relay_kv.handle_response)
             self.replicator = SiteReplicator(
-                self.loop, relay_kv, interval=cfg.sync_interval,
-                rate=cfg.sync_rate, burst=cfg.sync_burst,
-            )
+                self.loop, relay_kv, interval=region.sync_interval)
             self.replicator.start()
             for instance in self.instances:
                 instance.tcpstore.replicator = self.replicator
-        n_inst = cfg.num_standby_instances or cfg.num_instances
-        for i in range(n_inst):
+        for i in range(cfg.num_instances):
             self.standby_instances.append(self._build_instance(
                 i, name=f"yoda-s-{i}",
-                ip=f"{cfg.standby_instance_prefix}.0.{i + 1}", site=site,
+                ip=f"{STANDBY_INSTANCE_PREFIX}.0.{i + 1}", site=site,
                 cluster=self.standby_kv_cluster, l4lb=self.standby_l4lb,
             ))
         self.standby_region = StandbyRegion(
@@ -338,25 +318,21 @@ class YodaService:
         cfg = self.config
         host = self.network.attach(
             Host(name or f"{cfg.host_prefix}yoda-{index}",
-                 [ip or f"{cfg.instance_prefix}.{cfg.subnet}.{index + 1}"],
+                 [ip or f"{INSTANCE_PREFIX}.{cfg.subnet}.{index + 1}"],
                  site=site or cfg.site)
         )
         kv = ReplicatingKvClient(
             host, self.loop, cluster or self.kv_cluster,
-            replicas=cfg.store_replicas,
-            op_timeout=cfg.kv_op_timeout, max_retries=cfg.kv_max_retries,
-            dead_after_timeouts=cfg.kv_dead_after_timeouts,
-            quarantine=cfg.kv_quarantine,
+            replicas=STORE_REPLICAS, op_timeout=cfg.kv_op_timeout,
             rng=self.rng.fork(f"kv/{host.name}"),
             read_repair=cfg.self_healing, hinted_handoff=cfg.self_healing,
         )
         instance = YodaInstance(
             host, self.loop, self.rng, TcpStore(kv),
-            cost_model=cfg.cost_model, scan_cost_model=cfg.scan_cost_model,
+            cost_model=cfg.cost_model,
             l4lb=l4lb or self.l4lb, qos_config=cfg.qos,
             header_deadline=cfg.header_deadline,
-            stateless=(cfg.stateless.enabled if cfg.stateless is not None
-                       else False),
+            stateless=cfg.stateless_enabled,
         )
         if instance.qos is not None:
             # store latency feeds the AIMD limiter: kv degradation becomes
@@ -364,10 +340,7 @@ class YodaService:
             kv.latency_listener = instance.qos.observe_kv
         if cfg.self_healing:
             repairer = FlowStateRepairer(
-                self.loop, kv, instance.durable_records,
-                interval=cfg.repair_interval, rate=cfg.repair_rate,
-                burst=cfg.repair_burst,
-            )
+                self.loop, kv, instance.durable_records)
             repairer.start()
             self.repairers.append(repairer)
         return instance
@@ -386,22 +359,32 @@ class YodaService:
         return instance
 
     def new_spare_store(self) -> MemcachedServer:
-        """Provision an extra TCPStore VM for store-replica scale-out.
-        The caller (the autoscaler) adds it to the cluster; that
+        """Provision one more TCPStore VM: the initial cluster is built
+        from these, and store-replica scale-out adds to it.  The caller
+        (the autoscaler) adds a late one to the cluster; that
         membership-epoch bump is what triggers anti-entropy refill."""
         cfg = self.config
-        i = self._next_store_id
+        i = len(self.store_servers)
         host = self.network.attach(
             Host(f"{cfg.host_prefix}tcpstore-{i}",
-                 [f"{cfg.store_prefix}.{cfg.subnet}.{i + 1}"],
+                 [f"{STORE_PREFIX}.{cfg.subnet}.{i + 1}"],
                  site=cfg.site)
         )
-        self._next_store_id += 1
         server = MemcachedServer(host, self.loop)
         self.store_servers.append(server)
         return server
 
-    def enable_elastic(self, policy, scraper=None) -> List:
+    def arm_elastic(self) -> None:
+        """Provision the configured spare instances and arm the configured
+        autoscaler.  A separate step from construction because it must
+        follow ``add_service`` (``Testbed`` calls it right after)."""
+        for _ in range(self.config.spare_instances):
+            self.new_spare_instance()
+        if self.config.autoscale is not None:
+            self.enable_elastic(self.config.autoscale)
+
+    def enable_elastic(self, policy: ElasticPolicy,
+                       scraper=None) -> List[Autoscaler]:
         """Arm closed-loop elastic scaling (``repro.autoscale``).
 
         Under controller HA every replica gets its own engine with the
@@ -409,8 +392,6 @@ class YodaService:
         actuate, and a takeover restores the journaled cooldown clocks
         and event ledger so the loop resumes instead of restarting.
         """
-        from repro.autoscale.engine import Autoscaler
-
         targets = ([self._controller] if self._controller is not None
                    else [r.controller for r in self.controller_replicas])
         self.autoscalers = []

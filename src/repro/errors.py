@@ -12,6 +12,17 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
 
 
+class ConfigError(ReproError, ValueError):
+    """A deployment configuration cannot work as written.
+
+    Raised by ``validate()`` before anything is built: an unknown tier or
+    corpus name, a non-positive size, or planes that exclude each other
+    (cell namespacing with a standby region, yoda-tier planes on a
+    non-yoda tier).  Also a ``ValueError``, which is what construction
+    raised for the few of these it used to notice halfway through.
+    """
+
+
 class SimulationError(ReproError):
     """The discrete-event simulator was used incorrectly.
 
@@ -49,8 +60,8 @@ class ShardError(ReproError):
     """Invalid sharded-simulation operation.
 
     Examples: a cross-shard link faster than the conservative lookahead
-    window, a packet detached twice from a :class:`~repro.net.packet.
-    PacketPool`, or non-serializable metadata on a boundary packet.
+    window, an unrecognized wire tuple, or non-serializable metadata on a
+    boundary packet.
     """
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.stats import mean, median
-from repro.core.controller import AutoscaleConfig
-from repro.core.instance import YodaCostModel
+from repro.autoscale import Autoscaler, ElasticPolicy
+from repro.core import YodaCostModel, YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 
 # paper rates: 5K -> 10K req/s per instance; we run ~33x smaller rates
@@ -37,20 +37,21 @@ def run(
     step_at: float = 10.0,
     sample_interval: float = 1.0,
 ) -> ExperimentResult:
-    cost = YodaCostModel(
-        packet_cpu_base=4.0e-6 * SCALE,
-        packet_cpu_per_byte=1.5e-9 * SCALE,
-    )
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=initial_instances,
         num_store_servers=3, num_backends=6, corpus="flat",
-        flat_object_bytes=10_000, yoda_cost=cost,
+        flat_object_bytes=10_000,
+        yoda=YodaServiceConfig(cost_model=YodaCostModel().scaled(SCALE)),
     ))
     for _ in range(spare_instances):
         bed.yoda.new_spare_instance()
-    bed.yoda.controller.enable_autoscaling(AutoscaleConfig(
-        high_watermark=0.70, target=0.55, check_interval=5.0,
-    ))
+    # the paper's CPU-watermark rule, attached with no spawn hook: once
+    # the spares are adopted, further pressure starves quietly; scale-in
+    # (off here) would be the instant removal that leans on TCPStore
+    controller = bed.yoda.controller
+    controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+        high_watermark=0.70, target=0.55, check_interval=5.0, drain=False,
+    )))
 
     gen = bed.open_loop(rate=base_rate_per_instance * initial_instances)
     samples: List[dict] = []

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.chaos.faults import apply_fault, crash
+from repro.core import ControllerHAConfig, YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 
 REMAP_POLL_INTERVAL = 0.02
@@ -43,7 +44,9 @@ def _one_run(
 ):
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=3, num_store_servers=2,
-        num_backends=3, num_controllers=num_controllers,
+        num_backends=3,
+        yoda=YodaServiceConfig(
+            controllers=ControllerHAConfig(replicas=num_controllers)),
     ))
     fleet = bed.streaming(streams, chunks=chunks, chunk_bytes=1_000,
                           interval_ms=100, start_at=0.2)

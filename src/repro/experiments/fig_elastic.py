@@ -49,7 +49,7 @@ from repro.chaos.invariants import (
     ScaleEventsConverge,
     Verdict,
 )
-from repro.core.instance import YodaCostModel
+from repro.core import YodaCostModel, YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.workload.trace import DiurnalConfig, DiurnalTrace, generate_diurnal_trace
 
@@ -116,18 +116,14 @@ def _run_leg(
     http_timeout: float = 8.0,
     sample_every: float = 0.25,
 ) -> Dict[str, object]:
-    cost = YodaCostModel(
-        packet_cpu_base=4.0e-6 * SCALE,
-        packet_cpu_per_byte=1.5e-9 * SCALE,
-    )
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda",
         num_lb_instances=num_instances,
-        spare_instances=spare_instances,
-        autoscale=policy,
         num_store_servers=2, num_backends=3,
         corpus="flat", flat_object_bytes=8_000, flat_object_count=20,
-        yoda_cost=cost,
+        yoda=YodaServiceConfig(
+            cost_model=YodaCostModel().scaled(SCALE),
+            spare_instances=spare_instances, autoscale=policy),
     ))
     # the same accepted-work auditor every chaos scenario runs: scale
     # events may refuse new SYNs but must never sacrifice accepted flows

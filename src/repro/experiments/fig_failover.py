@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.chaos.faults import apply_fault, region_kill
+from repro.core import RegionConfig, YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 
 
@@ -43,8 +44,9 @@ def _one_run(
 ) -> Tuple[Testbed, object, float]:
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=3, num_store_servers=2,
-        num_backends=3, standby_site="dc2",
-        replication=replication, sync_interval=sync_interval,
+        num_backends=3,
+        yoda=YodaServiceConfig(region=RegionConfig(
+            "dc2", replication=replication, sync_interval=sync_interval)),
     ))
     fleet = bed.streaming(streams, chunks=chunks, chunk_bytes=chunk_bytes,
                           interval_ms=interval_ms, start_at=0.2)

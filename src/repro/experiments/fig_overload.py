@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.analysis.stats import percentile
-from repro.core.instance import YodaCostModel
+from repro.core import YodaCostModel, YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.net.host import Host
 from repro.qos.config import QosConfig
@@ -62,15 +62,13 @@ def run(
     http_timeout: float = 5.0,
     admission_rate: float = 70.0,
 ) -> ExperimentResult:
-    cost = YodaCostModel(
-        packet_cpu_base=4.0e-6 * SCALE,
-        packet_cpu_per_byte=1.5e-9 * SCALE,
-    )
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=num_instances,
         num_store_servers=3, num_backends=3, corpus="flat",
-        flat_object_bytes=10_000, yoda_cost=cost,
-        qos=default_qos(admission_rate) if qos else None,
+        flat_object_bytes=10_000,
+        yoda=YodaServiceConfig(
+            cost_model=YodaCostModel().scaled(SCALE),
+            qos=default_qos(admission_rate) if qos else None),
     ))
 
     t_start = bed.loop.now()

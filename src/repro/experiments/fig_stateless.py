@@ -35,6 +35,7 @@ from typing import Dict, Optional
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import run_scenario
+from repro.core import YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.l4lb.compact import StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
@@ -105,7 +106,8 @@ def run(
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=3, num_store_servers=3,
         num_backends=3, corpus="flat", flat_object_bytes=20_000,
-        stateless=StatelessConfig(enabled=True) if stateless else None,
+        yoda=YodaServiceConfig(
+            stateless=StatelessConfig(enabled=True) if stateless else None),
     ))
     sample: Dict[str, int] = {}
     bed.loop.call_later(sample_at, lambda: sample.update(
@@ -197,7 +199,8 @@ def run_crash_contrast(seed: int = 2016, quick: bool = False):
                        drain=8.0)
     stateful = run_scenario(base, lb="yoda", seed=seed)
     stateless = run_scenario(
-        replace(base, stateless_config=StatelessConfig(enabled=True)),
+        replace(base, yoda=replace(
+            base.yoda, stateless=StatelessConfig(enabled=True))),
         lb="yoda", seed=seed)
     return stateful, stateless
 

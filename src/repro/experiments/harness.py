@@ -14,23 +14,20 @@ backends, request rates relative to instance capacity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 from repro.analysis.report import render_table
 from repro.baselines.haproxy import HAProxyDeployment, HAProxyInstance
 from repro.core.policy import VipPolicy, weighted_split
-from repro.core.selector import ScanCostModel
 from repro.core.service import YodaService, YodaServiceConfig
-from repro.core.instance import YodaCostModel
-from repro.http.server import BackendHttpServer, ServiceTimeModel
+from repro.errors import ConfigError
+from repro.http.server import BackendHttpServer
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.links import FixedLatency, JitterLatency
 from repro.net.network import Network
 from repro.obs import OBS
-from repro.l4lb.compact import StatelessConfig
-from repro.qos.config import HardeningConfig, QosConfig
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.sim.tracing import PacketTrace
@@ -41,6 +38,10 @@ from repro.workload.objects import ObjectCorpus, build_flat_corpus, build_univer
 from repro.workload.website import Website
 
 DEFAULT_VIP = "100.0.0.1"
+NUM_CLIENT_HOSTS = 2
+# the standby region sits this WAN hop (one way) from the primary
+WAN_ONE_WAY_LATENCY = 0.020
+WAN_JITTER = 0.002
 
 
 @dataclass
@@ -65,6 +66,12 @@ class ExperimentResult:
 
 @dataclass
 class TestbedConfig:
+    """The testbed's shape: workload sizes, client path, corpus, and --
+    for ``lb="yoda"`` -- a handle to the tier's own config.  Every
+    yoda-tier option (planes, costs, ablation switches) is declared on
+    :class:`YodaServiceConfig` only; ``Testbed`` stamps the tier sizes and
+    the cell namespace onto a copy of the handle."""
+
     __test__ = False  # not a pytest class, despite the name
 
     seed: int = 2016
@@ -72,60 +79,47 @@ class TestbedConfig:
     num_lb_instances: int = 6
     num_store_servers: int = 3
     num_backends: int = 6
-    num_client_hosts: int = 2
     client_one_way_latency: float = 0.030
     client_jitter: float = 0.004
     corpus: str = "university"  # "university" | "flat"
     flat_object_bytes: int = 10_000
     flat_object_count: int = 50
     num_pages: int = 60
-    server_service_time: float = 0.004
-    yoda_cost: YodaCostModel = field(default_factory=YodaCostModel)
-    scan_cost: ScanCostModel = field(default_factory=ScanCostModel)
-    monitor_interval: float = 0.6
-    down_after: int = 2  # consecutive failed probes before marking down
-    up_after: int = 2  # consecutive good probes before marking up
-    kv_op_timeout: float = 0.1
-    kv_max_retries: int = 2
-    kv_dead_after_timeouts: int = 3
-    kv_self_healing: bool = True  # read-repair + hints + anti-entropy sweeper
-    qos: Optional[QosConfig] = None  # overload-control plane (yoda only)
-    hardening: Optional[HardeningConfig] = None  # bundled hardening knobs
     trace_packets: bool = False
     tls_certificate: object = None  # repro.http.tls.Certificate enables SSL
-    # -- multi-region (None = the historical single-site testbed) --
-    standby_site: Optional[str] = None  # e.g. "dc2": a second region
-    num_standby_backends: int = 0  # 0 -> num_backends
-    wan_one_way_latency: float = 0.020  # dc <-> standby site
-    wan_jitter: float = 0.002
-    replication: bool = True  # cross-site flow-store shipping (ablation)
-    sync_interval: float = 0.05  # replicator pacing (lag ablations)
-    # -- controller high availability (0 = historical singleton) --
-    num_controllers: int = 0  # lease-elected controller replicas
-    lease_ttl: float = 1.5  # controller lease lifetime
-    stepdown_grace: float = 0.0  # how long a cut-off leader keeps acting
-    # -- hardening / long-lived-flow knobs --
-    header_deadline: Optional[float] = None  # instance slow-loris guard
-    backend_progress_deadline: Optional[float] = None  # backend loris guard
     tls_session_tickets: bool = False  # resumption tickets in the flow store
-    # compact stateless dispatch (yoda only; None = machinery absent,
-    # enabled=False = armed but inert, enabled=True = O(1) dispatch with
-    # no durable per-flow writes -- the Concury-style ablation)
-    stateless: Optional[StatelessConfig] = None
-    # -- closed-loop elastic scaling (repro.autoscale) --
-    # an ElasticPolicy arms an autoscaler on every controller (replica);
-    # None keeps the deployment static (the historical default)
-    autoscale: Optional[object] = None  # yoda only
-    spare_instances: int = 0  # pre-provisioned spare instance VMs
-    # -- sharded simulation (repro.shard) --
-    # >1 partitions the world across this many worker processes; 1 is the
-    # historical single-process path, untouched
-    num_shards: int = 1
-    # cell namespace index (None = the historical flat namespace).  With
-    # cell=k every site ("dc{k}"/"net{k}"), host name ("c{k}-..."), VIP
-    # (100.64.{k}.1) and IP subnet is stamped with k, so many testbeds can
-    # share one network -- or be partitioned across shard workers.
+    # the yoda tier's planes and knobs; None = a default tier when
+    # lb == "yoda", and the only legal value otherwise
+    yoda: Optional[YodaServiceConfig] = None
+    # cell namespace index (None = the flat namespace).  With cell=k every
+    # site ("dc{k}"/"net{k}"), host name ("c{k}-..."), VIP (100.64.{k}.1)
+    # and IP subnet is stamped with k, so many testbeds can share one
+    # network -- or be partitioned across shard workers.
     cell: Optional[int] = None
+
+    def validate(self) -> None:
+        """Refuse, before anything is built, what cannot work or would be
+        silently ignored."""
+        if self.lb not in ("yoda", "haproxy", "none"):
+            raise ConfigError(f"unknown lb kind {self.lb!r} "
+                              f"(one of 'yoda', 'haproxy', 'none')")
+        if self.corpus not in ("university", "flat"):
+            raise ConfigError(f"unknown corpus {self.corpus!r} "
+                              f"(one of 'university', 'flat')")
+        for name in ("num_lb_instances", "num_store_servers", "num_backends",
+                     "flat_object_count", "num_pages"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.yoda is None:
+            return
+        if self.lb != "yoda":
+            ignored = ", ".join(self.yoda.non_default()) or "(all defaults)"
+            raise ConfigError(f"lb={self.lb!r} has no yoda tier, so "
+                              f"yoda-tier options would be ignored: {ignored}")
+        self.yoda.validate()
+        if self.cell is not None and self.yoda.region is not None:
+            raise ConfigError("cell namespacing and a standby region are "
+                              "mutually exclusive")
 
 
 class Testbed:
@@ -137,17 +131,15 @@ class Testbed:
                  fabric: Optional[tuple] = None, settle: bool = True):
         self.config = config or TestbedConfig()
         cfg = self.config
+        cfg.validate()
+        region = cfg.yoda.region if cfg.yoda is not None else None
         # cell namespace: sites, name prefix, VIP and IP subnet octet all
-        # derive from the cell index; None reproduces the historical
-        # flat names bit-for-bit
+        # derive from the cell index; None is the flat namespace
         k = cfg.cell
         if k is None:
             self.site, self.client_site, prefix, sub = "dc", "internet", "", 0
             self.vip = DEFAULT_VIP
         else:
-            if cfg.standby_site is not None:
-                raise ValueError("cell namespacing and multi-region are "
-                                 "mutually exclusive")
             self.site, self.client_site = f"dc{k}", f"net{k}"
             prefix, sub = f"c{k}-", k
             self.vip = f"100.64.{k}.1"
@@ -163,29 +155,25 @@ class Testbed:
             self.rng = SeededRng(cfg.seed)
         if OBS.enabled:
             OBS.attach_clock(self.loop.now)
-        self.network.set_symmetric_latency(
-            self.client_site, self.site,
+        client_path = (
             JitterLatency(cfg.client_one_way_latency, cfg.client_jitter)
-            if cfg.client_jitter > 0 else FixedLatency(cfg.client_one_way_latency),
-        )
-        if cfg.standby_site is not None:
+            if cfg.client_jitter > 0
+            else FixedLatency(cfg.client_one_way_latency))
+        self.network.set_symmetric_latency(
+            self.client_site, self.site, client_path)
+        if region is not None:
             # the standby region sits a WAN hop from the primary and the
             # same campus distance from the clients
-            wan = (JitterLatency(cfg.wan_one_way_latency, cfg.wan_jitter)
-                   if cfg.wan_jitter > 0
-                   else FixedLatency(cfg.wan_one_way_latency))
-            self.network.set_symmetric_latency("dc", cfg.standby_site, wan)
             self.network.set_symmetric_latency(
-                "internet", cfg.standby_site,
-                JitterLatency(cfg.client_one_way_latency, cfg.client_jitter)
-                if cfg.client_jitter > 0
-                else FixedLatency(cfg.client_one_way_latency),
-            )
+                "dc", region.standby_site,
+                JitterLatency(WAN_ONE_WAY_LATENCY, WAN_JITTER))
+            self.network.set_symmetric_latency(
+                "internet", region.standby_site, client_path)
         self.trace: Optional[PacketTrace] = None
         if cfg.trace_packets:
             self.trace = self.network.add_trace(PacketTrace())
 
-        # corpus + backends
+        # corpus + backends (validate() has refused any other corpus name)
         if cfg.corpus == "university":
             self.corpus: ObjectCorpus = build_university_site(
                 self.rng, num_pages=cfg.num_pages
@@ -196,33 +184,15 @@ class Testbed:
             )
         self.website = Website(self.corpus, self.rng)
         self.backends: Dict[str, BackendHttpServer] = {}
-        service_model = ServiceTimeModel(base=cfg.server_service_time)
         for i in range(cfg.num_backends):
-            host = self.network.attach(
-                Host(f"{prefix}srv-{i}", [f"10.3.{sub}.{i + 1}"],
-                     site=self.site)
-            )
-            self.backends[f"{prefix}srv-{i}"] = BackendHttpServer(
-                host, self.loop, self.corpus.site, service_model=service_model,
-                tls_certificate=cfg.tls_certificate,
-                progress_deadline=cfg.backend_progress_deadline,
-                session_tickets=cfg.tls_session_tickets,
-            )
+            self.backends[f"{prefix}srv-{i}"] = self._backend(
+                f"{prefix}srv-{i}", f"10.3.{sub}.{i + 1}", self.site)
 
         self.standby_backends: Dict[str, BackendHttpServer] = {}
-        if cfg.standby_site is not None:
-            for i in range(cfg.num_standby_backends or cfg.num_backends):
-                host = self.network.attach(
-                    Host(f"srv-s-{i}", [f"10.3.1.{i + 1}"],
-                         site=cfg.standby_site)
-                )
-                self.standby_backends[f"srv-s-{i}"] = BackendHttpServer(
-                    host, self.loop, self.corpus.site,
-                    service_model=service_model,
-                    tls_certificate=cfg.tls_certificate,
-                    progress_deadline=cfg.backend_progress_deadline,
-                    session_tickets=cfg.tls_session_tickets,
-                )
+        if region is not None:
+            for i in range(cfg.num_backends):
+                self.standby_backends[f"srv-s-{i}"] = self._backend(
+                    f"srv-s-{i}", f"10.3.1.{i + 1}", region.standby_site)
 
         # primary-backup rule pattern: the standby site's backends sit in a
         # lower-priority rule, selected only once every primary backend is
@@ -247,47 +217,19 @@ class Testbed:
         self.haproxy: Optional[HAProxyDeployment] = None
         self.haproxy_instances: List[HAProxyInstance] = []
         if cfg.lb == "yoda":
+            # the planes travel by reference; only the tier sizes and the
+            # cell namespace are stamped onto a copy of the handle
             self.yoda = YodaService(
                 self.loop, self.network, self.rng,
-                YodaServiceConfig(
-                    num_instances=cfg.num_lb_instances,
-                    num_store_servers=cfg.num_store_servers,
-                    cost_model=cfg.yoda_cost,
-                    scan_cost_model=cfg.scan_cost,
-                    monitor_interval=cfg.monitor_interval,
-                    down_after=cfg.down_after,
-                    up_after=cfg.up_after,
-                    kv_op_timeout=cfg.kv_op_timeout,
-                    kv_max_retries=cfg.kv_max_retries,
-                    kv_dead_after_timeouts=cfg.kv_dead_after_timeouts,
-                    self_healing=cfg.kv_self_healing,
-                    qos=cfg.qos,
-                    hardening=cfg.hardening,
-                    standby_site=cfg.standby_site,
-                    replication=cfg.replication,
-                    sync_interval=cfg.sync_interval,
-                    num_controllers=cfg.num_controllers,
-                    lease_ttl=cfg.lease_ttl,
-                    stepdown_grace=cfg.stepdown_grace,
-                    header_deadline=cfg.header_deadline,
-                    stateless=cfg.stateless,
-                    subnet=sub, site=self.site, host_prefix=prefix,
-                    router_name=f"{prefix}l4-router",
-                    router_ip=f"10.255.{sub}.1",
-                    sync_op_timeout=max(
-                        0.25, 4 * cfg.wan_one_way_latency + 0.05),
-                ),
-            )
+                replace(cfg.yoda or YodaServiceConfig(),
+                        num_instances=cfg.num_lb_instances,
+                        num_store_servers=cfg.num_store_servers,
+                        subnet=sub, site=self.site, host_prefix=prefix))
             self.yoda.add_service(
                 self.policy, {**self.backends, **self.standby_backends})
             self.l4lb = self.yoda.l4lb
-            for _ in range(cfg.spare_instances):
-                self.yoda.new_spare_instance()
-            if cfg.autoscale is not None:
-                self.yoda.enable_elastic(cfg.autoscale)
+            self.yoda.arm_elastic()
         elif cfg.lb == "haproxy":
-            if cfg.standby_site is not None:
-                raise ValueError("multi-region is a yoda-only feature")
             from repro.l4lb.service import L4LoadBalancer
 
             self.l4lb = L4LoadBalancer(
@@ -300,22 +242,16 @@ class Testbed:
                          site=self.site)
                 )
                 self.haproxy_instances.append(
-                    HAProxyInstance(host, self.loop, self.rng,
-                                    scan_cost_model=cfg.scan_cost)
-                )
+                    HAProxyInstance(host, self.loop, self.rng))
             self.haproxy = HAProxyDeployment(
-                self.loop, self.l4lb, self.haproxy_instances,
-                check_interval=cfg.monitor_interval,
-            )
+                self.loop, self.l4lb, self.haproxy_instances)
             self.haproxy.add_vip(self.policy)
-        elif cfg.lb == "none":
+        else:  # "none": validate() has refused anything else
             self.l4lb = None
-        else:
-            raise ValueError(f"unknown lb kind {cfg.lb!r}")
 
         # clients
         self.client_stacks: List[TcpStack] = []
-        for i in range(cfg.num_client_hosts):
+        for i in range(NUM_CLIENT_HOSTS):
             host = self.network.attach(
                 Host(f"{prefix}client-{i}", [f"172.16.{sub}.{i + 1}"],
                      site=self.client_site)
@@ -324,6 +260,15 @@ class Testbed:
 
         if settle:
             self.loop.run_for(1.0)  # mappings & monitor settle
+
+    def _backend(self, name: str, ip: str, site: str) -> BackendHttpServer:
+        cfg = self.config
+        host = self.network.attach(Host(name, [ip], site=site))
+        return BackendHttpServer(
+            host, self.loop, self.corpus.site,
+            tls_certificate=cfg.tls_certificate,
+            session_tickets=cfg.tls_session_tickets,
+        )
 
     # ------------------------------------------------------------- targets --
     def target(self) -> Endpoint:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError
 from repro.net.host import Host
 from repro.net.links import FixedLatency, LatencyModel
-from repro.net.packet import _FLAG_STR, PACKET_POOL, Packet
+from repro.net.packet import _FLAG_STR, Packet
 from repro.obs import OBS
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricRegistry
@@ -284,7 +284,6 @@ class Network:
             # it is dead the same way a transmit-side no-route drop is
             self._c_no_route.inc()
             self._record(packet, point="wire", direction="tx", dropped=True)
-            PACKET_POOL.release(packet)
             return
         now = self.loop.now()
         deliver_at = at if at > now else now
@@ -308,15 +307,10 @@ class Network:
                 return
             self._c_no_route.inc()
             self._record(packet, point="wire", direction="tx", dropped=True)
-            # a transmit-side drop is the one point where the packet is
-            # provably dead: it was never scheduled for delivery, so no
-            # receive path (or duplicate delivery) can still reference it
-            PACKET_POOL.release(packet)
             return
         if self._loss_rate and self.rng.random() < self._loss_rate:
             self._c_lost.inc()
             self._record(packet, point="wire", direction="tx", dropped=True)
-            PACKET_POOL.release(packet)
             return
         faults = self._resolve_faults(src_host, dst_host)
         if faults is not None and faults.loss:
@@ -324,7 +318,6 @@ class Network:
                 self._c_lost.inc()
                 self._c_path_lost.inc()
                 self._record(packet, point="wire", direction="tx", dropped=True)
-                PACKET_POOL.release(packet)
                 return
         path = (src_host.name, dst_host.name)
         model = self._model_cache.get(path)

@@ -17,7 +17,7 @@ from repro.qos.breaker import (
     CircuitBreaker,
 )
 from repro.qos.concurrency import AdaptiveConcurrencyLimiter
-from repro.qos.config import HardeningConfig, QosConfig
+from repro.qos.config import QosConfig
 from repro.qos.drain import DrainCoordinator, DrainState, DrainStatus
 from repro.qos.plane import InstanceQos
 
@@ -32,7 +32,6 @@ __all__ = [
     "DrainCoordinator",
     "DrainState",
     "DrainStatus",
-    "HardeningConfig",
     "InstanceQos",
     "QosConfig",
     "TokenBucket",

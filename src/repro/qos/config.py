@@ -1,19 +1,12 @@
 """Configuration for the overload-control plane.
 
-Two dataclasses, both pure data:
-
-- :class:`QosConfig` sizes the qos mechanisms themselves (admission
-  buckets, shedding tiers, circuit breakers, AIMD concurrency limits,
-  drain deadlines).  The defaults are **armed but neutral**: every
-  mechanism is constructed and consulted on the hot path, yet none of
-  them can trip under a workload that stays inside capacity -- which is
-  what lets the golden-trace suite assert bit-identical packet schedules
-  with qos constructed but never triggered.
-- :class:`HardeningConfig` gathers the hardening constants that were
-  previously scattered across the controller (health-probe hysteresis)
-  and the KV client (retry backoff / consecutive-timeout thresholds), so
-  experiments and ablations can sweep them as one object.  Defaults equal
-  the historical constants exactly.
+:class:`QosConfig` is pure data sizing the qos mechanisms (admission
+buckets, shedding tiers, circuit breakers, AIMD concurrency limits).  The
+defaults are **armed but neutral**: every mechanism is constructed and
+consulted on the hot path, yet none of them can trip under a workload
+that stays inside capacity -- which is what lets the golden-trace suite
+assert bit-identical packet schedules with qos constructed but never
+triggered.
 """
 
 from __future__ import annotations
@@ -24,7 +17,7 @@ from typing import Optional, Tuple
 
 @dataclass
 class QosConfig:
-    """Knobs for admission, shedding, breakers, backpressure and drain."""
+    """Knobs for admission, shedding, breakers and backpressure."""
 
     # -- per-VIP token-bucket admission (new connections per second, per
     # instance).  None disables rate-based shedding entirely: every SYN
@@ -64,28 +57,3 @@ class QosConfig:
     limiter_backoff: float = 0.5  # multiplicative decrease factor
     limiter_increase: float = 1.0  # additive increase per success window
     limiter_cooldown: float = 0.5  # min seconds between decreases
-
-    # -- graceful drain (make-before-break scale-in)
-    drain_deadline: float = 10.0  # force TCPStore handoff after this long
-    drain_check_interval: float = 0.25
-
-
-@dataclass
-class HardeningConfig:
-    """The scattered hardening constants, liftable as one unit.
-
-    Every default matches the value previously hard-coded at its use
-    site, so constructing a ``HardeningConfig()`` and applying it is a
-    no-op -- ablations override individual fields.
-    """
-
-    # controller health monitoring (core/controller.py)
-    monitor_interval: float = 0.6
-    down_after: int = 2  # consecutive failed probes before marking down
-    up_after: int = 2  # consecutive good probes before marking up
-
-    # KV client retry/timeout behaviour (kvstore/client.py)
-    kv_op_timeout: float = 0.1
-    kv_max_retries: int = 2
-    kv_dead_after_timeouts: int = 3
-    kv_quarantine: float = 1.0

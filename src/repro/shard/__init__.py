@@ -14,7 +14,6 @@ from repro.shard.world import (
     ScaleShardWorld,
     ScaleWorldConfig,
     make_scale_plan,
-    run_testbed_sharded,
     scale_world_builder,
 )
 
@@ -33,7 +32,6 @@ __all__ = [
     "make_scale_plan",
     "merge_digests",
     "run_scenario_sharded",
-    "run_testbed_sharded",
     "scale_world_builder",
     "worker_main",
 ]

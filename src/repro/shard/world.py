@@ -19,9 +19,8 @@ shards never changes what the cell *does*, only where it executes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.errors import ShardError
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.net.addresses import Endpoint
 from repro.net.links import FixedLatency
@@ -35,6 +34,16 @@ from repro.workload.trace import DiurnalConfig, DiurnalTrace, generate_diurnal_t
 SETTLE_SECONDS = 1.0  # per-shard warmup before the first barrier window
 
 
+# per-cell deployment (small: the point is many cells, not big ones)
+CELL_LB_INSTANCES, CELL_STORE_SERVERS, CELL_BACKENDS = 3, 2, 3
+CELL_OBJECT_COUNT, CELL_OBJECT_BYTES = 40, 6_000
+# inter-cell fabric
+CROSS_LATENCY = 0.010  # dc <-> dc one-way (the lookahead floor)
+CLIENT_CROSS_LATENCY = 0.030  # net <-> remote dc one-way
+CROSS_FRACTION = 0.15  # of each cell's rate aimed at a neighbor
+HTTP_TIMEOUT = 8.0
+
+
 @dataclass
 class ScaleWorldConfig:
     """Sizing for the sharded scale experiment."""
@@ -42,55 +51,14 @@ class ScaleWorldConfig:
     seed: int = 2016
     num_cells: int = 4
     num_shards: int = 1
-    # per-cell deployment (small: the point is many cells, not big ones)
-    num_lb_instances: int = 3
-    num_store_servers: int = 2
-    num_backends: int = 3
-    num_client_hosts: int = 2
-    object_count: int = 40
-    object_bytes: int = 6_000
-    # inter-cell fabric
-    cross_latency: float = 0.010  # dc <-> dc one-way (the lookahead floor)
-    client_cross_latency: float = 0.030  # net <-> remote dc one-way
-    cross_fraction: float = 0.15  # of each cell's rate aimed at a neighbor
-    http_timeout: float = 8.0
     diurnal: DiurnalConfig = field(default_factory=DiurnalConfig)
-
-    @classmethod
-    def from_testbed(cls, cfg: TestbedConfig,
-                     num_cells: Optional[int] = None,
-                     diurnal: Optional[DiurnalConfig] = None
-                     ) -> "ScaleWorldConfig":
-        """Lift one testbed's shape into a multi-cell sharded world.
-
-        ``cfg.num_shards`` is the opt-in knob: every cell is a replica of
-        the given deployment shape (sizes, seed), partitioned by VIP
-        across that many shards.
-        """
-        if cfg.cell is not None:
-            raise ShardError(
-                "pass the base (un-namespaced) TestbedConfig; cells are "
-                "stamped by the planner")
-        shards = max(1, cfg.num_shards)
-        return cls(
-            seed=cfg.seed,
-            num_cells=num_cells if num_cells is not None else shards,
-            num_shards=shards,
-            num_lb_instances=cfg.num_lb_instances,
-            num_store_servers=cfg.num_store_servers,
-            num_backends=cfg.num_backends,
-            num_client_hosts=cfg.num_client_hosts,
-            object_count=cfg.flat_object_count,
-            object_bytes=cfg.flat_object_bytes,
-            diurnal=diurnal or DiurnalConfig(seed=cfg.seed),
-        )
 
 
 def make_scale_plan(cfg: ScaleWorldConfig) -> ShardPlan:
     """Plan the cell cut; client paths are slower than the DC backbone,
     so the backbone's 10 ms stays the conservative lookahead window."""
     models = {}
-    client_model = FixedLatency(cfg.client_cross_latency)
+    client_model = FixedLatency(CLIENT_CROSS_LATENCY)
     for j in range(cfg.num_cells):
         for k in range(cfg.num_cells):
             if j == k:
@@ -101,7 +69,7 @@ def make_scale_plan(cfg: ScaleWorldConfig) -> ShardPlan:
         num_cells=cfg.num_cells,
         num_shards=cfg.num_shards,
         seed=cfg.seed,
-        cross_model=FixedLatency(cfg.cross_latency),
+        cross_model=FixedLatency(CROSS_LATENCY),
         cross_models=models,
     )
     return planner.plan()
@@ -130,13 +98,12 @@ class ScaleShardWorld:
                     seed=cell.seed,
                     cell=cell.index,
                     lb="yoda",
-                    num_lb_instances=cfg.num_lb_instances,
-                    num_store_servers=cfg.num_store_servers,
-                    num_backends=cfg.num_backends,
-                    num_client_hosts=cfg.num_client_hosts,
+                    num_lb_instances=CELL_LB_INSTANCES,
+                    num_store_servers=CELL_STORE_SERVERS,
+                    num_backends=CELL_BACKENDS,
                     corpus="flat",
-                    flat_object_count=cfg.object_count,
-                    flat_object_bytes=cfg.object_bytes,
+                    flat_object_count=CELL_OBJECT_COUNT,
+                    flat_object_bytes=CELL_OBJECT_BYTES,
                 ),
                 fabric=(self.loop, self.network),
                 settle=False,
@@ -158,22 +125,22 @@ class ScaleShardWorld:
         legs: List[Tuple[OpenLoopGenerator, float]] = []
         local = OpenLoopGenerator(
             bed.client_stacks[0], self.loop, Endpoint(bed.vip, 80),
-            rate=max(0.1, trace.sim_rates[0] * (1.0 - cfg.cross_fraction)),
+            rate=max(0.1, trace.sim_rates[0] * (1.0 - CROSS_FRACTION)),
             path_fn=bed.website.random_object,
-            http_timeout=cfg.http_timeout,
+            http_timeout=HTTP_TIMEOUT,
         )
-        legs.append((local, 1.0 - cfg.cross_fraction))
-        if cfg.cross_fraction > 0 and neighbor.index != k:
+        legs.append((local, 1.0 - CROSS_FRACTION))
+        if neighbor.index != k:
             # every cell's flat corpus has the same paths, so a remote
             # fetch needs no knowledge of the remote cell beyond its VIP
             cross = OpenLoopGenerator(
                 bed.client_stacks[-1], self.loop,
                 Endpoint(neighbor.vip, 80),
-                rate=max(0.1, trace.sim_rates[0] * cfg.cross_fraction),
+                rate=max(0.1, trace.sim_rates[0] * CROSS_FRACTION),
                 path_fn=bed.website.random_object,
-                http_timeout=cfg.http_timeout,
+                http_timeout=HTTP_TIMEOUT,
             )
-            legs.append((cross, cfg.cross_fraction))
+            legs.append((cross, CROSS_FRACTION))
         for gen, share in legs:
             gen.start()
             self.generators.append(gen)
@@ -196,25 +163,3 @@ def scale_world_builder(cfg: ScaleWorldConfig):
         return ScaleShardWorld(shard_index, plan, cfg)
 
     return build
-
-
-def run_testbed_sharded(config: TestbedConfig, duration: float,
-                        num_cells: Optional[int] = None,
-                        diurnal: Optional[DiurnalConfig] = None,
-                        mode: Optional[str] = None):
-    """The ``TestbedConfig.num_shards`` facade: run cell-replicas of a
-    deployment shape under diurnal load through the barrier engine.
-
-    ``num_shards=1`` (the default everywhere) stays on the in-process
-    path -- one worker, no gateway, no export handler.  ``mode`` defaults
-    to ``inline`` for one shard and ``fork`` for more.
-    """
-    from repro.shard.runner import ShardedRunner
-
-    cfg = ScaleWorldConfig.from_testbed(config, num_cells=num_cells,
-                                        diurnal=diurnal)
-    plan = make_scale_plan(cfg)
-    if mode is None:
-        mode = "inline" if cfg.num_shards == 1 else "fork"
-    runner = ShardedRunner(plan, scale_world_builder(cfg), mode=mode)
-    return runner.run(duration)

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.errors import TcpError
 from repro.net.addresses import Endpoint, EphemeralPorts
 from repro.net.host import Host
-from repro.net.packet import ACK, FIN, PSH, RST, SYN, PACKET_POOL, Packet
+from repro.net.packet import ACK, FIN, PSH, RST, SYN, Packet
 from repro.obs import OBS
 from repro.sim.events import EventLoop
 from repro.sim.process import Timer
@@ -157,9 +157,8 @@ class TcpStack:
             # flow visibly break when it lands on a proxy with no state.
             rst_seq = pkt.ack if pkt.has_ack else 0
             self._transmit(
-                PACKET_POOL.acquire(pkt.dst, pkt.src, flags=RST | ACK,
-                                    seq=rst_seq,
-                                    ack=seq_add(pkt.seq, max(pkt.seq_span, 1)))
+                Packet(pkt.dst, pkt.src, flags=RST | ACK, seq=rst_seq,
+                       ack=seq_add(pkt.seq, max(pkt.seq_span, 1)))
             )
 
 
@@ -245,8 +244,8 @@ class TcpConnection:
         """Hard close: send RST, drop all state."""
         if self.state is not TcpState.CLOSED and self.state.synchronized:
             self.stack._transmit(
-                PACKET_POOL.acquire(self.local, self.remote, flags=RST | ACK,
-                                    seq=self._snd_nxt, ack=self._rcv_nxt)
+                Packet(self.local, self.remote, flags=RST | ACK,
+                       seq=self._snd_nxt, ack=self._rcv_nxt)
             )
         self._teardown()
         self.handler.on_error(self, reason)
@@ -304,9 +303,8 @@ class TcpConnection:
                     payload: bytes = b"") -> None:
         if with_ack:
             flags |= ACK
-        pkt = PACKET_POOL.acquire(self.local, self.remote, flags=flags, seq=seq,
-                                  ack=self._rcv_nxt if with_ack else 0,
-                                  payload=payload)
+        pkt = Packet(self.local, self.remote, flags=flags, seq=seq,
+                     ack=self._rcv_nxt if with_ack else 0, payload=payload)
         if OBS.enabled and self.obs_ctx is not None:
             pkt.meta["obs_ctx"] = self.obs_ctx
         self.stack._transmit(pkt)

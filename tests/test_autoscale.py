@@ -18,7 +18,7 @@ from repro.autoscale import (
     SignalSnapshot,
 )
 from repro.chaos.library import get_scenario
-from repro.core.controller import AutoscaleConfig
+from repro.core import YodaServiceConfig
 from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 
@@ -30,10 +30,12 @@ def snap(time=0.0, live=3, cpu=0.5, admission=0.0, limiter=0.0):
     )
 
 
-def make_bed(**overrides) -> Testbed:
+def make_bed(spare_instances=0, autoscale=None, **overrides) -> Testbed:
     defaults = dict(
         seed=7, lb="yoda", num_lb_instances=3, num_store_servers=2,
         num_backends=3, corpus="flat", flat_object_count=2,
+        yoda=YodaServiceConfig(spare_instances=spare_instances,
+                               autoscale=autoscale),
     )
     defaults.update(overrides)
     return Testbed(TestbedConfig(**defaults))
@@ -138,25 +140,9 @@ class TestCooldowns:
                                   drain_in_flight=True)
             assert decision.kind == "hold"
             assert "conflict" in decision.reason
-        # the legacy preset keeps the historical quiet behavior
-        legacy = PolicyEngine(ElasticPolicy.from_legacy(AutoscaleConfig()))
-        assert legacy.decide(snap(cpu=0.9), drain_in_flight=True).kind == "out"
-
-
-class TestLegacyPreset:
-    def test_from_legacy_is_decision_identical_arithmetic(self):
-        cfg = AutoscaleConfig(high_watermark=0.6, low_watermark=0.2,
-                              target=0.5, check_interval=2.0)
-        policy = ElasticPolicy.from_legacy(cfg)
-        assert (policy.high_watermark, policy.low_watermark,
-                policy.target) == (0.6, 0.2, 0.5)
-        # no modern safety rails: the preset must reproduce the
-        # historical pass decision-for-decision
-        assert policy.cooldown_out == 0.0 and policy.cooldown_in == 0.0
-        assert policy.step_out == 0 and not policy.serialize_events
-        eng = PolicyEngine(policy)
-        decision = eng.decide(snap(cpu=0.9, live=4))
-        assert decision.count == math.ceil(4 * 0.9 / 0.5) - 4
+        # the default (Fig. 13) policy keeps the quiet behavior
+        quiet = PolicyEngine(ElasticPolicy())
+        assert quiet.decide(snap(cpu=0.9), drain_in_flight=True).kind == "out"
 
 
 class TestPolicyJournal:
@@ -376,13 +362,13 @@ class TestScaleChurnRegressions:
 class TestChaosRegistration:
     def test_flash_crowd_autoscale_registered_and_armed(self):
         scenario = get_scenario("flash-crowd-autoscale")
-        assert scenario.autoscale is not None
-        assert scenario.spare_instances > 0
+        assert scenario.yoda.autoscale is not None
+        assert scenario.yoda.spare_instances > 0
         # the surge trips the qos signal before CPU moves
-        assert scenario.autoscale.admission_pressure_high is not None
+        assert scenario.yoda.autoscale.admission_pressure_high is not None
 
     def test_scale_in_during_region_kill_registered(self):
         scenario = get_scenario("scale-in-during-region-kill")
-        assert scenario.autoscale is not None
-        assert scenario.autoscale.scale_down
-        assert scenario.standby_site
+        assert scenario.yoda.autoscale is not None
+        assert scenario.yoda.autoscale.scale_down
+        assert scenario.yoda.region is not None

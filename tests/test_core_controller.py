@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.controller import AutoscaleConfig, ControllerHealthView
+from repro.autoscale import Autoscaler, ElasticPolicy
+from repro.core.controller import ControllerHealthView
 from repro.core.policy import weighted_split
 from repro.errors import ControllerError
 from repro.experiments.harness import Testbed, TestbedConfig
@@ -230,9 +231,9 @@ class TestAutoscaling:
         bed = make_bed()
         controller = bed.yoda.controller
         spare = bed.yoda.new_spare_instance()
-        controller.enable_autoscaling(AutoscaleConfig(
-            high_watermark=0.5, target=0.4, check_interval=1.0,
-        ))
+        controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+            high_watermark=0.5, target=0.4, check_interval=1.0, drain=False,
+        )))
         # keep every live instance artificially hot
         def burn():
             for name in controller.live_instance_names():
@@ -248,6 +249,7 @@ class TestAutoscaling:
         bed = make_bed()
         controller = bed.yoda.controller
         bed.yoda.new_spare_instance()
-        controller.enable_autoscaling(AutoscaleConfig(check_interval=1.0))
+        controller.attach_autoscaler(Autoscaler(controller, ElasticPolicy(
+            check_interval=1.0, drain=False)))
         bed.run(5.0)
         assert controller.metrics.counter("scaled_up").value == 0

@@ -8,12 +8,13 @@ The tentpole contract under test:
 - A new leader replays the journal and *finishes* the old leader's work
   (the drain handoff test is the canonical case).
 - While leaderless the data plane is statically stable, and a dead
-  singleton controller (``num_controllers=1``) leaves a measurable,
+  singleton controller (one replica) leaves a measurable,
   unbounded outage window -- the ablation that prices the feature.
 """
 
 import pytest
 
+from repro.core import ControllerHAConfig, YodaServiceConfig
 from repro.core.leader import FenceGate, LeaderToken
 from repro.errors import ControllerError, StaleLeaderEpoch
 from repro.experiments.harness import Testbed, TestbedConfig
@@ -25,7 +26,9 @@ def make_bed(num_controllers=3, **overrides):
         seed=77, lb="yoda", num_lb_instances=3, num_store_servers=3,
         num_backends=2, corpus="flat", flat_object_count=2,
         flat_object_bytes=40_000, client_jitter=0.0,
-        num_controllers=num_controllers,
+        yoda=YodaServiceConfig(
+            controllers=(ControllerHAConfig(replicas=num_controllers)
+                         if num_controllers else None)),
     )
     defaults.update(overrides)
     return Testbed(TestbedConfig(**defaults))

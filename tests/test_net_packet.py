@@ -1,12 +1,9 @@
-"""Packet model: flags, sizes, copies, and the free-list pool."""
+"""Packet model: flags, sizes, copies."""
 
-import pytest
-
-from repro.errors import NetworkError
 from repro.net.addresses import Endpoint
 from repro.net.packet import (
     ACK, FIN, IP_TCP_HEADER_BYTES, PSH, RST, SYN,
-    Packet, PacketPool, flags_to_str, make_ack, make_rst, make_syn,
+    Packet, flags_to_str, make_ack, make_rst, make_syn,
     make_syn_ack,
 )
 
@@ -85,77 +82,3 @@ class TestBuilders:
         pkt = make_syn(A, B, 1)
         assert pkt.four_tuple.src == A
         assert pkt.four_tuple.dst == B
-
-
-class TestPacketPool:
-    def test_acquire_constructs_when_empty(self):
-        pool = PacketPool()
-        pkt = pool.acquire(A, B, flags=SYN, seq=7)
-        assert pkt.src == A and pkt.syn and pkt.seq == 7
-        assert pool.created == 1 and pool.recycled == 0
-
-    def test_release_then_acquire_recycles_same_object(self):
-        pool = PacketPool()
-        first = pool.acquire(A, B, flags=SYN, seq=1)
-        first.meta["stale"] = True
-        old_id = first.packet_id
-        assert pool.release(first)
-        again = pool.acquire(B, A, flags=ACK, ack=2)
-        assert again is first  # same object, recycled
-        assert pool.recycled == 1
-        # recycled packets carry no trace of their previous life
-        assert again.packet_id != old_id
-        assert again.meta == {}
-        assert again.src == B and again.has_ack and again.seq == 0
-
-    def test_release_foreign_packet_is_noop(self):
-        pool = PacketPool()
-        pkt = Packet(src=A, dst=B)  # constructed directly, not pooled
-        assert pool.release(pkt) is False
-        assert pool.free_count() == 0
-
-    def test_double_release_raises(self):
-        pool = PacketPool()
-        pkt = pool.acquire(A, B)
-        pool.release(pkt)
-        with pytest.raises(NetworkError, match="released twice"):
-            pool.release(pkt)
-
-    def test_double_release_raises_without_debug_mode(self):
-        # the double-release guard is always on, not just under debug
-        pool = PacketPool(debug=False)
-        pkt = pool.acquire(A, B)
-        pool.release(pkt)
-        with pytest.raises(NetworkError):
-            pool.release(pkt)
-
-    def test_mutate_after_release_raises_in_debug_mode(self):
-        pool = PacketPool(debug=True)
-        pkt = pool.acquire(A, B, seq=1)
-        pool.release(pkt)
-        pkt.seq = 999  # use-after-free: writer still holds a reference
-        with pytest.raises(NetworkError, match="mutated after release"):
-            pool.acquire(A, B)
-
-    def test_meta_mutation_after_release_raises_in_debug_mode(self):
-        pool = PacketPool(debug=True)
-        pkt = pool.acquire(A, B)
-        pool.release(pkt)
-        pkt.meta["encap"] = "10.0.0.9"
-        with pytest.raises(NetworkError, match="mutated after release"):
-            pool.acquire(A, B)
-
-    def test_clean_roundtrip_in_debug_mode(self):
-        pool = PacketPool(debug=True)
-        pkt = pool.acquire(A, B, payload=b"hello")
-        pool.release(pkt)
-        again = pool.acquire(B, A)  # no mutation happened: must not raise
-        assert again is pkt
-
-    def test_reacquired_packet_can_be_released_again(self):
-        pool = PacketPool()
-        pkt = pool.acquire(A, B)
-        pool.release(pkt)
-        pkt = pool.acquire(A, B)
-        assert pool.release(pkt)  # live again, so release is legal
-        assert pool.free_count() == 1

@@ -44,9 +44,10 @@ def test_idle_qos_is_bit_identical(name):
         f"GOLDEN_UPDATE=1 PYTHONPATH=src python -m pytest "
         f"tests/test_golden_traces.py first"
     )
+    base = get_scenario(name)
     scenario = dataclasses.replace(
-        get_scenario(name),
-        qos_config=QosConfig(),  # armed but neutral
+        base,
+        yoda=dataclasses.replace(base.yoda, qos=QosConfig()),  # armed but neutral
         **SCENARIO_VARIANTS[name],
     )
     recorder = GoldenRecorder()

@@ -3,12 +3,13 @@ exhaustion, SYN-stage shedding, and drain-based scale-in."""
 
 import pytest
 
+from repro.core import YodaServiceConfig
 from repro.errors import SnatExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.l4lb.snat import SnatAllocator
 from repro.qos.admission import AdmissionController, TokenBucket
 from repro.qos.concurrency import AdaptiveConcurrencyLimiter
-from repro.qos.config import HardeningConfig, QosConfig
+from repro.qos.config import QosConfig
 from repro.qos.plane import InstanceQos
 from repro.sim.metrics import MetricRegistry
 
@@ -144,22 +145,6 @@ class TestInstanceQos:
         assert qos.view(inner) is inner
 
 
-class TestHardeningConfig:
-    def test_defaults_equal_historical_constants(self):
-        h = HardeningConfig()
-        assert (h.monitor_interval, h.down_after, h.up_after) == (0.6, 2, 2)
-        assert (h.kv_op_timeout, h.kv_max_retries) == (0.1, 2)
-        assert (h.kv_dead_after_timeouts, h.kv_quarantine) == (3, 1.0)
-
-    def test_bundle_overrides_scattered_knobs(self):
-        from repro.core.service import YodaServiceConfig
-        cfg = YodaServiceConfig(hardening=HardeningConfig(
-            monitor_interval=0.3, kv_op_timeout=0.05))
-        assert cfg.monitor_interval == 0.3
-        assert cfg.kv_op_timeout == 0.05
-        assert cfg.down_after == 2  # untouched default rides along
-
-
 class TestSnatExhaustion:
     def test_exhaustion_is_typed_and_counted(self):
         alloc = SnatAllocator(base=60000, range_size=3000)
@@ -181,20 +166,29 @@ class TestSnatExhaustion:
             alloc.ensure_range("vip", "10.1.0.99")
 
 
-def small_bed(**overrides):
+def small_bed(yoda=None, **overrides):
     defaults = dict(
         seed=11, lb="yoda", num_lb_instances=3, num_store_servers=2,
         num_backends=2, corpus="flat", flat_object_bytes=40_000,
-        flat_object_count=4,
+        flat_object_count=4, yoda=yoda,
     )
     defaults.update(overrides)
     return Testbed(TestbedConfig(**defaults))
 
 
+class TestHardeningKnobs:
+    def test_probe_and_kv_deadlines_reach_their_components(self):
+        bed = small_bed(YodaServiceConfig(monitor_interval=0.3,
+                                          kv_op_timeout=0.05))
+        assert bed.yoda.controller.monitor_interval == 0.3
+        assert all(inst.tcpstore.kv.op_timeout == 0.05
+                   for inst in bed.yoda.instances)
+
+
 class TestShedding:
     def test_overload_is_shed_at_syn_time_with_fast_rsts(self):
-        bed = small_bed(qos=QosConfig(admission_rate=4.0,
-                                      admission_burst=4.0))
+        bed = small_bed(YodaServiceConfig(qos=QosConfig(
+            admission_rate=4.0, admission_burst=4.0)))
         gen = bed.open_loop(rate=80.0, http_timeout=5.0)
         bed.run(2.0)
         gen.stop()
@@ -213,7 +207,7 @@ class TestShedding:
         assert slowest < 1.0
 
     def test_idle_qos_never_sheds(self):
-        bed = small_bed(qos=QosConfig())
+        bed = small_bed(YodaServiceConfig(qos=QosConfig()))
         gen = bed.open_loop(rate=20.0)
         bed.run(2.0)
         gen.stop()

@@ -8,8 +8,8 @@ is exact, not statistical) is run three ways -- single process, 2-shard
 inline, 2-shard forked -- and the merged delivery schedules must match
 event for event.
 
-Plus direct unit properties of the window arithmetic and the
-deterministic routing sort.
+Plus direct unit properties of the window arithmetic, the deterministic
+routing sort, and the wire format boundary packets cross the pipe in.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from repro.errors import ShardError
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.network import Network
-from repro.net.packet import PACKET_POOL
+from repro.net.packet import ACK, SYN, Packet
 from repro.shard import BarrierCoordinator, ShardedRunner, ShardPlanner
+from repro.shard.gateway import WIRE_VERSION, from_wire, to_wire
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 
@@ -50,19 +51,18 @@ def _wire_hosts(loop: EventLoop, network: Network, cells,
             events.append((round(loop.now(), 9), pkt.src.ip, pkt.dst.ip,
                            pkt.seq))
             if pkt.seq > 0:
-                reply = PACKET_POOL.acquire(
+                reply = Packet(
                     Endpoint(pkt.dst.ip, pkt.dst.port),
                     Endpoint(pkt.src.ip, pkt.src.port),
                     seq=pkt.seq - 1)
                 loop.call_later(THINK, host.send, reply)
-            PACKET_POOL.release(pkt)
 
         host.set_handler(handler)
 
     def kick(src_cell: int) -> None:
         src = network.host(f"pinger{src_cell}")
         dst_cell = (src_cell + 1) % NUM_CELLS
-        ping = PACKET_POOL.acquire(
+        ping = Packet(
             Endpoint(_host_ip(src_cell), 9000),
             Endpoint(_host_ip(dst_cell), 9000),
             seq=PING_COUNT)
@@ -179,3 +179,53 @@ class TestDeterministicRouting:
         coord = BarrierCoordinator(plan2)
         with pytest.raises(ShardError, match="unknown shard"):
             coord.route([[self._export(9, 0.1, 0)]])
+
+
+def _mk(**kw) -> Packet:
+    return Packet(Endpoint("10.0.0.1", 1234), Endpoint("10.0.1.1", 80), **kw)
+
+
+class TestWireFormat:
+    """A packet crossing a shard boundary is flattened by ``to_wire`` and
+    rebuilt by ``from_wire``; anything that cannot cross intact must raise
+    ``ShardError`` loudly rather than corrupt another world silently."""
+
+    def test_wire_fields_survive(self):
+        pkt = _mk(flags=SYN | ACK, seq=7, ack=41, payload=b"hello")
+        pkt.meta["route"] = "vip"
+        pkt.meta["hops"] = 3
+        wire = to_wire(pkt)
+        assert wire[0] == WIRE_VERSION
+        clone = from_wire(wire)
+        assert clone is not pkt
+        assert clone.src == Endpoint("10.0.0.1", 1234)
+        assert clone.dst == Endpoint("10.0.1.1", 80)
+        assert clone.flags == SYN | ACK
+        assert (clone.seq, clone.ack, clone.payload) == (7, 41, b"hello")
+        assert clone.meta == {"route": "vip", "hops": 3}
+
+    def test_wire_is_plain_data(self):
+        """Nothing object-shaped crosses the pipe: the wire tuple must
+        survive a pickle round-trip without custom reducers."""
+        import pickle
+
+        pkt = _mk(payload=b"x", flags=SYN)
+        pkt.meta["tags"] = ("a", "b")
+        wire = to_wire(pkt)
+        assert pickle.loads(pickle.dumps(wire)) == wire
+
+    def test_bad_version_rejected(self):
+        with pytest.raises(ShardError, match="wire format"):
+            from_wire((WIRE_VERSION + 1, "10.0.0.1", 1, "10.0.0.2", 2,
+                       0, 0, 0, b"", ()))
+
+    def test_garbage_rejected(self):
+        for junk in (None, (), "packet", 42, (WIRE_VERSION, "10.0.0.1")):
+            with pytest.raises(ShardError, match="wire format"):
+                from_wire(junk)
+
+    def test_unserializable_meta_rejected(self):
+        pkt = _mk()
+        pkt.meta["handler"] = lambda: None  # a live object must not cross
+        with pytest.raises(ShardError, match="handler"):
+            to_wire(pkt)

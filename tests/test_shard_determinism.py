@@ -15,13 +15,11 @@ import dataclasses
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
-from repro.experiments.harness import TestbedConfig
 from repro.shard import (
     ScaleWorldConfig,
     ShardedRunner,
     make_scale_plan,
     run_scenario_sharded,
-    run_testbed_sharded,
     scale_world_builder,
 )
 from repro.sim.tracing import DigestTrace
@@ -75,21 +73,3 @@ class TestSameInterpreterDeterminism:
                 result.cross_shard_packets
 
         assert once() == once()
-
-    def test_testbed_num_shards_facade(self):
-        """The ``TestbedConfig.num_shards`` opt-in path is deterministic
-        and actually runs through the shard machinery."""
-        cfg = TestbedConfig(
-            seed=7, num_shards=2, num_lb_instances=2, num_store_servers=2,
-            num_backends=2, corpus="flat", flat_object_count=4,
-            flat_object_bytes=2_000)
-        diurnal = DiurnalConfig(seed=7, sim_seconds=3.0, sim_fraction=5e-4)
-
-        def once():
-            result = run_testbed_sharded(cfg, 3.0, diurnal=diurnal,
-                                         mode="inline")
-            return result.digest, result.total_tx_packets
-
-        first = once()
-        assert first == once()
-        assert first[1] > 0

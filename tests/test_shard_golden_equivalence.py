@@ -1,7 +1,7 @@
 """1-shard sharded runs must be bit-identical to the pinned goldens.
 
-``TestbedConfig.num_shards=1`` is documented as "today's in-process path
-untouched", and this suite is the proof: every pinned chaos scenario
+One shard is documented as "the plain in-process path untouched", and
+this suite is the proof: every pinned chaos scenario
 (the single-site corpus *and* the multi-region corpus) run through
 ``run_scenario_sharded`` -- windowed loop stepping, digest folding, the
 whole shard execution shape -- must reproduce the committed golden

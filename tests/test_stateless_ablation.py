@@ -29,10 +29,11 @@ from repro.sim.random import SeededRng
 VIP = "100.0.0.1"
 
 
-def shrunk_double_crash(**extra):
+def shrunk_double_crash(stateless=None):
+    base = get_scenario("double-crash")
     return dataclasses.replace(
-        get_scenario("double-crash"),
-        clients=2, object_count=3, duration=8.0, drain=6.0, **extra)
+        base, clients=2, object_count=3, duration=8.0, drain=6.0,
+        yoda=dataclasses.replace(base.yoda, stateless=stateless))
 
 
 class TestCrashAblation:
@@ -42,8 +43,7 @@ class TestCrashAblation:
     def outcomes(self):
         stateful = run_scenario(shrunk_double_crash(), lb="yoda", seed=2016)
         stateless = run_scenario(
-            shrunk_double_crash(
-                stateless_config=StatelessConfig(enabled=True)),
+            shrunk_double_crash(stateless=StatelessConfig(enabled=True)),
             lb="yoda", seed=2016)
         return stateful, stateless
 

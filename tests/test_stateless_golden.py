@@ -78,9 +78,11 @@ def test_armed_stateless_is_bit_identical(name):
         f"GOLDEN_UPDATE=1 PYTHONPATH=src python -m pytest "
         f"tests/test_golden_traces.py first"
     )
+    base = get_scenario(name)
     scenario = dataclasses.replace(
-        get_scenario(name),
-        stateless_config=StatelessConfig(),  # armed but disabled
+        base,
+        # armed but disabled
+        yoda=dataclasses.replace(base.yoda, stateless=StatelessConfig()),
         **SCENARIO_VARIANTS[name],
     )
     recorder = GoldenRecorder()
@@ -108,10 +110,9 @@ def test_armed_stateless_is_bit_identical_region():
         f"tests/test_region_golden.py first"
     )
     spec = REGION_VARIANTS[name]
+    base = get_scenario(spec["scenario"])
     scenario = dataclasses.replace(
-        get_scenario(spec["scenario"]),
-        stateless_config=StatelessConfig(),
-    )
+        base, yoda=dataclasses.replace(base.yoda, stateless=StatelessConfig()))
     recorder = GoldenRecorder()
     engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED,
                             taps=[recorder], replication=spec["replication"])

@@ -5,6 +5,7 @@ backed by the flow store."""
 
 import pytest
 
+from repro.core import YodaServiceConfig
 from repro.errors import SlowClientTimeout
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http import tls
@@ -157,7 +158,7 @@ def make_bed(**overrides):
 
 class TestInstanceHeaderDeadline:
     def test_headerless_flow_is_reaped(self):
-        bed = make_bed(header_deadline=1.0)
+        bed = make_bed(yoda=YodaServiceConfig(header_deadline=1.0))
         client = RawClient(bed.client_stacks[0], bed.loop, bed.target(),
                            [(0.0, b"GET /obj")])  # header never completes
         bed.run(5.0)
@@ -169,7 +170,7 @@ class TestInstanceHeaderDeadline:
         assert "reset" in client.errors
 
     def test_normal_traffic_unaffected(self):
-        bed = make_bed(header_deadline=1.0)
+        bed = make_bed(yoda=YodaServiceConfig(header_deadline=1.0))
         procs = bed.closed_loop(2, max_pages=3)
         fleet = bed.streaming(1, chunks=20, chunk_bytes=500, interval_ms=100)
         bed.run(12.0)
