@@ -8,9 +8,29 @@ microbenchmarks).
 
 from __future__ import annotations
 
-import os
+import tempfile
+from pathlib import Path
+from typing import Optional
 
-RESULTS_FILE = os.path.join(os.path.dirname(__file__), "latest_results.txt")
+# this session's regenerated tables; placed by pytest_configure
+_results_file: Optional[Path] = None
+
+
+def pytest_configure(config) -> None:
+    """Start this session's results file under pytest's cache dir (a
+    temp dir when the cache plugin is off) -- never inside the tree."""
+    global _results_file
+    cache = getattr(config, "cache", None)
+    base = (Path(cache.mkdir("bench-results")) if cache is not None
+            else Path(tempfile.mkdtemp(prefix="bench-results-")))
+    _results_file = base / "latest_results.txt"
+    _results_file.write_text("")
+
+
+def pytest_terminal_summary(terminalreporter) -> None:
+    if _results_file is not None and _results_file.stat().st_size:
+        terminalreporter.write_line(
+            f"regenerated tables written to {_results_file}")
 
 
 def run_once(benchmark, fn, *args, **kwargs):
@@ -28,5 +48,6 @@ def show(result) -> None:
     text = result.render()
     print()
     print(text)
-    with open(RESULTS_FILE, "a") as fh:
-        fh.write(text + "\n\n")
+    if _results_file is not None:
+        with open(_results_file, "a") as fh:
+            fh.write(text + "\n\n")

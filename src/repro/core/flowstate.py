@@ -12,7 +12,10 @@ needs to take the flow over is captured here and serialized into TCPStore:
 
 The client-facing ISN is *not* stored: it is recomputed by hashing the
 client's IP and port (Section 4.1), which is what lets every instance send
-identical SYN-ACKs.
+identical SYN-ACKs.  Recomputable is not recomputed per packet: a
+``FlowState`` keeps the values that are constants of its flow (the
+``client|vip`` key, the ISN, the SNAT source endpoint) in memory, outside
+the serialized record.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ def yoda_isn(client: Endpoint, vip: Endpoint) -> int:
     retransmitted after an instance failure gets the *same* SYN-ACK from
     whichever instance receives it -- no storage round-trip needed.
     """
-    return stable_hash32(f"{client}|{vip}", salt="yoda-isn")
+    return stable_hash32(flow_key(client, vip), salt="yoda-isn")
+
+
+def flow_key(client: Endpoint, vip: Endpoint) -> str:
+    """``client|vip``: an instance's flow-table key and the ISN hash input."""
+    return f"{client.text}|{vip.text}"
 
 
 def client_key(client: Endpoint, vip: Endpoint) -> str:
@@ -90,10 +98,33 @@ class FlowState:
     # record stays byte-identical.
     resp_delivered: int = 0
     replay_header: bytes = b""
+    # constants of the flow, kept off the per-packet path: ``client`` and
+    # ``vip`` are never reassigned, so the key is built once and the ISN
+    # hashed on first use.  In memory only -- not serialized, not compared.
+    key: str = field(init=False, repr=False, compare=False)
+    _yoda_isn: Optional[int] = field(default=None, init=False, repr=False,
+                                     compare=False)
+    _snat_src: Optional[Endpoint] = field(default=None, init=False,
+                                          repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.key = flow_key(self.client, self.vip)
 
     @property
     def yoda_isn(self) -> int:
-        return yoda_isn(self.client, self.vip)
+        isn = self._yoda_isn
+        if isn is None:
+            isn = self._yoda_isn = yoda_isn(self.client, self.vip)
+        return isn
+
+    @property
+    def snat_src(self) -> Endpoint:
+        """``vip:snat_port``, the source of every packet toward the
+        backend; rebuilt only when ``snat_port`` has been reassigned."""
+        src = self._snat_src
+        if src is None or src.port != self.snat_port:
+            src = self._snat_src = Endpoint(self.vip.ip, self.snat_port)
+        return src
 
     @property
     def established(self) -> bool:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.flowstate import FlowPhase, FlowState, yoda_isn
+from repro.core.flowstate import FlowPhase, FlowState, flow_key, yoda_isn
 from repro.core.policy import VipPolicy
 from repro.core.selector import AllHealthy, BackendView, RuleTable, ScanCostModel
 from repro.core.tcpstore import TcpStore
@@ -178,7 +178,7 @@ class _LocalFlow:
         self.tls_ticket_issued = False
 
     def key(self) -> str:
-        return f"{self.state.client}|{self.state.vip}"
+        return self.state.key
 
     def buffer_request_bytes(self, offset: int, payload: bytes) -> None:
         """Accumulate client request bytes by stream offset, feeding the
@@ -225,10 +225,6 @@ class _LocalFlow:
     def header_ready(self) -> bool:
         """True once the (first unconsumed) request header has arrived."""
         return bool(self.parsed) or self.parser.header_complete()
-
-
-def flow_key(client: Endpoint, vip: Endpoint) -> str:
-    return f"{client}|{vip}"
 
 
 class YodaInstance:
@@ -283,6 +279,9 @@ class YodaInstance:
         self._snat_in_use: Dict[str, set] = {}
         self.vip_bytes: Dict[str, int] = {}
         self.completed_flows = 0
+        # per-packet counters, looked up once (as Host caches its own)
+        self._c_packets_in = self.metrics.counter("packets_in")
+        self._c_packets_out = self.metrics.counter("packets_out")
 
         host.set_handler(self._on_packet_raw)
         self._gc = PeriodicTask(loop, 30.0, self._collect_idle_flows)
@@ -478,14 +477,17 @@ class YodaInstance:
             return
         if pkt.meta.get("kv") is not None:
             return  # not a store server; ignore stray
-        self.metrics.counter("packets_in").inc()
-        self.cpu.execute(self.cost.packet_cost(pkt), self._after_cpu, pkt,
-                         phase="packet")
-
-    def _after_cpu(self, pkt: Packet) -> None:
-        if self.host.failed:
-            return
-        self.loop.call_later(self.cost.packet_latency, self._dispatch, pkt)
+        self._c_packets_in.inc()
+        # One event per packet: the CPU queue is evaluated now, at arrival,
+        # and the packet is dispatched packet_latency after its work
+        # completes.  The fire time is the float two chained call_later()s
+        # would produce -- (now + (finish - now)) + packet_latency, in that
+        # association -- so the packet schedule is unchanged to the bit.
+        loop = self.loop
+        now = loop.now()
+        finish = self.cpu.execute(self.cost.packet_cost(pkt), phase="packet")
+        loop.call_at((now + (finish - now)) + self.cost.packet_latency,
+                     self._dispatch, pkt)
 
     def _dispatch(self, pkt: Packet) -> None:
         if self.host.failed:
@@ -500,7 +502,7 @@ class YodaInstance:
             self._handle_server_packet(pkt, policy)
 
     def _send(self, pkt: Packet) -> None:
-        self.metrics.counter("packets_out").inc()
+        self._c_packets_out.inc()
         self.host.send(pkt)
 
     # ---------------------------------------------------------- observability --
@@ -1024,7 +1026,7 @@ class YodaInstance:
         # client's data bytes flow to the server without seq rewriting.
         isn = seq_add(state.client_isn, state.request_offset)
         pkt = Packet(
-            src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
+            src=state.snat_src, dst=state.server,
             flags=SYN, seq=isn,
         )
         if OBS.enabled and flow.obs_ctx is not None:
@@ -1102,7 +1104,7 @@ class YodaInstance:
 
     # =========================================================== server side ==
     def _handle_server_packet(self, pkt: Packet, policy: VipPolicy) -> None:
-        skey = (str(pkt.src), pkt.dst.port)
+        skey = (pkt.src.text, pkt.dst.port)
         key = self.by_server.get(skey)
         flow = self.flows.get(key) if key is not None else None
         if flow is None:
@@ -1207,7 +1209,7 @@ class YodaInstance:
     def _send_server_handshake_ack(self, flow: _LocalFlow) -> None:
         state = flow.state
         self._send(Packet(
-            src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
+            src=state.snat_src, dst=state.server,
             flags=ACK, seq=seq_add(state.client_isn, state.request_offset + 1),
             ack=seq_add(state.server_isn, 1),
         ))
@@ -1221,7 +1223,7 @@ class YodaInstance:
         for off in range(0, len(data), MSS):
             chunk = data[off:off + MSS]
             self._send(Packet(
-                src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
+                src=state.snat_src, dst=state.server,
                 flags=ACK, seq=seq_add(base, off),
                 ack=seq_add(state.server_isn, 1), payload=chunk,
             ))
@@ -1254,7 +1256,7 @@ class YodaInstance:
         if not self.stateless:  # no index record was ever written
             self.tcpstore.remove_server_index(state)
         self._send(Packet(
-            src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
+            src=state.snat_src, dst=state.server,
             flags=RST | ACK,
             seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
             ack=seq_add(state.server_isn or 0, 1),
@@ -1307,7 +1309,7 @@ class YodaInstance:
             return pkt  # past the handshake: nothing to do
         # ACK the suppressed span toward the backend
         self._send(Packet(
-            src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
+            src=state.snat_src, dst=state.server,
             flags=ACK,
             seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
             ack=seq_add(state.server_isn, 1 + min(end, sup)),
@@ -1325,19 +1327,18 @@ class YodaInstance:
 
     def _translate_to_client(self, flow: _LocalFlow, pkt: Packet) -> Packet:
         state = flow.state
-        return pkt.copy(
-            src=state.vip, dst=state.client,
-            seq=seq_add(pkt.seq, self._delta(state)),
-            # the server ACKs bytes in the client's own sequence space
-            # (ISN reuse), so the ack field passes through untouched
-        )
+        # the server ACKs bytes in the client's own sequence space (ISN
+        # reuse), so the ack field passes through untouched
+        return Packet(state.vip, state.client, pkt.flags,
+                      seq_add(pkt.seq, self._delta(state)), pkt.ack,
+                      pkt.payload, dict(pkt.meta))
 
     def _translate_to_server(self, flow: _LocalFlow, pkt: Packet) -> Packet:
         state = flow.state
-        return pkt.copy(
-            src=Endpoint(state.vip.ip, state.snat_port), dst=state.server,
-            ack=seq_add(pkt.ack, -self._delta(state)) if pkt.has_ack else 0,
-        )
+        return Packet(state.snat_src, state.server, pkt.flags, pkt.seq,
+                      seq_add(pkt.ack, -self._delta(state))
+                      if pkt.flags & ACK else 0,
+                      pkt.payload, dict(pkt.meta))
 
     # ============================================================== recovery ==
     def _recover_by_client(self, key: str, pkt: Packet) -> None:

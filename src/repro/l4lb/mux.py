@@ -13,11 +13,18 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.kvstore.hashring import HashRing
 from repro.l4lb.compact import CompactDispatchTable, DispatchMode
+from repro.net.addresses import Endpoint
 from repro.net.packet import Packet
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.l4lb.service import L4LoadBalancer
+
+
+def five_tuple(src: Endpoint, dst: Endpoint) -> str:
+    """``src>dst``: the 5-tuple text the router hashes for ECMP and every
+    mux keys its flow table by."""
+    return f"{src.text}>{dst.text}"
 
 
 @dataclass
@@ -91,11 +98,16 @@ class L4Mux:
             entry.prev_compact = current.compact
         self.vips[vip] = entry
 
+    def _unpin(self, keys: List[str]) -> None:
+        """Every removal of flow-table pins goes through here, so the
+        router's per-flow ECMP memo never outlives the pins it serves."""
+        for k in keys:
+            del self.flow_table[k]
+        self.lb.forget_flows(keys)
+
     def remove_vip(self, vip: str) -> None:
         self.vips.pop(vip, None)
-        stale = [k for k in self.flow_table if f">{vip}:" in k]
-        for k in stale:
-            del self.flow_table[k]
+        self._unpin([k for k in self.flow_table if f">{vip}:" in k])
 
     def flush_instance(self, instance_ip: str) -> int:
         """Remove flow-table entries pinned to an instance.
@@ -107,8 +119,7 @@ class L4Mux:
         to the dead instance.
         """
         stale = [k for k, e in self.flow_table.items() if e.instance_ip == instance_ip]
-        for k in stale:
-            del self.flow_table[k]
+        self._unpin(stale)
         if OBS.enabled:
             OBS.flight(self.name, "flush",
                        f"{len(stale)} flow-table entries pinned to "
@@ -120,8 +131,7 @@ class L4Mux:
             k for k, e in self.flow_table.items()
             if now - e.last_used > self.FLOW_IDLE_TIMEOUT
         ]
-        for k in stale:
-            del self.flow_table[k]
+        self._unpin(stale)
         return len(stale)
 
     def release_flow(self, flow_key: str) -> bool:
@@ -132,7 +142,10 @@ class L4Mux:
         timeout, steering the refused client's in-flight packets -- and
         any retry on the same 5-tuple -- at an instance that already said
         no."""
-        return self.flow_table.pop(flow_key, None) is not None
+        if flow_key not in self.flow_table:
+            return False
+        self._unpin([flow_key])
+        return True
 
     # -- data plane -----------------------------------------------------------
     def process(self, pkt: Packet) -> None:
@@ -145,7 +158,7 @@ class L4Mux:
                            f"{pkt.src}>{pkt.dst}: no instances for VIP {vip}")
             return
         now = self.lb.loop.now()
-        flow_key = f"{pkt.src}>{pkt.dst}"
+        flow_key = five_tuple(pkt.src, pkt.dst)
         is_new_flow = pkt.syn and not pkt.has_ack
         if self.lb.mode is DispatchMode.STATELESS and entry.compact is not None:
             instance_ip = self._route_stateless(entry, flow_key, pkt,
@@ -153,6 +166,14 @@ class L4Mux:
         else:
             instance_ip = self._route_stateful(entry, flow_key, pkt,
                                                is_new_flow, now)
+        if not self.lb.forward_to_instance(instance_ip, pkt):
+            # the mapped instance's host is gone from the fabric (detached
+            # by scale-in while this mux still maps it)
+            self.dropped += 1
+            if OBS.enabled:
+                OBS.flight(self.name, "drop",
+                           f"{flow_key}: instance {instance_ip} is detached")
+            return
         self.forwarded += 1
         if OBS.enabled and is_new_flow:
             OBS.flight(self.name, "route", f"{flow_key} -> {instance_ip}")
@@ -160,7 +181,6 @@ class L4Mux:
             if ctx is not None:
                 OBS.tracer.event("l4.route", self.name, ctx=ctx,
                                  attrs={"instance": instance_ip})
-        self.lb.forward_to_instance(instance_ip, pkt)
 
     def _route_stateful(self, entry: _VipEntry, flow_key: str, pkt: Packet,
                         is_new_flow: bool, now: float) -> str:

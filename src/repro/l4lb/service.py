@@ -20,7 +20,7 @@ from repro.l4lb.compact import (
     bucket_targets,
     maybe_config,
 )
-from repro.l4lb.mux import L4Mux
+from repro.l4lb.mux import L4Mux, five_tuple
 from repro.l4lb.snat import SnatAllocator
 from repro.net.host import Host
 from repro.net.network import Network
@@ -69,6 +69,10 @@ class L4LoadBalancer:
         self.router = network.attach(Host(router_name, [router_ip], site=site))
         self.router.set_handler(self._on_packet)
         self.muxes: List[L4Mux] = [L4Mux(self, i) for i in range(num_muxes)]
+        # the router's ECMP pick, memoised per pinned flow: it lives exactly
+        # as long as the pin in the picked mux's flow table (see
+        # forget_flows), so it needs no size bound of its own
+        self._ecmp_memo: Dict[str, int] = {}
         self.snat = SnatAllocator()
         self._versions: Dict[str, int] = {}
         self._authoritative: Dict[str, List[str]] = {}
@@ -214,9 +218,8 @@ class L4LoadBalancer:
         refuses a flow on SNAT exhaustion), so no fence token: it tears
         down the caller's own pin rather than reconfiguring anything.
         The owning mux is found by the same ECMP hash the router used."""
-        flow_key = f"{client}>{vip}"
-        idx = stable_hash32(flow_key, salt="ecmp") % len(self.muxes)
-        if self.muxes[idx].release_flow(flow_key):
+        flow_key = f"{client}>{vip}"  # endpoints or their "ip:port" text
+        if self.muxes[self._ecmp_pick(flow_key)].release_flow(flow_key):
             return True
         # a pin can sit on another mux only if the mux count changed
         # mid-run; sweep the rest so the release is unconditional
@@ -227,19 +230,40 @@ class L4LoadBalancer:
         return self.snat.ensure_range(vip, instance_ip)
 
     # -- data plane -------------------------------------------------------------
+    def _ecmp_pick(self, flow_key: str) -> int:
+        """The router's mux choice for a flow: hash of the 5-tuple, as
+        routers do."""
+        return stable_hash32(flow_key, salt="ecmp") % len(self.muxes)
+
     def _on_packet(self, pkt: Packet) -> None:
         """Router: ECMP-spread the flow across muxes."""
-        idx = stable_hash32(f"{pkt.src}>{pkt.dst}", salt="ecmp") % len(self.muxes)
-        self.muxes[idx].process(pkt)
+        flow_key = five_tuple(pkt.src, pkt.dst)
+        idx = self._ecmp_memo.get(flow_key)
+        if idx is not None:
+            self.muxes[idx].process(pkt)
+            return
+        idx = self._ecmp_pick(flow_key)
+        mux = self.muxes[idx]
+        mux.process(pkt)
+        if flow_key in mux.flow_table:
+            self._ecmp_memo[flow_key] = idx
 
-    def forward_to_instance(self, instance_ip: str, pkt: Packet) -> None:
+    def forget_flows(self, flow_keys: List[str]) -> None:
+        """A mux dropped these pins: drop their memoised ECMP picks."""
+        memo = self._ecmp_memo
+        for flow_key in flow_keys:
+            memo.pop(flow_key, None)
+
+    def forward_to_instance(self, instance_ip: str, pkt: Packet) -> bool:
         """IP-in-IP encapsulation equivalent: deliver the untouched packet
-        (dst still the VIP) to the chosen L7 instance's host."""
+        (dst still the VIP) to the chosen L7 instance's host.  False when
+        no attached host answers for ``instance_ip``."""
         host = self.network.host_for_ip(instance_ip)
         if host is None:
-            return
+            return False
         # one intra-DC hop mux -> instance
         self.loop.call_later(0.00025, host.deliver, pkt)
+        return True
 
     def _expire_flows(self) -> None:
         now = self.loop.now()

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.flowstate import (
-    FlowPhase, FlowState, client_key, server_key, yoda_isn,
+    FlowPhase, FlowState, client_key, flow_key, server_key, yoda_isn,
 )
 from repro.errors import ReproError
 from repro.net.addresses import Endpoint
@@ -90,3 +90,55 @@ class TestSerialization:
         assert restored.client_isn == cisn
         assert restored.server_isn == sisn
         assert restored.snat_port == snat
+
+
+# Records serialized by the commit before the per-flow constants moved
+# onto FlowState: the in-memory key / ISN / SNAT endpoint must never reach
+# the wire format, so a recovered-then-reserialized state is these bytes.
+PINNED_RECORDS = [
+    b'{"client":"172.16.0.9:43210","vip":"100.0.0.1:80","client_isn":12345,'
+    b'"phase":"await_header","server":null,"server_isn":null,'
+    b'"snat_port":null,"request_offset":0,"response_offset":0,'
+    b'"created_at":1.25,"client_prefix":"","tls_handshake_len":0}',
+    b'{"client":"172.16.0.9:43210","vip":"100.0.0.1:80",'
+    b'"client_isn":4294967295,"phase":"tunnel","server":"10.3.0.5:80",'
+    b'"server_isn":77,"snat_port":40003,"request_offset":120,'
+    b'"response_offset":30000,"created_at":2.5,'
+    b'"client_prefix":"FgNoZWxsbw==","tls_handshake_len":900}',
+    b'{"client":"172.16.3.4:1024","vip":"100.64.2.1:443","client_isn":0,'
+    b'"phase":"tunnel","server":"10.3.0.5:80","server_isn":0,'
+    b'"snat_port":64999,"request_offset":0,"response_offset":0,'
+    b'"created_at":17.0,"client_prefix":"","tls_handshake_len":0,'
+    b'"resp_delivered":65536,'
+    b'"replay_header":"R0VUIC9zdHJlYW0vYSBIVFRQLzEuMQ0KDQo="}',
+]
+
+
+class TestPerFlowConstants:
+    @pytest.mark.parametrize("raw", PINNED_RECORDS)
+    def test_constants_stay_out_of_the_record(self, raw):
+        state = FlowState.from_bytes(raw)
+        assert state.to_bytes() == raw
+        # ... and still after every cached value has been computed
+        assert state.yoda_isn == yoda_isn(state.client, state.vip)
+        assert state.key == flow_key(state.client, state.vip)
+        if state.snat_port is not None:
+            assert state.snat_src == Endpoint(state.vip.ip, state.snat_port)
+        assert state.to_bytes() == raw
+        assert FlowState.from_bytes(state.to_bytes()) == state
+
+    def test_isn_is_the_hash_before_and_after_a_round_trip(self):
+        state = FlowState(client=CLIENT, vip=VIP, client_isn=1)
+        assert state.yoda_isn == yoda_isn(CLIENT, VIP)
+        restored = FlowState.from_bytes(state.to_bytes())
+        assert restored.yoda_isn == yoda_isn(CLIENT, VIP)
+        assert restored == state
+
+    def test_snat_source_follows_the_port(self):
+        state = FlowState(client=CLIENT, vip=VIP, client_isn=1,
+                          server=SERVER, server_isn=5, snat_port=40000)
+        first = state.snat_src
+        assert first == Endpoint(VIP.ip, 40000)
+        assert state.snat_src is first  # built once, not per packet
+        state.snat_port = 40001  # HTTP/1.1 backend switch
+        assert state.snat_src == Endpoint(VIP.ip, 40001)

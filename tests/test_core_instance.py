@@ -4,12 +4,26 @@ Everything here runs against a real wired deployment (L4 LB + instances +
 TCPStore + backends) built by the experiment harness.
 """
 
-import pytest
+import hashlib
 
-from repro.core.flowstate import yoda_isn
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.core.flowstate import FlowPhase, yoda_isn
+from repro.core.instance import YodaCostModel, YodaInstance
+from repro.core.policy import VipPolicy
+from repro.core.tcpstore import TcpStore
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
+from repro.kvstore.client import MemcachedCluster, ReplicatingKvClient
+from repro.kvstore.memcached import MemcachedServer
 from repro.net.addresses import Endpoint
+from repro.net.host import Host
+from repro.net.network import Network
+from repro.net.packet import ACK, Packet
+from repro.sim.cpu import CpuModel
+from repro.sim.events import EventLoop
+from repro.sim.random import SeededRng
 from repro.sim.tracing import PacketTrace
 
 
@@ -262,3 +276,143 @@ class TestPolicyBehaviour:
             result = fetch(bed, deadline=8.0)
             assert result.ok
             assert result.response.headers.get("X-Backend") != "srv-0"
+
+
+class TestPerFlowCost:
+    """What a flow needs per tunnelled packet is table hits: hashing and
+    address validation are paid per flow, not per packet."""
+
+    @staticmethod
+    def _fetch_counting(monkeypatch, size):
+        """One fetch through a 1-instance bed.  Returns (SHA-256 digests
+        made by the whole run, Endpoints validated while tunnelling)."""
+        bed = make_bed(num_lb_instances=1, flat_object_bytes=size,
+                       trace_packets=False)
+        counts = {"sha": 0, "endpoints": 0}
+        sha256, post_init = hashlib.sha256, Endpoint.__post_init__
+
+        def counted_sha256(*args, **kwargs):
+            counts["sha"] += 1
+            return sha256(*args, **kwargs)
+
+        def counted_post_init(self):
+            counts["endpoints"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(hashlib, "sha256", counted_sha256)
+        monkeypatch.setattr(Endpoint, "__post_init__", counted_post_init)
+        results = []
+        BrowserClient(bed.client_stacks[0], bed.loop, bed.target(),
+                      http_timeout=30.0, retries=0).fetch("/obj/0.bin",
+                                                          results.append)
+        instance = bed.yoda.instances[0]
+        while not any(flow.phase is FlowPhase.TUNNEL
+                      for flow in instance.flows.values()):
+            bed.loop.run_for(0.001)
+        before_tunnel = counts["endpoints"]
+        while not results:
+            bed.loop.run_for(0.001)
+        assert results[0].ok and len(results[0].response.body) == size
+        monkeypatch.undo()
+        return counts["sha"], counts["endpoints"] - before_tunnel
+
+    def test_digests_do_not_grow_with_the_object(self, monkeypatch):
+        small_sha, small_eps = self._fetch_counting(monkeypatch, 20_000)
+        large_sha, large_eps = self._fetch_counting(monkeypatch, 200_000)
+        assert small_sha == large_sha > 0
+        assert small_eps == large_eps == 0
+
+
+# ---------------------------------------------------------------------------
+# One event per packet: the collapsed schedule IS the old two-event chain.
+# ---------------------------------------------------------------------------
+class _ChainedInstance:
+    """The deleted cpu -> latency -> dispatch chain, kept as the reference:
+    one event when the CPU work completes, a second ``packet_latency``
+    later, the host's liveness checked at both."""
+
+    def __init__(self, host, loop, cost, dispatched):
+        self.host, self.loop, self.cost = host, loop, cost
+        self.cpu = CpuModel(loop, owner=host.name)
+        self.dispatched = dispatched
+        host.set_handler(self._on_packet_raw)
+
+    def _on_packet_raw(self, pkt):
+        self.cpu.execute(self.cost.packet_cost(pkt), self._after_cpu, pkt,
+                         phase="packet")
+
+    def _after_cpu(self, pkt):
+        if self.host.failed:
+            return
+        self.loop.call_later(self.cost.packet_latency, self._dispatch, pkt)
+
+    def _dispatch(self, pkt):
+        if self.host.failed:
+            return
+        self.dispatched.append((self.loop.now().hex(), pkt.packet_id))
+
+
+def _real_instance(host, loop, cost, dispatched):
+    store_host = host.network.attach(Host("mc", ["10.2.0.1"]))
+    cluster = MemcachedCluster([MemcachedServer(store_host, loop)])
+    kv = ReplicatingKvClient(host, loop, cluster, replicas=1)
+    inst = YodaInstance(host, loop, SeededRng(1), TcpStore(kv),
+                        cost_model=cost)
+    inst.install_policy(VipPolicy(vip="100.0.0.1", backends={}, rules=[]))
+    # everything past _dispatch's own liveness check is out of scope here
+    inst._handle_client_packet = lambda pkt, policy: dispatched.append(
+        (loop.now().hex(), pkt.packet_id))
+    return inst
+
+
+_times = st.floats(0.0, 0.05, allow_nan=False)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("pkt"), _times, st.integers(0, 1460)),
+        st.tuples(st.just("work"), _times, st.floats(0.0, 2e-3)),
+        st.tuples(st.just("slow"), _times, st.floats(0.25, 40.0)),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=_ops, cores=st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0]),
+       latency=st.floats(0.0, 1e-3), fail_at=st.none() | _times)
+# arrivals early enough behind queued work that now + (finish - now) is
+# not finish: these separate the chain's float from finish + latency
+@example(ops=[("work", 0.0, 2e-3), ("pkt", 3.9105e-05, 61)], cores=1.0,
+         latency=4e-4, fail_at=None)
+@example(ops=[("work", 0.0, 2e-3), ("pkt", 1.7986e-05, 1230)], cores=1.0,
+         latency=4e-4, fail_at=None)
+def test_single_event_dispatch_is_the_two_event_chain(ops, cores, latency,
+                                                      fail_at):
+    """Same arrivals, payload sizes, core counts, slowdown changes and
+    foreign CPU work (rule scans) into both: the (dispatch time, packet)
+    sequences are equal as floats, bit for bit, and a host that failed by
+    the fire time dispatches nothing in either."""
+    cost = YodaCostModel(packet_latency=latency)
+    runs = []
+    for build in (_ChainedInstance, _real_instance):
+        loop = EventLoop()
+        host = Network(loop, SeededRng(1)).attach(Host("yoda", ["10.1.0.1"]))
+        dispatched = []
+        inst = build(host, loop, cost, dispatched)
+        inst.cpu.cores = cores
+        for n, (kind, at, arg) in enumerate(ops):
+            if kind == "pkt":
+                pkt = Packet(src=Endpoint("172.16.0.1", 40000),
+                             dst=Endpoint("100.0.0.1", 80), flags=ACK,
+                             payload=b"x" * arg, packet_id=n)
+                loop.call_at(at, host.deliver, pkt)
+            elif kind == "work":
+                loop.call_at(at, inst.cpu.execute, arg)
+            else:
+                loop.call_at(at, inst.cpu.set_slowdown, arg)
+        if fail_at is not None:
+            loop.call_at(fail_at, host.fail)
+        loop.run(until=5.0)
+        if fail_at is not None:
+            assert all(float.fromhex(t) < fail_at for t, _ in dispatched)
+        runs.append(dispatched)
+    assert runs[0] == runs[1]

@@ -11,8 +11,9 @@ from repro.net.host import Host
 from repro.net.links import FixedLatency
 from repro.net.network import Network
 from repro.net.packet import ACK, SYN, Packet
+from repro.obs import OBS
 from repro.sim.events import EventLoop
-from repro.sim.random import SeededRng
+from repro.sim.random import SeededRng, stable_hash32
 
 VIP = "100.0.0.1"
 
@@ -204,3 +205,87 @@ class TestL4LoadBalancer:
         assert total_entries >= 1
         loop.run(until=120.0)  # past FLOW_IDLE_TIMEOUT + gc period
         assert sum(len(m.flow_table) for m in lb.muxes) == 0
+
+    def test_detached_instance_counts_as_drop_not_forward(self, world):
+        """Scale-in detaches an instance's host while muxes still map it:
+        the packet dies at the mux and must be accounted as a drop, with a
+        flight record, not as forwarded."""
+        loop, net, lb, instances, client = world
+        lb.update_mapping(VIP, [instances[0].ip], immediate=True)
+        loop.run(until=0.01)
+        net.detach(instances[0])
+        OBS.enable(clock=loop.now)
+        try:
+            client.send(syn(40000))
+            loop.run(until=0.1)
+            drops = [detail for mux in lb.muxes
+                     for _, kind, detail
+                     in OBS.recorders.recorder(mux.name).events()
+                     if kind == "drop"]
+        finally:
+            OBS.disable()
+        assert not instances[0].got
+        assert sum(m.dropped for m in lb.muxes) == 1
+        assert lb.total_forwarded() == 0
+        assert len(drops) == 1 and instances[0].ip in drops[0]
+
+
+class TestEcmpMemo:
+    """The router memoises its ECMP pick per pinned flow; the memo lives
+    and dies with the mux flow-table pins."""
+
+    @staticmethod
+    def _pinned(lb):
+        return {k for m in lb.muxes for k in m.flow_table}
+
+    def _drive(self, world, n):
+        loop, net, lb, instances, client = world
+        lb.update_mapping(VIP, [i.ip for i in instances], immediate=True)
+        rng = SeededRng(5)
+        tuples = {(f"172.16.{rng.randint(0, 255)}.{rng.randint(1, 254)}",
+                   rng.randint(1024, 65535)) for _ in range(n)}
+        for ip, port in sorted(tuples):
+            client.send(Packet(src=Endpoint(ip, port), dst=Endpoint(VIP, 80),
+                               flags=SYN, seq=1))
+        loop.run(until=0.5)
+        return lb
+
+    def test_memoised_pick_is_the_ecmp_hash(self, world):
+        lb = self._drive(world, 10_000)
+        assert len(lb._ecmp_memo) > 9_000
+        for key, idx in lb._ecmp_memo.items():
+            assert idx == stable_hash32(key, salt="ecmp") % len(lb.muxes)
+            assert key in lb.muxes[idx].flow_table
+        assert set(lb._ecmp_memo) == self._pinned(lb)
+
+    def test_memo_follows_the_pins(self, world):
+        loop, net, lb, instances, client = world
+        self._drive(world, 300)
+        assert set(lb._ecmp_memo) == self._pinned(lb)
+        # one flow released by its owner
+        key = next(iter(lb._ecmp_memo))
+        src, _, dst = key.partition(">")
+        assert lb.release_flow(Endpoint.parse(src), Endpoint.parse(dst))
+        assert key not in lb._ecmp_memo
+        # one instance's pins flushed
+        assert lb.flush_instance(instances[0].ip) > 0
+        assert lb._ecmp_memo and set(lb._ecmp_memo) == self._pinned(lb)
+        # idle expiry
+        lb.muxes[0].expire_flows(loop.now() + 2 * lb.muxes[0].FLOW_IDLE_TIMEOUT)
+        assert not lb.muxes[0].flow_table
+        assert lb._ecmp_memo and set(lb._ecmp_memo) == self._pinned(lb)
+        # the VIP goes away: nothing is pinned, nothing is remembered
+        lb.unregister_vip(VIP)
+        assert not self._pinned(lb) and not lb._ecmp_memo
+
+    def test_memo_hit_reaches_the_same_instance(self, world):
+        loop, net, lb, instances, client = world
+        lb.update_mapping(VIP, [i.ip for i in instances], immediate=True)
+        client.send(syn(40000))
+        loop.run(until=0.1)
+        assert len(lb._ecmp_memo) == 1
+        for _ in range(3):
+            client.send(Packet(src=Endpoint("172.16.0.1", 40000),
+                               dst=Endpoint(VIP, 80), flags=ACK, seq=2))
+        loop.run(until=0.2)
+        assert sorted(len(i.got) for i in instances) == [0, 0, 4]
