@@ -14,8 +14,8 @@ The client-facing ISN is *not* stored: it is recomputed by hashing the
 client's IP and port (Section 4.1), which is what lets every instance send
 identical SYN-ACKs.  Recomputable is not recomputed per packet: a
 ``FlowState`` keeps the values that are constants of its flow (the
-``client|vip`` key, the ISN, the SNAT source endpoint) in memory, outside
-the serialized record.
+``client|vip`` key, the ISN, the SNAT source endpoint, the two TCPStore
+keys) in memory, outside the serialized record.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import base64
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.errors import ReproError
 from repro.net.addresses import Endpoint
@@ -106,6 +106,12 @@ class FlowState:
                                      compare=False)
     _snat_src: Optional[Endpoint] = field(default=None, init=False,
                                           repr=False, compare=False)
+    _storage_key: Optional[str] = field(default=None, init=False,
+                                        repr=False, compare=False)
+    # (server, snat_port, key): the key of the server-side index and the
+    # two fields it was built from
+    _server_key: Optional[Tuple[Endpoint, int, str]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.key = flow_key(self.client, self.vip)
@@ -131,12 +137,22 @@ class FlowState:
         return self.server is not None and self.server_isn is not None
 
     def storage_key(self) -> str:
-        return client_key(self.client, self.vip)
+        key = self._storage_key
+        if key is None:
+            key = self._storage_key = client_key(self.client, self.vip)
+        return key
 
     def server_storage_key(self) -> Optional[str]:
-        if self.server is None or self.snat_port is None:
+        """Key of the server-side index; rebuilt only when ``server`` or
+        ``snat_port`` has been reassigned (an HTTP/1.1 backend switch)."""
+        server, port = self.server, self.snat_port
+        if server is None or port is None:
             return None
-        return server_key(self.vip.ip, self.snat_port, self.server)
+        held = self._server_key
+        if held is None or held[0] is not server or held[1] != port:
+            held = self._server_key = (
+                server, port, server_key(self.vip.ip, port, server))
+        return held[2]
 
     # -- serialization ------------------------------------------------------
     def to_bytes(self) -> bytes:

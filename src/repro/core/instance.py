@@ -471,13 +471,15 @@ class YodaInstance:
 
     # ------------------------------------------------------------- packet I/O --
     def _on_packet_raw(self, pkt: Packet) -> None:
-        if pkt.meta.get("kv_resp") is not None:
-            # Memcached client traffic is consumed by the embedded library
-            self.tcpstore.kv.handle_response(pkt)
-            return
-        if pkt.meta.get("kv") is not None:
-            return  # not a store server; ignore stray
-        self._c_packets_in.inc()
+        meta = pkt.meta
+        if meta:  # client and backend segments carry none
+            if meta.get("kv_resp") is not None:
+                # Memcached client traffic is consumed by the embedded library
+                self.tcpstore.kv.handle_response(pkt)
+                return
+            if meta.get("kv") is not None:
+                return  # not a store server; ignore stray
+        self._c_packets_in.value += 1
         # One event per packet: the CPU queue is evaluated now, at arrival,
         # and the packet is dispatched packet_latency after its work
         # completes.  The fire time is the float two chained call_later()s
@@ -502,7 +504,7 @@ class YodaInstance:
             self._handle_server_packet(pkt, policy)
 
     def _send(self, pkt: Packet) -> None:
-        self._c_packets_out.inc()
+        self._c_packets_out.value += 1
         self.host.send(pkt)
 
     # ---------------------------------------------------------- observability --

@@ -84,9 +84,6 @@ class TcpStore:
         self._ledger = VersionLedger(self.writer_id)
 
     # -- versioning ------------------------------------------------------------
-    def _stamp(self, key: str) -> Version:
-        return self._ledger.stamp(key)
-
     def _adopt_version(self, key: str, version: Optional[Version]) -> None:
         """Record the version a recovery read returned, so our next write
         for the key supersedes it on every replica."""
@@ -123,7 +120,7 @@ class TcpStore:
         -- the live flow must out-version the ghost before we acknowledge
         anything that depends on this record being durable."""
 
-        version = self._stamp(key)
+        version = self._ledger.stamp(key)
 
         def _cb(result: KvOpResult) -> None:
             if result.superseded_by is not None and rounds > 1:

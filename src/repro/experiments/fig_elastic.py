@@ -217,12 +217,19 @@ def _run_leg(
     }
 
 
+# (sim_seconds, base_rps, static_instances, floor_instances) of the two
+# sizings the CLI runs; the bench file names which one produced it, so a
+# CI-sized run cannot pass for the one EXPERIMENTS.md quotes
+FULL_SIZING = (40.0, 66.0, 9, 2)
+QUICK_SIZING = (28.0, 60.0, 8, 2)
+
+
 def run(
     seed: int = 2016,
-    sim_seconds: float = 40.0,
-    base_rps: float = 66.0,
-    static_instances: int = 9,
-    floor_instances: int = 2,
+    sim_seconds: float = FULL_SIZING[0],
+    base_rps: float = FULL_SIZING[1],
+    static_instances: int = FULL_SIZING[2],
+    floor_instances: int = FULL_SIZING[3],
     slo_latency: float = 2.5,
     bench_path: Optional[str] = None,
     autoscale: bool = True,
@@ -300,8 +307,11 @@ def run(
         }
 
     cpus = _cpus()
+    sizing = (sim_seconds, base_rps, static_instances, floor_instances)
     doc = {
         "schema": SCHEMA,
+        "mode": ("full" if sizing == FULL_SIZING
+                 else "quick" if sizing == QUICK_SIZING else "custom"),
         "python": sys.version.split()[0],
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "cpus": cpus,
@@ -347,6 +357,5 @@ def run(
 def quick(seed: int = 2016, bench_path: Optional[str] = None,
           autoscale: bool = True) -> ExperimentResult:
     """CI-sized: a shorter day, same shape and same pins."""
-    return run(seed=seed, sim_seconds=28.0, base_rps=60.0,
-               static_instances=8, floor_instances=2,
-               bench_path=bench_path, autoscale=autoscale)
+    return run(seed, *QUICK_SIZING, bench_path=bench_path,
+               autoscale=autoscale)

@@ -138,7 +138,8 @@ def run(
 # ---------------------------------------------------------------- speed --
 def run_speed(stateless: bool, flows: int = 256,
               rounds: int = 40) -> Dict[str, float]:
-    """Wall-clock mux dispatch rate, SYN path and established path.
+    """Wall-clock mux dispatch rate (at the fastest of ``rounds`` passes),
+    SYN path and established path.
 
     A standalone mux with no instance hosts attached: ``process`` resolves
     the target and returns without scheduling events, so the measurement
@@ -165,14 +166,15 @@ def run_speed(stateless: bool, flows: int = 256,
         mux.process(pkt)
 
     def timed(pkts) -> float:
-        sent = 0
-        started = time.perf_counter()
+        # the rate of the fastest pass: the host only ever makes a pass
+        # slower, and a ratio of two totals loses to one slow phase
+        best = float("inf")
         for _ in range(rounds):
+            started = time.perf_counter()
             for pkt in pkts:
                 mux.process(pkt)
-                sent += 1
-        elapsed = time.perf_counter() - started
-        return sent / elapsed if elapsed > 0 else 0.0
+            best = min(best, time.perf_counter() - started)
+        return len(pkts) / best if best > 0 else 0.0
 
     syn_pps = timed(syns)
     est_pps = timed(acks)

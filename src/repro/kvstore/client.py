@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import KvStoreError
 from repro.kvstore.hashring import HashRing
@@ -42,9 +42,8 @@ from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.obs import OBS
-from repro.sim.events import EventLoop
+from repro.sim.events import Event, EventLoop
 from repro.sim.metrics import MetricRegistry
-from repro.sim.process import Timer
 from repro.sim.random import SeededRng
 
 KV_CLIENT_PORT = 11210
@@ -166,11 +165,30 @@ class KvOpResult:
         return self.finished_at - self.started_at
 
 
+def _ignore_result(result: KvOpResult) -> None:
+    """``on_done`` of an op whose caller passed none."""
+
+
+class _OpMetrics(dict):
+    """op -> the registry's ``{op}_{suffix}`` metric, looked up on first
+    use: the registry is off the per-op path, and still lists a counter
+    only once it has counted something."""
+
+    def __init__(self, lookup: Callable[[str], Any], suffix: str):
+        super().__init__()
+        self._lookup = lookup
+        self._suffix = suffix
+
+    def __missing__(self, op: str) -> Any:
+        metric = self[op] = self._lookup(f"{op}_{self._suffix}")
+        return metric
+
+
 class _PendingOp:
     __slots__ = ("op", "key", "value", "version", "targets", "on_done",
                  "result", "answered_by", "attempt_answered",
                  "replica_versions", "best_version", "best_value",
-                 "successes", "attempts", "finished", "timer", "obs_span")
+                 "successes", "attempts", "finished", "timeout", "obs_span")
 
     def __init__(self, op: str, key: str, value: Optional[bytes],
                  version: Optional[Version], targets: List[str],
@@ -193,8 +211,20 @@ class _PendingOp:
         self.successes = 0
         self.attempts = 1
         self.finished = False
-        self.timer: Optional[Timer] = None
+        # the armed op-timeout event; None once it has fired
+        self.timeout: Optional[Event] = None
         self.obs_span = None  # observability span, when tracing is enabled
+
+    def attempt_covered(self) -> bool:
+        """Has every current target answered the current attempt?  A
+        subset test, not a count: a ``"removed"`` cluster event can shrink
+        ``targets`` under the op, and a straggler from a superseded
+        attempt must never complete it."""
+        answered = self.attempt_answered
+        for name in self.targets:
+            if name not in answered:
+                return False
+        return True
 
 
 class ReplicatingKvClient:
@@ -252,6 +282,12 @@ class ReplicatingKvClient:
         # degradation turns into SYN-stage backpressure
         self.latency_listener: Optional[Callable[[KvOpResult], None]] = None
         self.metrics = MetricRegistry(f"{host.name}.kv")
+        self._issued = _OpMetrics(self.metrics.counter, "issued")
+        self._latency = _OpMetrics(self.metrics.histogram, "latency")
+        self._ok = _OpMetrics(self.metrics.counter, "ok")
+        self._fail = _OpMetrics(self.metrics.counter, "fail")
+        # a host's primary address does not change once it is attached
+        self._src = Endpoint(host.ip, KV_CLIENT_PORT)
         self._req_ids = itertools.count(1)
         self._pending: Dict[int, _PendingOp] = {}
         self._consecutive_timeouts: Dict[str, int] = {}
@@ -305,7 +341,7 @@ class ReplicatingKvClient:
     def _issue(self, op: str, key: str, value: Optional[bytes],
                on_done: Optional[Callable[[KvOpResult], None]],
                version: Optional[Version] = None) -> None:
-        on_done = on_done or (lambda r: None)
+        on_done = on_done or _ignore_result
         targets = self.cluster.replicas_for(key, self.replicas)
         started = self.loop.now()
         if not targets:
@@ -328,29 +364,27 @@ class ReplicatingKvClient:
                 f"kv.{op}", f"{self.host.name}.kv", ctx=OBS.ctx,
                 start=started, attrs={"key": key},
             )
-        # one timer per op, re-armed on every attempt (Timer.start cancels
-        # any previous arming), instead of a fresh Timer per attempt
-        pending.timer = Timer(self.loop, lambda: self._on_timeout(req_id))
         self._pending[req_id] = pending
         self._send_attempt(req_id, pending)
-        self.metrics.counter(f"{op}_issued").inc()
+        self._issued[op].value += 1
 
     def _send_attempt(self, req_id: int, pending: _PendingOp) -> None:
-        pending.attempt_answered = set()
-        pending.replica_versions = {}
-        pending.timer.start(self._timeout_for(pending.attempts))
+        """Arm the op's timeout (one event per attempt) and send the
+        request to every target.  No timeout is armed on entry: the op is
+        new, or this is ``_on_timeout`` of the attempt before."""
+        pending.timeout = self.loop.call_later(
+            self._timeout_for(pending.attempts), self._on_timeout, req_id)
+        src = self._src
+        endpoint = self.cluster.endpoint
+        op, key, value, version = (pending.op, pending.key, pending.value,
+                                   pending.version)
+        payload = value or b""
+        attempt = pending.attempts
         for name in pending.targets:
-            endpoint = self.cluster.endpoint(name)
-            pkt = Packet(
-                src=Endpoint(self.host.ip, KV_CLIENT_PORT),
-                dst=endpoint,
-                payload=pending.value or b"",
-                meta={"kv": {"op": pending.op, "key": pending.key,
-                             "value": pending.value,
-                             "version": pending.version,
-                             "req_id": req_id,
-                             "attempt": pending.attempts}},
-            )
+            pkt = Packet(src, endpoint(name), 0, 0, 0, payload,
+                         {"kv": {"op": op, "key": key, "value": value,
+                                 "version": version, "req_id": req_id,
+                                 "attempt": attempt}})
             if pending.obs_span is not None:
                 pkt.meta["obs_ctx"] = OBS.tracer.ctx_of(pending.obs_span)
             self.host.send(pkt)
@@ -398,13 +432,14 @@ class ReplicatingKvClient:
                 ) if resp["ok"] else None
         # Stragglers from a superseded attempt contribute data (a hit is a
         # hit) but never completion: only current-attempt coverage counts.
-        if pending.attempt_answered >= set(pending.targets):
+        if pending.attempt_covered():
             self._complete(req_id, ok=pending.successes > 0)
 
     def _on_timeout(self, req_id: int) -> None:
         pending = self._pending.get(req_id)
         if pending is None or pending.finished:
             return
+        pending.timeout = None
         self.metrics.counter("timeouts").inc()
         if OBS.enabled:
             OBS.flight(f"{self.host.name}.kv", "timeout",
@@ -426,6 +461,9 @@ class ReplicatingKvClient:
             if retry_targets:
                 pending.targets = retry_targets
                 pending.result.replicas_targeted = len(retry_targets)
+                # a new attempt starts with nothing answered
+                pending.attempt_answered = set()
+                pending.replica_versions = {}
                 self.metrics.counter("retries").inc()
                 self._send_attempt(req_id, pending)
                 return
@@ -448,32 +486,34 @@ class ReplicatingKvClient:
     def _complete(self, req_id: int, ok: bool) -> None:
         pending = self._pending.pop(req_id)
         pending.finished = True
-        if pending.timer is not None:
-            pending.timer.cancel()
-        pending.result.ok = ok
-        pending.result.finished_at = self.loop.now()
-        if pending.op == "get":
-            pending.result.value = pending.best_value
-            pending.result.version = pending.best_version
-            pending.result.ok = ok and pending.result.value is not None
-            if pending.result.ok:
+        if pending.timeout is not None:
+            pending.timeout.cancel()
+            pending.timeout = None
+        result = pending.result
+        result.ok = ok
+        result.finished_at = self.loop.now()
+        op = pending.op
+        if op == "get":
+            result.value = pending.best_value
+            result.version = pending.best_version
+            result.ok = ok = ok and result.value is not None
+            if ok:
                 self._repair_after_read(pending)
-        elif pending.op == "set":
-            pending.result.version = pending.version
+        elif op == "set":
+            result.version = pending.version
             if self.hinted_handoff and pending.value is not None:
                 for name in pending.targets:
                     if name not in pending.attempt_answered:
                         self._add_hint(name, pending.key, pending.version,
                                        pending.value)
-        self.metrics.histogram(f"{pending.op}_latency").observe(pending.result.latency)
-        self.metrics.counter(f"{pending.op}_{'ok' if pending.result.ok else 'fail'}").inc()
+        self._latency[op].observe(result.finished_at - result.started_at)
+        (self._ok if ok else self._fail)[op].value += 1
         if OBS.enabled and pending.obs_span is not None:
-            OBS.tracer.end(pending.obs_span, end=pending.result.finished_at,
-                           ok=pending.result.ok,
-                           replicas=pending.result.replicas_answered)
+            OBS.tracer.end(pending.obs_span, end=result.finished_at,
+                           ok=ok, replicas=result.replicas_answered)
         if self.latency_listener is not None:
-            self.latency_listener(pending.result)
-        pending.on_done(pending.result)
+            self.latency_listener(result)
+        pending.on_done(result)
 
     # -- self-healing: read-repair + hinted handoff ---------------------------
     def _repair_after_read(self, pending: _PendingOp) -> None:
@@ -500,16 +540,10 @@ class ReplicatingKvClient:
         if name not in self.cluster.servers:
             return
         self.host.send(
-            Packet(
-                src=Endpoint(self.host.ip, KV_CLIENT_PORT),
-                dst=self.cluster.endpoint(name),
-                payload=value,
-                meta={"kv": {"op": "set", "key": key, "value": value,
-                             "version": version,
-                             "req_id": next(self._req_ids),
-                             "attempt": 0}},
-            )
-        )
+            Packet(self._src, self.cluster.endpoint(name), 0, 0, 0, value,
+                   {"kv": {"op": "set", "key": key, "value": value,
+                           "version": version,
+                           "req_id": next(self._req_ids), "attempt": 0}}))
 
     def _add_hint(self, server: str, key: str, version: Optional[Version],
                   value: bytes) -> None:
@@ -548,6 +582,5 @@ class ReplicatingKvClient:
                     continue
                 pending.targets = [t for t in pending.targets if t != name]
                 pending.result.replicas_targeted = len(pending.targets)
-                if (not pending.targets
-                        or pending.attempt_answered >= set(pending.targets)):
+                if pending.attempt_covered():
                     self._complete(req_id, ok=pending.successes > 0)

@@ -60,7 +60,11 @@ class MemcachedServer:
     ):
         self.host = host
         self.loop = loop
+        self.name = host.name
         self.port = port
+        # where requests arrive and replies leave from: the host's primary
+        # address and the port are fixed once the server exists
+        self.endpoint = Endpoint(host.ip, port)
         self.op_cpu_cost = op_cpu_cost
         self.max_items = max_items
         self.cpu = CpuModel(loop, owner=host.name)
@@ -73,14 +77,6 @@ class MemcachedServer:
         self.stale_sets_refused = 0
         self.stale_deletes_refused = 0
         host.set_handler(self._on_packet)
-
-    @property
-    def name(self) -> str:
-        return self.host.name
-
-    @property
-    def endpoint(self) -> Endpoint:
-        return Endpoint(self.host.ip, self.port)
 
     def __len__(self) -> int:
         return len(self._store)
@@ -124,24 +120,18 @@ class MemcachedServer:
             if ctx is not None:
                 OBS.tracer.event(f"kv.serve.{op}", self.name, ctx=ctx,
                                  attrs={"key": key, "ok": ok})
-        reply = Packet(
-            src=Endpoint(self.host.ip, self.port),
-            dst=pkt.src,
-            payload=value or b"",
-            meta={
-                "kv_resp": {
-                    "req_id": req["req_id"],
-                    "attempt": req.get("attempt"),
-                    "op": op,
-                    "key": key,
-                    "ok": ok,
-                    "value": value,
-                    "version": version,
-                    "server": self.name,
-                }
-            },
-        )
-        self.host.send(reply)
+        self.host.send(Packet(
+            self.endpoint, pkt.src, 0, 0, 0, value or b"",
+            {"kv_resp": {
+                "req_id": req["req_id"],
+                "attempt": req.get("attempt"),
+                "op": op,
+                "key": key,
+                "ok": ok,
+                "value": value,
+                "version": version,
+                "server": self.name,
+            }}))
 
     # -- store ------------------------------------------------------------
     def _set(self, key: str, value: bytes,

@@ -15,14 +15,32 @@ from typing import Iterator
 
 from repro.errors import AddressError
 
-_IP_RE = re.compile(r"^(\d{1,3})\.(\d{1,3})\.(\d{1,3})\.(\d{1,3})$")
+# ASCII digits, whole string: ``\d`` also matches Arabic-Indic and full-width
+# digits and ``$`` a trailing newline, and two strings that render alike
+# must not become two route / hash-ring / flow-table keys
+_IP_RE = re.compile(r"([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})\.([0-9]{1,3})")
+
+# Address strings that passed :func:`_check_ip`.  A simulated world has a
+# few hundred addresses and builds endpoints from them millions of times;
+# a string not in here is always checked in full.
+_VALID_IPS: set = set()
+_VALID_IPS_MAX = 65536
+
+
+def _check_ip(ip: str) -> None:
+    """The full check: raise unless ``ip`` is a well-formed dotted quad."""
+    m = _IP_RE.fullmatch(ip)
+    if not m or any(int(octet) > 255 for octet in m.groups()):
+        raise AddressError(f"invalid IPv4 address {ip!r}")
 
 
 def validate_ip(ip: str) -> str:
     """Return ``ip`` if it is a well-formed dotted quad, else raise."""
-    m = _IP_RE.match(ip)
-    if not m or any(int(octet) > 255 for octet in m.groups()):
-        raise AddressError(f"invalid IPv4 address {ip!r}")
+    if ip not in _VALID_IPS:
+        _check_ip(ip)
+        if len(_VALID_IPS) >= _VALID_IPS_MAX:
+            _VALID_IPS.clear()
+        _VALID_IPS.add(ip)
     return ip
 
 
@@ -35,8 +53,9 @@ class Endpoint:
 
     def __post_init__(self) -> None:
         validate_ip(self.ip)
-        if not 0 <= self.port <= 65535:
-            raise AddressError(f"invalid port {self.port}")
+        port = self.port
+        if not isinstance(port, int) or not 0 <= port <= 65535:
+            raise AddressError(f"invalid port {port!r}")
 
     @cached_property
     def text(self) -> str:
@@ -49,14 +68,13 @@ class Endpoint:
 
     @classmethod
     def parse(cls, text: str) -> "Endpoint":
-        """Parse "ip:port"."""
+        """Parse "ip:port" (no surrounding whitespace, ASCII digits)."""
         ip, sep, port = text.partition(":")
         if not sep:
             raise AddressError(f"expected 'ip:port', got {text!r}")
-        try:
-            return cls(ip, int(port))
-        except ValueError as exc:
-            raise AddressError(f"invalid port in {text!r}") from exc
+        if not (port.isascii() and port.isdigit()):
+            raise AddressError(f"invalid port in {text!r}")
+        return cls(ip, int(port))
 
 
 @dataclass(frozen=True, order=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import NetworkError
-from repro.net.packet import Packet
+from repro.net.packet import IP_TCP_HEADER_BYTES, Packet
 from repro.sim.metrics import MetricRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,8 +41,8 @@ class Host:
         self.failed = False
         self.metrics = MetricRegistry(name)
         self._handler: Optional[PacketHandler] = None
-        # counter objects cached once; registry lookups are off the
-        # per-packet path
+        # counter objects cached once and bumped in place; registry
+        # lookups and method calls are off the per-packet path
         self._c_tx_packets = self.metrics.counter("tx_packets")
         self._c_tx_bytes = self.metrics.counter("tx_bytes")
         self._c_rx_packets = self.metrics.counter("rx_packets")
@@ -69,23 +69,25 @@ class Host:
     # -- I/O ----------------------------------------------------------------
     def send(self, packet: Packet) -> None:
         """Transmit a packet into the network fabric."""
-        if self.network is None:
+        network = self.network
+        if network is None:
             raise NetworkError(f"host {self.name!r} is not attached to a network")
         if self.failed:
             return  # a crashed VM transmits nothing
-        self._c_tx_packets.inc()
-        self._c_tx_bytes.inc(packet.wire_len)
-        self.network.transmit(self, packet)
+        self._c_tx_packets.value += 1
+        self._c_tx_bytes.value += IP_TCP_HEADER_BYTES + len(packet.payload)
+        network.transmit(self, packet)
 
     def deliver(self, packet: Packet) -> None:
         """Called by the network when a packet arrives for one of our IPs."""
         if self.failed:
             self._c_rx_dropped.inc()
             return
-        self._c_rx_packets.inc()
-        self._c_rx_bytes.inc(packet.wire_len)
-        if self._handler is not None:
-            self._handler(packet)
+        self._c_rx_packets.value += 1
+        self._c_rx_bytes.value += IP_TCP_HEADER_BYTES + len(packet.payload)
+        handler = self._handler
+        if handler is not None:
+            handler(packet)
         else:
             self.metrics.counter("rx_unhandled").inc()
 

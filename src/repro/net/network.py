@@ -225,8 +225,6 @@ class Network:
 
     def _resolve_faults(self, src_host: Host, dst_host: Host) -> Optional[PathFaults]:
         """Most-specific match wins: host>host, host>site, site>host, site>site."""
-        if not self._path_faults:
-            return None
         table = self._path_faults
         for key in (
             (src_host.name, dst_host.name),
@@ -296,8 +294,11 @@ class Network:
 
     # -- data plane -----------------------------------------------------------
     def transmit(self, src_host: Host, packet: Packet) -> None:
-        """Route ``packet`` toward its destination IP."""
-        self._c_tx.inc()
+        """Route ``packet`` toward its destination IP.
+
+        The common packet meets no tap, no drop and no path fault: it
+        reaches ``_record`` / ``_resolve_faults`` only when one exists."""
+        self._c_tx.value += 1
         dst_host = self._routes.get(packet.dst.ip)
         if dst_host is None:
             if self._export_handler is not None:
@@ -312,7 +313,8 @@ class Network:
             self._c_lost.inc()
             self._record(packet, point="wire", direction="tx", dropped=True)
             return
-        faults = self._resolve_faults(src_host, dst_host)
+        faults = (self._resolve_faults(src_host, dst_host)
+                  if self._path_faults else None)
         if faults is not None and faults.loss:
             if faults.loss >= 1.0 or self.rng.random() < faults.loss:
                 self._c_lost.inc()
@@ -328,7 +330,8 @@ class Network:
         delay = model.delay(packet, self.rng)
         if faults is not None and faults.extra_latency:
             delay += faults.extra_latency
-        self._record(packet, point="wire", direction="tx", dropped=False)
+        if self._wire_tx_taps:
+            self._record(packet, point="wire", direction="tx", dropped=False)
         # FIFO per path: jittered latency must not reorder packets between
         # the same pair of hosts (a single route does not reorder), or TCP
         # would see phantom loss and collapse its window.
@@ -349,7 +352,9 @@ class Network:
         current = self._routes.get(packet.dst.ip)
         target = current if current is not None else dst_host
         dropped = target.failed
-        self._record(packet, point=target.name, direction="rx", dropped=dropped)
+        if dropped or self._all_taps:
+            self._record(packet, point=target.name, direction="rx",
+                         dropped=dropped)
         target.deliver(packet)
 
     def _record(self, packet: Packet, point: str, direction: str, dropped: bool) -> None:

@@ -71,7 +71,7 @@ class Packet:
     ack: int = 0
     payload: bytes = b""
     meta: Dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     # -- flag helpers ----------------------------------------------------
     @property

@@ -103,19 +103,18 @@ class TcpStack:
         if local_port is None:
             # skip ports still held by live/TIME_WAIT connections
             for _ in range(EphemeralPorts.HIGH - EphemeralPorts.LOW + 1):
-                candidate = self._ports.next()
-                if (Endpoint(ip, candidate), remote) not in self._conns:
-                    local_port = candidate
+                local = Endpoint(ip, self._ports.next())
+                if (local, remote) not in self._conns:
                     break
             else:
                 raise TcpError(f"ephemeral ports exhausted toward {remote}")
-        local = Endpoint(ip, local_port)
-        key = (local, remote)
-        if key in self._conns:
-            raise TcpError(f"connection {local} -> {remote} already exists")
+        else:
+            local = Endpoint(ip, local_port)
+            if (local, remote) in self._conns:
+                raise TcpError(f"connection {local} -> {remote} already exists")
         conn = TcpConnection(self, local, remote, handler)
         conn.obs_ctx = obs_ctx
-        self._conns[key] = conn
+        self._conns[(local, remote)] = conn
         conn._active_open()
         return conn
 

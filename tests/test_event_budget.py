@@ -1,4 +1,5 @@
-"""The event budget of a tunnelled transfer, as an exact count.
+"""The event budget of a tunnelled transfer and the call budget of a
+connection, as exact counts.
 
 Events fired per transmitted packet is what the event loop's share of a
 run scales with.  A packet through the LB tier costs: its network
@@ -8,10 +9,23 @@ arrival), and the delivery of the translated packet.  The simulation is
 deterministic, so the count below repeats exactly: it is a count, not a
 timing, and the next change that adds an event per packet fails here with
 the number in the message.
+
+A connection is priced the same way.  What a 1 KB fetch costs the host is
+its packets plus what the code does per flow and per kv op; everything
+that is a constant of the process, the host, the flow or the op is built
+once at that scope, and ``test_connection_budget`` counts the things that
+used to be rebuilt (endpoints, address validations, registry lookups)
+and the python-level calls of the whole fetch.
 """
+
+import json
+import sys
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
+from repro.net import addresses
+from repro.net.addresses import Endpoint
+from repro.sim.metrics import MetricRegistry
 
 # one 100 KB fetch, seed 2016, counted from the fetch call to its result
 PINNED_EVENTS_FIRED = 443
@@ -45,3 +59,111 @@ def test_events_per_transmitted_packet():
     assert fired == PINNED_EVENTS_FIRED, (
         f"{fired} events fired for {tx} transmitted packets; pinned "
         f"{PINNED_EVENTS_FIRED} ({fired - PINNED_EVENTS_FIRED:+d})")
+
+
+# 20 sequential 1 KB fetches, seed 2016, counted from the first fetch call
+# to one simulated second after the last result (FLOW_LINGER: both deletes
+# of every flow are inside the window)
+BUDGET_FETCHES = 20
+PINNED_CONN_EVENTS_FIRED = 1631
+PINNED_CONN_TX_PACKETS = 840
+# python-level calls (sys.setprofile "call" events) per fetch, measured on
+# 3.11 with this change; an upper bound only -- 3.12 inlines comprehensions
+# and counts fewer
+MEASURED_CALLS_PER_FETCH = 1794.2  # 2,672.2 at the parent
+MAX_CALLS_PER_FETCH = MEASURED_CALLS_PER_FETCH * 1.05
+
+
+def _kv_counts(bed):
+    """(kv ops issued by the instances, packets in or out of a store host)."""
+    ops = sum(counter.value
+              for inst in bed.yoda.instances
+              for name, counter in inst.tcpstore.kv.metrics.counters.items()
+              if name.endswith("_issued"))
+    pkts = sum(server.host.metrics.counter(name).value
+               for server in bed.yoda.store_servers
+               for name in ("rx_packets", "tx_packets"))
+    return ops, pkts
+
+
+def test_connection_budget():
+    bed = Testbed(TestbedConfig(
+        seed=2016, lb="yoda", num_lb_instances=2, num_store_servers=3,
+        num_backends=2, corpus="flat", flat_object_count=1,
+        flat_object_bytes=1_000, client_jitter=0.0,
+    ))
+    tx_packets = bed.network.metrics.counter("tx_packets")
+    browser = BrowserClient(bed.client_stacks[0], bed.loop, bed.target(),
+                            http_timeout=30.0, retries=0)
+
+    def fetch(n):
+        fired = 0
+        for _ in range(n):
+            results = []
+            browser.fetch("/obj/0.bin", results.append)
+            while not results:
+                fired += bed.loop.run_for(0.01)
+            assert results[0].ok and len(results[0].response.body) == 1_000
+        return fired + bed.loop.run_for(1.0)
+
+    bed.run(1.0)
+    # warm-up: every address has been validated, every op kind has run on
+    # every instance a fetch can land on, and the flows are torn down
+    fetch(6)
+
+    watched = {
+        Endpoint.__post_init__.__code__: "endpoints",
+        addresses._check_ip.__code__: "full_validations",
+        MetricRegistry.counter.__code__: "registry_lookups",
+        MetricRegistry.histogram.__code__: "registry_lookups",
+        json.dumps.__code__: "json_dumps",
+    }
+    seen = dict.fromkeys(watched.values(), 0)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event != "call":
+            return
+        calls += 1
+        what = watched.get(frame.f_code)
+        if what is None:
+            return
+        if (what == "registry_lookups" and not
+                frame.f_back.f_code.co_filename.endswith("kvstore/client.py")):
+            return
+        seen[what] += 1
+
+    ops_before, kv_pkts_before = _kv_counts(bed)
+    tx_before = tx_packets.value
+    sys.setprofile(profile)
+    try:
+        fired = fetch(BUDGET_FETCHES)
+    finally:
+        sys.setprofile(None)
+    n = BUDGET_FETCHES
+    ops, kv_pkts = _kv_counts(bed)
+    tx = tx_packets.value - tx_before
+
+    # (a) endpoints: the client's local endpoint and the SNAT source
+    assert seen["endpoints"] <= 3 * n, (
+        f"{seen['endpoints'] / n:.1f} Endpoint constructions per fetch")
+    assert seen["full_validations"] == 0, (
+        f"{seen['full_validations']} addresses validated in full after "
+        f"warm-up")
+    # (b) the kv client resolves its per-op counters once per (client, op)
+    assert seen["registry_lookups"] == 0, (
+        f"{seen['registry_lookups']} MetricRegistry lookups from "
+        f"kvstore/client.py after the first op of each kind")
+    # (c) the schedule: storage-a, storage-b (two sets), two deletes, each
+    # to two replicas, request + reply
+    assert seen["json_dumps"] == 2 * n
+    assert ops - ops_before == 5 * n
+    assert kv_pkts - kv_pkts_before == 20 * n
+    assert tx == PINNED_CONN_TX_PACKETS, f"{tx} packets transmitted"
+    assert fired == PINNED_CONN_EVENTS_FIRED, f"{fired} events fired"
+    # (d) everything else, as python-level calls
+    assert calls <= MAX_CALLS_PER_FETCH * n, (
+        f"{calls / n:.1f} python calls per fetch; measured "
+        f"{MEASURED_CALLS_PER_FETCH} with the change that added this test "
+        f"(budget {MAX_CALLS_PER_FETCH:.1f})")
