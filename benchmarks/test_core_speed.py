@@ -15,7 +15,10 @@ Measures the hot paths every Yoda mechanism rides on:
 - ``fig9_style``: wall seconds for a small Testbed page-load run with an
   instance failure (the shape of the paper's Figure 9 experiments).
 
-Results are written to ``BENCH_core.json`` at the repo root.  When the
+Results are written to ``BENCH_core.json`` at the repo root under a run
+envelope (``sha``, ``cpus``, ``python``, ``generated_at``); the "PR 18"
+column of the EXPERIMENTS.md table quotes the committed file and
+``tests/test_docs_match.py`` compares the two.  When the
 committed pre-optimization baseline
 (``benchmarks/BENCH_core_baseline.json``) is present, per-metric speedups
 are included, so the perf trajectory across PRs is explicit.  Run with:
@@ -33,6 +36,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 from typing import Dict
@@ -52,6 +56,18 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks",
 SCHEMA = "bench-core/v1"
 
 _metrics: Dict[str, Dict] = {}
+
+
+def _git_sha() -> str:
+    """HEAD, suffixed ``-dirty`` when the tracked tree the numbers came from
+    differs from it (a PR's numbers are measured before its commit exists)."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO_ROOT, text=True, check=True, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
 
 
 def _note(name: str, value: float, unit: str,
@@ -78,6 +94,9 @@ def _emit_report():
                 doc = old
         except (OSError, ValueError):
             pass
+    # the run envelope: which tree, on what, when
+    doc["sha"] = _git_sha()
+    doc["cpus"] = os.cpu_count() or 1
     doc["python"] = sys.version.split()[0]
     doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     doc["metrics"].update(_metrics)

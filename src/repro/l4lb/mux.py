@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.kvstore.hashring import HashRing
 from repro.l4lb.compact import CompactDispatchTable, DispatchMode
 from repro.net.addresses import Endpoint
-from repro.net.packet import Packet
+from repro.net.packet import ACK, SYN, Packet
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -159,7 +159,7 @@ class L4Mux:
             return
         now = self.lb.loop.now()
         flow_key = five_tuple(pkt.src, pkt.dst)
-        is_new_flow = pkt.syn and not pkt.has_ack
+        is_new_flow = pkt.flags & (SYN | ACK) == SYN
         if self.lb.mode is DispatchMode.STATELESS and entry.compact is not None:
             instance_ip = self._route_stateless(entry, flow_key, pkt,
                                                 is_new_flow, now)

@@ -262,7 +262,8 @@ class L4LoadBalancer:
         if host is None:
             return False
         # one intra-DC hop mux -> instance
-        self.loop.call_later(0.00025, host.deliver, pkt)
+        loop = self.loop
+        loop.call_at(loop.now() + 0.00025, host.deliver, pkt)
         return True
 
     def _expire_flows(self) -> None:

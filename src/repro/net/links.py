@@ -63,7 +63,9 @@ class JitterLatency(LatencyModel):
         self.jitter = jitter
 
     def delay(self, packet: Packet, rng: SeededRng) -> float:
-        return self.base + rng.uniform(0.0, self.jitter)
+        # bit-equal to base + rng.uniform(0.0, jitter), which computes
+        # 0.0 + (jitter - 0.0) * random(): one draw either way
+        return self.base + self.jitter * rng.random()
 
     def lower_bound(self) -> float:
         return self.base

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
@@ -128,13 +129,15 @@ class EventLoop:
     def call_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
         now = self._now
-        if time < now:
+        if not time >= now:  # written so that NaN, which orders nowhere, fails too
             raise SimulationError(
-                f"cannot schedule event at t={time:.6f}, which is before now={now:.6f}"
+                f"cannot schedule event at t={time:.6f}: not at or after now={now:.6f}"
             )
         time = float(time)
         event = Event(time, next(self._counter), fn, args, self)
         if time - now >= WHEEL_MIN_DELAY:
+            if time == inf:
+                raise SimulationError("cannot schedule event at t=inf")
             slot = int(time / WHEEL_GRANULARITY)
             if slot * WHEEL_GRANULARITY > time:
                 # float rounding pushed the slot's lower bound past the
@@ -261,8 +264,8 @@ class EventLoop:
         self._stopped = False
         fired = 0
         heap = self._heap
+        slot_heap = self._slot_heap  # only ever mutated in place
         pop = heapq.heappop
-        inf = float("inf")
         try:
             while not self._stopped:
                 # drop dead heads BEFORE deriving the wheel-flush limit: a
@@ -274,7 +277,10 @@ class EventLoop:
                 if self._wheel_count:
                     top = heap[0][0] if heap else inf
                     limit = top if until is None or top < until else until
-                    self._flush_wheel_until(limit)
+                    # the wheel is rarely empty and rarely due: test the
+                    # flush loop's own entry condition before calling it
+                    if slot_heap[0] * WHEEL_GRANULARITY <= limit:
+                        self._flush_wheel_until(limit)
                 if not heap:
                     if self._wheel_count and until is None:
                         continue  # flushed buckets were all tombstones

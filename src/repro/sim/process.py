@@ -7,6 +7,7 @@ YODA monitor's 600 ms health ping needs).
 
 from __future__ import annotations
 
+from math import inf
 from typing import Any, Callable, Optional
 
 from repro.sim.events import Event, EventLoop
@@ -17,31 +18,65 @@ class Timer:
 
     ``start`` (re)arms the timer; ``cancel`` disarms it.  The callback is
     invoked with no arguments when the timer expires.
+
+    It is a *deadline* timer: re-arming to the same or a later instant
+    while a loop event is already pending -- a retransmission timer is
+    pushed out by every ACK and almost never fires -- only stores the new
+    deadline.  The pending event, when it fires early, re-schedules itself
+    at exactly the stored deadline, so the callback runs at the instant
+    ``call_later(delay)`` of the last ``start`` would have produced, to the
+    bit.  What differs from cancel-and-reschedule is the tie-break only:
+    the expiry carries the ``seq`` of the loop event that delivers it (the
+    last wake-up, or the first ``start`` if there was none), not of the
+    last ``start``, so against a foreign event at the bit-equal instant it
+    orders by when that loop event was scheduled.  ``start`` to an earlier
+    instant and ``cancel`` cancel the loop event for real: a disarmed timer
+    leaves nothing pending.
     """
 
-    __slots__ = ("_loop", "_callback", "_event")
+    __slots__ = ("_loop", "_callback", "_event", "_deadline")
 
     def __init__(self, loop: EventLoop, callback: Callable[[], Any]):
         self._loop = loop
         self._callback = callback
+        # the one pending loop event (None exactly when disarmed) and the
+        # instant the callback is due; _event.time <= _deadline always
         self._event: Optional[Event] = None
+        self._deadline: Optional[float] = None
 
     @property
     def armed(self) -> bool:
-        return self._event is not None and self._event.pending
+        return self._deadline is not None
 
     def start(self, delay: float) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` seconds from now."""
-        self.cancel()
-        self._event = self._loop.call_later(delay, self._fire)
+        loop = self._loop
+        deadline = loop.now() + delay  # the float call_later computes
+        event = self._event
+        if event is not None:
+            if event.time <= deadline < inf:
+                self._deadline = deadline
+                return
+            # an earlier instant -- or one the loop will refuse (negative
+            # delay, NaN, infinity), which it can only do if asked
+            self.cancel()
+        self._event = loop.call_later(delay, self._fire)
+        self._deadline = deadline
 
     def cancel(self) -> None:
         if self._event is not None:
             self._event.cancel()
             self._event = None
+            self._deadline = None
 
     def _fire(self) -> None:
+        deadline = self._deadline
+        if deadline > self._loop.now():
+            # woken at a superseded deadline: sleep on to the current one
+            self._event = self._loop.call_at(deadline, self._fire)
+            return
         self._event = None
+        self._deadline = None
         self._callback()
 
 

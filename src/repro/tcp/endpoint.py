@@ -29,10 +29,26 @@ from repro.sim.events import EventLoop
 from repro.sim.process import Timer
 from repro.sim.random import stable_hash32
 from repro.tcp.config import TcpConfig
-from repro.tcp.segment import seq_add, seq_diff, seq_gt, seq_le, seq_lt
+from repro.tcp.segment import SEQ_HALF as _HALF, SEQ_MASK as _MASK
+from repro.tcp.segment import seq_add, seq_diff, seq_lt
 from repro.tcp.state import TcpState
 
 ConnKey = Tuple[Endpoint, Endpoint]  # (local, remote)
+
+# The per-segment methods (_on_packet, _handle, _process_ack, _register_ack,
+# _process_data, _deliver, _pump, _send_flags) make no helper calls: they
+# spell sequence arithmetic as the two mask expressions tcp/segment.py
+# defines, test ``pkt.flags & BIT``, and compare ``state`` with these module
+# globals -- attribute access on an Enum class costs ~0.1 us in CPython
+# 3.11, and an Enum member hashes through a python-level ``__hash__``,
+# which is why the states _pump sits out are a tuple and not a frozenset.
+_CLOSED = TcpState.CLOSED
+_SYN_SENT = TcpState.SYN_SENT
+_SYN_RCVD = TcpState.SYN_RCVD
+_ESTABLISHED = TcpState.ESTABLISHED
+_CLOSE_WAIT = TcpState.CLOSE_WAIT
+_TIME_WAIT = TcpState.TIME_WAIT
+_NO_PUMP = (_CLOSED, _SYN_SENT, _SYN_RCVD, _TIME_WAIT)
 
 
 class ConnectionHandler:
@@ -69,7 +85,10 @@ class TcpStack:
         self.host = host
         self.loop = loop
         self.config = config or TcpConfig()
-        self._conns: Dict[ConnKey, TcpConnection] = {}
+        # keyed by the (local, remote) endpoint *texts*: cached strings,
+        # hashed in C, where an Endpoint pair hashes through two
+        # python-level dataclass __hash__ calls per segment
+        self._conns: Dict[Tuple[str, str], TcpConnection] = {}
         self._listeners: Dict[int, HandlerFactory] = {}
         self._ports = EphemeralPorts()
         self._isn_counter = 0
@@ -104,22 +123,23 @@ class TcpStack:
             # skip ports still held by live/TIME_WAIT connections
             for _ in range(EphemeralPorts.HIGH - EphemeralPorts.LOW + 1):
                 local = Endpoint(ip, self._ports.next())
-                if (local, remote) not in self._conns:
+                if (local.text, remote.text) not in self._conns:
                     break
             else:
                 raise TcpError(f"ephemeral ports exhausted toward {remote}")
         else:
             local = Endpoint(ip, local_port)
-            if (local, remote) in self._conns:
+            if (local.text, remote.text) in self._conns:
                 raise TcpError(f"connection {local} -> {remote} already exists")
         conn = TcpConnection(self, local, remote, handler)
         conn.obs_ctx = obs_ctx
-        self._conns[(local, remote)] = conn
+        self._register(conn)
         conn._active_open()
         return conn
 
     def connections(self) -> Dict[ConnKey, "TcpConnection"]:
-        return dict(self._conns)
+        return {(conn.local, conn.remote): conn
+                for conn in self._conns.values()}
 
     def choose_isn(self, local: Endpoint, remote: Endpoint) -> int:
         if self.config.isn_fn is not None:
@@ -129,32 +149,32 @@ class TcpStack:
 
     # -- plumbing --------------------------------------------------------------
     def _register(self, conn: "TcpConnection") -> None:
-        self._conns[(conn.local, conn.remote)] = conn
+        self._conns[(conn.local.text, conn.remote.text)] = conn
 
     def _unregister(self, conn: "TcpConnection") -> None:
-        self._conns.pop((conn.local, conn.remote), None)
+        self._conns.pop((conn.local.text, conn.remote.text), None)
 
     def _transmit(self, packet: Packet) -> None:
         self.host.send(packet)
 
     def _on_packet(self, pkt: Packet) -> None:
-        key = (pkt.dst, pkt.src)
-        conn = self._conns.get(key)
+        conn = self._conns.get((pkt.dst.text, pkt.src.text))
         if conn is not None:
             conn._handle(pkt)
             return
-        if pkt.syn and not pkt.has_ack:
+        flags = pkt.flags
+        if flags & SYN and not flags & ACK:
             factory = self._listeners.get(pkt.dst.port)
             if factory is not None:
                 conn = TcpConnection(self, local=pkt.dst, remote=pkt.src, handler=None)
                 conn.handler = factory(conn)
-                self._conns[key] = conn
+                self._register(conn)
                 conn._passive_open(pkt)
                 return
-        if not pkt.rst:
+        if not flags & RST:
             # RFC 793: reset unknown flows.  This is what makes a rerouted
             # flow visibly break when it lands on a proxy with no state.
-            rst_seq = pkt.ack if pkt.has_ack else 0
+            rst_seq = pkt.ack if flags & ACK else 0
             self._transmit(
                 Packet(pkt.dst, pkt.src, flags=RST | ACK, seq=rst_seq,
                        ack=seq_add(pkt.seq, max(pkt.seq_span, 1)))
@@ -301,36 +321,40 @@ class TcpConnection:
     def _send_flags(self, flags: int, seq: int, with_ack: bool = True,
                     payload: bytes = b"") -> None:
         if with_ack:
-            flags |= ACK
-        pkt = Packet(self.local, self.remote, flags=flags, seq=seq,
-                     ack=self._rcv_nxt if with_ack else 0, payload=payload)
+            pkt = Packet(self.local, self.remote, flags | ACK, seq,
+                         self._rcv_nxt, payload)
+        else:
+            pkt = Packet(self.local, self.remote, flags, seq, 0, payload)
         if OBS.enabled and self.obs_ctx is not None:
             pkt.meta["obs_ctx"] = self.obs_ctx
-        self.stack._transmit(pkt)
+        self.stack.host.send(pkt)
 
     def _send_ack(self) -> None:
         self._send_flags(ACK, seq=self._snd_nxt)
 
     def _handle(self, pkt: Packet) -> None:
-        if pkt.rst:
+        flags = pkt.flags
+        if flags & RST:
             self._handle_rst(pkt)
             return
-        if self.state is TcpState.SYN_SENT:
-            self._handle_syn_sent(pkt)
-            return
-        if self.state is TcpState.SYN_RCVD and pkt.syn and not pkt.has_ack:
-            # duplicate SYN from the client: re-send SYN-ACK
-            self._send_flags(SYN | ACK, seq=self.iss)
-            return
-        if self.state is TcpState.TIME_WAIT:
-            if pkt.fin:
-                self._send_ack()  # re-ACK a retransmitted FIN
-            return
-        if pkt.has_ack:
+        state = self.state
+        if state is not _ESTABLISHED:
+            if state is _SYN_SENT:
+                self._handle_syn_sent(pkt)
+                return
+            if state is _SYN_RCVD and flags & SYN and not flags & ACK:
+                # duplicate SYN from the client: re-send SYN-ACK
+                self._send_flags(SYN | ACK, seq=self.iss)
+                return
+            if state is _TIME_WAIT:
+                if flags & FIN:
+                    self._send_ack()  # re-ACK a retransmitted FIN
+                return
+        if flags & ACK:
             self._process_ack(pkt)
-        if self.state is TcpState.CLOSED:
+        if self.state is _CLOSED:
             return
-        if pkt.payload or pkt.fin:
+        if pkt.payload or flags & FIN:
             self._process_data(pkt)
         self._pump()
 
@@ -356,9 +380,10 @@ class TcpConnection:
             self._pump()
 
     def _process_ack(self, pkt: Packet) -> None:
-        if self.state is TcpState.SYN_RCVD:
-            if pkt.ack == seq_add(self.iss, 1):
-                self._snd_una = pkt.ack
+        ack = pkt.ack
+        if self.state is _SYN_RCVD:
+            if ack == seq_add(self.iss, 1):
+                self._snd_una = ack
                 self._retx_timer.cancel()
                 self._retries = 0
                 self._rto = self.config.data_rto_initial
@@ -367,10 +392,12 @@ class TcpConnection:
                 self.handler.on_connected(self)
             else:
                 return
-        acked = seq_diff(pkt.ack, self._snd_una)
-        if acked > 0 and seq_le(pkt.ack, self._snd_nxt):
-            self._register_ack(pkt.ack, acked)
-        elif acked == 0 and not pkt.payload and not pkt.syn and not pkt.fin:
+        acked = ((ack - self._snd_una + _HALF) & _MASK) - _HALF
+        if acked > 0:
+            # accepted only in window: ack <= snd_nxt
+            if ((ack - self._snd_nxt + _HALF) & _MASK) - _HALF <= 0:
+                self._register_ack(ack, acked)
+        elif acked == 0 and not pkt.payload and not pkt.flags & (SYN | FIN):
             self._dupacks += 1
             if self._dupacks == self.config.dupack_threshold:
                 self._fast_retransmit()
@@ -378,22 +405,26 @@ class TcpConnection:
     def _register_ack(self, ack: int, acked_bytes: int) -> None:
         self._dupacks = 0
         # trim the send buffer
-        buffered_acked = seq_diff(ack, self._snd_buf_seq)
+        buffered_acked = ((ack - self._snd_buf_seq + _HALF) & _MASK) - _HALF
         if buffered_acked > 0:
-            n = min(buffered_acked, len(self._snd_buf))
-            del self._snd_buf[:n]
-            self._snd_buf_seq = seq_add(self._snd_buf_seq, n)
+            snd_buf = self._snd_buf
+            n = buffered_acked if buffered_acked < len(snd_buf) else len(snd_buf)
+            del snd_buf[:n]
+            self._snd_buf_seq = (self._snd_buf_seq + n) & _MASK
         self._snd_una = ack
         # congestion window growth
+        mss = self.config.mss
         if self._cwnd < self._ssthresh:
-            self._cwnd += min(acked_bytes, self.config.mss)
+            self._cwnd += acked_bytes if acked_bytes < mss else mss
         else:
-            self._cwnd += max(1, self.config.mss * self.config.mss // self._cwnd)
-        # retransmission timer management
+            self._cwnd += max(1, mss * mss // self._cwnd)
+        # retransmission timer management: the ACK was accepted in window
+        # (snd_una < ack <= snd_nxt), so data is still in flight exactly
+        # when it stops short of snd_nxt
         self._retries = 0
-        self._rto = self.config.data_rto_initial
-        if seq_lt(self._snd_una, self._snd_nxt):
-            self._retx_timer.start(self._rto)
+        self._rto = rto = self.config.data_rto_initial
+        if ack != self._snd_nxt:
+            self._retx_timer.start(rto)
         else:
             self._retx_timer.cancel()
         # NewReno partial-ACK handling: while recovering from loss, each
@@ -405,8 +436,11 @@ class TcpConnection:
                 self._retransmit_oldest()
             else:
                 self._recovery_point = None
-        # FIN acked?
-        if self._fin_sent_seq is not None and seq_gt(ack, self._fin_sent_seq):
+        # FIN acked?  (a bulk sender queues its FIN behind the last byte, so
+        # every ACK of the final window meets this test)
+        fin_seq = self._fin_sent_seq
+        if (fin_seq is not None
+                and ((ack - fin_seq + _HALF) & _MASK) - _HALF > 0):
             self._on_fin_acked()
 
     def _on_fin_acked(self) -> None:
@@ -422,31 +456,32 @@ class TcpConnection:
         seq = pkt.seq
         advanced = False
         if payload:
-            offset = seq_diff(self._rcv_nxt, seq)
+            offset = ((self._rcv_nxt - seq + _HALF) & _MASK) - _HALF
             if offset < 0:
                 # future segment: stash for reassembly
                 self._reasm[seq] = payload
             elif offset < len(payload):
-                fresh = payload[offset:]
-                self._deliver(fresh)
+                self._deliver(payload[offset:])
                 advanced = True
-                self._drain_reasm()
+                if self._reasm:
+                    self._drain_reasm()
             # else: entirely duplicate -- just re-ACK below
         # FIN occupies the sequence slot after the payload
-        if pkt.fin:
-            fin_seq = seq_add(pkt.seq, len(payload))
+        if pkt.flags & FIN:
+            fin_seq = (seq + len(payload)) & _MASK
             if fin_seq == self._rcv_nxt and not self._remote_fin_seen:
                 self._remote_fin_seen = True
-                self._rcv_nxt = seq_add(self._rcv_nxt, 1)
+                self._rcv_nxt = (self._rcv_nxt + 1) & _MASK
                 advanced = True
                 self._on_remote_fin()
-        self._send_ack()
+        self._send_flags(ACK, self._snd_nxt)
         if advanced:
             self._dupacks = 0
 
     def _deliver(self, data: bytes) -> None:
-        self._rcv_nxt = seq_add(self._rcv_nxt, len(data))
-        self.bytes_received += len(data)
+        n = len(data)
+        self._rcv_nxt = (self._rcv_nxt + n) & _MASK
+        self.bytes_received += n
         self.handler.on_data(self, data)
 
     def _drain_reasm(self) -> None:
@@ -466,31 +501,36 @@ class TcpConnection:
 
     # ------------------------------------------------------------ transmit --
     def _pump(self) -> None:
-        if self.state in (TcpState.CLOSED, TcpState.SYN_SENT, TcpState.SYN_RCVD,
-                          TcpState.TIME_WAIT):
+        snd_buf = self._snd_buf
+        if not snd_buf and not (self._fin_queued and self._fin_sent_seq is None):
+            return  # a pure receiver: nothing buffered, no FIN owed
+        if self.state in _NO_PUMP:
             return
+        config = self.config
         while True:
-            in_flight = seq_diff(self._snd_nxt, self._snd_una)
-            window = min(self._cwnd, self.config.rwnd)
-            budget = window - in_flight
-            unsent_off = seq_diff(self._snd_nxt, self._snd_buf_seq)
-            unsent = len(self._snd_buf) - unsent_off
-            if unsent > 0 and budget > 0 and self._fin_sent_seq is None:
-                n = min(unsent, self.config.mss, budget)
-                chunk = bytes(self._snd_buf[unsent_off:unsent_off + n])
-                flags = ACK | (PSH if n == unsent else 0)
-                self._send_flags(flags, seq=self._snd_nxt, payload=chunk)
-                self._snd_nxt = seq_add(self._snd_nxt, n)
-                self.bytes_sent += n
-                if not self._retx_timer.armed:
-                    self._retx_timer.start(self._rto)
-                continue
+            snd_nxt = self._snd_nxt
+            unsent_off = ((snd_nxt - self._snd_buf_seq + _HALF) & _MASK) - _HALF
+            unsent = len(snd_buf) - unsent_off
+            if unsent > 0 and self._fin_sent_seq is None:
+                window = self._cwnd if self._cwnd < config.rwnd else config.rwnd
+                in_flight = ((snd_nxt - self._snd_una + _HALF) & _MASK) - _HALF
+                budget = window - in_flight
+                if budget > 0:
+                    n = min(unsent, config.mss, budget)
+                    chunk = bytes(snd_buf[unsent_off:unsent_off + n])
+                    self._send_flags(ACK | PSH if n == unsent else ACK,
+                                     snd_nxt, True, chunk)
+                    self._snd_nxt = (snd_nxt + n) & _MASK
+                    self.bytes_sent += n
+                    if not self._retx_timer.armed:
+                        self._retx_timer.start(self._rto)
+                    continue
             if (self._fin_queued and self._fin_sent_seq is None and unsent == 0
-                    and self.state in (TcpState.ESTABLISHED, TcpState.CLOSE_WAIT)):
-                self._fin_sent_seq = self._snd_nxt
-                self._send_flags(FIN | ACK, seq=self._snd_nxt)
-                self._snd_nxt = seq_add(self._snd_nxt, 1)
-                self.state = (TcpState.FIN_WAIT_1 if self.state is TcpState.ESTABLISHED
+                    and self.state in (_ESTABLISHED, _CLOSE_WAIT)):
+                self._fin_sent_seq = snd_nxt
+                self._send_flags(FIN | ACK, seq=snd_nxt)
+                self._snd_nxt = (snd_nxt + 1) & _MASK
+                self.state = (TcpState.FIN_WAIT_1 if self.state is _ESTABLISHED
                               else TcpState.LAST_ACK)
                 if not self._retx_timer.armed:
                     self._retx_timer.start(self._rto)

@@ -3,7 +3,10 @@
 ``BENCH_elastic.json`` is what ``python -m repro run elastic`` wrote last;
 EXPERIMENTS.md quotes the full run (40 simulated s, seed 2016).  A
 CI-sized ``--quick`` run committed over it, or a table edited by hand,
-fails here.
+fails here.  ``BENCH_core.json`` is what ``pytest
+benchmarks/test_core_speed.py`` wrote last; the "PR 18" column of the
+"Simulator core fast path" table quotes it, so the file cannot age under
+the table again (it sat four data-path PRs behind it).
 """
 
 import json
@@ -40,3 +43,38 @@ def test_elastic_table_is_the_committed_full_run():
     summary = doc["summary"]
     assert f"**{summary['cost_ratio_auto_vs_static']:.2f}×**" in section
     assert f"peak-to-mean {doc['peak_to_mean']:.2f}" in section
+
+
+# | benchmark | before | after (PR 3) | speedup | PR 18 | vs before |
+_CORE_ROW = re.compile(
+    r"^\| ([a-z0-9][^|]*?) +\| +[\d,.]+ \| +[\d,.]+ \| +[\d.]+× "
+    r"\| +([\d,.]+) \| +([\d.]+)× \|$", re.MULTILINE)
+_CORE_METRICS = {
+    "scheduler (events/sec)": "scheduler.events_per_sec",
+    "cancel churn (ops/sec)": "cancel_churn.ops_per_sec",
+    "same-tick dispatch (events/s)": "dispatch.events_per_sec",
+    "network echo (packets/sec)": "network.packets_per_sec",
+    "fig9-style run (wall seconds)": "fig9_style.wall_seconds",
+}
+
+
+def test_core_table_is_the_committed_run():
+    doc = json.loads((ROOT / "BENCH_core.json").read_text())
+    for field in ("sha", "cpus", "python", "generated_at"):
+        assert doc.get(field), f"BENCH_core.json has no {field!r}"
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Simulator core fast path"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = {label: (cell, ratio)
+            for label, cell, ratio in _CORE_ROW.findall(section)}
+    assert set(rows) == set(_CORE_METRICS)
+    for label, name in _CORE_METRICS.items():
+        cell, ratio = rows[label]
+        value = doc["metrics"][name]["value"]
+        quoted = (f"{value:.3f}" if name.endswith("wall_seconds")
+                  else f"{value:,.0f}")
+        assert cell == quoted, f"{label}: table says {cell}, file {quoted}"
+        speedup = doc["speedup_vs_baseline"][name]
+        assert ratio == f"{speedup:.2f}", (
+            f"{label}: table says {ratio}x, file {speedup}")
+    assert f"`{doc['sha']}`" in section

@@ -16,6 +16,13 @@ that is a constant of the process, the host, the flow or the op is built
 once at that scope, and ``test_connection_budget`` counts the things that
 used to be rebuilt (endpoints, address validations, registry lookups)
 and the python-level calls of the whole fetch.
+
+A segment is priced last: ``test_segment_budget`` takes one warmed 100 KB
+fetch -- 271 packets, almost all of them established-state segments and
+their tunnelled copies -- and pins what the host does for it: events
+scheduled, events really cancelled (a retransmission timer pushed out by
+an ACK is neither), calls into ``repro.tcp.segment`` (the per-segment
+paths spell the arithmetic out), and python-level calls altogether.
 """
 
 import json
@@ -25,7 +32,9 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
 from repro.net import addresses
 from repro.net.addresses import Endpoint
+from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricRegistry
+from repro.tcp import segment
 
 # one 100 KB fetch, seed 2016, counted from the fetch call to its result
 PINNED_EVENTS_FIRED = 443
@@ -33,12 +42,17 @@ PINNED_TX_PACKETS = 262
 MAX_EVENTS_PER_PACKET = 2.05
 
 
-def test_events_per_transmitted_packet():
-    bed = Testbed(TestbedConfig(
+def _one_object_world(object_bytes):
+    """The world all three budgets are counted in."""
+    return Testbed(TestbedConfig(
         seed=2016, lb="yoda", num_lb_instances=2, num_store_servers=3,
         num_backends=2, corpus="flat", flat_object_count=1,
-        flat_object_bytes=100_000, client_jitter=0.0,
+        flat_object_bytes=object_bytes, client_jitter=0.0,
     ))
+
+
+def test_events_per_transmitted_packet():
+    bed = _one_object_world(100_000)
     tx_packets = bed.network.metrics.counter("tx_packets")
     bed.run(1.0)  # mappings pushed, first health-check rounds done
     results = []
@@ -61,6 +75,84 @@ def test_events_per_transmitted_packet():
         f"{PINNED_EVENTS_FIRED} ({fired - PINNED_EVENTS_FIRED:+d})")
 
 
+# the same world, second fetch: one 100 KB fetch warmed the paths, a
+# simulated second let its flow be torn down, then one fetch is counted
+PINNED_SEGMENT_TX_PACKETS = 271
+PINNED_SEGMENT_EVENTS_FIRED = 458
+PINNED_SEGMENT_EVENTS_SCHEDULED = 508  # 538 with a cancel-and-reschedule Timer
+PINNED_SEGMENT_EVENTS_CANCELLED = 10  # 40: one per ACK that left data in flight
+# handshakes, the FIN exchange and the instance's connection phase still
+# call the functions; no established-state segment does (1,387 before)
+MAX_SEGMENT_MODULE_CALLS = 18
+# python-level calls, measured on 3.11 with this change (10,540 = 38.9 per
+# packet before it, 25.8 now)
+MEASURED_CALLS_PER_SEGMENT_FETCH = 7005
+MAX_CALLS_PER_SEGMENT_FETCH = MEASURED_CALLS_PER_SEGMENT_FETCH * 1.05
+
+
+def test_segment_budget():
+    bed = _one_object_world(100_000)
+    tx_packets = bed.network.metrics.counter("tx_packets")
+    browser = BrowserClient(bed.client_stacks[0], bed.loop, bed.target(),
+                            http_timeout=30.0, retries=0)
+
+    def fetch():
+        results = []
+        browser.fetch("/obj/0.bin", results.append)
+        fired = 0
+        while not results:
+            fired += bed.loop.run_for(0.01)
+        assert results[0].ok and len(results[0].response.body) == 100_000
+        return fired
+
+    bed.run(1.0)
+    fetch()
+    bed.run(1.0)  # FLOW_LINGER: the warm-up flow's deletes are done
+
+    watched = {
+        EventLoop.call_at.__code__: "scheduled",
+        # reached only when a pending event is cancelled
+        EventLoop._note_cancel.__code__: "cancelled",
+    }
+    seen = dict.fromkeys(watched.values(), 0)
+    calls = segment_calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls, segment_calls
+        if event != "call":
+            return
+        calls += 1
+        code = frame.f_code
+        what = watched.get(code)
+        if what is not None:
+            seen[what] += 1
+        elif code.co_filename == segment.__file__:
+            segment_calls += 1
+
+    tx_before = tx_packets.value
+    sys.setprofile(profile)
+    try:
+        fired = fetch()
+    finally:
+        sys.setprofile(None)
+    tx = tx_packets.value - tx_before
+
+    # every count in one message: a change that moves one usually moves more
+    measured = (f"{tx} packets, {fired} events fired, {seen['scheduled']} "
+                f"scheduled, {seen['cancelled']} cancelled, {segment_calls} "
+                f"calls into repro.tcp.segment, {calls} python calls = "
+                f"{calls / tx:.1f} per packet")
+    assert (tx, fired) == (PINNED_SEGMENT_TX_PACKETS,
+                           PINNED_SEGMENT_EVENTS_FIRED), measured
+    assert seen == {"scheduled": PINNED_SEGMENT_EVENTS_SCHEDULED,
+                    "cancelled": PINNED_SEGMENT_EVENTS_CANCELLED}, measured
+    assert segment_calls <= MAX_SEGMENT_MODULE_CALLS, measured
+    assert calls <= MAX_CALLS_PER_SEGMENT_FETCH, (
+        f"{measured}; measured {MEASURED_CALLS_PER_SEGMENT_FETCH} with the "
+        f"change that added this test (budget "
+        f"{MAX_CALLS_PER_SEGMENT_FETCH:.0f})")
+
+
 # 20 sequential 1 KB fetches, seed 2016, counted from the first fetch call
 # to one simulated second after the last result (FLOW_LINGER: both deletes
 # of every flow are inside the window)
@@ -70,7 +162,7 @@ PINNED_CONN_TX_PACKETS = 840
 # python-level calls (sys.setprofile "call" events) per fetch, measured on
 # 3.11 with this change; an upper bound only -- 3.12 inlines comprehensions
 # and counts fewer
-MEASURED_CALLS_PER_FETCH = 1794.2  # 2,672.2 at the parent
+MEASURED_CALLS_PER_FETCH = 1463.8  # 2,672.2 before PR 17, 1,794.2 before PR 18
 MAX_CALLS_PER_FETCH = MEASURED_CALLS_PER_FETCH * 1.05
 
 
@@ -87,11 +179,7 @@ def _kv_counts(bed):
 
 
 def test_connection_budget():
-    bed = Testbed(TestbedConfig(
-        seed=2016, lb="yoda", num_lb_instances=2, num_store_servers=3,
-        num_backends=2, corpus="flat", flat_object_count=1,
-        flat_object_bytes=1_000, client_jitter=0.0,
-    ))
+    bed = _one_object_world(1_000)
     tx_packets = bed.network.metrics.counter("tx_packets")
     browser = BrowserClient(bed.client_stacks[0], bed.loop, bed.target(),
                             http_timeout=30.0, retries=0)

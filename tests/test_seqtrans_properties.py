@@ -121,3 +121,32 @@ def test_roundtrip_is_identity_in_server_space(instance, c, s, k):
     ack_pkt = Packet(src=CLIENT, dst=VIP, flags=ACK, seq=0, ack=client_ack)
     back = instance._translate_to_server(flow, ack_pkt)
     assert back.ack == seq_add(server_seq, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=seqs, s=seqs, resp_off=st.integers(0, SEQ_MOD - 1), x=seqs,
+       length=lengths, meta=st.sampled_from([{}, {"obs_ctx": (1, 2)}]))
+def test_one_mask_translation_is_seq_add_of_delta(instance, y, s, resp_off, x,
+                                                  length, meta):
+    """The translate functions fold ``_delta``'s three terms under one mask;
+    that is ``seq_add(x, +-_delta(state))`` for every ISN pair and offset in
+    the 32-bit space, and the meta side-channel is copied, never shared."""
+    flow = make_flow(instance, client_isn=0, server_isn=s,
+                     response_offset=resp_off)
+    flow.state._yoda_isn = y  # any 32-bit value, not just the hashed one
+    delta = instance._delta(flow.state)
+    pkt = Packet(src=Endpoint(SERVER.ip, 80), dst=Endpoint(VIP.ip, 2000),
+                 flags=ACK, seq=x, ack=x, payload=b"x" * length,
+                 meta=dict(meta))
+    to_client = instance._translate_to_client(flow, pkt)
+    assert to_client.seq == seq_add(x, delta)
+    assert to_client.ack == x
+    to_server = instance._translate_to_server(flow, pkt)
+    assert to_server.ack == seq_add(x, -delta)
+    assert to_server.seq == x
+    for out in (to_client, to_server):
+        assert out.meta == meta and out.meta is not pkt.meta
+        assert out.payload == pkt.payload and out.flags == pkt.flags
+    # without the ACK flag there is no ack field to translate
+    bare = Packet(src=CLIENT, dst=VIP, flags=0, seq=x, ack=x)
+    assert instance._translate_to_server(flow, bare).ack == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import EventLoop
+from repro.sim.process import PeriodicTask, Timer
 
 
 def test_events_fire_in_time_order():
@@ -97,6 +98,40 @@ def test_negative_delay_raises():
     loop = EventLoop()
     with pytest.raises(SimulationError):
         loop.call_later(-1.0, lambda: None)
+
+
+# A NaN time used to be accepted (``nan < now`` is false) and the next run()
+# never returned: no heap head ever equals NaN, nothing fires, max_events
+# cannot trip.  An infinite one escaped as a bare OverflowError from the
+# wheel's slot arithmetic.  Both are refused when scheduled -- none of these
+# cases calls run(), so where the check is missing they fail instead of hang.
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_time_is_refused_at_scheduling(bad):
+    loop = EventLoop()
+    with pytest.raises(SimulationError):
+        loop.call_at(bad, lambda: None)
+    with pytest.raises(SimulationError):
+        loop.call_later(bad, lambda: None)
+    assert loop.pending_count() == 0 and loop.queue_depth() == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_timers_inherit_the_non_finite_check(bad):
+    loop = EventLoop()
+    timer = Timer(loop, lambda: None)
+    with pytest.raises(SimulationError):
+        timer.start(bad)
+    assert not timer.armed
+    # ... also when re-armed over a pending event; the old deadline is
+    # disarmed first, as it was when start() was cancel() + call_later()
+    timer.start(1.0)
+    with pytest.raises(SimulationError):
+        timer.start(bad)
+    assert not timer.armed and loop.pending_count() == 0
+    task = PeriodicTask(loop, bad, lambda: None)
+    with pytest.raises(SimulationError):
+        task.start()
+    assert loop.pending_count() == 0
 
 
 def test_max_events_budget():

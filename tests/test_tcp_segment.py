@@ -3,7 +3,8 @@
 from hypothesis import given, strategies as st
 
 from repro.tcp.segment import (
-    SEQ_MOD, seq_add, seq_between, seq_diff, seq_ge, seq_gt, seq_le, seq_lt,
+    SEQ_HALF, SEQ_MASK, SEQ_MOD, seq_add, seq_between, seq_diff, seq_ge,
+    seq_gt, seq_le, seq_lt,
 )
 
 seqs = st.integers(0, SEQ_MOD - 1)
@@ -67,3 +68,26 @@ def test_strict_order(a, d):
     assert seq_lt(a, b)
     assert seq_gt(b, a)
     assert not seq_lt(b, a)
+
+
+# The per-segment paths (tcp/endpoint.py, the instance's translate functions)
+# spell the two primitives as mask expressions instead of calling them; the
+# spellings must be the functions, over the whole space and for the negative
+# intermediate values python's unbounded ints allow.
+@given(seqs, seqs)
+def test_mask_form_of_seq_diff(a, b):
+    assert ((a - b + SEQ_HALF) & SEQ_MASK) - SEQ_HALF == seq_diff(a, b)
+
+
+@given(seqs, st.integers(-(2**33), 2**33))
+def test_mask_form_of_seq_add(a, n):
+    assert (a + n) & SEQ_MASK == seq_add(a, n)
+
+
+def test_mask_forms_at_the_edges():
+    edges = [0, 1, SEQ_HALF - 1, SEQ_HALF, SEQ_HALF + 1, SEQ_MOD - 1]
+    for a in edges:
+        for b in edges:
+            assert ((a - b + SEQ_HALF) & SEQ_MASK) - SEQ_HALF == seq_diff(a, b)
+            assert (a + b) & SEQ_MASK == seq_add(a, b)
+            assert (a - b) & SEQ_MASK == seq_add(a, -b)
