@@ -15,20 +15,25 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.core.assignment.constraints import validate_assignment
 from repro.core.assignment.greedy import compact_assignment, solve_greedy
 from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import InfeasibleError
 
-try:  # pragma: no cover - import guard
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+def _load_lp_stack():
+    """``(numpy, linprog, csr_matrix)``, or None where they are missing.
+
+    Imported here and not at module top: only the LP relaxation uses
+    them, and this module is on the import path of every run.
+    """
+    try:
+        import numpy
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_matrix
+    except ImportError:
+        return None
+    return numpy, linprog, csr_matrix
 
 
 class IlpSolver:
@@ -47,8 +52,9 @@ class IlpSolver:
         self.lp_lower_bound: Optional[float] = None
 
     def solve(self, problem: AssignmentProblem) -> Assignment:
+        lp_stack = _load_lp_stack()  # before the clock: not solve time
         start = time.perf_counter()
-        pinned = self._lp_round(problem) if _HAVE_SCIPY else None
+        pinned = self._lp_round(problem, lp_stack) if lp_stack else None
         assignment = solve_greedy(
             problem,
             enforce_update_constraints=self.enforce_update_constraints,
@@ -83,7 +89,9 @@ class IlpSolver:
         return assignment
 
     # ------------------------------------------------------------ LP phase --
-    def _lp_round(self, problem: AssignmentProblem) -> Optional[Dict[str, List[str]]]:
+    def _lp_round(self, problem: AssignmentProblem,
+                  lp_stack) -> Optional[Dict[str, List[str]]]:
+        np, linprog, csr_matrix = lp_stack
         vips, insts = problem.vips, problem.instances
         nv, ny = len(vips), len(insts)
         if nv == 0 or ny == 0:

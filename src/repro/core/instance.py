@@ -28,7 +28,7 @@ from repro.core.flowstate import FlowPhase, FlowState, flow_key, yoda_isn
 from repro.core.policy import VipPolicy
 from repro.core.selector import AllHealthy, BackendView, RuleTable, ScanCostModel
 from repro.core.tcpstore import TcpStore
-from repro.errors import SlowClientTimeout, SnatExhausted
+from repro.errors import HttpError, SlowClientTimeout, SnatExhausted
 from repro.http import tls
 from repro.http.server import STREAM_PATH_PREFIX
 from repro.http.message import HttpRequest
@@ -352,12 +352,27 @@ class YodaInstance:
             self.metrics.counter("slow_client_timeouts").inc()
             if OBS.enabled:
                 OBS.flight(self.name, "slow_client_timeout", flow.key())
-            self._send(Packet(
-                src=flow.state.vip, dst=flow.state.client, flags=RST | ACK,
-                seq=flow.state.yoda_isn,
-                ack=seq_add(flow.state.client_isn, 1),
-            ))
-            self._destroy_flow(flow, remove_stored=True)
+            self._reset_client(flow)
+
+    def _refuse_bad_request(self, flow: _LocalFlow) -> None:
+        """The client's bytes are not HTTP (or not TLS records) and no
+        backend holds the flow yet: it costs its sender the connection,
+        like the slow client above, and the run nothing."""
+        self.metrics.counter("bad_requests").inc()
+        if OBS.enabled:
+            OBS.flight(self.name, "bad_request", flow.key())
+        self._reset_client(flow)
+
+    def _reset_client(self, flow: _LocalFlow) -> None:
+        """End a flow no backend has answered on: all the client has from
+        it is this instance's SYN-ACK (and, on a TLS VIP, the certificate
+        flight)."""
+        state = flow.state
+        self._send(Packet(
+            src=state.vip, dst=state.client, flags=RST | ACK,
+            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1),
+        ))
+        self._destroy_flow(flow, remove_stored=True)
 
     def _admit(self, token, kind: str) -> None:
         if self.fence is not None:
@@ -707,7 +722,11 @@ class YodaInstance:
                         flow.cert_timer.cancel()
             if pkt.payload:
                 offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
-                flow.buffer_request_bytes(offset, pkt.payload)
+                try:
+                    flow.buffer_request_bytes(offset, pkt.payload)
+                except HttpError:
+                    self._refuse_bad_request(flow)
+                    return
                 if flow.phase is FlowPhase.AWAIT_HEADER:
                     if flow.tls:
                         self._tls_progress(flow, policy)
@@ -730,13 +749,19 @@ class YodaInstance:
             forward = True
             if pkt.payload and flow.requests_seen is not None:
                 offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
-                flow.buffer_request_bytes(offset, pkt.payload)
-                if len(flow.parsed) > flow.requests_seen:
-                    flow.requests_seen = len(flow.parsed)
-                    request, start_offset = flow.parsed[-1]
-                    if self._maybe_switch_backend(flow, request,
-                                                  start_offset, policy):
-                        forward = False  # these bytes go to the new backend
+                try:
+                    flow.buffer_request_bytes(offset, pkt.payload)
+                except HttpError:
+                    # not ours to refuse: the backend reads the same bytes
+                    # and answers for them; only re-classification ends
+                    flow.requests_seen = None
+                else:
+                    if len(flow.parsed) > flow.requests_seen:
+                        flow.requests_seen = len(flow.parsed)
+                        request, start_offset = flow.parsed[-1]
+                        if self._maybe_switch_backend(flow, request,
+                                                      start_offset, policy):
+                            forward = False  # bytes go to the new backend
             if flags & FIN:
                 flow.fin_client = True
             if forward:
@@ -815,7 +840,11 @@ class YodaInstance:
                 request = self._parse_header_only(payload)
                 if request is None:
                     parser = HttpParser("request")
-                    msgs = parser.feed(payload)
+                    try:
+                        msgs = parser.feed(payload)
+                    except HttpError:
+                        self._refuse_bad_request(flow)
+                        return
                     request = msgs[0].message if msgs else None
                 if request is not None:
                     flow.t_header = self.loop.now()
@@ -953,10 +982,7 @@ class YodaInstance:
         self.cpu.execute(scan_cpu, phase="rule_scan")
         if result is None:
             self.metrics.counter("no_backend").inc()
-            self._send(Packet(src=flow.state.vip, dst=flow.state.client,
-                              flags=RST | ACK, seq=flow.state.yoda_isn,
-                              ack=seq_add(flow.state.client_isn, 1)))
-            self._destroy_flow(flow, remove_stored=True)
+            self._reset_client(flow)
             return
         self.metrics.histogram("scan_latency").observe(result.scan_latency)
         self.metrics.counter("selections").inc()
@@ -986,7 +1012,7 @@ class YodaInstance:
         lines = raw[:idx].split(b"\r\n")
         try:
             method, path, version = parse_request_line(lines[0])
-        except Exception:
+        except HttpError:
             return None
         headers = Headers()
         for line in lines[1:]:
@@ -1104,11 +1130,7 @@ class YodaInstance:
         self.metrics.counter("snat_refused_flows").inc()
         if OBS.enabled:
             OBS.flight(self.name, "snat_exhausted_refuse", flow.key())
-        self._send(Packet(
-            src=state.vip, dst=state.client, flags=RST | ACK,
-            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1),
-        ))
-        self._destroy_flow(flow, remove_stored=True)
+        self._reset_client(flow)
         if self.l4lb is not None:
             self.l4lb.release_flow(state.client, state.vip)
 
@@ -1127,14 +1149,12 @@ class YodaInstance:
             # backend reset: propagate to the client, translated
             if state.established:
                 self._send(self._translate_to_client(flow, pkt))
+                self._destroy_flow(flow, remove_stored=True)
             else:
                 # refused during connect: that is breaker-relevant signal
                 if self.qos is not None and flow.backend_name is not None:
                     self.qos.backend_failure(flow.backend_name)
-                self._send(Packet(src=state.vip, dst=state.client,
-                                  flags=RST | ACK, seq=state.yoda_isn,
-                                  ack=seq_add(state.client_isn, 1)))
-            self._destroy_flow(flow, remove_stored=True)
+                self._reset_client(flow)
             return
         if flags & SYN and flags & ACK:
             self._handle_server_syn_ack(flow, pkt)

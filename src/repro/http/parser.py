@@ -8,6 +8,7 @@ HTTP request header before it can run rule matching (Section 4.1).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -22,6 +23,7 @@ from repro.http.message import (
 )
 
 HEADER_END = b"\r\n\r\n"
+_ASCII_DIGITS = re.compile("[0-9]+").fullmatch
 
 
 @dataclass
@@ -98,21 +100,31 @@ class HttpParser:
             lines = block.split(CRLF)
             self._start_line = lines[0]
             headers = Headers()
+            length: Optional[int] = None
             for line in lines[1:]:
                 if not line:
                     continue
                 name, sep, value = line.decode("latin-1").partition(":")
                 if not sep:
                     raise HttpParseError(f"malformed header line {line!r}")
-                headers.set(name.strip(), value.strip())
+                name, value = name.strip(), value.strip()
+                if name.lower() == "content-length":
+                    # This value frames the message, so it is read exactly:
+                    # int() alone also takes "-5" (a body of buf[:-5]), "+5"
+                    # and "1_0", and of two different lengths the last
+                    # would win (RFC 7230 3.3.2-3.3.3).
+                    try:
+                        declared = int(value) if _ASCII_DIGITS(value) else -1
+                    except ValueError:  # more digits than int() converts
+                        declared = -1
+                    if declared < 0 or length not in (None, declared):
+                        raise HttpParseError(f"bad Content-Length {value!r}")
+                    length = declared
+                headers.set(name, value)
             self._headers = headers
             self._headers_done = True
-            length = headers.get("Content-Length")
             if length is not None:
-                try:
-                    self._body_needed = int(length)
-                except ValueError as exc:
-                    raise HttpParseError(f"bad Content-Length {length!r}") from exc
+                self._body_needed = length
                 self._close_delimited = False
             else:
                 self._body_needed = 0

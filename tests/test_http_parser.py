@@ -63,6 +63,31 @@ class TestRequestParsing:
         with pytest.raises(HttpParseError):
             parser.feed(b"GET / HTTP/1.0\r\nContent-Length: banana\r\n\r\n")
 
+    @pytest.mark.parametrize("lengths", [
+        ["-5"],  # int() reads it, and buf[:-5] framed b"HELLO" + a stray b"WORLD"
+        ["+5"], ["1_0"], ["0x5"], ["5.0"], ["5, 5"], [""], ["9" * 5000],
+        ["\xb2"],  # a digit to str.isdigit(), not to the grammar
+        ["5", "7"], ["7", "5"], ["5", "05", "6"],
+    ])
+    def test_content_length_that_cannot_frame_is_refused(self, lengths):
+        head = "POST /p HTTP/1.1\r\n" + "".join(
+            f"Content-Length: {value}\r\n" for value in lengths)
+        parser = HttpParser("request")
+        with pytest.raises(HttpParseError, match="Content-Length"):
+            parser.feed(head.encode("latin-1") + b"\r\nHELLOWORLD")
+
+    @pytest.mark.parametrize("lengths", [
+        ["5"], ["05"], [" 5 "], ["5", "5"], ["5", "05"],
+    ])
+    def test_content_length_frames_exactly(self, lengths):
+        head = "POST /p HTTP/1.1\r\n" + "".join(
+            f"content-LENGTH: {value}\r\n" for value in lengths)
+        parser = HttpParser("request")
+        (parsed,) = parser.feed(head.encode() + b"\r\nHELLOWORLD")
+        assert parsed.message.body == b"HELLO"
+        assert parsed.wire_bytes == len(head) + 2 + 5
+        assert parser.buffered == len(b"WORLD")
+
 
 class TestResponseParsing:
     def test_simple_response(self):
@@ -116,3 +141,49 @@ def test_arbitrary_chunking_never_changes_result(cut_sizes, body):
     for parsed in messages:
         assert parsed.message.body == body
         assert parsed.message.path == "/p"
+
+
+# what a client can put after "Content-Length:": a number dressed in what
+# int() takes and the grammar does not, or any latin-1 text at all
+_LENGTH_VALUES = st.one_of(
+    st.builds("{}{}{}".format,
+              st.sampled_from(["", "", "-", "+", " ", "0", "_", "0x"]),
+              st.integers(0, 40),
+              st.sampled_from(["", "", " ", "_0", ".0", ", 5", "\xb2"])),
+    st.text(alphabet=st.characters(max_codepoint=255,
+                                   blacklist_characters="\r\n"),
+            max_size=6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LENGTH_VALUES,
+       st.binary(max_size=60).map(lambda b: b.replace(b"\n", b".")),
+       st.lists(st.integers(1, 25), max_size=12))
+def test_content_length_is_refused_or_framed_to_the_byte(value, tail, cuts):
+    """For any header value the parser either raises or takes exactly the
+    header and ``int(value)`` body bytes and leaves the rest, byte for
+    byte, for the next message -- however the input is chunked.  (``tail``
+    has no newline, so what is left over cannot complete a second header.)"""
+    head = f"POST /p HTTP/1.1\r\nContent-Length: {value}\r\n\r\n".encode(
+        "latin-1", errors="replace")
+    wire = head + tail
+    parser = HttpParser("request")
+    messages, pos = [], 0
+    try:
+        for size in cuts + [len(wire)]:
+            messages.extend(parser.feed(wire[pos:pos + size]))
+            pos += size
+    except HttpParseError:
+        return
+    sent = head[len(b"POST /p HTTP/1.1\r\nContent-Length: "):-4]
+    digits = sent.decode("latin-1").strip()
+    assert digits.isascii() and digits.isdigit(), "int() took what [0-9]+ does not"
+    need = int(digits)
+    if len(tail) < need:
+        assert messages == [] and bytes(parser._buf) == tail
+        return
+    (parsed,) = messages
+    assert parsed.message.body == tail[:need]
+    assert parsed.wire_bytes == len(head) + need
+    assert bytes(parser._buf) == tail[need:]

@@ -1,15 +1,17 @@
 """Satellite guards around long-lived flows: slow-loris deadlines (backend
-and instance), paced ``/stream/`` delivery with probe-driven recovery,
-forced-drain mid-stream checkpointing, and TLS session-ticket resumption
-backed by the flow store."""
+and instance), malformed requests, paced ``/stream/`` delivery with
+probe-driven recovery, forced-drain mid-stream checkpointing, and TLS
+session-ticket resumption backed by the flow store."""
 
 import pytest
 
 from repro.core import YodaServiceConfig
+from repro.core.flowstate import client_key
+from repro.core.instance import YodaInstance
 from repro.errors import SlowClientTimeout
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http import tls
-from repro.http.client import HttpsFetcher
+from repro.http.client import HttpFetcher, HttpsFetcher
 from repro.http.message import HttpRequest
 from repro.http.server import (
     BackendHttpServer,
@@ -21,6 +23,7 @@ from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.links import FixedLatency
 from repro.net.network import Network
+from repro.obs import OBS
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.tcp.endpoint import ConnectionHandler, TcpStack
@@ -178,6 +181,86 @@ class TestInstanceHeaderDeadline:
         pages = [r for p in procs for r in p.results]
         assert pages and not any(r.broken for r in pages)
         assert sum(i.metrics.counter("slow_client_timeouts").value
+                   for i in bed.yoda.instances) == 0
+
+
+NO_COLON = b"GET /obj/0.bin HTTP/1.1\r\nthis line has no colon\r\n\r\n"
+GOOD = HttpRequest("GET", "/obj/0.bin", host="secure.example")
+
+
+class TestMalformedRequest:
+    """Bytes no well-formed client sends cost their sender its connection
+    and nobody else anything: the parser's typed refusal used to leave
+    ``EventLoop.run`` through the instance's three feed sites."""
+
+    @pytest.mark.parametrize("lb, cert, script", [
+        ("yoda", None, [(0.0, NO_COLON)]),
+        # not a TLS record at all: the codec refuses the type byte
+        ("yoda", CERT, [(0.0, b"\x99\x00\x05hello")]),
+        # a full handshake, then a request that does not parse once decrypted
+        ("yoda", CERT, [(0.0, tls.client_hello("secure.example")),
+                        (1.0, tls.key_exchange("secure.example")
+                         + tls.app_data(b"not a request line\r\n\r\n"))]),
+        ("haproxy", None, [(0.0, NO_COLON)]),
+    ], ids=["yoda-plain", "yoda-tls-record", "yoda-tls-request", "haproxy"])
+    def test_bad_client_is_reset_and_the_run_goes_on(self, lb, cert, script):
+        bed = make_bed(lb=lb, tls_certificate=cert)
+        bad = RawClient(bed.client_stacks[0], bed.loop, bed.target(), script)
+        results = []
+        fetcher = HttpsFetcher if cert else HttpFetcher
+        kwargs = {"sni": "secure.example"} if cert else {}
+        fetcher(bed.client_stacks[1], bed.loop, bed.target(), GOOD,
+                results.append, **kwargs).start()
+        bed.run(6.0)
+        assert bad.errors == ["reset"]
+        assert [r.ok for r in results] == [True]
+        if lb != "yoda":
+            return
+        instances = bed.yoda.instances
+        assert sum(i.metrics.counter("bad_requests").value
+                   for i in instances) == 1
+        assert not any(i.flows or i.by_server for i in instances)
+        assert not any(ports for i in instances
+                       for ports in i._snat_in_use.values())
+        key = client_key(bad.conn.local, bed.target())
+        assert [s.peek(key) for s in bed.yoda.store_servers] == [None] * 2
+
+    def test_refusal_is_in_the_flight_recorder(self):
+        bed = make_bed()
+        OBS.enable(clock=bed.loop.now)
+        try:
+            bad = RawClient(bed.client_stacks[0], bed.loop, bed.target(),
+                            [(0.0, NO_COLON)])
+            bed.run(3.0)
+        finally:
+            OBS.disable()
+        notes = [line for i in bed.yoda.instances
+                 for line in OBS.recorders.dump(i.name)]
+        assert [n for n in notes if "bad_request" in n
+                and str(bad.conn.local) in n], notes
+
+    def test_malformed_follow_up_request_is_the_backends_to_answer(
+            self, monkeypatch):
+        """While tunnelling the instance only re-classifies: a second
+        request it cannot parse is forwarded like any other bytes and the
+        flow stops being re-classified (the state TLS flows are in)."""
+        bed = make_bed()
+        ended = []  # requests_seen of every flow, as it leaves the table
+        destroy = YodaInstance._destroy_flow
+        monkeypatch.setattr(
+            YodaInstance, "_destroy_flow",
+            lambda self, flow, remove_stored: (
+                ended.append(flow.requests_seen),
+                destroy(self, flow, remove_stored)))
+        first = HttpRequest("GET", "/obj/0.bin", host="x").serialize()
+        bad = RawClient(bed.client_stacks[0], bed.loop, bed.target(),
+                        [(0.0, first), (1.0, NO_COLON)])
+        bed.run(6.0)
+        # the backend read the forwarded bytes and refused them itself
+        assert b"200 OK" in bad.received and bad.errors == ["reset"]
+        assert ended == [None]
+        assert not any(i.flows for i in bed.yoda.instances)
+        assert sum(i.metrics.counter("bad_requests").value
                    for i in bed.yoda.instances) == 0
 
 
