@@ -1,7 +1,8 @@
 """Online invariant monitors for chaos runs.
 
-:class:`InvariantMonitor` is a packet-trace tap (``network.add_trace``)
-that audits the paper's Section 4.2 guarantees *while the run executes*:
+:class:`InvariantMonitor` audits the paper's Section 4.2 guarantees *while
+the run executes*, off a tap (``network.add_trace(monitor.table)``) that
+reads every packet as it hits the wire:
 
 - **storage-before-ack**: a YODA instance never emits the client-facing
   SYN-ACK before the client record is durable in TCPStore (storage-a),
@@ -16,13 +17,10 @@ that audits the paper's Section 4.2 guarantees *while the run executes*:
 - **snat-leak**: after the run quiesces, no live instance holds SNAT
   ports that no flow owns.
 
-The monitor also folds every trace record into a SHA-256 digest, which is
-how scenario determinism (same seed -> byte-identical packet schedule) is
-asserted cheaply.
-
 The per-flow facts those audits need live in one :class:`FlowAuditTable`,
-updated once per wire-tx packet; :class:`NoAcceptedRequestDropped` reads
-the same table.
+updated once per wire transmission from the packet itself;
+:class:`NoAcceptedRequestDropped` reads the same table.  (The run digest
+that witnesses determinism is the network's: ``Network.start_digest``.)
 
 :class:`ReplicationFactorMonitor` is a second, sampling monitor (a
 periodic process, not a trace tap) for the self-healing store: after any
@@ -34,22 +32,17 @@ replication silently loses after the first server failure.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.flowstate import client_key
+from repro.core.flowstate import client_key, server_key
 from repro.core.service import STORE_REPLICAS
 from repro.kvstore.memcached import version_newer
+from repro.net.packet import ACK, FIN, RST, SYN, Packet
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
-from repro.sim.tracing import (
-    SCOPE_ALL,
-    SCOPE_WIRE_TX,
-    TraceRecord,
-    engine_trace_line,
-)
-from repro.tcp.segment import seq_diff
+from repro.sim.tracing import SCOPE_WIRE_PACKET
+from repro.tcp.segment import SEQ_HALF, SEQ_MASK
 
 MAX_VIOLATIONS_KEPT = 50  # per invariant; beyond this only the count grows
 FORENSICS_TAIL = 20  # flight-recorder events embedded per violation
@@ -140,71 +133,91 @@ class _FlowAudit:
 
 
 class FlowAuditTable:
-    """The client-side flow table every packet-level invariant reads.
+    """The flow table every packet-level invariant reads.
 
-    A wire-tx tap: each send appears exactly once in that stream (the mux
-    -> instance hop is an in-DC deliver, not a wire transmission, so no
-    packet is double-counted).  Invariants subscribe to the packets they
-    judge online; a hook runs *before* the packet updates the flow, so it
-    sees the flow as it stood when the packet hit the wire.
+    A wire-packet tap: the network hands it each wire transmission as
+    ``(now, packet, dropped)`` -- each send exactly once (the mux ->
+    instance hop is an in-DC deliver, not a wire transmission, so no
+    packet is double-counted) -- and it reads the packet's flag bits and
+    cached endpoint text; no record is rendered or built for it.
+    Invariants subscribe to the packets they judge online; a hook runs
+    *before* the packet updates the flow, so it sees the flow as it stood
+    when the packet hit the wire.
     """
 
-    scope = SCOPE_WIRE_TX
+    scope = SCOPE_WIRE_PACKET
 
     def __init__(self, bed):
+        self.vip = bed.vip
         self.vip_client_eps = frozenset({f"{bed.vip}:80"})
         self.flows: Dict[FlowKey, _FlowAudit] = {}  # (client ep, vip ep)
+        # (snat ep, server ep) -> has its handshake ACK been judged?  Kept
+        # only while some invariant subscribes to on_backend_ack
+        self.backend_pairs: Dict[FlowKey, bool] = {}
         self.acks_audited = 0  # LB -> client ACKs folded into acked_req_bytes
         # hooks, appended to by the invariants that read this table
-        self.on_synack: List[Callable] = []  # LB -> client: (rec, key, audit)
-        self.on_rst: List[Callable] = []  # LB -> client: (rec, key, audit)
-        self.on_other: List[Callable] = []  # not client-facing: (rec)
+        self.on_synack: List[Callable] = []  # LB -> client: (now, key, audit)
+        self.on_rst: List[Callable] = []  # LB -> client: (now, key, audit)
+        # LB -> server: (now, pair, packet)
+        self.on_backend_ack: List[Callable] = []
 
-    def _flow(self, key: FlowKey, time: float) -> _FlowAudit:
-        audit = self.flows.get(key)
-        if audit is None:  # (opened by the LB only for stray RSTs)
-            audit = self.flows[key] = _FlowAudit(time)
-        return audit
-
-    def record(self, rec: TraceRecord) -> None:
-        flags = rec.flags
-        if rec.dst in self.vip_client_eps:  # client -> LB
-            audit = self._flow((rec.src, rec.dst), rec.time)
-            if "S" in flags and audit.client_isn is None:
-                audit.client_isn = rec.seq
-            if "F" in flags:
+    def record(self, now: float, packet: Packet, dropped: bool) -> None:
+        flags = packet.flags
+        src = packet.src.text
+        dst = packet.dst.text
+        if dst in self.vip_client_eps:  # client -> LB
+            key = (src, dst)
+            audit = self.flows.get(key)
+            if audit is None:
+                audit = self.flows[key] = _FlowAudit(now)
+            if flags & SYN and audit.client_isn is None:
+                audit.client_isn = packet.seq
+            if flags & FIN:
                 audit.fin_from_client = True
-        elif rec.src in self.vip_client_eps:  # LB -> client
-            key = (rec.dst, rec.src)
-            audit = self._flow(key, rec.time)
-            if "S" in flags and "." in flags:  # tcpdump style: ACK is "."
+        elif src in self.vip_client_eps:  # LB -> client
+            key = (dst, src)
+            audit = self.flows.get(key)
+            if audit is None:  # (opened by the LB only for stray RSTs)
+                audit = self.flows[key] = _FlowAudit(now)
+            if flags & SYN and flags & ACK:
                 for hook in self.on_synack:
-                    hook(rec, key, audit)
+                    hook(now, key, audit)
                 audit.synack_seen = True
-            if "R" in flags:
+            if flags & RST:
                 for hook in self.on_rst:
-                    hook(rec, key, audit)
+                    hook(now, key, audit)
                 audit.rst_from_lb = True
                 return
-            if "F" in flags:
+            if flags & FIN:
                 audit.fin_from_lb = True
-            if not rec.dropped:
-                audit.resp_bytes += rec.payload_len
-            if "." in flags and audit.client_isn is not None:
+            if not dropped:
+                audit.resp_bytes += len(packet.payload)
+            if flags & ACK and audit.client_isn is not None:
                 self.acks_audited += 1
-                acked = seq_diff(rec.ack, (audit.client_isn + 1) & 0xFFFFFFFF)
+                # seq_diff(ack, client_isn + 1), spelled as tcp/segment.py
+                # defines it
+                acked = ((packet.ack - audit.client_isn - 1 + SEQ_HALF)
+                         & SEQ_MASK) - SEQ_HALF
                 if acked > audit.acked_req_bytes:
                     audit.acked_req_bytes = acked
-        else:
-            for hook in self.on_other:
-                hook(rec)
+        elif self.on_backend_ack and packet.src.ip == self.vip:
+            # LB -> server, from a SNAT port (a VIP endpoint that is not :80)
+            pair = (src, dst)
+            if flags & SYN:
+                # A new backend connection attempt resets this pair's audit
+                # (backend switches reuse the SNAT port against a new server).
+                self.backend_pairs[pair] = False
+            elif (flags & (ACK | RST | FIN) == ACK
+                    and self.backend_pairs.get(pair) is False):
+                # First ACK completing the backend handshake.
+                self.backend_pairs[pair] = True
+                for hook in self.on_backend_ack:
+                    hook(now, pair, packet)
 
 
 class InvariantMonitor:
-    """Attach with ``bed.network.add_trace(monitor)``; call
-    :meth:`finalize` after the run drains to collect verdicts."""
-
-    scope = SCOPE_ALL  # the digest covers rx records too
+    """Attach its flow table, ``bed.network.add_trace(monitor.table)``;
+    call :meth:`finalize` after the run drains to collect verdicts."""
 
     def __init__(self, bed, check_storage: Optional[bool] = None):
         self.bed = bed
@@ -220,10 +233,7 @@ class InvariantMonitor:
         self.table.on_rst.append(self._on_rst)
         if check_storage:
             self.table.on_synack.append(self._on_synack)
-            self.table.on_other.append(self._on_lb_to_server)
-        self._snat_prefix = f"{bed.vip}:"  # a VIP endpoint that is not :80
-        self._server_pairs_synned: Set[FlowKey] = set()
-        self._server_pairs_checked: Set[FlowKey] = set()
+            self.table.on_backend_ack.append(self._on_backend_ack)
         self.violations: Dict[str, List[Violation]] = {}
         self.violation_counts: Dict[str, int] = {}
         self.checks: Dict[str, int] = {
@@ -232,61 +242,40 @@ class InvariantMonitor:
             "flow-conservation": 0,
             "snat-leak": 0,
         }
-        self._digest = hashlib.sha256()
-
-    # ------------------------------------------------------------ trace tap --
-    def record(self, rec: TraceRecord) -> None:
-        self._digest.update(engine_trace_line(rec).encode())
-        if rec.direction == "tx" and rec.point == "wire":
-            self.table.record(rec)
 
     # ----------------------------------------------------- client-side audit --
-    def _on_synack(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+    def _on_synack(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         # SYN-ACK on the wire: storage-a must already be durable.
         if not audit.fin_from_lb:
             self.checks["storage-before-ack"] += 1
-            store_key = client_key(rec.dst, rec.src)
+            store_key = client_key(*key)
             if not self._stored_somewhere(store_key):
                 self._violate(
-                    "storage-before-ack", rec.time, _flow_id(key),
+                    "storage-before-ack", now, _flow_id(key),
                     f"SYN-ACK sent but {store_key!r} is on no live store",
                 )
 
-    def _on_rst(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+    def _on_rst(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         if audit.acked_req_bytes > 0:
             self._violate(
-                "acked-byte-loss", rec.time, _flow_id(key),
+                "acked-byte-loss", now, _flow_id(key),
                 f"RST to client after ACKing {audit.acked_req_bytes} "
                 f"request bytes",
             )
 
     # ----------------------------------------------------- server-side audit --
-    def _on_lb_to_server(self, rec: TraceRecord) -> None:
-        if not rec.src.startswith(self._snat_prefix):
-            return
-        pair = (rec.src, rec.dst)
-        flags = rec.flags
-        if "S" in flags:
-            # A new backend connection attempt resets this pair's audit
-            # (backend switches reuse the SNAT port against a new server).
-            self._server_pairs_synned.add(pair)
-            self._server_pairs_checked.discard(pair)
-            return
-        if ("." in flags and "R" not in flags and "F" not in flags
-                and pair in self._server_pairs_synned
-                and pair not in self._server_pairs_checked):
-            # First ACK completing the backend handshake: storage-b (the
-            # updated client record + server-side index) must be durable.
-            self._server_pairs_checked.add(pair)
-            self.checks["storage-before-ack"] += 1
-            vip_ip, _, snat_port = rec.src.rpartition(":")
-            key = f"yoda:s:{vip_ip}:{snat_port}:{rec.dst}"
-            if not self._stored_somewhere(key):
-                self._violate(
-                    "storage-before-ack", rec.time, _flow_id(pair),
-                    f"backend handshake ACK sent but {key!r} is on no "
-                    f"live store",
-                )
+    def _on_backend_ack(self, now: float, pair: FlowKey,
+                        packet: Packet) -> None:
+        # The ACK completing the backend handshake: storage-b (the updated
+        # client record + server-side index) must be durable.
+        self.checks["storage-before-ack"] += 1
+        key = server_key(packet.src.ip, packet.src.port, packet.dst)
+        if not self._stored_somewhere(key):
+            self._violate(
+                "storage-before-ack", now, _flow_id(pair),
+                f"backend handshake ACK sent but {key!r} is on no "
+                f"live store",
+            )
 
     # ------------------------------------------------------------- helpers --
     def _stored_somewhere(self, key: str) -> bool:
@@ -359,10 +348,6 @@ class InvariantMonitor:
                          self.violation_counts.get(invariant, 0))
                 for invariant, checked in self.checks.items()]
 
-    def digest(self) -> str:
-        """SHA-256 over every trace record seen (determinism witness)."""
-        return self._digest.hexdigest()
-
 
 class NoAcceptedRequestDropped:
     """An *accepted* request is never sacrificed.
@@ -408,12 +393,12 @@ class NoAcceptedRequestDropped:
                                              _flow_id(key), detail,
                                              forensics=_forensics_tail()))
 
-    def _on_rst(self, rec: TraceRecord, key: FlowKey, audit: _FlowAudit) -> None:
+    def _on_rst(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         if (not audit.rst_from_lb and audit.synack_seen
                 and audit.acked_req_bytes > 0):
             self.checks += 1
             self._violate(
-                rec.time, key,
+                now, key,
                 f"accepted request reset "
                 f"({audit.acked_req_bytes} request bytes acked)",
             )

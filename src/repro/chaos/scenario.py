@@ -2,10 +2,11 @@
 
 A :class:`Scenario` is declarative data -- workload sizing plus a list of
 :class:`FaultSpec` entries with times relative to load start.  The engine
-builds a :class:`Testbed`, attaches an :class:`InvariantMonitor`, starts
-closed-loop clients, schedules every fault, runs the load phase, then
-heals all outstanding faults and drains so every admitted flow can reach
-its terminal state before the invariants are finalized.
+builds a :class:`Testbed`, attaches an :class:`InvariantMonitor`'s flow
+table and starts the network's run digest, starts closed-loop clients,
+schedules every fault, runs the load phase, then heals all outstanding
+faults and drains so every admitted flow can reach its terminal state
+before the invariants are finalized.
 
 Determinism: with the same seed, the whole run -- fault resolution
 included -- replays identically, which :meth:`ScenarioOutcome.trace_digest`
@@ -169,6 +170,11 @@ class ScenarioEngine:
         self._region_kill_time: Optional[float] = None
 
     def build(self) -> Testbed:
+        """Build the world this engine runs -- once: a second call (``run``
+        makes one) returns the same bed, so whatever a caller attached to
+        it after building is still attached when the run starts."""
+        if self.bed is not None:
+            return self.bed
         s = self.scenario
         yoda = None
         if self.lb == "yoda":
@@ -194,7 +200,8 @@ class ScenarioEngine:
             yoda=yoda,
         ))
         self.monitor = InvariantMonitor(self.bed)
-        self.bed.network.add_trace(self.monitor)
+        self.bed.network.add_trace(self.monitor.table)
+        self.bed.network.start_digest()
         # load shedding may refuse work but never sacrifices accepted
         # requests -- audited on every scenario, not just qos ones, off
         # the flow table the monitor already keeps
@@ -258,7 +265,7 @@ class ScenarioEngine:
             verdicts=verdicts,
             pages_loaded=sum(p.pages_loaded for p in processes),
             broken_pages=sum(p.broken_pages for p in processes),
-            trace_digest=self.monitor.digest(),
+            trace_digest=bed.network.digest(),
             applied=[
                 f"{a.spec.kind}:{a.target_name}" for a in self.applied
                 if a.target_name

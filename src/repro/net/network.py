@@ -14,6 +14,7 @@ from the datacenter to the internet" are expressible.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -25,9 +26,18 @@ from repro.obs import OBS
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricRegistry
 from repro.sim.random import SeededRng
-from repro.sim.tracing import SCOPE_ALL, SCOPE_WIRE_TX, TraceRecord
+from repro.sim.tracing import (
+    SCOPE_ALL,
+    SCOPE_WIRE_PACKET,
+    SCOPE_WIRE_TX,
+    TraceRecord,
+    engine_trace_line,
+)
 
 DEFAULT_INTRA_DC_LATENCY = 0.00025  # 250 us one-way within the datacenter
+# pending digest lines hashed at once: one join + encode + update per block
+# costs a tenth of an update per line, and the block bounds what is pending
+DIGEST_BLOCK_LINES = 256
 
 
 @dataclass(slots=True)
@@ -66,10 +76,20 @@ class Network:
         self._default_latency = default_latency or FixedLatency(DEFAULT_INTRA_DC_LATENCY)
         self._loss_rate = 0.0
         self._path_faults: Dict[Tuple[str, str], PathFaults] = {}
-        # taps by scope (see add_trace): every tap is called for a wire-tx
-        # record, only the "all" taps for an rx record
+        # taps by scope (see add_trace): a "wire-packet" tap is handed the
+        # packet of each wire transmission; every record tap is called for
+        # a wire-tx record, only the "all" taps for an rx record
+        self._packet_taps: List = []
         self._wire_tx_taps: List = []
         self._all_taps: List = []
+        # the run digest (see start_digest): lines wait in _digest_lines
+        # until a block of them is hashed
+        self._digest = None
+        self._digest_lines: Optional[List[str]] = None
+        # the one thing transmit tests (any tap, or the digest) and the
+        # one thing _deliver tests (an "all" tap, or the digest)
+        self._capturing = False
+        self._capturing_rx = False
         self._last_delivery: Dict[Tuple[str, str], float] = {}
         # hot-path caches.  The latency-model cache maps a host-name pair
         # to the resolved model; it holds no delivery state (the FIFO
@@ -244,14 +264,45 @@ class Network:
         wire transmissions (and drops), the stream in which every send
         appears exactly once; any other tap (``scope = "all"``, the
         default) is also called for every delivery.
+
+        A tap that judges packets and keeps no record sets ``scope =
+        "wire-packet"``: it sees the wire-tx stream as ``record(now,
+        packet, dropped)``, the packet itself, and no ``TraceRecord`` is
+        built for it.
         """
         scope = getattr(trace, "scope", SCOPE_ALL)
-        if scope not in (SCOPE_ALL, SCOPE_WIRE_TX):
+        if scope == SCOPE_WIRE_PACKET:
+            self._packet_taps.append(trace)
+        elif scope in (SCOPE_ALL, SCOPE_WIRE_TX):
+            self._wire_tx_taps.append(trace)
+            if scope == SCOPE_ALL:
+                self._all_taps.append(trace)
+                self._capturing_rx = True
+        else:
             raise NetworkError(f"unknown tap scope {scope!r}")
-        self._wire_tx_taps.append(trace)
-        if scope == SCOPE_ALL:
-            self._all_taps.append(trace)
+        self._capturing = True
         return trace
+
+    def start_digest(self) -> None:
+        """Fold every capture from now on -- each wire transmission, drop
+        and delivery, as its ``engine_trace_line`` -- into a SHA-256."""
+        if self._digest is None:
+            self._digest = hashlib.sha256()
+            self._digest_lines = []
+            self._capturing = self._capturing_rx = True
+
+    def digest(self) -> str:
+        """The SHA-256 over every capture since :meth:`start_digest`: the
+        determinism witness (same seed -> byte-identical packet schedule).
+        Reading it does not disturb it."""
+        if self._digest is None:
+            raise NetworkError("no digest was started on this network")
+        self._flush_digest()
+        return self._digest.hexdigest()
+
+    def _flush_digest(self) -> None:
+        self._digest.update("".join(self._digest_lines).encode())
+        self._digest_lines.clear()
 
     # -- shard boundary -------------------------------------------------------
     def set_export_handler(
@@ -281,7 +332,7 @@ class Network:
             # the owner moved (or died) while the packet crossed the pipe;
             # it is dead the same way a transmit-side no-route drop is
             self._c_no_route.inc()
-            self._record(packet, point="wire", direction="tx", dropped=True)
+            self._record(packet, "wire", "tx", True)
             return
         now = self.loop.now()
         deliver_at = at if at > now else now
@@ -296,22 +347,24 @@ class Network:
     def transmit(self, src_host: Host, packet: Packet) -> None:
         """Route ``packet`` toward its destination IP.
 
-        The common packet meets no tap, no drop and no path fault: it
-        reaches ``_record`` / ``_resolve_faults`` only when one exists."""
+        The common packet meets no capture, no drop and no path fault: one
+        test of ``_capturing`` here and one of ``_capturing_rx`` at delivery
+        are all it pays for taps and the digest, and it reaches ``_record``
+        / ``_resolve_faults`` only when one exists."""
         self._c_tx.value += 1
         dst_host = self._routes.get(packet.dst.ip)
         if dst_host is None:
             if self._export_handler is not None:
                 self._c_exported.inc()
-                self._record(packet, point="wire", direction="tx", dropped=False)
+                self._record(packet, "wire", "tx", False)
                 self._export_handler(src_host, packet)
                 return
             self._c_no_route.inc()
-            self._record(packet, point="wire", direction="tx", dropped=True)
+            self._record(packet, "wire", "tx", True)
             return
         if self._loss_rate and self.rng.random() < self._loss_rate:
             self._c_lost.inc()
-            self._record(packet, point="wire", direction="tx", dropped=True)
+            self._record(packet, "wire", "tx", True)
             return
         faults = (self._resolve_faults(src_host, dst_host)
                   if self._path_faults else None)
@@ -319,7 +372,7 @@ class Network:
             if faults.loss >= 1.0 or self.rng.random() < faults.loss:
                 self._c_lost.inc()
                 self._c_path_lost.inc()
-                self._record(packet, point="wire", direction="tx", dropped=True)
+                self._record(packet, "wire", "tx", True)
                 return
         path = (src_host.name, dst_host.name)
         model = self._model_cache.get(path)
@@ -330,12 +383,35 @@ class Network:
         delay = model.delay(packet, self.rng)
         if faults is not None and faults.extra_latency:
             delay += faults.extra_latency
-        if self._wire_tx_taps:
-            self._record(packet, point="wire", direction="tx", dropped=False)
+        now = self.loop.now()
+        if self._capturing:
+            # what _record does for a transmission that is not dropped,
+            # here where the packet is: the digest line is rendered once,
+            # straight from the packet (sim.tracing.engine_trace_line is
+            # its definition), a wire-packet tap reads the packet, and a
+            # TraceRecord exists only if a record tap will keep it
+            lines = self._digest_lines
+            if lines is not None:
+                lines.append(
+                    f"{now:.9f}|wire|tx|{packet.src.text}|{packet.dst.text}|"
+                    f"{_FLAG_STR[packet.flags & 0x1F]}|{packet.seq}|"
+                    f"{packet.ack}|{len(packet.payload)}|False")
+                if len(lines) >= DIGEST_BLOCK_LINES:
+                    self._flush_digest()
+            for tap in self._packet_taps:
+                tap.record(now, packet, False)
+            if self._wire_tx_taps:
+                rec = TraceRecord(
+                    now, "wire", "tx", packet.src.text, packet.dst.text,
+                    _FLAG_STR[packet.flags & 0x1F], packet.seq, packet.ack,
+                    len(packet.payload), False,
+                )
+                for tap in self._wire_tx_taps:
+                    tap.record(rec)
         # FIFO per path: jittered latency must not reorder packets between
         # the same pair of hosts (a single route does not reorder), or TCP
         # would see phantom loss and collapse its window.
-        deliver_at = self.loop.now() + delay
+        deliver_at = now + delay
         last = self._last_delivery.get(path, 0.0)
         if deliver_at < last:
             deliver_at = last
@@ -343,7 +419,7 @@ class Network:
         self.loop.call_at(deliver_at, self._deliver, dst_host, packet)
         if faults is not None and faults.duplicate and self.rng.random() < faults.duplicate:
             self._c_duplicated.inc()
-            self._record(packet, point="wire", direction="tx", dropped=False)
+            self._record(packet, "wire", "tx", False)
             self.loop.call_at(deliver_at, self._deliver, dst_host, packet)
 
     def _deliver(self, dst_host: Host, packet: Packet) -> None:
@@ -351,13 +427,36 @@ class Network:
         # the packet was in flight.
         current = self._routes.get(packet.dst.ip)
         target = current if current is not None else dst_host
-        dropped = target.failed
-        if dropped or self._all_taps:
-            self._record(packet, point=target.name, direction="rx",
-                         dropped=dropped)
+        if target.failed:
+            self._record(packet, target.name, "rx", True)
+        elif self._capturing_rx:
+            # the rx twin of the capture site in transmit.  Rendered from
+            # the packet as it is now: a Packet is mutable and a delivered
+            # one may be retained (duplication, park-and-replay), so
+            # nothing rendered at tx time can be reused here
+            now = self.loop.now()
+            lines = self._digest_lines
+            if lines is not None:
+                lines.append(
+                    f"{now:.9f}|{target.name}|rx|{packet.src.text}|"
+                    f"{packet.dst.text}|{_FLAG_STR[packet.flags & 0x1F]}|"
+                    f"{packet.seq}|{packet.ack}|{len(packet.payload)}|False")
+                if len(lines) >= DIGEST_BLOCK_LINES:
+                    self._flush_digest()
+            if self._all_taps:
+                rec = TraceRecord(
+                    now, target.name, "rx", packet.src.text, packet.dst.text,
+                    _FLAG_STR[packet.flags & 0x1F], packet.seq, packet.ack,
+                    len(packet.payload), False,
+                )
+                for tap in self._all_taps:
+                    tap.record(rec)
         target.deliver(packet)
 
     def _record(self, packet: Packet, point: str, direction: str, dropped: bool) -> None:
+        """Capture at the rare sites -- drops, export, duplication,
+        ``inject`` -- in full generality; ``transmit`` and ``_deliver``
+        carry the two common cases inline."""
         if dropped and OBS.enabled:
             # drops are the events failure forensics care about; note them
             # into the capture point's flight recorder independently of
@@ -366,20 +465,25 @@ class Network:
                        f"{packet.src} > {packet.dst}: "
                        f"{_FLAG_STR[packet.flags & 0x1F]} seq={packet.seq} "
                        f"len={packet.payload_len}")
-        if not self._wire_tx_taps:  # no tap at all: the untraced fast path
+        if not self._capturing:
             return
-        # tx records are all wire records; rx records are the deliveries
-        taps = self._wire_tx_taps if direction == "tx" else self._all_taps
-        if not taps:
-            return
-        # rendered from the packet as it is at this capture point: a Packet
-        # is mutable and a delivered one may be retained (duplication,
-        # park-and-replay), so the rx record reuses nothing from tx time --
-        # with endpoint text and flag strings cached there is little to reuse
+        now = self.loop.now()
         rec = TraceRecord(
-            self.loop.now(), point, direction, packet.src.text,
-            packet.dst.text, _FLAG_STR[packet.flags & 0x1F], packet.seq,
-            packet.ack, len(packet.payload), dropped,
+            now, point, direction, packet.src.text, packet.dst.text,
+            _FLAG_STR[packet.flags & 0x1F], packet.seq, packet.ack,
+            len(packet.payload), dropped,
         )
+        lines = self._digest_lines
+        if lines is not None:
+            lines.append(engine_trace_line(rec))
+            if len(lines) >= DIGEST_BLOCK_LINES:
+                self._flush_digest()
+        # tx records are all wire records; rx records are the deliveries
+        if direction == "tx":
+            for tap in self._packet_taps:
+                tap.record(now, packet, dropped)
+            taps = self._wire_tx_taps
+        else:
+            taps = self._all_taps
         for tap in taps:
             tap.record(rec)

@@ -14,16 +14,19 @@ from typing import Callable, Iterable, List, Optional
 
 # Tap scopes (a class attribute ``scope`` on the tap).  Each send appears
 # exactly once in the wire-tx stream, so taps that audit flows subscribe to
-# it alone and are never called for the per-hop rx records.
+# it alone and are never called for the per-hop rx records.  A tap that only
+# judges takes that stream as packets, ``record(now, packet, dropped)``, and
+# no record is built for it.
 SCOPE_ALL = "all"
 SCOPE_WIRE_TX = "wire-tx"
+SCOPE_WIRE_PACKET = "wire-packet"
 
 
 @dataclass(slots=True)
 class TraceRecord:
-    """One captured packet.  ``Network._record`` builds one positionally
-    for every traced tx and rx, so it is a plain (not frozen) slotted record
-    and carries no rendering that no tap reads."""
+    """One captured packet.  The network builds one positionally for every
+    tx and rx a record tap will see, so it is a plain (not frozen) slotted
+    record and carries no rendering that no tap reads."""
 
     time: float
     point: str  # capture point, e.g. "server-3" or "wire"
@@ -62,7 +65,10 @@ def canonical_trace_line(rec: TraceRecord) -> str:
 
 def engine_trace_line(rec: TraceRecord) -> str:
     """The pipe-separated rendering ``ScenarioOutcome.trace_digest`` (the
-    goldens' ``engine_digest``) is folded over."""
+    goldens' ``engine_digest``) is folded over.  This is its definition;
+    ``Network.transmit`` and ``Network._deliver`` spell the same line
+    straight from the packet, and ``tests/test_capture_digest.py`` holds
+    them to it record for record."""
     return (
         f"{rec.time:.9f}|{rec.point}|{rec.direction}|{rec.src}|{rec.dst}|"
         f"{rec.flags}|{rec.seq}|{rec.ack}|{rec.payload_len}|{rec.dropped}"

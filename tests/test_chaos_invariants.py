@@ -10,9 +10,15 @@ from repro.chaos.invariants import (
     NoAcceptedRequestDropped,
 )
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.sim.tracing import TraceRecord
+from repro.net.addresses import Endpoint
+from repro.net.host import Host
+from repro.net.network import Network
+from repro.net.packet import ACK, FIN, PSH, RST, SYN, Packet
+from repro.sim.events import EventLoop
+from repro.sim.random import SeededRng
 
 CLIENT = "172.16.0.1:40000"
+FLAG_BITS = {"S": SYN, "F": FIN, "R": RST, "P": PSH, ".": ACK}
 
 
 def make_bed(**overrides):
@@ -23,23 +29,25 @@ def make_bed(**overrides):
     return Testbed(TestbedConfig(**defaults))
 
 
-def rec(time, src, dst, flags, seq=0, ack=0, payload_len=0, dropped=False,
-        point="wire", direction="tx"):
-    return TraceRecord(time=time, point=point, direction=direction,
-                       src=src, dst=dst, flags=flags, seq=seq,
-                       ack=ack, payload_len=payload_len, dropped=dropped)
+def rec(time, src, dst, flags, seq=0, ack=0, payload_len=0, dropped=False):
+    """One wire transmission, as the network hands it to a wire-packet tap:
+    ``table.record(*rec(...))``."""
+    packet = Packet(src=Endpoint.parse(src), dst=Endpoint.parse(dst),
+                    flags=sum(FLAG_BITS[f] for f in flags), seq=seq, ack=ack,
+                    payload=b"x" * payload_len)
+    return time, packet, dropped
 
 
 def feed_clean_flow(monitor, vip_ep, t0=0.0, isn=1000, req=100, resp=500):
-    monitor.record(rec(t0, CLIENT, vip_ep, "S", seq=isn))
-    monitor.record(rec(t0 + 0.01, vip_ep, CLIENT, "S.", seq=5000, ack=isn + 1))
-    monitor.record(rec(t0 + 0.02, CLIENT, vip_ep, ".", seq=isn + 1,
+    monitor.table.record(*rec(t0, CLIENT, vip_ep, "S", seq=isn))
+    monitor.table.record(*rec(t0 + 0.01, vip_ep, CLIENT, "S.", seq=5000, ack=isn + 1))
+    monitor.table.record(*rec(t0 + 0.02, CLIENT, vip_ep, ".", seq=isn + 1,
                        payload_len=req))
-    monitor.record(rec(t0 + 0.03, vip_ep, CLIENT, ".", seq=5001,
+    monitor.table.record(*rec(t0 + 0.03, vip_ep, CLIENT, ".", seq=5001,
                        ack=isn + 1 + req, payload_len=resp))
-    monitor.record(rec(t0 + 0.04, vip_ep, CLIENT, "F.", seq=5001 + resp,
+    monitor.table.record(*rec(t0 + 0.04, vip_ep, CLIENT, "F.", seq=5001 + resp,
                        ack=isn + 1 + req))
-    monitor.record(rec(t0 + 0.05, CLIENT, vip_ep, "F.", seq=isn + 1 + req,
+    monitor.table.record(*rec(t0 + 0.05, CLIENT, vip_ep, "F.", seq=isn + 1 + req,
                        ack=5002 + resp))
 
 
@@ -61,19 +69,19 @@ class TestAckedByteLoss:
 
     def test_rst_after_acked_bytes_is_a_violation(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
-        monitor.record(rec(0.02, CLIENT, vip_ep, ".", seq=1001, payload_len=80))
-        monitor.record(rec(0.03, vip_ep, CLIENT, ".", seq=5001, ack=1081))
-        monitor.record(rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.02, CLIENT, vip_ep, ".", seq=1001, payload_len=80))
+        monitor.table.record(*rec(0.03, vip_ep, CLIENT, ".", seq=5001, ack=1081))
+        monitor.table.record(*rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["acked-byte-loss"].ok
         assert "80 request bytes" in str(verdicts["acked-byte-loss"].violations[0])
 
     def test_rst_before_any_ack_is_permitted(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert verdicts["acked-byte-loss"].ok
 
@@ -81,14 +89,14 @@ class TestAckedByteLoss:
 class TestFlowConservation:
     def test_unfinished_flow_is_a_violation(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         assert not verdicts["flow-conservation"].ok
 
     def test_late_flows_are_not_judged(self, monitor_world):
         _, monitor, vip_ep = monitor_world
-        monitor.record(rec(5.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(5.0, CLIENT, vip_ep, "S", seq=1000))
         verdicts = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         assert verdicts["flow-conservation"].ok
         assert verdicts["flow-conservation"].checked == 0
@@ -109,11 +117,11 @@ class TestSharedFlowAuditTable:
             self, monitor_world):
         bed, monitor, vip_ep = monitor_world
         nar = NoAcceptedRequestDropped(bed, monitor.table)
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
-        monitor.record(rec(0.02, vip_ep, CLIENT, ".", seq=5001, ack=1081))
-        monitor.record(rec(0.03, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
-        monitor.record(rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.02, vip_ep, CLIENT, ".", seq=5001, ack=1081))
+        monitor.table.record(*rec(0.03, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
+        monitor.table.record(*rec(0.04, vip_ep, CLIENT, "R.", seq=5001, ack=1081))
         by_name = {v.invariant: v for v in monitor.finalize(strict_before=1.0)}
         # acked-byte-loss judges every RST, the accepted-work invariant
         # only the first -- the hook sees the flow before the RST lands
@@ -126,8 +134,8 @@ class TestSharedFlowAuditTable:
     def test_syn_stage_shed_is_not_an_accepted_request(self, monitor_world):
         bed, monitor, vip_ep = monitor_world
         nar = NoAcceptedRequestDropped(bed, monitor.table)
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "R.", seq=0, ack=1001))
         verdict = nar.finalize(strict_before=1.0)
         assert verdict.ok and verdict.checked == 0
 
@@ -138,7 +146,8 @@ class TestSharedFlowAuditTable:
         bed.closed_loop(1)
         bed.run(2.0)
         assert table.flows and table.acks_audited > 0
-        assert table in bed.network._wire_tx_taps
+        assert table in bed.network._packet_taps
+        assert table not in bed.network._wire_tx_taps
         assert table not in bed.network._all_taps
         assert nar.finalize().ok
 
@@ -148,8 +157,8 @@ class TestStorageBeforeAck:
         bed = make_bed()
         monitor = InvariantMonitor(bed)  # yoda bed: storage checks on
         vip_ep = f"{bed.vip}:80"
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["storage-before-ack"].ok
 
@@ -159,8 +168,8 @@ class TestStorageBeforeAck:
         vip_ep = f"{bed.vip}:80"
         key = f"yoda:c:{CLIENT}:{vip_ep}"
         bed.yoda.store_servers[0]._set(key, b"state")
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert verdicts["storage-before-ack"].ok
         assert verdicts["storage-before-ack"].checked == 1
@@ -172,8 +181,8 @@ class TestStorageBeforeAck:
         key = f"yoda:c:{CLIENT}:{vip_ep}"
         bed.yoda.store_servers[0]._set(key, b"state")
         bed.yoda.store_servers[0].fail()
-        monitor.record(rec(0.0, CLIENT, vip_ep, "S", seq=1000))
-        monitor.record(rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
+        monitor.table.record(*rec(0.0, CLIENT, vip_ep, "S", seq=1000))
+        monitor.table.record(*rec(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=1001))
         verdicts = {v.invariant: v for v in monitor.finalize()}
         assert not verdicts["storage-before-ack"].ok
 
@@ -195,46 +204,86 @@ class TestSnatLeak:
         assert verdicts["snat-leak"].checked == len(bed.yoda.instances) - 1
 
 
+class DigestWorld:
+    """The smallest network that keeps a run digest: a client and the VIP
+    owner; :meth:`send` puts a packet on the wire at ``time``."""
+
+    def __init__(self):
+        self.loop = EventLoop()
+        self.network = Network(self.loop, SeededRng(1))
+        self.client = self.network.attach(Host("client", ["172.16.0.1"]))
+        self.lb = self.network.attach(Host("yoda-0", ["10.0.0.1"]))
+        self.network.start_digest()
+
+    def send(self, time, src, dst, flags, **fields):
+        _, packet, _ = rec(time, src, dst, flags, **fields)
+        sender = self.client if src == CLIENT else self.lb
+        self.loop.call_at(time, self.network.transmit, sender, packet)
+
+    def digest(self):
+        self.loop.run()
+        return self.network.digest()
+
+
+def send_clean_flow(world, vip_ep, isn=1000, req=100, resp=500):
+    world.send(0.0, CLIENT, vip_ep, "S", seq=isn)
+    world.send(0.01, vip_ep, CLIENT, "S.", seq=5000, ack=isn + 1)
+    world.send(0.02, CLIENT, vip_ep, ".", seq=isn + 1, payload_len=req)
+    world.send(0.03, vip_ep, CLIENT, ".", seq=5001, ack=isn + 1 + req,
+               payload_len=resp)
+    world.send(0.04, vip_ep, CLIENT, "F.", seq=5001 + resp, ack=isn + 1 + req)
+    world.send(0.05, CLIENT, vip_ep, "F.", seq=isn + 1 + req, ack=5002 + resp)
+
+
 class TestDigest:
-    def test_identical_streams_agree(self, monitor_world):
-        bed, monitor, vip_ep = monitor_world
-        other = InvariantMonitor(bed, check_storage=False)
-        for m in (monitor, other):
-            feed_clean_flow(m, vip_ep)
-        assert monitor.digest() == other.digest()
+    """The run digest is the network's (``Network.start_digest``)."""
 
-    def test_any_difference_changes_digest(self, monitor_world):
-        bed, monitor, vip_ep = monitor_world
-        other = InvariantMonitor(bed, check_storage=False)
-        feed_clean_flow(monitor, vip_ep)
-        feed_clean_flow(other, vip_ep, resp=501)
-        assert monitor.digest() != other.digest()
+    VIP_EP = "10.0.0.1:80"
 
-    def test_digest_folds_the_engine_line_of_every_record(self, monitor_world):
-        _, monitor, vip_ep = monitor_world
-        records = [
-            rec(0.0, CLIENT, vip_ep, "S", seq=2**32 - 1),
-            rec(0.5, vip_ep, CLIENT, "S.", seq=5, ack=0, dropped=True),
-            rec(1.0, CLIENT, vip_ep, ".", payload_len=7, point="yoda-0",
-                direction="rx"),
-        ]
+    def test_identical_streams_agree(self):
+        world, other = DigestWorld(), DigestWorld()
+        for w in (world, other):
+            send_clean_flow(w, self.VIP_EP)
+        assert world.digest() == other.digest()
+
+    def test_any_difference_changes_digest(self):
+        world, other = DigestWorld(), DigestWorld()
+        send_clean_flow(world, self.VIP_EP)
+        send_clean_flow(other, self.VIP_EP, resp=501)
+        assert world.digest() != other.digest()
+
+    def test_digest_folds_the_engine_line_of_every_record(self):
+        world = DigestWorld()
+        world.send(0.0, CLIENT, self.VIP_EP, "S", seq=2**32 - 1)
+        world.send(0.5, self.VIP_EP, "172.16.9.9:7", "S.", seq=5, ack=0)
+        world.send(1.0, CLIENT, self.VIP_EP, ".", payload_len=7)
+        latency = 0.00025
         expected = hashlib.sha256()
-        for r in records:
-            monitor.record(r)
+        for time, point, direction, src, dst, flags, seq, ack, n, dropped in [
+            (0.0, "wire", "tx", CLIENT, self.VIP_EP, "S", 2**32 - 1, 0, 0,
+             False),
+            (latency, "yoda-0", "rx", CLIENT, self.VIP_EP, "S", 2**32 - 1,
+             0, 0, False),
+            (0.5, "wire", "tx", self.VIP_EP, "172.16.9.9:7", "S.", 5, 0, 0,
+             True),  # no route: dropped on the wire
+            (1.0, "wire", "tx", CLIENT, self.VIP_EP, ".", 0, 0, 7, False),
+            (1.0 + latency, "yoda-0", "rx", CLIENT, self.VIP_EP, ".", 0, 0,
+             7, False),
+        ]:
             expected.update(
-                f"{r.time:.9f}|{r.point}|{r.direction}|{r.src}|{r.dst}|"
-                f"{r.flags}|{r.seq}|{r.ack}|{r.payload_len}|{r.dropped}"
+                f"{time:.9f}|{point}|{direction}|{src}|{dst}|"
+                f"{flags}|{seq}|{ack}|{n}|{dropped}"
                 .encode())
-        assert monitor.digest() == expected.hexdigest()
+        assert world.digest() == expected.hexdigest()
 
-    def test_non_wire_records_still_digested(self, monitor_world):
-        bed, monitor, vip_ep = monitor_world
-        other = InvariantMonitor(bed, check_storage=False)
-        feed_clean_flow(monitor, vip_ep)
-        feed_clean_flow(other, vip_ep)
-        other.record(rec(9.0, CLIENT, vip_ep, ".", point="yoda-0",
-                         direction="rx"))
-        assert monitor.digest() != other.digest()
+    def test_non_wire_records_still_digested(self):
+        world, other = DigestWorld(), DigestWorld()
+        send_clean_flow(world, self.VIP_EP)
+        send_clean_flow(other, self.VIP_EP)
+        # the same wire transmissions, one delivery fewer: the last packet
+        # is still in flight when ``other`` is read
+        other.loop.run(until=0.05)
+        assert other.network.digest() != world.digest()
 
 
 class TestReplicationFactorMonitor:

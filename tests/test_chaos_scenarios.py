@@ -5,6 +5,7 @@ import pytest
 from repro.chaos.faults import crash
 from repro.chaos.library import BUILTIN_SCENARIOS, get_scenario, scenario_names
 from repro.chaos.scenario import Scenario, ScenarioEngine, run_contrast, run_scenario
+from repro.sim.tracing import PacketTrace
 
 
 def tiny_scenario(**overrides):
@@ -82,6 +83,21 @@ class TestEngine:
         crashed = [a for a in engine.applied if a.spec.kind == "crash"]
         assert crashed and engine.bed.network.host(
             crashed[0].target_name).failed
+
+    def test_build_is_idempotent(self):
+        # run() calls build(): it must run the world the caller already
+        # built and attached things to, not silently build a second one
+        engine = ScenarioEngine(tiny_scenario(), lb="yoda", seed=7)
+        bed = engine.build()
+        assert engine.build() is bed
+        trace = bed.network.add_trace(PacketTrace())
+        outcome = engine.run()
+        assert engine.bed is bed
+        sent = bed.network.metrics.counter("tx_packets").value
+        assert sent > 0
+        assert len(trace.filter(direction="tx")) == sent
+        assert outcome.trace_digest == run_scenario(
+            tiny_scenario(), lb="yoda", seed=7).trace_digest
 
     def test_render_mentions_verdicts(self):
         outcome = run_scenario(tiny_scenario(), lb="yoda", seed=7)

@@ -28,10 +28,14 @@ paths spell the arithmetic out), and python-level calls altogether.
 import json
 import sys
 
+from repro.chaos.faults import apply_fault, crash
+from repro.chaos.scenario import Scenario, ScenarioEngine
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
 from repro.net import addresses
 from repro.net.addresses import Endpoint
+from repro.net.network import Network
+from repro.sim import tracing
 from repro.sim.events import EventLoop
 from repro.sim.metrics import MetricRegistry
 from repro.tcp import segment
@@ -255,3 +259,112 @@ def test_connection_budget():
         f"{calls / n:.1f} python calls per fetch; measured "
         f"{MEASURED_CALLS_PER_FETCH} with the change that added this test "
         f"(budget {MAX_CALLS_PER_FETCH:.1f})")
+
+
+# a short rolling-crash schedule (an instance and a store replica die and
+# revive, twice), run through ScenarioEngine and as the same steps on a bare
+# Testbed: what a packet costs only because the run is audited
+CAPTURE_SCENARIO = Scenario(
+    name="capture-budget-rolling-crash",
+    description="rolling instance + store-replica crashes under "
+                "closed-loop bulk transfers",
+    faults=[spec for k in range(2) for spec in (
+        crash(0.5 + 1.5 * k, "lb:serving", duration=1.0),
+        crash(0.6 + 1.5 * k, f"store:{k}", duration=0.8),
+    )],
+    duration=3.5, drain=3.0, clients=3, object_bytes=150_000, object_count=4,
+    num_lb_instances=3, num_store_servers=3, num_backends=2,
+)
+# python-level calls per transmitted packet that exist only because the run
+# is audited, measured on 3.11 with this change (12.49 on this schedule
+# before it): the flow table's record(), the delivery's
+# loop.now(), and the per-run work of the monitors spread over the packets
+MEASURED_CAPTURE_CALLS_PER_PACKET = 2.27
+MAX_CAPTURE_CALLS_PER_PACKET = MEASURED_CAPTURE_CALLS_PER_PACKET * 1.05
+
+
+def _count_calls(run, watched):
+    """(python-level calls, calls per watched code object) of ``run()``."""
+    seen = dict.fromkeys(watched.values(), 0)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event != "call":
+            return
+        calls += 1
+        what = watched.get(frame.f_code)
+        if what is not None:
+            seen[what] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return calls, seen, result
+
+
+def test_capture_budget():
+    s = CAPTURE_SCENARIO
+    watched = {
+        tracing.TraceRecord.__init__.__code__: "trace_records",
+        tracing.engine_trace_line.__code__: "engine_trace_lines",
+        # the rare capture site: drops (export, duplication, inject)
+        Network._record.__code__: "rare_captures",
+    }
+
+    engine = ScenarioEngine(s, lb="yoda", seed=2016)
+    audited_calls, seen, outcome = _count_calls(engine.run, watched)
+    assert outcome.ok, outcome.render()
+
+    def unaudited():
+        """``ScenarioEngine.build()`` + ``run()``, step for step, minus
+        every monitor and tap."""
+        bed = Testbed(TestbedConfig(
+            seed=2016, lb="yoda", num_lb_instances=s.num_lb_instances,
+            num_store_servers=s.num_store_servers,
+            num_backends=s.num_backends,
+            client_one_way_latency=s.client_one_way_latency, corpus="flat",
+            flat_object_bytes=s.object_bytes,
+            flat_object_count=s.object_count,
+        ))
+        processes = bed.closed_loop(s.clients, http_timeout=s.http_timeout)
+
+        def fire(spec):
+            applied = apply_fault(bed, spec)
+            bed.loop.call_later(spec.duration, applied.revert)
+        for spec in s.faults:
+            bed.loop.call_later(spec.at, fire, spec)
+        bed.run(s.duration)
+        for proc in processes:
+            proc.stop()
+        bed.network.heal()
+        bed.run(s.drain)
+        return bed
+
+    unaudited_calls, _, bare = _count_calls(unaudited, {})
+
+    tx, bare_tx = (bed.network.metrics.counter("tx_packets").value
+                   for bed in (engine.bed, bare))
+    assert tx == bare_tx, (
+        f"audited {tx} vs unaudited {bare_tx} packets: auditing perturbed "
+        f"the schedule, or the bare driver drifted from ScenarioEngine.run()")
+    flows = len(engine.monitor.table.flows)
+    per_packet = (audited_calls - unaudited_calls) / tx
+    rare = seen["rare_captures"]
+    measured = (f"{tx} packets, {flows} flows, {rare} drops: "
+                f"{audited_calls / tx:.2f} python calls per packet audited, "
+                f"{unaudited_calls / tx:.2f} unaudited, {per_packet:.2f} "
+                f"capture-only; {seen['trace_records']} TraceRecords, "
+                f"{seen['engine_trace_lines']} engine_trace_line calls")
+    # with only the monitor attached nothing keeps a record: one is built
+    # (and rendered through the definition) at the rare capture sites
+    # alone -- a drop -- and none on the packet path
+    assert rare > 0 and flows > 0, measured
+    assert seen["trace_records"] == seen["engine_trace_lines"] == rare, measured
+    assert rare <= 4 * flows, measured
+    assert per_packet <= MAX_CAPTURE_CALLS_PER_PACKET, (
+        f"{measured}; measured {MEASURED_CAPTURE_CALLS_PER_PACKET} with the "
+        f"change that added this test (budget "
+        f"{MAX_CAPTURE_CALLS_PER_PACKET:.2f})")

@@ -44,7 +44,7 @@ def fail_serving(bed):
 
 def attach_monitor(bed):
     monitor = InvariantMonitor(bed)
-    bed.network.add_trace(monitor)
+    bed.network.add_trace(monitor.table)
     return monitor
 
 

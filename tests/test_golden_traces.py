@@ -258,7 +258,7 @@ def test_golden_trace(name):
             or recorder.count != golden["record_count"]):
         pytest.fail(first_divergence_report(name, golden, recorder),
                     pytrace=False)
-    # the engine's own digest (InvariantMonitor's field format) is pinned
+    # the engine's own digest (engine_trace_line's field format) is pinned
     # too: it must agree with what the chaos CLI reports for the same run
     assert outcome.trace_digest == golden["engine_digest"]
     if name in PINNED_AUDIT_COUNTS:
