@@ -43,7 +43,6 @@ class ElasticPolicy:
     # qos plane's signals can trip scale-out while CPU still looks fine.
     # None disarms a signal (Fig. 13 uses CPU only).
     admission_pressure_high: Optional[float] = None  # 1 - bucket fraction
-    limiter_saturation_high: Optional[float] = None  # inflight / AIMD limit
     # safety rails
     cooldown_out: float = 0.0  # seconds between scale-out events
     cooldown_in: float = 0.0  # seconds after ANY event before a scale-in
@@ -95,10 +94,6 @@ class PolicyEngine:
                 and snap.admission_pressure > p.admission_pressure_high):
             return (f"admission pressure {snap.admission_pressure:.2f} > "
                     f"{p.admission_pressure_high:.2f}")
-        if (p.limiter_saturation_high is not None
-                and snap.limiter_saturation > p.limiter_saturation_high):
-            return (f"limiter saturation {snap.limiter_saturation:.2f} > "
-                    f"{p.limiter_saturation_high:.2f}")
         return None
 
     def idle(self, snap: SignalSnapshot) -> bool:

@@ -60,10 +60,9 @@ class SignalReader:
     @staticmethod
     def _limiter_saturation(instance) -> float:
         qos = getattr(instance, "qos", None)
-        limiter = getattr(qos, "limiter", None) if qos is not None else None
-        if limiter is None or limiter.limit <= 0:
+        if qos is None or qos.limiter.limit <= 0:
             return 0.0
-        return limiter.inflight / limiter.limit
+        return qos.limiter.inflight / qos.limiter.limit
 
     def _latency_p95(self, live) -> Optional[float]:
         worst = None

@@ -140,18 +140,11 @@ class ScenarioEngine:
 
     def __init__(self, scenario: Scenario, lb: str = "yoda", seed: int = 2016,
                  repair: bool = True, replication: Optional[bool] = None,
-                 taps: Optional[List] = None,
-                 step_window: Optional[float] = None):
+                 taps: Optional[List] = None):
         self.scenario = scenario
         self.lb = lb
         self.seed = seed
         self.repair = repair
-        # advance the loop in fixed windows of this many seconds instead of
-        # one continuous run.  The event order is identical either way (the
-        # loop fires the same events at the same times); shard workers use
-        # it so every scenario can be driven between barrier windows, and
-        # the golden suite pins that the windowed path truly is a no-op.
-        self.step_window = step_window
         # None = the scenario's own setting; False = the cross-site
         # replication ablation (--no-replication)
         region = scenario.yoda.region
@@ -227,12 +220,12 @@ class ScenarioEngine:
             )
         for spec in s.faults:
             bed.loop.call_later(spec.at, self._fire, spec)
-        self._advance(s.duration)
+        bed.run(s.duration)
         load_end = bed.loop.now()
         for proc in processes:
             proc.stop()
         self._heal_all()
-        self._advance(s.drain)
+        bed.run(s.drain)
         crashed = [a.target_name for a in self.applied
                    if a.spec.kind in ("crash", "flap") and a.target_name]
         verdicts = self.monitor.finalize(
@@ -283,15 +276,6 @@ class ScenarioEngine:
                        and bed.yoda.config.stateless_enabled),
             scale_events=scale_events,
         )
-
-    def _advance(self, duration: float) -> None:
-        if self.step_window is None:
-            self.bed.run(duration)
-            return
-        loop = self.bed.loop
-        end = loop.now() + duration
-        while loop.now() < end:
-            loop.run(until=min(loop.now() + self.step_window, end))
 
     def _fire(self, spec: FaultSpec) -> None:
         applied = apply_fault(self.bed, spec)

@@ -38,7 +38,6 @@ from repro.experiments import (
     fig_elastic,
     fig_failover,
     fig_overload,
-    fig_scale,
     fig_stateless,
     table1,
 )
@@ -108,11 +107,6 @@ EXPERIMENTS: Dict[str, Tuple[str, Callable, Callable]] = {
         "controller HA: outage window, crash repair, single-ctl ablation",
         lambda seed: fig_ctrl.run(seed=seed),
         lambda seed: fig_ctrl.run_quick(seed=seed),
-    ),
-    "scale": (
-        "sharded-simulation throughput at 1/2/4 shards (BENCH_scale.json)",
-        lambda seed: fig_scale.run(seed=seed),
-        lambda seed: fig_scale.quick(seed=seed),
     ),
     "elastic": (
         "autoscaled vs static-peak cost on the diurnal day "

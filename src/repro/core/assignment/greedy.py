@@ -18,7 +18,7 @@ import time
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.assignment.problem import Assignment, AssignmentProblem, VipSpec
-from repro.errors import InfeasibleError
+from repro.errors import AssignmentError, InfeasibleError
 
 
 class _InstanceState:
@@ -71,7 +71,7 @@ def solve_greedy(
         for vip_name, assigned in (problem.old_assignment or {}).items():
             try:
                 problem.vip(vip_name)
-            except Exception:
+            except AssignmentError:
                 continue  # VIP was removed this round
             for inst in assigned:
                 if inst in states:

@@ -590,19 +590,17 @@ class YodaInstance:
             if OBS.enabled:
                 OBS.flight(self.name, "drain_refuse", str(pkt.src))
             return
-        qos_slot = False
         if self.qos is not None:
             decision = self.qos.admit_syn(pkt.dst.ip, pkt.src.ip)
             if not decision.admitted:
                 self._shed_syn(pkt, decision)
                 return
-            qos_slot = self.qos.limiter is not None
         state = FlowState(
             client=pkt.src, vip=pkt.dst, client_isn=pkt.seq,
             created_at=self.loop.now(),
         )
         flow = _LocalFlow(state, self.loop.now())
-        flow.qos_slot = qos_slot
+        flow.qos_slot = self.qos is not None  # admit_syn took a limiter slot
         policy = self.policies[pkt.dst.ip]
         if policy.certificate is not None:
             flow.enable_tls()

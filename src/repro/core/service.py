@@ -44,8 +44,8 @@ from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 
 STORE_REPLICAS = 2  # K: TCPStore servers each flow record is written to
-# address plan: "<prefix>.<subnet>.<n>" per tier; the standby region and
-# the replication relay live outside any cell, on subnet 0
+PRIMARY_SITE = "dc"  # the standby region's site name is RegionConfig's
+# address plan: "<prefix>.0.<n>" per tier
 INSTANCE_PREFIX, STORE_PREFIX, CONTROLLER_PREFIX = "10.1", "10.2", "10.8"
 STANDBY_INSTANCE_PREFIX, STANDBY_STORE_PREFIX = "10.5", "10.6"
 STANDBY_ROUTER_IP = "10.255.0.2"
@@ -54,7 +54,7 @@ SYNC_OP_TIMEOUT = 0.25  # relay -> standby store; must exceed the WAN round trip
 
 @dataclass
 class YodaServiceConfig:
-    """One YODA tier: its sizes, its planes and its cell namespace.
+    """One YODA tier: its sizes and its planes.
 
     Every yoda-tier option is declared here and nowhere else --
     ``TestbedConfig`` and ``Scenario`` carry a handle to one of these
@@ -91,12 +91,6 @@ class YodaServiceConfig:
     # runs, and the pre-provisioned idle instance VMs it may adopt
     autoscale: Optional[ElasticPolicy] = None
     spare_instances: int = 0
-    # -- cell namespace (defaults are the flat names/IPs; ``Testbed``
-    # stamps one namespace per cell so many deployments can share a
-    # network -- or be cut across shards) --
-    subnet: int = 0  # third IP octet for instance/store addresses
-    site: str = "dc"  # primary site name
-    host_prefix: str = ""  # prepended to every host name built here
 
     @property
     def stateless_enabled(self) -> bool:
@@ -116,9 +110,9 @@ class YodaServiceConfig:
                 f"controllers.replicas must be >= 1, got "
                 f"{self.controllers.replicas} (controllers=None is the singleton)")
         if self.region is not None:
-            if self.region.standby_site == self.site:
+            if self.region.standby_site == PRIMARY_SITE:
                 raise ConfigError(
-                    f"standby region and primary share the site name {self.site!r}")
+                    f"standby region and primary share the site name {PRIMARY_SITE!r}")
             if self.stateless_enabled:
                 raise ConfigError(
                     "stateless dispatch writes no durable flow state, so a "
@@ -151,8 +145,6 @@ class YodaService:
 
         self.l4lb = L4LoadBalancer(
             loop, network, rng, num_muxes=cfg.num_muxes,
-            router_ip=f"10.255.{cfg.subnet}.1",
-            router_name=f"{cfg.host_prefix}l4-router", site=cfg.site,
             stateless=cfg.stateless,
         )
 
@@ -224,12 +216,11 @@ class YodaService:
             self.standby_l4lb.fence = FenceGate(self.standby_l4lb.router.name)
         for instance in [*self.instances, *self.standby_instances]:
             instance.fence = FenceGate(instance.name)
-        sites = ([cfg.site] if cfg.region is None
-                 else [cfg.site, cfg.region.standby_site])
+        sites = ([PRIMARY_SITE] if cfg.region is None
+                 else [PRIMARY_SITE, cfg.region.standby_site])
         for i in range(ha.replicas):
             host = self.network.attach(Host(
-                f"{cfg.host_prefix}ctl-{i}",
-                [f"{CONTROLLER_PREFIX}.{cfg.subnet}.{i + 1}"],
+                f"ctl-{i}", [f"{CONTROLLER_PREFIX}.0.{i + 1}"],
                 site=sites[i % len(sites)],
             ))
             kv = ReplicatingKvClient(
@@ -281,8 +272,7 @@ class YodaService:
             # real WAN latency, and a region kill takes the relay (and its
             # unshipped backlog) down with everything else
             relay = self.network.attach(
-                Host(f"{cfg.host_prefix}sitesync-relay", ["10.7.0.1"],
-                     site=cfg.site)
+                Host("sitesync-relay", ["10.7.0.1"], site=PRIMARY_SITE)
             )
             relay_kv = ReplicatingKvClient(
                 relay, self.loop, self.standby_kv_cluster,
@@ -317,9 +307,9 @@ class YodaService:
                         l4lb: Optional[L4LoadBalancer] = None) -> YodaInstance:
         cfg = self.config
         host = self.network.attach(
-            Host(name or f"{cfg.host_prefix}yoda-{index}",
-                 [ip or f"{INSTANCE_PREFIX}.{cfg.subnet}.{index + 1}"],
-                 site=site or cfg.site)
+            Host(name or f"yoda-{index}",
+                 [ip or f"{INSTANCE_PREFIX}.0.{index + 1}"],
+                 site=site or PRIMARY_SITE)
         )
         kv = ReplicatingKvClient(
             host, self.loop, cluster or self.kv_cluster,
@@ -366,9 +356,8 @@ class YodaService:
         cfg = self.config
         i = len(self.store_servers)
         host = self.network.attach(
-            Host(f"{cfg.host_prefix}tcpstore-{i}",
-                 [f"{STORE_PREFIX}.{cfg.subnet}.{i + 1}"],
-                 site=cfg.site)
+            Host(f"tcpstore-{i}", [f"{STORE_PREFIX}.0.{i + 1}"],
+                 site=PRIMARY_SITE)
         )
         server = MemcachedServer(host, self.loop)
         self.store_servers.append(server)

@@ -17,7 +17,7 @@ class ConfigError(ReproError, ValueError):
 
     Raised by ``validate()`` before anything is built: an unknown tier or
     corpus name, a non-positive size, or planes that exclude each other
-    (cell namespacing with a standby region, yoda-tier planes on a
+    (stateless dispatch with a standby region, yoda-tier planes on a
     non-yoda tier).  Also a ``ValueError``, which is what construction
     raised for the few of these it used to notice halfway through.
     """
@@ -54,15 +54,6 @@ class SnatExhausted(NetworkError):
         )
         self.vip = vip
         self.instance_ip = instance_ip
-
-
-class ShardError(ReproError):
-    """Invalid sharded-simulation operation.
-
-    Examples: a cross-shard link faster than the conservative lookahead
-    window, an unrecognized wire tuple, or non-serializable metadata on a
-    boundary packet.
-    """
 
 
 class TcpError(ReproError):

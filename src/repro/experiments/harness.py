@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 from repro.analysis.report import render_table
 from repro.baselines.haproxy import HAProxyDeployment, HAProxyInstance
 from repro.core.policy import VipPolicy, weighted_split
-from repro.core.service import YodaService, YodaServiceConfig
+from repro.core.service import PRIMARY_SITE, YodaService, YodaServiceConfig
 from repro.errors import ConfigError
 from repro.http.server import BackendHttpServer
 from repro.net.addresses import Endpoint
@@ -38,6 +38,7 @@ from repro.workload.objects import ObjectCorpus, build_flat_corpus, build_univer
 from repro.workload.website import Website
 
 DEFAULT_VIP = "100.0.0.1"
+CLIENT_SITE = "internet"
 NUM_CLIENT_HOSTS = 2
 # the standby region sits this WAN hop (one way) from the primary
 WAN_ONE_WAY_LATENCY = 0.020
@@ -69,8 +70,8 @@ class TestbedConfig:
     """The testbed's shape: workload sizes, client path, corpus, and --
     for ``lb="yoda"`` -- a handle to the tier's own config.  Every
     yoda-tier option (planes, costs, ablation switches) is declared on
-    :class:`YodaServiceConfig` only; ``Testbed`` stamps the tier sizes and
-    the cell namespace onto a copy of the handle."""
+    :class:`YodaServiceConfig` only; ``Testbed`` stamps the tier sizes onto
+    a copy of the handle."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -91,11 +92,6 @@ class TestbedConfig:
     # the yoda tier's planes and knobs; None = a default tier when
     # lb == "yoda", and the only legal value otherwise
     yoda: Optional[YodaServiceConfig] = None
-    # cell namespace index (None = the flat namespace).  With cell=k every
-    # site ("dc{k}"/"net{k}"), host name ("c{k}-..."), VIP (100.64.{k}.1)
-    # and IP subnet is stamped with k, so many testbeds can share one
-    # network -- or be partitioned across shard workers.
-    cell: Optional[int] = None
 
     def validate(self) -> None:
         """Refuse, before anything is built, what cannot work or would be
@@ -117,9 +113,6 @@ class TestbedConfig:
             raise ConfigError(f"lb={self.lb!r} has no yoda tier, so "
                               f"yoda-tier options would be ignored: {ignored}")
         self.yoda.validate()
-        if self.cell is not None and self.yoda.region is not None:
-            raise ConfigError("cell namespacing and a standby region are "
-                              "mutually exclusive")
 
 
 class Testbed:
@@ -127,32 +120,15 @@ class Testbed:
 
     __test__ = False  # not a pytest class, despite the name
 
-    def __init__(self, config: Optional[TestbedConfig] = None,
-                 fabric: Optional[tuple] = None, settle: bool = True):
+    def __init__(self, config: Optional[TestbedConfig] = None):
         self.config = config or TestbedConfig()
         cfg = self.config
         cfg.validate()
         region = cfg.yoda.region if cfg.yoda is not None else None
-        # cell namespace: sites, name prefix, VIP and IP subnet octet all
-        # derive from the cell index; None is the flat namespace
-        k = cfg.cell
-        if k is None:
-            self.site, self.client_site, prefix, sub = "dc", "internet", "", 0
-            self.vip = DEFAULT_VIP
-        else:
-            self.site, self.client_site = f"dc{k}", f"net{k}"
-            prefix, sub = f"c{k}-", k
-            self.vip = f"100.64.{k}.1"
-        self._prefix = prefix
-        if fabric is None:
-            self.loop = EventLoop()
-            self.rng = SeededRng(cfg.seed)
-            self.network = Network(self.loop, self.rng)
-        else:
-            # share another testbed's world (the sharded scale world puts
-            # several cells on one loop+network per worker process)
-            self.loop, self.network = fabric
-            self.rng = SeededRng(cfg.seed)
+        self.vip = DEFAULT_VIP
+        self.loop = EventLoop()
+        self.rng = SeededRng(cfg.seed)
+        self.network = Network(self.loop, self.rng)
         if OBS.enabled:
             OBS.attach_clock(self.loop.now)
         client_path = (
@@ -160,15 +136,15 @@ class Testbed:
             if cfg.client_jitter > 0
             else FixedLatency(cfg.client_one_way_latency))
         self.network.set_symmetric_latency(
-            self.client_site, self.site, client_path)
+            CLIENT_SITE, PRIMARY_SITE, client_path)
         if region is not None:
             # the standby region sits a WAN hop from the primary and the
             # same campus distance from the clients
             self.network.set_symmetric_latency(
-                "dc", region.standby_site,
+                PRIMARY_SITE, region.standby_site,
                 JitterLatency(WAN_ONE_WAY_LATENCY, WAN_JITTER))
             self.network.set_symmetric_latency(
-                "internet", region.standby_site, client_path)
+                CLIENT_SITE, region.standby_site, client_path)
         self.trace: Optional[PacketTrace] = None
         if cfg.trace_packets:
             self.trace = self.network.add_trace(PacketTrace())
@@ -185,8 +161,8 @@ class Testbed:
         self.website = Website(self.corpus, self.rng)
         self.backends: Dict[str, BackendHttpServer] = {}
         for i in range(cfg.num_backends):
-            self.backends[f"{prefix}srv-{i}"] = self._backend(
-                f"{prefix}srv-{i}", f"10.3.{sub}.{i + 1}", self.site)
+            self.backends[f"srv-{i}"] = self._backend(
+                f"srv-{i}", f"10.3.0.{i + 1}", PRIMARY_SITE)
 
         self.standby_backends: Dict[str, BackendHttpServer] = {}
         if region is not None:
@@ -217,14 +193,13 @@ class Testbed:
         self.haproxy: Optional[HAProxyDeployment] = None
         self.haproxy_instances: List[HAProxyInstance] = []
         if cfg.lb == "yoda":
-            # the planes travel by reference; only the tier sizes and the
-            # cell namespace are stamped onto a copy of the handle
+            # the planes travel by reference; only the tier sizes are
+            # stamped onto a copy of the handle
             self.yoda = YodaService(
                 self.loop, self.network, self.rng,
                 replace(cfg.yoda or YodaServiceConfig(),
                         num_instances=cfg.num_lb_instances,
-                        num_store_servers=cfg.num_store_servers,
-                        subnet=sub, site=self.site, host_prefix=prefix))
+                        num_store_servers=cfg.num_store_servers))
             self.yoda.add_service(
                 self.policy, {**self.backends, **self.standby_backends})
             self.l4lb = self.yoda.l4lb
@@ -232,14 +207,11 @@ class Testbed:
         elif cfg.lb == "haproxy":
             from repro.l4lb.service import L4LoadBalancer
 
-            self.l4lb = L4LoadBalancer(
-                self.loop, self.network, self.rng,
-                router_ip=f"10.255.{sub}.1",
-                router_name=f"{prefix}l4-router", site=self.site)
+            self.l4lb = L4LoadBalancer(self.loop, self.network, self.rng)
             for i in range(cfg.num_lb_instances):
                 host = self.network.attach(
-                    Host(f"{prefix}haproxy-{i}", [f"10.4.{sub}.{i + 1}"],
-                         site=self.site)
+                    Host(f"haproxy-{i}", [f"10.4.0.{i + 1}"],
+                         site=PRIMARY_SITE)
                 )
                 self.haproxy_instances.append(
                     HAProxyInstance(host, self.loop, self.rng))
@@ -253,13 +225,11 @@ class Testbed:
         self.client_stacks: List[TcpStack] = []
         for i in range(NUM_CLIENT_HOSTS):
             host = self.network.attach(
-                Host(f"{prefix}client-{i}", [f"172.16.{sub}.{i + 1}"],
-                     site=self.client_site)
+                Host(f"client-{i}", [f"172.16.0.{i + 1}"], site=CLIENT_SITE)
             )
             self.client_stacks.append(TcpStack(host, self.loop))
 
-        if settle:
-            self.loop.run_for(1.0)  # mappings & monitor settle
+        self.loop.run_for(1.0)  # mappings & monitor settle
 
     def _backend(self, name: str, ip: str, site: str) -> BackendHttpServer:
         cfg = self.config

@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 from typing import Optional
 
-from repro.net.packet import IP_TCP_HEADER_BYTES, Packet
+from repro.net.packet import Packet
 from repro.sim.random import SeededRng
 
 
@@ -22,17 +22,6 @@ class LatencyModel(abc.ABC):
     @abc.abstractmethod
     def delay(self, packet: Packet, rng: SeededRng) -> float:
         """One-way latency for ``packet``; must be >= 0."""
-
-    def lower_bound(self) -> float:
-        """The smallest delay this model can ever produce.
-
-        The sharded simulator's conservative lookahead window is the
-        minimum of this over every cross-shard link: no packet sent inside
-        a window can arrive before the next one starts.  0.0 is always a
-        safe (if useless) answer, so models without a known floor need no
-        override -- the shard planner rejects zero-bound cross links.
-        """
-        return 0.0
 
 
 class FixedLatency(LatencyModel):
@@ -44,9 +33,6 @@ class FixedLatency(LatencyModel):
         self.seconds = seconds
 
     def delay(self, packet: Packet, rng: SeededRng) -> float:
-        return self.seconds
-
-    def lower_bound(self) -> float:
         return self.seconds
 
     def __repr__(self) -> str:
@@ -66,9 +52,6 @@ class JitterLatency(LatencyModel):
         # bit-equal to base + rng.uniform(0.0, jitter), which computes
         # 0.0 + (jitter - 0.0) * random(): one draw either way
         return self.base + self.jitter * rng.random()
-
-    def lower_bound(self) -> float:
-        return self.base
 
     def __repr__(self) -> str:
         return f"JitterLatency(base={self.base}, jitter={self.jitter})"
@@ -94,9 +77,6 @@ class LognormalLatency(LatencyModel):
             extra = min(extra, self.cap)
         return self.base + extra
 
-    def lower_bound(self) -> float:
-        return self.base
-
     def __repr__(self) -> str:
         return f"LognormalLatency(base={self.base}, mu={self.mu}, sigma={self.sigma})"
 
@@ -116,10 +96,6 @@ class BandwidthLatency(LatencyModel):
 
     def delay(self, packet: Packet, rng: SeededRng) -> float:
         return self.base + packet.wire_len / self.bytes_per_second
-
-    def lower_bound(self) -> float:
-        # the IP+TCP header is the smallest thing that can cross the link
-        return self.base + IP_TCP_HEADER_BYTES / self.bytes_per_second
 
     def __repr__(self) -> str:
         return f"BandwidthLatency(base={self.base}, rate={self.bytes_per_second})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.net.host import Host
@@ -96,13 +96,7 @@ class Network:
         # clamp above must survive cache invalidation), so clearing it on
         # set_latency is always safe.
         self._model_cache: Dict[Tuple[str, str], LatencyModel] = {}
-        # sharding hook: when set, a packet whose destination IP has no
-        # local route is handed to this callable instead of being dropped
-        # (the shard gateway serializes it toward the owning shard)
-        self._export_handler: Optional[Callable[[Host, Packet], None]] = None
         self._c_tx = self.metrics.counter("tx_packets")
-        self._c_exported = self.metrics.counter("exported_packets")
-        self._c_injected = self.metrics.counter("injected_packets")
         self._c_no_route = self.metrics.counter("no_route")
         self._c_lost = self.metrics.counter("lost_packets")
         self._c_path_lost = self.metrics.counter("path_lost_packets")
@@ -304,45 +298,6 @@ class Network:
         self._digest.update("".join(self._digest_lines).encode())
         self._digest_lines.clear()
 
-    # -- shard boundary -------------------------------------------------------
-    def set_export_handler(
-        self, handler: Optional[Callable[[Host, Packet], None]]
-    ) -> None:
-        """Divert packets with no local route to ``handler`` (or clear it).
-
-        In a sharded run each shard's network only routes its own
-        sub-world; a destination IP owned by another shard looks like
-        "no route" here, and the handler (the shard gateway) captures the
-        packet at its exact transmit time instead of dropping it.
-        """
-        self._export_handler = handler
-
-    def inject(self, packet: Packet, at: float, src_name: str = "@xshard") -> None:
-        """Schedule delivery of a packet that originated on another shard.
-
-        ``at`` is the arrival time the barrier coordinator computed
-        (send time + cross-shard link latency); conservative lookahead
-        guarantees it falls at or after the current window start.  The
-        usual per-path FIFO clamp applies so a burst of boundary packets
-        from one source cannot reorder.
-        """
-        self._c_injected.inc()
-        dst_host = self._routes.get(packet.dst.ip)
-        if dst_host is None:
-            # the owner moved (or died) while the packet crossed the pipe;
-            # it is dead the same way a transmit-side no-route drop is
-            self._c_no_route.inc()
-            self._record(packet, "wire", "tx", True)
-            return
-        now = self.loop.now()
-        deliver_at = at if at > now else now
-        path = (src_name, dst_host.name)
-        last = self._last_delivery.get(path, 0.0)
-        if deliver_at < last:
-            deliver_at = last
-        self._last_delivery[path] = deliver_at
-        self.loop.call_at(deliver_at, self._deliver, dst_host, packet)
-
     # -- data plane -----------------------------------------------------------
     def transmit(self, src_host: Host, packet: Packet) -> None:
         """Route ``packet`` toward its destination IP.
@@ -354,11 +309,6 @@ class Network:
         self._c_tx.value += 1
         dst_host = self._routes.get(packet.dst.ip)
         if dst_host is None:
-            if self._export_handler is not None:
-                self._c_exported.inc()
-                self._record(packet, "wire", "tx", False)
-                self._export_handler(src_host, packet)
-                return
             self._c_no_route.inc()
             self._record(packet, "wire", "tx", True)
             return
@@ -454,9 +404,9 @@ class Network:
         target.deliver(packet)
 
     def _record(self, packet: Packet, point: str, direction: str, dropped: bool) -> None:
-        """Capture at the rare sites -- drops, export, duplication,
-        ``inject`` -- in full generality; ``transmit`` and ``_deliver``
-        carry the two common cases inline."""
+        """Capture at the rare sites -- drops and duplication -- in full
+        generality; ``transmit`` and ``_deliver`` carry the two common
+        cases inline."""
         if dropped and OBS.enabled:
             # drops are the events failure forensics care about; note them
             # into the capture point's flight recorder independently of

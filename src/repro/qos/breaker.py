@@ -165,10 +165,8 @@ class BreakerBoard:
                 listener = partial(self.on_transition, backend)
             brk = self._breakers[backend] = CircuitBreaker(
                 failure_threshold=cfg.breaker_failure_threshold,
-                latency_threshold=cfg.breaker_latency_threshold,
                 open_duration=cfg.breaker_open_duration,
                 half_open_probes=cfg.breaker_half_open_probes,
-                min_latency_samples=cfg.breaker_min_latency_samples,
                 listener=listener,
             )
         return brk

@@ -21,6 +21,9 @@ from typing import Optional
 from repro.qos.config import QosConfig
 
 
+LIMITER_MAX = 4096  # ceiling of the additive increase
+
+
 class AdaptiveConcurrencyLimiter:
     """AIMD limit on in-flight connection admissions."""
 
@@ -31,7 +34,7 @@ class AdaptiveConcurrencyLimiter:
     def __init__(self, config: QosConfig):
         self.limit = float(config.limiter_initial)
         self.min_limit = float(config.limiter_min)
-        self.max_limit = float(config.limiter_max)
+        self.max_limit = float(LIMITER_MAX)
         self.latency_target: Optional[float] = config.limiter_latency_target
         self.backoff = config.limiter_backoff
         self.increase = config.limiter_increase

@@ -35,12 +35,7 @@ class QosConfig:
     client_tiers: Tuple[Tuple[str, int], ...] = ()
 
     # -- per-backend circuit breakers
-    breaker_enabled: bool = True
     breaker_failure_threshold: int = 5  # consecutive failures to open
-    # EWMA of backend connect latency that trips the breaker; None
-    # disables the latency criterion (failures still count).
-    breaker_latency_threshold: Optional[float] = None
-    breaker_min_latency_samples: int = 10
     breaker_open_duration: float = 1.0  # seconds open before probing
     breaker_half_open_probes: int = 2  # probe successes needed to close
 
@@ -49,10 +44,8 @@ class QosConfig:
     # when storage ops run slow or fail and growing additively while they
     # behave.  latency_target None disables the latency-driven decrease,
     # leaving only the (generous) static ceiling.
-    limiter_enabled: bool = True
     limiter_initial: int = 512
     limiter_min: int = 8
-    limiter_max: int = 4096
     limiter_latency_target: Optional[float] = None
     limiter_backoff: float = 0.5  # multiplicative decrease factor
     limiter_increase: float = 1.0  # additive increase per success window

@@ -30,14 +30,9 @@ class InstanceQos:
         self.metrics = metrics
         self.name = name
         self.admission = AdmissionController(config)
-        self.breakers: Optional[BreakerBoard] = (
-            BreakerBoard(config, on_transition=self._on_breaker_transition)
-            if config.breaker_enabled else None
-        )
-        self.limiter: Optional[AdaptiveConcurrencyLimiter] = (
-            AdaptiveConcurrencyLimiter(config)
-            if config.limiter_enabled else None
-        )
+        self.breakers = BreakerBoard(
+            config, on_transition=self._on_breaker_transition)
+        self.limiter = AdaptiveConcurrencyLimiter(config)
         self._view_inner: Optional[BackendView] = None
         self._view_cached: Optional[BreakerView] = None
 
@@ -52,34 +47,29 @@ class InstanceQos:
         if not decision.admitted:
             self.metrics.counter(f"qos_shed_{decision.reason}").inc()
             return decision
-        if self.limiter is not None and not self.limiter.try_acquire():
+        if not self.limiter.try_acquire():
             self.metrics.counter("qos_shed_concurrency").inc()
             return AdmissionDecision(admitted=False, reason="concurrency",
                                      tier=decision.tier)
         return decision
 
     def release_slot(self) -> None:
-        if self.limiter is not None:
-            self.limiter.release()
+        self.limiter.release()
 
     # --------------------------------------------------------------- breakers --
     def view(self, inner: BackendView) -> BackendView:
         """The selection view: controller health AND breaker verdicts."""
-        if self.breakers is None:
-            return inner
         if self._view_cached is None or self._view_inner is not inner:
             self._view_inner = inner
             self._view_cached = BreakerView(inner, self.breakers, self.clock)
         return self._view_cached
 
     def backend_success(self, backend: str, latency: float) -> None:
-        if self.breakers is not None:
-            self.breakers.record_success(backend, self.clock(), latency)
+        self.breakers.record_success(backend, self.clock(), latency)
 
     def backend_failure(self, backend: str) -> None:
-        if self.breakers is not None:
-            self.metrics.counter("qos_backend_failures").inc()
-            self.breakers.record_failure(backend, self.clock())
+        self.metrics.counter("qos_backend_failures").inc()
+        self.breakers.record_failure(backend, self.clock())
 
     def _on_breaker_transition(self, backend: str, old: BreakerState,
                                new: BreakerState) -> None:
@@ -94,6 +84,4 @@ class InstanceQos:
     # ------------------------------------------------------------ backpressure --
     def observe_kv(self, result) -> None:
         """KV-op latency feedback (wired to the instance's kv client)."""
-        if self.limiter is not None:
-            self.limiter.observe(result.latency, result.ok,
-                                 result.finished_at)
+        self.limiter.observe(result.latency, result.ok, result.finished_at)

@@ -53,9 +53,7 @@ class TraceRecord:
 
 def canonical_trace_line(rec: TraceRecord) -> str:
     """One record as a stable, readable line; schedule digests are folded
-    over these.  This is the one rendering the golden-trace suite pins, so a
-    shard worker's running digest and a golden file's digest are directly
-    comparable."""
+    over these.  This is the one rendering the golden-trace suite pins."""
     return (
         f"{rec.time:.9f} {rec.point} {rec.direction} "
         f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
@@ -80,27 +78,6 @@ def endpoint_on_host(endpoint: str, addr: str) -> bool:
     IP (any port on that host) or a full "ip:port"?  A bare prefix test
     would let "10.0.0.1" claim "10.0.0.10:80"."""
     return endpoint == addr or endpoint.startswith(addr + ":")
-
-
-class DigestTrace:
-    """A trace tap that keeps no records -- only a running SHA-256.
-
-    Shard workers attach one of these so a multi-hour, multi-million-packet
-    run stays O(1) in memory while still producing a schedule digest the
-    barrier coordinator can merge and compare across runs.
-    """
-
-    def __init__(self, name: str = "digest"):
-        self.name = name
-        self._sha = hashlib.sha256()
-        self.count = 0
-
-    def record(self, rec: TraceRecord) -> None:
-        self._sha.update(canonical_trace_line(rec).encode())
-        self.count += 1
-
-    def digest(self) -> str:
-        return self._sha.hexdigest()
 
 
 class PacketTrace:

@@ -171,8 +171,8 @@ def _bursty(rng: SeededRng, n: int, base: float) -> List[float]:
 
 
 # ---------------------------------------------------------------------------
-# Diurnal + flash-crowd load trace (the sharded scale experiment's input;
-# sized in modeled *users*, then compressed onto simulation time)
+# Diurnal + flash-crowd load trace (sized in modeled *users*, then
+# compressed onto simulation time)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -246,13 +246,11 @@ def diurnal_shape(cfg: DiurnalConfig, day_fraction: float) -> float:
     return max(0.05, level)
 
 
-def generate_diurnal_trace(config: Optional[DiurnalConfig] = None,
-                           stream: str = "diurnal") -> DiurnalTrace:
-    """Build the compressed day.  Same config + stream => same trace,
-    bit-for-bit; distinct ``stream`` labels (one per cell) give phase-
-    aligned but independently jittered copies."""
+def generate_diurnal_trace(
+        config: Optional[DiurnalConfig] = None) -> DiurnalTrace:
+    """Build the compressed day.  Same config => same trace, bit-for-bit."""
     cfg = config or DiurnalConfig()
-    rng = SeededRng(cfg.seed).fork(stream)
+    rng = SeededRng(cfg.seed).fork("diurnal")
     times: List[float] = []
     modeled: List[float] = []
     sim_rates: List[float] = []

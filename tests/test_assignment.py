@@ -149,6 +149,28 @@ class TestGreedy:
         with pytest.raises(InfeasibleError):
             solve_greedy(prob, enforce_update_constraints=True)
 
+    def test_old_assignment_skips_a_removed_vip_and_hides_nothing_else(self):
+        def solve(old_assignment):
+            return solve_greedy(AssignmentProblem(
+                vips=[VipSpec("kept", 20, 10, 2)], instances=insts(4),
+                old_assignment=old_assignment, old_connections={},
+                migration_limit=0.10))
+
+        # a VIP of the old mapping that is gone this round is skipped (any
+        # key that equals no VIP name, a stray 5 included, is such a VIP)
+        old = {"kept": ["y0", "y1"], "gone": ["y2"], 5: ["y3"]}
+        assert set(solve(old).mapping) == {"kept"}
+
+        # ... and only that: a lookup that fails is not a removed VIP
+        class Uncomparable:
+            __hash__ = object.__hash__
+
+            def __eq__(self, other):
+                raise TypeError("not a VIP name")
+
+        with pytest.raises(TypeError, match="not a VIP name"):
+            solve({Uncomparable(): ["y0"]})
+
 
 class TestIlp:
     def test_beats_or_matches_greedy(self):

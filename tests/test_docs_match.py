@@ -6,10 +6,9 @@ CI-sized ``--quick`` run committed over it, or a table edited by hand,
 fails here.  ``BENCH_core.json`` is what ``pytest
 benchmarks/test_core_speed.py`` wrote last; the "PR 18" column of the
 "Simulator core fast path" table quotes it, so the file cannot age under
-the table again (it sat four data-path PRs behind it).  ``BENCH_scale.json``
-is what ``python -m repro run scale`` wrote last; the sharded-scaling table
-quotes it (for eight PRs it quoted neither the file nor a machine with the
-cores the ROADMAP's keep-or-cut rule for ``repro.shard`` is stated on).
+the table again (it sat four data-path PRs behind it).  ROADMAP's "Open
+items" header quotes the size of ``src/``; it is held to the tree, so the
+line count a roadmap target is stated against cannot drift from it.
 """
 
 import json
@@ -83,28 +82,17 @@ def test_core_table_is_the_committed_run():
     assert f"`{doc['sha']}`" in section
 
 
-# | shards | mode | wall (s) | tx packets | pkts/wall-sec | speedup | cross-shard pkts | fetches ok |
-_SCALE_ROW = re.compile(
-    r"^\| (\d+) \| (inline|fork) \| ([\d.]+) \| ([\d,]+) \| ([\d,]+) "
-    r"\| ([\d.]+)× \| ([\d,]+) \| (\d+) \|$", re.MULTILINE)
-
-
-def test_scale_table_is_the_committed_run():
-    doc = json.loads((ROOT / "BENCH_scale.json").read_text())
-    text = (ROOT / "EXPERIMENTS.md").read_text()
-    section = text[text.index("## Sharded-simulation scaling"):]
-    section = section[:section.index("\n## ", 1)]
-    rows = _SCALE_ROW.findall(section)
-    assert len(rows) == len(doc["legs"]) == 3
-    for row, leg in zip(rows, doc["legs"]):
-        assert row == (
-            str(leg["shards"]), leg["mode"], f"{leg['wall_seconds']:.3f}",
-            f"{leg['tx_packets']:,}", f"{leg['packets_per_wall_sec']:,.0f}",
-            f"{leg['speedup_vs_1shard']:.3f}",
-            f"{leg['cross_shard_packets']:,}", str(leg["fetches_ok"]),
-        ), f"{leg['shards']} shards: table says {row}"
-    # the ROADMAP's keep-or-cut rule for repro.shard is decided on a run
-    # with at least as many cpus as the 2-shard leg has shards
-    assert doc["cpus"] >= 2
-    assert f"`cpus`: {doc['cpus']}" in section
-    assert doc["digest_reproducible"] is True
+def test_roadmap_quotes_the_source_size_of_this_tree():
+    # the figures `find src -name '*.py' | xargs cat | wc -l` and
+    # `find src -name '*.py' | wc -l` print
+    files = list((ROOT / "src").rglob("*.py"))
+    lines = sum(f.read_bytes().count(b"\n") for f in files)
+    text = (ROOT / "ROADMAP.md").read_text()
+    header = text[text.index("## Open items"):]
+    header = header[:header.index("\n- **")]
+    quoted = re.search(r"([\d,]+) source lines in (\d+) files", header)
+    assert quoted, "the Open items header no longer states the source size"
+    assert (quoted.group(1), quoted.group(2)) == (
+        f"{lines:,}", str(len(files))), (
+        f"ROADMAP says {quoted.group(0)}; the tree has {lines:,} lines in "
+        f"{len(files)} files")

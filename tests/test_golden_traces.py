@@ -115,15 +115,20 @@ class GoldenRecorder:
                 for i in range(0, len(self.lines), BOUNDARY_EVERY)}
 
 
-def run_golden_scenario(name: str):
-    """Run one pinned scenario variant and return (recorder, outcome)."""
+def golden_engine(name: str):
+    """One pinned scenario variant, not yet run: (recorder, engine)."""
     scenario = dataclasses.replace(get_scenario(name),
                                    **SCENARIO_VARIANTS[name])
     recorder = GoldenRecorder()
     engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED,
                             taps=[recorder])
-    outcome = engine.run()
-    return recorder, outcome
+    return recorder, engine
+
+
+def run_golden_scenario(name: str):
+    """Run one pinned scenario variant and return (recorder, outcome)."""
+    recorder, engine = golden_engine(name)
+    return recorder, engine.run()
 
 
 def golden_path(name: str) -> str:
@@ -264,6 +269,31 @@ def test_golden_trace(name):
     if name in PINNED_AUDIT_COUNTS:
         assert {v.invariant: (v.checked, v.violation_count)
                 for v in outcome.verdicts} == PINNED_AUDIT_COUNTS[name]
+
+
+def test_golden_trace_with_the_loop_advanced_in_slices():
+    """A loop advanced in 0.25 s slices fires what one continuous ``run``
+    fires (``tests/test_sim_events.py`` holds the loop to that on random
+    schedules); here a whole pinned scenario -- faults, timers re-armed
+    across a slice end, the drain -- is driven that way from outside."""
+    name = "store-partition"
+    golden = load_golden(name)
+    recorder, engine = golden_engine(name)
+    loop = engine.build().loop
+
+    def run_in_slices(duration: float) -> None:
+        end = loop.now() + duration
+        while loop.now() < end:
+            loop.run(until=min(loop.now() + 0.25, end))
+
+    engine.bed.run = run_in_slices
+    outcome = engine.run()
+    if (recorder.digest() != golden["digest"]
+            or recorder.count != golden["record_count"]):
+        pytest.fail("slicing the run moved the packet schedule:\n"
+                    + first_divergence_report(name, golden, recorder),
+                    pytrace=False)
+    assert outcome.trace_digest == golden["engine_digest"]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIO_VARIANTS))

@@ -5,7 +5,7 @@ Beside the event, connection and segment budgets of
 process.  numpy and scipy serve one function (the Fig. 7 LP relaxation,
 ``IlpSolver._lp_round``) and used to be imported by every process that
 touched ``repro.workload`` -- 0.5 s and 58 MiB on each CLI call, pytest
-process, shard worker and benchmark run (DESIGN section 5, "Import").
+process and benchmark run (DESIGN section 5, "Import").
 
 Each case runs in a fresh interpreter: this pytest process has the stack
 loaded by the solver tests.

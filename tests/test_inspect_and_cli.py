@@ -76,11 +76,10 @@ class TestCli:
     def test_every_experiment_registered(self):
         # one CLI entry per paper table/figure (+ the CPU section, the
         # qos flash-crowd ablation, the multi-region failover study, the
-        # controller-HA outage study, the stateless-dispatch ablation,
-        # the sharded-simulation scaling study and the elastic
-        # provisioning cost study)
+        # controller-HA outage study, the stateless-dispatch ablation
+        # and the elastic provisioning cost study)
         expected = {"table1", "fig6", "fig9", "sec71", "fig10", "fig12",
                     "fig12b", "fig13", "fig14", "fig15", "fig16",
-                    "overload", "failover", "ctrl", "stateless", "scale",
+                    "overload", "failover", "ctrl", "stateless",
                     "elastic"}
         assert set(EXPERIMENTS) == expected

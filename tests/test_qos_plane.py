@@ -139,11 +139,6 @@ class TestInstanceQos:
         inner = object.__new__(object)
         assert qos.view(inner) is qos.view(inner)
 
-    def test_breakers_off_returns_inner_view(self):
-        qos = self.make(breaker_enabled=False)
-        inner = object()
-        assert qos.view(inner) is inner
-
 
 class TestSnatExhaustion:
     def test_exhaustion_is_typed_and_counted(self):

@@ -25,13 +25,13 @@ from repro.errors import (
     SimulationError,
     TcpError,
 )
+from repro.experiments import harness
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.l4lb.compact import StatelessConfig
 from repro.net.addresses import Endpoint
 from repro.net.network import Network
 from repro.net.packet import Packet
 from repro.qos.config import QosConfig
-from repro.shard import ScaleWorldConfig
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.tcp.config import TcpConfig
@@ -144,8 +144,6 @@ REFUSED = [
     (dict(lb="nginx"), "unknown lb kind 'nginx'"),
     *[(dict(lb=lb, yoda=YodaServiceConfig(**{plane: value})), plane)
       for lb in ("haproxy", "none") for plane, value in YODA_ONLY.items()],
-    (dict(cell=1, yoda=YodaServiceConfig(region=RegionConfig("dc2"))),
-     "cell namespacing and a standby region"),
     (dict(yoda=YodaServiceConfig(region=RegionConfig("dc2"),
                                  stateless=StatelessConfig(enabled=True))),
      "region and stateless.enabled exclude each other"),
@@ -167,14 +165,13 @@ class TestConfigRejection:
     @pytest.mark.parametrize(
         "kwargs,fragment", REFUSED, ids=[frag for _, frag in REFUSED])
     def test_unworkable_config_is_refused_before_anything_is_built(
-            self, kwargs, fragment):
-        loop = EventLoop()
-        network = Network(loop, SeededRng(1))
+            self, kwargs, fragment, monkeypatch):
+        # validate() runs before the testbed makes even its event loop
+        monkeypatch.setattr(harness, "EventLoop", lambda: pytest.fail(
+            "Testbed built its world before validate() refused the config"))
         with pytest.raises(ConfigError) as exc:
-            Testbed(TestbedConfig(**kwargs), fabric=(loop, network))
+            Testbed(TestbedConfig(**kwargs))
         assert fragment in str(exc.value)
-        assert not list(network.hosts())  # validate() ran before any attach
-        assert loop.pending_count() == 0
 
     def test_yoda_service_validates_before_any_host_is_attached(self):
         loop = EventLoop()
@@ -224,8 +221,7 @@ SHARED_NAMES = {
     "object_bytes", "object_count", "drain", "yoda",
 }
 CONFIGS = [Scenario, TestbedConfig, YodaServiceConfig, RegionConfig,
-           ControllerHAConfig, QosConfig, StatelessConfig, ScaleWorldConfig,
-           ElasticPolicy]
+           ControllerHAConfig, QosConfig, StatelessConfig, ElasticPolicy]
 
 
 class TestConfigSurface:
@@ -241,4 +237,4 @@ class TestConfigSurface:
             f"option on its own config and carry a handle")
 
     def test_field_budget(self):
-        assert sum(len(dataclasses.fields(c)) for c in CONFIGS) <= 112
+        assert sum(len(dataclasses.fields(c)) for c in CONFIGS) <= 98

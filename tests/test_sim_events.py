@@ -1,6 +1,7 @@
 """Event loop semantics: ordering, cancellation, budgets, determinism."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.events import EventLoop
@@ -237,3 +238,63 @@ def test_queue_drains_completely():
     loop.run()
     assert loop.pending_count() == 0
     assert loop.queue_depth() == 0
+
+
+# -- a loop advanced in slices fires what one continuous run fires ----------
+
+# delays on a grid make same-instant events; 0.05 is the wheel's slot width
+# and events >= 0.1 out are wheeled, so both structures are in play
+_DELAY = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.25]),
+                   st.floats(min_value=0.0, max_value=0.6))
+_ACTION = st.one_of(
+    st.tuples(st.just("none"), st.just(0)),
+    st.tuples(st.just("cancel"), st.integers(0, 60)),  # some other event
+    st.tuples(st.just("spawn"), _DELAY),  # schedule a child from the callback
+    st.tuples(st.just("rearm"), _DELAY),  # re-arm the one shared Timer
+)
+_SCHEDULE = st.lists(st.tuples(_DELAY, _ACTION), min_size=1, max_size=40)
+# slice widths, cycled: most cut a wheel slot somewhere
+_WIDTHS = st.lists(st.floats(min_value=0.001, max_value=0.3),
+                   min_size=1, max_size=6)
+_END = 2.0  # every delay is <= 0.6 and chains are two deep
+
+
+class _Played:
+    """One schedule on a fresh loop; ``log`` is what fired, in order."""
+
+    def __init__(self, schedule):
+        self.loop = EventLoop()
+        self.log = []
+        self.events = []
+        self.timer = Timer(
+            self.loop, lambda: self.log.append((self.loop.now(), "timer")))
+        for delay, (action, arg) in schedule:
+            self._schedule(delay, action, arg)
+
+    def _schedule(self, delay, action, arg):
+        self.events.append(self.loop.call_later(
+            delay, self._fire, len(self.events), action, arg))
+
+    def _fire(self, index, action, arg):
+        self.log.append((self.loop.now(), self.events[index].seq))
+        if action == "cancel":
+            self.events[arg % len(self.events)].cancel()
+        elif action == "spawn":
+            self._schedule(arg, "none", 0)
+        elif action == "rearm":
+            self.timer.start(arg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(schedule=_SCHEDULE, widths=_WIDTHS)
+def test_sliced_run_fires_the_events_of_one_continuous_run(schedule, widths):
+    whole = _Played(schedule)
+    whole.loop.run(until=_END)
+    sliced = _Played(schedule)
+    loop, i = sliced.loop, 0
+    while loop.now() < _END:
+        loop.run(until=min(loop.now() + widths[i % len(widths)], _END))
+        i += 1
+    assert sliced.log == whole.log
+    assert loop.now() == whole.loop.now() == _END
+    assert loop.pending_count() == whole.loop.pending_count() == 0
