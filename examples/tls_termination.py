@@ -67,10 +67,12 @@ def main() -> None:
     def kill_mid_certificate() -> None:
         for instance in yoda.instances:
             for flow in instance.flows.values():
-                if flow.tls_hello_done and flow.resp_acked < len(flow.resp_out):
+                handshake = flow.tls
+                if (handshake and handshake.hello_done
+                        and handshake.resp_acked < len(handshake.resp_out)):
                     print(f"t={loop.now():.3f}s  KILLING {instance.name} "
-                          f"(certificate {flow.resp_acked}/{len(flow.resp_out)} "
-                          f"bytes acknowledged)")
+                          f"(certificate {handshake.resp_acked}/"
+                          f"{len(handshake.resp_out)} bytes acknowledged)")
                     instance.fail()
                     return
         if loop.now() < 1.4:

@@ -293,10 +293,6 @@ class HAProxyDeployment:
         self.vips.append(policy.vip)
         self._push_mappings()
 
-    def set_backend_view(self, view: BackendView) -> None:
-        for instance in self.instances.values():
-            instance.backend_view = view
-
     def _live_ips(self) -> List[str]:
         return [i.ip for i in self.instances.values() if self._alive[i.name]]
 

@@ -51,10 +51,6 @@ def solve_exact(problem: AssignmentProblem,
     used_rules = [0] * n_inst
     chosen: List[Tuple[int, ...]] = []
 
-    def opened_count() -> int:
-        return sum(1 for r in used_rules if r > 0) or \
-            sum(1 for t in used_traffic if t > 0)
-
     def search(v: int, opened: int) -> None:
         if time.perf_counter() > deadline:
             raise TimeoutError

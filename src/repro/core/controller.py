@@ -679,9 +679,6 @@ class YodaController:
             self.compact_versions[vip] = compact_version
 
     # --------------------------------------------------------------- monitor --
-    def register_backend(self, name: str, server: BackendHttpServer) -> None:
-        self.backends[name] = server
-
     def _probe(self, host) -> bool:
         """One health ping: fails when the host is down or the probe
         itself is lost in transit."""

@@ -26,13 +26,19 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.flowstate import FlowPhase, FlowState, flow_key, yoda_isn
 from repro.core.policy import VipPolicy
-from repro.core.selector import AllHealthy, BackendView, RuleTable, ScanCostModel
+from repro.core.selector import (
+    AllHealthy,
+    BackendView,
+    RuleTable,
+    ScanCostModel,
+    SelectionResult,
+)
 from repro.core.tcpstore import TcpStore
 from repro.errors import HttpError, SlowClientTimeout, SnatExhausted
 from repro.http import tls
 from repro.http.server import STREAM_PATH_PREFIX
 from repro.http.message import HttpRequest
-from repro.http.parser import HttpParser
+from repro.http.parser import HttpParser, request_head
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.packet import ACK, FIN, IP_TCP_HEADER_BYTES, RST, SYN, Packet
@@ -109,21 +115,39 @@ class YodaCostModel:
                        packet_cpu_per_byte=self.packet_cpu_per_byte * factor)
 
 
+class _TlsFlow:
+    """SSL termination state (Section 5.2) of one flow on a
+    certificate-bearing VIP."""
+
+    __slots__ = ("codec", "records", "hello_done", "sni", "resumed",
+                 "ticket_issued", "resp_out", "resp_acked", "cert_timer",
+                 "request")
+
+    def __init__(self) -> None:
+        self.codec = tls.TlsCodec()
+        self.records: List = []  # client records not yet acted on
+        self.hello_done = False
+        self.sni = ""
+        # session resumption (tickets keyed in the flow store)
+        self.resumed = False
+        self.ticket_issued = False
+        self.resp_out = b""  # instance-originated bytes (the cert flight)
+        self.resp_acked = 0
+        self.cert_timer: Optional[Timer] = None
+        # the decrypted request header selection ran on (None until then)
+        self.request: Optional[HttpRequest] = None
+
+
 class _LocalFlow:
     """In-memory flow record; everything durable lives in ``state``."""
 
     __slots__ = (
-        "state", "phase", "parser", "parsed", "request", "req_chunks", "req_assembled",
+        "state", "phase", "parser", "parsed", "req_chunks", "req_assembled",
         "syn_stored", "storage_b_inflight", "fin_client", "fin_server",
-        "syn_timer", "syn_tries", "last_seen", "cleanup_scheduled",
-        "recovered", "t_syn", "t_synack", "t_header", "t_server_syn",
-        "t_established", "policy_version", "forwarded_req_bytes",
-        "parsed_bytes", "requests_seen", "resp_high",
-        "tls", "tls_codec", "tls_records", "tls_hello_done",
-        "resp_out", "resp_acked", "cert_timer", "obs_ctx", "obs_spans",
-        "qos_slot", "backend_name",
+        "syn_timer", "syn_tries", "last_seen", "t_syn", "t_server_syn",
+        "forwarded_req_bytes", "parsed_bytes", "requests_seen", "resp_high",
+        "tls", "obs_ctx", "obs_spans", "qos_slot", "backend_name",
         "long_lived", "resumed_stream", "client_acked",
-        "tls_sni", "tls_resumed", "tls_ticket_issued",
     )
 
     def __init__(self, state: FlowState, now: float):
@@ -131,7 +155,6 @@ class _LocalFlow:
         self.phase = FlowPhase(state.phase)
         self.parser = HttpParser("request")
         self.parsed: List[HttpRequest] = []  # complete requests seen so far
-        self.request: Optional[HttpRequest] = None
         self.req_chunks: Dict[int, bytes] = {}  # offset -> payload
         self.req_assembled = bytearray()  # contiguous prefix of request bytes
         self.syn_stored = False
@@ -141,28 +164,15 @@ class _LocalFlow:
         self.syn_timer: Optional[Timer] = None
         self.syn_tries = 0
         self.last_seen = now
-        self.cleanup_scheduled = False
-        self.recovered = False
         self.t_syn = now
-        self.t_synack = 0.0
-        self.t_header = 0.0
         self.t_server_syn = 0.0
-        self.t_established = 0.0
-        self.policy_version = 0
         self.forwarded_req_bytes = 0
         self.parsed_bytes = 0  # wire bytes consumed by completed requests
         # requests handled so far; None disables HTTP/1.1 backend switching
         # (set after recovery, when the request parser lost its context)
         self.requests_seen: Optional[int] = 0
         self.resp_high = 0  # response bytes of the CURRENT backend delivered
-        # SSL termination (Section 5.2)
-        self.tls = False
-        self.tls_codec: Optional[tls.TlsCodec] = None
-        self.tls_records: List = []
-        self.tls_hello_done = False
-        self.resp_out = b""  # instance-originated bytes (the cert flight)
-        self.resp_acked = 0
-        self.cert_timer: Optional[Timer] = None
+        self.tls: Optional[_TlsFlow] = None  # set on a certificate VIP
         # observability: the client's trace context and this flow's open
         # spans, keyed by stage name (None while the plane is disabled)
         self.obs_ctx = None
@@ -178,10 +188,6 @@ class _LocalFlow:
         self.long_lived = False
         self.resumed_stream = False  # replaying from a replacement backend
         self.client_acked = 0  # response bytes the client has ACKed (stream coords)
-        # TLS session resumption (tickets keyed in the flow store)
-        self.tls_sni = ""
-        self.tls_resumed = False
-        self.tls_ticket_issued = False
 
     def key(self) -> str:
         return self.state.key
@@ -215,7 +221,7 @@ class _LocalFlow:
 
     def _feed(self, data: bytes) -> None:
         if self.tls:
-            self.tls_records.extend(self.tls_codec.feed(data))
+            self.tls.records.extend(self.tls.codec.feed(data))
             return
         for item in self.parser.feed(data):
             # remember where each request started in the client stream so a
@@ -224,13 +230,8 @@ class _LocalFlow:
             self.parsed_bytes += item.wire_bytes
 
     def enable_tls(self) -> None:
-        self.tls = True
-        self.tls_codec = tls.TlsCodec()
+        self.tls = _TlsFlow()
         self.requests_seen = None  # backend switching is HTTP-only
-
-    def header_ready(self) -> bool:
-        """True once the (first unconsumed) request header has arrived."""
-        return bool(self.parsed) or self.parser.header_complete()
 
 
 class YodaInstance:
@@ -276,11 +277,12 @@ class YodaInstance:
         self.fence = None
 
         self.policies: Dict[str, VipPolicy] = {}
-        self._tables: Dict[str, Tuple[int, RuleTable]] = {}
+        self._tables: Dict[str, RuleTable] = {}
         self.flows: Dict[str, _LocalFlow] = {}
         self.by_server: Dict[Tuple[str, int], str] = {}  # (server_ep, snat_port) -> flow key
-        self._recovering_c: Dict[str, List[Packet]] = {}
-        self._recovering_s: Dict[Tuple[str, int], List[Packet]] = {}
+        # packets waiting on a TCPStore recovery lookup, by what it looks up:
+        # a client flow key or a (server_ep, snat_port) pair
+        self._recovering: Dict[object, List[Packet]] = {}
         self._snat_next: Dict[str, int] = {}
         self._snat_in_use: Dict[str, set] = {}
         self.vip_bytes: Dict[str, int] = {}
@@ -317,18 +319,26 @@ class YodaInstance:
 
     def fail(self) -> None:
         """Crash the VM: the network drops its traffic and, crucially, all
-        local flow state is gone (only TCPStore survives)."""
+        local flow state is gone (only TCPStore survives).  The SNAT port
+        bookkeeping stays frozen, so the recovered VM never reissues a port
+        a migrated flow still occupies."""
         self.host.fail()
         for flow in self.flows.values():
-            if flow.syn_timer is not None:
-                flow.syn_timer.cancel()
-            if flow.cert_timer is not None:
-                flow.cert_timer.cancel()
-            self._release_qos_slot(flow)
+            self._stop_flow(flow)
+        self._forget_flows()
+
+    def _stop_flow(self, flow: _LocalFlow) -> None:
+        """Cancel a departing flow's timers and return its limiter slot."""
+        if flow.syn_timer is not None:
+            flow.syn_timer.cancel()
+        if flow.tls and flow.tls.cert_timer is not None:
+            flow.tls.cert_timer.cancel()
+        self._release_qos_slot(flow)
+
+    def _forget_flows(self) -> None:
         self.flows.clear()
         self.by_server.clear()
-        self._recovering_c.clear()
-        self._recovering_s.clear()
+        self._recovering.clear()
 
     def recover(self) -> None:
         self.host.recover()
@@ -363,14 +373,14 @@ class YodaInstance:
             OBS.flight(self.name, "bad_request", flow.key())
         self._reset_client(flow)
 
-    def _reset_client(self, flow: _LocalFlow) -> None:
+    def _reset_client(self, flow: _LocalFlow, acked: int = 0) -> None:
         """End a flow no backend has answered on: all the client has from
         it is this instance's SYN-ACK (and, on a TLS VIP, the certificate
-        flight)."""
+        flight), and an ACK of ``acked`` of its bytes."""
         state = flow.state
         self._send(Packet(
             src=state.vip, dst=state.client, flags=RST | ACK,
-            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1),
+            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1 + acked),
         ))
         self._destroy_flow(flow, remove_stored=True)
 
@@ -408,20 +418,9 @@ class YodaInstance:
                     state.resp_delivered = flow.client_acked
                 self.metrics.counter("handoff_checkpoints").inc()
                 self.tcpstore.checkpoint(state)
-            if flow.syn_timer is not None:
-                flow.syn_timer.cancel()
-            if flow.cert_timer is not None:
-                flow.cert_timer.cancel()
-            if OBS.enabled and flow.obs_spans is not None:
-                for name in ("storage_a", "storage_b", "server_connect",
-                             "rule_scan"):
-                    self._obs_end(flow, name, ok=False)
-                self._obs_end(flow, "flow", completed=False, handed_off=True)
-            self._release_qos_slot(flow)
-        self.flows.clear()
-        self.by_server.clear()
-        self._recovering_c.clear()
-        self._recovering_s.clear()
+            self._stop_flow(flow)
+            self._obs_close(flow, handed_off=True)
+        self._forget_flows()
         for in_use in self._snat_in_use.values():
             in_use.clear()
 
@@ -432,10 +431,7 @@ class YodaInstance:
         """
         self._admit(token, "install_policy")
         self.policies[policy.vip] = policy
-        self._tables[policy.vip] = (
-            policy.version,
-            RuleTable(policy.rules, self.scan_cost_model),
-        )
+        self._tables[policy.vip] = RuleTable(policy.rules, self.scan_cost_model)
         self.vip_bytes.setdefault(policy.vip, 0)
 
     def remove_policy(self, vip: str, token=None) -> None:
@@ -555,6 +551,14 @@ class YodaInstance:
         if span is not None:
             OBS.tracer.end(span, end=end, **attrs)
 
+    def _obs_close(self, flow: _LocalFlow, **attrs) -> None:
+        """End every span still open on a flow that leaves this instance."""
+        if OBS.enabled and flow.obs_spans is not None:
+            for name in ("storage_a", "storage_b", "server_connect",
+                         "rule_scan"):
+                self._obs_end(flow, name, ok=False)
+            self._obs_end(flow, "flow", completed=False, **attrs)
+
     # =========================================================== client side ==
     def _handle_client_packet(self, pkt: Packet, policy: VipPolicy) -> None:
         key = flow_key(pkt.src, pkt.dst)
@@ -563,18 +567,20 @@ class YodaInstance:
                                       + IP_TCP_HEADER_BYTES + len(pkt.payload))
 
         if pkt.flags & (SYN | ACK) == SYN:
-            self._handle_client_syn(key, pkt, flow)
+            self._handle_client_syn(key, pkt, flow, policy)
             return
         if flow is None:
             # Unknown flow: recovery path.  Even a pure ACK matters -- a
             # client mid-download sends nothing else, and the backend needs
             # those ACKs forwarded to keep its send window moving.
-            self._recover_by_client(key, pkt)
+            self._recover(key, pkt, "recovery_lookups_client",
+                          self.tcpstore.get_by_client, pkt.src, pkt.dst)
             return
         self._client_packet_on_flow(flow, pkt, policy)
 
     def _handle_client_syn(self, key: str, pkt: Packet,
-                           flow: Optional[_LocalFlow]) -> None:
+                           flow: Optional[_LocalFlow],
+                           policy: VipPolicy) -> None:
         if flow is not None:
             if flow.syn_stored:
                 self._send_syn_ack(flow)  # duplicate SYN: deterministic reply
@@ -601,10 +607,8 @@ class YodaInstance:
         )
         flow = _LocalFlow(state, self.loop.now())
         flow.qos_slot = self.qos is not None  # admit_syn took a limiter slot
-        policy = self.policies[pkt.dst.ip]
         if policy.certificate is not None:
             flow.enable_tls()
-        flow.policy_version = policy.version
         self.flows[key] = flow
         self.metrics.counter("flows_opened").inc()
         t0 = self.loop.now()
@@ -615,7 +619,6 @@ class YodaInstance:
             # If this VM dies the flow is gone -- that is the bargain.
             self.metrics.counter("stateless_flows").inc()
             flow.syn_stored = True
-            flow.t_synack = t0
             self._send_syn_ack(flow)
             return
         if OBS.enabled:
@@ -627,26 +630,40 @@ class YodaInstance:
         OBS.ctx = None
 
     def _storage_a_done(self, key: str, ok: bool, t0: float) -> None:
+        """A storage-a write finished: the SYN record or, on a TLS VIP, its
+        rewrite carrying the hello.  Only now may the SYN-ACK or the
+        certificate flight acknowledge what it holds (Figure 3)."""
         flow = self.flows.get(key)
         if flow is None or self.host.failed:
             return
         if not ok:
-            # cannot guarantee recoverability -> do not ACK; the client
-            # will retransmit its SYN and we will try again.
+            # cannot guarantee recoverability -> acknowledge nothing, forget
+            # the flow here and keep whatever record is stored: the client
+            # retransmits its SYN (and we try again) or its hello (which
+            # recovers the flow through get_by_client)
             self.metrics.counter("storage_a_failed").inc()
             if OBS.enabled:
                 self._obs_end(flow, "storage_a", ok=False)
                 self._obs_end(flow, "flow", ok=False)
                 OBS.flight(self.name, "storage_a_failed", key)
-            self._release_qos_slot(flow)
+            self._stop_flow(flow)
             del self.flows[key]
             return
-        self.metrics.histogram("storage_a_latency").observe(self.loop.now() - t0)
+        if not self.stateless:  # no zero-latency samples from the fast path
+            self.metrics.histogram("storage_a_latency").observe(
+                self.loop.now() - t0)
         if OBS.enabled:
             self._obs_end(flow, "storage_a", ok=True)
-        flow.syn_stored = True
-        flow.t_synack = self.loop.now()
-        self._send_syn_ack(flow)
+        if not (flow.tls and flow.tls.hello_done):
+            flow.syn_stored = True
+            self._send_syn_ack(flow)
+            return
+        policy = self.policies.get(flow.state.vip.ip)
+        if policy is None or policy.certificate is None:
+            return
+        if not flow.tls.resp_out:
+            flow.tls.resp_out = tls.certificate_flight(policy.certificate)
+        self._send_cert_flight(flow)
 
     def _shed_syn(self, pkt: Packet, decision) -> None:
         """Stateless SYN-stage rejection (load shedding).
@@ -677,13 +694,6 @@ class YodaInstance:
             flow.qos_slot = False
             self.qos.release_slot()
 
-    def _selection_view(self) -> BackendView:
-        """What rule scanning consults: controller health, intersected
-        with this instance's circuit breakers when qos is armed."""
-        if self.qos is not None:
-            return self.qos.view(self.backend_view)
-        return self.backend_view
-
     def _send_syn_ack(self, flow: _LocalFlow) -> None:
         state = flow.state
         self._send(Packet(
@@ -711,13 +721,15 @@ class YodaInstance:
             if sup > state.tls_handshake_len:
                 state.tls_handshake_len = sup
         if flow.phase in _PHASES_BEFORE_TUNNEL:
-            if flow.tls and flags & ACK and flow.resp_out:
+            tls_flow = flow.tls
+            if tls_flow and flags & ACK and tls_flow.resp_out:
                 # track how much of our certificate flight the client has
                 acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
-                if acked > flow.resp_acked:
-                    flow.resp_acked = min(acked, len(flow.resp_out))
-                    if flow.resp_acked >= len(flow.resp_out) and flow.cert_timer:
-                        flow.cert_timer.cancel()
+                if acked > tls_flow.resp_acked:
+                    tls_flow.resp_acked = min(acked, len(tls_flow.resp_out))
+                    if (tls_flow.resp_acked >= len(tls_flow.resp_out)
+                            and tls_flow.cert_timer):
+                        tls_flow.cert_timer.cancel()
             if pkt.payload:
                 offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
                 try:
@@ -726,10 +738,9 @@ class YodaInstance:
                     self._refuse_bad_request(flow)
                     return
                 if flow.phase is FlowPhase.AWAIT_HEADER:
-                    if flow.tls:
+                    if tls_flow:
                         self._tls_progress(flow, policy)
-                    elif flow.header_ready():
-                        flow.t_header = self.loop.now()
+                    else:
                         self._select_and_connect(flow, policy)
             if flags & FIN:
                 # client gave up before we even picked a server
@@ -791,61 +802,41 @@ class YodaInstance:
     # ------------------------------------------------------ SSL termination --
     def _tls_progress(self, flow: _LocalFlow, policy: VipPolicy) -> None:
         """Drive the TLS state machine from the parsed client records."""
-        state = flow.state
-        while flow.tls_records:
-            rtype, payload = flow.tls_records.pop(0)
-            if rtype == tls.CLIENT_HELLO and not flow.tls_hello_done:
-                flow.tls_hello_done = True
+        tls_flow = flow.tls
+        while tls_flow.records:
+            rtype, payload = tls_flow.records.pop(0)
+            if rtype == tls.CLIENT_HELLO and not tls_flow.hello_done:
                 # store-before-ACK: the certificate flight acknowledges the
                 # hello, so the hello bytes must be recoverable first
-                state.client_prefix = bytes(flow.req_assembled)
-                sni, ticket = tls.parse_hello(payload)
-                flow.tls_sni = sni
-                if ticket is not None and policy.session_tickets:
-                    # abbreviated handshake: validate the ticket against
-                    # the flow store BEFORE committing a single response
-                    # byte -- an accepted-then-unknown ticket would desync
-                    # the backend's deterministic handshake replay
-                    self.tcpstore.get_ticket(
-                        ticket,
-                        lambda v, t=ticket: self._tls_ticket_checked(
-                            flow.key(), t, v),
-                    )
+                flow.state.client_prefix = bytes(flow.req_assembled)
+                ticket = self._read_hello(flow, payload, policy)
+                if ticket is None:
+                    self._store_hello(flow)
                     continue
-                t0 = self.loop.now()
-                if self.stateless:
-                    # no durable hello prefix: serve the flight directly
-                    self._tls_prefix_stored(flow.key(), True, t0)
-                    continue
-                if OBS.enabled:
-                    # second storage-a write of a TLS flow (the hello
-                    # prefix); the slot was freed when the SYN write ended
-                    span = self._obs_start(flow, "storage_a")
-                    if span is not None:
-                        OBS.ctx = OBS.tracer.ctx_of(span)
-                self.tcpstore.store_client_syn(
-                    state,
-                    lambda ok: self._tls_prefix_stored(flow.key(), ok, t0),
+                # abbreviated handshake: validate the ticket against the
+                # flow store BEFORE committing a single response byte -- an
+                # accepted-then-unknown ticket would desync the backend's
+                # deterministic handshake replay
+                self.tcpstore.get_ticket(
+                    ticket,
+                    lambda v, t=ticket: self._tls_ticket_checked(
+                        flow.key(), t, v),
                 )
-                OBS.ctx = None
             elif rtype == tls.RETRY_PING:
                 # a stalled client nudging after a failover: resend from
                 # the first unacked byte (client TCP discards duplicates)
-                if flow.tls_hello_done and flow.resp_acked < len(flow.resp_out):
+                if (tls_flow.hello_done
+                        and tls_flow.resp_acked < len(tls_flow.resp_out)):
                     self._send_cert_flight(flow)
-            elif rtype == tls.APP_DATA and flow.request is None:
+            elif rtype == tls.APP_DATA and tls_flow.request is None:
                 # decrypt the request header and select the backend
-                request = self._parse_header_only(payload)
-                if request is None:
-                    parser = HttpParser("request")
-                    try:
-                        msgs = parser.feed(payload)
-                    except HttpError:
-                        self._refuse_bad_request(flow)
-                        return
-                    request = msgs[0].message if msgs else None
+                try:
+                    request = request_head(payload)
+                except HttpError:
+                    self._refuse_bad_request(flow)
+                    return
                 if request is not None:
-                    flow.t_header = self.loop.now()
+                    tls_flow.request = request
                     self._dispatch_selection(flow, policy, request)
             elif rtype == tls.KEY_EXCHANGE:
                 # the key itself is derivable by all; after a *full*
@@ -854,14 +845,42 @@ class YodaInstance:
                 # backend, and keyed into the flow store so resumption
                 # survives instance and region failover)
                 if (policy.session_tickets and not self.stateless
-                        and not flow.tls_resumed
-                        and not flow.tls_ticket_issued):
-                    flow.tls_ticket_issued = True
-                    ticket = tls.ticket_for(flow.tls_sni)
-                    flow.resp_out += tls.session_ticket(ticket)
+                        and not tls_flow.resumed
+                        and not tls_flow.ticket_issued):
+                    tls_flow.ticket_issued = True
+                    ticket = tls.ticket_for(tls_flow.sni)
+                    tls_flow.resp_out += tls.session_ticket(ticket)
                     self.metrics.counter("tls_tickets_issued").inc()
-                    self.tcpstore.put_ticket(ticket, flow.tls_sni)
+                    self.tcpstore.put_ticket(ticket, tls_flow.sni)
                     self._send_cert_flight(flow)
+
+    @staticmethod
+    def _read_hello(flow: _LocalFlow, payload: bytes,
+                    policy: VipPolicy) -> Optional[str]:
+        """Take in a client hello -- live, or replayed from the stored
+        prefix by a takeover: note its SNI and return the resumption ticket
+        it offers, or None if it offers none or the VIP honours none."""
+        flow.tls.hello_done = True
+        flow.tls.sni, ticket = tls.parse_hello(payload)
+        return ticket if policy.session_tickets else None
+
+    def _store_hello(self, flow: _LocalFlow) -> None:
+        """Storage-a's second write on a TLS VIP: the client record again,
+        now carrying the hello prefix the flight will acknowledge."""
+        key = flow.key()
+        t0 = self.loop.now()
+        if self.stateless:
+            # no durable hello prefix: serve the flight directly
+            self._storage_a_done(key, True, t0)
+            return
+        if OBS.enabled:
+            # the SYN write's span ended when that write did
+            span = self._obs_start(flow, "storage_a")
+            if span is not None:
+                OBS.ctx = OBS.tracer.ctx_of(span)
+        self.tcpstore.store_client_syn(
+            flow.state, lambda ok: self._storage_a_done(key, ok, t0))
+        OBS.ctx = None
 
     def _tls_ticket_checked(self, key: str, ticket: str,
                             value: Optional[bytes]) -> None:
@@ -869,7 +888,6 @@ class YodaInstance:
         flow = self.flows.get(key)
         if flow is None or self.host.failed:
             return
-        state = flow.state
         if value is None:
             # unknown ticket: refuse resumption outright.  The client falls
             # back to a full handshake on a fresh connection; accepting and
@@ -879,53 +897,26 @@ class YodaInstance:
             self.metrics.counter("tls_tickets_rejected").inc()
             if OBS.enabled:
                 OBS.flight(self.name, "tls_ticket_rejected", key)
-            self._send(Packet(
-                src=state.vip, dst=state.client, flags=RST | ACK,
-                seq=state.yoda_isn,
-                ack=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
-            ))
-            self._destroy_flow(flow, remove_stored=True)
+            self._reset_client(flow, len(flow.req_assembled))
             return
         self.metrics.counter("tls_tickets_resumed").inc()
         if OBS.enabled:
             OBS.flight(self.name, "tls_ticket_resumed", key)
-        flow.tls_resumed = True
-        flow.resp_out = tls.session_ticket(ticket)
+        flow.tls.resumed = True
+        flow.tls.resp_out = tls.session_ticket(ticket)
         # store-before-ACK still holds: persist the hello prefix, then send
         # the abbreviated flight (the stored prefix carrying a ticket is
         # what marks this flow as a validated resumption for recovery)
-        t0 = self.loop.now()
-        self.tcpstore.store_client_syn(
-            state, lambda ok: self._tls_prefix_stored(key, ok, t0)
-        )
-
-    def _tls_prefix_stored(self, key: str, ok: bool, t0: float) -> None:
-        flow = self.flows.get(key)
-        if flow is None or self.host.failed:
-            return
-        if not ok:
-            self.metrics.counter("storage_a_failed").inc()
-            if OBS.enabled:
-                self._obs_end(flow, "storage_a", ok=False)
-            return  # client will retransmit the hello; we try again
-        if not self.stateless:  # no zero-latency samples from the fast path
-            self.metrics.histogram("storage_a_latency").observe(self.loop.now() - t0)
-        if OBS.enabled:
-            self._obs_end(flow, "storage_a", ok=True)
-        policy = self.policies.get(flow.state.vip.ip)
-        if policy is None or policy.certificate is None:
-            return
-        if not flow.resp_out:
-            flow.resp_out = tls.certificate_flight(policy.certificate)
-        self._send_cert_flight(flow)
+        self._store_hello(flow)
 
     def _send_cert_flight(self, flow: _LocalFlow) -> None:
         """(Re)send the certificate from the first unacked byte; any
         instance produces identical bytes, so a resend after failover is
         transparent (Section 5.2)."""
         state = flow.state
-        data = flow.resp_out[flow.resp_acked:]
-        base = seq_add(state.yoda_isn, 1 + flow.resp_acked)
+        tls_flow = flow.tls
+        data = tls_flow.resp_out[tls_flow.resp_acked:]
+        base = seq_add(state.yoda_isn, 1 + tls_flow.resp_acked)
         ack = seq_add(state.client_isn, 1 + len(flow.req_assembled))
         for off in range(0, len(data), MSS):
             self._send(Packet(
@@ -933,11 +924,11 @@ class YodaInstance:
                 seq=seq_add(base, off), ack=ack,
                 payload=data[off:off + MSS],
             ))
-        if flow.cert_timer is None:
+        if tls_flow.cert_timer is None:
             key = flow.key()
-            flow.cert_timer = Timer(self.loop,
-                                    lambda: self._cert_rto(key))
-        flow.cert_timer.start(CERT_RETRANSMIT)
+            tls_flow.cert_timer = Timer(self.loop,
+                                        lambda: self._cert_rto(key))
+        tls_flow.cert_timer.start(CERT_RETRANSMIT)
 
     def _resend_cert_if_alive(self, key: str) -> None:
         flow = self.flows.get(key)
@@ -948,35 +939,35 @@ class YodaInstance:
         flow = self.flows.get(key)
         if flow is None or not flow.tls or self.host.failed:
             return
-        if flow.resp_acked < len(flow.resp_out):
+        if flow.tls.resp_acked < len(flow.tls.resp_out):
             self._send_cert_flight(flow)
 
     # ----------------------------------------------------- selection + connect --
     def _select_and_connect(self, flow: _LocalFlow, policy: VipPolicy) -> None:
-        if flow.parsed:
-            request = flow.parsed[0][0]
-        else:
-            # header complete but body still streaming: parse header only
-            request = self._parse_header_only(bytes(flow.req_assembled))
-            if request is None:
-                return
-        self._dispatch_selection(flow, policy, request)
+        """Classify a plain-HTTP flow once its first request header is in
+        (its body may still be streaming); a malformed one is refused."""
+        try:
+            request = (flow.parsed[0][0] if flow.parsed
+                       else request_head(bytes(flow.req_assembled)))
+        except HttpError:
+            self._refuse_bad_request(flow)
+            return
+        if request is not None:
+            self._dispatch_selection(flow, policy, request)
 
     def _dispatch_selection(self, flow: _LocalFlow, policy: VipPolicy,
                             request: HttpRequest) -> None:
         """Classify a (possibly decrypted) request and start the backend
         connection after the rule-scan latency."""
-        flow.request = request
         if request.path.startswith(STREAM_PATH_PREFIX) and not flow.tls:
             # a long-lived streaming download: checkpoint its progress and
             # keep enough context to re-select a backend after failures
             flow.long_lived = True
         if flow.requests_seen is not None:
             flow.requests_seen = max(1, len(flow.parsed))
-        version, table = self._tables[policy.vip]
-        flow.policy_version = version
-        result = table.select(request, self.rng, self._selection_view())
-        scan_cpu = self.cost.scan_cpu_base + self.cost.scan_cpu_per_rule * len(table)
+        result = self._select(policy, request)
+        scan_cpu = (self.cost.scan_cpu_base
+                    + self.cost.scan_cpu_per_rule * policy.rule_count)
         self.cpu.execute(scan_cpu, phase="rule_scan")
         if result is None:
             self.metrics.counter("no_backend").inc()
@@ -998,28 +989,14 @@ class YodaInstance:
             result.backend, policy,
         )
 
-    @staticmethod
-    def _parse_header_only(raw: bytes) -> Optional[HttpRequest]:
-        """Build a request from the header block alone (the body may still
-        be streaming in; selection only needs the header)."""
-        idx = raw.find(b"\r\n\r\n")
-        if idx < 0:
-            return None
-        from repro.http.message import Headers, parse_request_line
-
-        lines = raw[:idx].split(b"\r\n")
-        try:
-            method, path, version = parse_request_line(lines[0])
-        except HttpError:
-            return None
-        headers = Headers()
-        for line in lines[1:]:
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers.set(name.strip(), value.strip())
-        req = HttpRequest(method=method, path=path, version=version)
-        req.headers = headers
-        return req
+    def _select(self, policy: VipPolicy,
+                request: HttpRequest) -> Optional[SelectionResult]:
+        """The VIP's rule scan, against controller health intersected with
+        this instance's circuit breakers when qos is armed."""
+        view = self.backend_view
+        if self.qos is not None:
+            view = self.qos.view(view)
+        return self._tables[policy.vip].select(request, self.rng, view)
 
     def _connect_server(self, key: str, backend: str, policy: VipPolicy) -> None:
         flow = self.flows.get(key)
@@ -1033,25 +1010,37 @@ class YodaInstance:
         except SnatExhausted:
             self._refuse_exhausted(flow)
             return
-        state.server = server_ep
-        state.snat_port = snat_port
         if flow.tls:
             # the backend will replay the identical deterministic
             # handshake flight; remember how many bytes to suppress
-            state.tls_handshake_len = len(flow.resp_out)
+            state.tls_handshake_len = len(flow.tls.resp_out)
         if flow.long_lived:
             # the full request header, so a takeover instance can re-run
             # rule selection if this backend is dead by then; rides the
-            # storage-b write below
+            # storage-b write
             state.replay_header = bytes(flow.req_assembled)
-        flow.phase = FlowPhase.SERVER_SYN_SENT
+        self._open_backend(flow, key, server_ep, snat_port, 0)
+
+    def _open_backend(self, flow: _LocalFlow, key: str, server_ep: Endpoint,
+                      snat_port: int, forwarded: int) -> None:
+        """Point the flow at a backend and send it the SYN: the one place a
+        backend connection opens (first connect, HTTP/1.1 switch, stream
+        resume).  ``forwarded`` request bytes are already the backend's."""
+        state = flow.state
+        state.server = server_ep
+        state.server_isn = None
+        state.snat_port = snat_port
         state.phase = FlowPhase.SERVER_SYN_SENT.value
+        flow.phase = FlowPhase.SERVER_SYN_SENT
+        flow.forwarded_req_bytes = forwarded
+        flow.syn_tries = 0
         self.by_server[(str(server_ep), snat_port)] = key
         flow.t_server_syn = self.loop.now()
         if OBS.enabled:
             self._obs_start(flow, "server_connect")
         self._send_server_syn(flow)
-        flow.syn_timer = Timer(self.loop, lambda: self._server_syn_rto(key))
+        if flow.syn_timer is None:
+            flow.syn_timer = Timer(self.loop, lambda: self._server_syn_rto(key))
         flow.syn_timer.start(SERVER_SYN_RTO)
 
     def _send_server_syn(self, flow: _LocalFlow) -> None:
@@ -1077,10 +1066,7 @@ class YodaInstance:
             self.metrics.counter("server_connect_failed").inc()
             if self.qos is not None and flow.backend_name is not None:
                 self.qos.backend_failure(flow.backend_name)
-            self._send(Packet(src=flow.state.vip, dst=flow.state.client,
-                              flags=RST | ACK, seq=flow.state.yoda_isn,
-                              ack=seq_add(flow.state.client_isn, 1)))
-            self._destroy_flow(flow, remove_stored=True)
+            self._reset_client(flow)
             return
         self._send_server_syn(flow)
         flow.syn_timer.start(SERVER_SYN_RTO * (2 ** flow.syn_tries))
@@ -1138,7 +1124,9 @@ class YodaInstance:
         key = self.by_server.get(skey)
         flow = self.flows.get(key) if key is not None else None
         if flow is None:
-            self._recover_by_server(skey, pkt, policy)
+            self._recover(skey, pkt, "recovery_lookups_server",
+                          self.tcpstore.get_by_server,
+                          pkt.dst.ip, pkt.dst.port, pkt.src)
             return
         flow.last_seen = self.loop.now()
         state = flow.state
@@ -1228,11 +1216,9 @@ class YodaInstance:
             self._obs_end(flow, "storage_b", end=now, ok=True)
             self._obs_end(flow, "server_connect", end=now, ok=True)
         if self.qos is not None and flow.backend_name is not None:
-            self.qos.backend_success(flow.backend_name,
-                                     now - flow.t_server_syn)
+            self.qos.backend_success(flow.backend_name)
         self._release_qos_slot(flow)  # flow left the connection phase
         flow.phase = FlowPhase.TUNNEL
-        flow.t_established = now
         self._send_server_handshake_ack(flow)
         self._forward_buffered_request(flow)
 
@@ -1271,8 +1257,7 @@ class YodaInstance:
         already delivered by previous backends.
         """
         state = flow.state
-        version, table = self._tables[policy.vip]
-        result = table.select(request, self.rng, self._selection_view())
+        result = self._select(policy, request)
         if result is None:
             return False  # keep the current backend rather than reset
         new_ep = policy.endpoint_of(result.backend)
@@ -1281,8 +1266,7 @@ class YodaInstance:
         self.metrics.counter("backend_switches").inc()
         flow.backend_name = result.backend
         # close the old backend connection and drop its TCPStore index
-        old_skey = (str(state.server), state.snat_port)
-        self.by_server.pop(old_skey, None)
+        self.by_server.pop((str(state.server), state.snat_port), None)
         if not self.stateless:  # no index record was ever written
             self.tcpstore.remove_server_index(state)
         self._send(Packet(
@@ -1294,35 +1278,24 @@ class YodaInstance:
         in_use = self._snat_in_use.get(state.vip.ip)
         if in_use is not None and state.snat_port is not None:
             in_use.discard(state.snat_port)
-        # re-base the flow onto the new backend
+        # re-base the flow onto the new backend (named before the port is
+        # allocated: a refusal tears down the re-based flow)
         state.request_offset = start_offset
         state.response_offset += flow.resp_high
         flow.resp_high = 0
         state.server = new_ep
         state.server_isn = None
         try:
-            state.snat_port = self._alloc_snat_port(policy.vip)
+            snat_port = self._alloc_snat_port(policy.vip)
         except SnatExhausted:
             # old backend connection is already torn down; refuse the
             # client rather than limp on with no port
             self._refuse_exhausted(flow)
             return True
-        state.phase = FlowPhase.SERVER_SYN_SENT.value
-        flow.phase = FlowPhase.SERVER_SYN_SENT
-        flow.forwarded_req_bytes = start_offset
-        flow.syn_tries = 0
-        flow.policy_version = version
-        self.by_server[(str(new_ep), state.snat_port)] = flow.key()
-        flow.t_server_syn = self.loop.now()
         if OBS.enabled:
             OBS.flight(self.name, "backend_switch",
                        f"{flow.key()} -> {result.backend}")
-            self._obs_start(flow, "server_connect")
-        self._send_server_syn(flow)
-        if flow.syn_timer is None:
-            key = flow.key()
-            flow.syn_timer = Timer(self.loop, lambda: self._server_syn_rto(key))
-        flow.syn_timer.start(SERVER_SYN_RTO)
+        self._open_backend(flow, flow.key(), new_ep, snat_port, start_offset)
         return True
 
     # ========================================================== translation ==
@@ -1379,67 +1352,45 @@ class YodaInstance:
                       pkt.payload, dict(meta) if meta else {})
 
     # ============================================================== recovery ==
-    def _recover_by_client(self, key: str, pkt: Packet) -> None:
-        if key in self._recovering_c:
-            self._recovering_c[key].append(pkt)
+    def _recover(self, rkey, pkt: Packet, counter: str, lookup, *args) -> None:
+        """Queue ``pkt`` behind the TCPStore lookup of ``rkey`` (a client
+        flow key or a (server_ep, snat_port) pair), starting the lookup --
+        ``lookup(*args, on_done)`` -- for the first packet waiting on it."""
+        queued = self._recovering.get(rkey)
+        if queued is not None:
+            queued.append(pkt)
             return
-        self._recovering_c[key] = [pkt]
-        self.metrics.counter("recovery_lookups_client").inc()
-        self.tcpstore.get_by_client(
-            pkt.src, pkt.dst, lambda st: self._client_recovery_done(key, st)
-        )
+        self._recovering[rkey] = [pkt]
+        self.metrics.counter(counter).inc()
+        lookup(*args, lambda st: self._recovery_done(rkey, st))
 
-    def _client_recovery_done(self, key: str, state: Optional[FlowState]) -> None:
-        queued = self._recovering_c.pop(key, [])
+    def _recovery_done(self, rkey, state: Optional[FlowState]) -> None:
+        queued = self._recovering.pop(rkey, [])
         if self.host.failed:
             return
+        from_server = isinstance(rkey, tuple)
         if state is None:
             self.metrics.counter("recovery_miss").inc()
+            if from_server:
+                # orphan half-open server connection: clean it up so the
+                # backend does not retransmit forever
+                for pkt in queued:
+                    if not pkt.rst:
+                        self._send(Packet(
+                            src=pkt.dst, dst=pkt.src, flags=RST | ACK,
+                            seq=pkt.ack if pkt.has_ack else 0,
+                            ack=seq_add(pkt.seq, max(pkt.seq_span, 1)),
+                        ))
             return
-        flow = self._install_recovered(key, state)
+        flow = self._install_recovered(state.key, state)
         policy = self.policies.get(state.vip.ip)
         if policy is None:
             return
         for pkt in queued:
-            self._client_packet_on_flow(flow, pkt, policy)
-
-    def _recover_by_server(self, skey: Tuple[str, int], pkt: Packet,
-                           policy: VipPolicy) -> None:
-        if skey in self._recovering_s:
-            self._recovering_s[skey].append(pkt)
-            return
-        self._recovering_s[skey] = [pkt]
-        self.metrics.counter("recovery_lookups_server").inc()
-        server_ep = Endpoint.parse(skey[0])
-        self.tcpstore.get_by_server(
-            pkt.dst.ip, skey[1], server_ep,
-            lambda st: self._server_recovery_done(skey, st),
-        )
-
-    def _server_recovery_done(self, skey: Tuple[str, int],
-                              state: Optional[FlowState]) -> None:
-        queued = self._recovering_s.pop(skey, [])
-        if self.host.failed:
-            return
-        if state is None:
-            self.metrics.counter("recovery_miss").inc()
-            # orphan half-open server connection: clean it up so the
-            # backend does not retransmit forever
-            for pkt in queued:
-                if not pkt.rst:
-                    self._send(Packet(
-                        src=pkt.dst, dst=pkt.src, flags=RST | ACK,
-                        seq=pkt.ack if pkt.has_ack else 0,
-                        ack=seq_add(pkt.seq, max(pkt.seq_span, 1)),
-                    ))
-            return
-        key = flow_key(state.client, state.vip)
-        flow = self._install_recovered(key, state)
-        policy = self.policies.get(state.vip.ip)
-        if policy is None:
-            return
-        for pkt in queued:
-            self._handle_server_packet(pkt, policy)
+            if from_server:
+                self._handle_server_packet(pkt, policy)
+            else:
+                self._client_packet_on_flow(flow, pkt, policy)
 
     def _install_recovered(self, key: str, state: FlowState) -> _LocalFlow:
         existing = self.flows.get(key)
@@ -1447,7 +1398,6 @@ class YodaInstance:
             return existing
         flow = _LocalFlow(state, self.loop.now())
         flow.syn_stored = True
-        flow.recovered = True
         flow.requests_seen = None  # HTTP/1.1 switching needs parser context
         if OBS.enabled:
             self._obs_flow_open(flow, None, recovered=True)
@@ -1456,42 +1406,35 @@ class YodaInstance:
         policy = self.policies.get(state.vip.ip)
         if policy is not None and policy.certificate is not None:
             flow.enable_tls()
-            flow.resp_out = tls.certificate_flight(policy.certificate)
+            tls_flow = flow.tls
+            tls_flow.resp_out = tls.certificate_flight(policy.certificate)
             if state.client_prefix and not state.established:
                 # mid-handshake takeover: replay the stored hello through
                 # our own codec, then resend the entire certificate -- the
                 # client's TCP discards the duplicate segments (paper 5.2)
                 flow.req_assembled = bytearray(state.client_prefix)
-                flow.tls_records.extend(
-                    flow.tls_codec.feed(state.client_prefix))
-                for rtype, payload in flow.tls_records:
-                    if rtype == tls.CLIENT_HELLO:
-                        flow.tls_hello_done = True
-                        sni, ticket = tls.parse_hello(payload)
-                        flow.tls_sni = sni
-                        if ticket is not None and policy.session_tickets:
-                            # the dead instance only persists a ticketed
-                            # hello after validating it, so resume the
-                            # abbreviated flight rather than the full one
-                            flow.tls_resumed = True
-                            flow.resp_out = tls.session_ticket(ticket)
-                flow.tls_records = [
-                    r for r in flow.tls_records if r[0] != tls.CLIENT_HELLO
-                ]
-                if flow.tls_hello_done:
+                records = tls_flow.codec.feed(state.client_prefix)
+                for rtype, payload in records:
+                    if rtype != tls.CLIENT_HELLO:
+                        continue
+                    ticket = self._read_hello(flow, payload, policy)
+                    if ticket is not None:
+                        # the dead instance only persists a ticketed hello
+                        # after validating it, so resume the abbreviated
+                        # flight rather than the full one
+                        tls_flow.resumed = True
+                        tls_flow.resp_out = tls.session_ticket(ticket)
+                tls_flow.records = [r for r in records
+                                    if r[0] != tls.CLIENT_HELLO]
+                if tls_flow.hello_done:
                     self.loop.call_soon(self._resend_cert_if_alive, key)
         if state.established:
             flow.long_lived = bool(state.replay_header) and not flow.tls
-            if (flow.long_lived and policy is not None
+            if not (flow.long_lived and policy is not None
                     and self._backend_dead(policy, state.server)
                     and self._resume_dead_backend(key, flow, policy)):
-                pass  # reconnecting to a replacement backend
-            else:
                 flow.phase = FlowPhase.TUNNEL
                 self.by_server[(str(state.server), state.snat_port)] = key
-                # a recovered tunnel flow replays no header; the endpoints'
-                # own retransmissions drive it
-                flow.forwarded_req_bytes = 0
         else:
             flow.phase = FlowPhase.AWAIT_HEADER
         self.flows[key] = flow
@@ -1518,11 +1461,8 @@ class YodaInstance:
         ACKs, everything up to the checkpointed client watermark, exactly
         the way the duplicate TLS handshake flight is suppressed."""
         state = flow.state
-        request = self._parse_header_only(bytes(state.replay_header))
-        if request is None:
-            return False
-        version, table = self._tables[policy.vip]
-        result = table.select(request, self.rng, self._selection_view())
+        request = request_head(state.replay_header)
+        result = self._select(policy, request) if request is not None else None
         if result is None:
             return False
         new_ep = policy.endpoint_of(result.backend)
@@ -1539,36 +1479,21 @@ class YodaInstance:
             OBS.flight(self.name, "stream_resume",
                        f"{key} -> {result.backend}")
         flow.resumed_stream = True
-        flow.request = request
         flow.req_assembled = bytearray(state.replay_header)
         # suppress response bytes the client is known to hold; client ACKs
         # raise this further as they arrive (see _client_packet_on_flow)
         sup = state.resp_delivered - state.response_offset
         if sup > state.tls_handshake_len:
             state.tls_handshake_len = sup
-        state.server = new_ep
-        state.server_isn = None
-        state.snat_port = snat_port
-        state.phase = FlowPhase.SERVER_SYN_SENT.value
-        flow.phase = FlowPhase.SERVER_SYN_SENT
-        flow.forwarded_req_bytes = state.request_offset
-        flow.policy_version = version
-        self.by_server[(str(new_ep), state.snat_port)] = key
-        flow.t_server_syn = self.loop.now()
-        if OBS.enabled:
-            self._obs_start(flow, "server_connect")
-        self._send_server_syn(flow)
-        flow.syn_timer = Timer(self.loop, lambda: self._server_syn_rto(key))
-        flow.syn_timer.start(SERVER_SYN_RTO)
+        self._open_backend(flow, key, new_ep, snat_port, state.request_offset)
         return True
 
     # ================================================================ cleanup ==
     def _maybe_finish(self, flow: _LocalFlow) -> None:
-        if flow.fin_client and flow.fin_server:
+        if (flow.fin_client and flow.fin_server
+                and flow.phase is not FlowPhase.CLOSING):
             flow.phase = FlowPhase.CLOSING
-            if not flow.cleanup_scheduled:
-                flow.cleanup_scheduled = True
-                self.loop.call_later(FLOW_LINGER, self._finish_flow, flow.key())
+            self.loop.call_later(FLOW_LINGER, self._finish_flow, flow.key())
 
     def _finish_flow(self, key: str) -> None:
         flow = self.flows.get(key)
@@ -1582,16 +1507,9 @@ class YodaInstance:
 
     def _destroy_flow(self, flow: _LocalFlow, remove_stored: bool) -> None:
         state = flow.state
-        if OBS.enabled and flow.obs_spans is not None:
-            for name in ("storage_a", "storage_b", "server_connect", "rule_scan"):
-                self._obs_end(flow, name, ok=False)
-            self._obs_end(flow, "flow", completed=False)
+        self._obs_close(flow)
         self.flows.pop(flow.key(), None)
-        self._release_qos_slot(flow)
-        if flow.syn_timer is not None:
-            flow.syn_timer.cancel()
-        if flow.cert_timer is not None:
-            flow.cert_timer.cancel()
+        self._stop_flow(flow)
         if state.server is not None and state.snat_port is not None:
             self.by_server.pop((str(state.server), state.snat_port), None)
             in_use = self._snat_in_use.get(state.vip.ip)

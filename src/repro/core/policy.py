@@ -84,10 +84,6 @@ class VipPolicy:
         self.validate()
 
     @property
-    def vip_endpoint(self) -> Endpoint:
-        return Endpoint(self.vip, self.port)
-
-    @property
     def rule_count(self) -> int:
         return len(self.rules)
 

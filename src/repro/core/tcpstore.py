@@ -21,7 +21,7 @@ its updates out-version the crashed writer's records everywhere.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.core.flowstate import FlowState, client_key, server_key
 from repro.kvstore.client import KvOpResult, ReplicatingKvClient
@@ -93,17 +93,6 @@ class TcpStore:
         """The version of the newest record known for ``key`` (what the
         anti-entropy sweeper re-replicates at)."""
         return self._ledger.version_of(key)
-
-    def owned_records(self, state: FlowState) -> List[Tuple[str, bytes, Optional[Version]]]:
-        """The (key, payload, version) tuples that re-create this flow's
-        durable records -- the sweeper's unit of repair."""
-        payload = state.to_bytes()
-        out = [(state.storage_key(), payload,
-                self.version_of(state.storage_key()))]
-        skey = state.server_storage_key()
-        if skey is not None:
-            out.append((skey, payload, self.version_of(skey)))
-        return out
 
     # -- writes ----------------------------------------------------------------
     MAX_REWRITE_ROUNDS = 3

@@ -89,10 +89,6 @@ class KvStoreError(ReproError):
     """Key-value store (Memcached substrate) failure."""
 
 
-class StoreUnavailableError(KvStoreError):
-    """Not enough live replicas to complete a storage operation."""
-
-
 class PolicyError(ReproError):
     """A user policy / rule definition is invalid."""
 

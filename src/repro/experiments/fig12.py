@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.analysis.stats import cdf_points, median, percentile
+from repro.analysis.stats import median, percentile
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.http.client import FetchResult
 from repro.sim.tracing import endpoint_on_host
@@ -59,9 +59,6 @@ class ScenarioOutcome:
     @property
     def retried(self) -> int:
         return sum(1 for r in self.results if r.retries_used)
-
-    def latency_cdf(self, points: int = 50):
-        return cdf_points([r.latency for r in self.results], points)
 
 
 def run_scenario(

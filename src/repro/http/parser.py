@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.errors import HttpParseError
 from repro.http.message import (
@@ -97,31 +97,7 @@ class HttpParser:
             block = bytes(self._buf[:idx])
             del self._buf[: idx + len(HEADER_END)]
             self._header_bytes = idx + len(HEADER_END)
-            lines = block.split(CRLF)
-            self._start_line = lines[0]
-            headers = Headers()
-            length: Optional[int] = None
-            for line in lines[1:]:
-                if not line:
-                    continue
-                name, sep, value = line.decode("latin-1").partition(":")
-                if not sep:
-                    raise HttpParseError(f"malformed header line {line!r}")
-                name, value = name.strip(), value.strip()
-                if name.lower() == "content-length":
-                    # This value frames the message, so it is read exactly:
-                    # int() alone also takes "-5" (a body of buf[:-5]), "+5"
-                    # and "1_0", and of two different lengths the last
-                    # would win (RFC 7230 3.3.2-3.3.3).
-                    try:
-                        declared = int(value) if _ASCII_DIGITS(value) else -1
-                    except ValueError:  # more digits than int() converts
-                        declared = -1
-                    if declared < 0 or length not in (None, declared):
-                        raise HttpParseError(f"bad Content-Length {value!r}")
-                    length = declared
-                headers.set(name, value)
-            self._headers = headers
+            self._start_line, self._headers, length = parse_header_block(block)
             self._headers_done = True
             if length is not None:
                 self._body_needed = length
@@ -144,10 +120,7 @@ class HttpParser:
     def _build(self, body: bytes):
         assert self._headers is not None
         if self.kind == "request":
-            method, path, version = parse_request_line(self._start_line)
-            req = HttpRequest(method=method, path=path, version=version, body=body)
-            req.headers = self._headers
-            return req
+            return _request(self._start_line, self._headers, body)
         version, status, reason = parse_status_line(self._start_line)
         resp = HttpResponse(status=status, version=version, reason=reason, body=body)
         # preserve original headers (constructor overwrote Content-Length)
@@ -164,3 +137,58 @@ class HttpParser:
         self._body_needed = 0
         self._header_bytes = 0
         self._close_delimited = False
+
+
+def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
+    """One header block -- the bytes before the blank line -- as its start
+    line, its headers and the Content-Length it declares (None if none).
+
+    Raises HttpParseError on a header line without a colon, and on a
+    Content-Length that is not exactly one run of ASCII digits.
+    """
+    lines = block.split(CRLF)
+    headers = Headers()
+    length: Optional[int] = None
+    for line in lines[1:]:
+        if not line:
+            continue
+        name, sep, value = line.decode("latin-1").partition(":")
+        if not sep:
+            raise HttpParseError(f"malformed header line {line!r}")
+        name, value = name.strip(), value.strip()
+        if name.lower() == "content-length":
+            # This value frames the message, so it is read exactly: int()
+            # alone also takes "-5" (a body of buf[:-5]), "+5" and "1_0",
+            # and of two different lengths the last would win (RFC 7230
+            # 3.3.2-3.3.3).
+            try:
+                declared = int(value) if _ASCII_DIGITS(value) else -1
+            except ValueError:  # more digits than int() converts
+                declared = -1
+            if declared < 0 or length not in (None, declared):
+                raise HttpParseError(f"bad Content-Length {value!r}")
+            length = declared
+        headers.set(name, value)
+    return lines[0], headers, length
+
+
+def request_head(data: bytes) -> Optional[HttpRequest]:
+    """The request whose header block opens ``data``, without its body
+    (which may still be streaming in): what YODA's rule selection reads.
+
+    None until the blank line ending the block has arrived.  A malformed
+    block raises HttpError -- the verdict :class:`HttpParser` reaches on the
+    same bytes, reached without waiting for the body.
+    """
+    idx = data.find(HEADER_END)
+    if idx < 0:
+        return None
+    start_line, headers, _ = parse_header_block(data[:idx])
+    return _request(start_line, headers, b"")
+
+
+def _request(start_line: bytes, headers: Headers, body: bytes) -> HttpRequest:
+    method, path, version = parse_request_line(start_line)
+    req = HttpRequest(method=method, path=path, version=version, body=body)
+    req.headers = headers
+    return req

@@ -82,10 +82,6 @@ class MemcachedCluster:
         ``"dead"``, ``"live"``, ``"removed"``."""
         self._listeners.append(fn)
 
-    def remove_listener(self, fn: Callable[[str, str], None]) -> None:
-        if fn in self._listeners:
-            self._listeners.remove(fn)
-
     def _bump(self, event: str, name: str) -> None:
         self.epoch += 1
         for fn in list(self._listeners):
@@ -130,9 +126,6 @@ class MemcachedCluster:
             self.ring.remove(name)
         self._bump("removed", name)
         return True
-
-    def live_count(self) -> int:
-        return len(self.ring)
 
     def endpoint(self, name: str) -> Endpoint:
         return self.servers[name].endpoint

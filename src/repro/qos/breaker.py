@@ -5,8 +5,7 @@ clock -- no timers, no randomness -- so an always-closed breaker board is
 invisible to the deterministic packet schedule.  The classic three
 states:
 
-- **CLOSED**: traffic flows; consecutive connect failures (or a connect
-  latency EWMA above threshold) trip it OPEN.
+- **CLOSED**: traffic flows; consecutive connect failures trip it OPEN.
 - **OPEN**: the backend is skipped by selection; after ``open_duration``
   the next ``allow`` check falls through to HALF_OPEN.
 - **HALF_OPEN**: a bounded number of probe connections are admitted;
@@ -43,31 +42,22 @@ class CircuitBreaker:
     """One backend's breaker; all transitions are driven by ``now``."""
 
     __slots__ = (
-        "failure_threshold", "latency_threshold", "min_latency_samples",
-        "open_duration", "half_open_probes", "ewma_alpha", "state",
-        "latency_ewma", "open_count", "_fail_streak", "_samples",
-        "_opened_at", "_probes_issued", "_probe_successes", "_last_probe_at",
-        "listener",
+        "failure_threshold", "open_duration", "half_open_probes", "state",
+        "open_count", "_fail_streak", "_opened_at", "_probes_issued",
+        "_probe_successes", "_last_probe_at", "listener",
     )
 
     def __init__(self, failure_threshold: int = 5,
-                 latency_threshold: Optional[float] = None,
                  open_duration: float = 1.0, half_open_probes: int = 2,
-                 min_latency_samples: int = 10, ewma_alpha: float = 0.3,
                  listener: Optional[Callable[[BreakerState, BreakerState], None]] = None):
         if failure_threshold < 1 or half_open_probes < 1:
             raise ValueError("breaker thresholds must be >= 1")
         self.failure_threshold = failure_threshold
-        self.latency_threshold = latency_threshold
-        self.min_latency_samples = min_latency_samples
         self.open_duration = open_duration
         self.half_open_probes = half_open_probes
-        self.ewma_alpha = ewma_alpha
         self.state = BreakerState.CLOSED
-        self.latency_ewma: Optional[float] = None
         self.open_count = 0
         self._fail_streak = 0
-        self._samples = 0
         self._opened_at = 0.0
         self._probes_issued = 0
         self._probe_successes = 0
@@ -87,13 +77,11 @@ class CircuitBreaker:
             self._last_probe_at = now
         elif new is BreakerState.CLOSED:
             self._fail_streak = 0
-            self._samples = 0
-            self.latency_ewma = None  # a fresh start after recovery
         if self.listener is not None and old is not new:
             self.listener(old, new)
 
     # ------------------------------------------------------------- feedback --
-    def record_success(self, now: float, latency: Optional[float] = None) -> None:
+    def record_success(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
             if self._probe_successes >= self.half_open_probes:
@@ -103,14 +91,6 @@ class CircuitBreaker:
             # a straggler from before the trip; the probe phase decides
             return
         self._fail_streak = 0
-        if latency is not None and self.latency_threshold is not None:
-            ewma = self.latency_ewma
-            self.latency_ewma = (latency if ewma is None
-                                 else ewma + self.ewma_alpha * (latency - ewma))
-            self._samples += 1
-            if (self._samples >= self.min_latency_samples
-                    and self.latency_ewma > self.latency_threshold):
-                self._transition(BreakerState.OPEN, now)
 
     def record_failure(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
@@ -171,9 +151,8 @@ class BreakerBoard:
             )
         return brk
 
-    def record_success(self, backend: str, now: float,
-                       latency: Optional[float] = None) -> None:
-        self.breaker(backend).record_success(now, latency)
+    def record_success(self, backend: str, now: float) -> None:
+        self.breaker(backend).record_success(now)
 
     def record_failure(self, backend: str, now: float) -> None:
         self.breaker(backend).record_failure(now)

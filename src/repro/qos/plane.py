@@ -64,8 +64,8 @@ class InstanceQos:
             self._view_cached = BreakerView(inner, self.breakers, self.clock)
         return self._view_cached
 
-    def backend_success(self, backend: str, latency: float) -> None:
-        self.breakers.record_success(backend, self.clock(), latency)
+    def backend_success(self, backend: str) -> None:
+        self.breakers.record_success(backend, self.clock())
 
     def backend_failure(self, backend: str) -> None:
         self.metrics.counter("qos_backend_failures").inc()

@@ -73,10 +73,6 @@ class SeededRng:
         """Pick one item with probability proportional to its weight."""
         return self._random.choices(list(items), weights=list(weights), k=1)[0]
 
-    def pareto(self, alpha: float, xmin: float = 1.0) -> float:
-        """Sample a Pareto-distributed value with minimum ``xmin``."""
-        return xmin * (1.0 + self._random.paretovariate(alpha) - 1.0)
-
     def bounded_pareto(self, alpha: float, lo: float, hi: float) -> float:
         """Sample a Pareto value truncated to [lo, hi] via inverse CDF."""
         if not (0 < lo < hi):

@@ -101,9 +101,6 @@ class TcpStack:
             raise TcpError(f"port {port} already listening on {self.host.name}")
         self._listeners[port] = factory
 
-    def close_listener(self, port: int) -> None:
-        self._listeners.pop(port, None)
-
     def connect(
         self,
         remote: Endpoint,
@@ -287,10 +284,6 @@ class TcpConnection:
     @property
     def snd_una(self) -> int:
         return self._snd_una
-
-    @property
-    def rcv_nxt(self) -> int:
-        return self._rcv_nxt
 
     # ------------------------------------------------------------- handshake --
     def _active_open(self) -> None:

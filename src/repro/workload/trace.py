@@ -55,9 +55,6 @@ class ProductionTrace:
     def traffic_at(self, interval: int) -> Dict[str, float]:
         return {v: self.traffic[v][interval] for v in self.vips}
 
-    def total_traffic_at(self, interval: int) -> float:
-        return sum(self.traffic[v][interval] for v in self.vips)
-
     def max_to_avg(self, vip: str) -> float:
         series = self.traffic[vip]
         avg = sum(series) / len(series)

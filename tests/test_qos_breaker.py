@@ -54,37 +54,6 @@ class TestClosed:
             CircuitBreaker(half_open_probes=0)
 
 
-class TestLatencyTrip:
-    def test_slow_ewma_trips_after_min_samples(self):
-        brk = make(latency_threshold=0.05, min_latency_samples=5)
-        for i in range(5):
-            brk.record_success(0.1 * i, latency=0.2)
-        assert brk.state is BreakerState.OPEN
-
-    def test_no_trip_below_min_samples(self):
-        brk = make(latency_threshold=0.05, min_latency_samples=5)
-        for i in range(4):
-            brk.record_success(0.1 * i, latency=0.2)
-        assert brk.state is BreakerState.CLOSED
-
-    def test_fast_latencies_never_trip(self):
-        brk = make(latency_threshold=0.05, min_latency_samples=3)
-        for i in range(50):
-            brk.record_success(0.1 * i, latency=0.01)
-        assert brk.state is BreakerState.CLOSED
-
-    def test_ewma_resets_on_close(self):
-        brk = make(latency_threshold=0.05, min_latency_samples=2)
-        brk.record_success(0.0, latency=0.2)
-        brk.record_success(0.1, latency=0.2)
-        assert brk.state is BreakerState.OPEN
-        assert brk.allow(1.2)  # -> HALF_OPEN
-        brk.record_success(1.3)
-        brk.record_success(1.4)
-        assert brk.state is BreakerState.CLOSED
-        assert brk.latency_ewma is None
-
-
 class TestOpenAndHalfOpen:
     def tripped(self):
         brk = make()

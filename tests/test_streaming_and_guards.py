@@ -185,6 +185,7 @@ class TestInstanceHeaderDeadline:
 
 
 NO_COLON = b"GET /obj/0.bin HTTP/1.1\r\nthis line has no colon\r\n\r\n"
+BAD_LINE_BODY_PENDING = b"GET /obj/0.bin\r\nContent-Length: 100\r\n\r\n"
 GOOD = HttpRequest("GET", "/obj/0.bin", host="secure.example")
 
 
@@ -201,8 +202,15 @@ class TestMalformedRequest:
         ("yoda", CERT, [(0.0, tls.client_hello("secure.example")),
                         (1.0, tls.key_exchange("secure.example")
                          + tls.app_data(b"not a request line\r\n\r\n"))]),
+        # refused on sight: a header that does not parse is not waited on,
+        # whether its body is still to come or it arrived decrypted
+        ("yoda", None, [(0.0, BAD_LINE_BODY_PENDING)]),
+        ("yoda", CERT, [(0.0, tls.client_hello("secure.example")),
+                        (1.0, tls.key_exchange("secure.example")
+                         + tls.app_data(NO_COLON))]),
         ("haproxy", None, [(0.0, NO_COLON)]),
-    ], ids=["yoda-plain", "yoda-tls-record", "yoda-tls-request", "haproxy"])
+    ], ids=["yoda-plain", "yoda-tls-record", "yoda-tls-request",
+            "yoda-plain-body-pending", "yoda-tls-header-line", "haproxy"])
     def test_bad_client_is_reset_and_the_run_goes_on(self, lb, cert, script):
         bed = make_bed(lb=lb, tls_certificate=cert)
         bad = RawClient(bed.client_stacks[0], bed.loop, bed.target(), script)

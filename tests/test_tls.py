@@ -3,6 +3,7 @@ selection, and failure during certificate transfer."""
 
 import pytest
 
+from repro.core.flowstate import FlowState, client_key
 from repro.errors import HttpError
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http import tls
@@ -23,12 +24,13 @@ def make_bed(**overrides):
     return Testbed(TestbedConfig(**defaults))
 
 
-def https_fetch(bed, path="/obj/0.bin", deadline=60.0, on_start=None):
+def https_fetch(bed, path="/obj/0.bin", deadline=60.0, on_start=None,
+                session_cache=None):
     results = []
     fetcher = HttpsFetcher(
         bed.client_stacks[0], bed.loop, bed.target(),
         HttpRequest("GET", path, host="secure.example"),
-        results.append, sni="secure.example",
+        results.append, sni="secure.example", session_cache=session_cache,
     )
     fetcher.start()
     if on_start:
@@ -117,8 +119,8 @@ class TestTlsFailover:
         def poll():
             for inst in bed.yoda.instances:
                 for flow in inst.flows.values():
-                    if (flow.tls_hello_done and flow.resp_out
-                            and flow.resp_acked < len(flow.resp_out)):
+                    if (flow.tls and flow.tls.hello_done and flow.tls.resp_out
+                            and flow.tls.resp_acked < len(flow.tls.resp_out)):
                         state["t"] = bed.loop.now()
                         inst.fail()
                         return
@@ -179,3 +181,78 @@ class TestTlsFailover:
         ]
         # SYN storage-a plus the hello-prefix update
         assert len(store_writes) >= 2
+
+
+class _FlightAudit:
+    """Wire tap: the first byte the VIP sends a client after the SYN-ACK
+    acknowledges the hello, so the flow's stored record must hold the hello
+    by then (store-before-ACK)."""
+
+    scope = "wire-packet"
+
+    def __init__(self, bed):
+        self.bed = bed
+        self.vip = bed.target()
+        self.served = set()
+        self.unstored = []  # clients whose first flight byte left too early
+
+    def record(self, now, packet, dropped):
+        if (packet.src != self.vip or not packet.payload
+                or packet.dst in self.served):
+            return
+        self.served.add(packet.dst)
+        key = client_key(packet.dst, packet.src)
+        stored = [FlowState.from_bytes(raw) for raw in
+                  (s.peek(key) for s in self.bed.yoda.store_servers)
+                  if raw is not None]
+        if not any(state.client_prefix for state in stored):
+            self.unstored.append((now, str(packet.dst)))
+
+
+class TestHelloPrefixWriteFailure:
+    """A failed hello-prefix write is a failed storage-a write: nothing it
+    would have made durable has been acknowledged, so the instance forgets
+    the flow and keeps the stored SYN record, and the client's
+    retransmitted hello recovers the flow from it (``get_by_client``)."""
+
+    def _fail_next_prefix_write(self, bed):
+        failed = []
+        for inst in bed.yoda.instances:
+            def store_client_syn(state, on_done,
+                                 _real=inst.tcpstore.store_client_syn):
+                if state.client_prefix and not failed:
+                    failed.append(state.key)  # unwritten, reported late
+                    bed.loop.call_later(0.002, on_done, False)
+                    return
+                _real(state, on_done)
+            inst.tcpstore.store_client_syn = store_client_syn
+        return failed
+
+    def _storage_a_failures(self, bed):
+        return sum(i.metrics.counter("storage_a_failed").value
+                   for i in bed.yoda.instances)
+
+    def test_full_handshake(self):
+        bed = make_bed()
+        audit = bed.network.add_trace(_FlightAudit(bed))
+        failed = self._fail_next_prefix_write(bed)
+        result = https_fetch(bed, deadline=30.0)
+        assert failed, "the hello-prefix write never ran"
+        assert result.ok, result.error
+        assert result.retries_used == 0
+        assert self._storage_a_failures(bed) == 1
+        assert audit.served and not audit.unstored
+
+    def test_ticket_resumption(self):
+        bed = make_bed(tls_session_tickets=True)
+        audit = bed.network.add_trace(_FlightAudit(bed))
+        cache = {}
+        assert https_fetch(bed, deadline=30.0, session_cache=cache).ok
+        failed = self._fail_next_prefix_write(bed)
+        result = https_fetch(bed, deadline=30.0, session_cache=cache)
+        assert failed, "the resumption's hello-prefix write never ran"
+        assert result.ok and result.resumed, result.error
+        assert result.retries_used == 0
+        assert self._storage_a_failures(bed) == 1
+        # the abbreviated flight waited for a prefix write that succeeded
+        assert len(audit.served) == 2 and not audit.unstored
