@@ -23,7 +23,7 @@ from typing import Callable, List, Optional
 
 from repro.autoscale.policy import ElasticPolicy, PolicyEngine, ScaleDecision
 from repro.autoscale.signals import SignalReader, SignalSnapshot
-from repro.errors import ScaleEventConflict, SpareExhausted, StaleLeaderEpoch
+from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
 
@@ -87,24 +87,8 @@ class Autoscaler:
 
     # ----------------------------------------------------------- decisions --
     def tick(self) -> None:
-        ctl = self.controller
-        if not ctl.acting():
-            return
-        try:
-            self._pass()
-        except StaleLeaderEpoch as exc:
-            ctl.metrics.counter("pushes_fenced").inc()
-            if ctl.on_fenced is not None:
-                ctl.on_fenced(exc)
-        except (ScaleEventConflict, SpareExhausted) as exc:
-            ctl.metrics.counter("scale_refused").inc()
-            if OBS.enabled:
-                OBS.flight("autoscale", type(exc).__name__, str(exc))
-        except Exception as exc:  # noqa: BLE001 - same boundary as the monitor
-            ctl.metrics.counter("monitor_tick_errors").inc()
-            if OBS.enabled:
-                OBS.flight("controller", "autoscale_error",
-                           f"{type(exc).__name__}: {exc}")
+        # the controller's boundary: leader-only, fencing, containment
+        self.controller.guarded("autoscale", self._pass)
 
     def _pass(self) -> None:
         snap = self.signals.collect()
@@ -112,10 +96,16 @@ class Autoscaler:
             return
         decision = self.engine.decide(snap, drain_in_flight=self.in_flight())
         self._flight(decision, snap)
-        if decision.kind == "out":
-            self._scale_out(decision, snap)
-        elif decision.kind == "in":
-            self._scale_in(decision, snap)
+        try:
+            if decision.kind == "out":
+                self._scale_out(decision, snap)
+            elif decision.kind == "in":
+                self._scale_in(decision, snap)
+        except (ScaleEventConflict, SpareExhausted) as exc:
+            self.controller.metrics.counter("scale_refused").inc()
+            if OBS.enabled:
+                OBS.flight("autoscale", type(exc).__name__, str(exc))
+            return
         if self.policy.scale_stores:
             self._reconcile_stores(snap)
 

@@ -40,11 +40,7 @@ class SignalReader:
     # -------------------------------------------------------------- helpers --
     def live_instances(self) -> List[object]:
         ctl = self.controller
-        return [
-            ctl.instances[n] for n in ctl.instances
-            if ctl._instance_alive[n] and ctl.active.get(n)
-            and n not in ctl.draining
-        ]
+        return [ctl.instances[n] for n in ctl.live_instance_names()]
 
     def _admission_pressure(self, instance, now: float) -> float:
         qos = getattr(instance, "qos", None)

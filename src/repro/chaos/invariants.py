@@ -90,13 +90,28 @@ class Verdict:
         return f"{self.invariant}: {status} ({self.checked} checks)"
 
 
-def _verdict(invariant: str, checked: int, violations: List[Violation],
-             count: Optional[int] = None) -> Verdict:
-    """Fold an invariant's violations into its verdict: every one counts
-    (``count``, when the caller kept only some), the first few are shown."""
-    count = len(violations) if count is None else count
-    return Verdict(invariant, count == 0, checked,
-                   violations[:MAX_VIOLATIONS_KEPT], count)
+class ViolationLedger:
+    """One invariant's verdict in the making: every check and every
+    violation counts, the first ``MAX_VIOLATIONS_KEPT`` violations are kept
+    with the flight-recorder tail of the moment they happened.  Invariants
+    that judge online extend it; finalize-only ones fill a fresh one."""
+
+    def __init__(self, invariant: str):
+        self.invariant = invariant
+        self.checks = 0
+        self.violation_count = 0
+        self.violations: List[Violation] = []
+
+    def flag(self, time: float, subject: str, detail: str) -> None:
+        self.violation_count += 1
+        if len(self.violations) < MAX_VIOLATIONS_KEPT:
+            self.violations.append(Violation(self.invariant, time, subject,
+                                             detail,
+                                             forensics=_forensics_tail()))
+
+    def verdict(self) -> Verdict:
+        return Verdict(self.invariant, self.violation_count == 0,
+                       self.checks, self.violations, self.violation_count)
 
 
 # (src endpoint, dst endpoint) as the trace renders them: tables are keyed
@@ -234,31 +249,30 @@ class InvariantMonitor:
         if check_storage:
             self.table.on_synack.append(self._on_synack)
             self.table.on_backend_ack.append(self._on_backend_ack)
-        self.violations: Dict[str, List[Violation]] = {}
-        self.violation_counts: Dict[str, int] = {}
-        self.checks: Dict[str, int] = {
-            "storage-before-ack": 0,
-            "acked-byte-loss": 0,  # = table.acks_audited, read at finalize
-            "flow-conservation": 0,
-            "snat-leak": 0,
+        # acked-byte-loss checks = table.acks_audited, read at finalize
+        self.ledgers: Dict[str, ViolationLedger] = {
+            name: ViolationLedger(name) for name in (
+                "storage-before-ack", "acked-byte-loss",
+                "flow-conservation", "snat-leak")
         }
 
     # ----------------------------------------------------- client-side audit --
     def _on_synack(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         # SYN-ACK on the wire: storage-a must already be durable.
         if not audit.fin_from_lb:
-            self.checks["storage-before-ack"] += 1
+            ledger = self.ledgers["storage-before-ack"]
+            ledger.checks += 1
             store_key = client_key(*key)
             if not self._stored_somewhere(store_key):
-                self._violate(
-                    "storage-before-ack", now, _flow_id(key),
+                ledger.flag(
+                    now, _flow_id(key),
                     f"SYN-ACK sent but {store_key!r} is on no live store",
                 )
 
     def _on_rst(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         if audit.acked_req_bytes > 0:
-            self._violate(
-                "acked-byte-loss", now, _flow_id(key),
+            self.ledgers["acked-byte-loss"].flag(
+                now, _flow_id(key),
                 f"RST to client after ACKing {audit.acked_req_bytes} "
                 f"request bytes",
             )
@@ -268,11 +282,12 @@ class InvariantMonitor:
                         packet: Packet) -> None:
         # The ACK completing the backend handshake: storage-b (the updated
         # client record + server-side index) must be durable.
-        self.checks["storage-before-ack"] += 1
+        ledger = self.ledgers["storage-before-ack"]
+        ledger.checks += 1
         key = server_key(packet.src.ip, packet.src.port, packet.dst)
         if not self._stored_somewhere(key):
-            self._violate(
-                "storage-before-ack", now, _flow_id(pair),
+            ledger.flag(
+                now, _flow_id(pair),
                 f"backend handshake ACK sent but {key!r} is on no "
                 f"live store",
             )
@@ -288,13 +303,6 @@ class InvariantMonitor:
             if not server.host.failed and server.peek(key) is not None:
                 return True
         return False
-
-    def _violate(self, invariant: str, time: float, flow: str, detail: str) -> None:
-        self.violation_counts[invariant] = self.violation_counts.get(invariant, 0) + 1
-        bucket = self.violations.setdefault(invariant, [])
-        if len(bucket) < MAX_VIOLATIONS_KEPT:
-            bucket.append(Violation(invariant, time, flow, detail,
-                                    forensics=_forensics_tail()))
 
     # ------------------------------------------------------------- finalize --
     def finalize(self, strict_before: Optional[float] = None,
@@ -312,17 +320,18 @@ class InvariantMonitor:
                 a migrated flow still occupies.
         """
         now = self.bed.loop.now()
-        self.checks["acked-byte-loss"] = self.table.acks_audited
+        self.ledgers["acked-byte-loss"].checks = self.table.acks_audited
+        conservation = self.ledgers["flow-conservation"]
         if strict_before is not None:
             for key, audit in self.table.flows.items():
                 if audit.client_isn is None or audit.opened_at >= strict_before:
                     continue
-                self.checks["flow-conservation"] += 1
+                conservation.checks += 1
                 if audit.rst_from_lb:
                     continue  # already reported under acked-byte-loss
                 if not audit.clean:
-                    self._violate(
-                        "flow-conservation", now, _flow_id(key),
+                    conservation.flag(
+                        now, _flow_id(key),
                         f"flow opened at {audit.opened_at:.3f}s never "
                         f"finished (synack={audit.synack_seen} "
                         f"resp_bytes={audit.resp_bytes} "
@@ -330,26 +339,24 @@ class InvariantMonitor:
                         f"fin_client={audit.fin_from_client})",
                     )
         if self.check_storage:
+            leaks = self.ledgers["snat-leak"]
             excluded = set(exclude_instances)
             for instance in (list(self.bed.yoda.instances)
                              + list(self.bed.yoda.standby_instances)):
                 if instance.host.failed or instance.name in excluded:
                     continue
-                self.checks["snat-leak"] += 1
+                leaks.checks += 1
                 leaked = instance.snat_ports_leaked()
                 for vip, ports in leaked.items():
-                    self._violate(
-                        "snat-leak", now, instance.name,
+                    leaks.flag(
+                        now, instance.name,
                         f"{len(ports)} SNAT ports leaked for {vip}: "
                         f"{sorted(ports)[:8]}",
                     )
-        return [_verdict(invariant, checked,
-                         self.violations.get(invariant, []),
-                         self.violation_counts.get(invariant, 0))
-                for invariant, checked in self.checks.items()]
+        return [ledger.verdict() for ledger in self.ledgers.values()]
 
 
-class NoAcceptedRequestDropped:
+class NoAcceptedRequestDropped(ViolationLedger):
     """An *accepted* request is never sacrificed.
 
     The overload-control plane is allowed to refuse work -- but only at
@@ -379,26 +386,17 @@ class NoAcceptedRequestDropped:
     invariant = "no-accepted-request-dropped"
 
     def __init__(self, bed, table: FlowAuditTable):
+        super().__init__(self.invariant)
         self.bed = bed
         self.table = table
         table.on_rst.append(self._on_rst)
-        self.checks = 0
-        self.violations: List[Violation] = []
-        self.violation_count = 0
-
-    def _violate(self, time: float, key: FlowKey, detail: str) -> None:
-        self.violation_count += 1
-        if len(self.violations) < MAX_VIOLATIONS_KEPT:
-            self.violations.append(Violation(self.invariant, time,
-                                             _flow_id(key), detail,
-                                             forensics=_forensics_tail()))
 
     def _on_rst(self, now: float, key: FlowKey, audit: _FlowAudit) -> None:
         if (not audit.rst_from_lb and audit.synack_seen
                 and audit.acked_req_bytes > 0):
             self.checks += 1
-            self._violate(
-                now, key,
+            self.flag(
+                now, _flow_id(key),
                 f"accepted request reset "
                 f"({audit.acked_req_bytes} request bytes acked)",
             )
@@ -415,23 +413,22 @@ class NoAcceptedRequestDropped:
                 if audit.rst_from_lb:
                     continue  # already reported at the RST
                 if not audit.clean:
-                    self._violate(
-                        now, key,
+                    self.flag(
+                        now, _flow_id(key),
                         f"accepted flow (opened {audit.opened_at:.3f}s, "
                         f"{audit.acked_req_bytes} bytes acked) never "
                         f"finished (resp_bytes={audit.resp_bytes} "
                         f"fin_lb={audit.fin_from_lb} "
                         f"fin_client={audit.fin_from_client})",
                     )
-        return _verdict(self.invariant, self.checks, self.violations,
-                        self.violation_count)
+        return self.verdict()
 
 
 REPLICATION_WINDOW = 2.0  # seconds to restore K replicas after a change
 REPLICATION_SAMPLE_INTERVAL = 0.25
 
 
-class ReplicationFactorMonitor:
+class ReplicationFactorMonitor(ViolationLedger):
     """Audits store durability: K live replicas per record, restored
     within a bounded window after any membership change.
 
@@ -455,11 +452,9 @@ class ReplicationFactorMonitor:
                  interval: float = REPLICATION_SAMPLE_INTERVAL):
         if bed.yoda is None:
             raise ValueError("replication-factor monitoring needs a YODA bed")
+        super().__init__(self.invariant)
         self.bed = bed
         self.window = window
-        self.checks = 0
-        self.violations: List[Violation] = []
-        self.violation_count = 0
         self._deficit_since: Dict[str, float] = {}
         self._violated: Set[str] = set()
         self._task = PeriodicTask(bed.loop, interval, self._tick)
@@ -501,15 +496,10 @@ class ReplicationFactorMonitor:
                 first = self._deficit_since.setdefault(key, now)
                 if now - first > self.window and key not in self._violated:
                     self._violated.add(key)
-                    self.violation_count += 1
-                    if len(self.violations) < MAX_VIOLATIONS_KEPT:
-                        self.violations.append(Violation(
-                            self.invariant, now, key,
-                            f"{holders}/{need} live replicas for "
-                            f"{now - first:.2f}s (window {self.window}s, "
-                            f"epoch {yoda.kv_cluster.epoch})",
-                            forensics=_forensics_tail(),
-                        ))
+                    self.flag(now, key,
+                              f"{holders}/{need} live replicas for "
+                              f"{now - first:.2f}s (window {self.window}s, "
+                              f"epoch {yoda.kv_cluster.epoch})")
         # flows that vanished while in deficit stop being tracked
         for key in [k for k in self._deficit_since if k not in sampled]:
             self._deficit_since.pop(key, None)
@@ -517,8 +507,7 @@ class ReplicationFactorMonitor:
 
     def finalize(self) -> Verdict:
         self.stop()
-        return _verdict(self.invariant, self.checks, self.violations,
-                        self.violation_count)
+        return self.verdict()
 
 
 class EstablishedFlowsSurviveRegionFailover:
@@ -538,24 +527,21 @@ class EstablishedFlowsSurviveRegionFailover:
     invariant = "established-flows-survive-region-failover"
 
     def finalize(self, clients, kill_time: Optional[float]) -> Verdict:
-        checks = 0
-        violations: List[Violation] = []
+        ledger = ViolationLedger(self.invariant)
         if kill_time is not None:
             for client in clients:
                 r = client.result
                 if r.established_at is None or r.established_at >= kill_time:
                     continue
-                checks += 1
+                ledger.checks += 1
                 if not r.complete:
-                    violations.append(Violation(
-                        self.invariant, r.finished_at or kill_time, r.path,
+                    ledger.flag(
+                        r.finished_at or kill_time, r.path,
                         f"stream established at {r.established_at:.3f}s "
                         f"(kill at {kill_time:.3f}s) broke: "
                         f"{r.bytes_received}/{r.bytes_expected} bytes, "
-                        f"error={r.error}",
-                        forensics=_forensics_tail(),
-                    ))
-        return _verdict(self.invariant, checks, violations)
+                        f"error={r.error}")
+        return ledger.verdict()
 
 
 class AtMostOneActingLeader:
@@ -577,40 +563,34 @@ class AtMostOneActingLeader:
     invariant = "at-most-one-acting-leader"
 
     def finalize(self, replica_set) -> Verdict:
-        checks = 0
-        violations: List[Violation] = []
+        ledger = ViolationLedger(self.invariant)
         holder_by_epoch: Dict[int, str] = {}
 
         def _claim(epoch: int, holder: str, time: float, where: str) -> None:
             seen = holder_by_epoch.setdefault(epoch, holder)
             if seen != holder:
-                violations.append(Violation(
-                    self.invariant, time, where,
-                    f"epoch {epoch} acted through two holders: "
-                    f"{seen!r} and {holder!r}",
-                    forensics=_forensics_tail(),
-                ))
+                ledger.flag(time, where,
+                            f"epoch {epoch} acted through two holders: "
+                            f"{seen!r} and {holder!r}")
 
         for gate in replica_set.gates():
             high = -1
             for time, epoch, holder, kind, accepted in gate.log:
                 if not accepted:
                     continue
-                checks += 1
+                ledger.checks += 1
                 if epoch < high:
-                    violations.append(Violation(
-                        self.invariant, time, gate.name,
-                        f"accepted {kind} at epoch {epoch} after already "
-                        f"accepting epoch {high} -- fencing regressed",
-                        forensics=_forensics_tail(),
-                    ))
+                    ledger.flag(time, gate.name,
+                                f"accepted {kind} at epoch {epoch} after "
+                                f"already accepting epoch {high} -- fencing "
+                                f"regressed")
                 high = max(high, epoch)
                 _claim(epoch, holder, time, gate.name)
         for time, event, name, epoch in replica_set.events:
             if event == "active":
-                checks += 1
+                ledger.checks += 1
                 _claim(epoch, name, time, "election-log")
-        return _verdict(self.invariant, checks, violations)
+        return ledger.verdict()
 
 
 class ControlPlaneStaticStability:
@@ -625,10 +605,8 @@ class ControlPlaneStaticStability:
 
     invariant = "control-plane-static-stability"
 
-    def finalize(self, clients,
-                 windows: List) -> Verdict:
-        checks = 0
-        violations: List[Violation] = []
+    def finalize(self, clients, windows: List) -> Verdict:
+        ledger = ViolationLedger(self.invariant)
         starts = [w[0] for w in windows]
         for client in clients:
             r = client.result
@@ -637,18 +615,16 @@ class ControlPlaneStaticStability:
             overlapped = [s for s in starts if s > r.established_at]
             if not overlapped:
                 continue  # never lived through a leaderless moment
-            checks += 1
+            ledger.checks += 1
             if not r.complete:
                 first = min(overlapped)
-                violations.append(Violation(
-                    self.invariant, r.finished_at or first, r.path,
+                ledger.flag(
+                    r.finished_at or first, r.path,
                     f"stream established at {r.established_at:.3f}s broke "
                     f"after the control plane went leaderless at "
                     f"{first:.3f}s: {r.bytes_received}/{r.bytes_expected} "
-                    f"bytes, error={r.error}",
-                    forensics=_forensics_tail(),
-                ))
-        return _verdict(self.invariant, checks, violations)
+                    f"bytes, error={r.error}")
+        return ledger.verdict()
 
 
 class NoSplitBrainPromotion:
@@ -660,17 +636,14 @@ class NoSplitBrainPromotion:
     invariant = "no-split-brain-promotion"
 
     def finalize(self, controller, region_killed: bool) -> Verdict:
-        violations: List[Violation] = []
-        failed_over = bool(getattr(controller, "failed_over", False))
-        if failed_over and not region_killed:
-            violations.append(Violation(
-                self.invariant, getattr(controller, "failover_at", 0.0) or 0.0,
-                "controller",
+        ledger = ViolationLedger(self.invariant)
+        ledger.checks = 1
+        if controller.failed_over and not region_killed:
+            ledger.flag(
+                controller.failover_at or 0.0, "controller",
                 "standby region promoted but no region-kill fault fired "
-                "(WAN partition or gray failure misread as region death)",
-                forensics=_forensics_tail(),
-            ))
-        return _verdict(self.invariant, 1, violations)
+                "(WAN partition or gray failure misread as region death)")
+        return ledger.verdict()
 
 
 class ScaleEventsConverge:
@@ -702,32 +675,25 @@ class ScaleEventsConverge:
     def finalize(self, autoscalers) -> Verdict:
         events = sorted(
             (e for a in autoscalers for e in a.events), key=lambda e: e.at)
-        violations: List[Violation] = []
-        total = 0
-
-        def _flag(at: float, detail: str) -> None:
-            if len(violations) < MAX_VIOLATIONS_KEPT:
-                violations.append(Violation(
-                    self.invariant, at, "autoscale", detail,
-                    forensics=_forensics_tail(),
-                ))
-
+        ledger = ViolationLedger(self.invariant)
+        ledger.checks = len(events)
         instance_events = [e for e in events if e.kind in ("out", "in")]
         for i, e in enumerate(instance_events):
-            total += 1
             recent = [f for f in instance_events[:i + 1]
                       if f.at > e.at - self.window]
             flips = sum(1 for a, b in zip(recent, recent[1:])
                         if a.kind != b.kind)
             if flips > self.max_direction_changes:
-                _flag(e.at,
-                      f"{flips} direction changes inside {self.window:.0f}s "
-                      f"(> {self.max_direction_changes}): "
-                      + " -> ".join(f.kind for f in recent))
+                ledger.flag(e.at, "autoscale",
+                            f"{flips} direction changes inside "
+                            f"{self.window:.0f}s "
+                            f"(> {self.max_direction_changes}): "
+                            + " -> ".join(f.kind for f in recent))
         for i, e in enumerate(events):
             recent = [f for f in events[:i + 1] if f.at > e.at - self.window]
             if len(recent) > self.max_events_per_window:
-                _flag(e.at,
-                      f"{len(recent)} scale events inside {self.window:.0f}s "
-                      f"(> {self.max_events_per_window})")
-        return _verdict(self.invariant, max(total, len(events)), violations)
+                ledger.flag(e.at, "autoscale",
+                            f"{len(recent)} scale events inside "
+                            f"{self.window:.0f}s "
+                            f"(> {self.max_events_per_window})")
+        return ledger.verdict()

@@ -17,7 +17,7 @@ Four roles, as in the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.instance import YodaInstance
 from repro.core.policy import VipPolicy
@@ -87,13 +87,6 @@ class ControllerHealthView:
                 self._healthy[backend] = False
         return self._healthy.get(backend, True)
 
-    def update(self, backend: str, healthy: bool, load: float) -> None:
-        """Force-set state, bypassing hysteresis (operator override)."""
-        self._healthy[backend] = healthy
-        self._load[backend] = load
-        self._fail_streak[backend] = 0
-        self._ok_streak[backend] = 0
-
     def forget(self, backend: str) -> None:
         self._healthy.pop(backend, None)
         self._load.pop(backend, None)
@@ -149,11 +142,7 @@ class YodaController:
         instances: Sequence[YodaInstance],
         kv_cluster: Optional[MemcachedCluster] = None,
         monitor_interval: float = MONITOR_INTERVAL,
-        down_after: int = DOWN_AFTER_PROBES,
-        up_after: int = UP_AFTER_PROBES,
         rng: Optional[SeededRng] = None,
-        drain_deadline: float = DRAIN_DEADLINE,
-        drain_check_interval: float = DRAIN_CHECK_INTERVAL,
     ):
         self.loop = loop
         self.l4lb = l4lb
@@ -164,18 +153,16 @@ class YodaController:
         self.backends: Dict[str, BackendHttpServer] = {}
         self.policies: Dict[str, VipPolicy] = {}
         self.assignments: Dict[str, List[str]] = {}  # vip -> instance names
-        self.health_view = ControllerHealthView(down_after, up_after)
+        self.health_view = ControllerHealthView()
         self.metrics = MetricRegistry("controller")
-        self._instance_alive: Dict[str, bool] = {}
-        self._instance_health = ControllerHealthView(down_after, up_after)
-        self._kv_health = ControllerHealthView(down_after, up_after)
+        # the monitor's verdict per instance: the one record of "is it up"
+        self.instance_health = ControllerHealthView()
+        self._kv_health = ControllerHealthView()
         # closed-loop elastic scaling (repro.autoscale); None until armed
         # via attach_autoscaler
         self.autoscaler = None
-        self.draining: Set[str] = set()
-        self.drain_deadline = drain_deadline
-        self.drain_check_interval = drain_check_interval
-        self._drainer: Optional[DrainCoordinator] = None
+        # owns every drain; its task schedules nothing until one starts
+        self._drainer = DrainCoordinator(loop, self, DRAIN_CHECK_INTERVAL)
         self.traffic_stats: Dict[str, int] = {}
         # Probes can themselves be lost (chaos scenarios raise this); the
         # rng is only consulted when the rate is nonzero, so healthy runs
@@ -209,11 +196,12 @@ class YodaController:
 
         for instance in instances:
             self._adopt(instance)
-        # Probe faster than the advertised detection budget: ``down_after``
-        # consecutive failed probes fit inside one monitor_interval, so the
-        # paper's 600 ms worst-case detection clock still holds.
+        # Probe faster than the advertised detection budget:
+        # DOWN_AFTER_PROBES consecutive failed probes fit inside one
+        # monitor_interval, so the paper's 600 ms worst-case detection
+        # clock still holds.
         self.monitor_interval = monitor_interval
-        probe_interval = monitor_interval / max(1, down_after)
+        probe_interval = monitor_interval / DOWN_AFTER_PROBES
         self._monitor = PeriodicTask(loop, probe_interval, self._monitor_tick)
         self._monitor.start()
 
@@ -229,8 +217,7 @@ class YodaController:
         self._monitor.stop()
         if self.autoscaler is not None:
             self.autoscaler.stop()
-        if self._drainer is not None:
-            self._drainer.halt()
+        self._drainer.halt()
 
     def resume_monitoring(self) -> None:
         """Restart periodic activity after a crash-recovery.  Drains are
@@ -261,16 +248,15 @@ class YodaController:
     def _journal_state(self) -> Dict:
         """The JSON snapshot a successor replays: operator progress, not
         operator intent (intent lives in the replica set's registry)."""
-        drains = {}
-        if self._drainer is not None:
-            for name, st in self._drainer.drains.items():
-                if not st.done:
-                    drains[name] = {
-                        "started_at": st.started_at,
-                        "deadline_at": st.deadline_at,
-                        "flows_at_start": st.flows_at_start,
-                        "to_spare": st.to_spare,
-                    }
+        drains = {
+            name: {
+                "started_at": st.started_at,
+                "deadline_at": st.deadline_at,
+                "flows_at_start": st.flows_at_start,
+                "to_spare": st.to_spare,
+            }
+            for name, st in self._drainer.drains.items() if not st.done
+        }
         counters = {}
         for key in ("drains_started", "drains_completed", "drains_forced",
                     "scaled_up", "scaled_down", "region_failovers",
@@ -312,21 +298,7 @@ class YodaController:
         # 0. region failover the old leader already performed: adopt it
         if prev.get("failed_over") and not self.failed_over \
                 and self._standby is not None:
-            standby = self._standby
-            if standby.replicator is not None:
-                if standby.replicator.promoted:
-                    self.failover_records_lost = prev.get(
-                        "failover_records_lost", 0)
-                else:
-                    self.failover_records_lost = standby.replicator.promote()
-            if standby.kv_cluster is not None:
-                self.kv_cluster = standby.kv_cluster
-                standby.kv_cluster.add_listener(self._on_kv_membership)
-            self.l4lb = standby.l4lb
-            for instance in standby.instances:
-                if instance.name not in self.instances:
-                    self._adopt(instance)
-            self.failed_over = True
+            self._adopt_standby()
             self.failover_at = prev.get("failover_at")
         # 1. operator intent: every service the operator declared exists
         for policy, backends, instance_names in list(registry.services.values()):
@@ -357,9 +329,7 @@ class YodaController:
         # each replica constructed its own health view, but only the
         # leader's is fed by a running monitor
         for name, instance in self.instances.items():
-            up = not instance.host.failed
-            self._instance_alive[name] = up
-            self._instance_health.assume(name, up)
+            self.instance_health.assume(name, not instance.host.failed)
             instance.backend_view = self.health_view
         # backends too: a recovered stream probing in our first seconds
         # consults _backend_dead() through this view, and the unknown->
@@ -379,12 +349,8 @@ class YodaController:
             instance = self.instances.get(name)
             if instance is None:
                 continue
-            self.draining.add(name)
             if not instance.host.failed:
                 instance.start_drain(token=self.token)
-            if self._drainer is None:
-                self._drainer = DrainCoordinator(self.loop, self,
-                                                 self.drain_check_interval)
             self._drainer.resume(
                 name, started_at=info.get("started_at", self.loop.now()),
                 deadline_at=info["deadline_at"],
@@ -436,7 +402,6 @@ class YodaController:
             raise ControllerError(f"duplicate instance {instance.name!r}")
         self.instances[instance.name] = instance
         self.active[instance.name] = True
-        self._instance_alive[instance.name] = True
         instance.backend_view = self.health_view
 
     def add_instance(self, instance: YodaInstance,
@@ -463,14 +428,22 @@ class YodaController:
         (this is Problem 2 of Section 2.3 solved)."""
         if name not in self.instances:
             raise ControllerError(f"unknown instance {name!r}")
-        self.active[name] = False
-        for vip, assigned in self.assignments.items():
-            if name in assigned:
-                assigned.remove(name)
-                self._push_mapping(vip, flush_instance=self.instances[name].ip)
+        self._retire(name)
         self._forget_instance(name)
-        self.metrics.counter("instances_removed").inc()
         self.journal_sync()
+
+    def _retire(self, name: str) -> List[str]:
+        """Take an instance out of service: inactive, out of every
+        assignment, and every VIP it served re-pushed without it.
+        Returns those VIPs."""
+        self.active[name] = False
+        vips = [vip for vip, assigned in self.assignments.items()
+                if name in assigned]
+        for vip in vips:
+            self.assignments[vip].remove(name)
+            self._push_mapping(vip)
+        self.metrics.counter("instances_removed").inc()
+        return vips
 
     def _forget_instance(self, name: str) -> None:
         """Drop every controller-side trace of an instance that left the
@@ -480,19 +453,28 @@ class YodaController:
         -- fail as a duplicate."""
         self.instances.pop(name, None)
         self.active.pop(name, None)
-        self._instance_alive.pop(name, None)
-        self._instance_health.forget(name)
+        self.instance_health.forget(name)
+
+    def _serving(self, name: str, draining) -> bool:
+        """The serving rule: active, not draining, and up per the monitor."""
+        return (bool(self.active.get(name)) and name not in draining
+                and self.instance_health.is_healthy(name))
 
     def live_instance_names(self, vip: Optional[str] = None) -> List[str]:
-        names = self.assignments.get(vip, list(self.instances)) if vip \
-            else list(self.instances)
-        return [
-            n for n in names
-            if self.active.get(n) and self._instance_alive.get(n)
-            and n not in self.draining
-        ]
+        """Serving instances, in ``instances`` order (mapping order feeds
+        the hash ring); only those assigned ``vip`` when one is given."""
+        names = self.assignments.get(vip, self.instances) if vip \
+            else self.instances
+        draining = self.draining
+        return [n for n in names if self._serving(n, draining)]
 
     # -------------------------------------------------------------- draining --
+    @property
+    def draining(self) -> Set[str]:
+        """Instances with an unfinished drain (the coordinator's record)."""
+        return {name for name, st in self._drainer.drains.items()
+                if not st.done}
+
     def drain_instance(self, name: str, deadline: Optional[float] = None,
                        to_spare: bool = False) -> DrainStatus:
         """Scale an instance in without breaking its flows (make before
@@ -511,14 +493,9 @@ class YodaController:
             raise ControllerError(f"instance {name!r} is already draining")
         if not [n for n in self.live_instance_names() if n != name]:
             raise ControllerError("cannot drain the last live instance")
-        instance = self.instances[name]
-        self.draining.add(name)
-        instance.start_drain(token=self.token)
-        if self._drainer is None:
-            self._drainer = DrainCoordinator(self.loop, self,
-                                             self.drain_check_interval)
+        self.instances[name].start_drain(token=self.token)
         status = self._drainer.start(
-            name, self.drain_deadline if deadline is None else deadline,
+            name, DRAIN_DEADLINE if deadline is None else deadline,
             to_spare=to_spare,
         )
         self.metrics.counter("drains_started").inc()
@@ -526,9 +503,7 @@ class YodaController:
             OBS.flight("controller", "drain_start",
                        f"{name} flows={status.flows_at_start} "
                        f"deadline={status.deadline_at:.3f}")
-        for vip, assigned in self.assignments.items():
-            if name in assigned:
-                self._push_mapping(vip)
+        self._remap(name)
         self.journal_sync()
         return status
 
@@ -536,15 +511,9 @@ class YodaController:
         """DrainCoordinator callback: the instance emptied, timed out, or
         crashed mid-drain."""
         name = status.name
-        self.draining.discard(name)
-        instance = self.instances.get(name)
-        self.active[name] = False
-        vips = [vip for vip, assigned in self.assignments.items()
-                if name in assigned]
-        for vip in vips:
-            self.assignments[vip].remove(name)
-            self._push_mapping(vip)
-        if instance is not None and not crashed:
+        instance = self.instances[name]
+        vips = self._retire(name)
+        if not crashed:
             if status.state is DrainState.FORCED:
                 # Deadline hit: forget local state (keeping the TCPStore
                 # records) and flush the mux pins, so the ring re-hashes
@@ -569,10 +538,9 @@ class YodaController:
             # the instance has left the deployment: drop its monitor and
             # health-view entries so a later re-add starts clean
             self._forget_instance(name)
-        self.metrics.counter("instances_removed").inc()
-        if status.to_spare and instance is not None and not crashed:
-            instance.draining = False
-            self.spares.append(instance)
+            if status.to_spare:
+                instance.draining = False
+                self.spares.append(instance)
         self.journal_sync()
 
     # ----------------------------------------------------------------- VIPs --
@@ -590,10 +558,7 @@ class YodaController:
         if backends:
             for name, server in backends.items():
                 self.backends[name] = server
-        names = instance_names or [
-            n for n, live in self._instance_alive.items()
-            if live and self.active.get(n) and n not in self.draining
-        ]
+        names = instance_names or self.live_instance_names()
         if not names:
             raise ControllerError("no live instances to assign the VIP to")
         self.assignments[vip] = list(names)
@@ -656,22 +621,21 @@ class YodaController:
         # rules on removed instances are dropped lazily once their flows
         # drain; the mapping change is what redirects traffic
 
-    def _push_mapping(self, vip: str, flush_instance: Optional[str] = None) -> None:
+    def _remap(self, name: str) -> None:
+        """Re-push every VIP ``name`` is assigned to."""
+        for vip, assigned in self.assignments.items():
+            if name in assigned:
+                self._push_mapping(vip)
+
+    def _push_mapping(self, vip: str) -> None:
         assigned = self.assignments.get(vip, [])
-        ips = [
-            self.instances[n].ip
-            for n in assigned
-            if self._instance_alive.get(n) and self.active.get(n)
-            and n not in self.draining
-        ]
+        draining = self.draining
+        ips = [self.instances[n].ip for n in assigned
+               if self._serving(n, draining)]
         # draining instances leave the hash ring (no new SYNs) but stay
         # known to the muxes so pinned/SNAT-owned flows still reach them
-        draining_ips = [
-            self.instances[n].ip
-            for n in assigned
-            if n in self.draining
-            and self._instance_alive.get(n) and self.active.get(n)
-        ]
+        draining_ips = [self.instances[n].ip for n in assigned
+                        if n in draining and self._serving(n, ())]
         self.l4lb.update_mapping(vip, ips, flush_removed=True,
                                  draining_ips=draining_ips, token=self.token)
         compact_version = self.l4lb.compact_version(vip)
@@ -689,23 +653,23 @@ class YodaController:
             return False
         return True
 
-    def _monitor_tick(self) -> None:
-        """One guarded monitor round.
-
-        Two layers of protection around the actual pass:
+    def guarded(self, where: str, step: Callable[[], None]) -> None:
+        """Run one periodic control pass (``where`` names it: the monitor,
+        the autoscaler) behind the control plane's one boundary.
 
         - leadership: a replica that is not the acting leader observes
           nothing and mutates nothing (the data plane must be statically
           stable while leaderless, and doubly-probed under a duel);
         - containment: a raising probe, breaker callback or push must not
           propagate out of the periodic task -- that would silently kill
-          monitoring forever.  Fencing rejections demote this replica;
-          anything else is recorded and the next round proceeds.
+          the loop forever.  Fencing rejections demote this replica;
+          anything else is counted, flight-recorded as ``<where>_error``,
+          and the next round proceeds.
         """
         if not self.acting():
             return
         try:
-            self._monitor_pass()
+            step()
         except StaleLeaderEpoch as exc:
             self.metrics.counter("pushes_fenced").inc()
             if OBS.enabled:
@@ -715,30 +679,29 @@ class YodaController:
         except Exception as exc:  # noqa: BLE001 - the containment boundary
             self.metrics.counter("monitor_tick_errors").inc()
             if OBS.enabled:
-                OBS.flight("controller", "monitor_error",
+                OBS.flight("controller", f"{where}_error",
                            f"{type(exc).__name__}: {exc}")
 
+    def _monitor_tick(self) -> None:
+        self.guarded("monitor", self._monitor_pass)
+
     def _monitor_pass(self) -> None:
-        # YODA instances: remove failed ones from every mapping + flush
+        # YODA instances: a verdict change re-pushes every VIP they serve
+        health = self.instance_health
         for name, instance in self.instances.items():
-            alive = self._instance_health.observe(name, self._probe(instance.host))
-            if not alive and self._instance_alive.get(name, True):
-                self._instance_alive[name] = False
+            was = health.is_healthy(name)
+            up = health.observe(name, self._probe(instance.host))
+            if up == was:
+                continue
+            if not up:
                 self.metrics.counter("instance_failures_detected").inc()
                 if OBS.enabled:
                     OBS.flight("controller", "instance_down",
                                f"{name} removed from mappings")
-                for vip, assigned in self.assignments.items():
-                    if name in assigned:
-                        self._push_mapping(vip)
-            elif alive and not self._instance_alive.get(name, True):
-                self._instance_alive[name] = True
-                if OBS.enabled:
-                    OBS.flight("controller", "instance_up",
-                               f"{name} readmitted to mappings")
-                for vip, assigned in self.assignments.items():
-                    if name in assigned:
-                        self._push_mapping(vip)
+            elif OBS.enabled:
+                OBS.flight("controller", "instance_up",
+                           f"{name} readmitted to mappings")
+            self._remap(name)
         # backends: update the health view the selectors consult.  Load is
         # only readable when the probe comes back.
         for name, server in self.backends.items():
@@ -755,9 +718,9 @@ class YodaController:
         # not ``self.kv_cluster`` yet): WAN-partition timeouts make the
         # relay's client mark secondary servers dead, and only the monitor
         # re-admits them once their quarantine expires
-        if (self._standby is not None and not self.failed_over
-                and self._standby.kv_cluster is not None):
-            self._monitor_kv_cluster(self._standby.kv_cluster)
+        standby = None if self.failed_over else self._standby
+        if standby is not None and standby.kv_cluster is not None:
+            self._monitor_kv_cluster(standby.kv_cluster)
         # region failover: every primary instance is confirmed down (per
         # the same hysteresis that governs single-instance removal) and a
         # standby region is registered.  The probe consults ``host.failed``
@@ -765,13 +728,12 @@ class YodaController:
         # from afar -- never looks like region death: that is the
         # split-brain guard (no second region ever serves a VIP while the
         # first still owns it).
-        if (self._standby is not None and not self.failed_over
-                and self.instances
-                and not any(self._instance_alive[n] for n in self.instances)):
+        if (standby is not None and self.instances
+                and not any(health.is_healthy(n) for n in self.instances)):
             self._fail_over_region()
         # traffic statistics from the instances
         for name, instance in self.instances.items():
-            if self._instance_alive[name]:
+            if health.is_healthy(name):
                 for vip, count in instance.read_and_reset_traffic().items():
                     self.traffic_stats[vip] = self.traffic_stats.get(vip, 0) + count
 
@@ -815,24 +777,13 @@ class YodaController:
         reaches an instance without rules.
         """
         standby = self._standby
-        assert standby is not None
-        self.failed_over = True
-        self.failover_at = self.loop.now()
         dead_ips = [inst.ip for name, inst in self.instances.items()
-                    if not self._instance_alive.get(name)]
-        # 1. promote the secondary store: cross-site shipping stops, the
-        # unshipped backlog is the failover's data loss, and stale copies
-        # converge through newest-wins + read-repair on recovery reads
-        if standby.replicator is not None:
-            self.failover_records_lost = standby.replicator.promote()
-        if standby.kv_cluster is not None:
-            self.kv_cluster = standby.kv_cluster
-            standby.kv_cluster.add_listener(self._on_kv_membership)
-        # 2. the standby instances join the deployment
+                    if not self.instance_health.is_healthy(name)]
         primary_l4lb = self.l4lb
-        self.l4lb = standby.l4lb
-        for instance in standby.instances:
-            self._adopt(instance)
+        # 1-2. promote the secondary store -- cross-site shipping stops, the
+        # unshipped backlog is the failover's data loss -- and adopt the site
+        self._adopt_standby()
+        self.failover_at = self.loop.now()
         names = [inst.name for inst in standby.instances]
         for vip, policy in self.policies.items():
             for instance in standby.instances:
@@ -862,6 +813,23 @@ class YodaController:
                        f"take over, {self.failover_records_lost} unshipped "
                        f"records lost")
         self.journal_sync()
+
+    def _adopt_standby(self) -> None:
+        """Make the standby region this controller's site: promote its store
+        (idempotent, and the replicator is shared, so a successor adopting
+        a journaled failover reads the same loss), then take its store
+        cluster, L4 LB and instances."""
+        standby = self._standby
+        if standby.replicator is not None:
+            self.failover_records_lost = standby.replicator.promote()
+        if standby.kv_cluster is not None:
+            self.kv_cluster = standby.kv_cluster
+            standby.kv_cluster.add_listener(self._on_kv_membership)
+        self.l4lb = standby.l4lb
+        for instance in standby.instances:
+            if instance.name not in self.instances:
+                self._adopt(instance)
+        self.failed_over = True
 
     # -------------------------------------------------------- store membership --
     def _on_kv_membership(self, event: str, name: str) -> None:

@@ -285,12 +285,9 @@ class LeaderElector:
             if result.replicas_answered == 0:
                 self._note_unavailable("read")
                 return
-            rec = self._decode(result)
-            if rec is not None:
-                self.ledger.adopt(LEASE_KEY, result.version)
-                self.observed_epoch = max(self.observed_epoch, rec["epoch"])
-                if rec["expires_at"] > self.loop.now():
-                    return  # live leader elsewhere
+            rec = self._observe(result)
+            if rec is not None and rec["expires_at"] > self.loop.now():
+                return  # live leader elsewhere
             self._claim()
 
         self.kv.get(LEASE_KEY, _cb)
@@ -327,10 +324,7 @@ class LeaderElector:
         def _cb(result: KvOpResult) -> None:
             if gen != self._gen or self.state != "claiming":
                 return
-            rec = self._decode(result)
-            if rec is not None:
-                self.ledger.adopt(LEASE_KEY, result.version)
-                self.observed_epoch = max(self.observed_epoch, rec["epoch"])
+            rec = self._observe(result)
             if (rec is not None and rec["holder"] == self.host.name
                     and rec["epoch"] == epoch):
                 self.state = "leader"
@@ -405,8 +399,9 @@ class LeaderElector:
         return json.dumps({"epoch": epoch, "holder": self.host.name,
                            "expires_at": expires_at}, sort_keys=True).encode()
 
-    @staticmethod
-    def _decode(result: KvOpResult) -> Optional[Dict]:
+    def _observe(self, result: KvOpResult) -> Optional[Dict]:
+        """Decode a lease read and adopt what it shows (its version, the
+        highest epoch seen); None when absent or unreadable."""
         if not result.ok or result.value is None:
             return None
         try:
@@ -415,12 +410,14 @@ class LeaderElector:
             return None
         if not isinstance(rec, dict) or "epoch" not in rec:
             return None
+        self.ledger.adopt(LEASE_KEY, result.version)
+        self.observed_epoch = max(self.observed_epoch, rec["epoch"])
         return rec
 
 
 class OperatorRegistry:
     """What the *operator* asked for, kept outside any single controller:
-    the services to run, spare instances, the standby region.  Every
+    the services to run and the spare instances.  Every
     replica's controller can be (re)hydrated from this plus the journal —
     the registry is intent, the journal is progress."""
 
@@ -428,7 +425,6 @@ class OperatorRegistry:
         # vip -> (policy, backends, instance_names)
         self.services: Dict[str, Tuple] = {}
         self.spare_pool: Dict[str, object] = {}  # name -> YodaInstance
-        self.standby_region = None
 
     def add_service(self, policy, backends, instance_names) -> None:
         self.services[policy.vip] = (policy, backends, instance_names)
@@ -531,10 +527,9 @@ class ControllerReplica:
 class ControllerReplicaSet:
     """The replicated control plane, as the testbed sees it.
 
-    Routes operator intent (``add_vip``, spares, the standby region) to
-    every replica's registry and to the acting leader if there is one;
-    tracks leadership events so invariants can reconstruct exactly when
-    the system was leaderless."""
+    Routes operator intent (``add_vip``, spares) to the shared registry
+    and to the acting leader if there is one; tracks leadership events so
+    invariants can reconstruct exactly when the system was leaderless."""
 
     def __init__(self, loop: EventLoop, lease_cluster: MemcachedCluster):
         self.loop = loop
@@ -583,18 +578,12 @@ class ControllerReplicaSet:
         if rep is not None:
             rep.controller.add_vip(policy, backends=backends,
                                    instance_names=instance_names)
-            rep.controller.journal_sync()
 
     def add_spare(self, instance) -> None:
         self.registry.add_spare(instance)
         rep = self.acting_replica()
         if rep is not None:
             rep.controller.add_spare(instance)
-
-    def register_standby_region(self, region) -> None:
-        self.registry.standby_region = region
-        for rep in self.replicas:
-            rep.controller.register_standby_region(region)
 
     # -- invariant support -----------------------------------------------------
     def leaderless_windows(self, end: float) -> List[Tuple[float, float]]:

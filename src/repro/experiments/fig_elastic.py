@@ -139,7 +139,7 @@ def _run_leg(
     def powered_instances() -> int:
         return sum(
             1 for n in ctl.instances
-            if ctl._instance_alive.get(n)
+            if ctl.instance_health.is_healthy(n)
             and (ctl.active.get(n) or n in ctl.draining)
         )
 

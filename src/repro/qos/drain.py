@@ -24,7 +24,7 @@ idle qos plane stays invisible to the deterministic packet schedule.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.obs import OBS
@@ -63,21 +63,15 @@ class DrainCoordinator:
         self.controller = controller
         self.drains: Dict[str, DrainStatus] = {}
         self._task = PeriodicTask(loop, check_interval, self._tick)
-        self._running = False
 
     def start(self, name: str, deadline: float,
               to_spare: bool = False) -> DrainStatus:
-        instance = self.controller.instances[name]
         now = self.loop.now()
-        status = DrainStatus(
-            name=name, started_at=now, deadline_at=now + deadline,
-            flows_at_start=len(instance.flows), to_spare=to_spare,
+        return self.resume(
+            name, started_at=now, deadline_at=now + deadline,
+            flows_at_start=len(self.controller.instances[name].flows),
+            to_spare=to_spare,
         )
-        self.drains[name] = status
-        if not self._running:
-            self._running = True
-            self._task.start()
-        return status
 
     def resume(self, name: str, started_at: float, deadline_at: float,
                flows_at_start: int, to_spare: bool = False) -> DrainStatus:
@@ -89,22 +83,19 @@ class DrainCoordinator:
             flows_at_start=flows_at_start, to_spare=to_spare,
         )
         self.drains[name] = status
-        if not self._running:
-            self._running = True
-            self._task.start()
+        self._task.start()
         return status
 
     def halt(self) -> None:
         """Stop polling without resolving anything (the owning controller
         replica died; a successor resumes from the journal)."""
-        self._running = False
         self._task.stop()
 
     def _tick(self) -> None:
         # A controller that lost its lease must not finish drains: the
         # finish path pushes mappings and flushes muxes, which its
         # successor (who resumed this drain from the journal) now owns.
-        if not getattr(self.controller, "acting", lambda: True)():
+        if not self.controller.acting():
             return
         now = self.loop.now()
         for name in list(self.drains):
@@ -124,7 +115,6 @@ class DrainCoordinator:
                 status.flows_handed_off = len(instance.flows)
                 self._finish(status, DrainState.FORCED, now)
         if all(s.done for s in self.drains.values()):
-            self._running = False
             self._task.stop()
 
     def _finish(self, status: DrainStatus, state: DrainState,

@@ -348,3 +348,30 @@ class TestReplicationFactorMonitor:
         bed.yoda.kv_cluster.mark_live(bystander.name)
         bed.loop.run(until=4.0)
         assert monitor.violation_count == 1
+
+
+class TestScaleEventsConverge:
+    """The autoscaler's convergence audit, judged off event ledgers."""
+
+    @staticmethod
+    def _verdict(kinds, spacing=0.1):
+        from types import SimpleNamespace
+
+        from repro.autoscale.engine import ScaleEvent
+        from repro.chaos.invariants import ScaleEventsConverge
+        events = [ScaleEvent(round(i * spacing, 6), kind, 1, "test", 3)
+                  for i, kind in enumerate(kinds)]
+        return ScaleEventsConverge().finalize([SimpleNamespace(events=events)])
+
+    def test_monotone_events_under_the_bounds_converge(self):
+        verdict = self._verdict(["out", "out", "in"], spacing=4.0)
+        assert verdict.ok and verdict.checked == 3
+
+    def test_every_violation_counts_past_the_kept_ones(self):
+        from repro.chaos.invariants import MAX_VIOLATIONS_KEPT
+        verdict = self._verdict(["out", "in"] * 100)
+        # alternating events 0.1 s apart: from the 4th event on its window
+        # holds > 2 direction changes, from the 7th on > 6 events
+        assert verdict.violation_count == (200 - 3) + (200 - 6)
+        assert len(verdict.violations) == MAX_VIOLATIONS_KEPT
+        assert verdict.checked == 200 and not verdict.ok

@@ -101,11 +101,6 @@ class TestHealthViewHysteresis:
         view.observe("b", True)
         assert view.is_healthy("b")
 
-    def test_update_bypasses_hysteresis(self):
-        view = ControllerHealthView(down_after=3, up_after=3)
-        view.update("b", False, 0.0)
-        assert not view.is_healthy("b")
-
     def test_invalid_thresholds_rejected(self):
         with pytest.raises(ValueError):
             ControllerHealthView(down_after=0)

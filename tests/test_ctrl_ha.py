@@ -183,23 +183,83 @@ class TestJournaledTakeover:
         assert leader_b.controller.metrics.counter(
             "drains_started").value >= started
 
+    def test_one_add_vip_is_one_journal_write(self):
+        from dataclasses import replace
+        bed = make_bed()
+        bed.run(2.0)
+        leader = bed.yoda.replica_set.acting_replica()
+        writes = leader.journal.writes
+        bed.yoda.add_service(replace(bed.policy, vip="100.0.0.2"),
+                             bed.backends)
+        assert "100.0.0.2" in leader.controller.policies
+        assert leader.journal.writes == writes + 1
+
+
+def _arm_autoscaler(bed):
+    from repro.autoscale import Autoscaler, ElasticPolicy
+    ctl = bed.yoda.controller
+    ctl.attach_autoscaler(Autoscaler(ctl, ElasticPolicy(check_interval=0.3)))
+    return ctl.autoscaler
+
+
+# each periodic control pass and the attribute its tick calls
+CONTROL_PASSES = {
+    "monitor": lambda bed: (bed.yoda.controller, "_monitor_pass"),
+    "autoscale": lambda bed: (_arm_autoscaler(bed), "_pass"),
+}
+
 
 class TestMonitorContainment:
-    def test_monitor_keeps_ticking_through_exceptions(self):
+    """The controller's one containment boundary (``guarded``), proven
+    for both periodic passes that run behind it."""
+
+    @pytest.mark.parametrize("where", sorted(CONTROL_PASSES))
+    def test_monitor_keeps_ticking_through_exceptions(self, where):
+        from repro.obs import OBS
         bed = make_bed(num_controllers=0)
         ctl = bed.yoda.controller
+        owner, attr = CONTROL_PASSES[where](bed)
         bed.run(1.0)
+        original, ticks = getattr(owner, attr), []
 
         def boom():
+            ticks.append(bed.loop.now())
             raise RuntimeError("probe wiring torn mid-tick")
 
-        original, ctl._monitor_pass = ctl._monitor_pass, boom
-        bed.run(2.0)  # several ticks, none may escape
+        setattr(owner, attr, boom)
+        OBS.enable()
+        try:
+            bed.run(2.0)  # several ticks, none may escape
+            records = [detail for _t, kind, detail
+                       in OBS.recorders.recorder("controller").events()
+                       if kind == f"{where}_error"]
+        finally:
+            OBS.disable()
         errors = ctl.metrics.counter("monitor_tick_errors").value
-        assert errors >= 2
-        ctl._monitor_pass = original
+        assert len(ticks) >= 2 and errors == len(ticks)
+        assert records == ["RuntimeError: probe wiring torn mid-tick"] * len(ticks)
+        calls = []
+        setattr(owner, attr, lambda: (calls.append(1), original()))
         bed.run(1.0)
+        assert calls, "the periodic pass stopped after the fault"
         assert ctl.metrics.counter("monitor_tick_errors").value == errors
+
+    def test_fenced_autoscale_pass_steps_the_replica_down(self):
+        bed = make_bed()
+        bed.run(2.0)
+        leader = bed.yoda.replica_set.acting_replica()
+        ctl = leader.controller
+        scaler = _arm_autoscaler(bed)
+
+        def fenced():
+            raise StaleLeaderEpoch("l4-router", "mapping", 1,
+                                   leader.name, 2, "ctl-9")
+
+        scaler._pass = fenced
+        bed.run(0.35)  # one autoscale tick
+        assert ctl.metrics.counter("pushes_fenced").value == 1
+        assert leader.elector.state == "follower"
+        assert not leader.acting()
 
 
 class TestForgetInstance:

@@ -40,8 +40,8 @@ class TestChaosForensics:
         OBS.flight("yoda-0", "drop", "something suspicious")
         OBS.flight("chaos", "fault", "t+0.5s crash lb:0")
         monitor = self._monitor()
-        monitor._violate("acked-byte-loss", 1.0, "flow", "detail")
-        violation = monitor.violations["acked-byte-loss"][0]
+        monitor.ledgers["acked-byte-loss"].flag(1.0, "flow", "detail")
+        violation = monitor.ledgers["acked-byte-loss"].violations[0]
         assert violation.forensics
         assert any("[chaos] fault" in line for line in violation.forensics)
         assert "flight recorder tail" in str(violation)
@@ -49,10 +49,10 @@ class TestChaosForensics:
     def test_no_forensics_when_plane_disabled(self):
         assert not OBS.enabled
         monitor = self._monitor()
-        monitor._violate("acked-byte-loss", 1.0, "flow", "detail")
-        assert monitor.violations["acked-byte-loss"][0].forensics == []
-        assert "flight recorder tail" not in str(
-            monitor.violations["acked-byte-loss"][0])
+        ledger = monitor.ledgers["acked-byte-loss"]
+        ledger.flag(1.0, "flow", "detail")
+        assert ledger.violations[0].forensics == []
+        assert "flight recorder tail" not in str(ledger.violations[0])
 
     def test_scenario_violations_carry_forensic_dump(self):
         """The satellite contract: a broken run's violations embed the
