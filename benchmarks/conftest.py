@@ -8,9 +8,15 @@ microbenchmarks).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # this session's regenerated tables; placed by pytest_configure
 _results_file: Optional[Path] = None
@@ -31,6 +37,30 @@ def pytest_terminal_summary(terminalreporter) -> None:
     if _results_file is not None and _results_file.stat().st_size:
         terminalreporter.write_line(
             f"regenerated tables written to {_results_file}")
+
+
+def _git_sha() -> str:
+    """HEAD, suffixed ``-dirty`` when the tracked tree the numbers came from
+    differs from it (a change's numbers are measured before its commit
+    exists)."""
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
+            cwd=REPO_ROOT, text=True, check=True, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def run_envelope() -> Dict[str, object]:
+    """What a committed ``BENCH_*.json`` says about the run it holds: which
+    tree, on what, when."""
+    return {
+        "sha": _git_sha(),
+        "cpus": os.cpu_count() or 1,
+        "python": sys.version.split()[0],
+        "generated_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    }
 
 
 def run_once(benchmark, fn, *args, **kwargs):

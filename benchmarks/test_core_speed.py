@@ -36,12 +36,11 @@ from __future__ import annotations
 import json
 import os
 import random
-import subprocess
-import sys
 import time
 from typing import Dict
 
 import pytest
+from conftest import run_envelope
 
 from repro.net.host import Host
 from repro.net.network import Network
@@ -56,18 +55,6 @@ BASELINE_PATH = os.path.join(REPO_ROOT, "benchmarks",
 SCHEMA = "bench-core/v1"
 
 _metrics: Dict[str, Dict] = {}
-
-
-def _git_sha() -> str:
-    """HEAD, suffixed ``-dirty`` when the tracked tree the numbers came from
-    differs from it (a PR's numbers are measured before its commit exists)."""
-    try:
-        return subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=12"],
-            cwd=REPO_ROOT, text=True, check=True, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        return "unknown"
 
 
 def _note(name: str, value: float, unit: str,
@@ -94,11 +81,7 @@ def _emit_report():
                 doc = old
         except (OSError, ValueError):
             pass
-    # the run envelope: which tree, on what, when
-    doc["sha"] = _git_sha()
-    doc["cpus"] = os.cpu_count() or 1
-    doc["python"] = sys.version.split()[0]
-    doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    doc.update(run_envelope())
     doc["metrics"].update(_metrics)
     doc["speedup_vs_baseline"] = {}
     if os.path.exists(BASELINE_PATH):

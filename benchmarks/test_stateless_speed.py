@@ -14,7 +14,10 @@ modes, and pins the headline ratios:
   flow-count-independent compact table).
 
 Results are written to ``BENCH_stateless.json`` at the repo root with the
-same merge semantics as ``BENCH_core.json``.  Run with:
+same merge semantics and run envelope (``sha``, ``cpus``, ``python``,
+``generated_at``) as ``BENCH_core.json``; the EXPERIMENTS.md stateless
+table quotes the committed file and ``tests/test_docs_match.py`` compares
+the two.  Run with:
 
     PYTHONPATH=src python -m pytest benchmarks/test_stateless_speed.py -q
 """
@@ -23,11 +26,10 @@ from __future__ import annotations
 
 import json
 import os
-import sys
-import time
 from typing import Dict
 
 import pytest
+from conftest import run_envelope
 
 from repro.experiments import fig_stateless
 
@@ -60,8 +62,7 @@ def _emit_report():
                 doc = old
         except (OSError, ValueError):
             pass
-    doc["python"] = sys.version.split()[0]
-    doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    doc.update(run_envelope())
     doc["metrics"].update(_metrics)
     with open(BENCH_PATH, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)

@@ -112,6 +112,15 @@ class TestbedConfig:
             ignored = ", ".join(self.yoda.non_default()) or "(all defaults)"
             raise ConfigError(f"lb={self.lb!r} has no yoda tier, so "
                               f"yoda-tier options would be ignored: {ignored}")
+        # the testbed sizes the tier; a size the handle carries away from
+        # its default would be silently overwritten unless it agrees
+        carried = self.yoda.non_default()
+        for mine, theirs in (("num_lb_instances", "num_instances"),
+                             ("num_store_servers", "num_store_servers")):
+            if theirs in carried and getattr(self.yoda, theirs) != getattr(self, mine):
+                raise ConfigError(
+                    f"yoda.{theirs}={getattr(self.yoda, theirs)} conflicts with "
+                    f"{mine}={getattr(self, mine)}: the testbed sizes the tier")
         self.yoda.validate()
 
 

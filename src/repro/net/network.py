@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from struct import pack
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import NetworkError
@@ -31,13 +32,32 @@ from repro.sim.tracing import (
     SCOPE_WIRE_PACKET,
     SCOPE_WIRE_TX,
     TraceRecord,
-    engine_trace_line,
 )
 
 DEFAULT_INTRA_DC_LATENCY = 0.00025  # 250 us one-way within the datacenter
-# pending digest lines hashed at once: one join + encode + update per block
-# costs a tenth of an update per line, and the block bounds what is pending
-DIGEST_BLOCK_LINES = 256
+# pending captures hashed at once: a block is packed column by column in
+# three calls, and the block bounds what is pending
+DIGEST_BLOCK_CAPTURES = 256
+# what a rare capture (Network._record) ORs into its flags column, above the
+# TCP flag byte: a capture without one is a wire transmission
+CAPTURE_WIRE_DROP = 0x100  # dropped on the wire: no route, or lost
+CAPTURE_HOST_DROP = 0x200  # delivered to a failed host
+CAPTURE_DUPLICATE = 0x300  # the second delivery of a duplicated packet
+CAPTURE_REROUTE = 0x400  # delivered to another host than it was sent to
+
+
+def pack_captures(captures) -> bytes:
+    """A block of captures as the run digest hashes it, column by column:
+    the send and delivery instants as float64, the host, source and
+    destination columns as one NUL-joined UTF-8 string, then the flags, seq,
+    ack and payload length as int64 -- every number little-endian."""
+    n = len(captures)
+    if not n:
+        return b""
+    sent, delivered, host, src, dst, flags, seq, ack, length = zip(*captures)
+    return (pack(f"<{2 * n}d", *sent, *delivered)
+            + "\0".join(host + src + dst).encode()
+            + pack(f"<{4 * n}q", *flags, *seq, *ack, *length))
 
 
 @dataclass(slots=True)
@@ -82,12 +102,12 @@ class Network:
         self._packet_taps: List = []
         self._wire_tx_taps: List = []
         self._all_taps: List = []
-        # the run digest (see start_digest): lines wait in _digest_lines
+        # the run digest (see start_digest): captures wait in _captures
         # until a block of them is hashed
         self._digest = None
-        self._digest_lines: Optional[List[str]] = None
+        self._captures: Optional[List[tuple]] = None
         # the one thing transmit tests (any tap, or the digest) and the
-        # one thing _deliver tests (an "all" tap, or the digest)
+        # one thing _deliver tests (an "all" tap)
         self._capturing = False
         self._capturing_rx = False
         self._last_delivery: Dict[Tuple[str, str], float] = {}
@@ -278,25 +298,30 @@ class Network:
         return trace
 
     def start_digest(self) -> None:
-        """Fold every capture from now on -- each wire transmission, drop
-        and delivery, as its ``engine_trace_line`` -- into a SHA-256."""
+        """Fold every capture from now on into a SHA-256: one per wire
+        transmission -- ``(sent, delivered, destination host, src, dst,
+        flags, seq, ack, payload length)``, taken at :meth:`transmit` -- and
+        one tagged ``CAPTURE_*`` capture of the same shape per rare event
+        (see :meth:`_record`), hashed as :func:`pack_captures` blocks."""
         if self._digest is None:
             self._digest = hashlib.sha256()
-            self._digest_lines = []
-            self._capturing = self._capturing_rx = True
+            self._captures = []
+            self._capturing = True
 
     def digest(self) -> str:
         """The SHA-256 over every capture since :meth:`start_digest`: the
         determinism witness (same seed -> byte-identical packet schedule).
-        Reading it does not disturb it."""
+        Reading it hashes a copy, so the blocks -- and the final digest --
+        do not depend on whether anyone read it mid-run."""
         if self._digest is None:
             raise NetworkError("no digest was started on this network")
-        self._flush_digest()
-        return self._digest.hexdigest()
+        sha = self._digest.copy()
+        sha.update(pack_captures(self._captures))
+        return sha.hexdigest()
 
     def _flush_digest(self) -> None:
-        self._digest.update("".join(self._digest_lines).encode())
-        self._digest_lines.clear()
+        self._digest.update(pack_captures(self._captures))
+        self._captures.clear()
 
     # -- data plane -----------------------------------------------------------
     def transmit(self, src_host: Host, packet: Packet) -> None:
@@ -310,11 +335,11 @@ class Network:
         dst_host = self._routes.get(packet.dst.ip)
         if dst_host is None:
             self._c_no_route.inc()
-            self._record(packet, "wire", "tx", True)
+            self._record(packet, CAPTURE_WIRE_DROP, "wire")
             return
         if self._loss_rate and self.rng.random() < self._loss_rate:
             self._c_lost.inc()
-            self._record(packet, "wire", "tx", True)
+            self._record(packet, CAPTURE_WIRE_DROP, "wire")
             return
         faults = (self._resolve_faults(src_host, dst_host)
                   if self._path_faults else None)
@@ -322,7 +347,7 @@ class Network:
             if faults.loss >= 1.0 or self.rng.random() < faults.loss:
                 self._c_lost.inc()
                 self._c_path_lost.inc()
-                self._record(packet, "wire", "tx", True)
+                self._record(packet, CAPTURE_WIRE_DROP, "wire")
                 return
         path = (src_host.name, dst_host.name)
         model = self._model_cache.get(path)
@@ -334,19 +359,28 @@ class Network:
         if faults is not None and faults.extra_latency:
             delay += faults.extra_latency
         now = self.loop.now()
+        # FIFO per path: jittered latency must not reorder packets between
+        # the same pair of hosts (a single route does not reorder), or TCP
+        # would see phantom loss and collapse its window.
+        deliver_at = now + delay
+        last = self._last_delivery.get(path, 0.0)
+        if deliver_at < last:
+            deliver_at = last
+        self._last_delivery[path] = deliver_at
         if self._capturing:
             # what _record does for a transmission that is not dropped,
-            # here where the packet is: the digest line is rendered once,
-            # straight from the packet (sim.tracing.engine_trace_line is
-            # its definition), a wire-packet tap reads the packet, and a
-            # TraceRecord exists only if a record tap will keep it
-            lines = self._digest_lines
-            if lines is not None:
-                lines.append(
-                    f"{now:.9f}|wire|tx|{packet.src.text}|{packet.dst.text}|"
-                    f"{_FLAG_STR[packet.flags & 0x1F]}|{packet.seq}|"
-                    f"{packet.ack}|{len(packet.payload)}|False")
-                if len(lines) >= DIGEST_BLOCK_LINES:
+            # here where the packet is: the digest takes the one capture of
+            # it, delivery included (a Packet's header is never reassigned,
+            # so its delivery to dst_host adds nothing), a wire-packet tap
+            # reads the packet, and a TraceRecord exists only if a record
+            # tap will keep it
+            captures = self._captures
+            if captures is not None:
+                captures.append((
+                    now, deliver_at, dst_host.name, packet.src.text,
+                    packet.dst.text, packet.flags, packet.seq, packet.ack,
+                    len(packet.payload)))
+                if len(captures) >= DIGEST_BLOCK_CAPTURES:
                     self._flush_digest()
             for tap in self._packet_taps:
                 tap.record(now, packet, False)
@@ -358,82 +392,76 @@ class Network:
                 )
                 for tap in self._wire_tx_taps:
                     tap.record(rec)
-        # FIFO per path: jittered latency must not reorder packets between
-        # the same pair of hosts (a single route does not reorder), or TCP
-        # would see phantom loss and collapse its window.
-        deliver_at = now + delay
-        last = self._last_delivery.get(path, 0.0)
-        if deliver_at < last:
-            deliver_at = last
-        self._last_delivery[path] = deliver_at
         self.loop.call_at(deliver_at, self._deliver, dst_host, packet)
         if faults is not None and faults.duplicate and self.rng.random() < faults.duplicate:
             self._c_duplicated.inc()
-            self._record(packet, "wire", "tx", False)
+            self._record(packet, CAPTURE_DUPLICATE, dst_host.name, deliver_at)
             self.loop.call_at(deliver_at, self._deliver, dst_host, packet)
 
     def _deliver(self, dst_host: Host, packet: Packet) -> None:
         # Re-check routing at delivery time: ownership may have moved while
         # the packet was in flight.
-        current = self._routes.get(packet.dst.ip)
-        target = current if current is not None else dst_host
+        target = self._routes.get(packet.dst.ip)
+        if target is not dst_host:
+            if target is None:
+                target = dst_host
+            else:
+                self._record(packet, CAPTURE_REROUTE, target.name)
         if target.failed:
-            self._record(packet, target.name, "rx", True)
+            self._record(packet, CAPTURE_HOST_DROP, target.name)
         elif self._capturing_rx:
-            # the rx twin of the capture site in transmit.  Rendered from
-            # the packet as it is now: a Packet is mutable and a delivered
-            # one may be retained (duplication, park-and-replay), so
-            # nothing rendered at tx time can be reused here
-            now = self.loop.now()
-            lines = self._digest_lines
-            if lines is not None:
-                lines.append(
-                    f"{now:.9f}|{target.name}|rx|{packet.src.text}|"
-                    f"{packet.dst.text}|{_FLAG_STR[packet.flags & 0x1F]}|"
-                    f"{packet.seq}|{packet.ack}|{len(packet.payload)}|False")
-                if len(lines) >= DIGEST_BLOCK_LINES:
-                    self._flush_digest()
-            if self._all_taps:
-                rec = TraceRecord(
-                    now, target.name, "rx", packet.src.text, packet.dst.text,
-                    _FLAG_STR[packet.flags & 0x1F], packet.seq, packet.ack,
-                    len(packet.payload), False,
-                )
-                for tap in self._all_taps:
-                    tap.record(rec)
+            # the rx twin of the record-tap site in transmit; the digest
+            # took this delivery at transmission
+            rec = TraceRecord(
+                self.loop.now(), target.name, "rx", packet.src.text,
+                packet.dst.text, _FLAG_STR[packet.flags & 0x1F], packet.seq,
+                packet.ack, len(packet.payload), False,
+            )
+            for tap in self._all_taps:
+                tap.record(rec)
         target.deliver(packet)
 
-    def _record(self, packet: Packet, point: str, direction: str, dropped: bool) -> None:
-        """Capture at the rare sites -- drops and duplication -- in full
-        generality; ``transmit`` and ``_deliver`` carry the two common
-        cases inline."""
+    def _record(self, packet: Packet, tag: int, host: str,
+                deliver_at: Optional[float] = None) -> None:
+        """Capture at the rare sites, in full generality: a drop on the
+        wire (``host`` is "wire"), a drop at a failed host, a duplicate's
+        second delivery and a delivery re-routed in flight.  The digest
+        takes a capture of the inline shape with ``tag`` in its flags
+        column, in the order the events happen; a record tap sees a drop
+        or a duplicate as the wire-tx or rx record it always was, and no
+        re-route (it sees that delivery's own rx record)."""
+        dropped = tag == CAPTURE_WIRE_DROP or tag == CAPTURE_HOST_DROP
         if dropped and OBS.enabled:
             # drops are the events failure forensics care about; note them
             # into the capture point's flight recorder independently of
             # whether any packet trace is attached
-            OBS.flight(point, "drop",
+            OBS.flight(host, "drop",
                        f"{packet.src} > {packet.dst}: "
                        f"{_FLAG_STR[packet.flags & 0x1F]} seq={packet.seq} "
                        f"len={packet.payload_len}")
         if not self._capturing:
             return
         now = self.loop.now()
+        captures = self._captures
+        if captures is not None:
+            captures.append((
+                now, now if deliver_at is None else deliver_at, host,
+                packet.src.text, packet.dst.text, packet.flags | tag,
+                packet.seq, packet.ack, len(packet.payload)))
+            if len(captures) >= DIGEST_BLOCK_CAPTURES:
+                self._flush_digest()
+        if tag == CAPTURE_REROUTE:
+            return
+        if tag == CAPTURE_HOST_DROP:
+            point, direction, taps = host, "rx", self._all_taps
+        else:
+            point, direction, taps = "wire", "tx", self._wire_tx_taps
+            for tap in self._packet_taps:
+                tap.record(now, packet, dropped)
         rec = TraceRecord(
             now, point, direction, packet.src.text, packet.dst.text,
             _FLAG_STR[packet.flags & 0x1F], packet.seq, packet.ack,
             len(packet.payload), dropped,
         )
-        lines = self._digest_lines
-        if lines is not None:
-            lines.append(engine_trace_line(rec))
-            if len(lines) >= DIGEST_BLOCK_LINES:
-                self._flush_digest()
-        # tx records are all wire records; rx records are the deliveries
-        if direction == "tx":
-            for tap in self._packet_taps:
-                tap.record(now, packet, dropped)
-            taps = self._wire_tx_taps
-        else:
-            taps = self._all_taps
         for tap in taps:
             tap.record(rec)

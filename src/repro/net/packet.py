@@ -53,9 +53,11 @@ class Packet:
     """A TCP segment travelling through the simulated network.
 
     Attributes:
-        src, dst: L3/L4 endpoints as seen on the wire *right now* -- the
-            L4 LB and YODA instances rewrite these in flight, exactly as the
-            paper's Figure 4 shows.
+        src, dst: L3/L4 endpoints as seen on the wire.  The header fields
+            (these, flags, seq, ack, payload) are set when the packet is
+            built and never reassigned: the L4 LB and YODA instances
+            translate (the paper's Figure 4) by building a new packet, and
+            the run digest captures a transmission once on that fact.
         flags: TCP flag bitmask (SYN/ACK/FIN/RST/PSH).
         seq: sequence number of the first payload byte (or of the SYN/FIN).
         ack: acknowledgment number; meaningful when the ACK flag is set.

@@ -8,7 +8,6 @@ recorded with its simulated timestamp and a structured summary.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
@@ -58,18 +57,6 @@ def canonical_trace_line(rec: TraceRecord) -> str:
         f"{rec.time:.9f} {rec.point} {rec.direction} "
         f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
         f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
-    )
-
-
-def engine_trace_line(rec: TraceRecord) -> str:
-    """The pipe-separated rendering ``ScenarioOutcome.trace_digest`` (the
-    goldens' ``engine_digest``) is folded over.  This is its definition;
-    ``Network.transmit`` and ``Network._deliver`` spell the same line
-    straight from the packet, and ``tests/test_capture_digest.py`` holds
-    them to it record for record."""
-    return (
-        f"{rec.time:.9f}|{rec.point}|{rec.direction}|{rec.src}|{rec.dst}|"
-        f"{rec.flags}|{rec.seq}|{rec.ack}|{rec.payload_len}|{rec.dropped}"
     )
 
 

@@ -1,6 +1,7 @@
 """Invariant monitor: synthetic-trace audits and the trace digest."""
 
 import hashlib
+import struct
 
 import pytest
 
@@ -12,7 +13,7 @@ from repro.chaos.invariants import (
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
-from repro.net.network import Network
+from repro.net.network import CAPTURE_WIRE_DROP, Network
 from repro.net.packet import ACK, FIN, PSH, RST, SYN, Packet
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
@@ -252,38 +253,38 @@ class TestDigest:
         send_clean_flow(other, self.VIP_EP, resp=501)
         assert world.digest() != other.digest()
 
-    def test_digest_folds_the_engine_line_of_every_record(self):
+    def test_digest_folds_the_packed_capture_of_every_transmission(self):
         world = DigestWorld()
         world.send(0.0, CLIENT, self.VIP_EP, "S", seq=2**32 - 1)
         world.send(0.5, self.VIP_EP, "172.16.9.9:7", "S.", seq=5, ack=0)
         world.send(1.0, CLIENT, self.VIP_EP, ".", payload_len=7)
         latency = 0.00025
-        expected = hashlib.sha256()
-        for time, point, direction, src, dst, flags, seq, ack, n, dropped in [
-            (0.0, "wire", "tx", CLIENT, self.VIP_EP, "S", 2**32 - 1, 0, 0,
-             False),
-            (latency, "yoda-0", "rx", CLIENT, self.VIP_EP, "S", 2**32 - 1,
-             0, 0, False),
-            (0.5, "wire", "tx", self.VIP_EP, "172.16.9.9:7", "S.", 5, 0, 0,
-             True),  # no route: dropped on the wire
-            (1.0, "wire", "tx", CLIENT, self.VIP_EP, ".", 0, 0, 7, False),
-            (1.0 + latency, "yoda-0", "rx", CLIENT, self.VIP_EP, ".", 0, 0,
-             7, False),
-        ]:
-            expected.update(
-                f"{time:.9f}|{point}|{direction}|{src}|{dst}|"
-                f"{flags}|{seq}|{ack}|{n}|{dropped}"
-                .encode())
+        # (sent, delivered, host, src, dst, flags, seq, ack, length), one
+        # per transmission; the no-route drop is tagged and goes nowhere
+        sent, delivered, host, src, dst, flags, seq, ack, length = zip(
+            (0.0, latency, "yoda-0", CLIENT, self.VIP_EP, SYN, 2**32 - 1,
+             0, 0),
+            (0.5, 0.5, "wire", self.VIP_EP, "172.16.9.9:7",
+             SYN | ACK | CAPTURE_WIRE_DROP, 5, 0, 0),
+            (1.0, 1.0 + latency, "yoda-0", CLIENT, self.VIP_EP, ACK, 0, 0, 7),
+        )
+        expected = hashlib.sha256(
+            struct.pack("<6d", *sent, *delivered)
+            + "\0".join(host + src + dst).encode()
+            + struct.pack("<12q", *flags, *seq, *ack, *length))
         assert world.digest() == expected.hexdigest()
 
     def test_non_wire_records_still_digested(self):
-        world, other = DigestWorld(), DigestWorld()
-        send_clean_flow(world, self.VIP_EP)
-        send_clean_flow(other, self.VIP_EP)
-        # the same wire transmissions, one delivery fewer: the last packet
-        # is still in flight when ``other`` is read
-        other.loop.run(until=0.05)
-        assert other.network.digest() != world.digest()
+        """A delivery to the host a packet was sent to adds nothing (its
+        transmission captured it); a drop at a failed host does."""
+        world, in_flight, dropped = DigestWorld(), DigestWorld(), DigestWorld()
+        for w in (world, in_flight, dropped):
+            send_clean_flow(w, self.VIP_EP)
+        # the last packet is on the wire when ``in_flight`` is read
+        in_flight.loop.run(until=0.0501)
+        assert in_flight.network.digest() == world.digest()
+        dropped.lb.fail()
+        assert dropped.digest() != world.digest()
 
 
 class TestReplicationFactorMonitor:

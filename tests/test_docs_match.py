@@ -6,9 +6,12 @@ CI-sized ``--quick`` run committed over it, or a table edited by hand,
 fails here.  ``BENCH_core.json`` is what ``pytest
 benchmarks/test_core_speed.py`` wrote last; the "PR 18" column of the
 "Simulator core fast path" table quotes it, so the file cannot age under
-the table again (it sat four data-path PRs behind it).  ROADMAP's "Open
-items" header quotes the size of ``src/``; it is held to the tree, so the
-line count a roadmap target is stated against cannot drift from it.
+the table again (it sat four data-path PRs behind it).
+``BENCH_stateless.json`` is what ``pytest benchmarks/test_stateless_speed.py``
+wrote last, under the same envelope; the stateless dispatch table quotes
+it.  ROADMAP's "Open items" header quotes the size of ``src/``; it is held
+to the tree, so the line count a roadmap target is stated against cannot
+drift from it.
 """
 
 import json
@@ -79,6 +82,37 @@ def test_core_table_is_the_committed_run():
         speedup = doc["speedup_vs_baseline"][name]
         assert ratio == f"{speedup:.2f}", (
             f"{label}: table says {ratio}x, file {speedup}")
+    assert f"`{doc['sha']}`" in section
+
+
+# | metric | stateful | stateless | **ratio×** ... |
+_STATELESS_ROW = re.compile(
+    r"^\| ([a-zA-Z][^|]*?) \| ([\d,]+) \| ([\d,]+) \| \**([\d.]+)×",
+    re.MULTILINE)
+_STATELESS_METRICS = {
+    "dispatch state (bytes/flow)": ("bytes_per_flow", "memory_ratio"),
+    "SYN dispatch (pkts/s)": ("syn_pps", "syn_pps_ratio"),
+    "established dispatch (pkts/s)": ("established_pps",
+                                      "established_pps_ratio"),
+}
+
+
+def test_stateless_table_is_the_committed_run():
+    doc = json.loads((ROOT / "BENCH_stateless.json").read_text())
+    for field in ("sha", "cpus", "python", "generated_at"):
+        assert doc.get(field), f"BENCH_stateless.json has no {field!r}"
+    text = (ROOT / "EXPERIMENTS.md").read_text()
+    section = text[text.index("## Stateless fast-path dispatch"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = {label: cells for label, *cells in _STATELESS_ROW.findall(section)}
+    assert set(rows) == set(_STATELESS_METRICS)
+    metrics = doc["metrics"]
+    for label, (name, ratio_name) in _STATELESS_METRICS.items():
+        quoted = tuple(f"{metrics[f'{mode}.{name}']['value']:,.0f}"
+                       for mode in ("stateful", "stateless"))
+        quoted += (f"{metrics[ratio_name]['value']:.2f}",)
+        assert tuple(rows[label]) == quoted, (
+            f"{label}: table says {rows[label]}, file {quoted}")
     assert f"`{doc['sha']}`" in section
 
 

@@ -276,10 +276,11 @@ CAPTURE_SCENARIO = Scenario(
     num_lb_instances=3, num_store_servers=3, num_backends=2,
 )
 # python-level calls per transmitted packet that exist only because the run
-# is audited, measured on 3.11 with this change (12.49 on this schedule
-# before it): the flow table's record(), the delivery's
-# loop.now(), and the per-run work of the monitors spread over the packets
-MEASURED_CAPTURE_CALLS_PER_PACKET = 2.27
+# is audited, measured on 3.11 (12.49 on this schedule when every capture
+# built a record, 2.27 while the digest also captured each delivery): the
+# flow table's record() and the per-run work of the monitors spread over
+# the packets
+MEASURED_CAPTURE_CALLS_PER_PACKET = 1.27
 MAX_CAPTURE_CALLS_PER_PACKET = MEASURED_CAPTURE_CALLS_PER_PACKET * 1.05
 
 
@@ -309,8 +310,7 @@ def test_capture_budget():
     s = CAPTURE_SCENARIO
     watched = {
         tracing.TraceRecord.__init__.__code__: "trace_records",
-        tracing.engine_trace_line.__code__: "engine_trace_lines",
-        # the rare capture site: drops (export, duplication, inject)
+        # the rare capture site: drops, duplicates, re-routes
         Network._record.__code__: "rare_captures",
     }
 
@@ -353,17 +353,15 @@ def test_capture_budget():
     flows = len(engine.monitor.table.flows)
     per_packet = (audited_calls - unaudited_calls) / tx
     rare = seen["rare_captures"]
-    measured = (f"{tx} packets, {flows} flows, {rare} drops: "
+    measured = (f"{tx} packets, {flows} flows, {rare} rare captures: "
                 f"{audited_calls / tx:.2f} python calls per packet audited, "
                 f"{unaudited_calls / tx:.2f} unaudited, {per_packet:.2f} "
-                f"capture-only; {seen['trace_records']} TraceRecords, "
-                f"{seen['engine_trace_lines']} engine_trace_line calls")
+                f"capture-only; {seen['trace_records']} TraceRecords")
     # with only the monitor attached nothing keeps a record: one is built
-    # (and rendered through the definition) at the rare capture sites
-    # alone -- a drop -- and none on the packet path
-    assert rare > 0 and flows > 0, measured
-    assert seen["trace_records"] == seen["engine_trace_lines"] == rare, measured
-    assert rare <= 4 * flows, measured
+    # at the rare capture site alone -- the four deliveries to a crashed
+    # host -- and none on the packet path
+    assert flows > 0, measured
+    assert seen["trace_records"] == rare == 4, measured
     assert per_packet <= MAX_CAPTURE_CALLS_PER_PACKET, (
         f"{measured}; measured {MEASURED_CAPTURE_CALLS_PER_PACKET} with the "
         f"change that added this test (budget "

@@ -263,8 +263,8 @@ def test_golden_trace(name):
             or recorder.count != golden["record_count"]):
         pytest.fail(first_divergence_report(name, golden, recorder),
                     pytrace=False)
-    # the engine's own digest (engine_trace_line's field format) is pinned
-    # too: it must agree with what the chaos CLI reports for the same run
+    # the run digest (the network's packed captures) is pinned too: it
+    # must agree with what the chaos CLI reports for the same run
     assert outcome.trace_digest == golden["engine_digest"]
     if name in PINNED_AUDIT_COUNTS:
         assert {v.invariant: (v.checked, v.violation_count)

@@ -158,6 +158,13 @@ REFUSED = [
      "spare_instances must be >= 0"),
     (dict(yoda=YodaServiceConfig(controllers=ControllerHAConfig(replicas=0))),
      "controllers.replicas must be >= 1"),
+    # the testbed sizes the tier: a handle that carries another size would
+    # be overwritten without a word
+    (dict(num_lb_instances=4, num_store_servers=3, num_backends=2,
+          yoda=YodaServiceConfig(num_instances=3, num_store_servers=2)),
+     "yoda.num_instances=3 conflicts with num_lb_instances=4"),
+    (dict(num_store_servers=3, yoda=YodaServiceConfig(num_store_servers=2)),
+     "yoda.num_store_servers=2 conflicts with num_store_servers=3"),
 ]
 
 
@@ -166,7 +173,9 @@ class TestConfigRejection:
         "kwargs,fragment", REFUSED, ids=[frag for _, frag in REFUSED])
     def test_unworkable_config_is_refused_before_anything_is_built(
             self, kwargs, fragment, monkeypatch):
-        # validate() runs before the testbed makes even its event loop
+        # validate() runs before the testbed makes even its event loop:
+        # with no loop and no network, no host is attached and no event is
+        # pending
         monkeypatch.setattr(harness, "EventLoop", lambda: pytest.fail(
             "Testbed built its world before validate() refused the config"))
         with pytest.raises(ConfigError) as exc:
@@ -200,6 +209,10 @@ class TestConfigByReference:
         assert bed.yoda.config.qos is handle.qos
         assert len(bed.yoda.instances) == 2
         assert handle.num_instances == YodaServiceConfig().num_instances
+
+    def test_a_handle_may_carry_the_testbed_sizes(self):
+        TestbedConfig(num_lb_instances=4, num_store_servers=3, yoda=(
+            YodaServiceConfig(num_instances=4, num_store_servers=3))).validate()
 
     def test_ablation_switches_do_not_write_the_builtin_scenario(self):
         scenario = get_scenario("region-kill")
