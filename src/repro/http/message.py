@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+import hashlib
+from typing import Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from repro.errors import HttpError
 
@@ -61,7 +62,7 @@ class HttpRequest:
         path: str = "/",
         version: str = "HTTP/1.1",
         headers: Optional[Mapping[str, str]] = None,
-        body: bytes = b"",
+        body: Body = b"",
         host: str = "",
     ):
         self.method = method.upper()
@@ -134,7 +135,7 @@ class HttpResponse:
         self,
         status: int = 200,
         headers: Optional[Mapping[str, str]] = None,
-        body: bytes = b"",
+        body: Body = b"",
         version: str = "HTTP/1.1",
         reason: Optional[str] = None,
     ):
@@ -155,6 +156,41 @@ class HttpResponse:
 
     def __repr__(self) -> str:
         return f"HttpResponse({self.status} {self.reason}, {len(self.body)} bytes)"
+
+
+class BodyDigest:
+    """A parsed message's body, kept as its length and SHA-256.
+
+    The parser hashes body bytes as they arrive and keeps none of them, so
+    a fetch holds about a hundred bytes instead of its object.  ``len()``
+    is the count of body bytes the parser consumed, and a digest compares
+    equal to exactly the bytes it digests, so ``response.body == content``
+    checks content without the content being kept.  It is not bytes:
+    ``serialize()`` refuses it, and only built messages are serialized.
+    """
+
+    __slots__ = ("length", "sha256")
+
+    def __init__(self, length: int, sha256: bytes):
+        self.length = length
+        self.sha256 = sha256
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, BodyDigest):
+            return self.length == other.length and self.sha256 == other.sha256
+        if isinstance(other, (bytes, bytearray, memoryview)):
+            return (len(other) == self.length
+                    and hashlib.sha256(other).digest() == self.sha256)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"BodyDigest({self.length} bytes, sha256 {self.sha256.hex()[:16]}...)"
+
+
+Body = Union[bytes, BodyDigest]  # bytes when built, a digest when parsed
 
 
 def parse_request_line(line: bytes) -> Tuple[str, str, str]:

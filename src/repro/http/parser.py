@@ -8,13 +8,16 @@ HTTP request header before it can run rule matching (Section 4.1).
 
 from __future__ import annotations
 
+import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import HttpParseError
 from repro.http.message import (
     CRLF,
+    Body,
+    BodyDigest,
     Headers,
     HttpRequest,
     HttpResponse,
@@ -37,6 +40,12 @@ class ParsedMessage:
 class HttpParser:
     """Parses a byte stream into HTTP messages.
 
+    Bodies stream: once a header block is parsed, each body byte goes into
+    a running SHA-256 and a count and is never buffered, and the message
+    yielded carries its body as a :class:`BodyDigest`.  Only a partial
+    header block, and the bytes that follow a body on a keep-alive
+    connection, are buffered.
+
     Args:
         kind: "request" or "response".
     """
@@ -46,12 +55,7 @@ class HttpParser:
             raise ValueError(f"kind must be 'request' or 'response', got {kind!r}")
         self.kind = kind
         self._buf = bytearray()
-        self._headers_done = False
-        self._start_line: bytes = b""
-        self._headers: Optional[Headers] = None
-        self._body_needed = 0
-        self._header_bytes = 0
-        self._close_delimited = False
+        self._reset()
 
     @property
     def buffered(self) -> int:
@@ -59,25 +63,34 @@ class HttpParser:
 
     def feed(self, data: bytes) -> List[ParsedMessage]:
         """Add bytes; return any messages completed by them."""
-        self._buf.extend(data)
         out: List[ParsedMessage] = []
         while True:
-            msg = self._try_parse_one()
-            if msg is None:
-                break
-            out.append(msg)
-        return out
+            if self._hash is None:
+                self._buf.extend(data)
+                idx = self._buf.find(HEADER_END)
+                if idx < 0:
+                    return out
+                self._start_head(idx)
+                data = bytes(self._buf)
+                self._buf.clear()
+            take = self._body_left
+            if len(data) < take:
+                self._hash.update(data)
+                self.body_received += len(data)
+                self._body_left -= len(data)
+                return out
+            self._hash.update(data[:take])
+            self.body_received += take
+            out.append(self._complete())
+            data = data[take:]
+            if not data:
+                return out
 
     def finish(self) -> Optional[ParsedMessage]:
         """Signal EOF (peer closed).  Completes a close-delimited response."""
-        if self._headers_done and self._close_delimited:
-            body = bytes(self._buf)
-            self._buf.clear()
-            msg = self._build(body)
-            wire = self._header_bytes + len(body)
-            self._reset()
-            return ParsedMessage(msg, wire)
-        if self._buf and not self._headers_done:
+        if self.body_length is None and self._hash is not None:
+            return self._complete()
+        if self._buf and self._hash is None:
             raise HttpParseError("connection closed mid-header")
         return None
 
@@ -87,37 +100,30 @@ class HttpParser:
         YODA's connection phase polls this to know when server selection
         can run.
         """
-        return self._headers_done or HEADER_END in self._buf
+        return self._hash is not None or HEADER_END in self._buf
 
-    def _try_parse_one(self) -> Optional[ParsedMessage]:
-        if not self._headers_done:
-            idx = self._buf.find(HEADER_END)
-            if idx < 0:
-                return None
-            block = bytes(self._buf[:idx])
-            del self._buf[: idx + len(HEADER_END)]
-            self._header_bytes = idx + len(HEADER_END)
-            self._start_line, self._headers, length = parse_header_block(block)
-            self._headers_done = True
-            if length is not None:
-                self._body_needed = length
-                self._close_delimited = False
-            else:
-                self._body_needed = 0
-                # responses without Content-Length run to connection close
-                self._close_delimited = self.kind == "response"
-        if self._close_delimited:
-            return None  # completed only by finish()
-        if len(self._buf) < self._body_needed:
-            return None
-        body = bytes(self._buf[: self._body_needed])
-        del self._buf[: self._body_needed]
+    def _start_head(self, idx: int) -> None:
+        """Parse the header block ending at ``idx`` and start its body."""
+        block = bytes(self._buf[:idx])
+        del self._buf[: idx + len(HEADER_END)]
+        self._header_bytes = idx + len(HEADER_END)
+        self._start_line, self._headers, length = parse_header_block(block)
+        if length is None and self.kind == "response":
+            # responses without Content-Length run to connection close
+            self.body_length = None
+            self._body_left = float("inf")
+        else:
+            self.body_length = self._body_left = length or 0
+        self._hash = hashlib.sha256()
+
+    def _complete(self) -> ParsedMessage:
+        body = BodyDigest(self.body_received, self._hash.digest())
         msg = self._build(body)
-        wire = self._header_bytes + len(body)
+        wire = self._header_bytes + self.body_received
         self._reset()
         return ParsedMessage(msg, wire)
 
-    def _build(self, body: bytes):
+    def _build(self, body: BodyDigest):
         assert self._headers is not None
         if self.kind == "request":
             return _request(self._start_line, self._headers, body)
@@ -131,12 +137,16 @@ class HttpParser:
         return resp
 
     def _reset(self) -> None:
-        self._headers_done = False
+        """Between messages: no header block, no body in progress."""
         self._start_line = b""
-        self._headers = None
-        self._body_needed = 0
+        self._headers: Optional[Headers] = None
         self._header_bytes = 0
-        self._close_delimited = False
+        self._hash = None  # the body's running SHA-256 once its head is parsed
+        self._body_left = 0  # body bytes still to come (inf: to close)
+        # the body in progress: its declared Content-Length (None while no
+        # head is parsed, or when it runs to close) and the bytes consumed
+        self.body_length: Optional[int] = None
+        self.body_received = 0
 
 
 def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
@@ -187,7 +197,7 @@ def request_head(data: bytes) -> Optional[HttpRequest]:
     return _request(start_line, headers, b"")
 
 
-def _request(start_line: bytes, headers: Headers, body: bytes) -> HttpRequest:
+def _request(start_line: bytes, headers: Headers, body: Body) -> HttpRequest:
     method, path, version = parse_request_line(start_line)
     req = HttpRequest(method=method, path=path, version=version, body=body)
     req.headers = headers

@@ -7,6 +7,7 @@ HTTP/1.1 keep-alive, and pipelining with strictly in-order responses.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
@@ -53,13 +54,23 @@ class StaticSite:
         return content if isinstance(content, int) else len(content)
 
 
+# byte -> printable ASCII ("!".."~"): filler never holds a CR or LF
+_PRINTABLE = bytes(33 + i % 94 for i in range(256))
+# 251 is prime and does not divide the 1,460-byte MSS, so a segment read
+# one MSS off, or taken from another object, holds different bytes
+_FILLER_UNIT = 251
+
+
 def _synthesize(path: str, size: int) -> bytes:
-    """Deterministic filler content of exactly ``size`` bytes."""
+    """Deterministic content of exactly ``size`` bytes, a function of the
+    path alone: a stamp naming the path, then a 251-byte unit derived from
+    the path, repeated -- so where a byte sits in which object shows."""
     stamp = f"<!-- {path} -->".encode()
     if size <= len(stamp):
         return stamp[:size]
-    filler = b"x" * (size - len(stamp))
-    return stamp + filler
+    unit = hashlib.shake_256(path.encode()).digest(_FILLER_UNIT).translate(_PRINTABLE)
+    rest = size - len(stamp)
+    return stamp + (unit * (rest // _FILLER_UNIT + 1))[:rest]
 
 
 # long-lived (streaming) responses: /stream/<chunks>/<chunk_bytes>/<interval_ms>

@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.errors import HttpError
+from repro.http.message import BodyDigest
+from repro.http.parser import HttpParser
 from repro.net.addresses import Endpoint
 from repro.sim.events import EventLoop
 from repro.sim.process import Timer
 from repro.tcp.endpoint import ConnectionHandler, TcpConnection, TcpStack
-
-HEADER_END = b"\r\n\r\n"
 
 
 @dataclass
@@ -35,13 +36,14 @@ class StreamResult:
 
     path: str
     ok: bool = False
-    error: Optional[str] = None  # "reset" | "tcp-timeout" | "timeout" | ...
+    error: Optional[str] = None  # "reset" | "bad-response" | "timeout" | ...
     started_at: float = 0.0
     established_at: Optional[float] = None  # response headers received
     finished_at: float = 0.0
     bytes_expected: int = 0
     bytes_received: int = 0
     stalls: int = 0  # probe nudges sent while the stream was quiet
+    body: Optional[BodyDigest] = None  # the delivered body, once complete
 
     @property
     def complete(self) -> bool:
@@ -79,8 +81,7 @@ class StreamingClient(ConnectionHandler):
         self.stall_timeout = stall_timeout
         self.max_stalls = max_stalls
         self.result = StreamResult(path=path, started_at=loop.now())
-        self._head = bytearray()  # bytes before the header/body boundary
-        self._headers_done = False
+        self._parser = HttpParser("response")
         self._stall_timer = Timer(loop, self._stalled)
         self._deadline_timer = Timer(loop, lambda: self._abort("timeout"))
         self._conn: Optional[TcpConnection] = None
@@ -105,34 +106,25 @@ class StreamingClient(ConnectionHandler):
         if self._finished:
             return
         self._stall_timer.start(self.stall_timeout)
-        if not self._headers_done:
-            self._head.extend(data)
-            idx = self._head.find(HEADER_END)
-            if idx < 0:
-                return
-            self._headers_done = True
-            self.result.established_at = self.loop.now()
-            header_block = bytes(self._head[:idx]).decode("latin-1")
-            for line in header_block.split("\r\n")[1:]:
-                name, _, value = line.partition(":")
-                if name.strip().lower() == "content-length":
-                    self.result.bytes_expected = int(value.strip())
-            self.result.bytes_received = len(self._head) - idx - len(HEADER_END)
-            self._head.clear()
-        else:
-            self.result.bytes_received += len(data)
-        if (self.result.bytes_expected
-                and self.result.bytes_received >= self.result.bytes_expected):
+        parser, result = self._parser, self.result
+        try:
+            parsed = parser.feed(data)
+        except HttpError:
+            self._abort("bad-response")
+            return
+        if result.established_at is None and (parsed or parser.header_complete()):
+            result.established_at = self.loop.now()
+            result.bytes_expected = parser.body_length or 0
+        if parsed:
+            result.body = parsed[0].message.body
+            result.bytes_expected = result.bytes_received = len(result.body)
             self._complete()
+        else:
+            result.bytes_received = parser.body_received
 
     def on_remote_close(self, conn: TcpConnection) -> None:
-        if self._finished:
-            return
-        if (self._headers_done and self.result.bytes_expected
-                and self.result.bytes_received >= self.result.bytes_expected):
-            self._complete()
-        else:
-            self._finish(False, "closed-early")
+        # a complete response finished the stream where it arrived
+        self._finish(False, "closed-early")
 
     def on_error(self, conn: TcpConnection, reason: str) -> None:
         if not self._finished:

@@ -1,10 +1,12 @@
 """Incremental HTTP parser, including property-based chunking."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import HttpParseError
-from repro.http.message import HttpRequest, HttpResponse
+from repro.http.message import BodyDigest, HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
 
 REQ = HttpRequest("GET", "/a.html", host="h", headers={"X-K": "v"}).serialize()
@@ -118,6 +120,55 @@ class TestResponseParsing:
         assert [m.message.status for m in out] == [200, 404]
 
 
+class TestStreamedBody:
+    """A body is hashed as it arrives and never buffered; the message
+    carries a BodyDigest equal to exactly the bytes it digests."""
+
+    BODY = bytes(range(256)) * 40
+
+    def test_body_is_counted_not_buffered(self):
+        wire = HttpResponse(200, body=self.BODY).serialize()
+        parser = HttpParser("response")
+        out = []
+        for i in range(0, len(wire), 1460):
+            out.extend(parser.feed(wire[i:i + 1460]))
+            if not out:
+                assert parser.buffered == 0 and parser.header_complete()
+                assert parser.body_length == len(self.BODY)
+                assert 0 < parser.body_received < len(self.BODY)
+        (parsed,) = out
+        body = parsed.message.body
+        assert isinstance(body, BodyDigest) and not isinstance(body, bytes)
+        assert len(body) == len(self.BODY) and body == self.BODY
+        assert self.BODY == body and body != self.BODY[:-1] + b"!"
+        assert body == BodyDigest(len(self.BODY), hashlib.sha256(self.BODY).digest())
+        assert parsed.wire_bytes == len(wire)
+
+    def test_bytes_after_a_body_wait_for_the_next_message(self):
+        second = HttpResponse(404, body=b"gone").serialize()
+        parser = HttpParser("response")
+        (first,) = parser.feed(RESP + second[:10])
+        assert first.message.body == b"hello world"
+        assert parser.buffered == 10 and parser.body_received == 0
+        (parsed,) = parser.feed(second[10:])
+        assert (parsed.message.status, parsed.message.body) == (404, b"gone")
+
+    def test_close_delimited_body_is_hashed_up_to_finish(self):
+        parser = HttpParser("response")
+        assert parser.feed(b"HTTP/1.0 200 OK\r\n\r\npart") == []
+        assert parser.feed(b"ial body") == []
+        assert parser.body_length is None and parser.buffered == 0
+        final = parser.finish()
+        assert final.message.body == b"partial body"
+        assert final.message.headers.get("Content-Length") == "12"
+
+    def test_a_parsed_message_is_not_serialized(self):
+        (parsed,) = HttpParser("request").feed(
+            HttpRequest("POST", "/p", body=b"abc").serialize())
+        with pytest.raises(TypeError):
+            parsed.message.serialize()
+
+
 class TestInvalidKind:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -181,7 +232,9 @@ def test_content_length_is_refused_or_framed_to_the_byte(value, tail, cuts):
     assert digits.isascii() and digits.isdigit(), "int() took what [0-9]+ does not"
     need = int(digits)
     if len(tail) < need:
-        assert messages == [] and bytes(parser._buf) == tail
+        # a body in progress is counted and hashed, never buffered
+        assert messages == [] and parser.buffered == 0
+        assert parser.body_received == len(tail)
         return
     (parsed,) = messages
     assert parsed.message.body == tail[:need]

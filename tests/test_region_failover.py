@@ -5,7 +5,9 @@ brain, and partial-site gray failure."""
 import pytest
 
 from repro.chaos import get_scenario, run_scenario
+from repro.chaos.scenario import ScenarioEngine
 from repro.experiments import fig_failover
+from tests.test_body_integrity import wrong_streams
 
 SEED = 2016
 
@@ -16,9 +18,18 @@ def verdict(outcome, invariant):
     return match[0]
 
 
+def run_with_streams(name):
+    """The scenario's outcome, after checking every stream that completed
+    delivered exactly the bytes its backend synthesized."""
+    engine = ScenarioEngine(get_scenario(name), lb="yoda", seed=SEED)
+    outcome = engine.run()
+    assert wrong_streams(engine.fleet.results) == []
+    return outcome
+
+
 @pytest.fixture(scope="module")
 def region_kill_outcome():
-    return run_scenario(get_scenario("region-kill"), lb="yoda", seed=SEED)
+    return run_with_streams("region-kill")
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +89,7 @@ class TestRegionKillAblation:
 
 class TestWanPartition:
     def test_partition_does_not_trigger_failover(self):
-        outcome = run_scenario(get_scenario("wan-partition"), lb="yoda",
-                               seed=SEED)
+        outcome = run_with_streams("wan-partition")
         assert outcome.ok, outcome.render()
         assert not outcome.failed_over  # promotion here would be split brain
         assert verdict(outcome, "no-split-brain-promotion").ok
@@ -89,8 +99,7 @@ class TestWanPartition:
 
 class TestRegionGrayFailure:
     def test_partial_site_failure_is_handled_in_region(self):
-        outcome = run_scenario(get_scenario("region-gray-failure"),
-                               lb="yoda", seed=SEED)
+        outcome = run_with_streams("region-gray-failure")
         assert outcome.ok, outcome.render()
         assert not outcome.failed_over
         assert outcome.streams_completed == 4

@@ -32,6 +32,7 @@ import pytest
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
 
+from tests.test_body_integrity import wrong_streams
 from tests.test_golden_traces import (
     GOLDEN_SCHEMA,
     GOLDEN_SEED,
@@ -107,6 +108,7 @@ def run_region_golden(name: str):
                             seed=GOLDEN_SEED, taps=[recorder],
                             replication=spec["replication"])
     outcome = engine.run()
+    assert wrong_streams(engine.fleet.results) == []
     return recorder, outcome
 
 

@@ -28,6 +28,7 @@ from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.tcp.endpoint import ConnectionHandler, TcpStack
 from repro.workload.streaming import StreamingClient
+from tests.test_body_integrity import stream_content, wrong_streams
 
 CERT = tls.Certificate("secure.example", size=3_000)
 
@@ -144,9 +145,33 @@ class TestStreamPaths:
         result = done[0]
         assert result.bytes_expected == 1_000
         assert result.bytes_received == 1_000
+        assert result.body == stream_content("/stream/5/200/50")
         assert result.stalls == 0
         # 5 chunks, 50 ms apart: at least 4 inter-chunk gaps of pacing
         assert result.finished_at - result.established_at >= 4 * 0.050
+
+    def test_malformed_header_fails_the_stream_and_the_run_goes_on(self, world):
+        """The stream reads through the one response parser: a length
+        that cannot frame the body is a ``bad-response``, not an exception
+        out of the event loop."""
+        loop, server, stack = world
+        serve = server.handle_request
+
+        def bad_length(request):
+            response = serve(request)
+            if request.path.startswith("/stream/1/"):
+                response.headers.set("Content-Length", "abc")
+            return response
+
+        server.handle_request = bad_length
+        done = []
+        for path in ("/stream/1/300/10", "/stream/2/300/10"):
+            StreamingClient(stack, loop, Endpoint(server.ip, 80), path,
+                            done.append).start()
+        loop.run(until=10.0)
+        bad, good = sorted(done, key=lambda r: r.path)
+        assert (bad.ok, bad.error, bad.body) == (False, "bad-response", None)
+        assert good.complete and good.body == stream_content(good.path)
 
 
 def make_bed(**overrides):
@@ -178,6 +203,7 @@ class TestInstanceHeaderDeadline:
         fleet = bed.streaming(1, chunks=20, chunk_bytes=500, interval_ms=100)
         bed.run(12.0)
         assert fleet.completed() == 1
+        assert wrong_streams(fleet.results) == []
         pages = [r for p in procs for r in p.results]
         assert pages and not any(r.broken for r in pages)
         assert sum(i.metrics.counter("slow_client_timeouts").value
@@ -282,6 +308,7 @@ class TestStreamSurvivesInstanceFailover:
         bed.run(15.0)
         assert fleet.completed() == 2
         assert fleet.unfinished() == 0
+        assert wrong_streams(fleet.results) == []
         # at least one stream stalled and probed its way onto a survivor,
         # which adopted it from the flow store
         assert any(r.stalls > 0 for r in fleet.results)
@@ -301,6 +328,7 @@ class TestForcedDrainCheckpoint:
         bed.run(15.0)
         assert fleet.completed() == 2
         assert fleet.unfinished() == 0
+        assert wrong_streams(fleet.results) == []
         # the drain hit its deadline and serialized the stream's progress
         assert bed.yoda.controller.metrics.counter("drains_forced").value == 1
         assert victim.metrics.counter("handoff_checkpoints").value >= 1
