@@ -50,7 +50,10 @@ class HttpFetcher(ConnectionHandler):
 
     A retry always opens a new connection (new ephemeral port, so a new
     5-tuple) -- this is the paper's HAProxy-retry scenario: the L4 LB sees
-    a brand-new flow and routes it to a live instance.
+    a brand-new flow and routes it to a live instance.  A failed attempt's
+    connection is abandoned first, detached and then aborted, so nothing
+    it still delivers reaches the fetcher: callbacks only ever come from
+    the current connection.
     """
 
     def __init__(
@@ -115,11 +118,13 @@ class HttpFetcher(ConnectionHandler):
     def on_remote_close(self, conn: TcpConnection) -> None:
         if self._finished:
             return
-        final = self._parser.finish()
+        try:
+            final = self._parser.finish()
+        except HttpError:  # closed mid-header
+            final = None
         if final is not None:
             self._complete(final.message)
             return
-        conn.close()
         self._attempt_failed("closed-early")
 
     def on_error(self, conn: TcpConnection, reason: str) -> None:
@@ -128,22 +133,35 @@ class HttpFetcher(ConnectionHandler):
 
     # -- internals ----------------------------------------------------------
     def _on_http_timeout(self) -> None:
-        if self._conn is not None:
-            # silently abandon the socket, as a browser does
-            self._conn.handler = ConnectionHandler()
-            self._conn.abort("http-timeout")
         self._attempt_failed("timeout")
+
+    def _abandon(self) -> None:
+        """Silently drop the current connection, as a browser does."""
+        conn = self._conn
+        if conn is not None:
+            self._conn = None
+            conn.detach()
+            conn.abort("abandoned")
+
+    def _finish(self) -> None:
+        """The fetch is over: let go of the timer and the connection, the
+        two references that tie a fetcher into cycles (timer -> bound
+        method -> fetcher, connection -> handler -> fetcher)."""
+        self._finished = True
+        self._timer.release()
+        self._conn = None
 
     def _attempt_failed(self, error: str) -> None:
         if self._finished:
             return
         self._timer.cancel()
+        self._abandon()
         self.result.first_attempt_failed = True
         if self.result.retries_used < self.retries:
             self.result.retries_used += 1
             self.start()  # fresh connection, fresh parser, fresh timer
             return
-        self._finished = True
+        self._finish()
         self.result.error = error
         self.result.finished_at = self.loop.now()
         if OBS.enabled and self._span is not None:
@@ -155,10 +173,10 @@ class HttpFetcher(ConnectionHandler):
     def _complete(self, response: HttpResponse) -> None:
         if self._finished:
             return
-        self._finished = True
-        self._timer.cancel()
-        if self._conn is not None and self._conn.state.can_send:
-            self._conn.close()
+        conn = self._conn
+        self._finish()
+        if conn is not None and conn.state.can_send:
+            conn.close()
         self.result.ok = response.ok
         self.result.status = response.status
         self.result.response = response
@@ -219,24 +237,7 @@ class BrowserClient:
         object_paths: List[str],
         on_done: Callable[[PageLoadResult], None],
     ) -> None:
-        result = PageLoadResult(page=html_path, started_at=self.loop.now())
-        remaining = [html_path] + list(object_paths)
-
-        def fetch_next() -> None:
-            if not remaining:
-                result.finished_at = self.loop.now()
-                on_done(result)
-                return
-            path = remaining.pop(0)
-            self.fetch(path, _one_done)
-
-        def _one_done(fetch_result: FetchResult) -> None:
-            result.object_results.append(fetch_result)
-            if not fetch_result.ok:
-                result.broken = True
-            fetch_next()
-
-        fetch_next()
+        _PageLoad(self, html_path, object_paths, on_done).fetch_next()
 
     def fetch(self, path: str, on_done: Callable[[FetchResult], None]) -> HttpFetcher:
         request = HttpRequest(
@@ -253,6 +254,38 @@ class BrowserClient:
             stall_timeout=self.stall_timeout,
         )
         return fetcher.start()
+
+
+class _PageLoad:
+    """One page load in progress: its objects fetched one after another.
+
+    Each fetch is handed a fresh bound method and the load keeps no
+    fetcher, so nothing here is a reference cycle: the load is freed when
+    its last fetcher is."""
+
+    __slots__ = ("browser", "result", "remaining", "on_done")
+
+    def __init__(self, browser: BrowserClient, html_path: str,
+                 object_paths: List[str],
+                 on_done: Callable[[PageLoadResult], None]):
+        self.browser = browser
+        self.result = PageLoadResult(page=html_path,
+                                     started_at=browser.loop.now())
+        self.remaining = [html_path] + list(object_paths)
+        self.on_done = on_done
+
+    def fetch_next(self) -> None:
+        if not self.remaining:
+            self.result.finished_at = self.browser.loop.now()
+            self.on_done(self.result)
+            return
+        self.browser.fetch(self.remaining.pop(0), self._one_done)
+
+    def _one_done(self, fetch_result: FetchResult) -> None:
+        self.result.object_results.append(fetch_result)
+        if not fetch_result.ok:
+            self.result.broken = True
+        self.fetch_next()
 
 
 class HttpsFetcher(HttpFetcher):
@@ -344,6 +377,10 @@ class HttpsFetcher(HttpFetcher):
             self._conn.send(tls.retry_ping())
         self._handshake_timer.start(self.HANDSHAKE_RETRY)
 
+    def _finish(self) -> None:
+        self._handshake_timer.release()
+        super()._finish()
+
     def _attempt_failed(self, error: str) -> None:
         self._handshake_timer.cancel()
         if self._resuming and not self._tls_established:
@@ -353,7 +390,3 @@ class HttpsFetcher(HttpFetcher):
                 self.session_cache.pop(self.sni, None)
             self._resuming = False
         super()._attempt_failed(error)
-
-    def _complete(self, response: HttpResponse) -> None:
-        self._handshake_timer.cancel()
-        super()._complete(response)

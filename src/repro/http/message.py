@@ -9,6 +9,14 @@ from repro.errors import HttpError
 
 CRLF = b"\r\n"
 
+# header name -> (name, its lower-case key), one shared pair per distinct
+# name: every message that carries "Content-Length" keeps the same two
+# strings instead of its own, and a name seen before costs no lower().
+# Capped, so a peer sending ever-new names cannot grow it; a name past the
+# cap is spelled per message, as every name was before.
+_NAMES: Dict[str, Tuple[str, str]] = {}
+_NAMES_MAX = 256
+
 
 class Headers:
     """Case-insensitive HTTP header map preserving insertion order."""
@@ -19,8 +27,15 @@ class Headers:
             for name, value in items.items():
                 self.set(name, value)
 
-    def set(self, name: str, value: str) -> None:
-        self._items[name.lower()] = (name, str(value))
+    def set(self, name: str, value: str) -> str:
+        """Set a header; returns its case-insensitive key."""
+        names = _NAMES.get(name)
+        if names is None:
+            names = (name, name.lower())
+            if len(_NAMES) < _NAMES_MAX:
+                _NAMES[name] = names
+        self._items[names[1]] = (names[0], str(value))
+        return names[1]
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         entry = self._items.get(name.lower())

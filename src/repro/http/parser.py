@@ -166,7 +166,7 @@ def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
         if not sep:
             raise HttpParseError(f"malformed header line {line!r}")
         name, value = name.strip(), value.strip()
-        if name.lower() == "content-length":
+        if headers.set(name, value) == "content-length":
             # This value frames the message, so it is read exactly: int()
             # alone also takes "-5" (a body of buf[:-5]), "+5" and "1_0",
             # and of two different lengths the last would win (RFC 7230
@@ -178,7 +178,6 @@ def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
             if declared < 0 or length not in (None, declared):
                 raise HttpParseError(f"bad Content-Length {value!r}")
             length = declared
-        headers.set(name, value)
     return lines[0], headers, length
 
 

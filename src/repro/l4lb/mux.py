@@ -27,10 +27,13 @@ def five_tuple(src: Endpoint, dst: Endpoint) -> str:
     return f"{src.text}>{dst.text}"
 
 
-@dataclass
+@dataclass(slots=True)
 class _FlowEntry:
     instance_ip: str
     last_used: float
+    # the flow-table key itself: the router memoises its ECMP pick under
+    # this same string, so a pinned flow keeps one copy of its 5-tuple
+    key: str
 
 
 class _VipEntry:
@@ -214,7 +217,7 @@ class L4Mux:
                 # entry, so that path still pins the recovery target
                 # exactly as it always has.
                 return owner
-        self.flow_table[flow_key] = _FlowEntry(instance_ip, now)
+        self.flow_table[flow_key] = _FlowEntry(instance_ip, now, flow_key)
         return instance_ip
 
     def _route_stateless(self, entry: _VipEntry, flow_key: str, pkt: Packet,
@@ -242,7 +245,7 @@ class L4Mux:
             if entry.draining and entry.prev_compact is not None:
                 prev = entry.prev_compact.lookup(flow_key)
                 if prev != target and prev in entry.draining:
-                    self.flow_table[flow_key] = _FlowEntry(prev, now)
+                    self.flow_table[flow_key] = _FlowEntry(prev, now, flow_key)
                     return prev
             return target
         # fresh SYN: pure O(1) table read, zero state written

@@ -71,7 +71,8 @@ class L4LoadBalancer:
         self.muxes: List[L4Mux] = [L4Mux(self, i) for i in range(num_muxes)]
         # the router's ECMP pick, memoised per pinned flow: it lives exactly
         # as long as the pin in the picked mux's flow table (see
-        # forget_flows), so it needs no size bound of its own
+        # forget_flows), so it needs no size bound of its own, and it is
+        # keyed by the pin's own key string, so the two share one copy
         self._ecmp_memo: Dict[str, int] = {}
         self.snat = SnatAllocator()
         self._versions: Dict[str, int] = {}
@@ -245,8 +246,10 @@ class L4LoadBalancer:
         idx = self._ecmp_pick(flow_key)
         mux = self.muxes[idx]
         mux.process(pkt)
-        if flow_key in mux.flow_table:
-            self._ecmp_memo[flow_key] = idx
+        pin = mux.flow_table.get(flow_key)
+        if pin is not None:
+            # under the pin's own key string, not this packet's copy of it
+            self._ecmp_memo[pin.key] = idx
 
     def forget_flows(self, flow_keys: List[str]) -> None:
         """A mux dropped these pins: drop their memoised ECMP picks."""

@@ -13,6 +13,10 @@ from typing import Any, Callable, Optional
 from repro.sim.events import Event, EventLoop
 
 
+def _nothing() -> None:
+    """A released timer's callback."""
+
+
 class Timer:
     """A restartable one-shot timer.
 
@@ -68,6 +72,11 @@ class Timer:
             self._event.cancel()
             self._event = None
             self._deadline = None
+
+    def release(self) -> None:
+        """Disarm for good and drop the callback, and what it holds."""
+        self.cancel()
+        self._callback = _nothing
 
     def _fire(self) -> None:
         deadline = self._deadline

@@ -72,6 +72,10 @@ class ConnectionHandler:
 
 HandlerFactory = Callable[["TcpConnection"], ConnectionHandler]
 
+# what a connection calls once it has let go of its handler: every
+# callback is a no-op, and it holds nothing
+_DETACHED = ConnectionHandler()
+
 
 class TcpStack:
     """Demultiplexes a host's packets to listeners and connections."""
@@ -257,14 +261,23 @@ class TcpConnection:
         self._pump()
 
     def abort(self, reason: str = "aborted") -> None:
-        """Hard close: send RST, drop all state."""
-        if self.state is not TcpState.CLOSED and self.state.synchronized:
+        """Hard close: send RST, drop all state.  A closed connection has
+        neither, so aborting one does nothing."""
+        if self.state is TcpState.CLOSED:
+            return
+        if self.state.synchronized:
             self.stack._transmit(
                 Packet(self.local, self.remote, flags=RST | ACK,
                        seq=self._snd_nxt, ack=self._rcv_nxt)
             )
-        self._teardown()
-        self.handler.on_error(self, reason)
+        self._teardown(error=reason)
+
+    def detach(self) -> None:
+        """Let go of the handler: every later callback is a no-op.  An
+        application that abandons a connection detaches it, then aborts
+        it, so neither the abort's ``on_error`` nor anything the peer
+        still sends reaches the application."""
+        self.handler = _DETACHED
 
     def probe(self) -> None:
         """Send a pure ACK at the current position (a keepalive nudge).
@@ -355,8 +368,7 @@ class TcpConnection:
         # Accept RST only if plausibly in-window (loose check: not stale).
         if self.state is TcpState.CLOSED:
             return
-        self._teardown()
-        self.handler.on_error(self, "reset")
+        self._teardown(error="reset")
 
     def _handle_syn_sent(self, pkt: Packet) -> None:
         if pkt.syn and pkt.has_ack and pkt.ack == seq_add(self.iss, 1):
@@ -442,7 +454,7 @@ class TcpConnection:
         elif self.state is TcpState.CLOSING:
             self._enter_time_wait()
         elif self.state is TcpState.LAST_ACK:
-            self._finish_closed()
+            self._teardown(closed=True)
 
     def _process_data(self, pkt: Packet) -> None:
         payload = pkt.payload
@@ -533,8 +545,7 @@ class TcpConnection:
     def _on_rto(self) -> None:
         self._retries += 1
         if self._retries > self.config.max_retries:
-            self._teardown()
-            self.handler.on_error(self, "timeout")
+            self._teardown(error="timeout")
             return
         self.retransmit_count += 1
         if self.state is TcpState.SYN_SENT:
@@ -579,20 +590,27 @@ class TcpConnection:
         self._time_wait_timer.start(self.config.time_wait)
 
     def _time_wait_done(self) -> None:
-        self._finish_closed(notify=False)
+        self._teardown()  # the handler had on_closed entering TIME_WAIT
 
-    def _finish_closed(self, notify: bool = True) -> None:
-        already_closed = self.state is TcpState.CLOSED
-        self._teardown()
-        if notify and not already_closed:
-            self.handler.on_closed(self)
-
-    def _teardown(self) -> None:
+    def _teardown(self, error: Optional[str] = None,
+                  closed: bool = False) -> None:
+        """Enter CLOSED, then give the handler its last callback --
+        ``on_error(error)`` for an abort, ``on_closed`` when ``closed`` --
+        and let go of the handler and of both timers' callbacks.  Each is
+        a reference cycle with this connection (conn -> handler -> conn
+        for an application that keeps its connection, conn -> timer ->
+        bound method -> conn always), so a closed connection is freed by
+        its reference count, not by a cyclic collection."""
         self.state = TcpState.CLOSED
         self.closed_at = self.loop.now()
-        self._retx_timer.cancel()
-        self._time_wait_timer.cancel()
+        self._retx_timer.release()
+        self._time_wait_timer.release()
         self.stack._unregister(self)
+        if error is not None:
+            self.handler.on_error(self, error)
+        elif closed:
+            self.handler.on_closed(self)
+        self.handler = _DETACHED
 
     def __repr__(self) -> str:
         return (f"TcpConnection({self.local} -> {self.remote}, "

@@ -146,7 +146,7 @@ class StreamingClient(ConnectionHandler):
     def _abort(self, error: str) -> None:
         if self._conn is not None:
             # silently abandon the socket, as a browser does
-            self._conn.handler = ConnectionHandler()
+            self._conn.detach()
             self._conn.abort("stream-" + error)
         self._finish(False, error)
 
@@ -159,8 +159,11 @@ class StreamingClient(ConnectionHandler):
         if self._finished:
             return
         self._finished = True
-        self._stall_timer.cancel()
-        self._deadline_timer.cancel()
+        # let go of what ties the client into cycles: both timers' callbacks
+        # and the connection (whose handler it is until it closes)
+        self._stall_timer.release()
+        self._deadline_timer.release()
+        self._conn = None
         self.result.ok = ok
         self.result.error = error
         self.result.finished_at = self.loop.now()

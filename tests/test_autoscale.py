@@ -323,8 +323,8 @@ class TestScaleChurnRegressions:
         ctl = bed.yoda.controller
         victim = bed.yoda.instances[0]
         mux = bed.l4lb.muxes[0]
-        mux.flow_table["10.3.0.1:80>100.0.0.1:40123"] = _FlowEntry(
-            victim.ip, bed.loop.now())
+        key = "10.3.0.1:80>100.0.0.1:40123"
+        mux.flow_table[key] = _FlowEntry(victim.ip, bed.loop.now(), key)
         ctl.drain_instance(victim.name, deadline=2.0, to_spare=True)
         bed.run(4.0)
         assert not ctl.draining

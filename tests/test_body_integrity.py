@@ -93,10 +93,12 @@ def test_fetches_recovered_after_an_instance_crash_deliver_the_objects_served():
 
 
 # what one completed 200 KB fetch may leave allocated: its FetchResult,
-# response and parsed headers, and the run's own per-flow records (mux
-# flow-table entries); measured 3.4 KB on CPython 3.11, 203 KB while the
-# body's bytes were kept
-MAX_RETAINED_PER_FETCH = 4_000
+# response and parsed headers (values only: the names are shared), and the
+# run's own per-flow records (mux flow-table entries, one key string per
+# pin); measured 2.6 KB on CPython 3.11, 3.4 KB while header names were per
+# message and the router's ECMP memo kept its own copy of each key, 203 KB
+# while the body's bytes were kept
+MAX_RETAINED_PER_FETCH = 3_200
 
 
 def test_results_do_not_hold_their_bodies():

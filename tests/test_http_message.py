@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import HttpError
+from repro.http import message
+from repro.http.parser import HttpParser
 from repro.http.message import (
     Headers, HttpRequest, HttpResponse, parse_request_line, parse_status_line,
 )
@@ -31,6 +33,26 @@ class TestHeaders:
         c = h.copy()
         c.set("A", "2")
         assert h.get("A") == "1"
+
+    def test_parsed_messages_share_header_names_not_values(self):
+        wire = b"HTTP/1.1 200 OK\r\nServer: Apache/2.2.3\r\nContent-Length: 0\r\n\r\n"
+        one, two = (HttpParser("response").feed(wire)[0].message.headers
+                    for _ in range(2))
+        for (n1, v1), (n2, v2) in zip(one, two):
+            assert n1 is n2 and v1 == v2
+        assert [k1 is k2 for k1, k2 in zip(one._items, two._items)] == [True] * 2
+        server1, server2 = (h.get("Server") for h in (one, two))
+        assert server1 == server2 and server1 is not server2
+
+    def test_a_flood_of_new_names_is_not_remembered(self, monkeypatch):
+        monkeypatch.setattr(message, "_NAMES", {})  # leave the real one be
+        h = Headers()
+        for i in range(3 * message._NAMES_MAX):
+            h.set(f"X-Flood-{i}", "v")
+        assert len(message._NAMES) <= message._NAMES_MAX
+        assert len(h) == 3 * message._NAMES_MAX
+        assert h.get("x-flood-700") == "v"
+        assert b"X-Flood-700: v\r\n" in h.serialize()
 
 
 class TestHttpRequest:

@@ -11,7 +11,7 @@ from repro.net.links import FixedLatency
 from repro.net.network import Network
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
-from repro.tcp.endpoint import TcpStack
+from repro.tcp.endpoint import ConnectionHandler, TcpStack
 
 
 @pytest.fixture
@@ -138,6 +138,45 @@ class TestClient:
         assert result.ok
         assert result.retries_used >= 1
         assert result.first_attempt_failed
+
+    def test_retry_after_a_bad_response_is_not_failed_by_the_old_connection(
+            self, world):
+        # the first response cannot be framed; the retry's fresh connection
+        # must be judged on its own bytes, not on the FIN the abandoned
+        # connection still receives
+        loop, server, stack = world
+        serve = server.handle_request
+        served = []
+
+        def first_unframed(request):
+            response = serve(request)
+            served.append(request.path)
+            if len(served) == 1:
+                response.headers.set("Content-Length", "abc")
+            return response
+
+        server.handle_request = first_unframed
+        result = fetch(loop, stack, "/a.jpg", retries=1)  # runs 120 s
+        assert (result.ok, result.error, result.retries_used) == (True, None, 1)
+        assert len(served) == 2
+        assert len(result.response.body) == 5_000
+        assert stack.connections() == {}  # long past TIME_WAIT
+
+    def test_close_mid_header_fails_the_attempt(self, world):
+        loop, server, stack = world
+
+        class HalfHeader(ConnectionHandler):
+            def on_data(self, conn, data):
+                conn.send(b"HTTP/1.0 200 OK\r\nContent-Le")
+                conn.close()
+
+        server.stack.listen(8080, lambda conn: HalfHeader())
+        results = []
+        browser = BrowserClient(stack, loop, Endpoint("10.0.0.2", 8080))
+        browser.fetch("/a.jpg", results.append)
+        loop.run(until=loop.now() + 120)
+        assert [(r.ok, r.error) for r in results] == [(False, "closed-early")]
+        assert stack.connections() == {}
 
     def test_stall_timeout_resets_on_progress(self, world):
         loop, server, stack = world

@@ -258,6 +258,12 @@ class TestEcmpMemo:
             assert key in lb.muxes[idx].flow_table
         assert set(lb._ecmp_memo) == self._pinned(lb)
 
+    def test_memo_and_pin_share_one_key_string(self, world):
+        lb = self._drive(world, 300)
+        pinned = {id(k) for m in lb.muxes for k in m.flow_table}
+        assert len(pinned) > 250
+        assert {id(k) for k in lb._ecmp_memo} == pinned
+
     def test_memo_follows_the_pins(self, world):
         loop, net, lb, instances, client = world
         self._drive(world, 300)
