@@ -25,7 +25,7 @@ from repro.tcp.endpoint import ConnectionHandler, TcpConnection, TcpStack
 DEFAULT_HTTP_TIMEOUT = 30.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FetchResult:
     """Outcome of one HTTP request (after any retries)."""
 

@@ -18,8 +18,26 @@ _NAMES: Dict[str, Tuple[str, str]] = {}
 _NAMES_MAX = 256
 
 
+def header_name(name: str) -> Tuple[str, str]:
+    """``name`` and its lower-case key, shared when ``name`` was seen before."""
+    names = _NAMES.get(name)
+    if names is None:
+        names = (name, name.lower())
+        if len(_NAMES) < _NAMES_MAX:
+            _NAMES[name] = names
+    return names
+
+
 class Headers:
-    """Case-insensitive HTTP header map preserving insertion order."""
+    """Case-insensitive HTTP header map preserving insertion order.
+
+    Each entry is key -> ``(name, value)``.  The pairs are immutable, so a
+    parsed map may hold the very pairs other messages hold (see
+    ``http/parser.py``'s line table): ``set`` replaces a pair in this map
+    only, and changes no other message.
+    """
+
+    __slots__ = ("_items",)
 
     def __init__(self, items: Optional[Mapping[str, str]] = None):
         self._items: Dict[str, Tuple[str, str]] = {}
@@ -27,15 +45,18 @@ class Headers:
             for name, value in items.items():
                 self.set(name, value)
 
+    @classmethod
+    def of_pairs(cls, items: Dict[str, Tuple[str, str]]) -> "Headers":
+        """A map over ``items`` (key -> ``(name, value)``), kept as given."""
+        out = cls.__new__(cls)
+        out._items = items
+        return out
+
     def set(self, name: str, value: str) -> str:
         """Set a header; returns its case-insensitive key."""
-        names = _NAMES.get(name)
-        if names is None:
-            names = (name, name.lower())
-            if len(_NAMES) < _NAMES_MAX:
-                _NAMES[name] = names
-        self._items[names[1]] = (names[0], str(value))
-        return names[1]
+        name, key = header_name(name)
+        self._items[key] = (name, str(value))
+        return key
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         entry = self._items.get(name.lower())
@@ -51,9 +72,7 @@ class Headers:
         return len(self._items)
 
     def copy(self) -> "Headers":
-        out = Headers()
-        out._items = dict(self._items)
-        return out
+        return Headers.of_pairs(dict(self._items))
 
     def serialize(self) -> bytes:
         return b"".join(
@@ -70,6 +89,8 @@ class HttpRequest:
     The fields YODA's rule engine matches on (Section 5.1) are all here:
     the URL (path), arbitrary headers, and cookies.
     """
+
+    __slots__ = ("method", "path", "version", "headers", "body")
 
     def __init__(
         self,
@@ -131,7 +152,14 @@ class HttpRequest:
 
 
 class HttpResponse:
-    """An HTTP response; Content-Length is always set so framing is exact."""
+    """An HTTP response; Content-Length is always set so framing is exact.
+
+    A built response sets it from its body.  A parsed one (its body a
+    :class:`BodyDigest`) keeps the header it was framed by, and gets one
+    from the bytes consumed when it ran to connection close.
+    """
+
+    __slots__ = ("status", "reason", "version", "headers", "body")
 
     STATUS_REASONS = {
         200: "OK",
@@ -159,7 +187,8 @@ class HttpResponse:
         self.version = version
         self.headers = headers if isinstance(headers, Headers) else Headers(headers)
         self.body = body
-        self.headers.set("Content-Length", str(len(body)))
+        if not isinstance(body, BodyDigest) or "Content-Length" not in self.headers:
+            self.headers.set("Content-Length", str(len(body)))
 
     @property
     def ok(self) -> bool:

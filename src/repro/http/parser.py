@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import HttpParseError
 from repro.http.message import (
@@ -21,12 +21,26 @@ from repro.http.message import (
     Headers,
     HttpRequest,
     HttpResponse,
+    header_name,
     parse_request_line,
     parse_status_line,
 )
 
 HEADER_END = b"\r\n\r\n"
 _ASCII_DIGITS = re.compile("[0-9]+").fullmatch
+
+# A header line or status line seen before is parsed once.  Raw line bytes
+# -> what they parse to, shared by every message that carries them:
+#   a header line -> its key and its (name, value) pair;
+#   a status line + CRLF -> its (version, status, reason).  The CRLF keeps
+#   the two kinds apart: no header line, split out on CRLF, contains one.
+# Entries are immutable strs and tuples, so sharing shows only through
+# identity.  A line is remembered only once it parsed without raising, and
+# Content-Length is validated on every message that carries it, hit or
+# miss.  Capped, so a peer sending ever-new lines cannot grow it; past the
+# cap a line is parsed per message.
+_LINES: Dict[bytes, tuple] = {}
+_LINES_MAX = 512
 
 
 @dataclass
@@ -127,14 +141,14 @@ class HttpParser:
         assert self._headers is not None
         if self.kind == "request":
             return _request(self._start_line, self._headers, body)
-        version, status, reason = parse_status_line(self._start_line)
-        resp = HttpResponse(status=status, version=version, reason=reason, body=body)
-        # preserve original headers (constructor overwrote Content-Length)
-        content_length = str(len(body))
-        resp.headers = self._headers
-        if "Content-Length" not in resp.headers:
-            resp.headers.set("Content-Length", content_length)
-        return resp
+        key = self._start_line + CRLF
+        status_line = _LINES.get(key)
+        if status_line is None:
+            status_line = parse_status_line(self._start_line)
+            if len(_LINES) < _LINES_MAX:
+                _LINES[key] = status_line
+        version, status, reason = status_line
+        return HttpResponse(status, self._headers, body, version, reason)
 
     def _reset(self) -> None:
         """Between messages: no header block, no body in progress."""
@@ -157,20 +171,26 @@ def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
     Content-Length that is not exactly one run of ASCII digits.
     """
     lines = block.split(CRLF)
-    headers = Headers()
+    items: Dict[str, Tuple[str, str]] = {}
     length: Optional[int] = None
     for line in lines[1:]:
         if not line:
             continue
-        name, sep, value = line.decode("latin-1").partition(":")
-        if not sep:
-            raise HttpParseError(f"malformed header line {line!r}")
-        name, value = name.strip(), value.strip()
-        if headers.set(name, value) == "content-length":
+        entry = _LINES.get(line)
+        seen = entry is not None
+        if not seen:
+            name, sep, value = line.decode("latin-1").partition(":")
+            if not sep:
+                raise HttpParseError(f"malformed header line {line!r}")
+            name, key = header_name(name.strip())
+            entry = (key, (name, value.strip()))
+        key, pair = entry
+        if key == "content-length":
             # This value frames the message, so it is read exactly: int()
             # alone also takes "-5" (a body of buf[:-5]), "+5" and "1_0",
             # and of two different lengths the last would win (RFC 7230
             # 3.3.2-3.3.3).
+            value = pair[1]
             try:
                 declared = int(value) if _ASCII_DIGITS(value) else -1
             except ValueError:  # more digits than int() converts
@@ -178,7 +198,10 @@ def parse_header_block(block: bytes) -> Tuple[bytes, Headers, Optional[int]]:
             if declared < 0 or length not in (None, declared):
                 raise HttpParseError(f"bad Content-Length {value!r}")
             length = declared
-    return lines[0], headers, length
+        if not seen and len(_LINES) < _LINES_MAX:
+            _LINES[line] = entry
+        items[key] = pair
+    return lines[0], Headers.of_pairs(items), length
 
 
 def request_head(data: bytes) -> Optional[HttpRequest]:
@@ -198,6 +221,4 @@ def request_head(data: bytes) -> Optional[HttpRequest]:
 
 def _request(start_line: bytes, headers: Headers, body: Body) -> HttpRequest:
     method, path, version = parse_request_line(start_line)
-    req = HttpRequest(method=method, path=path, version=version, body=body)
-    req.headers = headers
-    return req
+    return HttpRequest(method, path, version, headers, body)

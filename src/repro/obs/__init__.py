@@ -13,7 +13,7 @@ without dragging in anything heavy or cyclic.
 from repro.obs.plane import OBS, ObsPlane
 from repro.obs.profiler import SimProfiler
 from repro.obs.recorder import FlightRecorder, FlightRecorderHub
-from repro.obs.sketch import QuantileSketch
+from repro.sim.sketch import QuantileSketch
 from repro.obs.span import Span, Tracer
 
 __all__ = [

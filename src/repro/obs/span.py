@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.sketch import QuantileSketch
+from repro.sim.sketch import QuantileSketch
 
 # A context is (trace_id, span_id): enough to parent a child span.
 Ctx = Tuple[int, int]

@@ -12,7 +12,10 @@ tests see bit-identical numbers.  Past the cap the raw samples are
 discarded ("spilled") and quantile reads fall back to the sketch; the
 exact-samples APIs (``samples``/``cdf``/``fraction_above``) then raise
 rather than silently degrade.  Tests that need exactness at any size opt
-in with ``exact=True``.
+in with ``exact=True``.  Raw samples are kept as C doubles (``array('d')``:
+8 bytes each, not a boxed float plus a list slot), the values float
+arithmetic on them uses anyway, so every read returns what a list of the
+same samples gives -- as floats, an observed int included.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.sketch import QuantileSketch
+from repro.sim.sketch import QuantileSketch
 
 
 class Counter:
@@ -98,7 +102,7 @@ class Histogram:
         self.name = name
         self.exact = exact
         self.max_samples = max_samples
-        self._samples: List[float] = []
+        self._samples = array("d")
         self._sorted = True
         self._spilled = False
         self._count = 0
@@ -121,7 +125,7 @@ class Histogram:
             self._sorted = False
         self._samples.append(value)
         if not self.exact and len(self._samples) > self.max_samples:
-            self._samples = []
+            self._samples = array("d")
             self._sorted = True
             self._spilled = True
 
@@ -131,7 +135,7 @@ class Histogram:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
-            self._samples.sort()
+            self._samples = array("d", sorted(self._samples))
             self._sorted = True
 
     def _require_exact(self, what: str) -> None:

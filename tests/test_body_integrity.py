@@ -13,8 +13,9 @@ through the paper's sequence translation (Fig. 4); and, through
 :func:`wrong_streams`, every completed long-lived stream of the streaming
 and region scenarios, resumed ones included.
 
-Last, what a result holds: twenty 200 KB fetches may leave a few KB each
-behind (headers, the flow-table entries of their flows), not their bodies.
+Last, what a result holds: a fetch may leave under 2 KB behind (its
+slotted records, the flow-table entries of its flow), not its body --
+twenty 200 KB fetches, and an open loop of 1 KB ones.
 """
 
 import gc
@@ -93,12 +94,31 @@ def test_fetches_recovered_after_an_instance_crash_deliver_the_objects_served():
 
 
 # what one completed 200 KB fetch may leave allocated: its FetchResult,
-# response and parsed headers (values only: the names are shared), and the
-# run's own per-flow records (mux flow-table entries, one key string per
-# pin); measured 2.6 KB on CPython 3.11, 3.4 KB while header names were per
-# message and the router's ECMP memo kept its own copy of each key, 203 KB
-# while the body's bytes were kept
-MAX_RETAINED_PER_FETCH = 3_200
+# response and parsed headers (slotted records whose header pairs and
+# status-line strings are shared with every message that carried the same
+# lines), and the run's own per-flow records (mux flow-table entries, one
+# key string per pin); measured 1.6 KB on CPython 3.11, 2.6 KB while each
+# record had a __dict__ and each response its own header pairs, 3.4 KB
+# while header names were per message too, 203 KB while the body's bytes
+# were kept
+MAX_RETAINED_PER_FETCH = 2_000
+# the same for an open loop of 1 KB fetches, where most of what stays is
+# the results and the two mux pins per flow (60 s idle timeout); measured
+# 1.3 KB, 2.1 KB before the records were packed and shared
+MAX_RETAINED_PER_OPEN_LOOP_FETCH = 1_600
+
+
+def retained_bytes(run):
+    """Bytes still allocated after ``run()``, past a full collection."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = run()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_results_do_not_hold_their_bodies():
@@ -123,21 +143,37 @@ def test_results_do_not_hold_their_bodies():
             bed.run(1.0)
         # past the HTTP timeout, so no pending timer still holds a fetcher
         bed.run(35.0)
-        gc.collect()
         return results
 
     bed.run(1.0)
     fetch(2)  # warm the paths: first-use allocations are not per fetch
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        results = fetch(20)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    results, retained = retained_bytes(lambda: fetch(20))
     completed = [r for r in results if r.ok]
     assert len(completed) == 20
     assert all(len(r.response.body) == 200_000 for r in completed)
     per_fetch = retained / len(completed)
     assert per_fetch < MAX_RETAINED_PER_FETCH, (
         f"{per_fetch:,.0f} bytes retained per completed 200 KB fetch")
+
+
+def test_an_open_loop_of_small_fetches_keeps_little_per_fetch():
+    bed = Testbed(TestbedConfig(
+        seed=2016, lb="yoda", num_lb_instances=2, num_store_servers=3,
+        num_backends=2, corpus="flat", flat_object_bytes=1_000,
+        flat_object_count=50))
+    gen = bed.open_loop(200.0, http_timeout=30.0)
+    bed.run(2.0)  # warm-up: first-use allocations are not per fetch
+    warm = len(gen.results)
+
+    def load():
+        bed.run(4.0)
+        gen.stop()
+        bed.run(35.0)  # past the HTTP timeout and TIME_WAIT
+        return gen.results[warm:]
+
+    results, retained = retained_bytes(load)
+    completed = [r for r in results if r.ok]
+    assert len(completed) >= 780
+    per_fetch = retained / len(completed)
+    assert per_fetch < MAX_RETAINED_PER_OPEN_LOOP_FETCH, (
+        f"{per_fetch:,.0f} bytes retained per completed 1 KB fetch")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HttpError
-from repro.http import message
+from repro.http import message, parser
 from repro.http.parser import HttpParser
 from repro.http.message import (
     Headers, HttpRequest, HttpResponse, parse_request_line, parse_status_line,
@@ -34,15 +34,29 @@ class TestHeaders:
         c.set("A", "2")
         assert h.get("A") == "1"
 
-    def test_parsed_messages_share_header_names_not_values(self):
+    def test_parsed_messages_share_header_names_values_and_pairs(self, monkeypatch):
+        monkeypatch.setattr(parser, "_LINES", {})  # not one a long run filled
+        wire = b"HTTP/1.1 200 OK\r\nServer: Apache/2.2.3\r\nContent-Length: 0\r\n\r\n"
+        one, two = (HttpParser("response").feed(wire)[0].message
+                    for _ in range(2))
+        assert list(one.headers) == list(two.headers)
+        for pair1, pair2 in zip(one.headers, two.headers):
+            assert pair1 is pair2  # so its name and value are shared too
+        keys = zip(one.headers._items, two.headers._items)
+        assert [k1 is k2 for k1, k2 in keys] == [True] * 2
+        assert one.version is two.version and one.reason is two.reason
+
+    def test_set_on_one_parsed_message_leaves_another_unchanged(self, monkeypatch):
+        monkeypatch.setattr(parser, "_LINES", {})  # so the two share pairs
         wire = b"HTTP/1.1 200 OK\r\nServer: Apache/2.2.3\r\nContent-Length: 0\r\n\r\n"
         one, two = (HttpParser("response").feed(wire)[0].message.headers
                     for _ in range(2))
-        for (n1, v1), (n2, v2) in zip(one, two):
-            assert n1 is n2 and v1 == v2
-        assert [k1 is k2 for k1, k2 in zip(one._items, two._items)] == [True] * 2
-        server1, server2 = (h.get("Server") for h in (one, two))
-        assert server1 == server2 and server1 is not server2
+        one.set("server", "nginx")
+        one.set("X-Added", "1")
+        assert one.get("Server") == "nginx" and one.get("X-Added") == "1"
+        assert list(two) == [("Server", "Apache/2.2.3"), ("Content-Length", "0")]
+        three = HttpParser("response").feed(wire)[0].message.headers
+        assert three.get("Server") == "Apache/2.2.3"
 
     def test_a_flood_of_new_names_is_not_remembered(self, monkeypatch):
         monkeypatch.setattr(message, "_NAMES", {})  # leave the real one be

@@ -5,7 +5,8 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import HttpParseError
+from repro.errors import HttpError, HttpParseError
+from repro.http import parser as http_parser
 from repro.http.message import BodyDigest, HttpRequest, HttpResponse
 from repro.http.parser import HttpParser
 
@@ -89,6 +90,70 @@ class TestRequestParsing:
         assert parsed.message.body == b"HELLO"
         assert parsed.wire_bytes == len(head) + 2 + 5
         assert parser.buffered == len(b"WORLD")
+
+
+class TestLineTable:
+    """A header or status line seen before is parsed once, from the table.
+
+    Each case starts from an empty table: the real one may be full by the
+    time it runs."""
+
+    @pytest.mark.parametrize("value", ["banana", "-5", "1_0"])
+    def test_a_malformed_content_length_is_refused_on_every_message(
+            self, value, monkeypatch):
+        monkeypatch.setattr(http_parser, "_LINES", {})
+        line = f"Content-Length: {value}".encode()
+        for kind, start in (("request", b"GET / HTTP/1.0"),
+                            ("response", b"HTTP/1.0 200 OK")):
+            for _ in range(3):
+                with pytest.raises(HttpParseError, match="Content-Length"):
+                    HttpParser(kind).feed(start + b"\r\n" + line + b"\r\n\r\n")
+        assert line not in http_parser._LINES  # a line that raised
+
+    def test_a_remembered_length_still_frames_and_conflicts_per_message(
+            self, monkeypatch):
+        monkeypatch.setattr(http_parser, "_LINES", {})
+        good = b"POST /p HTTP/1.1\r\nContent-Length: 5\r\n\r\nHELLOWORLD"
+        for _ in range(2):
+            (parsed,) = HttpParser("request").feed(good)
+            assert parsed.message.body == b"HELLO"
+        assert b"Content-Length: 5" in http_parser._LINES
+        both = b"POST /p HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 7\r\n\r\n"
+        for _ in range(2):
+            with pytest.raises(HttpParseError, match="Content-Length"):
+                HttpParser("request").feed(both)
+
+    def test_a_malformed_status_line_is_refused_every_time(self, monkeypatch):
+        monkeypatch.setattr(http_parser, "_LINES", {})
+        for _ in range(2):
+            with pytest.raises(HttpError):
+                HttpParser("response").feed(
+                    b"HTTP/1.0 abc OK\r\nContent-Length: 0\r\n\r\n")
+        assert b"HTTP/1.0 abc OK\r\n" not in http_parser._LINES
+
+    def test_a_status_line_and_a_header_line_of_the_same_bytes_stay_apart(
+            self, monkeypatch):
+        monkeypatch.setattr(http_parser, "_LINES", {})
+        line = b"HTTP/1.1 200 OK: fine"
+        wire = line + b"\r\n" + line + b"\r\nContent-Length: 0\r\n\r\n"
+        for _ in range(2):  # both kinds remembered, each read back as itself
+            (resp,) = HttpParser("response").feed(wire)
+            assert resp.message.status == 200 and resp.message.reason == "OK: fine"
+            assert resp.message.headers.get("http/1.1 200 ok") == "fine"
+
+    def test_a_flood_of_new_lines_is_not_remembered(self, monkeypatch):
+        monkeypatch.setattr(http_parser, "_LINES", {})  # leave the real one be
+        wire = b"".join(
+            f"HTTP/1.1 200 Reason {i}\r\nX-Flood: {i}\r\n"
+            f"Content-Length: {i % 10}\r\n\r\n".encode() + b"x" * (i % 10)
+            for i in range(3 * http_parser._LINES_MAX))
+        out = HttpParser("response").feed(wire)
+        assert len(http_parser._LINES) == http_parser._LINES_MAX
+        assert len(out) == 3 * http_parser._LINES_MAX
+        last = out[-1].message
+        i = len(out) - 1
+        assert (last.reason, last.headers.get("X-Flood")) == (f"Reason {i}", str(i))
+        assert len(last.body) == i % 10
 
 
 class TestResponseParsing:

@@ -15,7 +15,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.obs.sketch import QuantileSketch
+from repro.sim.sketch import QuantileSketch
 from repro.sim.metrics import Histogram
 
 QUANTILES = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)

@@ -1,8 +1,14 @@
 """Counters, gauges, histograms, time series."""
 
+import bisect
+import math
+import random
+import struct
+
 import pytest
 
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
+from repro.sim.sketch import QuantileSketch
 
 
 class TestCounter:
@@ -86,6 +92,151 @@ class TestHistogram:
         h = Histogram()
         h.observe(7.0)
         assert h.percentile(90) == 7.0
+
+
+class ListHistogram:
+    """The reference: a histogram keeping its raw samples in a list, read
+    the way ``Histogram`` reads them, spilling to a sketch past the cap."""
+
+    def __init__(self, max_samples):
+        self.max_samples = max_samples
+        self.values = []
+        self.spilled = False
+        self.count = 0
+        self.sum = 0.0
+        self.sketch = QuantileSketch()
+
+    def observe(self, value):
+        self.count += 1
+        self.sum += value
+        self.sketch.add(value)
+        if not self.spilled:
+            self.values.append(value)
+            if len(self.values) > self.max_samples:
+                self.values, self.spilled = [], True
+
+    def exact(self):
+        if self.spilled:
+            raise RuntimeError("spilled")
+        return sorted(self.values)
+
+    def percentile(self, p):
+        if self.spilled:
+            return self.sketch.percentile(p)
+        xs = self.exact()
+        if len(xs) == 1:
+            return xs[0]
+        rank = (p / 100.0) * (len(xs) - 1)
+        lo = int(math.floor(rank))
+        hi = min(lo + 1, len(xs) - 1)
+        frac = rank - lo
+        return xs[lo] * (1 - frac) + xs[hi] * frac
+
+    def quantile(self, q):
+        return self.percentile(q * 100.0)
+
+    def cdf(self, points):
+        xs = self.exact()
+        step = max(1, len(xs) // points) if points else 1
+        out = [(xs[i], (i + 1) / len(xs)) for i in range(0, len(xs), step)]
+        if out[-1][0] != xs[-1]:
+            out.append((xs[-1], 1.0))
+        return out
+
+    def fraction_above(self, threshold):
+        xs = self.exact()
+        return (len(xs) - bisect.bisect_right(xs, threshold)) / len(xs)
+
+    def samples(self):
+        return self.exact()
+
+    def mean(self):
+        if self.spilled:
+            return self.sum / self.count
+        return math.fsum(self.values) / len(self.values)
+
+
+def bits(result):
+    """A read as comparable bits: every number as its double (so -0.0,
+    nan and inf compare exactly), an exception as its type."""
+    try:
+        value = result()
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+    if isinstance(value, list):
+        return [bits(lambda: v) for v in value]
+    if isinstance(value, tuple):
+        return tuple(bits(lambda: v) for v in value)
+    return struct.pack("<d", float(value))
+
+
+def reads(h):
+    return (
+        [bits(lambda p=p: h.percentile(p)) for p in range(101)]
+        + [bits(lambda q=q: h.quantile(q / 8)) for q in range(9)]
+        + [bits(lambda n=n: h.cdf(n)) for n in (None, 1, 3, 10, 64)]
+        + [bits(lambda t=t: h.fraction_above(t))
+           for t in (-math.inf, -50, -1.5, 0, 0.5, 3, 99.9, math.inf)]
+        + [bits(h.samples), bits(h.mean)]
+    )
+
+
+class TestHistogramAgainstAList:
+    """Samples kept as doubles read exactly as samples kept in a list."""
+
+    CAP = 300
+
+    @staticmethod
+    def stream(seed, n):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            kind = rng.random()
+            if kind < 0.35:
+                out.append(rng.uniform(-100.0, 100.0))
+            elif kind < 0.6:
+                out.append(rng.randint(-50, 50))
+            elif kind < 0.8 and out:
+                out.append(rng.choice(out))  # a duplicate, int or float
+            elif kind < 0.85:
+                out.append(rng.choice((math.inf, -math.inf)))
+            elif kind < 0.9:
+                out.append(rng.choice((0, 0.0, -0.0, 1e-13, 2**40)))
+            else:
+                out.append(rng.expovariate(10.0))
+        return out
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_read_matches_before_and_after_a_spill(self, seed):
+        h, ref = Histogram(max_samples=self.CAP), ListHistogram(self.CAP)
+        checkpoints = {1, 2, 3, 17, 150, self.CAP, self.CAP + 1, self.CAP + 40}
+        for i, value in enumerate(self.stream(seed, self.CAP + 40), 1):
+            h.observe(value)
+            ref.observe(value)
+            if i in checkpoints:
+                assert h.spilled == ref.spilled == (i > self.CAP)
+                assert reads(h) == reads(ref), f"after {i} samples"
+
+    def test_a_finite_stream_matches_too(self):
+        # without infinities every mean is a number, not fsum's refusal
+        h, ref = Histogram(max_samples=self.CAP), ListHistogram(self.CAP)
+        for value in self.stream(4, 200):
+            if math.isfinite(value):
+                h.observe(value)
+                ref.observe(value)
+        assert isinstance(h.mean(), float)
+        assert reads(h) == reads(ref)
+
+    def test_one_observed_int_reads_back_as_its_float(self):
+        h = Histogram()
+        h.observe(7)
+        assert h.percentile(90) == 7 and isinstance(h.percentile(90), float)
+        assert h.samples() == [7.0]
+
+    @pytest.mark.parametrize("value", ["3", None, [1.0], object()])
+    def test_observe_of_a_non_number_raises_type_error(self, value):
+        with pytest.raises(TypeError):
+            Histogram().observe(value)
 
 
 class TestTimeSeries:
