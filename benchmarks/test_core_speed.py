@@ -16,7 +16,7 @@ Measures the hot paths every Yoda mechanism rides on:
   instance failure (the shape of the paper's Figure 9 experiments).
 
 Results are written to ``BENCH_core.json`` at the repo root under a run
-envelope (``sha``, ``cpus``, ``python``, ``generated_at``); the "PR 18"
+envelope (``sha``, ``cpus``, ``python``, ``generated_at``); the fifth
 column of the EXPERIMENTS.md table quotes the committed file and
 ``tests/test_docs_match.py`` compares the two.  When the
 committed pre-optimization baseline

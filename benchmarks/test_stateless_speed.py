@@ -71,8 +71,8 @@ def _emit_report():
 
 class TestDispatchSpeed:
     def test_syn_and_established_pps(self):
-        stateful = fig_stateless.run_speed(stateless=False)
-        stateless = fig_stateless.run_speed(stateless=True)
+        speed = fig_stateless.run_speed()
+        stateful, stateless = speed["stateful"], speed["stateless"]
         _note("stateful.syn_pps", stateful["syn_pps"], "packets/sec")
         _note("stateless.syn_pps", stateless["syn_pps"], "packets/sec")
         _note("stateful.established_pps", stateful["established_pps"],

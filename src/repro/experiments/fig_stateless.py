@@ -136,55 +136,61 @@ def run(
 
 
 # ---------------------------------------------------------------- speed --
-def run_speed(stateless: bool, flows: int = 256,
-              rounds: int = 40) -> Dict[str, float]:
-    """Wall-clock mux dispatch rate (at the fastest of ``rounds`` passes),
-    SYN path and established path.
+def run_speed(flows: int = 256,
+              rounds: int = 40) -> Dict[str, Dict[str, float]]:
+    """Wall-clock mux dispatch rate of both modes (at the fastest of
+    ``rounds`` passes), SYN path and established path, keyed by mode.
 
-    A standalone mux with no instance hosts attached: ``process`` resolves
-    the target and returns without scheduling events, so the measurement
-    is the dispatch decision itself."""
-    loop = EventLoop()
-    net = Network(loop, SeededRng(7), default_latency=FixedLatency(0.0002))
-    lb = L4LoadBalancer(
-        loop, net, SeededRng(7), num_muxes=1,
-        stateless=StatelessConfig(enabled=True) if stateless else None)
-    lb.register_vip(VIP)
-    lb.update_mapping(VIP, [f"10.1.0.{i + 1}" for i in range(8)],
-                      immediate=True)
-    loop.run(until=0.1)  # apply the (delay=0) mapping push
-    mux = lb.muxes[0]
+    Standalone muxes with no instance hosts attached: ``process``
+    resolves the target and returns without scheduling events, so the
+    measurement is the dispatch decision itself.  The two modes' passes
+    alternate, so a slow host phase lands on both sides of the ratio."""
+    modes = {}
+    for stateless in (False, True):
+        loop = EventLoop()
+        net = Network(loop, SeededRng(7), default_latency=FixedLatency(0.0002))
+        lb = L4LoadBalancer(
+            loop, net, SeededRng(7), num_muxes=1,
+            stateless=StatelessConfig(enabled=True) if stateless else None)
+        lb.register_vip(VIP)
+        lb.update_mapping(VIP, [f"10.1.0.{i + 1}" for i in range(8)],
+                          immediate=True)
+        loop.run(until=0.1)  # apply the (delay=0) mapping push
+        modes["stateless" if stateless else "stateful"] = lb.muxes[0]
     syns = [Packet(src=Endpoint("172.16.0.1", port), dst=Endpoint(VIP, 80),
                    flags=SYN, seq=1)
             for port in range(40000, 40000 + flows)]
     acks = [Packet(src=Endpoint("172.16.0.1", port), dst=Endpoint(VIP, 80),
                    flags=ACK, seq=2)
             for port in range(40000, 40000 + flows)]
-    for pkt in syns:  # establish (and warm) every flow
-        mux.process(pkt)
-    for pkt in acks:  # warmup pass
-        mux.process(pkt)
+    for mux in modes.values():
+        for pkt in syns:  # establish (and warm) every flow
+            mux.process(pkt)
+        for pkt in acks:  # warmup pass
+            mux.process(pkt)
 
-    def timed(pkts) -> float:
+    def timed(pkts) -> Dict[str, float]:
         # the rate of the fastest pass: the host only ever makes a pass
         # slower, and a ratio of two totals loses to one slow phase
-        best = float("inf")
+        best = dict.fromkeys(modes, float("inf"))
         for _ in range(rounds):
-            started = time.perf_counter()
-            for pkt in pkts:
-                mux.process(pkt)
-            best = min(best, time.perf_counter() - started)
-        return len(pkts) / best if best > 0 else 0.0
+            for mode, mux in modes.items():
+                started = time.perf_counter()
+                for pkt in pkts:
+                    mux.process(pkt)
+                best[mode] = min(best[mode], time.perf_counter() - started)
+        return {mode: len(pkts) / t if t > 0 else 0.0
+                for mode, t in best.items()}
 
     syn_pps = timed(syns)
     est_pps = timed(acks)
-    # a web-ish mix: one connection setup per nine established packets
-    mixed_pps = 10.0 / (1.0 / syn_pps + 9.0 / est_pps)
     return {
-        "syn_pps": syn_pps,
-        "established_pps": est_pps,
-        "mixed_pps": mixed_pps,
-        "flow_table_entries": float(len(mux.flow_table)),
+        mode: {
+            "syn_pps": syn_pps[mode],
+            "established_pps": est_pps[mode],
+            "flow_table_entries": float(len(mux.flow_table)),
+        }
+        for mode, mux in modes.items()
     }
 
 
@@ -219,8 +225,8 @@ def run_ablation(seed: int = 2016, quick: bool = False) -> ExperimentResult:
                         stream_chunks=chunks)
     speed_flows = 128 if quick else 256
     speed_rounds = 20 if quick else 40
-    speed_stateful = run_speed(False, flows=speed_flows, rounds=speed_rounds)
-    speed_stateless = run_speed(True, flows=speed_flows, rounds=speed_rounds)
+    speed = run_speed(flows=speed_flows, rounds=speed_rounds)
+    speed_stateful, speed_stateless = speed["stateful"], speed["stateless"]
     crash_stateful, crash_stateless = run_crash_contrast(seed=seed,
                                                          quick=quick)
 

@@ -1,322 +1,90 @@
-"""Compact stateless dispatch: a version-stamped Othello-style lookup.
+"""Compact stateless dispatch: a version-stamped bucket array.
 
 The default mux pins every flow with a dict entry and every YODA
 instance writes per-flow records into TCPStore -- the per-flow tax that
 Concury and the "stateful vs stateless" literature identify as the L4/L7
 scalability limiter.  This module implements the alternative: bucket the
 5-tuple space with a stable hash and answer ``bucket -> instance`` from
-two small integer arrays,
+one frozen tuple,
 
-    lookup(key) = A[h_a(bucket)] XOR B[h_b(bucket)]
+    lookup(key) = targets[crc32(key) % NUM_BUCKETS]
 
-(an Othello / Bloomier-style minimal perfect mapping).  Memory is
-O(buckets), independent of the number of live flows, and a mapping
-change swaps one frozen snapshot reference -- atomic with respect to
-in-flight traffic, version-stamped so stale control pushes can never
-regress a mux (the same contract as ``_VipEntry.version``).
+The bucket ids are the dense range ``0..NUM_BUCKETS-1``, so a plain
+array is already the minimal perfect map for them; Othello-style XOR
+tables (Concury) pay off only for *sparse* keys that must not be stored.
+Memory is O(buckets), independent of the number of live flows, and a
+mapping change swaps one frozen snapshot reference -- atomic with
+respect to in-flight traffic, version-stamped so stale control pushes
+can never regress a mux (the same contract as ``_VipEntry.version``).
 
-Split exactly as the Othello paper prescribes:
-
-- :class:`CompactTableBuilder` lives on the control side (the
-  ``L4LoadBalancer`` service).  It keeps the full truth map and the
-  bipartite edge set, updates values in place by XOR flip-propagation
-  over the acyclic component, and falls back to a deterministic reseed +
-  rebuild when an insert would close a cycle.
-- :class:`CompactDispatchTable` is the data-plane artifact: two frozen
-  arrays, the instance list, and a version.  Lookups are pure, O(1),
-  allocate nothing, and -- by construction plus a final clamp -- can
-  never name an instance outside the snapshot's live set.
+The :class:`CompactDispatchTable` is built on the control side (the
+``L4LoadBalancer`` service) once per mapping push and only read by the
+muxes.  Every entry is an instance of the snapshot's live set by
+construction: the targets come from a consistent-hash ring of exactly
+those instances.
 
 Determinism contract: everything here derives from seed-independent
-stable hashes (``stable_hash32`` on the control side, crc32 on the
-per-packet path -- never the simulation RNG) and schedules no events, so
-a constructed-but-disabled :class:`StatelessConfig` is bit-identical on
+stable hashes (the ring's on the control side, crc32 on the per-packet
+path -- never the simulation RNG) and schedules no events, so a
+constructed-but-disabled :class:`StatelessConfig` is bit-identical on
 the pinned golden traces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 from zlib import crc32
 
-from repro.errors import NetworkError
 from repro.kvstore.hashring import HashRing
-from repro.sim.random import stable_hash32
 
-# Arrays are sized >= 4/3 the bucket count per side: a random bipartite
-# graph with n edges over two m-vertex sides is acyclic with high
-# probability once m >= 1.33 n (the Othello sizing rule), so rebuild
-# storms are rare and the deterministic reseed loop terminates fast.
-_SIZING_NUM = 4
-_SIZING_DEN = 3
-
-
-class DispatchMode(Enum):
-    """How the mux resolves a flow to a YODA instance."""
-
-    STATEFUL = "stateful"   # per-flow dict pin + durable TCPStore records
-    STATELESS = "stateless"  # compact O(1) table; lazy pins only
+# Buckets the 5-tuple hash space is cut into; every node computes the
+# same bucket for a flow key.
+NUM_BUCKETS = 512
 
 
 @dataclass(frozen=True)
 class StatelessConfig:
-    """Opt-in knobs for the compact fast path.
+    """Opt-in switch for the compact fast path.
 
-    ``StatelessConfig()`` (enabled=False) is the *armed* state: the
-    builders run and snapshots ride every mapping push, but dispatch is
+    ``StatelessConfig()`` (enabled=False) is the *armed* state: tables
+    are built and snapshots ride every mapping push, but dispatch is
     unchanged -- the configuration the golden-trace pins prove inert.
     """
 
     enabled: bool = False
-    num_buckets: int = 512
-    max_rebuild_attempts: int = 32
-
-    @property
-    def mode(self) -> DispatchMode:
-        return DispatchMode.STATELESS if self.enabled else DispatchMode.STATEFUL
 
 
-def bucket_of(flow_key: str, num_buckets: int) -> int:
-    """Stable 5-tuple-hash -> bucket; every node computes the same value.
-
-    crc32 rather than the sha256-backed ``stable_hash32``: this runs once
-    per packet on the data plane, and it only needs to be deterministic
-    across runs and platforms, not cryptographic."""
-    return crc32(flow_key.encode()) % num_buckets
-
-
-def bucket_targets(vip: str, instances: Sequence[str],
-                   num_buckets: int) -> Dict[int, int]:
-    """The truth map a mapping push wants installed: bucket -> instance
-    index.  Assignment goes through a consistent-hash ring so a
-    membership change moves ~1/n of the buckets, which keeps the
-    incremental ``assign`` path (no rebuild) the common case."""
+def bucket_targets(vip: str, instances: Sequence[str]) -> Tuple[str, ...]:
+    """The instance each bucket maps to, indexed by bucket.  Assignment
+    goes through a consistent-hash ring so a membership change moves
+    ~1/n of the buckets."""
     ring = HashRing(list(instances), vnodes=50)
-    index = {ip: i for i, ip in enumerate(instances)}
-    return {
-        b: index[ring.lookup(f"{vip}/bucket/{b}")]
-        for b in range(num_buckets)
-    }
+    return tuple(ring.lookup(f"{vip}/bucket/{b}") for b in range(NUM_BUCKETS))
 
 
 class CompactDispatchTable:
-    """Frozen data-plane snapshot: version + instances + two arrays.
+    """Frozen data-plane snapshot: version + instances + one tuple.
 
     Immutable by convention (the mux only reads), installed by a single
     reference assignment -- a reader mid-packet sees either the old
     snapshot or the new one, never a half-built table.
     """
 
-    __slots__ = ("version", "seed", "num_buckets", "instances",
-                 "_a", "_b", "_m", "_pa", "_pb")
+    __slots__ = ("version", "instances", "targets")
 
-    def __init__(self, version: int, seed: int, num_buckets: int,
-                 instances: Tuple[str, ...], a: List[int], b: List[int]):
+    def __init__(self, vip: str, version: int, instances: Sequence[str]):
         self.version = version
-        self.seed = seed
-        self.num_buckets = num_buckets
-        self.instances = instances
-        self._a = a
-        self._b = b
-        self._m = len(a)
-        # bucket -> slot positions, precomputed once at freeze time so a
-        # data-plane lookup is one crc32 plus two array reads -- the
-        # seeded sha256 position hash never runs per packet
-        self._pa = [_pos(b_, seed, "a", self._m) for b_ in range(num_buckets)]
-        self._pb = [_pos(b_, seed, "b", self._m) for b_ in range(num_buckets)]
-
-    def lookup_bucket(self, bucket: int) -> str:
-        idx = self._a[self._pa[bucket]] ^ self._b[self._pb[bucket]]
-        # Belt and braces: values are written in-range, but a clamped
-        # read makes "never an instance outside the live set" a property
-        # of the query itself, not of builder correctness.
-        if idx >= len(self.instances):
-            idx %= len(self.instances)
-        return self.instances[idx]
+        self.instances = tuple(instances)
+        self.targets = bucket_targets(vip, self.instances)
 
     def lookup(self, flow_key: str) -> str:
-        # lookup_bucket inlined: this is the per-packet path, and one
-        # Python call frame is measurable at mux dispatch rates
-        bucket = crc32(flow_key.encode()) % self.num_buckets
-        instances = self.instances
-        idx = self._a[self._pa[bucket]] ^ self._b[self._pb[bucket]]
-        if idx >= len(instances):
-            idx %= len(instances)
-        return instances[idx]
+        # crc32 rather than the sha256-backed stable_hash32: this runs
+        # once per packet, and it only needs to be deterministic across
+        # runs and platforms, not cryptographic
+        return self.targets[crc32(flow_key.encode()) % NUM_BUCKETS]
 
     def size_bytes(self) -> int:
-        """Modeled footprint: two arrays of 32-bit value slots, the two
-        precomputed position arrays, and the instance list -- what a
-        kernel/dataplane port would carry."""
-        return (4 * 2 * self._m + 4 * 2 * self.num_buckets
-                + sum(len(ip) for ip in self.instances) + 16)
-
-
-def _pos(bucket: int, seed: int, side: str, m: int) -> int:
-    return stable_hash32(f"{bucket}", salt=f"othello:{side}:{seed}") % m
-
-
-class CompactTableBuilder:
-    """Control-side builder with incremental Othello maintenance.
-
-    Vertices are array slots (``0..m-1`` on side A, ``m..2m-1`` on side
-    B); every tracked bucket is one edge between its two hash positions.
-    The edge set stays a forest, which is what makes both operations
-    O(component):
-
-    - value update: detach the edge, XOR the delta into every vertex of
-      the half-component hanging off its B endpoint (edges inside a
-      component see the delta twice and cancel; only the detached edge
-      changes), re-attach;
-    - insert: same flip with the edge not yet attached, after a
-      connectivity check -- two endpoints already connected means the new
-      edge would close a cycle, so the builder reseeds deterministically
-      and replays the full truth map.
-    """
-
-    def __init__(self, num_buckets: int = 512, max_rebuild_attempts: int = 32):
-        self.num_buckets = num_buckets
-        self.max_rebuild_attempts = max_rebuild_attempts
-        self._m = max(4, (num_buckets * _SIZING_NUM + _SIZING_DEN - 1) // _SIZING_DEN)
-        self._seed = 0
-        self.rebuilds = 0
-        self._want: Dict[int, int] = {}
-        self._a: List[int] = [0] * self._m
-        self._b: List[int] = [0] * self._m
-        # vertex -> {bucket: other_vertex}; sides share one numbering
-        self._adj: List[Dict[int, int]] = [{} for _ in range(2 * self._m)]
-
-    def __len__(self) -> int:
-        return len(self._want)
-
-    # ------------------------------------------------------------ mutation --
-    def assign(self, bucket: int, value: int) -> None:
-        """Insert or update one ``bucket -> value`` association."""
-        if not 0 <= bucket < self.num_buckets:
-            raise ValueError(f"bucket {bucket} outside 0..{self.num_buckets - 1}")
-        old = self._want.get(bucket)
-        if old == value:
-            return
-        va, vb = self._vertices(bucket)
-        if old is not None:
-            self._detach(bucket, va, vb)
-            self._flip(vb, old ^ value)
-            self._attach(bucket, va, vb)
-        else:
-            if self._connected(va, vb):
-                self._want[bucket] = value
-                self._rebuild()
-                return
-            current = self._value_at(va, vb)
-            self._flip(vb, current ^ value)
-            self._attach(bucket, va, vb)
-        self._want[bucket] = value
-
-    def remove(self, bucket: int) -> None:
-        """Forget a bucket.  Arrays keep their (now meaningless) XOR for
-        the dropped positions -- harmless, since dispatch only ever
-        queries buckets the builder currently tracks."""
-        if bucket not in self._want:
-            return
-        va, vb = self._vertices(bucket)
-        self._detach(bucket, va, vb)
-        del self._want[bucket]
-
-    def update(self, targets: Dict[int, int]) -> None:
-        """Converge the tracked map onto ``targets``."""
-        for bucket in [b for b in self._want if b not in targets]:
-            self.remove(bucket)
-        for bucket, value in targets.items():
-            self.assign(bucket, value)
-
-    def snapshot(self, version: int,
-                 instances: Sequence[str]) -> CompactDispatchTable:
-        return CompactDispatchTable(
-            version=version, seed=self._seed, num_buckets=self.num_buckets,
-            instances=tuple(instances), a=list(self._a), b=list(self._b),
-        )
-
-    # ------------------------------------------------------------ internals --
-    def _vertices(self, bucket: int) -> Tuple[int, int]:
-        return (_pos(bucket, self._seed, "a", self._m),
-                self._m + _pos(bucket, self._seed, "b", self._m))
-
-    def _value_at(self, va: int, vb: int) -> int:
-        return self._a[va] ^ self._b[vb - self._m]
-
-    def _attach(self, bucket: int, va: int, vb: int) -> None:
-        self._adj[va][bucket] = vb
-        self._adj[vb][bucket] = va
-
-    def _detach(self, bucket: int, va: int, vb: int) -> None:
-        self._adj[va].pop(bucket, None)
-        self._adj[vb].pop(bucket, None)
-
-    def _connected(self, start: int, goal: int) -> bool:
-        if start == goal:  # impossible across sides, cheap to keep honest
-            return True
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for nxt in self._adj[v].values():
-                if nxt == goal:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def _flip(self, start: int, delta: int) -> None:
-        """XOR ``delta`` into every array slot of ``start``'s component."""
-        if delta == 0:
-            return
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            if v < self._m:
-                self._a[v] ^= delta
-            else:
-                self._b[v - self._m] ^= delta
-            for nxt in self._adj[v].values():
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-
-    def _rebuild(self) -> None:
-        """Reseed until the whole truth map lays out acyclically.
-
-        Purely counter-driven (seed increments), so the same insert
-        history always lands on the same seed -- rebuilds perturb
-        nothing observable in the simulation."""
-        self.rebuilds += 1
-        for _ in range(self.max_rebuild_attempts):
-            self._seed += 1
-            self._a = [0] * self._m
-            self._b = [0] * self._m
-            self._adj = [{} for _ in range(2 * self._m)]
-            if self._replay():
-                return
-        raise NetworkError(
-            f"compact table: no acyclic layout for {len(self._want)} buckets "
-            f"in {self.max_rebuild_attempts} reseeds (m={self._m})"
-        )
-
-    def _replay(self) -> bool:
-        for bucket, value in self._want.items():
-            va, vb = self._vertices(bucket)
-            if self._connected(va, vb):
-                return False
-            self._flip(vb, self._value_at(va, vb) ^ value)
-            self._attach(bucket, va, vb)
-        return True
-
-
-def maybe_config(stateless: Optional[StatelessConfig]) -> DispatchMode:
-    """Resolve an optional config to the effective dispatch mode."""
-    if stateless is not None and stateless.enabled:
-        return DispatchMode.STATELESS
-    return DispatchMode.STATEFUL
+        """Modeled footprint: one 32-bit instance index per bucket and
+        the instance list -- what a kernel/dataplane port would carry."""
+        return 4 * NUM_BUCKETS + sum(len(ip) for ip in self.instances) + 16

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.kvstore.hashring import HashRing
-from repro.l4lb.compact import CompactDispatchTable, DispatchMode
+from repro.l4lb.compact import CompactDispatchTable
 from repro.net.addresses import Endpoint
 from repro.net.packet import ACK, SYN, Packet
 from repro.obs import OBS
@@ -163,7 +163,7 @@ class L4Mux:
         now = self.lb.loop.now()
         flow_key = five_tuple(pkt.src, pkt.dst)
         is_new_flow = pkt.flags & (SYN | ACK) == SYN
-        if self.lb.mode is DispatchMode.STATELESS and entry.compact is not None:
+        if self.lb.stateless_enabled and entry.compact is not None:
             instance_ip = self._route_stateless(entry, flow_key, pkt,
                                                 is_new_flow, now)
         else:

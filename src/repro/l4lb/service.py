@@ -12,14 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import NetworkError
-from repro.l4lb.compact import (
-    CompactDispatchTable,
-    CompactTableBuilder,
-    DispatchMode,
-    StatelessConfig,
-    bucket_targets,
-    maybe_config,
-)
+from repro.l4lb.compact import CompactDispatchTable, StatelessConfig
 from repro.l4lb.mux import L4Mux, five_tuple
 from repro.l4lb.snat import SnatAllocator
 from repro.net.host import Host
@@ -59,12 +52,11 @@ class L4LoadBalancer:
         self.rng = rng.fork("l4lb")
         self.mapping_propagation = mapping_propagation
         # compact stateless fast path: None = machinery absent (historic
-        # behaviour); StatelessConfig(enabled=False) = armed (builders run
-        # and snapshots ride every push, dispatch unchanged -- the golden
+        # behaviour); StatelessConfig(enabled=False) = armed (tables are
+        # built and ride every push, dispatch unchanged -- the golden
         # pins hold); enabled=True = muxes dispatch from the snapshots
         self.stateless = stateless
-        self.mode: DispatchMode = maybe_config(stateless)
-        self._compact_builders: Dict[str, CompactTableBuilder] = {}
+        self.stateless_enabled = stateless is not None and stateless.enabled
         self._compact: Dict[str, CompactDispatchTable] = {}
         self.router = network.attach(Host(router_name, [router_ip], site=site))
         self.router.set_handler(self._on_packet)
@@ -104,7 +96,6 @@ class L4LoadBalancer:
         self._admit(token, "unregister_vip")
         self._versions.pop(vip, None)
         self._authoritative.pop(vip, None)
-        self._compact_builders.pop(vip, None)
         self._compact.pop(vip, None)
         for mux in self.muxes:
             mux.remove_vip(vip)
@@ -165,24 +156,16 @@ class L4LoadBalancer:
 
     def _build_compact(self, vip: str, instance_ips: List[str],
                        version: int) -> Optional[CompactDispatchTable]:
-        """Refresh the compact builder and freeze a snapshot for this
-        mapping version.  Pure stable-hash computation, no events and no
-        sim-RNG draws -- an armed-but-disabled config stays bit-identical
-        on the pinned golden traces."""
+        """Freeze a compact snapshot for this mapping version.  Pure
+        stable-hash computation, no events and no sim-RNG draws -- an
+        armed-but-disabled config stays bit-identical on the pinned
+        golden traces."""
         if self.stateless is None:
             return None
         if not instance_ips:
             self._compact.pop(vip, None)
             return None
-        builder = self._compact_builders.get(vip)
-        if builder is None:
-            builder = CompactTableBuilder(
-                num_buckets=self.stateless.num_buckets,
-                max_rebuild_attempts=self.stateless.max_rebuild_attempts,
-            )
-            self._compact_builders[vip] = builder
-        builder.update(bucket_targets(vip, instance_ips, builder.num_buckets))
-        snapshot = builder.snapshot(version, instance_ips)
+        snapshot = CompactDispatchTable(vip, version, instance_ips)
         self._compact[vip] = snapshot
         return snapshot
 

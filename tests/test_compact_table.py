@@ -1,213 +1,136 @@
-"""Property suite for the compact Othello-style dispatch table.
+"""Properties of the compact stateless dispatch table.
 
-The builder's incremental XOR maintenance (detach / flip-propagate /
-re-attach, deterministic reseed-and-replay on cycles) is checked against
-the obvious oracle -- a plain dict -- under seeded random insert / update
-/ delete / churn sequences.  The frozen snapshot is additionally required
-to (a) never name an instance outside its live set for *any* bucket,
-tracked or not, (b) be deterministic across identically-driven builders,
-and (c) be immutable once frozen: builder mutations after ``snapshot()``
-must not bleed into the published table.
+A snapshot is version + instances + one tuple of ``NUM_BUCKETS``
+targets built from :func:`bucket_targets`.  It must (a) name, for every
+bucket of every snapshot across a churned sequence of membership
+pushes, the instance ``bucket_targets`` gives -- so always one inside
+the live set, (b) be deterministic across identically-driven services,
+(c) never change once published, and (d) cost memory independent of
+the number of flows it routes.
 """
 
 import random
+from zlib import crc32
 
 import pytest
 
-from repro.errors import NetworkError
 from repro.l4lb.compact import (
-    CompactTableBuilder,
-    DispatchMode,
+    NUM_BUCKETS,
+    CompactDispatchTable,
     StatelessConfig,
-    bucket_of,
     bucket_targets,
-    maybe_config,
 )
+from repro.l4lb.service import L4LoadBalancer
+from repro.net.network import Network
+from repro.sim.events import EventLoop
+from repro.sim.random import SeededRng
+
+VIP = "100.0.0.1"
 
 
-def check_against_oracle(builder, oracle, instances):
-    """Every tracked bucket resolves to its oracle value, and every
-    bucket -- tracked or not -- resolves inside the live set."""
-    table = builder.snapshot(version=1, instances=instances)
-    for bucket, want in oracle.items():
-        assert table.lookup_bucket(bucket) == instances[want], (
-            f"bucket {bucket}: want index {want}"
-        )
-    for bucket in range(builder.num_buckets):
-        assert table.lookup_bucket(bucket) in instances
+def armed_lb(config=None):
+    loop = EventLoop()
+    lb = L4LoadBalancer(loop, Network(loop, SeededRng(1)), SeededRng(1),
+                        stateless=config or StatelessConfig())
+    lb.register_vip(VIP)
+    return lb
 
 
-class TestBuilderOracle:
+def churned_pushes(seed, pushes=40):
+    """Membership lists of a random walk of joins, leaves and swaps."""
+    rng = random.Random(seed)
+    pool = [f"10.1.0.{i}" for i in range(1, 13)]
+    live = pool[:3]
+    for _ in range(pushes):
+        op = rng.random()
+        spare = [ip for ip in pool if ip not in live]
+        victim = rng.choice(live)
+        if op < 0.4 and spare:
+            live = live + [rng.choice(spare)]
+        elif op < 0.8 and len(live) > 1:
+            live = [ip for ip in live if ip != victim]
+        elif spare:
+            live = [ip for ip in live if ip != victim] + [rng.choice(spare)]
+        assert live
+        yield list(live)
+
+
+class TestChurnedPushes:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_random_ops_match_dict_oracle(self, seed):
-        rng = random.Random(seed)
-        num_buckets = 96
-        instances = tuple(f"10.1.0.{i}" for i in range(7))
-        builder = CompactTableBuilder(num_buckets=num_buckets)
-        oracle = {}
-        for step in range(400):
-            op = rng.random()
-            bucket = rng.randrange(num_buckets)
-            if op < 0.70:
-                value = rng.randrange(len(instances))
-                builder.assign(bucket, value)
-                oracle[bucket] = value
-            elif op < 0.85:
-                builder.remove(bucket)
-                oracle.pop(bucket, None)
-            else:
-                targets = {
-                    b: rng.randrange(len(instances))
-                    for b in rng.sample(range(num_buckets), 12)
-                }
-                builder.update(targets)
-                oracle = dict(targets)
-            if step % 25 == 0:
-                check_against_oracle(builder, oracle, instances)
-        check_against_oracle(builder, oracle, instances)
-        assert len(builder) == len(oracle)
-
-    @pytest.mark.parametrize("num_buckets", [10, 31, 49])
-    def test_cycle_buckets_force_and_survive_rebuilds(self, num_buckets):
-        """These bucket counts are chosen so the seed-0 bipartite graph of
-        a full fill contains at least one cycle (verified by union-find
-        offline): whichever edge closes the cycle triggers the
-        reseed-and-replay path, for any insertion order.  Correctness
-        must hold through it."""
-        rng = random.Random(99)
-        instances = tuple(f"i{i}" for i in range(5))
-        builder = CompactTableBuilder(num_buckets=num_buckets)
-        oracle = {}
-        order = list(range(num_buckets))
-        rng.shuffle(order)
-        for bucket in order:
-            value = rng.randrange(len(instances))
-            builder.assign(bucket, value)
-            oracle[bucket] = value
-        check_against_oracle(builder, oracle, instances)
-        assert builder.rebuilds > 0, (
-            "the cycle/rebuild path was never exercised; these bucket "
-            "counts are supposed to guarantee a cycle at seed 0"
-        )
-        assert builder._seed > 0  # the reseed really happened
+    def test_every_bucket_names_its_target_in_the_live_set(self, seed):
+        lb = armed_lb()
+        for live in churned_pushes(seed):
+            lb.update_mapping(VIP, live, immediate=True)
+            table = lb.compact_table(VIP)
+            assert table.version == lb.compact_version(VIP)
+            assert table.targets == bucket_targets(VIP, live)
+            assert len(table.targets) == NUM_BUCKETS
+            assert set(table.targets) <= set(live)
 
     def test_identical_histories_build_identical_tables(self):
-        """Rebuild seeds are counter-driven, so two builders fed the same
-        operations land on byte-identical snapshots."""
-        def drive(builder):
-            rng = random.Random(7)
-            for _ in range(300):
-                if rng.random() < 0.8:
-                    builder.assign(rng.randrange(64), rng.randrange(6))
-                else:
-                    builder.remove(rng.randrange(64))
-
-        b1 = CompactTableBuilder(num_buckets=64)
-        b2 = CompactTableBuilder(num_buckets=64)
-        drive(b1)
-        drive(b2)
-        instances = tuple(f"i{i}" for i in range(6))
-        t1 = b1.snapshot(version=3, instances=instances)
-        t2 = b2.snapshot(version=3, instances=instances)
-        assert t1.seed == t2.seed
-        assert t1._a == t2._a and t1._b == t2._b
-        for bucket in range(64):
-            assert t1.lookup_bucket(bucket) == t2.lookup_bucket(bucket)
+        """Two services fed the same pushes publish equal snapshots."""
+        tables = []
+        for _ in range(2):
+            lb = armed_lb()
+            for live in churned_pushes(7):
+                lb.update_mapping(VIP, live, immediate=True)
+            tables.append(lb.compact_table(VIP))
+        t1, t2 = tables
+        assert (t1.version, t1.instances, t1.targets) == (
+            t2.version, t2.instances, t2.targets)
 
     def test_snapshot_is_isolated_from_later_mutation(self):
-        instances = ("a", "b", "c")
-        builder = CompactTableBuilder(num_buckets=32)
-        for bucket in range(32):
-            builder.assign(bucket, bucket % 3)
-        frozen = builder.snapshot(version=1, instances=instances)
-        before = [frozen.lookup_bucket(b) for b in range(32)]
-        for bucket in range(32):  # rewrite everything afterwards
-            builder.assign(bucket, (bucket + 1) % 3)
-        assert [frozen.lookup_bucket(b) for b in range(32)] == before
-
-    def test_assign_rejects_out_of_range_bucket(self):
-        builder = CompactTableBuilder(num_buckets=8)
-        with pytest.raises(ValueError):
-            builder.assign(8, 0)
-        with pytest.raises(ValueError):
-            builder.assign(-1, 0)
-
-    def test_unsatisfiable_layout_raises(self):
-        """With rebuild attempts exhausted the builder must fail loudly,
-        not publish a wrong table.  num_buckets=31 guarantees a cycle at
-        seed 0 (see test_cycle_buckets_force_and_survive_rebuilds), and 0
-        attempts means the first cycle gives up immediately."""
-        builder = CompactTableBuilder(num_buckets=31, max_rebuild_attempts=0)
-        with pytest.raises(NetworkError):
-            for bucket in range(31):
-                builder.assign(bucket, bucket % 3)
+        lb = armed_lb()
+        lb.update_mapping(VIP, ["a", "b", "c"], immediate=True)
+        frozen = lb.compact_table(VIP)
+        before = (frozen.version, frozen.instances, frozen.targets)
+        lb.update_mapping(VIP, ["d"], immediate=True)
+        assert lb.compact_table(VIP) is not frozen
+        assert (frozen.version, frozen.instances, frozen.targets) == before
 
 
 class TestSnapshotProperties:
-    def test_lookup_clamps_even_for_stale_array_values(self):
-        """Shrinking the instance list between builds must never let a
-        stale XOR value index outside the new live set."""
-        builder = CompactTableBuilder(num_buckets=32)
-        for bucket in range(32):
-            builder.assign(bucket, bucket % 6)
-        table = builder.snapshot(version=2, instances=("only-one",))
-        for bucket in range(32):
-            assert table.lookup_bucket(bucket) == "only-one"
-
     def test_flow_key_lookup_is_bucket_consistent(self):
-        builder = CompactTableBuilder(num_buckets=64)
         instances = tuple(f"10.0.0.{i}" for i in range(4))
-        for bucket in range(64):
-            builder.assign(bucket, bucket % 4)
-        table = builder.snapshot(version=1, instances=instances)
+        table = CompactDispatchTable(VIP, 1, instances)
         for port in range(40000, 40100):
-            key = f"172.16.0.1:{port}>100.0.0.1:80"
-            assert table.lookup(key) == table.lookup_bucket(
-                bucket_of(key, 64))
+            key = f"172.16.0.1:{port}>{VIP}:80"
+            assert table.lookup(key) == table.targets[
+                crc32(key.encode()) % NUM_BUCKETS]
+            assert table.lookup(key) == table.lookup(key)
 
     def test_size_is_flow_count_independent(self):
-        builder = CompactTableBuilder(num_buckets=128)
         instances = ("10.0.0.1", "10.0.0.2")
-        builder.assign(0, 1)
-        sparse = builder.snapshot(version=1, instances=instances)
-        for bucket in range(128):
-            builder.assign(bucket, bucket % 2)
-        dense = builder.snapshot(version=2, instances=instances)
-        assert sparse.size_bytes() == dense.size_bytes()
+        table = CompactDispatchTable(VIP, 1, instances)
+        size = table.size_bytes()
+        for port in range(40000, 41000):
+            table.lookup(f"172.16.0.1:{port}>{VIP}:80")
+        assert table.size_bytes() == size
+        assert CompactDispatchTable(VIP, 2, instances).size_bytes() == size
 
 
 class TestBucketAssignment:
     def test_bucket_targets_cover_all_buckets_and_instances(self):
         ips = [f"10.1.0.{i}" for i in range(5)]
-        targets = bucket_targets("100.0.0.1", ips, 256)
-        assert set(targets) == set(range(256))
-        assert set(targets.values()) == set(range(5))  # all get a share
+        targets = bucket_targets(VIP, ips)
+        assert len(targets) == NUM_BUCKETS
+        assert set(targets) == set(ips)  # all get a share
 
     def test_membership_change_moves_a_minority_of_buckets(self):
         """Ring-based assignment: adding one instance must remap roughly
         1/n of the buckets, not reshuffle the space."""
         ips = [f"10.1.0.{i}" for i in range(6)]
-        before = bucket_targets("100.0.0.1", ips, 512)
-        after = bucket_targets("100.0.0.1", ips + ["10.1.0.99"], 512)
-        moved = sum(1 for b in range(512)
-                    if ips[before[b]] != (ips + ["10.1.0.99"])[after[b]])
-        assert 0 < moved < 512 * 0.40
-
-    def test_bucket_of_is_stable_and_in_range(self):
-        key = "172.16.0.9:40001>100.0.0.1:80"
-        assert bucket_of(key, 512) == bucket_of(key, 512)
-        assert 0 <= bucket_of(key, 512) < 512
+        before = bucket_targets(VIP, ips)
+        after = bucket_targets(VIP, ips + ["10.1.0.99"])
+        moved = sum(1 for b in range(NUM_BUCKETS) if before[b] != after[b])
+        assert 0 < moved < NUM_BUCKETS * 0.40
 
 
 class TestConfig:
     def test_default_config_is_armed_but_stateful(self):
-        cfg = StatelessConfig()
-        assert cfg.enabled is False
-        assert cfg.mode is DispatchMode.STATEFUL
-        assert maybe_config(cfg) is DispatchMode.STATEFUL
-        assert maybe_config(None) is DispatchMode.STATEFUL
+        assert StatelessConfig().enabled is False
+        lb = armed_lb()
+        assert lb.stateless is not None and not lb.stateless_enabled
 
     def test_enabled_config_switches_mode(self):
-        cfg = StatelessConfig(enabled=True)
-        assert cfg.mode is DispatchMode.STATELESS
-        assert maybe_config(cfg) is DispatchMode.STATELESS
+        assert armed_lb(StatelessConfig(enabled=True)).stateless_enabled

@@ -4,7 +4,7 @@
 EXPERIMENTS.md quotes the full run (40 simulated s, seed 2016).  A
 CI-sized ``--quick`` run committed over it, or a table edited by hand,
 fails here.  ``BENCH_core.json`` is what ``pytest
-benchmarks/test_core_speed.py`` wrote last; the "PR 18" column of the
+benchmarks/test_core_speed.py`` wrote last; the fifth column of the
 "Simulator core fast path" table quotes it, so the file cannot age under
 the table again (it sat four data-path PRs behind it).
 ``BENCH_stateless.json`` is what ``pytest benchmarks/test_stateless_speed.py``

@@ -1,7 +1,7 @@
 """Golden-trace equivalence suite: the correctness gate for fast-path work.
 
-Every optimization of the simulator core (event loop, timer wheel, packet
-pooling, network caches) must be *provably behavior-identical*: with the
+Every optimization of the simulator core (event loop, packet pooling,
+network caches) must be *provably behavior-identical*: with the
 same seed, the full packet schedule of a chaos scenario must not move by a
 single event.  This suite pins SHA-256 digests of the packet schedule for a
 corpus of chaos scenarios (including the store-repair-heavy

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.events import WHEEL_MIN_DELAY, EventLoop
+from repro.sim.events import EventLoop
 from repro.sim.process import PeriodicTask, Timer
 
 
@@ -194,11 +194,11 @@ class _World:
                 self.fired, self.foreign)
 
 
-# both sides of the wheel threshold, exact slot boundaries, float noise,
-# and values that make later / equal / earlier deadlines likely
+# values 1e-9 apart, float-noise twins (0.3 against 0.1 + 0.2), and
+# values that make later / equal / earlier deadlines likely
 _DELAYS = st.one_of(
-    st.sampled_from([0.0, 0.01, 0.05, WHEEL_MIN_DELAY - 1e-9, WHEEL_MIN_DELAY,
-                     WHEEL_MIN_DELAY + 1e-9, 0.15, 0.25, 0.3,
+    st.sampled_from([0.0, 0.01, 0.05, 0.1 - 1e-9, 0.1,
+                     0.1 + 1e-9, 0.15, 0.25, 0.3,
                      0.30000000000000004, 0.5, 1.0]),
     st.floats(0.0, 1.5, allow_nan=False))
 _TIMER_IDS = st.integers(0, _World.TIMERS - 1)

@@ -16,7 +16,7 @@ from repro.chaos.library import get_scenario
 from repro.chaos.scenario import run_scenario
 from repro.errors import SnatExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.l4lb.compact import CompactTableBuilder, StatelessConfig
+from repro.l4lb.compact import CompactDispatchTable, StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
@@ -180,10 +180,7 @@ class TestStatelessMux:
         loop, net, lb, instances, client = stateless_world
         mux = lb.muxes[0]
         current = mux.vips[VIP]
-        builder = CompactTableBuilder(num_buckets=8)
-        builder.assign(0, 0)
-        stale = builder.snapshot(version=current.version - 1,
-                                 instances=("10.9.9.9",))
+        stale = CompactDispatchTable(VIP, current.version - 1, ["10.9.9.9"])
         mux.apply_mapping(VIP, ["10.9.9.9"], current.version - 1,
                           compact=stale)
         entry = mux.vips[VIP]

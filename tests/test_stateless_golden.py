@@ -19,7 +19,7 @@ import pytest
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
-from repro.l4lb.compact import DispatchMode, StatelessConfig
+from repro.l4lb.compact import StatelessConfig
 from tests.test_golden_traces import (
     GOLDEN_SEED,
     SCENARIO_VARIANTS,
@@ -33,7 +33,7 @@ from tests.test_region_golden import (
 )
 
 # the cheap half of the single-site corpus -- covers mapping pushes,
-# instance failure/flap (compact rebuilds on membership change), and the
+# instance failure/flap (compact tables rebuilt on membership change), and the
 # store-partition recovery machinery
 STATELESS_GOLDEN_SCENARIOS = [
     "store-partition",
@@ -42,7 +42,7 @@ STATELESS_GOLDEN_SCENARIOS = [
 ]
 
 # one multi-region pin: a region kill re-pushes every mapping on the
-# standby (its own compact builders), the worst case for a stray draw
+# standby (its own compact tables), the worst case for a stray draw
 STATELESS_REGION_SCENARIO = "region-kill"
 
 
@@ -55,7 +55,7 @@ def assert_armed_machinery_ran(engine, lb=None) -> None:
     if lb is None:
         lb = engine.bed.yoda.l4lb
     assert lb.stateless is not None
-    assert lb.mode is DispatchMode.STATEFUL  # armed, not enabled
+    assert not lb.stateless_enabled  # armed, not enabled
     vips = lb.vips()
     assert vips
     for vip in vips:

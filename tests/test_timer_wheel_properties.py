@@ -1,15 +1,15 @@
 """Property tests for the fast-path scheduler.
 
 The optimized :class:`EventLoop` (tuple heap + lazy-deletion tombstones +
-hashed timer wheel) must be observably identical to a naive reference
+in-place compaction) must be observably identical to a naive reference
 scheduler that scans a flat list for the ``(time, seq)`` minimum.  These
 tests drive both with the same seeded workloads and compare the full
 dispatch logs, plus targeted checks for the properties the golden-trace
 suite depends on:
 
-- same-timestamp FIFO ordering, including across the wheel/heap boundary;
+- same-timestamp FIFO ordering, including for events scheduled late;
 - a cancelled event is never delivered, no matter when the cancel lands
-  (before wheeling, while wheeled, after flushing, mid same-tick batch);
+  (long before its time, from an earlier event, mid same-tick batch);
 - reschedule monotonicity: a re-armed timer fires exactly once, at the
   deadline set by the *last* re-arm, never at a superseded one.
 """
@@ -19,14 +19,14 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.events import WHEEL_GRANULARITY, WHEEL_MIN_DELAY, EventLoop
+from repro.sim.events import EventLoop
 from repro.sim.process import Timer
 
 
 class NaiveScheduler:
     """O(n)-per-step reference implementation of the EventLoop contract.
 
-    No heap, no wheel, no tombstones: every step scans a flat list for the
+    No heap, no tombstones: every step scans a flat list for the
     ``(time, seq)`` minimum.  Slow but trivially correct -- the property
     tests trust this and check the optimized loop against it.
     """
@@ -95,19 +95,19 @@ class NaiveScheduler:
         return sum(1 for e in self._events if e.pending)
 
 
-# Delays chosen to hit every scheduling path: the heap (below
-# WHEEL_MIN_DELAY), the wheel (above it), exact slot boundaries, and
-# float-noise just past a boundary.
+# Delays chosen to make equal and near-equal deadlines likely: repeated
+# round values, values 1e-9 apart, and float-noise twins (0.15 against
+# 3 * 0.05, 0.3 against 0.1 + 0.2) that differ in the last bit only.
 _INTERESTING_DELAYS = [
     0.0,
     0.001,
     0.01,
-    WHEEL_GRANULARITY,
-    WHEEL_MIN_DELAY - 1e-9,
-    WHEEL_MIN_DELAY,
-    WHEEL_MIN_DELAY + 1e-9,
+    0.05,
+    0.1 - 1e-9,
+    0.1,
+    0.1 + 1e-9,
     0.15,
-    3 * WHEEL_GRANULARITY,
+    0.15000000000000002,
     0.30000000000000004,
     0.5,
     1.0,
@@ -190,30 +190,27 @@ def test_random_workload_matches_reference(seed):
         )
 
 
-def test_same_timestamp_fifo_across_wheel_and_heap():
-    # Events landing at the same instant must fire in scheduling order even
-    # when some were wheeled (scheduled far out) and some went straight to
-    # the heap (scheduled near the deadline).
+def test_same_timestamp_fifo_with_late_scheduled_event():
+    # Events landing at the same instant must fire in scheduling order,
+    # also when one of them was scheduled shortly before the deadline.
     logs = []
     for loop in (EventLoop(), NaiveScheduler()):
         order = []
         deadline = 1.0
-        loop.call_at(deadline, order.append, "wheeled-1")
-        loop.call_at(deadline, order.append, "wheeled-2")
-        # scheduled 0.05 before the deadline -> below WHEEL_MIN_DELAY, so
-        # the optimized loop puts it on the heap directly
+        loop.call_at(deadline, order.append, "early-1")
+        loop.call_at(deadline, order.append, "early-2")
         loop.call_at(0.95, lambda: loop.call_at(deadline, order.append, "late"))
-        loop.call_at(deadline, order.append, "wheeled-3")
+        loop.call_at(deadline, order.append, "early-3")
         loop.run()
         logs.append(order)
     assert logs[0] == logs[1]
-    assert logs[0] == ["wheeled-1", "wheeled-2", "wheeled-3", "late"]
+    assert logs[0] == ["early-1", "early-2", "early-3", "late"]
 
 
 def test_float_noise_at_slot_boundaries_matches_reference():
-    # 0.30000000000000004 vs 0.3: the wheel's int(time/granularity) slot
-    # math must not reorder events whose times differ only by float noise.
-    times = [0.30000000000000004, 0.3, 6 * WHEEL_GRANULARITY,
+    # 0.30000000000000004 vs 0.3: events whose times differ only by float
+    # noise must fire in time order, not in scheduling order.
+    times = [0.30000000000000004, 0.3, 6 * 0.05,
              0.3 - 1e-12, 0.15000000000000002, 0.15]
     logs = []
     for loop in (EventLoop(), NaiveScheduler()):
@@ -223,18 +220,6 @@ def test_float_noise_at_slot_boundaries_matches_reference():
         loop.run()
         logs.append(order)
     assert logs[0] == logs[1]
-
-
-def test_cancel_wheeled_event_just_before_flush():
-    # Cancel lands from a heap event one tick before the victim's wheel
-    # slot is due: the flush must drop the tombstone, not deliver it.
-    loop = EventLoop()
-    fired = []
-    victim = loop.call_at(0.5, fired.append, "victim")
-    loop.call_at(0.449, victim.cancel)
-    loop.call_at(0.6, fired.append, "after")
-    loop.run()
-    assert fired == ["after"]
 
 
 def test_cancel_within_same_tick_batch():
@@ -262,13 +247,13 @@ def test_cancel_before_fire_in_same_tick_batch():
 
 def test_reschedule_monotonicity_with_timer():
     # A re-armed Timer fires exactly once, at the deadline of the last
-    # start(); earlier deadlines (wheeled or heaped) are all superseded.
+    # start(); earlier and later deadlines are all superseded.
     loop = EventLoop()
     fired = []
     timer = Timer(loop, lambda: fired.append(loop.now()))
-    timer.start(0.2)                                   # wheeled
-    loop.call_at(0.1, lambda: timer.start(0.5))        # push out (wheeled)
-    loop.call_at(0.3, lambda: timer.start(0.05))       # pull in (heap path)
+    timer.start(0.2)
+    loop.call_at(0.1, lambda: timer.start(0.5))        # push out
+    loop.call_at(0.3, lambda: timer.start(0.05))       # pull in
     loop.run()
     assert fired == [pytest.approx(0.35)]
     assert not timer.armed
@@ -290,7 +275,7 @@ def test_reschedule_storm_fires_once_at_last_deadline(seed):
         at += rng.uniform(0.0, 0.05)
         # every delay exceeds the max gap between re-arms, so the timer
         # can never fire before the next re-arm supersedes it
-        delay = rng.choice([0.06, WHEEL_MIN_DELAY, 0.15,
+        delay = rng.choice([0.06, 0.1, 0.15,
                             0.30000000000000004, 0.5, 1.0])
         last_deadline = at + delay
 
