@@ -5,7 +5,7 @@ The subsystem splits the loop into three testable layers:
 - :mod:`repro.autoscale.signals` -- reads the deployment's live pressure
   signals (per-instance CPU windows, admission-bucket depletion, AIMD
   limiter saturation, sketch latency quantiles, scraped shed rates).
-- :mod:`repro.autoscale.policy` -- a pure decision engine: hysteresis
+- :mod:`repro.autoscale.decision` -- a pure decision engine: hysteresis
   bands around a utilization target, separate scale-out/scale-in
   cooldowns, per-decision step limits, and floor/ceiling bounds.
 - :mod:`repro.autoscale.engine` -- the actuator: adopts spares or spawns
@@ -20,7 +20,7 @@ by construction.
 """
 
 from repro.autoscale.engine import Autoscaler, ScaleEvent
-from repro.autoscale.policy import ElasticPolicy, PolicyEngine, ScaleDecision
+from repro.autoscale.decision import ElasticPolicy, PolicyEngine, ScaleDecision
 from repro.autoscale.signals import SignalReader, SignalSnapshot
 
 __all__ = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional
 
-from repro.autoscale.policy import ElasticPolicy, PolicyEngine, ScaleDecision
+from repro.autoscale.decision import ElasticPolicy, PolicyEngine, ScaleDecision
 from repro.autoscale.signals import SignalReader, SignalSnapshot
 from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.obs import OBS
@@ -161,7 +161,7 @@ class Autoscaler:
             if OBS.enabled:
                 OBS.flight("autoscale", "scale_out",
                            f"+{added} instance(s) [{decision.reason}]")
-            ctl.journal_sync()
+            ctl.persist()
         if added < decision.count and self.policy.serialize_events:
             self._record("starved", decision.count - added, decision.reason)
             raise SpareExhausted(decision.count, added)
@@ -182,7 +182,7 @@ class Autoscaler:
         if OBS.enabled:
             OBS.flight("autoscale", "scale_in",
                        f"-{len(victims)} instance(s) [{decision.reason}]")
-        ctl.journal_sync()
+        ctl.persist()
 
     # ------------------------------------------------------ operator entry --
     def request_scale_out(self, count: int = 1):

@@ -392,7 +392,8 @@ class SnatLeak(Invariant):
             if instance.host.failed or instance.name in end.crashed:
                 continue
             self.checks += 1
-            for vip, ports in instance.snat_ports_leaked().items():
+            states = [flow.state for flow in instance.flows.values()]
+            for vip, ports in instance.snat_ports.leaked(states).items():
                 self.flag(now, instance.name,
                           f"{len(ports)} SNAT ports leaked for {vip}: "
                           f"{sorted(ports)[:8]}")
@@ -569,10 +570,10 @@ class NoSplitBrainPromotion(Invariant):
     needs = "a standby region"
 
     def judge(self, end: RunEnd) -> None:
-        controller = self.bed.yoda.controller
+        region = self.bed.yoda.controller.region
         self.checks = 1
-        if controller.failed_over and end.region_kill_time is None:
-            self.flag(controller.failover_at or 0.0, "controller",
+        if region.failed_over and end.region_kill_time is None:
+            self.flag(region.failover_at or 0.0, "controller",
                       "standby region promoted but no region-kill fault "
                       "fired (WAN partition or gray failure misread as "
                       "region death)")

@@ -30,9 +30,9 @@ from repro.chaos.faults import (
     surge,
     wan_partition,
 )
-from repro.autoscale.policy import ElasticPolicy
+from repro.autoscale.decision import ElasticPolicy
 from repro.chaos.scenario import Scenario
-from repro.core.controller import RegionConfig
+from repro.core.region import RegionConfig
 from repro.core.instance import YodaCostModel
 from repro.core.leader import ControllerHAConfig
 from repro.core.service import YodaServiceConfig

@@ -239,9 +239,10 @@ class ScenarioEngine:
                                if self.fleet is not None else 0),
             streams_broken=(self.fleet.broken() + self.fleet.unfinished()
                             if self.fleet is not None else 0),
-            failed_over=bool(getattr(controller, "failed_over", False)),
-            records_lost=int(
-                getattr(controller, "failover_records_lost", 0) or 0),
+            failed_over=(controller is not None
+                         and controller.region.failed_over),
+            records_lost=(controller.region.failover_records_lost
+                          if controller is not None else 0),
             stateless=(bed.yoda is not None
                        and bed.yoda.config.stateless_enabled),
             scale_events=sum(len(a.events) for a in (

@@ -16,12 +16,13 @@ The pieces map one-to-one onto the paper's Figure 8:
   its all-to-all / greedy baselines.
 """
 
-from repro.core.controller import RegionConfig, YodaController
+from repro.core.controller import YodaController
 from repro.core.flowstate import FlowPhase, FlowState
 from repro.core.inspect import DeploymentSnapshot, snapshot
 from repro.core.instance import YodaCostModel, YodaInstance
 from repro.core.leader import ControllerHAConfig
 from repro.core.policy import VipPolicy, least_loaded, primary_backup, sticky_sessions, weighted_split
+from repro.core.region import RegionConfig
 from repro.core.rules import Action, Match, Rule
 from repro.core.selector import RuleTable, SelectionResult
 from repro.core.service import YodaService, YodaServiceConfig

@@ -12,19 +12,22 @@ Four roles, as in the paper:
 - **Scaling**: watches instance CPU and activates spare instances
   (Figure 13); addition/removal never breaks flows because flows migrate
   through TCPStore.
+
+Two planes sit behind one reference each: controller HA
+(``core.leader``, ``self.ha``) and region failover (``core.region``,
+``self.region``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.instance import YodaInstance
 from repro.core.policy import VipPolicy
+from repro.core.region import RegionPlane
 from repro.errors import ControllerError, StaleLeaderEpoch
 from repro.http.server import BackendHttpServer
 from repro.kvstore.client import MemcachedCluster
-from repro.kvstore.sitesync import SYNC_INTERVAL, SiteReplicator
 from repro.l4lb.service import L4LoadBalancer
 from repro.obs import OBS
 from repro.qos.drain import DrainCoordinator, DrainState, DrainStatus
@@ -103,35 +106,6 @@ class ControllerHealthView:
         self._ok_streak[backend] = 0
 
 
-@dataclass
-class RegionConfig:
-    """The multi-region plane: a standby site the controller promotes
-    when the whole primary region dies."""
-
-    standby_site: str  # e.g. "dc2"; the name fault specs refer to it by
-    # asynchronous cross-site replication of the flow store (the
-    # --no-replication ablation turns this off: the standby promotes
-    # against an empty store and established flows cannot survive)
-    replication: bool = True
-    sync_interval: float = SYNC_INTERVAL  # replicator pacing (lag ablations)
-
-
-@dataclass
-class StandbyRegion:
-    """A fully built but idle secondary region, registered for failover.
-
-    The standby's instances serve no VIP and its store cluster holds only
-    asynchronously replicated copies until :meth:`YodaController._fail_over_region`
-    promotes it.
-    """
-
-    site: str
-    l4lb: L4LoadBalancer
-    instances: List[YodaInstance]
-    kv_cluster: Optional[MemcachedCluster] = None
-    replicator: Optional[SiteReplicator] = None
-
-
 class YodaController:
     """Central control plane for one YODA deployment."""
 
@@ -161,40 +135,34 @@ class YodaController:
         # via attach_autoscaler
         self.autoscaler = None
         # owns every drain; its task schedules nothing until one starts
-        self._drainer = DrainCoordinator(loop, self, DRAIN_CHECK_INTERVAL)
+        self.drainer = DrainCoordinator(loop, self, DRAIN_CHECK_INTERVAL)
         self.traffic_stats: Dict[str, int] = {}
         # Probes can themselves be lost (chaos scenarios raise this); the
         # rng is only consulted when the rate is nonzero, so healthy runs
         # keep bit-identical schedules with or without the parameter.
         self.probe_loss_rate = 0.0
         self._probe_rng = (rng or SeededRng(0)).fork("probes")
-        # multi-region: a registered (idle) secondary region, and whether
-        # the one-shot promotion has happened
-        self._standby: Optional[StandbyRegion] = None
-        self.failed_over = False
-        self.failover_at: Optional[float] = None
-        self.failover_records_lost = 0
+        # multi-region (core.region): inert until a standby is registered
+        self.region = RegionPlane()
         # compact stateless dispatch: latest table version each mapping
         # push carried (empty when the L4 LB has no stateless machinery).
         # Journaled so a takeover knows the floor its fencing re-push
         # must move past -- a successor may never regress a VIP's table.
         self.compact_versions: Dict[str, int] = {}
-        # controller HA (core.leader): all None/identity in the
-        # single-controller configuration, where this controller always
-        # acts, never journals, and pushes token-free control calls.
-        # ControllerReplica wires these when the control plane replicates.
-        self.token = None            # LeaderToken while acting leader
-        self.acting_fn = None        # replica's "may I act?" gate
-        self.journal = None          # ControlJournal (durable state)
-        self.on_fenced = None        # step-down hook on a rejected push
+        # controller HA: the LeaderToken every push carries while this
+        # replica leads, and its core.leader.ControllerReplica.  Both stay
+        # None for a single controller, which always acts, never journals
+        # and pushes token-free control calls.
+        self.token = None
+        self.ha = None
 
         if self.kv_cluster is not None:
             # account every store-membership transition (epoch bumps feed
             # the per-instance anti-entropy sweepers)
-            self.kv_cluster.add_listener(self._on_kv_membership)
+            self.kv_cluster.add_listener(self.on_kv_membership)
 
         for instance in instances:
-            self._adopt(instance)
+            self.adopt(instance)
         # Probe faster than the advertised detection budget:
         # DOWN_AFTER_PROBES consecutive failed probes fit inside one
         # monitor_interval, so the paper's 600 ms worst-case detection
@@ -209,14 +177,21 @@ class YodaController:
         """May this controller mutate the data plane right now?  Always
         true in the single-controller configuration; under HA, only while
         this replica holds the lease and has finished journal replay."""
-        return self.acting_fn is None or self.acting_fn()
+        return self.ha is None or self.ha.acting()
 
     def halt(self) -> None:
         """Stop every periodic activity (the controller process died)."""
         self._monitor.stop()
         if self.autoscaler is not None:
             self.autoscaler.stop()
-        self._drainer.halt()
+        self.drainer.halt()
+
+    def persist(self) -> None:
+        """Journal the control-plane state after a mutation: HA replicas
+        only (``ControllerReplica.journal_sync``); a single controller
+        keeps no journal."""
+        if self.ha is not None:
+            self.ha.journal_sync()
 
     def resume_monitoring(self) -> None:
         """Restart periodic activity after a crash-recovery.  Drains are
@@ -227,176 +202,8 @@ class YodaController:
         if self.autoscaler is not None and not self.autoscaler.running:
             self.autoscaler.start()
 
-    def journal_sync(self) -> None:
-        """Persist the control-plane state after a mutation (leaders
-        only; free in the single-controller configuration)."""
-        if self.journal is None or self.token is None:
-            return
-        token = self.token
-
-        def _done(ok: bool, superseded: bool) -> None:
-            if superseded and self.token is token and self.on_fenced is not None:
-                # a newer leader owns the journal: the store itself just
-                # fenced us out; surface it like any rejected push
-                self.on_fenced(StaleLeaderEpoch(
-                    "yoda:ctl:journal", "journal_write", token.epoch,
-                    token.holder, token.epoch + 1, "a newer leader"))
-
-        self.journal.write(self._journal_state(), _done)
-
-    def _journal_state(self) -> Dict:
-        """The JSON snapshot a successor replays: operator progress, not
-        operator intent (intent lives in the replica set's registry)."""
-        drains = {
-            name: {
-                "started_at": st.started_at,
-                "deadline_at": st.deadline_at,
-                "flows_at_start": st.flows_at_start,
-                "to_spare": st.to_spare,
-            }
-            for name, st in self._drainer.drains.items() if not st.done
-        }
-        counters = {}
-        for key in ("drains_started", "drains_completed", "drains_forced",
-                    "scaled_up", "scaled_down", "region_failovers",
-                    "instances_added", "instances_removed"):
-            if key in self.metrics.counters:
-                counters[key] = self.metrics.counters[key].value
-        state = {
-            "epoch": self.token.epoch if self.token is not None else -1,
-            "holder": self.token.holder if self.token is not None else "",
-            "assignments": {vip: list(names)
-                            for vip, names in self.assignments.items()},
-            "active": {n: bool(v) for n, v in self.active.items()},
-            "draining": drains,
-            "spares": sorted(s.name for s in self.spares),
-            "failed_over": self.failed_over,
-            "failover_at": self.failover_at,
-            "failover_records_lost": self.failover_records_lost,
-            "compact_versions": dict(self.compact_versions),
-            "counters": counters,
-        }
-        if self.autoscaler is not None:
-            # cooldown clocks + event-ledger tail: a successor's engine
-            # resumes mid-flight scale events instead of re-deciding cold
-            state["autoscale"] = self.autoscaler.journal_state()
-        return state
-
-    def take_over(self, token, state: Optional[Dict], registry) -> None:
-        """Become the acting leader: hydrate from operator intent
-        (``registry``) plus the previous leader's journal (``state``),
-        then re-push everything with our lease epoch -- the re-push is
-        what fences the data plane against the old leader.
-
-        Mid-flight work is *resumed*, not restarted: drains keep their
-        original absolute deadlines, and a completed region failover is
-        adopted (the standby stays promoted) rather than re-promoted.
-        """
-        self.token = token
-        prev = state or {}
-        # 0. region failover the old leader already performed: adopt it
-        if prev.get("failed_over") and not self.failed_over \
-                and self._standby is not None:
-            self._adopt_standby()
-            self.failover_at = prev.get("failover_at")
-        # 1. operator intent: every service the operator declared exists
-        for policy, backends, instance_names in list(registry.services.values()):
-            if policy.vip not in self.policies:
-                self.policies[policy.vip] = policy
-                if backends:
-                    self.backends.update(backends)
-                names = [n for n in (instance_names or list(self.instances))
-                         if n in self.instances]
-                self.assignments[policy.vip] = names
-        for name, spare in registry.spare_pool.items():
-            if name not in self.instances \
-                    and all(s.name != name for s in self.spares):
-                journal_spares = prev.get("spares")
-                if journal_spares is None or name in journal_spares:
-                    spare.backend_view = self.health_view
-                    self.spares.append(spare)
-        # 2. journal progress overrides intent
-        for vip, names in prev.get("assignments", {}).items():
-            if vip in self.policies:
-                self.assignments[vip] = [n for n in names
-                                         if n in self.instances]
-        for name, is_active in prev.get("active", {}).items():
-            if name in self.active:
-                self.active[name] = bool(is_active)
-        # 3. bootstrap liveness from current truth (an immediate probe
-        # round) and re-bind the shared data-plane objects to OUR views:
-        # each replica constructed its own health view, but only the
-        # leader's is fed by a running monitor
-        for name, instance in self.instances.items():
-            self.instance_health.assume(name, not instance.host.failed)
-            instance.backend_view = self.health_view
-        # backends too: a recovered stream probing in our first seconds
-        # consults _backend_dead() through this view, and the unknown->
-        # healthy default would tunnel it into a dead backend for good
-        for bname, server in self.backends.items():
-            self.health_view.assume(bname, not server.host.failed)
-        # 4. re-install rules and re-anchor VIPs, fencing as we go
-        for vip, policy in self.policies.items():
-            self.l4lb.register_vip(vip, token=self.token)
-            for name in self.assignments.get(vip, []):
-                instance = self.instances.get(name)
-                if instance is not None and not instance.host.failed:
-                    instance.install_policy(policy, token=self.token)
-        # 5. resume the old leader's unfinished drains on their original
-        # absolute deadlines
-        for name, info in prev.get("draining", {}).items():
-            instance = self.instances.get(name)
-            if instance is None:
-                continue
-            if not instance.host.failed:
-                instance.start_drain(token=self.token)
-            self._drainer.resume(
-                name, started_at=info.get("started_at", self.loop.now()),
-                deadline_at=info["deadline_at"],
-                flows_at_start=info.get("flows_at_start", 0),
-                to_spare=info.get("to_spare", False),
-            )
-        # 6. the fencing push: every mapping goes out at our epoch, so
-        # anything the old leader still says is rejected from here on.
-        # Compact-table versions the old leader journaled are adopted
-        # first: mapping versions are monotonic per L4 service, so the
-        # re-pushed snapshots must land at (and record) versions at or
-        # above the old leader's -- verified, not assumed.
-        journaled_compact = {
-            vip: int(v)
-            for vip, v in (prev.get("compact_versions") or {}).items()
-        }
-        self.compact_versions.update(journaled_compact)
-        for vip in self.policies:
-            self._push_mapping(vip)
-        if not self.failed_over:
-            # versions are monotonic per L4 service; after a region
-            # failover the standby L4's counters are independent and no
-            # floor applies
-            for vip, floor in journaled_compact.items():
-                if self.compact_versions.get(vip, floor) < floor:
-                    raise ControllerError(
-                        f"compact table for {vip} regressed below the "
-                        f"journaled version {floor} during takeover"
-                    )
-        # 5b. the old leader's autoscaler state: cooldown clocks and the
-        # scale-event ledger, so the new leader's engine neither flaps
-        # (cooldowns reset) nor forgets which stores were elastic.  The
-        # interrupted scale-in itself was already resumed above as a
-        # journaled drain.
-        if self.autoscaler is not None:
-            self.autoscaler.restore(prev.get("autoscale"))
-        # 7. counters carry across leaderships (monotonic adoption)
-        for key, value in prev.get("counters", {}).items():
-            counter = self.metrics.counter(key)
-            if value > counter.value:
-                counter.inc(value - counter.value)
-        self.metrics.counter("takeovers").inc()
-        self.metrics.gauge("leader_epoch").set(float(token.epoch))
-        self.journal_sync()
-
     # ------------------------------------------------------------ instances --
-    def _adopt(self, instance: YodaInstance) -> None:
+    def adopt(self, instance: YodaInstance) -> None:
         if instance.name in self.instances:
             raise ControllerError(f"duplicate instance {instance.name!r}")
         self.instances[instance.name] = instance
@@ -407,19 +214,21 @@ class YodaController:
                      assign_all_vips: bool = True) -> None:
         """Bring a new instance into service without breaking any flow:
         installing policies first, then widening the L4 mappings."""
-        self._adopt(instance)
+        self.adopt(instance)
         if assign_all_vips:
             for vip, policy in self.policies.items():
                 instance.install_policy(policy, token=self.token)
                 self.assignments[vip].append(instance.name)
-                self._push_mapping(vip)
+                self.push_mapping(vip)
         self.metrics.counter("instances_added").inc()
-        self.journal_sync()
+        self.persist()
 
     def add_spare(self, instance: YodaInstance) -> None:
         """Register a provisioned-but-idle instance for the autoscaler."""
         self.spares.append(instance)
         instance.backend_view = self.health_view
+        if self.ha is not None:
+            self.ha.registry.add_spare(instance)
 
     def remove_instance(self, name: str) -> None:
         """Gracefully drain an instance.  Its in-flight flows migrate to
@@ -429,7 +238,7 @@ class YodaController:
             raise ControllerError(f"unknown instance {name!r}")
         self._retire(name)
         self._forget_instance(name)
-        self.journal_sync()
+        self.persist()
 
     def _retire(self, name: str) -> List[str]:
         """Take an instance out of service: inactive, out of every
@@ -440,7 +249,7 @@ class YodaController:
                 if name in assigned]
         for vip in vips:
             self.assignments[vip].remove(name)
-            self._push_mapping(vip)
+            self.push_mapping(vip)
         self.metrics.counter("instances_removed").inc()
         return vips
 
@@ -471,7 +280,7 @@ class YodaController:
     @property
     def draining(self) -> Set[str]:
         """Instances with an unfinished drain (the coordinator's record)."""
-        return {name for name, st in self._drainer.drains.items()
+        return {name for name, st in self.drainer.drains.items()
                 if not st.done}
 
     def drain_instance(self, name: str, deadline: Optional[float] = None,
@@ -493,7 +302,7 @@ class YodaController:
         if not [n for n in self.live_instance_names() if n != name]:
             raise ControllerError("cannot drain the last live instance")
         self.instances[name].start_drain(token=self.token)
-        status = self._drainer.start(
+        status = self.drainer.start(
             name, DRAIN_DEADLINE if deadline is None else deadline,
             to_spare=to_spare,
         )
@@ -503,7 +312,7 @@ class YodaController:
                        f"{name} flows={status.flows_at_start} "
                        f"deadline={status.deadline_at:.3f}")
         self._remap(name)
-        self.journal_sync()
+        self.persist()
         return status
 
     def _finish_drain(self, status: DrainStatus, crashed: bool = False) -> None:
@@ -540,7 +349,7 @@ class YodaController:
             if status.to_spare:
                 instance.draining = False
                 self.spares.append(instance)
-        self.journal_sync()
+        self.persist()
 
     # ----------------------------------------------------------------- VIPs --
     def add_vip(self, policy: VipPolicy,
@@ -564,9 +373,11 @@ class YodaController:
         for name in names:
             self.instances[name].install_policy(policy, token=self.token)
         self.l4lb.register_vip(vip, token=self.token)
-        self._push_mapping(vip)
+        self.push_mapping(vip)
         self.metrics.counter("vips_added").inc()
-        self.journal_sync()
+        if self.ha is not None:
+            self.ha.registry.add_service(policy, backends, instance_names)
+        self.persist()
 
     def remove_vip(self, vip: str) -> None:
         """Reverse order of addition: unmap first, then drop rules."""
@@ -586,7 +397,9 @@ class YodaController:
                 del self.backends[bname]
                 self.health_view.forget(bname)
         self.metrics.counter("vips_removed").inc()
-        self.journal_sync()
+        if self.ha is not None:
+            self.ha.registry.remove_service(vip)
+        self.persist()
 
     def update_policy(self, policy: VipPolicy) -> None:
         """Push a new policy version.  Instances apply it to new
@@ -605,6 +418,8 @@ class YodaController:
             if instance is not None:
                 instance.install_policy(policy, token=self.token)
         self.metrics.counter("policy_updates").inc()
+        if self.ha is not None:
+            self.ha.registry.update_service(policy)
 
     def set_assignment(self, vip: str, instance_names: List[str]) -> None:
         """Install a (re)computed VIP-to-instance assignment (Section 4.5)."""
@@ -615,8 +430,8 @@ class YodaController:
             self.instances[name].install_policy(policy, token=self.token)
         removed = set(self.assignments.get(vip, [])) - set(instance_names)
         self.assignments[vip] = list(instance_names)
-        self._push_mapping(vip)
-        self.journal_sync()
+        self.push_mapping(vip)
+        self.persist()
         # rules on removed instances are dropped lazily once their flows
         # drain; the mapping change is what redirects traffic
 
@@ -624,9 +439,9 @@ class YodaController:
         """Re-push every VIP ``name`` is assigned to."""
         for vip, assigned in self.assignments.items():
             if name in assigned:
-                self._push_mapping(vip)
+                self.push_mapping(vip)
 
-    def _push_mapping(self, vip: str) -> None:
+    def push_mapping(self, vip: str) -> None:
         assigned = self.assignments.get(vip, [])
         draining = self.draining
         ips = [self.instances[n].ip for n in assigned
@@ -673,8 +488,8 @@ class YodaController:
             self.metrics.counter("pushes_fenced").inc()
             if OBS.enabled:
                 OBS.flight("controller", "fenced", str(exc))
-            if self.on_fenced is not None:
-                self.on_fenced(exc)
+            if self.ha is not None:
+                self.ha.fenced(exc)
         except Exception as exc:  # noqa: BLE001 - the containment boundary
             self.metrics.counter("monitor_tick_errors").inc()
             if OBS.enabled:
@@ -712,31 +527,15 @@ class YodaController:
         # mark_live respects client-imposed quarantines, so the monitor
         # cannot re-admit a server the data path just proved unresponsive.
         if self.kv_cluster is not None:
-            self._monitor_kv_cluster(self.kv_cluster)
-        # the standby region's store is monitored too (pre-failover it is
-        # not ``self.kv_cluster`` yet): WAN-partition timeouts make the
-        # relay's client mark secondary servers dead, and only the monitor
-        # re-admits them once their quarantine expires
-        standby = None if self.failed_over else self._standby
-        if standby is not None and standby.kv_cluster is not None:
-            self._monitor_kv_cluster(standby.kv_cluster)
-        # region failover: every primary instance is confirmed down (per
-        # the same hysteresis that governs single-instance removal) and a
-        # standby region is registered.  The probe consults ``host.failed``
-        # directly, so a WAN partition -- primary alive but unreachable
-        # from afar -- never looks like region death: that is the
-        # split-brain guard (no second region ever serves a VIP while the
-        # first still owns it).
-        if (standby is not None and self.instances
-                and not any(health.is_healthy(n) for n in self.instances)):
-            self._fail_over_region()
+            self.monitor_store(self.kv_cluster)
+        self.region.monitor(self)
         # traffic statistics from the instances
         for name, instance in self.instances.items():
             if health.is_healthy(name):
                 for vip, count in instance.read_and_reset_traffic().items():
                     self.traffic_stats[vip] = self.traffic_stats.get(vip, 0) + count
 
-    def _monitor_kv_cluster(self, cluster: MemcachedCluster) -> None:
+    def monitor_store(self, cluster: MemcachedCluster) -> None:
         for name, server in list(cluster.servers.items()):
             ok = self._kv_health.observe(name, self._probe(server.host))
             if not ok and name in cluster.ring:
@@ -751,87 +550,8 @@ class YodaController:
                     OBS.flight("controller", "kv_up",
                                f"{name} back in replication ring")
 
-    # ------------------------------------------------------------ multi-region --
-    def register_standby_region(self, region: StandbyRegion) -> None:
-        """Arm a built-but-idle secondary region for automatic failover."""
-        if self._standby is not None:
-            raise ControllerError("a standby region is already registered")
-        for instance in region.instances:
-            if instance.name in self.instances:
-                raise ControllerError(
-                    f"standby instance {instance.name!r} collides with a "
-                    f"primary instance")
-            instance.backend_view = self.health_view
-        self._standby = region
-
-    def _fail_over_region(self) -> None:
-        """The primary region is gone: promote the secondary and re-home
-        every VIP there (the paper's instance-failover mechanism, Section
-        4.4, generalized to whole sites).
-
-        The order mirrors ``add_vip`` exactly: promote the store first
-        (recovery reads must see the replicated records, not race the
-        promotion), install rules on the standby instances, then re-anchor
-        each VIP on the standby router and push mappings -- so no packet
-        reaches an instance without rules.
-        """
-        standby = self._standby
-        dead_ips = [inst.ip for name, inst in self.instances.items()
-                    if not self.instance_health.is_healthy(name)]
-        primary_l4lb = self.l4lb
-        # 1-2. promote the secondary store -- cross-site shipping stops, the
-        # unshipped backlog is the failover's data loss -- and adopt the site
-        self._adopt_standby()
-        self.failover_at = self.loop.now()
-        names = [inst.name for inst in standby.instances]
-        for vip, policy in self.policies.items():
-            for instance in standby.instances:
-                instance.install_policy(policy, token=self.token)
-            self.assignments[vip] = list(names)
-            # 3. VIP re-anchoring: claiming the VIP onto the standby
-            # router re-points the fabric route, and deliveries re-check
-            # routes, so even packets already in flight land on the new
-            # region
-            self.l4lb.register_vip(vip, token=self.token)
-            # 4. mapping push doubles as SNAT-range re-derivation: the
-            # standby allocator mints a fresh port block per (VIP,
-            # instance) as the mapping installs
-            self._push_mapping(vip)
-        # 5. flush the dead region's mux pins -- harmless when the primary
-        # router died with its site, load-bearing for partial-site
-        # failures where surviving muxes would keep steering pinned flows
-        # at dead instances
-        for ip in dead_ips:
-            primary_l4lb.flush_instance(ip, token=self.token)
-        self.metrics.counter("region_failovers").inc()
-        self.metrics.gauge("failover_records_lost").set(
-            float(self.failover_records_lost))
-        if OBS.enabled:
-            OBS.flight("controller", "region_failover",
-                       f"promoted {standby.site}: {len(names)} instances "
-                       f"take over, {self.failover_records_lost} unshipped "
-                       f"records lost")
-        self.journal_sync()
-
-    def _adopt_standby(self) -> None:
-        """Make the standby region this controller's site: promote its store
-        (idempotent, and the replicator is shared, so a successor adopting
-        a journaled failover reads the same loss), then take its store
-        cluster, L4 LB and instances."""
-        standby = self._standby
-        if standby.replicator is not None:
-            self.failover_records_lost = standby.replicator.promote()
-        if standby.kv_cluster is not None:
-            self.kv_cluster = standby.kv_cluster
-            standby.kv_cluster.add_listener(self._on_kv_membership)
-        self.l4lb = standby.l4lb
-        for instance in standby.instances:
-            if instance.name not in self.instances:
-                self._adopt(instance)
-        self.failed_over = True
-
     # -------------------------------------------------------- store membership --
-    def _on_kv_membership(self, event: str, name: str) -> None:
+    def on_kv_membership(self, event: str, name: str) -> None:
         self.metrics.counter(f"kv_membership_{event}").inc()
 
     def decommission_store(self, name: str) -> None:

@@ -61,9 +61,6 @@ class DeploymentSnapshot:
     def instance(self, name: str) -> Optional[InstanceSnapshot]:
         return next((i for i in self.instances if i.name == name), None)
 
-    def total_flows(self) -> int:
-        return sum(i.flows for i in self.instances)
-
     def render(self) -> str:
         parts = [f"deployment @ t={self.time:.3f}s"]
         parts.append(render_table(

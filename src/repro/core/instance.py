@@ -39,6 +39,7 @@ from repro.http import tls
 from repro.http.server import STREAM_PATH_PREFIX
 from repro.http.message import HttpRequest
 from repro.http.parser import HttpParser, request_head
+from repro.l4lb.snat import SnatPorts
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.packet import ACK, FIN, IP_TCP_HEADER_BYTES, RST, SYN, Packet
@@ -52,7 +53,6 @@ from repro.sim.process import PeriodicTask, Timer
 from repro.sim.random import SeededRng
 from repro.tcp.segment import SEQ_HALF, SEQ_MASK, seq_add, seq_diff
 
-DEFAULT_SNAT_RANGE = (40000, 41000)
 SERVER_SYN_RTO = 3.0
 SERVER_SYN_RETRIES = 3
 # How long a freshly-draining instance still ACCEPTS new SYNs.  The
@@ -116,8 +116,12 @@ class YodaCostModel:
 
 
 class _TlsFlow:
-    """SSL termination state (Section 5.2) of one flow on a
-    certificate-bearing VIP."""
+    """The TLS stage of one flow on a certificate-bearing VIP: SSL
+    termination (Section 5.2).  It drives the handshake from the client's
+    records, serves the certificate flight from the first unacked byte
+    (again on a timer or a retry ping), checks resumption tickets against
+    the flow store, and replays the stored hello when a takeover recovers
+    the flow mid-handshake.  Its methods take the owning instance."""
 
     __slots__ = ("codec", "records", "hello_done", "sni", "resumed",
                  "ticket_issued", "resp_out", "resp_acked", "cert_timer",
@@ -137,6 +141,288 @@ class _TlsFlow:
         # the decrypted request header selection ran on (None until then)
         self.request: Optional[HttpRequest] = None
 
+    def progress(self, inst: "YodaInstance", flow: "_LocalFlow",
+                 policy: VipPolicy) -> None:
+        """Drive the TLS state machine from the parsed client records."""
+        while self.records:
+            rtype, payload = self.records.pop(0)
+            if rtype == tls.CLIENT_HELLO and not self.hello_done:
+                # store-before-ACK: the certificate flight acknowledges the
+                # hello, so the hello bytes must be recoverable first
+                flow.state.client_prefix = bytes(flow.req_assembled)
+                ticket = self.read_hello(payload, policy)
+                if ticket is None:
+                    self.store_hello(inst, flow)
+                    continue
+                # abbreviated handshake: validate the ticket against the
+                # flow store BEFORE committing a single response byte -- an
+                # accepted-then-unknown ticket would desync the backend's
+                # deterministic handshake replay
+                inst.tcpstore.get_ticket(
+                    ticket,
+                    lambda v, t=ticket: self.ticket_checked(
+                        inst, flow.key(), t, v),
+                )
+            elif rtype == tls.RETRY_PING:
+                # a stalled client nudging after a failover: resend from
+                # the first unacked byte (client TCP discards duplicates)
+                if self.hello_done and self.resp_acked < len(self.resp_out):
+                    self.send_cert_flight(inst, flow)
+            elif rtype == tls.APP_DATA and self.request is None:
+                # decrypt the request header and select the backend
+                try:
+                    request = request_head(payload)
+                except HttpError:
+                    inst._refuse_bad_request(flow)
+                    return
+                if request is not None:
+                    self.request = request
+                    inst._dispatch_selection(flow, policy, request)
+            elif rtype == tls.KEY_EXCHANGE:
+                # the key itself is derivable by all; after a *full*
+                # handshake this is also where a session ticket is issued
+                # (appended to the deterministic flight, mirrored by the
+                # backend, and keyed into the flow store so resumption
+                # survives instance and region failover)
+                if (policy.session_tickets and not inst.stateless
+                        and not self.resumed and not self.ticket_issued):
+                    self.ticket_issued = True
+                    ticket = tls.ticket_for(self.sni)
+                    self.resp_out += tls.session_ticket(ticket)
+                    inst.metrics.counter("tls_tickets_issued").inc()
+                    inst.tcpstore.put_ticket(ticket, self.sni)
+                    self.send_cert_flight(inst, flow)
+
+    def read_hello(self, payload: bytes, policy: VipPolicy) -> Optional[str]:
+        """Take in a client hello -- live, or replayed from the stored
+        prefix by a takeover: note its SNI and return the resumption ticket
+        it offers, or None if it offers none or the VIP honours none."""
+        self.hello_done = True
+        self.sni, ticket = tls.parse_hello(payload)
+        return ticket if policy.session_tickets else None
+
+    def store_hello(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
+        """Storage-a's second write on a TLS VIP: the client record again,
+        now carrying the hello prefix the flight will acknowledge."""
+        key = flow.key()
+        t0 = inst.loop.now()
+        if inst.stateless:
+            # no durable hello prefix: serve the flight directly
+            inst._storage_a_done(key, True, t0)
+            return
+        if OBS.enabled:
+            # the SYN write's span ended when that write did
+            span = inst._obs_start(flow, "storage_a")
+            if span is not None:
+                OBS.ctx = OBS.tracer.ctx_of(span)
+        inst.tcpstore.store_client_syn(
+            flow.state, lambda ok: inst._storage_a_done(key, ok, t0))
+        OBS.ctx = None
+
+    def ticket_checked(self, inst: "YodaInstance", key: str, ticket: str,
+                       value: Optional[bytes]) -> None:
+        """Resolution of a resumption ticket lookup (abbreviated handshake)."""
+        flow = inst.flows.get(key)
+        if flow is None or flow.tls is not self or inst.host.failed:
+            return
+        if value is None:
+            # unknown ticket: refuse resumption outright.  The client falls
+            # back to a full handshake on a fresh connection; accepting and
+            # serving a certificate here would leave the backend (which
+            # trusts ticket-bearing hellos) replaying a shorter flight than
+            # the one we suppressed.
+            inst.metrics.counter("tls_tickets_rejected").inc()
+            if OBS.enabled:
+                OBS.flight(inst.name, "tls_ticket_rejected", key)
+            inst._reset_client(flow, len(flow.req_assembled))
+            return
+        inst.metrics.counter("tls_tickets_resumed").inc()
+        if OBS.enabled:
+            OBS.flight(inst.name, "tls_ticket_resumed", key)
+        self.resumed = True
+        self.resp_out = tls.session_ticket(ticket)
+        # store-before-ACK still holds: persist the hello prefix, then send
+        # the abbreviated flight (the stored prefix carrying a ticket is
+        # what marks this flow as a validated resumption for recovery)
+        self.store_hello(inst, flow)
+
+    def hello_stored(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
+        """Storage-a holds the hello: serve the flight that acknowledges it."""
+        policy = inst.policies.get(flow.state.vip.ip)
+        if policy is None or policy.certificate is None:
+            return
+        if not self.resp_out:
+            self.resp_out = tls.certificate_flight(policy.certificate)
+        self.send_cert_flight(inst, flow)
+
+    def client_ack(self, state: FlowState, ack: int) -> None:
+        """Track how much of the flight the client holds; a fully acked
+        flight disarms its retransmission timer."""
+        acked = seq_diff(ack, seq_add(state.yoda_isn, 1))
+        if acked > self.resp_acked:
+            self.resp_acked = min(acked, len(self.resp_out))
+            if self.resp_acked >= len(self.resp_out) and self.cert_timer:
+                self.cert_timer.cancel()
+
+    def send_cert_flight(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
+        """(Re)send the certificate from the first unacked byte; any
+        instance produces identical bytes, so a resend after failover is
+        transparent (Section 5.2)."""
+        state = flow.state
+        data = self.resp_out[self.resp_acked:]
+        base = seq_add(state.yoda_isn, 1 + self.resp_acked)
+        ack = seq_add(state.client_isn, 1 + len(flow.req_assembled))
+        for off in range(0, len(data), MSS):
+            inst._send(Packet(
+                src=state.vip, dst=state.client, flags=ACK,
+                seq=seq_add(base, off), ack=ack,
+                payload=data[off:off + MSS],
+            ))
+        if self.cert_timer is None:
+            key = flow.key()
+            self.cert_timer = Timer(inst.loop,
+                                    lambda: _TlsFlow.resend(inst, key))
+        self.cert_timer.start(CERT_RETRANSMIT)
+
+    @staticmethod
+    def resend(inst: "YodaInstance", key: str, rto: bool = True) -> None:
+        """Resend the flight of the flow at ``key``, if it still lives: on
+        its retransmission timer (``rto``) only while some of it is
+        unacked, after a takeover's hello replay unconditionally.  Looked
+        up by key, so the timer holds no reference to the stage."""
+        flow = inst.flows.get(key)
+        if flow is None or not flow.tls or inst.host.failed:
+            return
+        if not rto or flow.tls.resp_acked < len(flow.tls.resp_out):
+            flow.tls.send_cert_flight(inst, flow)
+
+    def recover(self, inst: "YodaInstance", flow: "_LocalFlow",
+                policy: VipPolicy) -> None:
+        """Rebuild the stage of a flow a takeover recovered: the flight it
+        owes and, mid-handshake, the stored hello -- replayed through our
+        own codec, then the entire flight resent (the client's TCP discards
+        the duplicate segments, paper 5.2)."""
+        state = flow.state
+        self.resp_out = tls.certificate_flight(policy.certificate)
+        if not state.client_prefix or state.established:
+            return
+        flow.req_assembled = bytearray(state.client_prefix)
+        records = self.codec.feed(state.client_prefix)
+        for rtype, payload in records:
+            if rtype != tls.CLIENT_HELLO:
+                continue
+            ticket = self.read_hello(payload, policy)
+            if ticket is not None:
+                # the dead instance only persists a ticketed hello after
+                # validating it, so resume the abbreviated flight rather
+                # than the full one
+                self.resumed = True
+                self.resp_out = tls.session_ticket(ticket)
+        self.records = [r for r in records if r[0] != tls.CLIENT_HELLO]
+        if self.hello_done:
+            inst.loop.call_soon(_TlsFlow.resend, inst, flow.key(), False)
+
+
+class _StreamFlow:
+    """The stream stage of one long-lived flow (a path under /stream/).
+    It checkpoints the client's acknowledged progress to TCPStore, hands
+    that progress over when a forced drain lets the flow go, and on a
+    takeover re-anchors a flow whose backend died onto a live one.  Its
+    methods take the owning instance."""
+
+    __slots__ = ("resumed", "client_acked")
+
+    def __init__(self) -> None:
+        self.resumed = False  # replaying from a replacement backend
+        self.client_acked = 0  # response bytes the client has ACKed (stream coords)
+
+    def client_ack(self, inst: "YodaInstance", flow: "_LocalFlow",
+                   pkt: Packet) -> None:
+        """Take in the client's cumulative response ACK."""
+        state = flow.state
+        acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
+        if self.resumed:
+            # it tells us exactly how much of the replayed response the
+            # client already holds; raise the suppression point so the
+            # replacement backend is never stuck retransmitting bytes whose
+            # ACKs (beyond its snd_nxt) it would ignore
+            sup = acked - state.response_offset
+            if sup > state.tls_handshake_len:
+                state.tls_handshake_len = sup
+        if flow.phase not in _PHASES_TUNNELLING or acked <= self.client_acked:
+            return
+        # checkpoint every CHECKPOINT_BYTES of progress.  The watermark is
+        # client-*acknowledged* bytes (not merely forwarded ones), so a
+        # resume never suppresses bytes the client might not hold.
+        self.client_acked = acked
+        if inst.stateless:
+            return  # progress is unrecoverable by design: no checkpoints
+        if acked - state.resp_delivered < CHECKPOINT_BYTES:
+            return
+        state.resp_delivered = acked
+        inst.metrics.counter("stream_checkpoints").inc()
+        if OBS.enabled:
+            OBS.flight(inst.name, "stream_checkpoint",
+                       f"{flow.key()} acked={acked}")
+        inst.tcpstore.checkpoint(state)
+
+    def hand_off(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
+        """A forced drain lets the flow go: serialize its progress first, so
+        the adopting instance resumes the download instead of replaying it
+        from byte zero (or stalling on a dead backend with no watermark)."""
+        state = flow.state
+        if not state.established or inst.host.failed or inst.stateless:
+            return
+        if self.client_acked > state.resp_delivered:
+            state.resp_delivered = self.client_acked
+        inst.metrics.counter("handoff_checkpoints").inc()
+        inst.tcpstore.checkpoint(state)
+
+    def resume(self, inst: "YodaInstance", key: str, flow: "_LocalFlow",
+               policy: VipPolicy) -> bool:
+        """Re-anchor a recovered flow onto a live backend if the
+        controller's health view says its stored one is down (the
+        region-kill case); False leaves the flow to tunnel as stored.
+
+        Tunneling to a dead backend would stall forever.  Instead: re-run
+        rule selection on the persisted request header, open a fresh
+        backend connection (new SNAT port), replay the request, and let the
+        replacement backend re-serve the deterministic response from byte
+        zero -- suppressing, with local ACKs, everything up to the
+        checkpointed client watermark, exactly the way the duplicate TLS
+        handshake flight is suppressed."""
+        state = flow.state
+        backend = next((name for name, ep in policy.backends.items()
+                        if ep == state.server), None)
+        if backend is None or inst.backend_view.is_healthy(backend):
+            return False
+        request = request_head(state.replay_header)
+        result = inst._select(policy, request) if request is not None else None
+        if result is None:
+            return False
+        new_ep = policy.endpoint_of(result.backend)
+        if new_ep == state.server:
+            return False  # selection still points at the dead backend
+        # allocate before touching flow state: exhaustion here must leave
+        # the recovered flow exactly as the lookup produced it
+        try:
+            snat_port = inst.snat_ports.alloc(policy.vip)
+        except SnatExhausted:
+            return False
+        inst.metrics.counter("stream_resumes").inc()
+        if OBS.enabled:
+            OBS.flight(inst.name, "stream_resume",
+                       f"{key} -> {result.backend}")
+        self.resumed = True
+        flow.req_assembled = bytearray(state.replay_header)
+        # suppress response bytes the client is known to hold; client ACKs
+        # raise this further as they arrive (client_ack above)
+        sup = state.resp_delivered - state.response_offset
+        if sup > state.tls_handshake_len:
+            state.tls_handshake_len = sup
+        inst._open_backend(flow, key, new_ep, snat_port, state.request_offset)
+        return True
+
 
 class _LocalFlow:
     """In-memory flow record; everything durable lives in ``state``."""
@@ -146,8 +432,7 @@ class _LocalFlow:
         "syn_stored", "storage_b_inflight", "fin_client", "fin_server",
         "syn_timer", "syn_tries", "last_seen", "t_syn", "t_server_syn",
         "forwarded_req_bytes", "parsed_bytes", "requests_seen", "resp_high",
-        "tls", "obs_ctx", "obs_spans", "qos_slot", "backend_name",
-        "long_lived", "resumed_stream", "client_acked",
+        "tls", "obs_ctx", "obs_spans", "qos_slot", "backend_name", "stream",
     )
 
     def __init__(self, state: FlowState, now: float):
@@ -183,11 +468,8 @@ class _LocalFlow:
         # outcome says nothing about backend health from here
         self.qos_slot = False
         self.backend_name: Optional[str] = None
-        # long-lived streaming flows (paths under /stream/): checkpointed
-        # progress + dead-backend resume bookkeeping
-        self.long_lived = False
-        self.resumed_stream = False  # replaying from a replacement backend
-        self.client_acked = 0  # response bytes the client has ACKed (stream coords)
+        # the stream stage of a long-lived flow (a path under /stream/)
+        self.stream: Optional[_StreamFlow] = None
 
     def key(self) -> str:
         return self.state.key
@@ -283,8 +565,8 @@ class YodaInstance:
         # packets waiting on a TCPStore recovery lookup, by what it looks up:
         # a client flow key or a (server_ep, snat_port) pair
         self._recovering: Dict[object, List[Packet]] = {}
-        self._snat_next: Dict[str, int] = {}
-        self._snat_in_use: Dict[str, set] = {}
+        self.snat_ports = SnatPorts(l4lb, host.ip, self.metrics,
+                                    self._reclaim_closing_flows)
         self.vip_bytes: Dict[str, int] = {}
         self.completed_flows = 0
         # per-packet counters, looked up once (as Host caches its own)
@@ -319,9 +601,8 @@ class YodaInstance:
 
     def fail(self) -> None:
         """Crash the VM: the network drops its traffic and, crucially, all
-        local flow state is gone (only TCPStore survives).  The SNAT port
-        bookkeeping stays frozen, so the recovered VM never reissues a port
-        a migrated flow still occupies."""
+        local flow state is gone (only TCPStore survives).  Its SNAT ports
+        stay held (``SnatPorts``: a crash releases nothing)."""
         self.host.fail()
         for flow in self.flows.values():
             self._stop_flow(flow)
@@ -407,22 +688,12 @@ class YodaInstance:
         to -- the paper's failover path, exercised deliberately."""
         self._admit(token, "release_flows")
         for flow in list(self.flows.values()):
-            state = flow.state
-            if (flow.long_lived and state.established and not self.host.failed
-                    and not self.stateless):
-                # serialize the stream's progress before letting go, so the
-                # adopting instance resumes the download instead of
-                # replaying it from byte zero (or stalling on a dead
-                # backend with no watermark)
-                if flow.client_acked > state.resp_delivered:
-                    state.resp_delivered = flow.client_acked
-                self.metrics.counter("handoff_checkpoints").inc()
-                self.tcpstore.checkpoint(state)
+            if flow.stream is not None:
+                flow.stream.hand_off(self, flow)
             self._stop_flow(flow)
             self._obs_close(flow, handed_off=True)
         self._forget_flows()
-        for in_use in self._snat_in_use.values():
-            in_use.clear()
+        self.snat_ports.release_all()
 
     # ---------------------------------------------------------------- policy --
     def install_policy(self, policy: VipPolicy, token=None) -> None:
@@ -654,16 +925,11 @@ class YodaInstance:
                 self.loop.now() - t0)
         if OBS.enabled:
             self._obs_end(flow, "storage_a", ok=True)
-        if not (flow.tls and flow.tls.hello_done):
-            flow.syn_stored = True
-            self._send_syn_ack(flow)
+        if flow.tls and flow.tls.hello_done:
+            flow.tls.hello_stored(self, flow)
             return
-        policy = self.policies.get(flow.state.vip.ip)
-        if policy is None or policy.certificate is None:
-            return
-        if not flow.tls.resp_out:
-            flow.tls.resp_out = tls.certificate_flight(policy.certificate)
-        self._send_cert_flight(flow)
+        flow.syn_stored = True
+        self._send_syn_ack(flow)
 
     def _shed_syn(self, pkt: Packet, decision) -> None:
         """Stateless SYN-stage rejection (load shedding).
@@ -711,25 +977,13 @@ class YodaInstance:
                 self._send(self._translate_to_server(flow, pkt))
             self._destroy_flow(flow, remove_stored=True)
             return
-        if flow.resumed_stream and flags & ACK:
-            # the client's cumulative ACK tells us exactly how much of the
-            # replayed response it already holds; raise the suppression
-            # point so the replacement backend is never stuck retransmitting
-            # bytes whose ACKs (beyond its snd_nxt) it would ignore
-            acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
-            sup = acked - state.response_offset
-            if sup > state.tls_handshake_len:
-                state.tls_handshake_len = sup
+        stream = flow.stream
+        if stream is not None and flags & ACK:
+            stream.client_ack(self, flow, pkt)
         if flow.phase in _PHASES_BEFORE_TUNNEL:
             tls_flow = flow.tls
             if tls_flow and flags & ACK and tls_flow.resp_out:
-                # track how much of our certificate flight the client has
-                acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
-                if acked > tls_flow.resp_acked:
-                    tls_flow.resp_acked = min(acked, len(tls_flow.resp_out))
-                    if (tls_flow.resp_acked >= len(tls_flow.resp_out)
-                            and tls_flow.cert_timer):
-                        tls_flow.cert_timer.cancel()
+                tls_flow.client_ack(state, pkt.ack)
             if pkt.payload:
                 offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
                 try:
@@ -739,7 +993,7 @@ class YodaInstance:
                     return
                 if flow.phase is FlowPhase.AWAIT_HEADER:
                     if tls_flow:
-                        self._tls_progress(flow, policy)
+                        tls_flow.progress(self, flow, policy)
                     else:
                         self._select_and_connect(flow, policy)
             if flags & FIN:
@@ -753,8 +1007,6 @@ class YodaInstance:
         # (Section 5.2).  The stream keeps being parsed; a new request is
         # re-classified and, if needed, the backend is switched.
         if flow.phase in _PHASES_TUNNELLING:
-            if flow.long_lived and flags & ACK:
-                self._note_client_progress(flow, pkt)
             forward = True
             if pkt.payload and flow.requests_seen is not None:
                 offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
@@ -777,171 +1029,6 @@ class YodaInstance:
                 self._send(self._translate_to_server(flow, pkt))
             self._maybe_finish(flow)
 
-    # ------------------------------------------------- long-lived streaming --
-    def _note_client_progress(self, flow: _LocalFlow, pkt: Packet) -> None:
-        """Track the client's cumulative response ACK and checkpoint it to
-        TCPStore every CHECKPOINT_BYTES of progress.  The watermark is
-        client-*acknowledged* bytes (not merely forwarded ones), so a
-        resume never suppresses bytes the client might not hold."""
-        state = flow.state
-        acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
-        if acked <= flow.client_acked:
-            return
-        flow.client_acked = acked
-        if self.stateless:
-            return  # progress is unrecoverable by design: no checkpoints
-        if acked - state.resp_delivered < CHECKPOINT_BYTES:
-            return
-        state.resp_delivered = acked
-        self.metrics.counter("stream_checkpoints").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "stream_checkpoint",
-                       f"{flow.key()} acked={acked}")
-        self.tcpstore.checkpoint(state)
-
-    # ------------------------------------------------------ SSL termination --
-    def _tls_progress(self, flow: _LocalFlow, policy: VipPolicy) -> None:
-        """Drive the TLS state machine from the parsed client records."""
-        tls_flow = flow.tls
-        while tls_flow.records:
-            rtype, payload = tls_flow.records.pop(0)
-            if rtype == tls.CLIENT_HELLO and not tls_flow.hello_done:
-                # store-before-ACK: the certificate flight acknowledges the
-                # hello, so the hello bytes must be recoverable first
-                flow.state.client_prefix = bytes(flow.req_assembled)
-                ticket = self._read_hello(flow, payload, policy)
-                if ticket is None:
-                    self._store_hello(flow)
-                    continue
-                # abbreviated handshake: validate the ticket against the
-                # flow store BEFORE committing a single response byte -- an
-                # accepted-then-unknown ticket would desync the backend's
-                # deterministic handshake replay
-                self.tcpstore.get_ticket(
-                    ticket,
-                    lambda v, t=ticket: self._tls_ticket_checked(
-                        flow.key(), t, v),
-                )
-            elif rtype == tls.RETRY_PING:
-                # a stalled client nudging after a failover: resend from
-                # the first unacked byte (client TCP discards duplicates)
-                if (tls_flow.hello_done
-                        and tls_flow.resp_acked < len(tls_flow.resp_out)):
-                    self._send_cert_flight(flow)
-            elif rtype == tls.APP_DATA and tls_flow.request is None:
-                # decrypt the request header and select the backend
-                try:
-                    request = request_head(payload)
-                except HttpError:
-                    self._refuse_bad_request(flow)
-                    return
-                if request is not None:
-                    tls_flow.request = request
-                    self._dispatch_selection(flow, policy, request)
-            elif rtype == tls.KEY_EXCHANGE:
-                # the key itself is derivable by all; after a *full*
-                # handshake this is also where a session ticket is issued
-                # (appended to the deterministic flight, mirrored by the
-                # backend, and keyed into the flow store so resumption
-                # survives instance and region failover)
-                if (policy.session_tickets and not self.stateless
-                        and not tls_flow.resumed
-                        and not tls_flow.ticket_issued):
-                    tls_flow.ticket_issued = True
-                    ticket = tls.ticket_for(tls_flow.sni)
-                    tls_flow.resp_out += tls.session_ticket(ticket)
-                    self.metrics.counter("tls_tickets_issued").inc()
-                    self.tcpstore.put_ticket(ticket, tls_flow.sni)
-                    self._send_cert_flight(flow)
-
-    @staticmethod
-    def _read_hello(flow: _LocalFlow, payload: bytes,
-                    policy: VipPolicy) -> Optional[str]:
-        """Take in a client hello -- live, or replayed from the stored
-        prefix by a takeover: note its SNI and return the resumption ticket
-        it offers, or None if it offers none or the VIP honours none."""
-        flow.tls.hello_done = True
-        flow.tls.sni, ticket = tls.parse_hello(payload)
-        return ticket if policy.session_tickets else None
-
-    def _store_hello(self, flow: _LocalFlow) -> None:
-        """Storage-a's second write on a TLS VIP: the client record again,
-        now carrying the hello prefix the flight will acknowledge."""
-        key = flow.key()
-        t0 = self.loop.now()
-        if self.stateless:
-            # no durable hello prefix: serve the flight directly
-            self._storage_a_done(key, True, t0)
-            return
-        if OBS.enabled:
-            # the SYN write's span ended when that write did
-            span = self._obs_start(flow, "storage_a")
-            if span is not None:
-                OBS.ctx = OBS.tracer.ctx_of(span)
-        self.tcpstore.store_client_syn(
-            flow.state, lambda ok: self._storage_a_done(key, ok, t0))
-        OBS.ctx = None
-
-    def _tls_ticket_checked(self, key: str, ticket: str,
-                            value: Optional[bytes]) -> None:
-        """Resolution of a resumption ticket lookup (abbreviated handshake)."""
-        flow = self.flows.get(key)
-        if flow is None or self.host.failed:
-            return
-        if value is None:
-            # unknown ticket: refuse resumption outright.  The client falls
-            # back to a full handshake on a fresh connection; accepting and
-            # serving a certificate here would leave the backend (which
-            # trusts ticket-bearing hellos) replaying a shorter flight than
-            # the one we suppressed.
-            self.metrics.counter("tls_tickets_rejected").inc()
-            if OBS.enabled:
-                OBS.flight(self.name, "tls_ticket_rejected", key)
-            self._reset_client(flow, len(flow.req_assembled))
-            return
-        self.metrics.counter("tls_tickets_resumed").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "tls_ticket_resumed", key)
-        flow.tls.resumed = True
-        flow.tls.resp_out = tls.session_ticket(ticket)
-        # store-before-ACK still holds: persist the hello prefix, then send
-        # the abbreviated flight (the stored prefix carrying a ticket is
-        # what marks this flow as a validated resumption for recovery)
-        self._store_hello(flow)
-
-    def _send_cert_flight(self, flow: _LocalFlow) -> None:
-        """(Re)send the certificate from the first unacked byte; any
-        instance produces identical bytes, so a resend after failover is
-        transparent (Section 5.2)."""
-        state = flow.state
-        tls_flow = flow.tls
-        data = tls_flow.resp_out[tls_flow.resp_acked:]
-        base = seq_add(state.yoda_isn, 1 + tls_flow.resp_acked)
-        ack = seq_add(state.client_isn, 1 + len(flow.req_assembled))
-        for off in range(0, len(data), MSS):
-            self._send(Packet(
-                src=state.vip, dst=state.client, flags=ACK,
-                seq=seq_add(base, off), ack=ack,
-                payload=data[off:off + MSS],
-            ))
-        if tls_flow.cert_timer is None:
-            key = flow.key()
-            tls_flow.cert_timer = Timer(self.loop,
-                                        lambda: self._cert_rto(key))
-        tls_flow.cert_timer.start(CERT_RETRANSMIT)
-
-    def _resend_cert_if_alive(self, key: str) -> None:
-        flow = self.flows.get(key)
-        if flow is not None and flow.tls and not self.host.failed:
-            self._send_cert_flight(flow)
-
-    def _cert_rto(self, key: str) -> None:
-        flow = self.flows.get(key)
-        if flow is None or not flow.tls or self.host.failed:
-            return
-        if flow.tls.resp_acked < len(flow.tls.resp_out):
-            self._send_cert_flight(flow)
-
     # ----------------------------------------------------- selection + connect --
     def _select_and_connect(self, flow: _LocalFlow, policy: VipPolicy) -> None:
         """Classify a plain-HTTP flow once its first request header is in
@@ -962,7 +1049,7 @@ class YodaInstance:
         if request.path.startswith(STREAM_PATH_PREFIX) and not flow.tls:
             # a long-lived streaming download: checkpoint its progress and
             # keep enough context to re-select a backend after failures
-            flow.long_lived = True
+            flow.stream = _StreamFlow()
         if flow.requests_seen is not None:
             flow.requests_seen = max(1, len(flow.parsed))
         result = self._select(policy, request)
@@ -1006,7 +1093,7 @@ class YodaInstance:
         flow.backend_name = backend
         server_ep = policy.endpoint_of(backend)
         try:
-            snat_port = self._alloc_snat_port(policy.vip)
+            snat_port = self.snat_ports.alloc(policy.vip)
         except SnatExhausted:
             self._refuse_exhausted(flow)
             return
@@ -1014,7 +1101,7 @@ class YodaInstance:
             # the backend will replay the identical deterministic
             # handshake flight; remember how many bytes to suppress
             state.tls_handshake_len = len(flow.tls.resp_out)
-        if flow.long_lived:
+        if flow.stream is not None:
             # the full request header, so a takeover instance can re-run
             # rule selection if this backend is dead by then; rides the
             # storage-b write
@@ -1071,38 +1158,14 @@ class YodaInstance:
         self._send_server_syn(flow)
         flow.syn_timer.start(SERVER_SYN_RTO * (2 ** flow.syn_tries))
 
-    def _alloc_snat_port(self, vip: str) -> int:
-        if self.l4lb is not None:
-            lo, hi = self.l4lb.snat_range(vip, self.ip)
-        else:
-            lo, hi = DEFAULT_SNAT_RANGE
-        in_use = self._snat_in_use.setdefault(vip, set())
-        for attempt in range(2):
-            port = self._snat_next.get(vip, lo)
-            if not lo <= port < hi:
-                # the allocator handed this instance a DIFFERENT block than
-                # last time (drain released the old one; a re-adoption gets
-                # whatever is free).  A stale cursor would mint ports inside
-                # another instance's block -- return traffic then routes to
-                # that owner and both connects wedge in SERVER_SYN_SENT.
-                port = lo
-            for _ in range(hi - lo):
-                candidate = port
-                port = port + 1 if port + 1 < hi else lo
-                if candidate not in in_use:
-                    in_use.add(candidate)
-                    self._snat_next[vip] = port
-                    return candidate
-            # under pressure, reclaim flows that are already closing
-            if attempt == 0:
-                closing = [f for f in list(self.flows.values())
-                           if f.phase is FlowPhase.CLOSING]
-                for flow in closing:
-                    self._destroy_flow(flow, remove_stored=True)
-                if not closing:
-                    break
-        self.metrics.counter("snat_exhaustions").inc()
-        raise SnatExhausted(vip, self.ip)
+    def _reclaim_closing_flows(self) -> bool:
+        """Destroy the flows already closing, for the SNAT ports they hold
+        (``SnatPorts.alloc`` asks under pressure); False if there were none."""
+        closing = [f for f in self.flows.values()
+                   if f.phase is FlowPhase.CLOSING]
+        for flow in closing:
+            self._destroy_flow(flow, remove_stored=True)
+        return bool(closing)
 
     def _refuse_exhausted(self, flow: _LocalFlow) -> None:
         """SNAT exhaustion: refuse the flow with an RST and release the
@@ -1275,9 +1338,8 @@ class YodaInstance:
             seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
             ack=seq_add(state.server_isn or 0, 1),
         ))
-        in_use = self._snat_in_use.get(state.vip.ip)
-        if in_use is not None and state.snat_port is not None:
-            in_use.discard(state.snat_port)
+        if state.snat_port is not None:
+            self.snat_ports.release(state.vip.ip, state.snat_port)
         # re-base the flow onto the new backend (named before the port is
         # allocated: a refusal tears down the re-based flow)
         state.request_offset = start_offset
@@ -1286,7 +1348,7 @@ class YodaInstance:
         state.server = new_ep
         state.server_isn = None
         try:
-            snat_port = self._alloc_snat_port(policy.vip)
+            snat_port = self.snat_ports.alloc(policy.vip)
         except SnatExhausted:
             # old backend connection is already torn down; refuse the
             # client rather than limp on with no port
@@ -1406,33 +1468,12 @@ class YodaInstance:
         policy = self.policies.get(state.vip.ip)
         if policy is not None and policy.certificate is not None:
             flow.enable_tls()
-            tls_flow = flow.tls
-            tls_flow.resp_out = tls.certificate_flight(policy.certificate)
-            if state.client_prefix and not state.established:
-                # mid-handshake takeover: replay the stored hello through
-                # our own codec, then resend the entire certificate -- the
-                # client's TCP discards the duplicate segments (paper 5.2)
-                flow.req_assembled = bytearray(state.client_prefix)
-                records = tls_flow.codec.feed(state.client_prefix)
-                for rtype, payload in records:
-                    if rtype != tls.CLIENT_HELLO:
-                        continue
-                    ticket = self._read_hello(flow, payload, policy)
-                    if ticket is not None:
-                        # the dead instance only persists a ticketed hello
-                        # after validating it, so resume the abbreviated
-                        # flight rather than the full one
-                        tls_flow.resumed = True
-                        tls_flow.resp_out = tls.session_ticket(ticket)
-                tls_flow.records = [r for r in records
-                                    if r[0] != tls.CLIENT_HELLO]
-                if tls_flow.hello_done:
-                    self.loop.call_soon(self._resend_cert_if_alive, key)
+            flow.tls.recover(self, flow, policy)
         if state.established:
-            flow.long_lived = bool(state.replay_header) and not flow.tls
-            if not (flow.long_lived and policy is not None
-                    and self._backend_dead(policy, state.server)
-                    and self._resume_dead_backend(key, flow, policy)):
+            if state.replay_header and not flow.tls:
+                flow.stream = _StreamFlow()
+            if not (flow.stream is not None and policy is not None
+                    and flow.stream.resume(self, key, flow, policy)):
                 flow.phase = FlowPhase.TUNNEL
                 self.by_server[(str(state.server), state.snat_port)] = key
         else:
@@ -1440,53 +1481,6 @@ class YodaInstance:
         self.flows[key] = flow
         self.metrics.counter("flows_recovered").inc()
         return flow
-
-    def _backend_dead(self, policy: VipPolicy, server_ep: Endpoint) -> bool:
-        """Whether the controller's health view says this endpoint's
-        backend is down (the region-kill case for recovered streams)."""
-        for name, ep in policy.backends.items():
-            if ep == server_ep:
-                return not self.backend_view.is_healthy(name)
-        return False
-
-    def _resume_dead_backend(self, key: str, flow: _LocalFlow,
-                             policy: VipPolicy) -> bool:
-        """Re-anchor a recovered long-lived flow onto a live backend.
-
-        The stored backend is dead, so tunneling would stall forever.
-        Instead: re-run rule selection on the persisted request header,
-        open a fresh backend connection (new SNAT port), replay the
-        request, and let the replacement backend re-serve the
-        deterministic response from byte zero -- suppressing, with local
-        ACKs, everything up to the checkpointed client watermark, exactly
-        the way the duplicate TLS handshake flight is suppressed."""
-        state = flow.state
-        request = request_head(state.replay_header)
-        result = self._select(policy, request) if request is not None else None
-        if result is None:
-            return False
-        new_ep = policy.endpoint_of(result.backend)
-        if new_ep == state.server:
-            return False  # selection still points at the dead backend
-        # allocate before touching flow state: exhaustion here must leave
-        # the recovered flow exactly as the lookup produced it
-        try:
-            snat_port = self._alloc_snat_port(policy.vip)
-        except SnatExhausted:
-            return False
-        self.metrics.counter("stream_resumes").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "stream_resume",
-                       f"{key} -> {result.backend}")
-        flow.resumed_stream = True
-        flow.req_assembled = bytearray(state.replay_header)
-        # suppress response bytes the client is known to hold; client ACKs
-        # raise this further as they arrive (see _client_packet_on_flow)
-        sup = state.resp_delivered - state.response_offset
-        if sup > state.tls_handshake_len:
-            state.tls_handshake_len = sup
-        self._open_backend(flow, key, new_ep, snat_port, state.request_offset)
-        return True
 
     # ================================================================ cleanup ==
     def _maybe_finish(self, flow: _LocalFlow) -> None:
@@ -1512,9 +1506,7 @@ class YodaInstance:
         self._stop_flow(flow)
         if state.server is not None and state.snat_port is not None:
             self.by_server.pop((str(state.server), state.snat_port), None)
-            in_use = self._snat_in_use.get(state.vip.ip)
-            if in_use is not None:
-                in_use.discard(state.snat_port)
+            self.snat_ports.release(state.vip.ip, state.snat_port)
         if remove_stored and not self.host.failed and not self.stateless:
             self.tcpstore.remove(state)
 
@@ -1525,22 +1517,3 @@ class YodaInstance:
         for flow in stale:
             self.metrics.counter("flows_idle_reaped").inc()
             self._destroy_flow(flow, remove_stored=True)
-
-    def snat_ports_leaked(self) -> Dict[str, set]:
-        """SNAT ports marked in-use but owned by no live flow, per VIP.
-
-        An invariant monitor calls this after a run settles: every
-        allocated port must be released by :meth:`_destroy_flow`, or the
-        finite SNAT range eventually starves new server connections.
-        """
-        owned: Dict[str, set] = {}
-        for flow in self.flows.values():
-            state = flow.state
-            if state.snat_port is not None:
-                owned.setdefault(state.vip.ip, set()).add(state.snat_port)
-        leaked: Dict[str, set] = {}
-        for vip, in_use in self._snat_in_use.items():
-            extra = in_use - owned.get(vip, set())
-            if extra:
-                leaked[vip] = extra
-        return leaked

@@ -23,7 +23,10 @@ module makes the control plane a replicated, leader-elected service:
 - :class:`ControllerReplica` / :class:`ControllerReplicaSet` — the
   testbed-facing wrapper: N replicas, each a killable/partitionable host
   carrying a cold ``YodaController``; the set tracks leadership events so
-  chaos invariants can reconstruct every leaderless window.
+  chaos invariants can reconstruct every leaderless window.  A replica is
+  its controller's one HA reference (``controller.ha``): the "may I act?"
+  gate, the journal writer, the takeover and the fenced step-down all
+  live here, so the controller knows only the token its pushes carry.
 
 While no leader holds the lease the data plane is statically stable:
 muxes keep their last pushed mappings, instances keep serving and
@@ -38,7 +41,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.tcpstore import VersionLedger
-from repro.errors import LeadershipLost, LeaseStoreUnavailable, StaleLeaderEpoch
+from repro.errors import (
+    ControllerError,
+    LeadershipLost,
+    LeaseStoreUnavailable,
+    StaleLeaderEpoch,
+)
 from repro.kvstore.client import KvOpResult, MemcachedCluster, ReplicatingKvClient
 from repro.net.host import Host
 from repro.obs import OBS
@@ -415,11 +423,53 @@ class LeaderElector:
         return rec
 
 
+def journal_state(ctl) -> Dict:
+    """The JSON snapshot of ``ctl`` a successor replays: operator
+    progress, not operator intent (intent lives in the registry)."""
+    drains = {
+        name: {
+            "started_at": st.started_at,
+            "deadline_at": st.deadline_at,
+            "flows_at_start": st.flows_at_start,
+            "to_spare": st.to_spare,
+        }
+        for name, st in ctl.drainer.drains.items() if not st.done
+    }
+    counters = {}
+    for key in ("drains_started", "drains_completed", "drains_forced",
+                "scaled_up", "scaled_down", "region_failovers",
+                "instances_added", "instances_removed"):
+        if key in ctl.metrics.counters:
+            counters[key] = ctl.metrics.counters[key].value
+    token, region = ctl.token, ctl.region
+    state = {
+        "epoch": token.epoch if token is not None else -1,
+        "holder": token.holder if token is not None else "",
+        "assignments": {vip: list(names)
+                        for vip, names in ctl.assignments.items()},
+        "active": {n: bool(v) for n, v in ctl.active.items()},
+        "draining": drains,
+        "spares": sorted(s.name for s in ctl.spares),
+        "failed_over": region.failed_over,
+        "failover_at": region.failover_at,
+        "failover_records_lost": region.failover_records_lost,
+        "compact_versions": dict(ctl.compact_versions),
+        "counters": counters,
+    }
+    if ctl.autoscaler is not None:
+        # cooldown clocks + event-ledger tail: a successor's engine
+        # resumes mid-flight scale events instead of re-deciding cold
+        state["autoscale"] = ctl.autoscaler.journal_state()
+    return state
+
+
 class OperatorRegistry:
     """What the *operator* asked for, kept outside any single controller:
-    the services to run and the spare instances.  Every
-    replica's controller can be (re)hydrated from this plus the journal —
-    the registry is intent, the journal is progress."""
+    the services to run, at their current policy version, and the spare
+    instances.  Every replica's controller can be (re)hydrated from this
+    plus the journal -- the registry is intent, the journal is progress.
+    Each operator method of ``YodaController`` records its change here,
+    so intent is kept whichever entry point the operator used."""
 
     def __init__(self):
         # vip -> (policy, backends, instance_names)
@@ -428,6 +478,13 @@ class OperatorRegistry:
 
     def add_service(self, policy, backends, instance_names) -> None:
         self.services[policy.vip] = (policy, backends, instance_names)
+
+    def update_service(self, policy) -> None:
+        _, backends, instance_names = self.services[policy.vip]
+        self.services[policy.vip] = (policy, backends, instance_names)
+
+    def remove_service(self, vip: str) -> None:
+        self.services.pop(vip, None)
 
     def add_spare(self, instance) -> None:
         self.spare_pool[instance.name] = instance
@@ -452,9 +509,7 @@ class ControllerReplica:
         self.journal = ControlJournal(kv, host.name)
         self.elector: Optional[LeaderElector] = None
         self._replaying = False
-        controller.journal = self.journal
-        controller.acting_fn = self.acting
-        controller.on_fenced = self._on_fenced
+        controller.ha = self
 
     @property
     def name(self) -> str:
@@ -482,7 +537,7 @@ class ControllerReplica:
                     or self.elector.state != "leader":
                 self._replaying = False
                 return
-            self.controller.take_over(token, state, self.replica_set.registry)
+            self.take_over(token, state)
             self._replaying = False
             self.replica_set.record("active", self.name, token.epoch)
             if OBS.enabled:
@@ -497,13 +552,158 @@ class ControllerReplica:
         self.controller.token = None
         self.replica_set.record("lost", self.name, epoch)
 
-    def _on_fenced(self, exc: StaleLeaderEpoch) -> None:
-        """A receiver proved a newer leader exists before our own lease
-        machinery noticed: stand down now."""
+    def fenced(self, exc: StaleLeaderEpoch) -> None:
+        """A receiver (or the journal store) proved a newer leader exists
+        before our own lease machinery noticed: stand down now."""
         if self.elector is not None:
             self.elector.step_down(LeadershipLost(
                 self.name, exc.got_epoch,
                 f"fenced by {exc.receiver}: {exc}"))
+
+    # -- the journal and the takeover -----------------------------------------
+    @property
+    def registry(self) -> "OperatorRegistry":
+        return self.replica_set.registry
+
+    def journal_sync(self) -> None:
+        """Persist the control-plane state after a mutation (while
+        leading; a replica without a token writes nothing)."""
+        ctl = self.controller
+        token = ctl.token
+        if token is None:
+            return
+
+        def _done(ok: bool, superseded: bool) -> None:
+            if superseded and ctl.token is token:
+                # a newer leader owns the journal: the store itself just
+                # fenced us out; surface it like any rejected push
+                self.fenced(StaleLeaderEpoch(
+                    JOURNAL_KEY, "journal_write", token.epoch,
+                    token.holder, token.epoch + 1, "a newer leader"))
+
+        self.journal.write(journal_state(ctl), _done)
+
+    def take_over(self, token: LeaderToken, state: Optional[Dict]) -> None:
+        """Become the acting leader: hydrate the controller from operator
+        intent (the registry) plus the previous leader's journal
+        (``state``), then re-push everything with our lease epoch -- the
+        re-push is what fences the data plane against the old leader.
+
+        Mid-flight work is *resumed*, not restarted: drains keep their
+        original absolute deadlines, and a completed region failover is
+        adopted (the standby stays promoted) rather than re-promoted.
+        """
+        ctl = self.controller
+        registry = self.registry
+        ctl.token = token
+        prev = state or {}
+        region = ctl.region
+        # 0. region failover the old leader already performed: adopt it
+        if prev.get("failed_over") and not region.failed_over \
+                and region.standby is not None:
+            region.adopt(ctl)
+            region.failover_at = prev.get("failover_at")
+        # 1. operator intent: exactly the services the registry holds, at
+        # the policy version it holds (what an earlier leadership of this
+        # replica left behind may be stale)
+        for vip in [v for v in ctl.policies if v not in registry.services]:
+            del ctl.policies[vip]
+            ctl.assignments.pop(vip, None)
+        for policy, backends, instance_names in list(registry.services.values()):
+            if backends:
+                ctl.backends.update(backends)
+            if policy.vip not in ctl.policies:
+                names = [n for n in (instance_names or list(ctl.instances))
+                         if n in ctl.instances]
+                ctl.assignments[policy.vip] = names
+            ctl.policies[policy.vip] = policy
+        for name, spare in registry.spare_pool.items():
+            if name not in ctl.instances \
+                    and all(s.name != name for s in ctl.spares):
+                journal_spares = prev.get("spares")
+                if journal_spares is None or name in journal_spares:
+                    spare.backend_view = ctl.health_view
+                    ctl.spares.append(spare)
+        # 2. journal progress overrides intent
+        for vip, names in prev.get("assignments", {}).items():
+            if vip in ctl.policies:
+                ctl.assignments[vip] = [n for n in names
+                                        if n in ctl.instances]
+        for name, is_active in prev.get("active", {}).items():
+            if name in ctl.active:
+                ctl.active[name] = bool(is_active)
+        # 3. bootstrap liveness from current truth (an immediate probe
+        # round) and re-bind the shared data-plane objects to OUR views:
+        # each replica constructed its own health view, but only the
+        # leader's is fed by a running monitor
+        for name, instance in ctl.instances.items():
+            ctl.instance_health.assume(name, not instance.host.failed)
+            instance.backend_view = ctl.health_view
+        # backends too: a recovered stream probing in our first seconds
+        # consults the stream stage's backend check through this view, and
+        # the unknown->healthy default would tunnel it into a dead backend
+        # for good
+        for bname, server in ctl.backends.items():
+            ctl.health_view.assume(bname, not server.host.failed)
+        # 4. re-install rules and re-anchor VIPs, fencing as we go
+        for vip, policy in ctl.policies.items():
+            ctl.l4lb.register_vip(vip, token=token)
+            for name in ctl.assignments.get(vip, []):
+                instance = ctl.instances.get(name)
+                if instance is not None and not instance.host.failed:
+                    instance.install_policy(policy, token=token)
+        # 5. resume the old leader's unfinished drains on their original
+        # absolute deadlines
+        for name, info in prev.get("draining", {}).items():
+            instance = ctl.instances.get(name)
+            if instance is None:
+                continue
+            if not instance.host.failed:
+                instance.start_drain(token=token)
+            ctl.drainer.resume(
+                name, started_at=info.get("started_at", ctl.loop.now()),
+                deadline_at=info["deadline_at"],
+                flows_at_start=info.get("flows_at_start", 0),
+                to_spare=info.get("to_spare", False),
+            )
+        # 6. the fencing push: every mapping goes out at our epoch, so
+        # anything the old leader still says is rejected from here on.
+        # Compact-table versions the old leader journaled are adopted
+        # first: mapping versions are monotonic per L4 service, so the
+        # re-pushed snapshots must land at (and record) versions at or
+        # above the old leader's -- verified, not assumed.
+        journaled_compact = {
+            vip: int(v)
+            for vip, v in (prev.get("compact_versions") or {}).items()
+        }
+        ctl.compact_versions.update(journaled_compact)
+        for vip in ctl.policies:
+            ctl.push_mapping(vip)
+        if not region.failed_over:
+            # versions are monotonic per L4 service; after a region
+            # failover the standby L4's counters are independent and no
+            # floor applies
+            for vip, floor in journaled_compact.items():
+                if ctl.compact_versions.get(vip, floor) < floor:
+                    raise ControllerError(
+                        f"compact table for {vip} regressed below the "
+                        f"journaled version {floor} during takeover"
+                    )
+        # 5b. the old leader's autoscaler state: cooldown clocks and the
+        # scale-event ledger, so the new leader's engine neither flaps
+        # (cooldowns reset) nor forgets which stores were elastic.  The
+        # interrupted scale-in itself was already resumed above as a
+        # journaled drain.
+        if ctl.autoscaler is not None:
+            ctl.autoscaler.restore(prev.get("autoscale"))
+        # 7. counters carry across leaderships (monotonic adoption)
+        for key, value in prev.get("counters", {}).items():
+            counter = ctl.metrics.counter(key)
+            if value > counter.value:
+                counter.inc(value - counter.value)
+        ctl.metrics.counter("takeovers").inc()
+        ctl.metrics.gauge("leader_epoch").set(float(token.epoch))
+        self.journal_sync()
 
     # -- chaos hooks -----------------------------------------------------------
     def fail(self) -> None:
@@ -573,17 +773,21 @@ class ControllerReplicaSet:
 
     # -- operator intent -------------------------------------------------------
     def add_vip(self, policy, backends, instance_names) -> None:
-        self.registry.add_service(policy, backends, instance_names)
+        """A new service: the acting leader installs it (and records it);
+        while leaderless it is recorded for the first leader to install."""
         rep = self.acting_replica()
         if rep is not None:
             rep.controller.add_vip(policy, backends=backends,
                                    instance_names=instance_names)
+        else:
+            self.registry.add_service(policy, backends, instance_names)
 
     def add_spare(self, instance) -> None:
-        self.registry.add_spare(instance)
         rep = self.acting_replica()
         if rep is not None:
             rep.controller.add_spare(instance)
+        else:
+            self.registry.add_spare(instance)
 
     # -- invariant support -----------------------------------------------------
     def leaderless_windows(self, end: float) -> List[Tuple[float, float]]:
@@ -615,15 +819,10 @@ class ControllerReplicaSet:
         seen = set()
         for rep in self.replicas:
             ctl = rep.controller
-            for obj in [ctl.l4lb, *ctl.instances.values()]:
+            for obj in [ctl.l4lb, *ctl.instances.values(),
+                        *ctl.region.receivers()]:
                 gate = getattr(obj, "fence", None)
                 if gate is not None and id(gate) not in seen:
                     seen.add(id(gate))
                     out.append(gate)
-            if ctl._standby is not None:
-                for obj in [ctl._standby.l4lb, *ctl._standby.instances]:
-                    gate = getattr(obj, "fence", None)
-                    if gate is not None and id(gate) not in seen:
-                        seen.add(id(gate))
-                        out.append(gate)
         return out

@@ -12,12 +12,8 @@ from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from repro.autoscale.engine import Autoscaler
-from repro.autoscale.policy import ElasticPolicy
-from repro.core.controller import (
-    RegionConfig,
-    StandbyRegion,
-    YodaController,
-)
+from repro.autoscale.decision import ElasticPolicy
+from repro.core.controller import YodaController
 from repro.core.instance import YodaCostModel, YodaInstance
 from repro.core.leader import (
     ControllerHAConfig,
@@ -27,6 +23,7 @@ from repro.core.leader import (
     LeaderElector,
 )
 from repro.core.policy import VipPolicy
+from repro.core.region import RegionConfig, StandbyRegion
 from repro.core.tcpstore import TcpStore
 from repro.errors import ConfigError
 from repro.http.server import BackendHttpServer
@@ -231,7 +228,7 @@ class YodaService:
             host.set_handler(kv.handle_response)
             controller = self._build_controller()
             if self.standby_region is not None:
-                controller.register_standby_region(self.standby_region)
+                controller.region.register(controller, self.standby_region)
             replica = ControllerReplica(host, self.loop, kv, controller,
                                         self.replica_set)
             # staggered first polls make replica 0 the deterministic first
@@ -297,7 +294,8 @@ class YodaService:
             replicator=self.replicator,
         )
         if self._controller is not None:
-            self._controller.register_standby_region(self.standby_region)
+            self._controller.region.register(self._controller,
+                                             self.standby_region)
 
     def _build_instance(self, index: int, name: Optional[str] = None,
                         ip: Optional[str] = None, site: Optional[str] = None,

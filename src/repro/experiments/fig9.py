@@ -13,18 +13,12 @@ dominate; the breakdown shape is the result.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.analysis.stats import median
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
-from repro.obs import OBS
 
 
 def _run_one(lb: str, seed: int, rate: float, duration: float,
-             num_instances: int, obs: bool = False) -> Testbed:
-    if obs:
-        # fresh collectors per deployment; the Testbed attaches its clock
-        OBS.enable()
+             num_instances: int) -> Testbed:
     bed = Testbed(TestbedConfig(
         seed=seed, lb=lb, num_lb_instances=num_instances,
         num_store_servers=3, num_backends=4, corpus="flat",
@@ -35,53 +29,7 @@ def _run_one(lb: str, seed: int, rate: float, duration: float,
     gen.stop()
     bed.run(2.0)  # drain
     bed.generator = gen  # type: ignore[attr-defined]
-    if obs:
-        bed.obs_spans = OBS.tracer.spans  # type: ignore[attr-defined]
-        OBS.disable()
     return bed
-
-
-def _span_durations(bed: Testbed, name: str) -> List[float]:
-    """Durations of finished, successful ``name`` spans -- the span-plane
-    equivalent of the legacy per-stage histogram samples."""
-    return [
-        s.end - s.start
-        for s in bed.obs_spans  # type: ignore[attr-defined]
-        if s.name == name and s.end is not None and s.attr("ok")
-    ]
-
-
-def _span_rows(beds) -> List[dict]:
-    """Fig. 9 breakdown re-derived purely from span data.
-
-    Every span was created to start and end at exactly the timestamps the
-    legacy histograms observe, so these rows match the legacy derivation
-    bit for bit (the cross-check test asserts tolerance zero).
-    """
-    baseline_ms = median(_span_durations(beds["none"], "http.request")) * 1e3
-    rows = [{
-        "scheme": "no-LB baseline", "total_ms": baseline_ms,
-        "baseline_ms": baseline_ms, "connection_ms": 0.0,
-        "storage_ms": 0.0, "lb_processing_ms": 0.0,
-    }]
-    for lb in ("yoda", "haproxy"):
-        bed = beds[lb]
-        total_ms = median(_span_durations(bed, "http.request")) * 1e3
-        connect = _span_durations(bed, "server_connect")
-        connect_ms = median(connect) * 1e3 if connect else 0.0
-        storage_ms = sum(
-            median(durs) * 1e3
-            for durs in (_span_durations(bed, "storage_a"),
-                         _span_durations(bed, "storage_b"))
-            if durs
-        )
-        lb_ms = max(total_ms - baseline_ms - connect_ms - storage_ms, 0.0)
-        rows.append({
-            "scheme": lb, "total_ms": total_ms, "baseline_ms": baseline_ms,
-            "connection_ms": connect_ms, "storage_ms": storage_ms,
-            "lb_processing_ms": lb_ms,
-        })
-    return rows
 
 
 def run(
@@ -89,23 +37,12 @@ def run(
     rate: float = 120.0,
     duration: float = 8.0,
     num_instances: int = 4,
-    derive: str = "legacy",
 ) -> ExperimentResult:
-    """Args:
-        derive: "legacy" computes the breakdown from the per-stage
-            histograms (the original path, no tracing); "spans" re-derives
-            it from the observability plane's span data; "both" runs with
-            tracing enabled, reports the legacy rows, and records the
-            maximum absolute disagreement (expected: exactly 0.0).
-    """
-    if derive not in ("legacy", "spans", "both"):
-        raise ValueError(f"derive must be legacy|spans|both, got {derive!r}")
+    """The breakdown from the instances' per-stage latency histograms."""
     result = ExperimentResult(name="Figure 9: latency breakdown (medians, ms)")
 
-    beds = {}
-    for lb in ("none", "yoda", "haproxy"):
-        beds[lb] = _run_one(lb, seed, rate, duration, num_instances,
-                            obs=derive != "legacy")
+    beds = {lb: _run_one(lb, seed, rate, duration, num_instances)
+            for lb in ("none", "yoda", "haproxy")}
 
     def ok_latencies(bed: Testbed):
         return [r.latency for r in bed.generator.results if r.ok]
@@ -140,17 +77,13 @@ def run(
             "lb_processing_ms": lb_ms,
         }
 
-    legacy_rows = [{
+    yoda_row = lb_row("yoda")
+    hap_row = lb_row("haproxy")
+    result.rows.extend([{
         "scheme": "no-LB baseline", "total_ms": baseline_ms,
         "baseline_ms": baseline_ms, "connection_ms": 0.0,
         "storage_ms": 0.0, "lb_processing_ms": 0.0,
-    }]
-    yoda_row = lb_row("yoda")
-    hap_row = lb_row("haproxy")
-    legacy_rows.extend([yoda_row, hap_row])
-
-    span_rows = _span_rows(beds) if derive != "legacy" else None
-    result.rows.extend(span_rows if derive == "spans" else legacy_rows)
+    }, yoda_row, hap_row])
     result.summary = {
         "paper": "yoda 151 / haproxy 144 / baseline 133 ms; storage 0.89 ms",
         "storage_overhead_ms": round(yoda_row["storage_ms"], 3),
@@ -158,14 +91,6 @@ def run(
             yoda_row["total_ms"] - hap_row["total_ms"], 2
         ),
     }
-    if span_rows is not None:
-        result.summary["derived_from"] = derive
-        result.summary["legacy_vs_spans_max_abs_diff_ms"] = max(
-            abs(legacy[key] - derived[key])
-            for legacy, derived in zip(legacy_rows, span_rows)
-            for key in ("total_ms", "baseline_ms", "connection_ms",
-                        "storage_ms", "lb_processing_ms")
-        )
     result.notes = (
         "Rate scaled down from the paper's 50K req/s testbed aggregate; "
         "the breakdown shape (storage < 1 ms; YODA slightly slower than "

@@ -79,9 +79,9 @@ def run(
             seed, replication, sync_interval, streams, chunks, chunk_bytes,
             interval_ms, kill_at, settle,
         )
-        controller = bed.yoda.controller
+        region = bed.yoda.controller.region
         detect: Optional[float] = (
-            controller.failover_at - kill_time if controller.failed_over
+            region.failover_at - kill_time if region.failed_over
             else None
         )
         established = [c.result for c in fleet.clients
@@ -96,11 +96,11 @@ def run(
                           default=0.0)
         rows.append({
             "config": label,
-            "failed_over": controller.failed_over,
+            "failed_over": region.failed_over,
             "detect_s": round(detect, 3) if detect is not None else "-",
             "streams": f"{len(survived)}/{len(established)}",
             "bytes_lost": bytes_lost,
-            "records_lost": controller.failover_records_lost,
+            "records_lost": region.failover_records_lost,
             "last_finish_s": round(resume_tail, 2) if survived else "-",
         })
 

@@ -256,15 +256,3 @@ class L4LoadBalancer:
         now = self.loop.now()
         for mux in self.muxes:
             mux.expire_flows(now)
-
-    # -- introspection ------------------------------------------------------------
-    def total_forwarded(self) -> int:
-        return sum(m.forwarded for m in self.muxes)
-
-    def mux_versions(self, vip: str) -> List[Optional[int]]:
-        """Per-mux mapping version for a VIP (None = not yet installed)."""
-        out = []
-        for mux in self.muxes:
-            entry = mux.vips.get(vip)
-            out.append(entry.version if entry else None)
-        return out

@@ -10,7 +10,7 @@ mapping updates so in-flight server connections keep resolving.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.errors import SnatExhausted
 from repro.obs import OBS
@@ -88,3 +88,85 @@ class SnatAllocator:
         per_vip = self._ranges.get(vip)
         if per_vip:
             per_vip.pop(instance_ip, None)
+
+
+DEFAULT_SNAT_RANGE = (40000, 41000)  # an instance built without an L4 LB
+
+
+class SnatPorts:
+    """The SNAT ports one L7 instance holds, per VIP: the instance half of
+    the ranges above, and the one record of how a port is minted,
+    reclaimed, released and audited.
+
+    - **mint** (``alloc``): a cursor walks the instance's block, wrapping
+      and skipping ports in use.  A block the allocator re-assigned (a
+      drain released the old one; a re-adoption gets whatever is free)
+      restarts it: a stale cursor would mint ports inside another
+      instance's block, return traffic would route to that owner and both
+      connects would wedge in SERVER_SYN_SENT.
+    - **reclaim**: a full block asks the instance once to destroy the
+      flows it already has closing (``reclaim()`` says whether there were
+      any) and tries again before refusing with :class:`SnatExhausted`.
+    - **release**: a port is returned when its flow leaves and when the
+      flow switches backend; a forced drain that hands every flow off
+      returns them all (``release_all``).
+    - **freeze**: a crash returns nothing, so the recovered VM never
+      reissues a port a migrated flow still occupies.
+    - **audit** (``leaked``): ports held that no live flow owns.
+    """
+
+    def __init__(self, l4lb, ip: str, metrics,
+                 reclaim: Callable[[], bool]):
+        self.l4lb = l4lb
+        self.ip = ip
+        self.metrics = metrics
+        self.reclaim = reclaim
+        self._next: Dict[str, int] = {}
+        self.in_use: Dict[str, Set[int]] = {}
+
+    def alloc(self, vip: str) -> int:
+        if self.l4lb is not None:
+            lo, hi = self.l4lb.snat_range(vip, self.ip)
+        else:
+            lo, hi = DEFAULT_SNAT_RANGE
+        in_use = self.in_use.setdefault(vip, set())
+        for attempt in range(2):
+            port = self._next.get(vip, lo)
+            if not lo <= port < hi:
+                port = lo  # the block was re-assigned
+            for _ in range(hi - lo):
+                candidate = port
+                port = port + 1 if port + 1 < hi else lo
+                if candidate not in in_use:
+                    in_use.add(candidate)
+                    self._next[vip] = port
+                    return candidate
+            if attempt or not self.reclaim():
+                break
+        self.metrics.counter("snat_exhaustions").inc()
+        raise SnatExhausted(vip, self.ip)
+
+    def release(self, vip: str, port: int) -> None:
+        in_use = self.in_use.get(vip)
+        if in_use is not None:
+            in_use.discard(port)
+
+    def release_all(self) -> None:
+        for in_use in self.in_use.values():
+            in_use.clear()
+
+    def leaked(self, states: Iterable) -> Dict[str, Set[int]]:
+        """Ports held but owned by none of ``states`` (the ``FlowState`` of
+        every live flow), per VIP.  An invariant monitor calls this after
+        a run settles: a port never released eventually starves the finite
+        range of new server connections."""
+        owned: Dict[str, Set[int]] = {}
+        for state in states:
+            if state.snat_port is not None:
+                owned.setdefault(state.vip.ip, set()).add(state.snat_port)
+        leaked: Dict[str, Set[int]] = {}
+        for vip, in_use in self.in_use.items():
+            extra = in_use - owned.get(vip, set())
+            if extra:
+                leaked[vip] = extra
+        return leaked

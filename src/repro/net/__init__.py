@@ -7,7 +7,7 @@ beneath TCP; everything above (TCP endpoints, the L4 LB muxes, YODA's
 packet driver) exchanges packets through a single :class:`Network`.
 """
 
-from repro.net.addresses import Endpoint, FourTuple, IpAllocator
+from repro.net.addresses import Endpoint, IpAllocator
 from repro.net.host import Host
 from repro.net.links import FixedLatency, JitterLatency, LatencyModel, LognormalLatency
 from repro.net.network import Network
@@ -23,7 +23,6 @@ from repro.net.packet import (
 
 __all__ = [
     "Endpoint",
-    "FourTuple",
     "IpAllocator",
     "Host",
     "Network",

@@ -1,9 +1,7 @@
 """IP endpoints and address allocation.
 
 Addresses are plain dotted-quad strings; :class:`Endpoint` pairs an address
-with a port and is hashable so it can key flow tables.  :class:`FourTuple`
-identifies a TCP connection; together with the protocol (always TCP here) it
-is the paper's "IP 5-tuple".
+with a port and is hashable so it can key flow tables.
 """
 
 from __future__ import annotations
@@ -77,26 +75,6 @@ class Endpoint:
         return cls(ip, int(port))
 
 
-@dataclass(frozen=True, order=True)
-class FourTuple:
-    """A TCP connection identifier: (src ip, src port, dst ip, dst port).
-
-    The canonical orientation is client -> service: ``src`` is the
-    connection initiator.  :meth:`reversed` flips it for return traffic.
-    """
-
-    src: Endpoint
-    dst: Endpoint
-
-    def reversed(self) -> "FourTuple":
-        return FourTuple(self.dst, self.src)
-
-    def key(self) -> str:
-        """A stable string key, suitable for hashing / TCPStore keys."""
-        return f"{self.src}-{self.dst}"
-
-    def __str__(self) -> str:
-        return self.key()
 
 
 class IpAllocator:

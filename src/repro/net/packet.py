@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict
 
-from repro.net.addresses import Endpoint, FourTuple
+from repro.net.addresses import Endpoint
 
 # TCP flag bits (same values as the real header, for familiarity).
 FIN = 0x01
@@ -92,15 +92,6 @@ class Packet:
     def has_ack(self) -> bool:
         return bool(self.flags & ACK)
 
-    @property
-    def is_pure_ack(self) -> bool:
-        """ACK flag set, no payload, no SYN/FIN/RST."""
-        return (
-            self.has_ack
-            and not self.payload
-            and not (self.flags & (SYN | FIN | RST))
-        )
-
     # -- sizes -----------------------------------------------------------
     @property
     def payload_len(self) -> int:
@@ -119,11 +110,6 @@ class Packet:
         if self.fin:
             span += 1
         return span
-
-    # -- identity --------------------------------------------------------
-    @property
-    def four_tuple(self) -> FourTuple:
-        return FourTuple(self.src, self.dst)
 
     def copy(self, **changes: Any) -> "Packet":
         """A shallow copy with a fresh packet id and optional field changes."""
@@ -147,19 +133,3 @@ class Packet:
 
     def __repr__(self) -> str:
         return f"Packet({self.summary()})"
-
-
-def make_syn(src: Endpoint, dst: Endpoint, isn: int) -> Packet:
-    return Packet(src=src, dst=dst, flags=SYN, seq=isn)
-
-
-def make_syn_ack(src: Endpoint, dst: Endpoint, isn: int, ack: int) -> Packet:
-    return Packet(src=src, dst=dst, flags=SYN | ACK, seq=isn, ack=ack)
-
-
-def make_ack(src: Endpoint, dst: Endpoint, seq: int, ack: int) -> Packet:
-    return Packet(src=src, dst=dst, flags=ACK, seq=seq, ack=ack)
-
-
-def make_rst(src: Endpoint, dst: Endpoint, seq: int) -> Packet:
-    return Packet(src=src, dst=dst, flags=RST, seq=seq)

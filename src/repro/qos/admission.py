@@ -104,9 +104,6 @@ class AdmissionController:
         self.admitted += 1
         return AdmissionDecision(admitted=True, tier=tier)
 
-    def shed_total(self) -> int:
-        return sum(self.shed_by_reason.values())
-
     def bucket_level(self, vip: str, now: float) -> Optional[float]:
         bucket = self._buckets.get(vip)
         return None if bucket is None else bucket.level(now)

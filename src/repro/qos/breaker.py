@@ -166,10 +166,6 @@ class BreakerBoard:
         if brk is not None:
             brk.on_probe_sent(now)
 
-    def open_backends(self) -> list:
-        return sorted(b for b, brk in self._breakers.items()
-                      if brk.state is not BreakerState.CLOSED)
-
 
 class BreakerView:
     """A BackendView that also consults the breaker board.

@@ -16,7 +16,6 @@ from typing import Any, Callable, Optional
 
 from repro.obs import OBS
 from repro.sim.events import EventLoop
-from repro.sim.metrics import TimeSeries
 
 
 class CpuModel:
@@ -104,24 +103,3 @@ class CpuModel:
     def reset_window(self) -> None:
         self._window_start = self.loop.now()
         self._window_busy_marker = self.busy_seconds
-
-
-class CpuSampler:
-    """Samples a CpuModel's windowed utilization into a TimeSeries."""
-
-    def __init__(self, loop: EventLoop, cpu: CpuModel, interval: float = 1.0,
-                 name: str = "cpu"):
-        from repro.sim.process import PeriodicTask  # local import avoids cycle
-
-        self.series = TimeSeries(name)
-        self.cpu = cpu
-        cpu.reset_window()
-        self._task = PeriodicTask(loop, interval, self._sample)
-        self._task.start()
-
-    def _sample(self) -> None:
-        self.series.record(self.cpu.loop.now(), self.cpu.utilization_window())
-        self.cpu.reset_window()
-
-    def stop(self) -> None:
-        self._task.stop()

@@ -269,15 +269,6 @@ class TimeSeries:
     def items(self) -> List[Tuple[float, float]]:
         return list(zip(self.times, self.values))
 
-    def value_at(self, time: float) -> float:
-        """Value of the most recent sample at or before ``time``."""
-        if not self.times:
-            raise ValueError(f"time series {self.name!r} is empty")
-        idx = bisect.bisect_right(self.times, time) - 1
-        if idx < 0:
-            raise ValueError(f"no sample at or before t={time}")
-        return self.values[idx]
-
     def window(self, start: float, end: float) -> "TimeSeries":
         """Samples with start <= time < end."""
         out = TimeSeries(self.name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -73,25 +73,12 @@ class SeededRng:
         """Pick one item with probability proportional to its weight."""
         return self._random.choices(list(items), weights=list(weights), k=1)[0]
 
-    def bounded_pareto(self, alpha: float, lo: float, hi: float) -> float:
-        """Sample a Pareto value truncated to [lo, hi] via inverse CDF."""
-        if not (0 < lo < hi):
-            raise ValueError(f"invalid bounds lo={lo}, hi={hi}")
-        u = self._random.random()
-        la, ha = lo**alpha, hi**alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / alpha)
-
     def zipf_weights(self, n: int, skew: float = 1.0) -> List[float]:
         """Normalized Zipf popularity weights for ranks 1..n."""
         raw = [1.0 / (rank**skew) for rank in range(1, n + 1)]
         total = math.fsum(raw)
         return [w / total for w in raw]
 
-    def isn_for(self, key: str) -> int:
-        """Deterministic 32-bit value derived from ``key`` (used for TCP
-        initial sequence numbers that must be recomputable by any node)."""
-        digest = hashlib.sha256(key.encode()).digest()
-        return int.from_bytes(digest[:4], "big")
 
 
 def stable_hash32(text: str, salt: str = "") -> int:

@@ -38,12 +38,6 @@ class ObjectCorpus:
     def total_bytes(self) -> int:
         return sum(self.site.size_of(p) or 0 for p in self.site.paths())
 
-    def page_weight(self, page: str) -> int:
-        """Bytes transferred for a full page load."""
-        total = self.site.size_of(page) or 0
-        for obj in self.pages.get(page, []):
-            total += self.site.size_of(obj) or 0
-        return total
 
 
 def _sample_object_size(rng: SeededRng) -> int:

@@ -19,6 +19,7 @@ from repro.autoscale import (
 )
 from repro.chaos.library import get_scenario
 from repro.core import YodaServiceConfig
+from repro.core.leader import journal_state
 from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 
@@ -285,7 +286,7 @@ class TestEngineJournal:
         bed = make_bed(spare_instances=1)
         ctl = bed.yoda.controller
         ctl.attach_autoscaler(Autoscaler(ctl, quiet_policy()))
-        assert "autoscale" in ctl._journal_state()
+        assert "autoscale" in journal_state(ctl)
 
 
 # ========================================================= regressions ==
@@ -302,14 +303,14 @@ class TestScaleChurnRegressions:
         bed = make_bed()
         inst = bed.yoda.instances[0]
         snat = bed.l4lb.snat
-        first = inst._alloc_snat_port(bed.vip)
+        first = inst.snat_ports.alloc(bed.vip)
         lo_old, hi_old = snat.range_of(bed.vip, inst.ip)
         assert lo_old <= first < hi_old
         snat.release(bed.vip, inst.ip)
         snat.ensure_range(bed.vip, "10.9.9.9")  # takes the freed block
         lo_new, hi_new = snat.ensure_range(bed.vip, inst.ip)
         assert (lo_new, hi_new) != (lo_old, hi_old)
-        port = inst._alloc_snat_port(bed.vip)
+        port = inst.snat_ports.alloc(bed.vip)
         assert lo_new <= port < hi_new
 
     def test_graceful_drain_flushes_mux_flow_pins(self):

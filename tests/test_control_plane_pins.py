@@ -36,6 +36,7 @@ import pytest
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
+from repro.core.leader import journal_state
 from tests.test_golden_traces import GoldenRecorder
 
 SEED = 2016
@@ -179,15 +180,15 @@ def _counters(metrics):
 def _controller_state(ctl):
     return {
         "counters": _counters(ctl.metrics),
-        "journal": json.dumps(ctl._journal_state(), sort_keys=True),
+        "journal": json.dumps(journal_state(ctl), sort_keys=True),
         "assignments": ctl.assignments,
         "active": ctl.active,
         "draining": sorted(ctl.draining),
         "spares": [s.name for s in ctl.spares],
         "instances": list(ctl.instances),
         "live": ctl.live_instance_names(),
-        "failover": [ctl.failed_over, ctl.failover_at,
-                     ctl.failover_records_lost],
+        "failover": [ctl.region.failed_over, ctl.region.failover_at,
+                     ctl.region.failover_records_lost],
         "traffic": ctl.traffic_stats,
     }
 

@@ -158,7 +158,7 @@ class TestJournaledTakeover:
         leader_b = rs.acting_replica()
         assert leader_b is not None and leader_b is not leader_a
         assert leader_b.elector.epoch == 2
-        resumed = leader_b.controller._drainer.drains[busy.name]
+        resumed = leader_b.controller.drainer.drains[busy.name]
         # the new leader finished the old leader's drain on the old
         # leader's absolute clock
         assert resumed.done and resumed.state is DrainState.DRAINED
@@ -193,6 +193,39 @@ class TestJournaledTakeover:
                              bed.backends)
         assert "100.0.0.2" in leader.controller.policies
         assert leader.journal.writes == writes + 1
+
+
+class TestOperatorIntentSurvivesLeaderChange:
+    """What a successor hydrates from is the registry: every operator
+    command the leader's controller took must be in it, whichever entry
+    point the operator used."""
+
+    def _change_then_kill_leader(self, command):
+        bed = make_bed()
+        bed.run(2.0)
+        rs = bed.yoda.replica_set
+        leader = rs.acting_replica()
+        command(bed, bed.yoda.controller)
+        leader.fail()
+        bed.run(6.0)
+        successor = rs.acting_replica()
+        assert successor is not None and successor is not leader
+        return bed, successor.controller
+
+    def test_removed_vip_stays_removed(self):
+        bed, ctl = self._change_then_kill_leader(
+            lambda bed, ctl: ctl.remove_vip(bed.vip))
+        assert bed.vip not in ctl.policies
+        assert [bed.vip in i.policies for i in bed.yoda.instances] == [
+            False] * 3
+
+    def test_updated_policy_stays_updated(self):
+        def update(bed, ctl):
+            ctl.update_policy(bed.policy.updated())
+        bed, ctl = self._change_then_kill_leader(update)
+        assert ctl.policies[bed.vip].version == 2
+        assert [i.policies[bed.vip].version for i in bed.yoda.instances] == [
+            2] * 3
 
 
 def _arm_autoscaler(bed):

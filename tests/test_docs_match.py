@@ -11,9 +11,10 @@ the table again (it sat four data-path PRs behind it).
 wrote last, under the same envelope; the stateless dispatch table quotes
 it.  ROADMAP's "Open items" header quotes the size of ``src/``; it is held
 to the tree, so the line count a roadmap target is stated against cannot
-drift from it.
+drift from it, and so is its sentence naming the classes over 600 lines.
 """
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -116,17 +117,43 @@ def test_stateless_table_is_the_committed_run():
     assert f"`{doc['sha']}`" in section
 
 
+def _open_items_header() -> str:
+    text = (ROOT / "ROADMAP.md").read_text()
+    header = text[text.index("## Open items"):]
+    return header[:header.index("\n- **")]
+
+
 def test_roadmap_quotes_the_source_size_of_this_tree():
     # the figures `find src -name '*.py' | xargs cat | wc -l` and
     # `find src -name '*.py' | wc -l` print
     files = list((ROOT / "src").rglob("*.py"))
     lines = sum(f.read_bytes().count(b"\n") for f in files)
-    text = (ROOT / "ROADMAP.md").read_text()
-    header = text[text.index("## Open items"):]
-    header = header[:header.index("\n- **")]
+    header = _open_items_header()
     quoted = re.search(r"([\d,]+) source lines in (\d+) files", header)
     assert quoted, "the Open items header no longer states the source size"
     assert (quoted.group(1), quoted.group(2)) == (
         f"{lines:,}", str(len(files))), (
         f"ROADMAP says {quoted.group(0)}; the tree has {lines:,} lines in "
         f"{len(files)} files")
+
+
+_COUNT_WORDS = ("No", "One", "Two", "Three", "Four", "Five")
+
+
+def test_roadmap_names_the_classes_over_600_lines():
+    # a class's size is end_lineno - lineno + 1 of its ast.ClassDef
+    sizes = {}
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                size = node.end_lineno - node.lineno + 1
+                if size > 600:
+                    sizes[node.name] = size
+    quoted = re.search(
+        r"(\w+)\s+class(?:es)?\s+(?:is|are)\s+over\s+600\s+lines([^.]*)\.",
+        _open_items_header())
+    assert quoted, "the Open items header no longer names the classes over 600 lines"
+    named = {name: int(size.replace(",", "")) for name, size
+             in re.findall(r"`(\w+)`\s+\(([\d,]+)\)", quoted.group(2))}
+    assert (quoted.group(1), named) == (_COUNT_WORDS[len(sizes)], sizes), (
+        f"ROADMAP says {quoted.group(0)!r}; the tree has {sizes}")

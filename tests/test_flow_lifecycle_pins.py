@@ -90,12 +90,12 @@ def _http11_switch_snat_exhausted():
     recorder = _capture(bed)
     for inst in bed.yoda.instances:
         # an instance's first port (the connect) is granted, later ones not
-        def alloc(vip, _inst=inst, _real=inst._alloc_snat_port, _asked=[]):
+        def alloc(vip, _inst=inst, _real=inst.snat_ports.alloc, _asked=[]):
             _asked.append(vip)
             if len(_asked) > 1:
                 raise SnatExhausted(vip, _inst.ip)
             return _real(vip)
-        inst._alloc_snat_port = alloc
+        inst.snat_ports.alloc = alloc
     http11.content_switching_policy(bed)
     client = http11.run_keepalive(bed, ["/obj/0.bin", "/obj/1.bin"],
                                   deadline=10.0)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import AddressError
 from repro.net import addresses
-from repro.net.addresses import Endpoint, EphemeralPorts, FourTuple, IpAllocator, validate_ip
+from repro.net.addresses import Endpoint, EphemeralPorts, IpAllocator, validate_ip
 
 
 def _raises_address_error(check, text):
@@ -126,17 +126,6 @@ class TestEndpoint:
     def test_any_valid_endpoint_roundtrips(self, c, d, port):
         ep = Endpoint(f"10.0.{c}.{d}", port)
         assert Endpoint.parse(str(ep)) == ep
-
-
-class TestFourTuple:
-    def test_reversed(self):
-        ft = FourTuple(Endpoint("1.1.1.1", 1), Endpoint("2.2.2.2", 2))
-        assert ft.reversed().src == ft.dst
-        assert ft.reversed().reversed() == ft
-
-    def test_key_is_stable(self):
-        ft = FourTuple(Endpoint("1.1.1.1", 1), Endpoint("2.2.2.2", 2))
-        assert ft.key() == "1.1.1.1:1-2.2.2.2:2"
 
 
 class TestIpAllocator:

@@ -3,8 +3,7 @@
 from repro.net.addresses import Endpoint
 from repro.net.packet import (
     ACK, FIN, IP_TCP_HEADER_BYTES, PSH, RST, SYN,
-    Packet, flags_to_str, make_ack, make_rst, make_syn,
-    make_syn_ack,
+    Packet, flags_to_str,
 )
 
 A = Endpoint("1.1.1.1", 1000)
@@ -15,12 +14,6 @@ class TestFlags:
     def test_flag_properties(self):
         pkt = Packet(src=A, dst=B, flags=SYN | ACK)
         assert pkt.syn and pkt.has_ack and not pkt.fin and not pkt.rst
-
-    def test_pure_ack(self):
-        assert Packet(src=A, dst=B, flags=ACK).is_pure_ack
-        assert not Packet(src=A, dst=B, flags=ACK, payload=b"x").is_pure_ack
-        assert not Packet(src=A, dst=B, flags=ACK | FIN).is_pure_ack
-        assert not Packet(src=A, dst=B, flags=ACK | SYN).is_pure_ack
 
     def test_flags_to_str(self):
         assert flags_to_str(SYN) == "S"
@@ -61,24 +54,3 @@ class TestCopy:
         dup.meta["k"] = 2
         assert pkt.meta["k"] == 1
 
-
-class TestBuilders:
-    def test_make_syn(self):
-        pkt = make_syn(A, B, isn=42)
-        assert pkt.syn and not pkt.has_ack and pkt.seq == 42
-
-    def test_make_syn_ack(self):
-        pkt = make_syn_ack(B, A, isn=7, ack=43)
-        assert pkt.syn and pkt.has_ack and pkt.ack == 43
-
-    def test_make_ack(self):
-        pkt = make_ack(A, B, seq=1, ack=2)
-        assert pkt.is_pure_ack
-
-    def test_make_rst(self):
-        assert make_rst(A, B, seq=1).rst
-
-    def test_four_tuple(self):
-        pkt = make_syn(A, B, 1)
-        assert pkt.four_tuple.src == A
-        assert pkt.four_tuple.dst == B

@@ -10,7 +10,7 @@ import pytest
 from repro.chaos.invariants import AckedByteLoss, FlowAuditTable, Violation
 from repro.chaos.scenario import run_scenario
 from repro.cli import main
-from repro.experiments import fig9
+from repro.experiments.harness import Testbed, TestbedConfig
 from repro.obs import OBS
 
 from tests.test_chaos_scenarios import tiny_scenario
@@ -74,27 +74,29 @@ class TestChaosForensics:
 
 class TestFig9FromSpans:
     def test_span_derivation_matches_legacy_exactly(self):
-        """Tolerance ZERO: spans start/end at the same timestamps the
-        legacy histograms observe, so the derived breakdown is bitwise
-        equal, not merely close."""
-        result = fig9.run(seed=2016, rate=60.0, duration=3.0,
-                          num_instances=2, derive="both")
-        assert result.summary["legacy_vs_spans_max_abs_diff_ms"] == 0.0
-        # sanity: the rows carry a real breakdown, not a degenerate zero
-        yoda = next(r for r in result.rows if r["scheme"] == "yoda")
-        assert yoda["storage_ms"] > 0.0
-        assert yoda["connection_ms"] > 0.0
-
-    def test_spans_mode_reports_span_rows(self):
-        result = fig9.run(seed=2016, rate=40.0, duration=2.0,
-                          num_instances=2, derive="spans")
-        assert result.summary["derived_from"] == "spans"
-        assert result.summary["legacy_vs_spans_max_abs_diff_ms"] == 0.0
-        assert len(result.rows) == 3
-
-    def test_bad_derive_rejected(self):
-        with pytest.raises(ValueError, match="derive"):
-            fig9.run(derive="nope")
+        """Tolerance ZERO: an instance's stage spans start and end at the
+        timestamps its stage histograms observe, so the successful span
+        durations of a traced bed are that bed's histogram samples, bit
+        for bit -- Fig. 9 reads the same breakdown from either."""
+        bed = Testbed(TestbedConfig(
+            seed=2016, lb="yoda", num_lb_instances=2, num_store_servers=3,
+            num_backends=4, corpus="flat", flat_object_bytes=10_000,
+            client_jitter=0.004,
+        ))
+        OBS.enable(clock=bed.loop.now)
+        gen = bed.open_loop(60.0)
+        bed.run(3.0)
+        gen.stop()
+        bed.run(2.0)
+        spans = OBS.tracer.spans
+        for stage in ("storage_a", "storage_b", "server_connect"):
+            durations = sorted(s.end - s.start for s in spans
+                               if s.name == stage and s.end is not None
+                               and s.attr("ok"))
+            samples = sorted(
+                x for inst in bed.yoda.instances
+                for x in inst.metrics.histograms[f"{stage}_latency"].samples())
+            assert durations and durations == samples, stage
 
 
 class TestObsCli:

@@ -139,7 +139,7 @@ class TestBoard:
         board.record_failure("srv-0", 0.2)
         assert not board.allow("srv-0", 0.3)
         assert board.allow("srv-1", 0.3)
-        assert board.open_backends() == ["srv-0"]
+        assert board.breaker("srv-0").state is BreakerState.OPEN
 
     def test_transition_callback_names_the_backend(self):
         seen = []

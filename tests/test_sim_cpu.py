@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cpu import CpuModel, CpuSampler
+from repro.sim.cpu import CpuModel
 from repro.sim.events import EventLoop
 
 
@@ -120,15 +120,3 @@ def test_slowdown_leaves_queued_work_untouched():
 def test_invalid_slowdown_rejected():
     with pytest.raises(ValueError):
         CpuModel(EventLoop()).set_slowdown(0.0)
-
-
-def test_sampler_records_series():
-    loop = EventLoop()
-    cpu = CpuModel(loop)
-    sampler = CpuSampler(loop, cpu, interval=1.0)
-    cpu.execute(0.5)
-    loop.run(until=3.0)
-    sampler.stop()
-    assert len(sampler.series) == 3
-    assert sampler.series.values[0] == pytest.approx(0.5)
-    assert sampler.series.values[1] == pytest.approx(0.0)

@@ -245,20 +245,13 @@ class TestTimeSeries:
         ts.record(0.0, 1.0)
         ts.record(1.0, 2.0)
         ts.record(2.0, 3.0)
-        assert ts.value_at(1.5) == 2.0
-        assert ts.value_at(2.0) == 3.0
+        assert ts.items() == [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]
 
     def test_rejects_out_of_order(self):
         ts = TimeSeries()
         ts.record(5.0, 1.0)
         with pytest.raises(ValueError):
             ts.record(4.0, 1.0)
-
-    def test_value_before_first_sample_raises(self):
-        ts = TimeSeries()
-        ts.record(5.0, 1.0)
-        with pytest.raises(ValueError):
-            ts.value_at(4.0)
 
     def test_window(self):
         ts = TimeSeries()

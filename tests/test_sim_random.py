@@ -2,7 +2,6 @@
 
 import math
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.random import SeededRng, stable_hash32, stable_hash64
@@ -60,26 +59,10 @@ class TestDistributions:
         assert abs(sum(weights) - 1.0) < 1e-9
         assert all(weights[i] >= weights[i + 1] for i in range(99))
 
-    def test_bounded_pareto_in_bounds(self):
-        rng = SeededRng(3)
-        for _ in range(200):
-            x = rng.bounded_pareto(1.2, 10.0, 1000.0)
-            assert 10.0 <= x <= 1000.0
-
-    def test_bounded_pareto_invalid_bounds(self):
-        with pytest.raises(ValueError):
-            SeededRng(1).bounded_pareto(1.0, 10.0, 5.0)
-
     def test_weighted_choice_respects_zero_weight(self):
         rng = SeededRng(4)
         for _ in range(50):
             assert rng.weighted_choice(["a", "b"], [1.0, 0.0]) == "a"
-
-    def test_isn_for_is_stable_and_32bit(self):
-        rng = SeededRng(5)
-        isn = rng.isn_for("1.2.3.4:80-5.6.7.8:1234")
-        assert isn == SeededRng(99).isn_for("1.2.3.4:80-5.6.7.8:1234")
-        assert 0 <= isn < 2**32
 
     def test_expovariate_positive(self):
         rng = SeededRng(6)

@@ -236,7 +236,7 @@ class TestSnatExhaustionRelease:
         for inst in bed.yoda.instances:
             def refuse(vip, _inst=inst):
                 raise SnatExhausted(vip, _inst.ip)
-            inst._alloc_snat_port = refuse
+            inst.snat_ports.alloc = refuse
         gen = bed.open_loop(rate=20.0, http_timeout=2.0)
         bed.run(1.0)
         gen.stop()

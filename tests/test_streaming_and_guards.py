@@ -255,7 +255,7 @@ class TestMalformedRequest:
                    for i in instances) == 1
         assert not any(i.flows or i.by_server for i in instances)
         assert not any(ports for i in instances
-                       for ports in i._snat_in_use.values())
+                       for ports in i.snat_ports.in_use.values())
         key = client_key(bad.conn.local, bed.target())
         assert [s.peek(key) for s in bed.yoda.store_servers] == [None] * 2
 

@@ -31,14 +31,6 @@ class TestObjectCorpus:
             assert corpus.site.size_of(page) is not None
             assert 3 <= len(objects) <= 12
 
-    def test_page_weight_sums_objects(self):
-        corpus = build_university_site(SeededRng(1), num_pages=5)
-        page = corpus.page_paths()[0]
-        expected = corpus.site.size_of(page) + sum(
-            corpus.site.size_of(o) for o in corpus.pages[page]
-        )
-        assert corpus.page_weight(page) == expected
-
     def test_deterministic_for_seed(self):
         c1 = build_university_site(SeededRng(9), num_pages=20)
         c2 = build_university_site(SeededRng(9), num_pages=20)
