@@ -27,8 +27,7 @@ are included, so the perf trajectory across PRs is explicit.  Run with:
 
 No pytest-benchmark dependency: simulations are deterministic, so a single
 timed run per workload is the honest unit and keeps this runnable
-anywhere.  Set ``BENCH_ENFORCE_SPEEDUP=scheduler:2.0`` to hard-fail when a
-metric regresses below a required multiple of the baseline.
+anywhere.
 """
 
 from __future__ import annotations
@@ -97,14 +96,6 @@ def _emit_report():
     with open(BENCH_PATH, "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    enforce = os.environ.get("BENCH_ENFORCE_SPEEDUP")
-    if enforce:
-        for clause in enforce.split(","):
-            name, _, need = clause.partition(":")
-            got = doc["speedup_vs_baseline"].get(name.strip())
-            assert got is not None and got >= float(need), (
-                f"{name} speedup {got} < required {need}"
-            )
 
 
 def _noop() -> None:

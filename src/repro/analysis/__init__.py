@@ -1,6 +1,6 @@
 """Result analysis helpers: statistics and text-table rendering."""
 
 from repro.analysis.report import render_table
-from repro.analysis.stats import cdf_points, mean, median, percentile
+from repro.analysis.stats import mean, median, percentile
 
-__all__ = ["render_table", "median", "mean", "percentile", "cdf_points"]
+__all__ = ["render_table", "median", "mean", "percentile"]

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Sequence
 
 
 def mean(values: Sequence[float]) -> float:
@@ -30,23 +30,3 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 def median(values: Sequence[float]) -> float:
     return percentile(values, 50)
-
-
-def cdf_points(values: Sequence[float], points: int = 100) -> List[Tuple[float, float]]:
-    """Downsampled (value, cumulative fraction) pairs."""
-    ordered = sorted(values)
-    n = len(ordered)
-    if n == 0:
-        return []
-    step = max(1, n // points)
-    out = [(ordered[i], (i + 1) / n) for i in range(0, n, step)]
-    if out[-1][0] != ordered[-1]:
-        out.append((ordered[-1], 1.0))
-    return out
-
-
-def fraction(values: Iterable[bool]) -> float:
-    items = list(values)
-    if not items:
-        return 0.0
-    return sum(items) / len(items)

@@ -3,8 +3,9 @@
 The subsystem splits the loop into three testable layers:
 
 - :mod:`repro.autoscale.signals` -- reads the deployment's live pressure
-  signals (per-instance CPU windows, admission-bucket depletion, AIMD
-  limiter saturation, sketch latency quantiles, scraped shed rates).
+  signals (per-instance CPU windows, admission-bucket depletion,
+  concurrency-ceiling saturation, sketch latency quantiles, scraped shed
+  rates).
 - :mod:`repro.autoscale.decision` -- a pure decision engine: hysteresis
   bands around a utilization target, separate scale-out/scale-in
   cooldowns, per-decision step limits, and floor/ceiling bounds.

@@ -54,9 +54,6 @@ class ElasticPolicy:
     # scale in by draining (make-before-break) instead of instant removal
     drain: bool = True
     drain_deadline: Optional[float] = None  # None = controller default
-    # refuse new decisions while a drain is still in flight, and raise
-    # typed errors instead of silently holding
-    serialize_events: bool = False
     # -- store-replica elasticity -----------------------------------------
     scale_stores: bool = False
     instances_per_store: int = 3  # target ceil(live / this) store servers
@@ -125,16 +122,11 @@ class PolicyEngine:
         return until if now < until else None
 
     # ------------------------------------------------------------- decision --
-    def decide(self, snap: SignalSnapshot,
-               drain_in_flight: bool = False) -> ScaleDecision:
+    def decide(self, snap: SignalSnapshot) -> ScaleDecision:
         p = self.policy
         live = snap.live
         reason = self.pressure_reason(snap)
         if reason is not None:
-            if drain_in_flight and p.serialize_events:
-                self.refusals += 1
-                return ScaleDecision("hold", reason="conflict: drain in flight",
-                                     signals=snap)
             until = self.cooling_out_until(snap.time)
             if until is not None:
                 self.refusals += 1
@@ -156,10 +148,6 @@ class PolicyEngine:
 
         floor = max(1, p.min_instances)
         if p.scale_down and live > floor and self.idle(snap):
-            if drain_in_flight and p.serialize_events:
-                self.refusals += 1
-                return ScaleDecision("hold", reason="conflict: drain in flight",
-                                     signals=snap)
             until = self.cooling_in_until(snap.time)
             if until is not None:
                 self.refusals += 1

@@ -9,7 +9,7 @@ returns the instance to the spare pool.  Store-replica scaling adds or
 decommissions TCPStore servers through cluster membership, whose epoch
 bump wakes every instance's anti-entropy sweeper to re-replicate.
 
-Every decision -- including refusals -- is flight-recorded, and the
+Every decision -- including holds -- is flight-recorded, and the
 engine's clocks plus a bounded event ledger ride the controller's
 leader journal, so a newly elected leader resumes cooldowns and the
 oscillation history instead of re-deciding from amnesia (the in-flight
@@ -23,7 +23,6 @@ from typing import Callable, List, Optional
 
 from repro.autoscale.decision import ElasticPolicy, PolicyEngine, ScaleDecision
 from repro.autoscale.signals import SignalReader, SignalSnapshot
-from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.obs import OBS
 from repro.sim.process import PeriodicTask
 
@@ -32,11 +31,11 @@ JOURNALED_EVENTS = 16  # ledger tail carried through the leader journal
 
 @dataclass
 class ScaleEvent:
-    """One actuated (or starved) scale event, for the converge invariant
-    and the journal."""
+    """One actuated scale event, for the converge invariant and the
+    journal."""
 
     at: float
-    kind: str  # "out" | "in" | "store-out" | "store-in" | "starved"
+    kind: str  # "out" | "in" | "store-out" | "store-in"
     count: int
     reason: str
     live_after: int
@@ -94,24 +93,14 @@ class Autoscaler:
         snap = self.signals.collect()
         if snap.live == 0:
             return
-        decision = self.engine.decide(snap, drain_in_flight=self.in_flight())
+        decision = self.engine.decide(snap)
         self._flight(decision, snap)
-        try:
-            if decision.kind == "out":
-                self._scale_out(decision, snap)
-            elif decision.kind == "in":
-                self._scale_in(decision, snap)
-        except (ScaleEventConflict, SpareExhausted) as exc:
-            self.controller.metrics.counter("scale_refused").inc()
-            if OBS.enabled:
-                OBS.flight("autoscale", type(exc).__name__, str(exc))
-            return
+        if decision.kind == "out":
+            self._scale_out(decision, snap)
+        elif decision.kind == "in":
+            self._scale_in(decision, snap)
         if self.policy.scale_stores:
             self._reconcile_stores(snap)
-
-    def in_flight(self) -> bool:
-        """A make-before-break drain is still bleeding flows."""
-        return bool(self.controller.draining)
 
     def _flight(self, decision: ScaleDecision, snap: SignalSnapshot) -> None:
         # forensics on EVERY decision: a chaos violation's tail shows what
@@ -162,9 +151,6 @@ class Autoscaler:
                 OBS.flight("autoscale", "scale_out",
                            f"+{added} instance(s) [{decision.reason}]")
             ctl.persist()
-        if added < decision.count and self.policy.serialize_events:
-            self._record("starved", decision.count - added, decision.reason)
-            raise SpareExhausted(decision.count, added)
 
     def _scale_in(self, decision: ScaleDecision, snap: SignalSnapshot) -> None:
         ctl = self.controller
@@ -183,31 +169,6 @@ class Autoscaler:
             OBS.flight("autoscale", "scale_in",
                        f"-{len(victims)} instance(s) [{decision.reason}]")
         ctl.persist()
-
-    # ------------------------------------------------------ operator entry --
-    def request_scale_out(self, count: int = 1):
-        """Operator-initiated scale-out on the same rails (cooldowns and
-        in-flight drains refuse it, typed)."""
-        now = self.controller.loop.now()
-        if self.policy.serialize_events and self.in_flight():
-            raise ScaleEventConflict("out", "drain", now)
-        until = self.engine.cooling_out_until(now)
-        if until is not None:
-            raise ScaleEventConflict("out", "cooldown-out", until)
-        if not self.controller.spares and self.spawn_instance is None:
-            raise SpareExhausted(count, 0)
-        self._scale_out(ScaleDecision("out", count, "operator request"),
-                        self.signals.collect(reset_windows=False))
-
-    def request_scale_in(self, count: int = 1):
-        now = self.controller.loop.now()
-        if self.policy.serialize_events and self.in_flight():
-            raise ScaleEventConflict("in", "drain", now)
-        until = self.engine.cooling_in_until(now)
-        if until is not None:
-            raise ScaleEventConflict("in", "cooldown-in", until)
-        self._scale_in(ScaleDecision("in", count, "operator request"),
-                       self.signals.collect(reset_windows=False))
 
     # ------------------------------------------------------- store scaling --
     def _reconcile_stores(self, snap: SignalSnapshot) -> None:

@@ -1,8 +1,8 @@
 """Pressure-signal collection for the autoscaler.
 
 One snapshot per policy tick, pulled straight from the live objects the
-controller already owns (CPU windows, qos admission buckets, AIMD
-limiters, sketch-backed latency histograms) plus -- when a
+controller already owns (CPU windows, qos admission buckets,
+concurrency ceilings, sketch-backed latency histograms) plus -- when a
 ``MetricScraper`` is attached -- the scraped ``*.rate`` series for shed
 traffic.  All reads are pure: collecting a snapshot schedules nothing,
 which is what keeps a disarmed autoscaler zero-perturbation.
@@ -23,7 +23,7 @@ class SignalSnapshot:
     avg_cpu: float  # mean utilization over the last window
     max_cpu: float
     admission_pressure: float  # 0..1: worst token-bucket depletion
-    limiter_saturation: float  # 0..1: worst inflight / AIMD limit
+    limiter_saturation: float  # 0..1: worst inflight / concurrency ceiling
     latency_p95: Optional[float] = None  # sketch quantile, seconds
     shed_rate: float = 0.0  # scraped SYNs shed per second
 
@@ -56,7 +56,7 @@ class SignalReader:
     @staticmethod
     def _limiter_saturation(instance) -> float:
         qos = getattr(instance, "qos", None)
-        if qos is None or qos.limiter.limit <= 0:
+        if qos is None:
             return 0.0
         return qos.limiter.inflight / qos.limiter.limit
 
@@ -81,16 +81,15 @@ class SignalReader:
         return total
 
     # -------------------------------------------------------------- collect --
-    def collect(self, reset_windows: bool = True) -> SignalSnapshot:
+    def collect(self) -> SignalSnapshot:
         ctl = self.controller
         now = ctl.loop.now()
         live = self.live_instances()
         if not live:
             return SignalSnapshot(now, 0, 0.0, 0.0, 0.0, 0.0)
         utils = [i.cpu.utilization_window() for i in live]
-        if reset_windows:
-            for i in live:
-                i.cpu.reset_window()
+        for i in live:
+            i.cpu.reset_window()
         admission = max(self._admission_pressure(i, now) for i in live)
         limiter = max(self._limiter_saturation(i) for i in live)
         return SignalSnapshot(

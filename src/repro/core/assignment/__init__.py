@@ -6,10 +6,11 @@ rule-memory capacity (Eq. 2), exactly n_v replicas per VIP (Eq. 3),
 bounded transient load while the non-atomic L4 update is in flight
 (Eq. 4-5), and a cap on connections forced to migrate (Eq. 6-7).
 
-Three solvers:
+The paper's all-to-all baseline (every VIP on every instance: fewest
+instances, most rules) is its instance count,
+:func:`~repro.core.assignment.all_to_all.min_instances_for_traffic`.  Two
+solvers:
 
-- :func:`~repro.core.assignment.all_to_all.solve_all_to_all` -- the paper's
-  baseline: every VIP on every instance (fewest instances, most rules).
 - :func:`~repro.core.assignment.greedy.solve_greedy` -- first-fit
   decreasing with migration awareness; always available, fast.
 - :class:`~repro.core.assignment.ilp.IlpSolver` -- the Figure 7 ILP via LP
@@ -18,7 +19,6 @@ Three solvers:
   explicitly).
 """
 
-from repro.core.assignment.all_to_all import solve_all_to_all
 from repro.core.assignment.constraints import ConstraintReport, validate_assignment
 from repro.core.assignment.exact import solve_exact
 from repro.core.assignment.greedy import solve_greedy
@@ -36,7 +36,6 @@ __all__ = [
     "InstanceSpec",
     "AssignmentProblem",
     "Assignment",
-    "solve_all_to_all",
     "solve_greedy",
     "solve_exact",
     "IlpSolver",

@@ -1,18 +1,17 @@
-"""The all-to-all baseline (paper Section 4.4).
+"""The all-to-all baseline's instance count (paper Section 4.4).
 
-Every VIP (and all of its rules) on every instance: maximum robustness and
-the minimum possible instance count (total traffic / per-instance
-capacity), at the price of every instance scanning every tenant's rules --
-the latency problem Figure 6 quantifies.
+All-to-all puts every VIP (and all of its rules) on every instance: maximum
+robustness and the minimum possible instance count (total traffic /
+per-instance capacity), at the price of every instance scanning every
+tenant's rules -- the latency problem Figure 6 quantifies.  Fig. 16 needs
+only that count.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from typing import List
 
-from repro.core.assignment.problem import Assignment, AssignmentProblem
+from repro.core.assignment.problem import AssignmentProblem
 from repro.errors import InfeasibleError
 
 
@@ -23,26 +22,3 @@ def min_instances_for_traffic(problem: AssignmentProblem) -> int:
         raise InfeasibleError("no instances")
     capacity = problem.instances[0].traffic_capacity
     return max(1, math.ceil(problem.total_traffic() / capacity))
-
-
-def solve_all_to_all(problem: AssignmentProblem,
-                     honor_replicas: bool = False) -> Assignment:
-    """Assign every VIP to every instance.
-
-    Args:
-        honor_replicas: if True, clamp each VIP to its first n_v instances
-            so Eq. 3 still validates; if False (paper semantics), replicas
-            equal the full instance set.
-    """
-    start = time.perf_counter()
-    names: List[str] = [i.name for i in problem.instances]
-    mapping = {}
-    for vip in problem.vips:
-        if honor_replicas:
-            mapping[vip.name] = names[: vip.replicas]
-        else:
-            mapping[vip.name] = list(names)
-    return Assignment(
-        mapping=mapping, solver="all-to-all",
-        solve_seconds=time.perf_counter() - start,
-    )

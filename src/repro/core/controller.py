@@ -421,20 +421,6 @@ class YodaController:
         if self.ha is not None:
             self.ha.registry.update_service(policy)
 
-    def set_assignment(self, vip: str, instance_names: List[str]) -> None:
-        """Install a (re)computed VIP-to-instance assignment (Section 4.5)."""
-        if vip not in self.policies:
-            raise ControllerError(f"unknown VIP {vip}")
-        policy = self.policies[vip]
-        for name in instance_names:
-            self.instances[name].install_policy(policy, token=self.token)
-        removed = set(self.assignments.get(vip, [])) - set(instance_names)
-        self.assignments[vip] = list(instance_names)
-        self.push_mapping(vip)
-        self.persist()
-        # rules on removed instances are dropped lazily once their flows
-        # drain; the mapping change is what redirects traffic
-
     def _remap(self, name: str) -> None:
         """Re-push every VIP ``name`` is assigned to."""
         for vip, assigned in self.assignments.items():

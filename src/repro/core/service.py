@@ -100,6 +100,19 @@ class YodaServiceConfig:
         if self.spare_instances < 0:
             raise ConfigError(
                 f"spare_instances must be >= 0, got {self.spare_instances}")
+        qos = self.qos
+        if qos is not None:
+            # a bucket is built at the first SYN and a tier's floor read at
+            # every one: refuse here what would raise out of the event loop
+            if qos.admission_rate is not None and not qos.admission_rate > 0:
+                raise ConfigError(
+                    f"qos.admission_rate must be > 0 (None admits every SYN), "
+                    f"got {qos.admission_rate}")
+            if not qos.admission_burst > 0:
+                raise ConfigError(
+                    f"qos.admission_burst must be > 0, got {qos.admission_burst}")
+            if not qos.tier_floors:
+                raise ConfigError("qos.tier_floors must give tier 0 a floor")
         if self.controllers is not None and self.controllers.replicas < 1:
             raise ConfigError(
                 f"controllers.replicas must be >= 1, got "
@@ -320,10 +333,6 @@ class YodaService:
             header_deadline=cfg.header_deadline,
             stateless=cfg.stateless_enabled,
         )
-        if instance.qos is not None:
-            # store latency feeds the AIMD limiter: kv degradation becomes
-            # SYN-stage backpressure instead of a timeout storm
-            kv.latency_listener = instance.qos.observe_kv
         if cfg.self_healing:
             repairer = FlowStateRepairer(
                 self.loop, kv, instance.durable_records)
@@ -403,15 +412,6 @@ class YodaService:
         else:
             self.controller.add_vip(policy, backends=backends,
                                     instance_names=instance_names)
-
-    def instance_by_name(self, name: str) -> YodaInstance:
-        # search the service's own roster first: an instance that drained
-        # out (or was removed) leaves the controller's map but still
-        # exists as a VM the tests and experiments can inspect
-        for instance in self.instances:
-            if instance.name == name:
-                return instance
-        return self.controller.instances[name]
 
     def settle(self, duration: float = 1.0) -> None:
         """Run the loop briefly so mappings/health state propagate."""

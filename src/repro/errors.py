@@ -143,43 +143,6 @@ class StaleLeaderEpoch(ControllerError):
         self.current_holder = current_holder
 
 
-class ScaleEventConflict(ControllerError):
-    """A scale event was requested while another one is still in flight
-    (a drain racing a scale-up decision) or inside a cooldown window.
-
-    The autoscaler serializes scale events: at most one direction may be
-    in flight at a time, and a fresh decision inside the cooldown is
-    refused rather than queued -- queued intent goes stale faster than
-    the signals that produced it.
-    """
-
-    def __init__(self, requested: str, blocker: str, until: float):
-        super().__init__(
-            f"scale {requested} refused: {blocker} in flight "
-            f"(clear at t={until:.2f})"
-        )
-        self.requested = requested
-        self.blocker = blocker
-        self.until = until
-
-
-class SpareExhausted(ControllerError):
-    """A scale-out decision wanted more instances than the spare pool
-    holds and no spawn hook is configured.
-
-    Carries the shortfall so the policy engine can record a partial
-    scale-out and the flight recorder can show capacity starvation.
-    """
-
-    def __init__(self, wanted: int, available: int):
-        super().__init__(
-            f"scale-out wanted {wanted} instance(s), spare pool has "
-            f"{available} and no spawn hook"
-        )
-        self.wanted = wanted
-        self.available = available
-
-
 class LeaseStoreUnavailable(KvStoreError):
     """The leader-lease record could not be read or renewed because the
     backing store cluster is unreachable (timeout or zero live servers).

@@ -131,18 +131,6 @@ class HttpRequest:
                 return value
         return None
 
-    @property
-    def cookies(self) -> Dict[str, str]:
-        raw = self.headers.get("Cookie")
-        if not raw:
-            return {}
-        out = {}
-        for part in raw.split(";"):
-            key, _, value = part.strip().partition("=")
-            if key:
-                out[key] = value
-        return out
-
     def serialize(self) -> bytes:
         start = f"{self.method} {self.path} {self.version}".encode() + CRLF
         return start + self.headers.serialize() + CRLF + self.body

@@ -270,9 +270,8 @@ class ReplicatingKvClient:
         self.rng = rng
         self.read_repair = read_repair
         self.hinted_handoff = hinted_handoff
-        # optional tap fed every completed op's KvOpResult -- the qos
-        # plane's adaptive concurrency limiter listens here so store
-        # degradation turns into SYN-stage backpressure
+        # optional tap fed every completed op's KvOpResult (a traced
+        # benchmark run collects simulated op latencies here)
         self.latency_listener: Optional[Callable[[KvOpResult], None]] = None
         self.metrics = MetricRegistry(f"{host.name}.kv")
         self._issued = _OpMetrics(self.metrics.counter, "issued")
@@ -324,11 +323,6 @@ class ReplicatingKvClient:
             return False
         self._on_response(resp)
         return True
-
-    def hint_count(self, server: Optional[str] = None) -> int:
-        if server is not None:
-            return len(self._hints.get(server, ()))
-        return sum(len(h) for h in self._hints.values())
 
     # -- internals ------------------------------------------------------------
     def _issue(self, op: str, key: str, value: Optional[bytes],

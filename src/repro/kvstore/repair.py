@@ -105,10 +105,6 @@ class FlowStateRepairer:
     def stop(self) -> None:
         self._task.stop()
 
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)
-
     # -- sweep ---------------------------------------------------------------
     def _tick(self) -> None:
         if self.kv.host.failed:

@@ -133,10 +133,6 @@ class SiteReplicator:
         self._queue[key] = (payload, version, enqueued_at)
 
     # -- observables ----------------------------------------------------------
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)
-
     def lag(self) -> float:
         """Age of the oldest unshipped change (0.0 when fully caught up)."""
         if not self._queue:

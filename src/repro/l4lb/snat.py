@@ -77,12 +77,6 @@ class SnatAllocator:
                 return instance_ip
         return None
 
-    def range_of(self, vip: str, instance_ip: str) -> Optional[Tuple[int, int]]:
-        per_vip = self._ranges.get(vip)
-        if not per_vip:
-            return None
-        return per_vip.get(instance_ip)
-
     def release(self, vip: str, instance_ip: str) -> None:
         """Drop an instance's range (only safe once its flows are gone)."""
         per_vip = self._ranges.get(vip)

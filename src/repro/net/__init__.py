@@ -7,9 +7,9 @@ beneath TCP; everything above (TCP endpoints, the L4 LB muxes, YODA's
 packet driver) exchanges packets through a single :class:`Network`.
 """
 
-from repro.net.addresses import Endpoint, IpAllocator
+from repro.net.addresses import Endpoint
 from repro.net.host import Host
-from repro.net.links import FixedLatency, JitterLatency, LatencyModel, LognormalLatency
+from repro.net.links import FixedLatency, JitterLatency, LatencyModel
 from repro.net.network import Network
 from repro.net.packet import (
     ACK,
@@ -23,7 +23,6 @@ from repro.net.packet import (
 
 __all__ = [
     "Endpoint",
-    "IpAllocator",
     "Host",
     "Network",
     "Packet",
@@ -36,5 +35,4 @@ __all__ = [
     "LatencyModel",
     "FixedLatency",
     "JitterLatency",
-    "LognormalLatency",
 ]

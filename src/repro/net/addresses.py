@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
 
 from repro.errors import AddressError
 
@@ -73,37 +72,6 @@ class Endpoint:
         if not (port.isascii() and port.isdigit()):
             raise AddressError(f"invalid port in {text!r}")
         return cls(ip, int(port))
-
-
-
-
-class IpAllocator:
-    """Hands out unique addresses from a /16-style prefix.
-
-    >>> alloc = IpAllocator("10.1")
-    >>> alloc.next()
-    '10.1.0.1'
-    >>> alloc.next()
-    '10.1.0.2'
-    """
-
-    def __init__(self, prefix: str):
-        parts = prefix.split(".")
-        if len(parts) != 2 or not all(p.isdigit() and int(p) <= 255 for p in parts):
-            raise AddressError(f"prefix must look like 'a.b', got {prefix!r}")
-        self.prefix = prefix
-        self._counter = 0
-
-    def next(self) -> str:
-        self._counter += 1
-        if self._counter > 255 * 254:
-            raise AddressError(f"address space {self.prefix}.0.0/16 exhausted")
-        hi, lo = divmod(self._counter - 1, 254)
-        return f"{self.prefix}.{hi}.{lo + 1}"
-
-    def take(self, n: int) -> Iterator[str]:
-        for _ in range(n):
-            yield self.next()
 
 
 class EphemeralPorts:

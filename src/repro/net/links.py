@@ -10,7 +10,6 @@ milliseconds, giving the 133 ms no-LB baseline of Figure 9).  A
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 from repro.net.packet import Packet
 from repro.sim.random import SeededRng
@@ -55,47 +54,3 @@ class JitterLatency(LatencyModel):
 
     def __repr__(self) -> str:
         return f"JitterLatency(base={self.base}, jitter={self.jitter})"
-
-
-class LognormalLatency(LatencyModel):
-    """Heavy-ish tailed delay: base + lognormal(mu, sigma).
-
-    Suitable for the Internet leg between clients and the datacenter.
-    """
-
-    def __init__(self, base: float, mu: float, sigma: float, cap: Optional[float] = None):
-        if base < 0:
-            raise ValueError("base must be >= 0")
-        self.base = base
-        self.mu = mu
-        self.sigma = sigma
-        self.cap = cap
-
-    def delay(self, packet: Packet, rng: SeededRng) -> float:
-        extra = rng.lognormal(self.mu, self.sigma)
-        if self.cap is not None:
-            extra = min(extra, self.cap)
-        return self.base + extra
-
-    def __repr__(self) -> str:
-        return f"LognormalLatency(base={self.base}, mu={self.mu}, sigma={self.sigma})"
-
-
-class BandwidthLatency(LatencyModel):
-    """Propagation delay plus serialization at a link rate.
-
-    delay = base + wire_len / bytes_per_second.  Used where per-byte cost
-    matters (e.g. stressing large-object transfers).
-    """
-
-    def __init__(self, base: float, bytes_per_second: float):
-        if base < 0 or bytes_per_second <= 0:
-            raise ValueError("base >= 0 and bytes_per_second > 0 required")
-        self.base = base
-        self.bytes_per_second = bytes_per_second
-
-    def delay(self, packet: Packet, rng: SeededRng) -> float:
-        return self.base + packet.wire_len / self.bytes_per_second
-
-    def __repr__(self) -> str:
-        return f"BandwidthLatency(base={self.base}, rate={self.bytes_per_second})"

@@ -98,10 +98,6 @@ class Packet:
         return len(self.payload)
 
     @property
-    def wire_len(self) -> int:
-        return IP_TCP_HEADER_BYTES + len(self.payload)
-
-    @property
     def seq_span(self) -> int:
         """Sequence-space consumed: payload bytes, +1 for SYN, +1 for FIN."""
         span = len(self.payload)

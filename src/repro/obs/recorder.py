@@ -93,6 +93,3 @@ class FlightRecorderHub:
             f"{t:10.6f} [{name}] {kind}: {detail}"
             for t, name, kind, detail in merged[-last:]
         ]
-
-    def total_events(self) -> int:
-        return sum(rec.total for rec in self._recorders.values())

@@ -202,11 +202,3 @@ class Tracer:
             s for s in self.spans
             if s.end is not None and (name is None or s.name == name)
         ]
-
-    def durations(self, name: str, component: Optional[str] = None) -> List[float]:
-        return [
-            s.end - s.start
-            for s in self.spans
-            if s.end is not None and s.name == name
-            and (component is None or s.component == component)
-        ]

@@ -1,7 +1,7 @@
 """repro.qos -- the overload-control plane.
 
 Admission control with priority-tiered shedding, per-backend circuit
-breakers, AIMD adaptive concurrency limits, and make-before-break
+breakers, a fixed ceiling on connection-phase flows, and make-before-break
 connection draining.  See DESIGN.md section 7.
 """
 
@@ -16,19 +16,19 @@ from repro.qos.breaker import (
     BreakerView,
     CircuitBreaker,
 )
-from repro.qos.concurrency import AdaptiveConcurrencyLimiter
+from repro.qos.concurrency import ConcurrencyLimiter
 from repro.qos.config import QosConfig
 from repro.qos.drain import DrainCoordinator, DrainState, DrainStatus
 from repro.qos.plane import InstanceQos
 
 __all__ = [
-    "AdaptiveConcurrencyLimiter",
     "AdmissionController",
     "AdmissionDecision",
     "BreakerBoard",
     "BreakerState",
     "BreakerView",
     "CircuitBreaker",
+    "ConcurrencyLimiter",
     "DrainCoordinator",
     "DrainState",
     "DrainStatus",

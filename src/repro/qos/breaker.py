@@ -6,13 +6,15 @@ invisible to the deterministic packet schedule.  The classic three
 states:
 
 - **CLOSED**: traffic flows; consecutive connect failures trip it OPEN.
-- **OPEN**: the backend is skipped by selection; after ``open_duration``
-  the next ``allow`` check falls through to HALF_OPEN.
+- **OPEN**: the backend is skipped by selection; after
+  ``BREAKER_OPEN_DURATION`` the next ``allow`` check falls through to
+  HALF_OPEN.
 - **HALF_OPEN**: a bounded number of probe connections are admitted;
-  ``half_open_probes`` successes close the breaker, any failure re-opens
-  it.  If every probe slot is consumed but no verdict arrives within
-  another ``open_duration`` (the probe flow died some other way), the
-  slots are re-issued rather than deadlocking the backend out forever.
+  ``BREAKER_HALF_OPEN_PROBES`` successes close the breaker, any failure
+  re-opens it.  If every probe slot is consumed but no verdict arrives
+  within another ``BREAKER_OPEN_DURATION`` (the probe flow died some other
+  way), the slots are re-issued rather than deadlocking the backend out
+  forever.
 
 The board plugs into ``RuleTable.select`` via :class:`BreakerView`, which
 wraps the controller's health view: a backend is selectable when the
@@ -29,7 +31,10 @@ from functools import partial
 from typing import Callable, Dict, Optional
 
 from repro.core.selector import BackendView
-from repro.qos.config import QosConfig
+
+BREAKER_FAILURE_THRESHOLD = 5  # consecutive failures to open
+BREAKER_OPEN_DURATION = 1.0  # seconds open before probing
+BREAKER_HALF_OPEN_PROBES = 2  # probe successes needed to close
 
 
 class BreakerState(enum.Enum):
@@ -42,19 +47,11 @@ class CircuitBreaker:
     """One backend's breaker; all transitions are driven by ``now``."""
 
     __slots__ = (
-        "failure_threshold", "open_duration", "half_open_probes", "state",
-        "open_count", "_fail_streak", "_opened_at", "_probes_issued",
+        "state", "open_count", "_fail_streak", "_opened_at", "_probes_issued",
         "_probe_successes", "_last_probe_at", "listener",
     )
 
-    def __init__(self, failure_threshold: int = 5,
-                 open_duration: float = 1.0, half_open_probes: int = 2,
-                 listener: Optional[Callable[[BreakerState, BreakerState], None]] = None):
-        if failure_threshold < 1 or half_open_probes < 1:
-            raise ValueError("breaker thresholds must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.open_duration = open_duration
-        self.half_open_probes = half_open_probes
+    def __init__(self, listener: Optional[Callable[[BreakerState, BreakerState], None]] = None):
         self.state = BreakerState.CLOSED
         self.open_count = 0
         self._fail_streak = 0
@@ -84,7 +81,7 @@ class CircuitBreaker:
     def record_success(self, now: float) -> None:
         if self.state is BreakerState.HALF_OPEN:
             self._probe_successes += 1
-            if self._probe_successes >= self.half_open_probes:
+            if self._probe_successes >= BREAKER_HALF_OPEN_PROBES:
                 self._transition(BreakerState.CLOSED, now)
             return
         if self.state is BreakerState.OPEN:
@@ -99,7 +96,7 @@ class CircuitBreaker:
         if self.state is BreakerState.OPEN:
             return
         self._fail_streak += 1
-        if self._fail_streak >= self.failure_threshold:
+        if self._fail_streak >= BREAKER_FAILURE_THRESHOLD:
             self._transition(BreakerState.OPEN, now)
 
     # -------------------------------------------------------------- queries --
@@ -108,13 +105,13 @@ class CircuitBreaker:
         if self.state is BreakerState.CLOSED:
             return True
         if self.state is BreakerState.OPEN:
-            if now - self._opened_at >= self.open_duration:
+            if now - self._opened_at >= BREAKER_OPEN_DURATION:
                 self._transition(BreakerState.HALF_OPEN, now)
                 return True
             return False
         # HALF_OPEN: admit while probe slots remain; recycle stuck slots
-        if self._probes_issued >= self.half_open_probes:
-            if now - self._last_probe_at >= self.open_duration:
+        if self._probes_issued >= BREAKER_HALF_OPEN_PROBES:
+            if now - self._last_probe_at >= BREAKER_OPEN_DURATION:
                 self._probes_issued = self._probe_successes
                 return True
             return False
@@ -130,25 +127,17 @@ class CircuitBreaker:
 class BreakerBoard:
     """All of one instance's breakers, created lazily per backend."""
 
-    def __init__(self, config: QosConfig,
-                 on_transition: Optional[Callable[[str, BreakerState, BreakerState], None]] = None):
-        self.config = config
+    def __init__(self, on_transition: Optional[Callable[[str, BreakerState, BreakerState], None]] = None):
         self.on_transition = on_transition
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     def breaker(self, backend: str) -> CircuitBreaker:
         brk = self._breakers.get(backend)
         if brk is None:
-            cfg = self.config
             listener = None
             if self.on_transition is not None:
                 listener = partial(self.on_transition, backend)
-            brk = self._breakers[backend] = CircuitBreaker(
-                failure_threshold=cfg.breaker_failure_threshold,
-                open_duration=cfg.breaker_open_duration,
-                half_open_probes=cfg.breaker_half_open_probes,
-                listener=listener,
-            )
+            brk = self._breakers[backend] = CircuitBreaker(listener)
         return brk
 
     def record_success(self, backend: str, now: float) -> None:

@@ -1,8 +1,9 @@
 """Configuration for the overload-control plane.
 
-:class:`QosConfig` is pure data sizing the qos mechanisms (admission
-buckets, shedding tiers, circuit breakers, AIMD concurrency limits).  The
-defaults are **armed but neutral**: every mechanism is constructed and
+:class:`QosConfig` is pure data sizing the admission buckets and the
+shedding tiers; the circuit breakers and the concurrency ceiling take
+their thresholds from constants of their own modules.  The defaults are
+**armed but neutral**: every mechanism is constructed and
 consulted on the hot path, yet none of them can trip under a workload
 that stays inside capacity -- which is what lets the golden-trace suite
 assert bit-identical packet schedules with qos constructed but never
@@ -17,7 +18,7 @@ from typing import Optional, Tuple
 
 @dataclass
 class QosConfig:
-    """Knobs for admission, shedding, breakers and backpressure."""
+    """Knobs for admission and shedding."""
 
     # -- per-VIP token-bucket admission (new connections per second, per
     # instance).  None disables rate-based shedding entirely: every SYN
@@ -33,20 +34,3 @@ class QosConfig:
     # Client IP prefix -> tier assignments, e.g. (("172.16.9.", 2),).
     # First matching prefix wins; unmatched clients are tier 0.
     client_tiers: Tuple[Tuple[str, int], ...] = ()
-
-    # -- per-backend circuit breakers
-    breaker_failure_threshold: int = 5  # consecutive failures to open
-    breaker_open_duration: float = 1.0  # seconds open before probing
-    breaker_half_open_probes: int = 2  # probe successes needed to close
-
-    # -- adaptive concurrency (AIMD on observed TCPStore latency):
-    # bounds connection-phase flows in flight, shrinking multiplicatively
-    # when storage ops run slow or fail and growing additively while they
-    # behave.  latency_target None disables the latency-driven decrease,
-    # leaving only the (generous) static ceiling.
-    limiter_initial: int = 512
-    limiter_min: int = 8
-    limiter_latency_target: Optional[float] = None
-    limiter_backoff: float = 0.5  # multiplicative decrease factor
-    limiter_increase: float = 1.0  # additive increase per success window
-    limiter_cooldown: float = 0.5  # min seconds between decreases

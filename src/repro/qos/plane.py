@@ -1,9 +1,9 @@
 """Per-instance bundle of the overload-control mechanisms.
 
 :class:`InstanceQos` is what a :class:`~repro.core.instance.YodaInstance`
-actually holds: the admission controller, the breaker board and the AIMD
-limiter for one VM, wired into that instance's metric registry and the
-observability plane.  All decisions are pure computations on the event
+actually holds: the admission controller, the breaker board and the
+concurrency ceiling for one VM, wired into that instance's metric registry
+and the observability plane.  All decisions are pure computations on the event
 loop's clock -- the qos plane schedules nothing and draws no randomness,
 which is what the qos-armed golden-trace suite pins down.
 """
@@ -16,7 +16,7 @@ from repro.core.selector import BackendView
 from repro.obs import OBS
 from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.qos.breaker import BreakerBoard, BreakerState, BreakerView
-from repro.qos.concurrency import AdaptiveConcurrencyLimiter
+from repro.qos.concurrency import ConcurrencyLimiter
 from repro.qos.config import QosConfig
 
 
@@ -30,9 +30,8 @@ class InstanceQos:
         self.metrics = metrics
         self.name = name
         self.admission = AdmissionController(config)
-        self.breakers = BreakerBoard(
-            config, on_transition=self._on_breaker_transition)
-        self.limiter = AdaptiveConcurrencyLimiter(config)
+        self.breakers = BreakerBoard(on_transition=self._on_breaker_transition)
+        self.limiter = ConcurrencyLimiter()
         self._view_inner: Optional[BackendView] = None
         self._view_cached: Optional[BreakerView] = None
 
@@ -80,8 +79,3 @@ class InstanceQos:
         if OBS.enabled:
             OBS.flight(self.name, "breaker",
                        f"{backend} {old.value} -> {new.value}")
-
-    # ------------------------------------------------------------ backpressure --
-    def observe_kv(self, result) -> None:
-        """KV-op latency feedback (wired to the instance's kv client)."""
-        self.limiter.observe(result.latency, result.ok, result.finished_at)

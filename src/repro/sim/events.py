@@ -204,8 +204,3 @@ class EventLoop:
     def pending_count(self) -> int:
         """Number of pending (non-cancelled) events in the queue."""
         return len(self._heap) - self._heap_dead
-
-    def queue_depth(self) -> int:
-        """Heap entries, live and tombstoned -- what the O(live events)
-        regression test bounds."""
-        return len(self._heap)

@@ -7,11 +7,10 @@ dependencies on hot paths.
 ``Histogram`` is sketch-backed: every observation feeds a streaming
 DDSketch-style quantile sketch (O(1) memory, guaranteed relative error),
 and raw samples are additionally retained only up to ``max_samples``.
-Below that cap, percentiles/CDFs are exact -- so existing experiments and
+Below that cap, percentiles are exact -- so existing experiments and
 tests see bit-identical numbers.  Past the cap the raw samples are
-discarded ("spilled") and quantile reads fall back to the sketch; the
-exact-samples APIs (``samples``/``cdf``/``fraction_above``) then raise
-rather than silently degrade.  Tests that need exactness at any size opt
+discarded ("spilled") and quantile reads fall back to the sketch;
+``samples()`` then raises rather than silently degrade.  Tests that need exactness at any size opt
 in with ``exact=True``.  Raw samples are kept as C doubles (``array('d')``:
 8 bytes each, not a boxed float plus a list slot), the values float
 arithmetic on them uses anyway, so every read returns what a list of the
@@ -20,12 +19,11 @@ same samples gives -- as floats, an observed int included.
 
 from __future__ import annotations
 
-import bisect
 import math
 import weakref
 from array import array
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.sim.sketch import QuantileSketch
 
@@ -211,36 +209,6 @@ class Histogram:
         if not self._count:
             raise ValueError(f"histogram {self.name!r} is empty")
         return self._max
-
-    def cdf(self, points: Optional[int] = None) -> List[Tuple[float, float]]:
-        """Return (value, cumulative_fraction) pairs.
-
-        Args:
-            points: if given, downsample to roughly this many points
-                (always keeping the first and last sample).
-        """
-        if self._count == 0:
-            return []
-        self._require_exact("cdf()")
-        self._ensure_sorted()
-        n = len(self._samples)
-        step = max(1, n // points) if points else 1
-        out = [
-            (self._samples[i], (i + 1) / n)
-            for i in range(0, n, step)
-        ]
-        if out[-1][0] != self._samples[-1]:
-            out.append((self._samples[-1], 1.0))
-        return out
-
-    def fraction_above(self, threshold: float) -> float:
-        """Fraction of samples strictly greater than ``threshold``."""
-        if not self._count:
-            return 0.0
-        self._require_exact("fraction_above()")
-        self._ensure_sorted()
-        idx = bisect.bisect_right(self._samples, threshold)
-        return (len(self._samples) - idx) / len(self._samples)
 
     def samples(self) -> List[float]:
         """A sorted copy of the raw samples."""

@@ -57,9 +57,6 @@ class SeededRng:
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         return self._random.sample(seq, k)
 
-    def shuffle(self, seq: list) -> None:
-        self._random.shuffle(seq)
-
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
 

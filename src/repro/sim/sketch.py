@@ -13,7 +13,7 @@ Buckets are logarithmic: positive value ``v`` lands in bucket
 ``ceil(log(v) / log(gamma))`` with ``gamma = (1 + alpha) / (1 - alpha)``;
 the representative value ``2 * gamma**i / (gamma + 1)`` is within ``alpha``
 of every value the bucket covers.  Count, sum, min and max are tracked
-exactly.  Merging two sketches with the same ``alpha`` is lossless.
+exactly.
 
 No dependency on the rest of the simulator: this module is imported by
 ``repro.sim.metrics`` (the Histogram spill path) and by the observability
@@ -23,7 +23,7 @@ plane's tracer (``repro.obs.span``), and must stay leaf-level.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable
 
 DEFAULT_ALPHA = 0.005  # 0.5 % relative error
 
@@ -89,21 +89,6 @@ class QuantileSketch:
     def extend(self, values: Iterable[float]) -> None:
         for v in values:
             self.add(v)
-
-    def merge(self, other: "QuantileSketch") -> None:
-        if other.alpha != self.alpha:
-            raise ValueError(
-                f"cannot merge sketches with alpha {other.alpha} into {self.alpha}"
-            )
-        for idx, n in other._buckets.items():
-            self._buckets[idx] = self._buckets.get(idx, 0) + n
-        for idx, n in other._neg_buckets.items():
-            self._neg_buckets[idx] = self._neg_buckets.get(idx, 0) + n
-        self._zero += other._zero
-        self._count += other._count
-        self._sum += other._sum
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
 
     # -------------------------------------------------------------- reads --
     def __len__(self) -> int:
@@ -195,26 +180,6 @@ class QuantileSketch:
                     "p99": self.quantile(0.99),
                 },
             )
-        return out
-
-    def cdf_points(self, points: int = 50) -> List[Tuple[float, float]]:
-        """Approximate (value, cumulative_fraction) pairs from the buckets."""
-        if not self._count:
-            return []
-        out: List[Tuple[float, float]] = []
-        seen = 0
-        for idx in sorted(self._neg_buckets, reverse=True):
-            seen += self._neg_buckets[idx]
-            out.append((-self._bucket_value(idx), seen / self._count))
-        if self._zero:
-            seen += self._zero
-            out.append((0.0, seen / self._count))
-        for idx in sorted(self._buckets):
-            seen += self._buckets[idx]
-            out.append((self._bucket_value(idx), seen / self._count))
-        if len(out) > points:
-            step = max(1, len(out) // points)
-            out = out[::step] + ([out[-1]] if out[-1] not in out[::step] else [])
         return out
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ recorded with its simulated timestamp and a structured summary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import List
 
 # Tap scopes (a class attribute ``scope`` on the tap).  An "all" tap is handed
 # a record of every transmission and every delivery.  A tap that only judges
@@ -48,16 +48,6 @@ class TraceRecord:
                 f"{self.summary}{drop}")
 
 
-def canonical_trace_line(rec: TraceRecord) -> str:
-    """One record as a stable, readable line; schedule digests are folded
-    over these.  This is the one rendering the golden-trace suite pins."""
-    return (
-        f"{rec.time:.9f} {rec.point} {rec.direction} "
-        f"{rec.src}>{rec.dst} {rec.flags} seq={rec.seq} ack={rec.ack} "
-        f"len={rec.payload_len}{' DROPPED' if rec.dropped else ''}"
-    )
-
-
 def endpoint_on_host(endpoint: str, addr: str) -> bool:
     """Does the rendered ``endpoint`` ("ip:port") match ``addr`` -- a bare
     IP (any port on that host) or a full "ip:port"?  A bare prefix test
@@ -66,7 +56,7 @@ def endpoint_on_host(endpoint: str, addr: str) -> bool:
 
 
 class PacketTrace:
-    """Accumulates :class:`TraceRecord` entries, with simple filtering."""
+    """Accumulates :class:`TraceRecord` entries."""
 
     def __init__(self, name: str = "trace"):
         self.name = name
@@ -82,44 +72,6 @@ class PacketTrace:
 
     def __iter__(self):
         return iter(self.records)
-
-    def filter(
-        self,
-        predicate: Optional[Callable[[TraceRecord], bool]] = None,
-        *,
-        point: Optional[str] = None,
-        direction: Optional[str] = None,
-        flow_between: Optional[tuple] = None,
-    ) -> List[TraceRecord]:
-        """Select records.
-
-        Args:
-            predicate: arbitrary filter applied last.
-            point: only records captured at this point.
-            direction: "rx" or "tx".
-            flow_between: (addr_a, addr_b) strings -- keep packets whose
-                src/dst endpoints are exactly this unordered pair; a bare
-                IP matches every port on that host (see
-                :func:`endpoint_on_host`).
-        """
-        out: Iterable[TraceRecord] = self.records
-        if point is not None:
-            out = (r for r in out if r.point == point)
-        if direction is not None:
-            out = (r for r in out if r.direction == direction)
-        if flow_between is not None:
-            a, b = flow_between
-
-            def _matches(r: TraceRecord) -> bool:
-                fwd = endpoint_on_host(r.src, a) and endpoint_on_host(r.dst, b)
-                rev = endpoint_on_host(r.src, b) and endpoint_on_host(r.dst, a)
-                return fwd or rev
-
-            out = (r for r in out if _matches(r))
-        result = list(out)
-        if predicate is not None:
-            result = [r for r in result if predicate(r)]
-        return result
 
     def dump(self) -> str:
         """The whole trace as tcpdump-style text."""

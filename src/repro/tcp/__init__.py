@@ -12,7 +12,7 @@ sequence arithmetic lives in its own module they can share.
 
 from repro.tcp.config import TcpConfig
 from repro.tcp.endpoint import ConnectionHandler, TcpConnection, TcpStack
-from repro.tcp.segment import seq_add, seq_between, seq_diff, seq_ge, seq_gt, seq_le, seq_lt
+from repro.tcp.segment import seq_add, seq_diff, seq_lt
 from repro.tcp.state import TcpState
 
 __all__ = [
@@ -24,8 +24,4 @@ __all__ = [
     "seq_add",
     "seq_diff",
     "seq_lt",
-    "seq_le",
-    "seq_gt",
-    "seq_ge",
-    "seq_between",
 ]

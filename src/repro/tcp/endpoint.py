@@ -294,10 +294,6 @@ class TcpConnection:
     def established(self) -> bool:
         return self.state is TcpState.ESTABLISHED
 
-    @property
-    def snd_una(self) -> int:
-        return self._snd_una
-
     # ------------------------------------------------------------- handshake --
     def _active_open(self) -> None:
         self.state = TcpState.SYN_SENT

@@ -42,20 +42,3 @@ def seq_diff(a: int, b: int) -> int:
 
 def seq_lt(a: int, b: int) -> bool:
     return seq_diff(a, b) < 0
-
-
-def seq_le(a: int, b: int) -> bool:
-    return seq_diff(a, b) <= 0
-
-
-def seq_gt(a: int, b: int) -> bool:
-    return seq_diff(a, b) > 0
-
-
-def seq_ge(a: int, b: int) -> bool:
-    return seq_diff(a, b) >= 0
-
-
-def seq_between(low: int, x: int, high: int) -> bool:
-    """True when low <= x < high in sequence space."""
-    return seq_le(low, x) and seq_lt(x, high)

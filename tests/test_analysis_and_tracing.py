@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.analysis.report import render_table
-from repro.analysis.stats import cdf_points, fraction, mean, median, percentile
+from repro.analysis.stats import mean, median, percentile
 from repro.sim.tracing import PacketTrace, TraceRecord, endpoint_on_host
+from tests.trace_tools import trace_filter
 
 
 class TestStats:
@@ -26,16 +27,6 @@ class TestStats:
         assert mean([1.0, 2.0, 3.0]) == 2.0
         with pytest.raises(ValueError):
             mean([])
-
-    def test_cdf_points(self):
-        pts = cdf_points(list(range(10)))
-        assert pts[-1] == (9, 1.0)
-        fracs = [f for _, f in pts]
-        assert fracs == sorted(fracs)
-
-    def test_fraction(self):
-        assert fraction([True, False, True, True]) == 0.75
-        assert fraction([]) == 0.0
 
     @given(st.lists(st.floats(0, 1e6), min_size=1, max_size=60))
     def test_percentile_monotone(self, values):
@@ -78,15 +69,15 @@ class TestPacketTrace:
         trace = PacketTrace()
         trace.record(rec(1.0, point="a", direction="rx"))
         trace.record(rec(2.0, point="b", direction="tx"))
-        assert len(trace.filter(point="a")) == 1
-        assert len(trace.filter(direction="tx")) == 1
+        assert len(trace_filter(trace, point="a")) == 1
+        assert len(trace_filter(trace, direction="tx")) == 1
 
     def test_filter_flow_between(self):
         trace = PacketTrace()
         trace.record(rec(1.0, src="10.0.0.1:80", dst="10.0.0.2:99"))
         trace.record(rec(2.0, src="10.0.0.2:99", dst="10.0.0.1:80"))
         trace.record(rec(3.0, src="10.0.0.3:5", dst="10.0.0.1:80"))
-        pair = trace.filter(flow_between=("10.0.0.1", "10.0.0.2"))
+        pair = trace_filter(trace, flow_between=("10.0.0.1", "10.0.0.2"))
         assert len(pair) == 2
 
     def test_flow_between_bare_ip_does_not_claim_longer_addresses(self):
@@ -98,11 +89,11 @@ class TestPacketTrace:
             trace.record(rec(2.0, src=f"10.0.0.{host}:80", dst="10.0.0.2:99"))
             trace.record(rec(3.0, src="10.0.0.2:99", dst=f"10.0.0.{host}:80"))
         assert len(trace) == 21
-        pair = trace.filter(flow_between=("10.0.0.1", "10.0.0.2"))
+        pair = trace_filter(trace, flow_between=("10.0.0.1", "10.0.0.2"))
         assert [r.time for r in pair] == [1.0]
         # a full endpoint narrows to that port, and is no prefix either
-        assert len(trace.filter(flow_between=("10.0.0.1:80", "10.0.0.2"))) == 1
-        assert trace.filter(flow_between=("10.0.0.1:8", "10.0.0.2")) == []
+        assert len(trace_filter(trace, flow_between=("10.0.0.1:80", "10.0.0.2"))) == 1
+        assert trace_filter(trace, flow_between=("10.0.0.1:8", "10.0.0.2")) == []
 
     def test_endpoint_on_host(self):
         assert endpoint_on_host("10.0.0.1:80", "10.0.0.1")

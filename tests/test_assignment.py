@@ -10,7 +10,6 @@ from repro.core.assignment import (
     InstanceSpec,
     VipSpec,
     plan_update,
-    solve_all_to_all,
     solve_greedy,
     validate_assignment,
 )
@@ -73,15 +72,6 @@ class TestProblem:
 
 
 class TestAllToAll:
-    def test_every_vip_on_every_instance(self):
-        prob = AssignmentProblem(
-            vips=[VipSpec("a", 10, 5, 2), VipSpec("b", 20, 7, 2)],
-            instances=insts(3),
-        )
-        assignment = solve_all_to_all(prob)
-        for vip in prob.vips:
-            assert assignment.mapping[vip.name] == ["y0", "y1", "y2"]
-
     def test_min_instances_for_traffic(self):
         prob = AssignmentProblem(
             vips=[VipSpec("a", 250, 5, 2)], instances=insts(5, traffic=100),

@@ -7,8 +7,6 @@ store-membership bumps exercise the actual control plane.
 
 import math
 
-import pytest
-
 from repro.autoscale import (
     Autoscaler,
     ElasticPolicy,
@@ -20,7 +18,6 @@ from repro.autoscale import (
 from repro.chaos.library import get_scenario
 from repro.core import YodaServiceConfig
 from repro.core.leader import journal_state
-from repro.errors import ScaleEventConflict, SpareExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 
 
@@ -133,18 +130,6 @@ class TestCooldowns:
         assert "cooldown-in" in held.reason
         assert eng.decide(snap(time=18.1, cpu=0.1, live=4)).kind == "in"
 
-    def test_serialized_engine_refuses_during_drain(self):
-        eng = PolicyEngine(ElasticPolicy(
-            scale_down=True, serialize_events=True))
-        for pressure in (0.9, 0.1):
-            decision = eng.decide(snap(cpu=pressure, live=4),
-                                  drain_in_flight=True)
-            assert decision.kind == "hold"
-            assert "conflict" in decision.reason
-        # the default (Fig. 13) policy keeps the quiet behavior
-        quiet = PolicyEngine(ElasticPolicy())
-        assert quiet.decide(snap(cpu=0.9), drain_in_flight=True).kind == "out"
-
 
 class TestPolicyJournal:
     def test_clock_roundtrip(self):
@@ -158,22 +143,31 @@ class TestPolicyJournal:
 
 # =============================================================== engine ==
 def quiet_policy(**overrides):
-    """A policy whose periodic ticks always hold, so tests drive the
-    engine only through operator requests."""
+    """A policy whose periodic ticks always hold."""
     defaults = dict(high_watermark=10.0, low_watermark=-1.0,
-                    serialize_events=True, drain_deadline=3.0,
-                    min_instances=1)
+                    drain_deadline=3.0, min_instances=1)
     defaults.update(overrides)
     return ElasticPolicy(**defaults)
+
+
+def out_policy():
+    """A policy whose every tick adds one instance (an idle deployment's
+    CPU is above a negative watermark)."""
+    return quiet_policy(high_watermark=-1.0)
+
+
+def in_policy():
+    """A policy whose every tick drains one instance."""
+    return quiet_policy(low_watermark=2.0, scale_down=True)
 
 
 class TestSpareAdoption:
     def test_scale_out_adopts_spare_into_mapping(self):
         bed = make_bed(spare_instances=2)
         ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
+        scaler = Autoscaler(ctl, out_policy())
         spare = ctl.spares[0]
-        scaler.request_scale_out(1)
+        scaler.tick()
         bed.run(1.0)
         assert spare.name in ctl.active
         assert spare.ip in bed.l4lb.mapping(bed.vip)
@@ -182,73 +176,37 @@ class TestSpareAdoption:
     def test_no_double_adoption_of_same_spare(self):
         bed = make_bed(spare_instances=2)
         ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
-        scaler.request_scale_out(2)
+        scaler = Autoscaler(ctl, out_policy())
+        scaler.tick()
+        scaler.tick()
         bed.run(1.0)
         assert not ctl.spares
         adopted = [n for n in ctl.instances if ctl.active.get(n)]
         assert len(adopted) == len(set(adopted)) == 5
 
-    def test_spare_exhaustion_is_typed(self):
-        bed = make_bed(spare_instances=0)
-        scaler = Autoscaler(bed.yoda.controller, quiet_policy())
-        with pytest.raises(SpareExhausted):
-            scaler.request_scale_out(1)
-
-    def test_partial_adoption_records_starvation(self):
-        bed = make_bed(spare_instances=1)
-        scaler = Autoscaler(bed.yoda.controller, quiet_policy())
-        with pytest.raises(SpareExhausted):
-            scaler.request_scale_out(2)
-        # the one available spare WAS adopted before the starvation raise
-        assert [e.kind for e in scaler.events] == ["out", "starved"]
-        assert scaler.events[0].count == 1
-
 
 class TestDrainRaces:
-    def test_scale_out_refused_while_drain_in_flight(self):
-        bed = make_bed(spare_instances=1, num_lb_instances=4)
-        ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
-        victim = next(iter(ctl.active))
-        ctl.drain_instance(victim, deadline=2.0, to_spare=True)
-        assert scaler.in_flight()
-        with pytest.raises(ScaleEventConflict):
-            scaler.request_scale_out(1)
-        # the policy engine refuses the same way on its periodic path
-        decision = scaler.engine.decide(snap(cpu=0.9, live=3),
-                                        drain_in_flight=True)
-        assert decision.kind == "hold"
-
     def test_scale_out_allowed_after_drain_completes(self):
         bed = make_bed(spare_instances=1, num_lb_instances=4)
         ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
+        scaler = Autoscaler(ctl, out_policy())
         victim = next(iter(ctl.active))
         ctl.drain_instance(victim, deadline=1.0, to_spare=True)
         bed.run(3.0)
         assert not ctl.draining
-        scaler.request_scale_out(1)
+        scaler.tick()
         assert scaler.events[-1].kind == "out"
 
     def test_scale_in_drains_make_before_break_to_spare(self):
         bed = make_bed(num_lb_instances=4)
         ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
-        scaler.request_scale_in(1)
+        scaler = Autoscaler(ctl, in_policy())
+        scaler.tick()
         assert len(ctl.draining) == 1
         drained = next(iter(ctl.draining))
         bed.run(5.0)
         assert not ctl.draining
         assert any(s.name == drained for s in ctl.spares)
-
-    def test_cooldown_in_blocks_operator_whiplash(self):
-        bed = make_bed(spare_instances=1, num_lb_instances=4)
-        scaler = Autoscaler(bed.yoda.controller,
-                            quiet_policy(cooldown_in=30.0, scale_down=True))
-        scaler.request_scale_out(1)
-        with pytest.raises(ScaleEventConflict):
-            scaler.request_scale_in(1)
 
 
 class TestStoreScaling:
@@ -272,8 +230,8 @@ class TestEngineJournal:
     def test_events_and_clocks_survive_restore(self):
         bed = make_bed(spare_instances=1)
         ctl = bed.yoda.controller
-        scaler = Autoscaler(ctl, quiet_policy())
-        scaler.request_scale_out(1)
+        scaler = Autoscaler(ctl, out_policy())
+        scaler.tick()
         state = scaler.journal_state()
         assert state["event_count"] == 1
 
@@ -304,7 +262,7 @@ class TestScaleChurnRegressions:
         inst = bed.yoda.instances[0]
         snat = bed.l4lb.snat
         first = inst.snat_ports.alloc(bed.vip)
-        lo_old, hi_old = snat.range_of(bed.vip, inst.ip)
+        lo_old, hi_old = snat.ensure_range(bed.vip, inst.ip)  # the block held
         assert lo_old <= first < hi_old
         snat.release(bed.vip, inst.ip)
         snat.ensure_range(bed.vip, "10.9.9.9")  # takes the freed block

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
+from tests.trace_tools import trace_filter
 
 
 def make_bed(**overrides):
@@ -40,9 +41,9 @@ class TestProxying:
     def test_backend_sees_proxy_ip_not_vip(self):
         bed = make_bed(trace_packets=True)
         fetch(bed)
-        backend_rx = bed.trace.filter(point="srv-0", direction="rx")
-        backend_rx += bed.trace.filter(point="srv-1", direction="rx")
-        backend_rx += bed.trace.filter(point="srv-2", direction="rx")
+        backend_rx = trace_filter(bed.trace, point="srv-0", direction="rx")
+        backend_rx += trace_filter(bed.trace, point="srv-1", direction="rx")
+        backend_rx += trace_filter(bed.trace, point="srv-2", direction="rx")
         assert backend_rx
         for rec in backend_rx:
             assert rec.src.startswith("10.4."), rec  # proxy's own address
@@ -50,7 +51,7 @@ class TestProxying:
     def test_client_sees_vip(self):
         bed = make_bed(trace_packets=True)
         fetch(bed)
-        for rec in bed.trace.filter(point="client-0", direction="rx"):
+        for rec in trace_filter(bed.trace, point="client-0", direction="rx"):
             assert rec.src.startswith("100.0.0.1:80")
 
     def test_rule_scan_recorded(self):

@@ -6,6 +6,7 @@ from repro.chaos.faults import crash
 from repro.chaos.library import BUILTIN_SCENARIOS, get_scenario, scenario_names
 from repro.chaos.scenario import Scenario, ScenarioEngine, run_contrast, run_scenario
 from repro.sim.tracing import PacketTrace
+from tests.trace_tools import trace_filter
 
 # (invariant, checked, violation_count) in report order, recorded at the
 # commit before the invariants shared one base class: the HAProxy leg of
@@ -114,7 +115,7 @@ class TestEngine:
         assert engine.bed is bed
         sent = bed.network.metrics.counter("tx_packets").value
         assert sent > 0
-        assert len(trace.filter(direction="tx")) == sent
+        assert len(trace_filter(trace, direction="tx")) == sent
         assert outcome.trace_digest == run_scenario(
             tiny_scenario(), lb="yoda", seed=7).trace_digest
 

@@ -186,13 +186,6 @@ class TestVipLifecycle:
         with pytest.raises(ControllerError):
             bed.yoda.controller.update_policy(ghost)
 
-    def test_set_assignment_restricts_mapping(self):
-        bed = make_bed()
-        keep = [bed.yoda.instances[0].name]
-        bed.yoda.controller.set_assignment(bed.vip, keep)
-        bed.run(0.5)
-        assert bed.l4lb.mapping(bed.vip) == [bed.yoda.instances[0].ip]
-
 
 class TestInstanceLifecycle:
     def test_add_instance_joins_all_vips(self):

@@ -25,6 +25,7 @@ from repro.sim.cpu import CpuModel
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.sim.tracing import PacketTrace
+from tests.trace_tools import trace_filter
 
 
 def make_bed(**overrides) -> Testbed:
@@ -64,19 +65,19 @@ class TestBasicOperation:
     def test_client_only_ever_talks_to_vip(self):
         bed = make_bed()
         fetch(bed)
-        for rec in bed.trace.filter(point="client-0", direction="rx"):
+        for rec in trace_filter(bed.trace, point="client-0", direction="rx"):
             assert rec.src.startswith("100.0.0.1:80"), rec
 
     def test_server_only_ever_talks_to_vip(self):
         bed = make_bed()
         fetch(bed)
-        for rec in bed.trace.filter(point="srv-0", direction="rx"):
+        for rec in trace_filter(bed.trace, point="srv-0", direction="rx"):
             assert rec.src.startswith("100.0.0.1:"), rec
 
     def test_synack_isn_is_the_hash(self):
         bed = make_bed()
         fetch(bed)
-        synacks = [r for r in bed.trace.filter(point="client-0", direction="rx")
+        synacks = [r for r in trace_filter(bed.trace, point="client-0", direction="rx")
                    if r.flags == "S."]
         assert synacks
         client_ep = Endpoint.parse(synacks[0].dst)

@@ -36,7 +36,8 @@ import pytest
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import ScenarioEngine
-from repro.sim.tracing import TraceRecord, canonical_trace_line
+from repro.sim.tracing import TraceRecord
+from tests.trace_tools import canonical_trace_line
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_SCHEMA = "golden-trace/v1"
@@ -368,7 +369,7 @@ def test_golden_trace_obs_enabled(name):
     try:
         recorder, outcome = run_golden_scenario(name)
         spans_recorded = len(OBS.tracer.spans)
-        flight_events = OBS.recorders.total_events()
+        flight_events = sum(r.total for r in OBS.recorders._recorders.values())
     finally:
         OBS.disable()
     # the plane must have been genuinely live, not a disabled no-op

@@ -8,6 +8,7 @@ from repro.http.message import HttpRequest
 from repro.http.parser import HttpParser
 from repro.net.addresses import Endpoint
 from repro.tcp.endpoint import ConnectionHandler
+from tests.trace_tools import trace_filter
 
 
 def make_bed(**overrides):
@@ -135,7 +136,7 @@ class TestBackendSwitching:
         content_switching_policy(bed)
         run_keepalive(bed, ["/obj/0.bin", "/obj/1.bin"])
         # the retired srv-0 connection received a RST from the VIP
-        rsts = [r for r in bed.trace.filter(point="srv-0", direction="rx")
+        rsts = [r for r in trace_filter(bed.trace, point="srv-0", direction="rx")
                 if "R" in r.flags]
         assert rsts, "old backend connection was not torn down"
 

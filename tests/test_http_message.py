@@ -89,12 +89,10 @@ class TestHttpRequest:
         req = HttpRequest("GET", "/", headers={"Cookie": "a=1; session=xyz; b=2"})
         assert req.cookie("session") == "xyz"
         assert req.cookie("missing") is None
-        assert req.cookies == {"a": "1", "session": "xyz", "b": "2"}
 
     def test_no_cookie_header(self):
         req = HttpRequest("GET", "/")
         assert req.cookie("a") is None
-        assert req.cookies == {}
 
 
 class TestHttpResponse:

@@ -79,7 +79,7 @@ class TestFlowStateRepairer:
         rep.start()
         loop.run(until=loop.now() + 1.0)
         assert rep.repairs_issued == 0
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
 
     def test_rereplicates_after_replica_set_moves(self, repair_world):
         loop, servers, cluster, kv = repair_world
@@ -114,9 +114,9 @@ class TestFlowStateRepairer:
         cluster.mark_dead(victim.name)
         loop.run(until=loop.now() + 0.15)  # first sweep: burst-limited
         assert 0 < rep.repairs_issued <= 6
-        assert rep.backlog > 0
+        assert len(rep._queue) > 0
         loop.run(until=loop.now() + 3.0)  # rate (20/s) drains the rest
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
 
     def test_crashed_instance_abandons_its_queue(self, repair_world):
         loop, servers, cluster, kv = repair_world
@@ -130,10 +130,10 @@ class TestFlowStateRepairer:
         victim.fail()
         cluster.mark_dead(victim.name)
         loop.run(until=loop.now() + 0.15)
-        assert rep.backlog > 0
+        assert len(rep._queue) > 0
         kv.host.fail()  # the instance itself dies: its flows re-home
         loop.run(until=loop.now() + 0.5)
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
 
     def test_unowned_keys_are_dropped_from_the_queue(self, repair_world):
         loop, servers, cluster, kv = repair_world
@@ -148,10 +148,10 @@ class TestFlowStateRepairer:
         victim.fail()
         cluster.mark_dead(victim.name)
         loop.run(until=loop.now() + 0.15)
-        assert rep.backlog == 2  # bucket too slow to drain anything
+        assert len(rep._queue) == 2  # bucket too slow to drain anything
         owned.pop(0)  # the "gone" flow closes
         victim2 = next(s for s in servers if not s.host.failed)
         victim2.fail()
         cluster.mark_dead(victim2.name)  # next epoch triggers a re-scan
         loop.run(until=loop.now() + 0.15)
-        assert rep.backlog == 1
+        assert len(rep._queue) == 1

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import AddressError
 from repro.net import addresses
-from repro.net.addresses import Endpoint, EphemeralPorts, IpAllocator, validate_ip
+from repro.net.addresses import Endpoint, EphemeralPorts, validate_ip
 
 
 def _raises_address_error(check, text):
@@ -126,25 +126,6 @@ class TestEndpoint:
     def test_any_valid_endpoint_roundtrips(self, c, d, port):
         ep = Endpoint(f"10.0.{c}.{d}", port)
         assert Endpoint.parse(str(ep)) == ep
-
-
-class TestIpAllocator:
-    def test_sequential_unique(self):
-        alloc = IpAllocator("10.5")
-        ips = [alloc.next() for _ in range(300)]
-        assert len(set(ips)) == 300
-        assert ips[0] == "10.5.0.1"
-
-    def test_all_valid(self):
-        alloc = IpAllocator("10.5")
-        for ip in alloc.take(600):
-            validate_ip(ip)
-
-    def test_bad_prefix(self):
-        with pytest.raises(AddressError):
-            IpAllocator("300.1")
-        with pytest.raises(AddressError):
-            IpAllocator("10.0.0")
 
 
 class TestEphemeralPorts:

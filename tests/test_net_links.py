@@ -3,15 +3,13 @@
 import pytest
 
 from repro.net.addresses import Endpoint
-from repro.net.links import (
-    BandwidthLatency, FixedLatency, JitterLatency, LognormalLatency,
-)
+from repro.net.links import FixedLatency, JitterLatency
 from repro.net.packet import Packet
 from repro.sim.random import SeededRng
 
 
 PKT = Packet(src=Endpoint("1.1.1.1", 1), dst=Endpoint("2.2.2.2", 2),
-             payload=b"x" * 960)  # wire_len = 1000
+             payload=b"x" * 960)
 
 
 @pytest.fixture
@@ -47,32 +45,3 @@ class TestJitterLatency:
             JitterLatency(-1, 0)
         with pytest.raises(ValueError):
             JitterLatency(0, -1)
-
-
-class TestLognormalLatency:
-    def test_always_above_base(self, rng):
-        model = LognormalLatency(base=0.02, mu=-5.0, sigma=0.5)
-        for _ in range(100):
-            assert model.delay(PKT, rng) > 0.02
-
-    def test_cap_bounds_the_tail(self, rng):
-        model = LognormalLatency(base=0.0, mu=0.0, sigma=2.0, cap=0.05)
-        for _ in range(200):
-            assert model.delay(PKT, rng) <= 0.05
-
-    def test_rejects_negative_base(self):
-        with pytest.raises(ValueError):
-            LognormalLatency(base=-1, mu=0, sigma=1)
-
-
-class TestBandwidthLatency:
-    def test_serialization_scales_with_size(self, rng):
-        model = BandwidthLatency(base=0.001, bytes_per_second=1_000_000)
-        d = model.delay(PKT, rng)
-        assert d == pytest.approx(0.001 + 1000 / 1_000_000)
-        small = Packet(src=PKT.src, dst=PKT.dst)
-        assert model.delay(small, rng) < d
-
-    def test_rejects_zero_rate(self):
-        with pytest.raises(ValueError):
-            BandwidthLatency(0.0, 0.0)

@@ -2,7 +2,7 @@
 
 from repro.net.addresses import Endpoint
 from repro.net.packet import (
-    ACK, FIN, IP_TCP_HEADER_BYTES, PSH, RST, SYN,
+    ACK, FIN, PSH, RST, SYN,
     Packet, flags_to_str,
 )
 
@@ -26,11 +26,6 @@ class TestFlags:
 
 
 class TestSizes:
-    def test_wire_len_includes_headers(self):
-        pkt = Packet(src=A, dst=B, payload=b"x" * 100)
-        assert pkt.wire_len == IP_TCP_HEADER_BYTES + 100
-        assert pkt.payload_len == 100
-
     def test_seq_span_counts_syn_and_fin(self):
         assert Packet(src=A, dst=B, flags=SYN).seq_span == 1
         assert Packet(src=A, dst=B, flags=FIN | ACK).seq_span == 1

@@ -3,7 +3,7 @@
 The sketch's whole contract is one guarantee: every quantile estimate is
 within relative error ``alpha`` of the exact sample quantile.  These tests
 assert that bound on seeded uniform, lognormal, and adversarially sorted
-streams, on hypothesis-generated streams, and across merges -- plus the
+streams and on hypothesis-generated streams -- plus the
 ``Histogram`` spill semantics built on top.
 """
 
@@ -109,27 +109,6 @@ class TestSketchStreams:
         assert sketch.quantile(0.0) == min(values)
         assert sketch.quantile(1.0) == max(values)
 
-    def test_merge_equals_combined_stream(self):
-        rng = random.Random(11)
-        a_vals = [rng.lognormvariate(0, 1) for _ in range(4_000)]
-        b_vals = [rng.uniform(0.01, 100.0) for _ in range(4_000)]
-        a, b = QuantileSketch(), QuantileSketch()
-        a.extend(a_vals)
-        b.extend(b_vals)
-        a.merge(b)
-        combined = QuantileSketch()
-        combined.extend(a_vals + b_vals)
-        assert a.count == combined.count
-        for q in QUANTILES:
-            assert a.quantile(q) == combined.quantile(q)
-        assert_within_alpha(a, a_vals + b_vals, "merged")
-
-    def test_merge_requires_same_alpha(self):
-        a = QuantileSketch(alpha=0.005)
-        b = QuantileSketch(alpha=0.01)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_empty_sketch_raises(self):
         with pytest.raises(ValueError):
             QuantileSketch().quantile(0.5)
@@ -166,10 +145,8 @@ class TestHistogramSpill:
         hist = Histogram("h", max_samples=10)
         hist.extend(range(1, 50))
         assert hist.spilled
-        for call in (hist.samples, hist.cdf,
-                     lambda: hist.fraction_above(3.0)):
-            with pytest.raises(RuntimeError, match="exact=True"):
-                call()
+        with pytest.raises(RuntimeError, match="exact=True"):
+            hist.samples()
 
     def test_exact_mode_never_spills(self):
         hist = Histogram("h", exact=True, max_samples=10)
@@ -178,4 +155,3 @@ class TestHistogramSpill:
         assert not hist.spilled
         assert hist.samples() == [float(v) for v in values] or \
             hist.samples() == values
-        assert hist.fraction_above(100) == pytest.approx(99 / 199)

@@ -7,14 +7,21 @@ the packet fast path.
 
 import pytest
 
+from repro.qos import breaker
 from repro.qos.breaker import BreakerBoard, BreakerState, BreakerView, CircuitBreaker
-from repro.qos.config import QosConfig
 
 
-def make(**kw):
-    defaults = dict(failure_threshold=3, open_duration=1.0, half_open_probes=2)
-    defaults.update(kw)
-    return CircuitBreaker(**defaults)
+@pytest.fixture(autouse=True)
+def three_failures_open(monkeypatch):
+    """Three consecutive failures open a breaker here (five in a run);
+    open 1.0 s and two probes are the module's own values."""
+    monkeypatch.setattr(breaker, "BREAKER_FAILURE_THRESHOLD", 3)
+    monkeypatch.setattr(breaker, "BREAKER_OPEN_DURATION", 1.0)
+    monkeypatch.setattr(breaker, "BREAKER_HALF_OPEN_PROBES", 2)
+
+
+def make(listener=None):
+    return CircuitBreaker(listener)
 
 
 class TestClosed:
@@ -46,12 +53,6 @@ class TestClosed:
         brk.record_failure(0.4)
         brk.record_failure(0.5)
         assert brk.state is BreakerState.CLOSED
-
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_probes=0)
 
 
 class TestOpenAndHalfOpen:
@@ -125,16 +126,16 @@ class TestOpenAndHalfOpen:
 
 
 class TestBoard:
-    def config(self):
-        return QosConfig(breaker_failure_threshold=2,
-                         breaker_open_duration=1.0)
+    @pytest.fixture(autouse=True)
+    def two_failures_open(self, monkeypatch):
+        monkeypatch.setattr(breaker, "BREAKER_FAILURE_THRESHOLD", 2)
 
     def test_unknown_backend_allows(self):
-        board = BreakerBoard(self.config())
+        board = BreakerBoard()
         assert board.allow("srv-0", 0.0)
 
     def test_per_backend_isolation(self):
-        board = BreakerBoard(self.config())
+        board = BreakerBoard()
         board.record_failure("srv-0", 0.1)
         board.record_failure("srv-0", 0.2)
         assert not board.allow("srv-0", 0.3)
@@ -143,8 +144,7 @@ class TestBoard:
 
     def test_transition_callback_names_the_backend(self):
         seen = []
-        board = BreakerBoard(self.config(),
-                             on_transition=lambda b, old, new: seen.append(b))
+        board = BreakerBoard(on_transition=lambda b, old, new: seen.append(b))
         board.record_failure("srv-2", 0.1)
         board.record_failure("srv-2", 0.2)
         assert seen == ["srv-2"]
@@ -162,8 +162,9 @@ class _StaticView:
 
 
 class TestView:
-    def test_healthy_requires_monitor_and_breaker(self):
-        board = BreakerBoard(QosConfig(breaker_failure_threshold=1))
+    def test_healthy_requires_monitor_and_breaker(self, monkeypatch):
+        monkeypatch.setattr(breaker, "BREAKER_FAILURE_THRESHOLD", 1)
+        board = BreakerBoard()
         view = BreakerView(_StaticView(), board, clock=lambda: 5.0)
         assert view.is_healthy("srv-0")
         board.record_failure("srv-0", 5.0)
@@ -171,15 +172,16 @@ class TestView:
         assert view.is_healthy("srv-1")
 
     def test_monitor_veto_wins(self):
-        board = BreakerBoard(QosConfig())
+        board = BreakerBoard()
         view = BreakerView(_StaticView(healthy=False), board,
                            clock=lambda: 0.0)
         assert not view.is_healthy("srv-0")
 
-    def test_load_passthrough_and_probe_metering(self):
-        board = BreakerBoard(QosConfig(breaker_failure_threshold=1,
-                                       breaker_half_open_probes=1,
-                                       breaker_open_duration=0.5))
+    def test_load_passthrough_and_probe_metering(self, monkeypatch):
+        monkeypatch.setattr(breaker, "BREAKER_FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(breaker, "BREAKER_HALF_OPEN_PROBES", 1)
+        monkeypatch.setattr(breaker, "BREAKER_OPEN_DURATION", 0.5)
+        board = BreakerBoard()
         now = {"t": 0.0}
         view = BreakerView(_StaticView(), board, clock=lambda: now["t"])
         assert view.load("srv-0") == 0.25

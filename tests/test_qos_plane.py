@@ -1,4 +1,4 @@
-"""The overload-control plane: admission units, AIMD limiter, SNAT
+"""The overload-control plane: admission units, the concurrency ceiling, SNAT
 exhaustion, SYN-stage shedding, and drain-based scale-in."""
 
 import pytest
@@ -8,7 +8,8 @@ from repro.errors import SnatExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.l4lb.snat import SnatAllocator
 from repro.qos.admission import AdmissionController, TokenBucket
-from repro.qos.concurrency import AdaptiveConcurrencyLimiter
+from repro.qos import concurrency
+from repro.qos.concurrency import ConcurrencyLimiter
 from repro.qos.config import QosConfig
 from repro.qos.plane import InstanceQos
 from repro.sim.metrics import MetricRegistry
@@ -81,44 +82,13 @@ class TestAdmission:
 
 
 class TestLimiter:
-    def test_acquire_release_bounds_inflight(self):
-        lim = AdaptiveConcurrencyLimiter(QosConfig(limiter_initial=2))
+    def test_acquire_release_bounds_inflight(self, monkeypatch):
+        monkeypatch.setattr(concurrency, "LIMITER_CEILING", 2)
+        lim = ConcurrencyLimiter()
         assert lim.try_acquire() and lim.try_acquire()
         assert not lim.try_acquire()
         lim.release()
         assert lim.try_acquire()
-
-    def test_no_target_means_static_limit(self):
-        lim = AdaptiveConcurrencyLimiter(QosConfig(limiter_initial=4))
-        lim.observe(99.0, ok=False, now=1.0)
-        assert lim.limit == 4.0 and lim.decreases == 0
-
-    def test_multiplicative_decrease_respects_cooldown(self):
-        lim = AdaptiveConcurrencyLimiter(QosConfig(
-            limiter_initial=100, limiter_latency_target=0.05,
-            limiter_backoff=0.5, limiter_cooldown=1.0))
-        lim.observe(0.2, ok=True, now=0.0)
-        assert lim.limit == 50.0
-        lim.observe(0.2, ok=True, now=0.5)  # inside cooldown
-        assert lim.limit == 50.0 and lim.decreases == 1
-        lim.observe(0.01, ok=False, now=1.5)  # failure also decreases
-        assert lim.limit == 25.0 and lim.decreases == 2
-
-    def test_decrease_clamps_at_floor(self):
-        lim = AdaptiveConcurrencyLimiter(QosConfig(
-            limiter_initial=10, limiter_min=8,
-            limiter_latency_target=0.05, limiter_backoff=0.1,
-            limiter_cooldown=0.0))
-        lim.observe(1.0, ok=True, now=0.0)
-        assert lim.limit == 8.0
-
-    def test_additive_increase_after_healthy_window(self):
-        lim = AdaptiveConcurrencyLimiter(QosConfig(
-            limiter_initial=3, limiter_latency_target=0.05,
-            limiter_increase=1.0))
-        for i in range(3):
-            lim.observe(0.01, ok=True, now=float(i))
-        assert lim.limit == 4.0 and lim.increases == 1
 
 
 class TestInstanceQos:
@@ -126,8 +96,9 @@ class TestInstanceQos:
         return InstanceQos(QosConfig(**kw), clock=lambda: 0.0,
                            metrics=MetricRegistry("test"), name="yoda-t")
 
-    def test_concurrency_refusal_and_release(self):
-        qos = self.make(limiter_initial=1)
+    def test_concurrency_refusal_and_release(self, monkeypatch):
+        monkeypatch.setattr(concurrency, "LIMITER_CEILING", 1)
+        qos = self.make()
         assert qos.admit_syn("v", "172.16.0.1").admitted
         refused = qos.admit_syn("v", "172.16.0.1")
         assert not refused.admitted and refused.reason == "concurrency"
@@ -208,8 +179,8 @@ class TestDrain:
         bed = small_bed()
         procs = bed.closed_loop(2, http_timeout=5.0)
         bed.run(1.0)
-        victim = bed.yoda.instances[0].name
-        status = bed.yoda.controller.drain_instance(victim)
+        victim = bed.yoda.instances[0]
+        status = bed.yoda.controller.drain_instance(victim.name)
         bed.run(6.0)
         for proc in procs:
             proc.stop()
@@ -217,8 +188,8 @@ class TestDrain:
         assert status.done and status.state.value == "drained"
         ctl = bed.yoda.controller
         assert ctl.metrics.counters["drains_completed"].value == 1
-        assert victim not in ctl.live_instance_names()
-        assert not bed.yoda.instance_by_name(victim).flows
+        assert victim.name not in ctl.live_instance_names()
+        assert not victim.flows
         assert sum(p.broken_pages for p in procs) == 0
         assert sum(p.pages_loaded for p in procs) > 0
 
@@ -229,9 +200,9 @@ class TestDrain:
                         client_one_way_latency=0.080)
         procs = bed.closed_loop(2, http_timeout=30.0)
         bed.run(1.0)
-        victim = bed.yoda.instances[0].name
-        had_flows = len(bed.yoda.instance_by_name(victim).flows)
-        status = bed.yoda.controller.drain_instance(victim, deadline=0.5)
+        victim = bed.yoda.instances[0]
+        had_flows = len(victim.flows)
+        status = bed.yoda.controller.drain_instance(victim.name, deadline=0.5)
         bed.run(20.0)
         for proc in procs:
             proc.stop()
@@ -251,7 +222,7 @@ class TestDrain:
 
     def test_draining_instance_refuses_new_syns_silently(self):
         bed = small_bed()
-        victim = bed.yoda.instance_by_name(bed.yoda.instances[0].name)
+        victim = bed.yoda.instances[0]
         victim.start_drain()
         assert victim.draining
 

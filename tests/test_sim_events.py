@@ -113,7 +113,7 @@ def test_non_finite_time_is_refused_at_scheduling(bad):
         loop.call_at(bad, lambda: None)
     with pytest.raises(SimulationError):
         loop.call_later(bad, lambda: None)
-    assert loop.pending_count() == 0 and loop.queue_depth() == 0
+    assert loop.pending_count() == 0 and len(loop._heap) == 0
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -209,7 +209,7 @@ def test_queue_depth_stays_o_live_under_churn(delay):
     for _ in range(_CHURN):
         loop.call_later(delay, lambda: None).cancel()
     assert loop.pending_count() == 10
-    assert loop.queue_depth() <= 10 + _SLACK
+    assert len(loop._heap) <= 10 + _SLACK
 
 
 def test_queue_drains_completely():
@@ -220,7 +220,7 @@ def test_queue_drains_completely():
             ev.cancel()
     loop.run()
     assert loop.pending_count() == 0
-    assert loop.queue_depth() == 0
+    assert len(loop._heap) == 0
 
 
 # -- a loop advanced in slices fires what one continuous run fires ----------

@@ -1,6 +1,5 @@
 """Counters, gauges, histograms, time series."""
 
-import bisect
 import math
 import random
 import struct
@@ -73,21 +72,6 @@ class TestHistogram:
         h.observe(0)
         assert h.min() == 0
 
-    def test_cdf_reaches_one(self):
-        h = Histogram()
-        h.extend(range(100))
-        cdf = h.cdf(points=10)
-        assert cdf[-1] == (99, 1.0)
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-
-    def test_fraction_above(self):
-        h = Histogram()
-        h.extend([1, 2, 3, 4])
-        assert h.fraction_above(2) == 0.5
-        assert h.fraction_above(10) == 0.0
-        assert h.fraction_above(0) == 1.0
-
     def test_single_sample(self):
         h = Histogram()
         h.observe(7.0)
@@ -135,18 +119,6 @@ class ListHistogram:
     def quantile(self, q):
         return self.percentile(q * 100.0)
 
-    def cdf(self, points):
-        xs = self.exact()
-        step = max(1, len(xs) // points) if points else 1
-        out = [(xs[i], (i + 1) / len(xs)) for i in range(0, len(xs), step)]
-        if out[-1][0] != xs[-1]:
-            out.append((xs[-1], 1.0))
-        return out
-
-    def fraction_above(self, threshold):
-        xs = self.exact()
-        return (len(xs) - bisect.bisect_right(xs, threshold)) / len(xs)
-
     def samples(self):
         return self.exact()
 
@@ -174,9 +146,6 @@ def reads(h):
     return (
         [bits(lambda p=p: h.percentile(p)) for p in range(101)]
         + [bits(lambda q=q: h.quantile(q / 8)) for q in range(9)]
-        + [bits(lambda n=n: h.cdf(n)) for n in (None, 1, 3, 10, 64)]
-        + [bits(lambda t=t: h.fraction_above(t))
-           for t in (-math.inf, -50, -1.5, 0, 0.5, 3, 99.9, math.inf)]
         + [bits(h.samples), bits(h.mean)]
     )
 

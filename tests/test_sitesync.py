@@ -44,7 +44,7 @@ class TestShipping:
         rep.note("yoda:c:1.1.1.1:5:vip:80", b"state-1", (3, "yoda-0"))
         loop.run(until=1.0)
         assert rep.records_shipped == 1
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
         for s in servers:
             assert s.peek("yoda:c:1.1.1.1:5:vip:80") == b"state-1"
             assert s.peek_version("yoda:c:1.1.1.1:5:vip:80") == (3, "yoda-0")
@@ -92,7 +92,7 @@ class TestPromotion:
             rep.note(f"k{i}", b"v", (1, "yoda-0"))
         lost = rep.promote()
         assert lost == 7
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
         # idempotent: a second promotion reports the same loss
         assert rep.promote() == 7
 
@@ -102,7 +102,7 @@ class TestPromotion:
         rep.note("k", b"v", (1, "yoda-0"))
         rep.note_delete("k2", (1, "yoda-0"))
         loop.run(until=1.0)
-        assert rep.backlog == 0
+        assert len(rep._queue) == 0
         assert rep.records_shipped == 0
         assert holders(servers, "k") == set()
 
@@ -112,7 +112,7 @@ class TestPromotion:
         rep.kv.host.fail()
         loop.run(until=1.0)
         assert holders(servers, "k") == set()
-        assert rep.backlog == 1  # the backlog IS the data loss at kill
+        assert len(rep._queue) == 1  # the backlog IS the data loss at kill
 
 
 class TestSupersession:

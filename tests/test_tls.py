@@ -10,6 +10,7 @@ from repro.http import tls
 from repro.http.client import HttpsFetcher
 from repro.http.message import HttpRequest
 from repro.net.addresses import Endpoint
+from tests.trace_tools import trace_filter
 
 CERT = tls.Certificate("secure.example", size=3_000)
 
@@ -104,8 +105,8 @@ class TestHttpsThroughYoda:
         # backend's duplicate handshake flight was suppressed: the client
         # got cert-length + response bytes, not 2x cert
         rx_bytes = sum(
-            r.payload_len for r in bed.trace.filter(point="client-0",
-                                                    direction="rx")
+            r.payload_len for r in trace_filter(bed.trace, point="client-0",
+                                                direction="rx")
         )
         flight = len(tls.certificate_flight(CERT))
         response_records = len(tls.app_data(b"")) + 40_000 + 200  # + headers

@@ -18,7 +18,8 @@ from repro.net.network import CAPTURE_DUPLICATE, CAPTURE_WIRE_DROP, Network
 from repro.net.packet import _FLAG_STR, Packet, flags_to_str
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
-from repro.sim.tracing import PacketTrace, canonical_trace_line
+from repro.sim.tracing import PacketTrace
+from tests.trace_tools import canonical_trace_line
 
 octet = st.integers(0, 255)
 endpoints = st.builds(
