@@ -11,9 +11,8 @@ Covers the steady-state formulation (Eq. 1-3); update constraints
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import InfeasibleError

@@ -15,9 +15,9 @@ for the LP-rounding solver.  Heuristics, in order:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.core.assignment.problem import Assignment, AssignmentProblem, VipSpec
+from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import AssignmentError, InfeasibleError
 
 
@@ -136,9 +136,10 @@ def solve_greedy(
         # of connections (Fig. 16(e)).
         tiers: List[List[str]] = [
             [n for n in pin if n in states],
+            # most old connections first; ties by name, not by hash order
             sorted(
                 (n for n in old if n in states),
-                key=lambda n: -(problem.old_connections or {}).get((vip.name, n), 0.0),
+                key=lambda n: (-(problem.old_connections or {}).get((vip.name, n), 0.0), n),
             ) if limit_mode else [],
             # best-fit decreasing: prefer the opened instance with the
             # least leftover capacity in the VIP's dominant dimension --
@@ -176,7 +177,7 @@ def solve_greedy(
             )
         # migration accounting (Eq. 6-7)
         if limit_mode and problem.old_connections:
-            lost = [n for n in old if n not in chosen]
+            lost = [n for n in sorted(old) if n not in chosen]
             moved = sum(
                 (problem.old_connections or {}).get((vip.name, n), 0.0) for n in lost
             )

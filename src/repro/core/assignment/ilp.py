@@ -13,7 +13,7 @@ approximation can cost instances but never correctness.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.assignment.constraints import validate_assignment
 from repro.core.assignment.greedy import compact_assignment, solve_greedy

@@ -9,13 +9,10 @@ two points ... we increased the limit by increments of 10%").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.core.assignment.constraints import (
-    transient_overloaded_instances,
-    validate_assignment,
-)
+from repro.core.assignment.constraints import transient_overloaded_instances
 from repro.core.assignment.greedy import compact_assignment, solve_greedy
 from repro.core.assignment.ilp import IlpSolver
 from repro.core.assignment.problem import Assignment, AssignmentProblem

@@ -107,7 +107,8 @@ def snapshot(service: YodaService) -> DeploymentSnapshot:
     for name, instance in controller.instances.items():
         phases: Dict[str, int] = {}
         for flow in instance.flows.values():
-            phases[flow.phase.value] = phases.get(flow.phase.value, 0) + 1
+            phase = flow.phase.flow_phase.value
+            phases[phase] = phases.get(phase, 0) + 1
         counters = instance.metrics.counters
         snap.instances.append(InstanceSnapshot(
             name=name, ip=instance.ip,

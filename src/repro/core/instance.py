@@ -17,22 +17,22 @@ An instance never owns an end-to-end TCP connection.  It:
    lookup (by client 4-tuple for client-side packets, by VIP SNAT port for
    server-side packets); the retrieved state is enough to resume
    forwarding mid-flow, which is the paper's headline mechanism.
+
+A flow's phase is its one state machine: a row of the flow table
+(``_Phase``), one cell per event -- client packet, server packet, store
+reply, timer.  ``YodaInstance`` looks the flow up and calls the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.flowstate import FlowPhase, FlowState, flow_key, yoda_isn
 from repro.core.policy import VipPolicy
-from repro.core.selector import (
-    AllHealthy,
-    BackendView,
-    RuleTable,
-    ScanCostModel,
-    SelectionResult,
-)
+from repro.core.selector import (AllHealthy, BackendView, RuleTable,
+                                  ScanCostModel, SelectionResult)
 from repro.core.tcpstore import TcpStore
 from repro.errors import HttpError, SlowClientTimeout, SnatExhausted
 from repro.http import tls
@@ -55,22 +55,19 @@ from repro.tcp.segment import SEQ_HALF, SEQ_MASK, seq_add, seq_diff
 
 SERVER_SYN_RTO = 3.0
 SERVER_SYN_RETRIES = 3
-# How long a freshly-draining instance still ACCEPTS new SYNs.  The
-# drain-start mapping push needs one propagation round-trip to pull this
-# instance out of every mux ring; a SYN ring-routed here in that window
-# was sent by a client who could not have known better, and refusing it
-# costs them a full client SYN-RTO (3 s -- an SLO miss by itself).
-# Flows are short next to the forced-drain deadline, so the handful
-# admitted here finish long before the drain turns forced.
+# How long a freshly-draining instance still ACCEPTS new SYNs: the
+# drain-start push needs a propagation round-trip to pull it from every mux
+# ring, and refusing a SYN ring-routed here meanwhile costs its client a
+# full SYN-RTO (3 s, an SLO miss by itself).  Flows are short next to the
+# forced-drain deadline, so the few admitted finish long before it.
 DRAIN_SYN_GRACE = 0.5
 FLOW_LINGER = 1.0
 FLOW_IDLE_TIMEOUT = 120.0
 # A flow that has moved no packets for this long stops claiming its
-# TCPStore records as durable state (see durable_records): after a false
-# failure detection bounces a flow to another instance and back, the
-# bypassed instance keeps a recovered copy that never sees another packet
-# -- it must not keep the records "owned" (tripping the replication
-# monitor) or re-replicate them after the real owner's clean-close delete.
+# TCPStore records as durable (durable_records): a false failure detection
+# that bounces a flow away and back leaves a recovered copy here that sees
+# no more packets -- it must not keep the records "owned" (tripping the
+# replication monitor) or re-replicate them after the owner's delete.
 DURABLE_STALE_HORIZON = 2.0
 MSS = 1460
 CERT_RETRANSMIT = 0.5
@@ -78,11 +75,6 @@ CERT_RETRANSMIT = 0.5
 # response watermark to TCPStore every this-many bytes of progress, so a
 # takeover after the backend died too can resume the stream.
 CHECKPOINT_BYTES = 32_768
-# The two phase tests every packet on a known flow meets, built once: an
-# in-line tuple costs two attribute reads on the Enum class per test
-# (~0.1 us each in CPython 3.11).
-_PHASES_BEFORE_TUNNEL = (FlowPhase.AWAIT_HEADER, FlowPhase.SERVER_SYN_SENT)
-_PHASES_TUNNELLING = (FlowPhase.TUNNEL, FlowPhase.CLOSING)
 
 
 @dataclass
@@ -121,7 +113,8 @@ class _TlsFlow:
     records, serves the certificate flight from the first unacked byte
     (again on a timer or a retry ping), checks resumption tickets against
     the flow store, and replays the stored hello when a takeover recovers
-    the flow mid-handshake.  Its methods take the owning instance."""
+    the flow mid-handshake.  Its methods take the instance (the static
+    ones are cells of the flow table)."""
 
     __slots__ = ("codec", "records", "hello_done", "sni", "resumed",
                  "ticket_issued", "resp_out", "resp_acked", "cert_timer",
@@ -158,11 +151,9 @@ class _TlsFlow:
                 # flow store BEFORE committing a single response byte -- an
                 # accepted-then-unknown ticket would desync the backend's
                 # deterministic handshake replay
-                inst.tcpstore.get_ticket(
-                    ticket,
-                    lambda v, t=ticket: self.ticket_checked(
-                        inst, flow.key(), t, v),
-                )
+                inst.tcpstore.get_ticket(ticket, partial(
+                    inst._on_reply, flow.state.key, _TlsFlow.ticket_checked,
+                    ticket))
             elif rtype == tls.RETRY_PING:
                 # a stalled client nudging after a failover: resend from
                 # the first unacked byte (client TCP discards duplicates)
@@ -173,17 +164,16 @@ class _TlsFlow:
                 try:
                     request = request_head(payload)
                 except HttpError:
-                    inst._refuse_bad_request(flow)
+                    inst._reset_client(flow, "bad_requests", "bad_request")
                     return
                 if request is not None:
                     self.request = request
-                    inst._dispatch_selection(flow, policy, request)
+                    _dispatch_selection(inst, flow, policy, request)
             elif rtype == tls.KEY_EXCHANGE:
-                # the key itself is derivable by all; after a *full*
-                # handshake this is also where a session ticket is issued
-                # (appended to the deterministic flight, mirrored by the
-                # backend, and keyed into the flow store so resumption
-                # survives instance and region failover)
+                # the key is derivable by all; after a *full* handshake a
+                # session ticket is issued here (appended to the flight,
+                # mirrored by the backend, keyed into the flow store so
+                # resumption survives instance and region failover)
                 if (policy.session_tickets and not inst.stateless
                         and not self.resumed and not self.ticket_issued):
                     self.ticket_issued = True
@@ -203,57 +193,46 @@ class _TlsFlow:
 
     def store_hello(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
         """Storage-a's second write on a TLS VIP: the client record again,
-        now carrying the hello prefix the flight will acknowledge."""
-        key = flow.key()
-        t0 = inst.loop.now()
-        if inst.stateless:
-            # no durable hello prefix: serve the flight directly
-            inst._storage_a_done(key, True, t0)
-            return
-        if OBS.enabled:
-            # the SYN write's span ended when that write did
-            span = inst._obs_start(flow, "storage_a")
-            if span is not None:
-                OBS.ctx = OBS.tracer.ctx_of(span)
-        inst.tcpstore.store_client_syn(
-            flow.state, lambda ok: inst._storage_a_done(key, ok, t0))
-        OBS.ctx = None
+        now carrying the hello prefix the flight will acknowledge (the SYN
+        write's span ended when that write did)."""
+        _store(inst, flow, "storage_a", inst.tcpstore.store_client_syn,
+               _TlsFlow.hello_stored)
 
-    def ticket_checked(self, inst: "YodaInstance", key: str, ticket: str,
+    @staticmethod
+    def ticket_checked(inst: "YodaInstance", flow: "_LocalFlow", ticket: str,
                        value: Optional[bytes]) -> None:
-        """Resolution of a resumption ticket lookup (abbreviated handshake)."""
-        flow = inst.flows.get(key)
-        if flow is None or flow.tls is not self or inst.host.failed:
-            return
+        """AWAIT_HEADER's reply to a resumption ticket lookup."""
         if value is None:
-            # unknown ticket: refuse resumption outright.  The client falls
-            # back to a full handshake on a fresh connection; accepting and
-            # serving a certificate here would leave the backend (which
-            # trusts ticket-bearing hellos) replaying a shorter flight than
-            # the one we suppressed.
-            inst.metrics.counter("tls_tickets_rejected").inc()
-            if OBS.enabled:
-                OBS.flight(inst.name, "tls_ticket_rejected", key)
-            inst._reset_client(flow, len(flow.req_assembled))
+            # unknown ticket: refuse resumption outright (the client falls
+            # back to a full handshake); serving a certificate instead
+            # would leave the backend, which trusts ticket-bearing hellos,
+            # replaying a shorter flight than the one we suppressed
+            inst._reset_client(flow, "tls_tickets_rejected",
+                               "tls_ticket_rejected", len(flow.req_assembled))
             return
         inst.metrics.counter("tls_tickets_resumed").inc()
         if OBS.enabled:
-            OBS.flight(inst.name, "tls_ticket_resumed", key)
-        self.resumed = True
-        self.resp_out = tls.session_ticket(ticket)
+            OBS.flight(inst.name, "tls_ticket_resumed", flow.state.key)
+        flow.tls.resumed = True
+        flow.tls.resp_out = tls.session_ticket(ticket)
         # store-before-ACK still holds: persist the hello prefix, then send
         # the abbreviated flight (the stored prefix carrying a ticket is
         # what marks this flow as a validated resumption for recovery)
-        self.store_hello(inst, flow)
+        flow.tls.store_hello(inst, flow)
 
-    def hello_stored(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
-        """Storage-a holds the hello: serve the flight that acknowledges it."""
+    @staticmethod
+    def hello_stored(inst: "YodaInstance", flow: "_LocalFlow", t0: float,
+                     ok: bool) -> None:
+        """AWAIT_HEADER's reply to the hello write: storage-a holds the
+        hello, so serve the flight that acknowledges it."""
+        if not _storage_a_done(inst, flow, t0, ok):
+            return
         policy = inst.policies.get(flow.state.vip.ip)
         if policy is None or policy.certificate is None:
             return
-        if not self.resp_out:
-            self.resp_out = tls.certificate_flight(policy.certificate)
-        self.send_cert_flight(inst, flow)
+        if not flow.tls.resp_out:
+            flow.tls.resp_out = tls.certificate_flight(policy.certificate)
+        flow.tls.send_cert_flight(inst, flow)
 
     def client_ack(self, state: FlowState, ack: int) -> None:
         """Track how much of the flight the client holds; a fully acked
@@ -273,26 +252,20 @@ class _TlsFlow:
         base = seq_add(state.yoda_isn, 1 + self.resp_acked)
         ack = seq_add(state.client_isn, 1 + len(flow.req_assembled))
         for off in range(0, len(data), MSS):
-            inst._send(Packet(
-                src=state.vip, dst=state.client, flags=ACK,
-                seq=seq_add(base, off), ack=ack,
-                payload=data[off:off + MSS],
-            ))
+            inst._send(Packet(src=state.vip, dst=state.client, flags=ACK,
+                              seq=seq_add(base, off), ack=ack,
+                              payload=data[off:off + MSS]))
         if self.cert_timer is None:
-            key = flow.key()
-            self.cert_timer = Timer(inst.loop,
-                                    lambda: _TlsFlow.resend(inst, key))
+            # keyed by the flow, so the timer holds no reference to it
+            self.cert_timer = Timer(inst.loop, partial(
+                inst._on_timer, state.key, _TlsFlow.resend, True))
         self.cert_timer.start(CERT_RETRANSMIT)
 
     @staticmethod
-    def resend(inst: "YodaInstance", key: str, rto: bool = True) -> None:
-        """Resend the flight of the flow at ``key``, if it still lives: on
+    def resend(inst: "YodaInstance", flow: "_LocalFlow", rto: bool) -> None:
+        """A timer of every phase the flight can be out in: resend it -- on
         its retransmission timer (``rto``) only while some of it is
-        unacked, after a takeover's hello replay unconditionally.  Looked
-        up by key, so the timer holds no reference to the stage."""
-        flow = inst.flows.get(key)
-        if flow is None or not flow.tls or inst.host.failed:
-            return
+        unacked, after a takeover's hello replay unconditionally."""
         if not rto or flow.tls.resp_acked < len(flow.tls.resp_out):
             flow.tls.send_cert_flight(inst, flow)
 
@@ -320,7 +293,7 @@ class _TlsFlow:
                 self.resp_out = tls.session_ticket(ticket)
         self.records = [r for r in records if r[0] != tls.CLIENT_HELLO]
         if self.hello_done:
-            inst.loop.call_soon(_TlsFlow.resend, inst, flow.key(), False)
+            inst.loop.call_soon(inst._on_timer, state.key, _TlsFlow.resend, False)
 
 
 class _StreamFlow:
@@ -337,8 +310,9 @@ class _StreamFlow:
         self.client_acked = 0  # response bytes the client has ACKed (stream coords)
 
     def client_ack(self, inst: "YodaInstance", flow: "_LocalFlow",
-                   pkt: Packet) -> None:
-        """Take in the client's cumulative response ACK."""
+                   pkt: Packet, tunnelling: bool) -> None:
+        """Take in the client's cumulative response ACK; a ``tunnelling``
+        flow also checkpoints the progress it reports."""
         state = flow.state
         acked = seq_diff(pkt.ack, seq_add(state.yoda_isn, 1))
         if self.resumed:
@@ -349,7 +323,7 @@ class _StreamFlow:
             sup = acked - state.response_offset
             if sup > state.tls_handshake_len:
                 state.tls_handshake_len = sup
-        if flow.phase not in _PHASES_TUNNELLING or acked <= self.client_acked:
+        if not tunnelling or acked <= self.client_acked:
             return
         # checkpoint every CHECKPOINT_BYTES of progress.  The watermark is
         # client-*acknowledged* bytes (not merely forwarded ones), so a
@@ -362,8 +336,7 @@ class _StreamFlow:
         state.resp_delivered = acked
         inst.metrics.counter("stream_checkpoints").inc()
         if OBS.enabled:
-            OBS.flight(inst.name, "stream_checkpoint",
-                       f"{flow.key()} acked={acked}")
+            OBS.flight(inst.name, "stream_checkpoint", f"{state.key} acked={acked}")
         inst.tcpstore.checkpoint(state)
 
     def hand_off(self, inst: "YodaInstance", flow: "_LocalFlow") -> None:
@@ -378,19 +351,16 @@ class _StreamFlow:
         inst.metrics.counter("handoff_checkpoints").inc()
         inst.tcpstore.checkpoint(state)
 
-    def resume(self, inst: "YodaInstance", key: str, flow: "_LocalFlow",
+    def resume(self, inst: "YodaInstance", flow: "_LocalFlow",
                policy: VipPolicy) -> bool:
         """Re-anchor a recovered flow onto a live backend if the
         controller's health view says its stored one is down (the
         region-kill case); False leaves the flow to tunnel as stored.
-
         Tunneling to a dead backend would stall forever.  Instead: re-run
-        rule selection on the persisted request header, open a fresh
-        backend connection (new SNAT port), replay the request, and let the
-        replacement backend re-serve the deterministic response from byte
-        zero -- suppressing, with local ACKs, everything up to the
-        checkpointed client watermark, exactly the way the duplicate TLS
-        handshake flight is suppressed."""
+        selection on the stored request header, open a fresh backend
+        connection, replay the request and let the new backend re-serve
+        the deterministic response, suppressing with local ACKs all up to
+        the client's checkpoint, as the duplicate TLS flight is."""
         state = flow.state
         backend = next((name for name, ep in policy.backends.items()
                         if ep == state.server), None)
@@ -411,8 +381,7 @@ class _StreamFlow:
             return False
         inst.metrics.counter("stream_resumes").inc()
         if OBS.enabled:
-            OBS.flight(inst.name, "stream_resume",
-                       f"{key} -> {result.backend}")
+            OBS.flight(inst.name, "stream_resume", f"{state.key} -> {result.backend}")
         self.resumed = True
         flow.req_assembled = bytearray(state.replay_header)
         # suppress response bytes the client is known to hold; client ACKs
@@ -420,7 +389,7 @@ class _StreamFlow:
         sup = state.resp_delivered - state.response_offset
         if sup > state.tls_handshake_len:
             state.tls_handshake_len = sup
-        inst._open_backend(flow, key, new_ep, snat_port, state.request_offset)
+        _open_backend(inst, flow, new_ep, snat_port, state.request_offset)
         return True
 
 
@@ -429,21 +398,20 @@ class _LocalFlow:
 
     __slots__ = (
         "state", "phase", "parser", "parsed", "req_chunks", "req_assembled",
-        "syn_stored", "storage_b_inflight", "fin_client", "fin_server",
-        "syn_timer", "syn_tries", "last_seen", "t_syn", "t_server_syn",
-        "forwarded_req_bytes", "parsed_bytes", "requests_seen", "resp_high",
-        "tls", "obs_ctx", "obs_spans", "qos_slot", "backend_name", "stream",
+        "fin_client", "fin_server", "syn_timer", "syn_tries", "last_seen",
+        "t_syn", "t_server_syn", "forwarded_req_bytes", "parsed_bytes",
+        "requests_seen", "resp_high", "tls", "obs_ctx", "obs_spans",
+        "qos_slot", "backend_name", "stream",
     )
 
     def __init__(self, state: FlowState, now: float):
         self.state = state
-        self.phase = FlowPhase(state.phase)
+        # the row of the flow table the flow is in: its one state machine
+        self.phase: _Phase = _SYN_STORING
         self.parser = HttpParser("request")
         self.parsed: List[HttpRequest] = []  # complete requests seen so far
         self.req_chunks: Dict[int, bytes] = {}  # offset -> payload
         self.req_assembled = bytearray()  # contiguous prefix of request bytes
-        self.syn_stored = False
-        self.storage_b_inflight = False
         self.fin_client = False
         self.fin_server = False
         self.syn_timer: Optional[Timer] = None
@@ -462,17 +430,13 @@ class _LocalFlow:
         # spans, keyed by stage name (None while the plane is disabled)
         self.obs_ctx = None
         self.obs_spans: Optional[Dict[str, object]] = None
-        # overload-control bookkeeping: whether this flow holds a
-        # concurrency-limiter slot, and which backend (by rule-table name)
-        # it is connected to -- None for recovered flows, whose connect
-        # outcome says nothing about backend health from here
+        # overload control: whether this flow holds a limiter slot, and its
+        # backend's rule-table name -- None for recovered flows, whose
+        # connect outcome says nothing about backend health from here
         self.qos_slot = False
         self.backend_name: Optional[str] = None
         # the stream stage of a long-lived flow (a path under /stream/)
         self.stream: Optional[_StreamFlow] = None
-
-    def key(self) -> str:
-        return self.state.key
 
     def buffer_request_bytes(self, offset: int, payload: bytes) -> None:
         """Accumulate client request bytes by stream offset, feeding the
@@ -516,22 +480,534 @@ class _LocalFlow:
         self.requests_seen = None  # backend switching is HTTP-only
 
 
+# ============================================================ the flow table ==
+# Its cells and the steps they share.  A packet cell is cell(instance,
+# flow, packet, policy), a store-reply or timer cell cell(instance, flow,
+# *what its call site bound).  A cell never looks its flow up or asks its
+# phase; it moves the flow on by setting ``flow.phase``.
+
+def _drop(inst, flow, pkt, policy) -> None:
+    """A server packet before a backend is chosen: none can be routed here."""
+
+
+# ----------------------------------------------------- connection phase --
+def _client_unstored(inst, flow, pkt, policy) -> None:
+    """SYN_STORING: storage-a has not answered, so a retransmitted SYN gets
+    no SYN-ACK yet; anything else is taken as in AWAIT_HEADER."""
+    if pkt.flags & (SYN | ACK) != SYN:
+        _client_header(inst, flow, pkt, policy)
+
+
+def _client_header(inst, flow, pkt, policy) -> None:
+    """AWAIT_HEADER: collect the request and classify it once its header
+    is in (on a TLS VIP, drive the handshake that carries it)."""
+    if not _take_request_bytes(inst, flow, pkt):
+        return
+    if pkt.payload:
+        if flow.tls:
+            flow.tls.progress(inst, flow, policy)
+        else:
+            _select_and_connect(inst, flow, policy)
+    if pkt.flags & FIN:
+        # client gave up before we even picked a server
+        flow.fin_client = True
+        inst._destroy_flow(flow, remove_stored=True)
+
+
+def _client_connecting(inst, flow, pkt, policy) -> None:
+    """SERVER_SYN_SENT, SERVER_STORING: buffer the request for the backend."""
+    if _take_request_bytes(inst, flow, pkt) and pkt.flags & FIN:
+        flow.fin_client = True
+        inst._destroy_flow(flow, remove_stored=True)
+
+
+def _take_request_bytes(inst, flow, pkt) -> bool:
+    """A client packet before the tunnel: a duplicate SYN, a RST, ACKs,
+    request bytes (those that are not HTTP refused).  False if done."""
+    flags = pkt.flags
+    if flags & (SYN | ACK) == SYN:
+        inst._send_syn_ack(flow)  # duplicate SYN: deterministic reply
+        return False
+    flow.last_seen = inst.loop.now()
+    state = flow.state
+    if flags & RST:
+        inst._destroy_flow(flow, remove_stored=True)
+        return False
+    if flow.stream is not None and flags & ACK:
+        flow.stream.client_ack(inst, flow, pkt, False)
+    tls_flow = flow.tls
+    if tls_flow and flags & ACK and tls_flow.resp_out:
+        tls_flow.client_ack(state, pkt.ack)
+    if pkt.payload:
+        offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
+        try:
+            flow.buffer_request_bytes(offset, pkt.payload)
+        except HttpError:
+            inst._reset_client(flow, "bad_requests", "bad_request")
+            return False
+    return True
+
+
+def _select_and_connect(inst, flow, policy) -> None:
+    """Classify a plain-HTTP flow once its first request header is in
+    (its body may still be streaming); a malformed one is refused."""
+    try:
+        request = (flow.parsed[0][0] if flow.parsed
+                   else request_head(bytes(flow.req_assembled)))
+    except HttpError:
+        inst._reset_client(flow, "bad_requests", "bad_request")
+        return
+    if request is not None:
+        _dispatch_selection(inst, flow, policy, request)
+
+
+def _dispatch_selection(inst, flow, policy, request: HttpRequest) -> None:
+    """Classify a (possibly decrypted) request and start the backend
+    connection after the rule-scan latency."""
+    if request.path.startswith(STREAM_PATH_PREFIX) and not flow.tls:
+        # a long-lived streaming download: checkpoint its progress and
+        # keep enough context to re-select a backend after failures
+        flow.stream = _StreamFlow()
+    if flow.requests_seen is not None:
+        flow.requests_seen = max(1, len(flow.parsed))
+    result = inst._select(policy, request)
+    cost = inst.cost
+    inst.cpu.execute(cost.scan_cpu_base + cost.scan_cpu_per_rule * policy.rule_count,
+                     phase="rule_scan")
+    if result is None:
+        inst._reset_client(flow, "no_backend")
+        return
+    inst.metrics.histogram("scan_latency").observe(result.scan_latency)
+    inst.metrics.counter("selections").inc()
+    if OBS.enabled:
+        span = inst._obs_start(flow, "rule_scan")
+        if span is not None:
+            # the scan's latency elapses via call_later below; the span
+            # covers exactly that window
+            inst._obs_end(flow, "rule_scan",
+                          end=span.start + result.scan_latency,
+                          backend=result.backend)
+    # the scan itself takes time (Figure 6) before the server SYN goes out
+    inst.loop.call_later(result.scan_latency, inst._on_timer, flow.state.key,
+                         _connect_server, result.backend, policy)
+
+
+def _connect_server(inst, flow, backend: str, policy: VipPolicy) -> None:
+    """AWAIT_HEADER's timer: the rule scan is over; connect to its pick."""
+    state = flow.state
+    flow.backend_name = backend
+    server_ep = policy.endpoint_of(backend)
+    try:
+        snat_port = inst.snat_ports.alloc(policy.vip)
+    except SnatExhausted:
+        _refuse_exhausted(inst, flow)
+        return
+    if flow.tls:
+        # the backend will replay the identical deterministic
+        # handshake flight; remember how many bytes to suppress
+        state.tls_handshake_len = len(flow.tls.resp_out)
+    if flow.stream is not None:
+        # the full request header, so a takeover instance can re-run
+        # rule selection if this backend is dead by then; rides the
+        # storage-b write
+        state.replay_header = bytes(flow.req_assembled)
+    _open_backend(inst, flow, server_ep, snat_port, 0)
+
+
+def _refuse_exhausted(inst, flow) -> None:
+    """SNAT exhaustion: refuse the flow with an RST and release the
+    mux's 5-tuple pin *immediately*.  Without the release, the refused
+    key stayed pinned to this instance for the full mux idle timeout,
+    steering the client's remaining packets (and any same-5-tuple
+    retry) at an instance that has no ports to serve them with."""
+    inst._reset_client(flow, "snat_refused_flows", "snat_exhausted_refuse")
+    if inst.l4lb is not None:
+        inst.l4lb.release_flow(flow.state.client, flow.state.vip)
+
+
+def _open_backend(inst, flow, server_ep: Endpoint, snat_port: int,
+                  forwarded: int) -> None:
+    """Point the flow at a backend and send it the SYN: the one place a
+    backend connection opens (first connect, HTTP/1.1 switch, stream
+    resume).  ``forwarded`` request bytes are already the backend's."""
+    state = flow.state
+    state.server = server_ep
+    state.server_isn = None
+    state.snat_port = snat_port
+    state.phase = FlowPhase.SERVER_SYN_SENT.value
+    flow.phase = _SERVER_SYN_SENT
+    flow.forwarded_req_bytes = forwarded
+    flow.syn_tries = 0
+    inst.by_server[(str(server_ep), snat_port)] = state.key
+    flow.t_server_syn = inst.loop.now()
+    if OBS.enabled:
+        inst._obs_start(flow, "server_connect")
+    _send_server_syn(inst, flow)
+    if flow.syn_timer is None:
+        flow.syn_timer = Timer(inst.loop, partial(inst._on_timer, state.key,
+                                                  _server_syn_rto))
+    flow.syn_timer.start(SERVER_SYN_RTO)
+
+
+def _send_server_syn(inst, flow) -> None:
+    state = flow.state
+    # Reuse the client's ISN (offset by any earlier requests) so the
+    # client's data bytes flow to the server without seq rewriting.
+    pkt = Packet(src=state.snat_src, dst=state.server, flags=SYN,
+                 seq=seq_add(state.client_isn, state.request_offset))
+    if OBS.enabled and flow.obs_ctx is not None:
+        # the backend's passive open adopts the client's trace context
+        pkt.meta["obs_ctx"] = flow.obs_ctx
+    inst._send(pkt)
+
+
+def _server_syn_rto(inst, flow) -> None:
+    """Both server-connect phases' timer: resend the SYN, or give up."""
+    flow.syn_tries += 1
+    if flow.syn_tries > SERVER_SYN_RETRIES:
+        if inst.qos is not None and flow.backend_name is not None:
+            inst.qos.backend_failure(flow.backend_name)
+        inst._reset_client(flow, "server_connect_failed")
+        return
+    _send_server_syn(inst, flow)
+    flow.syn_timer.start(SERVER_SYN_RTO * (2 ** flow.syn_tries))
+
+
+def _server_syn_sent(inst, flow, pkt, policy) -> None:
+    """SERVER_SYN_SENT: the backend's SYN-ACK starts storage-b, which MUST
+    complete before the ACK to the server (Figure 3)."""
+    state = flow.state
+    flags = pkt.flags
+    if flags & RST:
+        if state.established:  # back here after a failed storage-b write
+            inst._send(inst._translate_to_client(flow, pkt))
+            inst._destroy_flow(flow, remove_stored=True)
+            return
+        # refused during connect: that is breaker-relevant signal
+        if inst.qos is not None and flow.backend_name is not None:
+            inst.qos.backend_failure(flow.backend_name)
+        inst._reset_client(flow)
+        return
+    if not (flags & SYN and flags & ACK) or pkt.ack != seq_add(
+            state.client_isn, state.request_offset + 1):
+        return
+    state.server_isn = pkt.seq
+    flow.phase = _SERVER_STORING
+    state.phase = FlowPhase.TUNNEL.value  # the record storage-b writes
+    _store(inst, flow, "storage_b", inst.tcpstore.store_server_conn, _server_stored)
+
+
+def _server_storing(inst, flow, pkt, policy) -> None:
+    """SERVER_STORING: storage-b in flight; only a backend RST is acted on."""
+    if pkt.flags & RST:
+        inst._send(inst._translate_to_client(flow, pkt))
+        inst._destroy_flow(flow, remove_stored=True)
+
+
+def _store(inst, flow, span: str, write, reply) -> None:
+    """``write(state, on_done)`` the flow's record; its answer reaches the
+    row's ``reply(inst, flow, t0, ok)``, which alone may ACK what it
+    covers.  A stateless instance writes nothing and answers at once."""
+    t0 = inst.loop.now()
+    if inst.stateless:
+        reply(inst, flow, t0, True)
+        return
+    if OBS.enabled:
+        obs_span = inst._obs_start(flow, span)
+        if obs_span is not None:
+            OBS.ctx = OBS.tracer.ctx_of(obs_span)
+    write(flow.state, partial(inst._on_reply, flow.state.key, reply, t0))
+    OBS.ctx = None
+
+
+def _storage_a_done(inst, flow, t0: float, ok: bool) -> bool:
+    """Both storage-a replies (the SYN record; on a TLS VIP its rewrite
+    with the hello); True if the write held.  A failed one acknowledged
+    nothing: forget the flow here, keep whatever is stored, and the
+    client's retransmitted SYN or hello starts over or recovers it."""
+    if not ok:
+        inst.metrics.counter("storage_a_failed").inc()
+        if OBS.enabled:
+            inst._obs_end(flow, "storage_a", ok=False)
+            inst._obs_end(flow, "flow", ok=False)
+            OBS.flight(inst.name, "storage_a_failed", flow.state.key)
+        inst._stop_flow(flow)
+        del inst.flows[flow.state.key]
+        return False
+    if not inst.stateless:  # no zero-latency samples from the fast path
+        inst.metrics.histogram("storage_a_latency").observe(inst.loop.now() - t0)
+    if OBS.enabled:
+        inst._obs_end(flow, "storage_a", ok=True)
+    return True
+
+
+def _syn_stored(inst, flow, t0: float, ok: bool) -> None:
+    """SYN_STORING's reply: the SYN is recoverable; SYN-ACK it (Figure 3)."""
+    if _storage_a_done(inst, flow, t0, ok):
+        flow.phase = _AWAIT_HEADER
+        inst._send_syn_ack(flow)
+
+
+def _server_stored(inst, flow, t0: float, ok: bool) -> None:
+    """SERVER_STORING's reply: ACK the backend and open the tunnel; after a
+    failed write the backend's SYN-ACK retransmit starts another."""
+    state = flow.state
+    if not ok:
+        flow.phase = _SERVER_SYN_SENT
+        state.phase = FlowPhase.SERVER_SYN_SENT.value
+        inst.metrics.counter("storage_b_failed").inc()
+        if OBS.enabled:
+            inst._obs_end(flow, "storage_b", ok=False)
+            OBS.flight(inst.name, "storage_b_failed", state.key)
+        return
+    if flow.syn_timer is not None:
+        flow.syn_timer.cancel()
+    now = inst.loop.now()
+    if not inst.stateless:  # no zero-latency samples from the fast path
+        inst.metrics.histogram("storage_b_latency").observe(now - t0)
+    inst.metrics.histogram("server_connect_latency").observe(now - flow.t_server_syn)
+    if OBS.enabled:
+        inst._obs_end(flow, "storage_b", end=now, ok=True)
+        inst._obs_end(flow, "server_connect", end=now, ok=True)
+    if inst.qos is not None and flow.backend_name is not None:
+        inst.qos.backend_success(flow.backend_name)
+    inst._release_qos_slot(flow)  # flow left the connection phase
+    flow.phase = _TUNNEL
+    _send_server_handshake_ack(inst, flow)
+    # replay the buffered request bytes, in the client's own sequence space
+    data = bytes(flow.req_assembled[flow.forwarded_req_bytes:])
+    base = seq_add(state.client_isn, 1 + flow.forwarded_req_bytes)
+    for off in range(0, len(data), MSS):
+        inst._send(Packet(
+            src=state.snat_src, dst=state.server, flags=ACK,
+            seq=seq_add(base, off), ack=seq_add(state.server_isn, 1),
+            payload=data[off:off + MSS]))
+    flow.forwarded_req_bytes += len(data)
+
+
+def _send_server_handshake_ack(inst, flow) -> None:
+    state = flow.state
+    inst._send(Packet(
+        src=state.snat_src, dst=state.server, flags=ACK,
+        seq=seq_add(state.client_isn, state.request_offset + 1),
+        ack=seq_add(state.server_isn, 1)))
+
+
+# -------------------------------------------------------- tunnel phase --
+def _client_tunnel(inst, flow, pkt, policy) -> None:
+    """TUNNEL: pure translation -- except that HTTP/1.1 lets the client
+    send further requests on the same connection, which may match a
+    different rule and need a different backend (Section 5.2): a new
+    request is re-classified and the backend switched if needed."""
+    flags = pkt.flags
+    if flags & (SYN | ACK) == SYN:
+        inst._send_syn_ack(flow)
+        return
+    flow.last_seen = inst.loop.now()
+    if flags & RST:
+        if flow.state.established:  # (not after a refused switch)
+            inst._send(inst._translate_to_server(flow, pkt))
+        inst._destroy_flow(flow, remove_stored=True)
+        return
+    if flow.stream is not None and flags & ACK:
+        flow.stream.client_ack(inst, flow, pkt, True)
+    forward = True
+    if pkt.payload and flow.requests_seen is not None:
+        offset = seq_diff(pkt.seq, seq_add(flow.state.client_isn, 1))
+        try:
+            flow.buffer_request_bytes(offset, pkt.payload)
+        except HttpError:
+            # not ours to refuse: the backend reads the same bytes
+            # and answers for them; only re-classification ends
+            flow.requests_seen = None
+        else:
+            if len(flow.parsed) > flow.requests_seen:
+                flow.requests_seen = len(flow.parsed)
+                request, start_offset = flow.parsed[-1]
+                if _maybe_switch_backend(inst, flow, request, start_offset,
+                                         policy):
+                    forward = False  # bytes go to the new backend
+    closes = flags & FIN and not flow.fin_client and flow.fin_server
+    if flags & FIN:
+        flow.fin_client = True
+    if forward:
+        inst._send(inst._translate_to_server(flow, pkt))
+    if closes:
+        flow.phase = _CLOSING
+        inst.loop.call_later(FLOW_LINGER, inst._on_timer, flow.state.key, _finish_flow)
+
+
+def _client_closing(inst, flow, pkt, policy) -> None:
+    """CLOSING: as TUNNEL, except that a client RST only ends the flow."""
+    if pkt.flags & RST and pkt.flags & (SYN | ACK) != SYN:
+        flow.last_seen = inst.loop.now()
+        inst._destroy_flow(flow, remove_stored=True)
+        return
+    _client_tunnel(inst, flow, pkt, policy)
+
+
+def _server_tunnel(inst, flow, pkt, policy) -> None:
+    """TUNNEL: translate to the client; the FIN pair's second one lingers."""
+    state = flow.state
+    flags = pkt.flags
+    if flags & RST:
+        # backend reset: propagate to the client, translated
+        inst._send(inst._translate_to_client(flow, pkt))
+        inst._destroy_flow(flow, remove_stored=True)
+        return
+    if flags & SYN and flags & ACK:
+        # our handshake ACK was lost; repeat it
+        _send_server_handshake_ack(inst, flow)
+        return
+    if state.tls_handshake_len and pkt.payload:
+        pkt = _suppress_duplicate_handshake(inst, flow, pkt)
+        if pkt is None:
+            return
+    if pkt.payload:
+        # seq_diff(end of this segment, first response byte)
+        rel = ((pkt.seq + len(pkt.payload) - state.server_isn - 1
+                + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
+        if rel > flow.resp_high:
+            flow.resp_high = rel
+    closes = flags & FIN and not flow.fin_server and flow.fin_client
+    if flags & FIN:
+        flow.fin_server = True
+    inst._send(inst._translate_to_client(flow, pkt))
+    if closes:
+        flow.phase = _CLOSING
+        inst.loop.call_later(FLOW_LINGER, inst._on_timer, state.key, _finish_flow)
+
+
+def _server_closing(inst, flow, pkt, policy) -> None:
+    """CLOSING: as TUNNEL, except that a repeated SYN-ACK goes unanswered."""
+    if pkt.flags & (RST | SYN | ACK) != SYN | ACK:
+        _server_tunnel(inst, flow, pkt, policy)
+
+
+def _finish_flow(inst, flow) -> None:
+    """CLOSING's timer: the linger is over; the flow completed."""
+    inst.completed_flows += 1
+    inst.metrics.counter("flows_completed").inc()
+    if OBS.enabled:
+        inst._obs_end(flow, "flow", completed=True)
+    inst._destroy_flow(flow, remove_stored=True)
+
+
+def _maybe_switch_backend(inst, flow, request, start_offset: int,
+                          policy: VipPolicy) -> bool:
+    """Re-classify an HTTP/1.1 follow-up request; switch backends if it
+    matches a different one (Section 5.2).  The connection-phase tricks,
+    with offsets: the new backend connection's ISN is the client's stream
+    position at the request boundary (so request bytes still flow
+    unrewritten), and the server->client delta accumulates the response
+    bytes already delivered by previous backends."""
+    state = flow.state
+    result = inst._select(policy, request)
+    if result is None:
+        return False  # keep the current backend rather than reset
+    new_ep = policy.endpoint_of(result.backend)
+    if new_ep == state.server:
+        return False  # same backend: the connection is simply reused
+    inst.metrics.counter("backend_switches").inc()
+    flow.backend_name = result.backend
+    # close the old backend connection and drop its TCPStore index
+    inst.by_server.pop((str(state.server), state.snat_port), None)
+    if not inst.stateless:  # no index record was ever written
+        inst.tcpstore.remove_server_index(state)
+    inst._send(Packet(
+        src=state.snat_src, dst=state.server, flags=RST | ACK,
+        seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
+        ack=seq_add(state.server_isn or 0, 1)))
+    if state.snat_port is not None:
+        inst.snat_ports.release(state.vip.ip, state.snat_port)
+    # re-base the flow onto the new backend (named before the port is
+    # allocated: a refusal tears down the re-based flow)
+    state.request_offset = start_offset
+    state.response_offset += flow.resp_high
+    flow.resp_high = 0
+    state.server = new_ep
+    state.server_isn = None
+    try:
+        snat_port = inst.snat_ports.alloc(policy.vip)
+    except SnatExhausted:
+        # old backend connection is already torn down; refuse the
+        # client rather than limp on with no port
+        _refuse_exhausted(inst, flow)
+        return True
+    if OBS.enabled:
+        OBS.flight(inst.name, "backend_switch", f"{state.key} -> {result.backend}")
+    _open_backend(inst, flow, new_ep, snat_port, start_offset)
+    return True
+
+
+def _suppress_duplicate_handshake(inst, flow, pkt: Packet) -> Optional[Packet]:
+    """Drop (or trim) backend response bytes that duplicate the TLS
+    handshake flight this instance already served to the client,
+    ACKing them locally so the backend's window keeps moving."""
+    state = flow.state
+    sup = state.tls_handshake_len
+    rel = seq_diff(pkt.seq, seq_add(state.server_isn, 1))
+    end = rel + pkt.payload_len
+    if rel >= sup:
+        return pkt  # past the handshake: nothing to do
+    # ACK the suppressed span toward the backend
+    inst._send(Packet(
+        src=state.snat_src, dst=state.server, flags=ACK,
+        seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
+        ack=seq_add(state.server_isn, 1 + min(end, sup))))
+    if end <= sup:
+        return None  # entirely within the duplicate flight
+    keep = sup - rel
+    return pkt.copy(seq=seq_add(pkt.seq, keep), payload=pkt.payload[keep:])
+
+
+class _Phase(NamedTuple):
+    """One row of the flow table.  ``client`` and ``server`` take the
+    flow's packets; ``replies`` and ``timers`` name the store replies and
+    timers the phase waits on and drop any other (``()`` drops all).
+    ``flow_phase`` is what inspection reads: each local row (a store write
+    in flight) reports the phase it waits in, and never reaches the
+    serialized ``FlowState.phase``, which only the cells write."""
+
+    flow_phase: FlowPhase
+    client: Callable
+    server: Callable
+    replies: tuple
+    timers: tuple
+
+
+# A flow opens in SYN_STORING, or recovered in AWAIT_HEADER or TUNNEL.
+# _TlsFlow.resend: the certificate flight may be out from AWAIT_HEADER on.
+_SYN_STORING = _Phase(FlowPhase.AWAIT_HEADER, client=_client_unstored,
+                      server=_drop, replies=(_syn_stored,), timers=())
+_AWAIT_HEADER = _Phase(
+    FlowPhase.AWAIT_HEADER, client=_client_header, server=_drop,
+    replies=(_TlsFlow.hello_stored, _TlsFlow.ticket_checked),
+    timers=(_connect_server, _TlsFlow.resend))
+_SERVER_SYN_SENT = _Phase(
+    FlowPhase.SERVER_SYN_SENT, client=_client_connecting,
+    server=_server_syn_sent, replies=(),
+    timers=(_server_syn_rto, _TlsFlow.resend))
+_SERVER_STORING = _Phase(
+    FlowPhase.SERVER_SYN_SENT, client=_client_connecting,
+    server=_server_storing, replies=(_server_stored,),
+    timers=(_server_syn_rto, _TlsFlow.resend))
+_TUNNEL = _Phase(FlowPhase.TUNNEL, client=_client_tunnel,
+                 server=_server_tunnel, replies=(), timers=(_TlsFlow.resend,))
+_CLOSING = _Phase(FlowPhase.CLOSING, client=_client_closing,
+                  server=_server_closing, replies=(),
+                  timers=(_finish_flow, _TlsFlow.resend))
+
+
 class YodaInstance:
     """One YODA LB VM."""
 
-    def __init__(
-        self,
-        host: Host,
-        loop: EventLoop,
-        rng: SeededRng,
-        tcpstore: TcpStore,
-        cost_model: Optional[YodaCostModel] = None,
-        scan_cost_model: Optional[ScanCostModel] = None,
-        l4lb=None,
-        qos_config: Optional[QosConfig] = None,
-        header_deadline: Optional[float] = None,
-        stateless: bool = False,
-    ):
+    def __init__(self, host: Host, loop: EventLoop, rng: SeededRng,
+                 tcpstore: TcpStore, cost_model: Optional[YodaCostModel] = None,
+                 scan_cost_model: Optional[ScanCostModel] = None, l4lb=None,
+                 qos_config: Optional[QosConfig] = None,
+                 header_deadline: Optional[float] = None,
+                 stateless: bool = False):
         self.host = host
         self.loop = loop
         self.rng = rng.fork(f"yoda/{host.name}")
@@ -549,8 +1025,7 @@ class YodaInstance:
         self.backend_view: BackendView = AllHealthy()
         self.qos: Optional[InstanceQos] = (
             InstanceQos(qos_config, loop.now, self.metrics, host.name)
-            if qos_config is not None else None
-        )
+            if qos_config is not None else None)
         self.draining = False
         self._drain_started: float = 0.0
         # receiver-side stale-leader rejection (core.leader.FenceGate),
@@ -574,21 +1049,16 @@ class YodaInstance:
         self._c_packets_out = self.metrics.counter("packets_out")
 
         host.set_handler(self._on_packet_raw)
-        self._gc = PeriodicTask(loop, 30.0, self._collect_idle_flows)
-        self._gc.start()
+        PeriodicTask(loop, 30.0, self._collect_idle_flows).start()
 
         # slow-loris guard: flows must produce a complete header within
         # this budget of their SYN or be reset (None = off, the default --
         # pinned traces construct no timer and see no behaviour change)
         self.header_deadline = header_deadline
         self.slow_clients: List[SlowClientTimeout] = []
-        self._loris_guard: Optional[PeriodicTask] = None
         if header_deadline is not None:
-            self._loris_guard = PeriodicTask(
-                loop, max(header_deadline / 2.0, 0.05),
-                self._enforce_header_deadline,
-            )
-            self._loris_guard.start()
+            PeriodicTask(loop, max(header_deadline / 2.0, 0.05),
+                         self._enforce_header_deadline).start()
 
     # ------------------------------------------------------------- lifecycle --
     @property
@@ -630,40 +1100,17 @@ class YodaInstance:
         budget is total time in the header phase, not idle time -- a
         classic slow-loris client trickles a byte at a time and would
         never trip an idle check."""
-        if self.host.failed or self.header_deadline is None:
+        if self.host.failed:
             return
         now = self.loop.now()
         for flow in list(self.flows.values()):
-            if flow.phase is not FlowPhase.AWAIT_HEADER:
+            if flow.phase.flow_phase is not FlowPhase.AWAIT_HEADER:
                 continue
             if now - flow.t_syn <= self.header_deadline:
                 continue
             self.slow_clients.append(
                 SlowClientTimeout(str(flow.state.client), self.header_deadline))
-            self.metrics.counter("slow_client_timeouts").inc()
-            if OBS.enabled:
-                OBS.flight(self.name, "slow_client_timeout", flow.key())
-            self._reset_client(flow)
-
-    def _refuse_bad_request(self, flow: _LocalFlow) -> None:
-        """The client's bytes are not HTTP (or not TLS records) and no
-        backend holds the flow yet: it costs its sender the connection,
-        like the slow client above, and the run nothing."""
-        self.metrics.counter("bad_requests").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "bad_request", flow.key())
-        self._reset_client(flow)
-
-    def _reset_client(self, flow: _LocalFlow, acked: int = 0) -> None:
-        """End a flow no backend has answered on: all the client has from
-        it is this instance's SYN-ACK (and, on a TLS VIP, the certificate
-        flight), and an ACK of ``acked`` of its bytes."""
-        state = flow.state
-        self._send(Packet(
-            src=state.vip, dst=state.client, flags=RST | ACK,
-            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1 + acked),
-        ))
-        self._destroy_flow(flow, remove_stored=True)
+            self._reset_client(flow, "slow_client_timeouts", "slow_client_timeout")
 
     def _admit(self, token, kind: str) -> None:
         if self.fence is not None:
@@ -672,11 +1119,9 @@ class YodaInstance:
     # -------------------------------------------------------------- draining --
     def start_drain(self, token=None) -> None:
         """Stop admitting new connections; existing flows keep running.
-
         The controller pairs this with pulling the instance from the mux
         hash rings, so refused SYNs are retransmitted onto a live
-        instance (make-before-break scale-in, DESIGN.md section 7).
-        """
+        instance (make-before-break scale-in, DESIGN.md section 7)."""
         self._admit(token, "start_drain")
         self.draining = True
         self._drain_started = self.loop.now()
@@ -723,32 +1168,28 @@ class YodaInstance:
     def durable_records(self) -> List[Tuple[str, bytes, object]]:
         """(key, payload, version) for every TCPStore record this
         instance's live flows rely on -- the anti-entropy sweeper's work
-        list.  Closing flows are excluded (their records are being deleted)
-        and so are records whose initial write has not completed yet (the
-        in-flight storage op already targets the current replica set) or
-        whose version was already dropped by a delete (a finished flow
-        lingering in the table owns nothing durable anymore).  Flows quiet
-        past DURABLE_STALE_HORIZON are excluded too: a copy stranded here
-        by a transient misrouting may already be closed (and deleted) at
-        its real owner, and resurrecting its records would be wrong."""
+        list.  Left out: closing flows (their records are being deleted),
+        writes still in flight (they already target the current replica
+        set), versions a delete dropped (a lingering finished flow owns
+        nothing), and flows quiet past DURABLE_STALE_HORIZON (a copy
+        stranded here by a misrouting may be closed at its real owner)."""
         out: List[Tuple[str, bytes, object]] = []
         if self.stateless:
             return out  # nothing durable exists for this instance's flows
         now = self.loop.now()
         for flow in self.flows.values():
-            if flow.phase is FlowPhase.CLOSING:
-                continue
-            if now - flow.last_seen > DURABLE_STALE_HORIZON:
+            phase = flow.phase
+            if phase is _CLOSING or now - flow.last_seen > DURABLE_STALE_HORIZON:
                 continue
             state = flow.state
             payload: Optional[bytes] = None
-            if flow.syn_stored:
+            if phase is not _SYN_STORING:
                 key = state.storage_key()
                 version = self.tcpstore.version_of(key)
                 if version is not None:
                     payload = state.to_bytes()
                     out.append((key, payload, version))
-            if state.established and not flow.storage_b_inflight:
+            if state.established and phase is not _SERVER_STORING:
                 skey = state.server_storage_key()
                 if skey is not None:
                     version = self.tcpstore.version_of(skey)
@@ -780,6 +1221,10 @@ class YodaInstance:
                      self._dispatch, pkt)
 
     def _dispatch(self, pkt: Packet) -> None:
+        """Hand a packet to its flow's cell, a client packet found by its
+        4-tuple, a server packet by (backend, SNAT port).  A SYN for no flow
+        opens one; any other packet for no flow waits on a TCPStore lookup
+        (even a pure ACK: a client mid-download sends nothing else)."""
         if self.host.failed:
             return
         policy = self.policies.get(pkt.dst.ip)
@@ -787,13 +1232,117 @@ class YodaInstance:
             self.metrics.counter("no_policy_drop").inc()
             return
         if pkt.dst.port == policy.port:
-            self._handle_client_packet(pkt, policy)
+            key = flow_key(pkt.src, pkt.dst)
+            flow = self.flows.get(key)
+            self.vip_bytes[policy.vip] = (self.vip_bytes.get(policy.vip, 0)
+                                          + IP_TCP_HEADER_BYTES + len(pkt.payload))
+            if flow is not None:
+                flow.phase.client(self, flow, pkt, policy)
+            elif pkt.flags & (SYN | ACK) == SYN:
+                self._open_flow(key, pkt, policy)
+            else:
+                self._recover(key, pkt, "recovery_lookups_client",
+                              self.tcpstore.get_by_client, pkt.src, pkt.dst)
+            return
+        skey = (pkt.src.text, pkt.dst.port)
+        key = self.by_server.get(skey)
+        flow = self.flows.get(key) if key is not None else None
+        if flow is not None:
+            flow.last_seen = self.loop.now()
+            flow.phase.server(self, flow, pkt, policy)
         else:
-            self._handle_server_packet(pkt, policy)
+            self._recover(skey, pkt, "recovery_lookups_server",
+                          self.tcpstore.get_by_server,
+                          pkt.dst.ip, pkt.dst.port, pkt.src)
+
+    def _on_reply(self, key: str, handler, *args) -> None:
+        """A store reply: ``handler`` runs if its flow's row waits on it."""
+        flow = self.flows.get(key)
+        if (flow is not None and not self.host.failed
+                and handler in flow.phase.replies):
+            handler(self, flow, *args)
+
+    def _on_timer(self, key: str, handler, *args) -> None:
+        """A timer: ``handler`` runs if its flow's row keeps that timer."""
+        flow = self.flows.get(key)
+        if (flow is not None and not self.host.failed
+                and handler in flow.phase.timers):
+            handler(self, flow, *args)
 
     def _send(self, pkt: Packet) -> None:
         self._c_packets_out.value += 1
         self.host.send(pkt)
+
+    def _send_syn_ack(self, flow: _LocalFlow) -> None:
+        state = flow.state
+        self._send(Packet(src=state.vip, dst=state.client, flags=SYN | ACK,
+                          seq=state.yoda_isn, ack=seq_add(state.client_isn, 1)))
+
+    def _open_flow(self, key: str, pkt: Packet, policy: VipPolicy) -> None:
+        """A SYN for no flow: admit it, record the flow and start storage-a,
+        which MUST complete before the SYN-ACK leaves (Figure 3)."""
+        now = self.loop.now()
+        if self.draining and now - self._drain_started > DRAIN_SYN_GRACE:
+            # No new connections during make-before-break scale-in -- but
+            # only once the drain push has had time to pull us from the
+            # mux rings (DRAIN_SYN_GRACE).  After that, drop the SYN
+            # silently: the client's retransmit re-hashes through the mux
+            # ring, which no longer includes this instance.
+            self.metrics.counter("syns_refused_draining").inc()
+            if OBS.enabled:
+                OBS.flight(self.name, "drain_refuse", str(pkt.src))
+            return
+        if self.qos is not None:
+            decision = self.qos.admit_syn(pkt.dst.ip, pkt.src.ip)
+            if not decision.admitted:
+                self._shed_syn(pkt, decision)
+                return
+        state = FlowState(client=pkt.src, vip=pkt.dst, client_isn=pkt.seq, created_at=now)
+        flow = _LocalFlow(state, now)
+        flow.qos_slot = self.qos is not None  # admit_syn took a limiter slot
+        if policy.certificate is not None:
+            flow.enable_tls()
+        self.flows[key] = flow
+        self.metrics.counter("flows_opened").inc()
+        if OBS.enabled:
+            self._obs_flow_open(flow, pkt.meta.get("obs_ctx"))
+        if self.stateless:
+            # stateless fast path: SYN-ACK immediately, no storage-a.
+            # If this VM dies the flow is gone -- that is the bargain.
+            self.metrics.counter("stateless_flows").inc()
+        _store(self, flow, "storage_a", self.tcpstore.store_client_syn, _syn_stored)
+
+    def _shed_syn(self, pkt: Packet, decision) -> None:
+        """Stateless SYN-stage rejection (load shedding).  The RST carries
+        the deterministic yoda ISN, so it is computed from the packet
+        alone: no flow record, no TCPStore write, no SNAT port -- what lets
+        an overloaded instance keep shedding at line rate."""
+        self.metrics.counter("syns_shed").inc()
+        if OBS.enabled:
+            OBS.flight(self.name, "shed",
+                       f"{pkt.src} reason={decision.reason} "
+                       f"tier={decision.tier}")
+            ctx = pkt.meta.get("obs_ctx")
+            if ctx is not None:
+                OBS.tracer.event("qos.shed", self.name, ctx=ctx,
+                                 attrs={"reason": decision.reason,
+                                        "tier": decision.tier})
+        self._send(Packet(src=pkt.dst, dst=pkt.src, flags=RST | ACK,
+                          seq=yoda_isn(pkt.src, pkt.dst), ack=seq_add(pkt.seq, 1)))
+
+    def _release_qos_slot(self, flow: _LocalFlow) -> None:
+        if flow.qos_slot:
+            flow.qos_slot = False
+            self.qos.release_slot()
+
+    def _select(self, policy: VipPolicy,
+                request: HttpRequest) -> Optional[SelectionResult]:
+        """The VIP's rule scan, against controller health intersected with
+        this instance's circuit breakers when qos is armed."""
+        view = self.backend_view
+        if self.qos is not None:
+            view = self.qos.view(view)
+        return self._tables[policy.vip].select(request, self.rng, view)
 
     # ---------------------------------------------------------- observability --
     # Purely passive span bookkeeping: stage spans start/end at exactly the
@@ -825,565 +1374,11 @@ class YodaInstance:
     def _obs_close(self, flow: _LocalFlow, **attrs) -> None:
         """End every span still open on a flow that leaves this instance."""
         if OBS.enabled and flow.obs_spans is not None:
-            for name in ("storage_a", "storage_b", "server_connect",
-                         "rule_scan"):
+            for name in ("storage_a", "storage_b", "server_connect", "rule_scan"):
                 self._obs_end(flow, name, ok=False)
             self._obs_end(flow, "flow", completed=False, **attrs)
 
-    # =========================================================== client side ==
-    def _handle_client_packet(self, pkt: Packet, policy: VipPolicy) -> None:
-        key = flow_key(pkt.src, pkt.dst)
-        flow = self.flows.get(key)
-        self.vip_bytes[policy.vip] = (self.vip_bytes.get(policy.vip, 0)
-                                      + IP_TCP_HEADER_BYTES + len(pkt.payload))
-
-        if pkt.flags & (SYN | ACK) == SYN:
-            self._handle_client_syn(key, pkt, flow, policy)
-            return
-        if flow is None:
-            # Unknown flow: recovery path.  Even a pure ACK matters -- a
-            # client mid-download sends nothing else, and the backend needs
-            # those ACKs forwarded to keep its send window moving.
-            self._recover(key, pkt, "recovery_lookups_client",
-                          self.tcpstore.get_by_client, pkt.src, pkt.dst)
-            return
-        self._client_packet_on_flow(flow, pkt, policy)
-
-    def _handle_client_syn(self, key: str, pkt: Packet,
-                           flow: Optional[_LocalFlow],
-                           policy: VipPolicy) -> None:
-        if flow is not None:
-            if flow.syn_stored:
-                self._send_syn_ack(flow)  # duplicate SYN: deterministic reply
-            return
-        if (self.draining
-                and self.loop.now() - self._drain_started > DRAIN_SYN_GRACE):
-            # No new connections during make-before-break scale-in -- but
-            # only once the drain push has had time to pull us from the
-            # mux rings (DRAIN_SYN_GRACE).  After that, drop the SYN
-            # silently: the client's retransmit re-hashes through the mux
-            # ring, which no longer includes this instance.
-            self.metrics.counter("syns_refused_draining").inc()
-            if OBS.enabled:
-                OBS.flight(self.name, "drain_refuse", str(pkt.src))
-            return
-        if self.qos is not None:
-            decision = self.qos.admit_syn(pkt.dst.ip, pkt.src.ip)
-            if not decision.admitted:
-                self._shed_syn(pkt, decision)
-                return
-        state = FlowState(
-            client=pkt.src, vip=pkt.dst, client_isn=pkt.seq,
-            created_at=self.loop.now(),
-        )
-        flow = _LocalFlow(state, self.loop.now())
-        flow.qos_slot = self.qos is not None  # admit_syn took a limiter slot
-        if policy.certificate is not None:
-            flow.enable_tls()
-        self.flows[key] = flow
-        self.metrics.counter("flows_opened").inc()
-        t0 = self.loop.now()
-        if OBS.enabled:
-            self._obs_flow_open(flow, pkt.meta.get("obs_ctx"))
-        if self.stateless:
-            # stateless fast path: SYN-ACK immediately, no storage-a.
-            # If this VM dies the flow is gone -- that is the bargain.
-            self.metrics.counter("stateless_flows").inc()
-            flow.syn_stored = True
-            self._send_syn_ack(flow)
-            return
-        if OBS.enabled:
-            OBS.ctx = OBS.tracer.ctx_of(self._obs_start(flow, "storage_a"))
-        # storage-a MUST complete before the SYN-ACK leaves (Figure 3)
-        self.tcpstore.store_client_syn(
-            state, lambda ok: self._storage_a_done(key, ok, t0)
-        )
-        OBS.ctx = None
-
-    def _storage_a_done(self, key: str, ok: bool, t0: float) -> None:
-        """A storage-a write finished: the SYN record or, on a TLS VIP, its
-        rewrite carrying the hello.  Only now may the SYN-ACK or the
-        certificate flight acknowledge what it holds (Figure 3)."""
-        flow = self.flows.get(key)
-        if flow is None or self.host.failed:
-            return
-        if not ok:
-            # cannot guarantee recoverability -> acknowledge nothing, forget
-            # the flow here and keep whatever record is stored: the client
-            # retransmits its SYN (and we try again) or its hello (which
-            # recovers the flow through get_by_client)
-            self.metrics.counter("storage_a_failed").inc()
-            if OBS.enabled:
-                self._obs_end(flow, "storage_a", ok=False)
-                self._obs_end(flow, "flow", ok=False)
-                OBS.flight(self.name, "storage_a_failed", key)
-            self._stop_flow(flow)
-            del self.flows[key]
-            return
-        if not self.stateless:  # no zero-latency samples from the fast path
-            self.metrics.histogram("storage_a_latency").observe(
-                self.loop.now() - t0)
-        if OBS.enabled:
-            self._obs_end(flow, "storage_a", ok=True)
-        if flow.tls and flow.tls.hello_done:
-            flow.tls.hello_stored(self, flow)
-            return
-        flow.syn_stored = True
-        self._send_syn_ack(flow)
-
-    def _shed_syn(self, pkt: Packet, decision) -> None:
-        """Stateless SYN-stage rejection (load shedding).
-
-        The RST's sequence number is the deterministic yoda ISN, so the
-        reject is computed from the packet alone: no flow record, no
-        TCPStore write, no SNAT port -- a shed connection costs the
-        instance nothing but this one packet, which is what lets an
-        overloaded instance keep shedding at line rate.
-        """
-        self.metrics.counter("syns_shed").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "shed",
-                       f"{pkt.src} reason={decision.reason} "
-                       f"tier={decision.tier}")
-            ctx = pkt.meta.get("obs_ctx")
-            if ctx is not None:
-                OBS.tracer.event("qos.shed", self.name, ctx=ctx,
-                                 attrs={"reason": decision.reason,
-                                        "tier": decision.tier})
-        self._send(Packet(
-            src=pkt.dst, dst=pkt.src, flags=RST | ACK,
-            seq=yoda_isn(pkt.src, pkt.dst), ack=seq_add(pkt.seq, 1),
-        ))
-
-    def _release_qos_slot(self, flow: _LocalFlow) -> None:
-        if flow.qos_slot:
-            flow.qos_slot = False
-            self.qos.release_slot()
-
-    def _send_syn_ack(self, flow: _LocalFlow) -> None:
-        state = flow.state
-        self._send(Packet(
-            src=state.vip, dst=state.client, flags=SYN | ACK,
-            seq=state.yoda_isn, ack=seq_add(state.client_isn, 1),
-        ))
-
-    def _client_packet_on_flow(self, flow: _LocalFlow, pkt: Packet,
-                               policy: VipPolicy) -> None:
-        flow.last_seen = self.loop.now()
-        state = flow.state
-        flags = pkt.flags
-        if flags & RST:
-            if flow.phase is FlowPhase.TUNNEL and state.established:
-                self._send(self._translate_to_server(flow, pkt))
-            self._destroy_flow(flow, remove_stored=True)
-            return
-        stream = flow.stream
-        if stream is not None and flags & ACK:
-            stream.client_ack(self, flow, pkt)
-        if flow.phase in _PHASES_BEFORE_TUNNEL:
-            tls_flow = flow.tls
-            if tls_flow and flags & ACK and tls_flow.resp_out:
-                tls_flow.client_ack(state, pkt.ack)
-            if pkt.payload:
-                offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
-                try:
-                    flow.buffer_request_bytes(offset, pkt.payload)
-                except HttpError:
-                    self._refuse_bad_request(flow)
-                    return
-                if flow.phase is FlowPhase.AWAIT_HEADER:
-                    if tls_flow:
-                        tls_flow.progress(self, flow, policy)
-                    else:
-                        self._select_and_connect(flow, policy)
-            if flags & FIN:
-                # client gave up before we even picked a server
-                flow.fin_client = True
-                self._destroy_flow(flow, remove_stored=True)
-            return
-        # tunneling phase: pure translation -- except that HTTP/1.1 lets
-        # the client send further requests on the same connection, which
-        # may match a different rule and need a different backend
-        # (Section 5.2).  The stream keeps being parsed; a new request is
-        # re-classified and, if needed, the backend is switched.
-        if flow.phase in _PHASES_TUNNELLING:
-            forward = True
-            if pkt.payload and flow.requests_seen is not None:
-                offset = seq_diff(pkt.seq, seq_add(state.client_isn, 1))
-                try:
-                    flow.buffer_request_bytes(offset, pkt.payload)
-                except HttpError:
-                    # not ours to refuse: the backend reads the same bytes
-                    # and answers for them; only re-classification ends
-                    flow.requests_seen = None
-                else:
-                    if len(flow.parsed) > flow.requests_seen:
-                        flow.requests_seen = len(flow.parsed)
-                        request, start_offset = flow.parsed[-1]
-                        if self._maybe_switch_backend(flow, request,
-                                                      start_offset, policy):
-                            forward = False  # bytes go to the new backend
-            if flags & FIN:
-                flow.fin_client = True
-            if forward:
-                self._send(self._translate_to_server(flow, pkt))
-            self._maybe_finish(flow)
-
-    # ----------------------------------------------------- selection + connect --
-    def _select_and_connect(self, flow: _LocalFlow, policy: VipPolicy) -> None:
-        """Classify a plain-HTTP flow once its first request header is in
-        (its body may still be streaming); a malformed one is refused."""
-        try:
-            request = (flow.parsed[0][0] if flow.parsed
-                       else request_head(bytes(flow.req_assembled)))
-        except HttpError:
-            self._refuse_bad_request(flow)
-            return
-        if request is not None:
-            self._dispatch_selection(flow, policy, request)
-
-    def _dispatch_selection(self, flow: _LocalFlow, policy: VipPolicy,
-                            request: HttpRequest) -> None:
-        """Classify a (possibly decrypted) request and start the backend
-        connection after the rule-scan latency."""
-        if request.path.startswith(STREAM_PATH_PREFIX) and not flow.tls:
-            # a long-lived streaming download: checkpoint its progress and
-            # keep enough context to re-select a backend after failures
-            flow.stream = _StreamFlow()
-        if flow.requests_seen is not None:
-            flow.requests_seen = max(1, len(flow.parsed))
-        result = self._select(policy, request)
-        scan_cpu = (self.cost.scan_cpu_base
-                    + self.cost.scan_cpu_per_rule * policy.rule_count)
-        self.cpu.execute(scan_cpu, phase="rule_scan")
-        if result is None:
-            self.metrics.counter("no_backend").inc()
-            self._reset_client(flow)
-            return
-        self.metrics.histogram("scan_latency").observe(result.scan_latency)
-        self.metrics.counter("selections").inc()
-        if OBS.enabled:
-            span = self._obs_start(flow, "rule_scan")
-            if span is not None:
-                # the scan's latency elapses via call_later below; the span
-                # covers exactly that window
-                self._obs_end(flow, "rule_scan",
-                              end=span.start + result.scan_latency,
-                              backend=result.backend)
-        # the scan itself takes time (Figure 6) before the server SYN goes out
-        self.loop.call_later(
-            result.scan_latency, self._connect_server, flow.key(),
-            result.backend, policy,
-        )
-
-    def _select(self, policy: VipPolicy,
-                request: HttpRequest) -> Optional[SelectionResult]:
-        """The VIP's rule scan, against controller health intersected with
-        this instance's circuit breakers when qos is armed."""
-        view = self.backend_view
-        if self.qos is not None:
-            view = self.qos.view(view)
-        return self._tables[policy.vip].select(request, self.rng, view)
-
-    def _connect_server(self, key: str, backend: str, policy: VipPolicy) -> None:
-        flow = self.flows.get(key)
-        if flow is None or self.host.failed or flow.phase is not FlowPhase.AWAIT_HEADER:
-            return
-        state = flow.state
-        flow.backend_name = backend
-        server_ep = policy.endpoint_of(backend)
-        try:
-            snat_port = self.snat_ports.alloc(policy.vip)
-        except SnatExhausted:
-            self._refuse_exhausted(flow)
-            return
-        if flow.tls:
-            # the backend will replay the identical deterministic
-            # handshake flight; remember how many bytes to suppress
-            state.tls_handshake_len = len(flow.tls.resp_out)
-        if flow.stream is not None:
-            # the full request header, so a takeover instance can re-run
-            # rule selection if this backend is dead by then; rides the
-            # storage-b write
-            state.replay_header = bytes(flow.req_assembled)
-        self._open_backend(flow, key, server_ep, snat_port, 0)
-
-    def _open_backend(self, flow: _LocalFlow, key: str, server_ep: Endpoint,
-                      snat_port: int, forwarded: int) -> None:
-        """Point the flow at a backend and send it the SYN: the one place a
-        backend connection opens (first connect, HTTP/1.1 switch, stream
-        resume).  ``forwarded`` request bytes are already the backend's."""
-        state = flow.state
-        state.server = server_ep
-        state.server_isn = None
-        state.snat_port = snat_port
-        state.phase = FlowPhase.SERVER_SYN_SENT.value
-        flow.phase = FlowPhase.SERVER_SYN_SENT
-        flow.forwarded_req_bytes = forwarded
-        flow.syn_tries = 0
-        self.by_server[(str(server_ep), snat_port)] = key
-        flow.t_server_syn = self.loop.now()
-        if OBS.enabled:
-            self._obs_start(flow, "server_connect")
-        self._send_server_syn(flow)
-        if flow.syn_timer is None:
-            flow.syn_timer = Timer(self.loop, lambda: self._server_syn_rto(key))
-        flow.syn_timer.start(SERVER_SYN_RTO)
-
-    def _send_server_syn(self, flow: _LocalFlow) -> None:
-        state = flow.state
-        # Reuse the client's ISN (offset by any earlier requests) so the
-        # client's data bytes flow to the server without seq rewriting.
-        isn = seq_add(state.client_isn, state.request_offset)
-        pkt = Packet(
-            src=state.snat_src, dst=state.server,
-            flags=SYN, seq=isn,
-        )
-        if OBS.enabled and flow.obs_ctx is not None:
-            # the backend's passive open adopts the client's trace context
-            pkt.meta["obs_ctx"] = flow.obs_ctx
-        self._send(pkt)
-
-    def _server_syn_rto(self, key: str) -> None:
-        flow = self.flows.get(key)
-        if flow is None or flow.phase is not FlowPhase.SERVER_SYN_SENT:
-            return
-        flow.syn_tries += 1
-        if flow.syn_tries > SERVER_SYN_RETRIES:
-            self.metrics.counter("server_connect_failed").inc()
-            if self.qos is not None and flow.backend_name is not None:
-                self.qos.backend_failure(flow.backend_name)
-            self._reset_client(flow)
-            return
-        self._send_server_syn(flow)
-        flow.syn_timer.start(SERVER_SYN_RTO * (2 ** flow.syn_tries))
-
-    def _reclaim_closing_flows(self) -> bool:
-        """Destroy the flows already closing, for the SNAT ports they hold
-        (``SnatPorts.alloc`` asks under pressure); False if there were none."""
-        closing = [f for f in self.flows.values()
-                   if f.phase is FlowPhase.CLOSING]
-        for flow in closing:
-            self._destroy_flow(flow, remove_stored=True)
-        return bool(closing)
-
-    def _refuse_exhausted(self, flow: _LocalFlow) -> None:
-        """SNAT exhaustion: refuse the flow with an RST and release the
-        mux's 5-tuple pin *immediately*.  Without the release, the refused
-        key stayed pinned to this instance for the full mux idle timeout,
-        steering the client's remaining packets (and any same-5-tuple
-        retry) at an instance that has no ports to serve them with."""
-        state = flow.state
-        self.metrics.counter("snat_refused_flows").inc()
-        if OBS.enabled:
-            OBS.flight(self.name, "snat_exhausted_refuse", flow.key())
-        self._reset_client(flow)
-        if self.l4lb is not None:
-            self.l4lb.release_flow(state.client, state.vip)
-
-    # =========================================================== server side ==
-    def _handle_server_packet(self, pkt: Packet, policy: VipPolicy) -> None:
-        skey = (pkt.src.text, pkt.dst.port)
-        key = self.by_server.get(skey)
-        flow = self.flows.get(key) if key is not None else None
-        if flow is None:
-            self._recover(skey, pkt, "recovery_lookups_server",
-                          self.tcpstore.get_by_server,
-                          pkt.dst.ip, pkt.dst.port, pkt.src)
-            return
-        flow.last_seen = self.loop.now()
-        state = flow.state
-        flags = pkt.flags
-        if flags & RST:
-            # backend reset: propagate to the client, translated
-            if state.established:
-                self._send(self._translate_to_client(flow, pkt))
-                self._destroy_flow(flow, remove_stored=True)
-            else:
-                # refused during connect: that is breaker-relevant signal
-                if self.qos is not None and flow.backend_name is not None:
-                    self.qos.backend_failure(flow.backend_name)
-                self._reset_client(flow)
-            return
-        if flags & SYN and flags & ACK:
-            self._handle_server_syn_ack(flow, pkt)
-            return
-        if flow.phase in _PHASES_TUNNELLING:
-            if state.tls_handshake_len and pkt.payload:
-                pkt = self._suppress_duplicate_handshake(flow, pkt)
-                if pkt is None:
-                    return
-            if pkt.payload:
-                # seq_diff(end of this segment, first response byte)
-                rel = ((pkt.seq + len(pkt.payload) - state.server_isn - 1
-                        + SEQ_HALF) & SEQ_MASK) - SEQ_HALF
-                if rel > flow.resp_high:
-                    flow.resp_high = rel
-            if flags & FIN:
-                flow.fin_server = True
-            self._send(self._translate_to_client(flow, pkt))
-            self._maybe_finish(flow)
-
-    def _handle_server_syn_ack(self, flow: _LocalFlow, pkt: Packet) -> None:
-        state = flow.state
-        if flow.phase is FlowPhase.TUNNEL:
-            # our handshake ACK was lost; repeat it
-            self._send_server_handshake_ack(flow)
-            return
-        if flow.phase is not FlowPhase.SERVER_SYN_SENT or flow.storage_b_inflight:
-            return
-        expected_ack = seq_add(state.client_isn, state.request_offset + 1)
-        if pkt.ack != expected_ack:
-            return
-        state.server_isn = pkt.seq
-        flow.storage_b_inflight = True
-        t0 = self.loop.now()
-        state.phase = FlowPhase.TUNNEL.value
-        if self.stateless:
-            # no storage-b: complete the backend handshake immediately
-            self._storage_b_done(flow.key(), True, t0)
-            return
-        if OBS.enabled:
-            span = self._obs_start(flow, "storage_b")
-            if span is not None:
-                OBS.ctx = OBS.tracer.ctx_of(span)
-        # storage-b MUST complete before the ACK to the server (Figure 3)
-        self.tcpstore.store_server_conn(
-            state, lambda ok: self._storage_b_done(flow.key(), ok, t0)
-        )
-        OBS.ctx = None
-
-    def _storage_b_done(self, key: str, ok: bool, t0: float) -> None:
-        flow = self.flows.get(key)
-        if flow is None or self.host.failed:
-            return
-        flow.storage_b_inflight = False
-        if not ok:
-            # leave SERVER_SYN_SENT; the server retransmits its SYN-ACK and
-            # we will retry persisting.
-            flow.state.phase = FlowPhase.SERVER_SYN_SENT.value
-            self.metrics.counter("storage_b_failed").inc()
-            if OBS.enabled:
-                self._obs_end(flow, "storage_b", ok=False)
-                OBS.flight(self.name, "storage_b_failed", key)
-            return
-        if flow.syn_timer is not None:
-            flow.syn_timer.cancel()
-        now = self.loop.now()
-        if not self.stateless:  # no zero-latency samples from the fast path
-            self.metrics.histogram("storage_b_latency").observe(now - t0)
-        self.metrics.histogram("server_connect_latency").observe(
-            now - flow.t_server_syn
-        )
-        if OBS.enabled:
-            self._obs_end(flow, "storage_b", end=now, ok=True)
-            self._obs_end(flow, "server_connect", end=now, ok=True)
-        if self.qos is not None and flow.backend_name is not None:
-            self.qos.backend_success(flow.backend_name)
-        self._release_qos_slot(flow)  # flow left the connection phase
-        flow.phase = FlowPhase.TUNNEL
-        self._send_server_handshake_ack(flow)
-        self._forward_buffered_request(flow)
-
-    def _send_server_handshake_ack(self, flow: _LocalFlow) -> None:
-        state = flow.state
-        self._send(Packet(
-            src=state.snat_src, dst=state.server,
-            flags=ACK, seq=seq_add(state.client_isn, state.request_offset + 1),
-            ack=seq_add(state.server_isn, 1),
-        ))
-
-    def _forward_buffered_request(self, flow: _LocalFlow) -> None:
-        """Replay the buffered HTTP header bytes to the backend, in the
-        client's own sequence space."""
-        state = flow.state
-        data = bytes(flow.req_assembled[flow.forwarded_req_bytes:])
-        base = seq_add(state.client_isn, 1 + flow.forwarded_req_bytes)
-        for off in range(0, len(data), MSS):
-            chunk = data[off:off + MSS]
-            self._send(Packet(
-                src=state.snat_src, dst=state.server,
-                flags=ACK, seq=seq_add(base, off),
-                ack=seq_add(state.server_isn, 1), payload=chunk,
-            ))
-        flow.forwarded_req_bytes += len(data)
-
-    def _maybe_switch_backend(self, flow: _LocalFlow, request, start_offset: int,
-                              policy: VipPolicy) -> bool:
-        """Re-classify an HTTP/1.1 follow-up request; switch backends if it
-        matches a different one (Section 5.2).
-
-        The mechanics reuse the connection-phase tricks with offsets:
-        the new backend connection's ISN is the client's stream position
-        at the request boundary (so request bytes still flow unrewritten),
-        and the server->client delta accumulates the response bytes
-        already delivered by previous backends.
-        """
-        state = flow.state
-        result = self._select(policy, request)
-        if result is None:
-            return False  # keep the current backend rather than reset
-        new_ep = policy.endpoint_of(result.backend)
-        if new_ep == state.server:
-            return False  # same backend: the connection is simply reused
-        self.metrics.counter("backend_switches").inc()
-        flow.backend_name = result.backend
-        # close the old backend connection and drop its TCPStore index
-        self.by_server.pop((str(state.server), state.snat_port), None)
-        if not self.stateless:  # no index record was ever written
-            self.tcpstore.remove_server_index(state)
-        self._send(Packet(
-            src=state.snat_src, dst=state.server,
-            flags=RST | ACK,
-            seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
-            ack=seq_add(state.server_isn or 0, 1),
-        ))
-        if state.snat_port is not None:
-            self.snat_ports.release(state.vip.ip, state.snat_port)
-        # re-base the flow onto the new backend (named before the port is
-        # allocated: a refusal tears down the re-based flow)
-        state.request_offset = start_offset
-        state.response_offset += flow.resp_high
-        flow.resp_high = 0
-        state.server = new_ep
-        state.server_isn = None
-        try:
-            snat_port = self.snat_ports.alloc(policy.vip)
-        except SnatExhausted:
-            # old backend connection is already torn down; refuse the
-            # client rather than limp on with no port
-            self._refuse_exhausted(flow)
-            return True
-        if OBS.enabled:
-            OBS.flight(self.name, "backend_switch",
-                       f"{flow.key()} -> {result.backend}")
-        self._open_backend(flow, flow.key(), new_ep, snat_port, start_offset)
-        return True
-
     # ========================================================== translation ==
-    def _suppress_duplicate_handshake(self, flow: _LocalFlow,
-                                      pkt: Packet) -> Optional[Packet]:
-        """Drop (or trim) backend response bytes that duplicate the TLS
-        handshake flight this instance already served to the client,
-        ACKing them locally so the backend's window keeps moving."""
-        state = flow.state
-        sup = state.tls_handshake_len
-        rel = seq_diff(pkt.seq, seq_add(state.server_isn, 1))
-        end = rel + pkt.payload_len
-        if rel >= sup:
-            return pkt  # past the handshake: nothing to do
-        # ACK the suppressed span toward the backend
-        self._send(Packet(
-            src=state.snat_src, dst=state.server,
-            flags=ACK,
-            seq=seq_add(state.client_isn, 1 + len(flow.req_assembled)),
-            ack=seq_add(state.server_isn, 1 + min(end, sup)),
-        ))
-        if end <= sup:
-            return None  # entirely within the duplicate flight
-        keep = sup - rel
-        return pkt.copy(seq=seq_add(pkt.seq, keep), payload=pkt.payload[keep:])
-
     def _delta(self, state: FlowState) -> int:
         """Server->client sequence offset: C - S (plus HTTP/1.1 response
         offset when the backend has been switched mid-connection).
@@ -1391,8 +1386,7 @@ class YodaInstance:
         The definition of the translation: the two functions below apply
         ``seq_add(x, +-_delta(state))`` with the offset's three terms folded
         under one mask, which is equal mod 2**32 for every input."""
-        return seq_diff(seq_add(state.yoda_isn, state.response_offset),
-                        state.server_isn)
+        return seq_diff(seq_add(state.yoda_isn, state.response_offset), state.server_isn)
 
     def _translate_to_client(self, flow: _LocalFlow, pkt: Packet) -> Packet:
         state = flow.state
@@ -1441,8 +1435,7 @@ class YodaInstance:
                         self._send(Packet(
                             src=pkt.dst, dst=pkt.src, flags=RST | ACK,
                             seq=pkt.ack if pkt.has_ack else 0,
-                            ack=seq_add(pkt.seq, max(pkt.seq_span, 1)),
-                        ))
+                            ack=seq_add(pkt.seq, max(pkt.seq_span, 1))))
             return
         flow = self._install_recovered(state.key, state)
         policy = self.policies.get(state.vip.ip)
@@ -1450,21 +1443,19 @@ class YodaInstance:
             return
         for pkt in queued:
             if from_server:
-                self._handle_server_packet(pkt, policy)
+                self._dispatch(pkt)  # by (backend, SNAT port) again
             else:
-                self._client_packet_on_flow(flow, pkt, policy)
+                flow.phase.client(self, flow, pkt, policy)
 
     def _install_recovered(self, key: str, state: FlowState) -> _LocalFlow:
         existing = self.flows.get(key)
         if existing is not None:
             return existing
         flow = _LocalFlow(state, self.loop.now())
-        flow.syn_stored = True
         flow.requests_seen = None  # HTTP/1.1 switching needs parser context
         if OBS.enabled:
             self._obs_flow_open(flow, None, recovered=True)
-            OBS.flight(self.name, "flow_recovered",
-                       f"{key} phase={state.phase}")
+            OBS.flight(self.name, "flow_recovered", f"{key} phase={state.phase}")
         policy = self.policies.get(state.vip.ip)
         if policy is not None and policy.certificate is not None:
             flow.enable_tls()
@@ -1473,36 +1464,45 @@ class YodaInstance:
             if state.replay_header and not flow.tls:
                 flow.stream = _StreamFlow()
             if not (flow.stream is not None and policy is not None
-                    and flow.stream.resume(self, key, flow, policy)):
-                flow.phase = FlowPhase.TUNNEL
+                    and flow.stream.resume(self, flow, policy)):
+                flow.phase = _TUNNEL
                 self.by_server[(str(state.server), state.snat_port)] = key
         else:
-            flow.phase = FlowPhase.AWAIT_HEADER
+            flow.phase = _AWAIT_HEADER
         self.flows[key] = flow
         self.metrics.counter("flows_recovered").inc()
         return flow
 
     # ================================================================ cleanup ==
-    def _maybe_finish(self, flow: _LocalFlow) -> None:
-        if (flow.fin_client and flow.fin_server
-                and flow.phase is not FlowPhase.CLOSING):
-            flow.phase = FlowPhase.CLOSING
-            self.loop.call_later(FLOW_LINGER, self._finish_flow, flow.key())
-
-    def _finish_flow(self, key: str) -> None:
-        flow = self.flows.get(key)
-        if flow is None:
-            return
-        self.completed_flows += 1
-        self.metrics.counter("flows_completed").inc()
-        if OBS.enabled:
-            self._obs_end(flow, "flow", completed=True)
+    def _reset_client(self, flow: _LocalFlow, counter: Optional[str] = None,
+                      note: Optional[str] = None, acked: int = 0) -> None:
+        """End a flow no backend has answered on: all the client has from
+        it is this instance's SYN-ACK (and, on a TLS VIP, the certificate
+        flight), and an ACK of ``acked`` of its bytes.  ``counter`` and the
+        flight-recorder ``note`` say why (a malformed request costs its
+        sender the connection, and the run nothing)."""
+        if counter is not None:
+            self.metrics.counter(counter).inc()
+        if note is not None and OBS.enabled:
+            OBS.flight(self.name, note, flow.state.key)
+        state = flow.state
+        self._send(Packet(src=state.vip, dst=state.client, flags=RST | ACK,
+                          seq=state.yoda_isn,
+                          ack=seq_add(state.client_isn, 1 + acked)))
         self._destroy_flow(flow, remove_stored=True)
+
+    def _reclaim_closing_flows(self) -> bool:
+        """Destroy the flows already closing, for the SNAT ports they hold
+        (``SnatPorts.alloc`` asks under pressure); False if there were none."""
+        closing = [f for f in self.flows.values() if f.phase is _CLOSING]
+        for flow in closing:
+            self._destroy_flow(flow, remove_stored=True)
+        return bool(closing)
 
     def _destroy_flow(self, flow: _LocalFlow, remove_stored: bool) -> None:
         state = flow.state
         self._obs_close(flow)
-        self.flows.pop(flow.key(), None)
+        self.flows.pop(state.key, None)
         self._stop_flow(flow)
         if state.server is not None and state.snat_port is not None:
             self.by_server.pop((str(state.server), state.snat_port), None)
@@ -1512,8 +1512,7 @@ class YodaInstance:
 
     def _collect_idle_flows(self) -> None:
         now = self.loop.now()
-        stale = [f for f in self.flows.values()
-                 if now - f.last_seen > FLOW_IDLE_TIMEOUT]
+        stale = [f for f in self.flows.values() if now - f.last_seen > FLOW_IDLE_TIMEOUT]
         for flow in stale:
             self.metrics.counter("flows_idle_reaped").inc()
             self._destroy_flow(flow, remove_stored=True)

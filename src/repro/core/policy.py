@@ -9,7 +9,7 @@ versioned so instances apply updates only to new connections (Section 5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.rules import LEAST_LOADED, Action, Match, Rule

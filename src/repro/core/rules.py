@@ -10,7 +10,7 @@ keyed by a cookie.
 from __future__ import annotations
 
 import fnmatch
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import PolicyError

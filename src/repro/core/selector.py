@@ -10,10 +10,9 @@ Figure 6: P90 lookup latency grows linearly in the number of rules, with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import List, Optional, Protocol
 
 from repro.core.rules import Rule
-from repro.errors import PolicyError
 from repro.http.message import HttpRequest
 from repro.sim.random import SeededRng, stable_hash64
 

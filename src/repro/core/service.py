@@ -236,7 +236,7 @@ class YodaService:
                 replicas=min(3, len(lease_servers)),
                 op_timeout=KV_OP_TIMEOUT, max_retries=1,
                 rng=self.rng.fork(f"kv/{host.name}"),
-                read_repair=False, hinted_handoff=False,
+                self_healing=False,
             )
             host.set_handler(kv.handle_response)
             controller = self._build_controller()
@@ -286,7 +286,7 @@ class YodaService:
                 relay, self.loop, self.standby_kv_cluster,
                 replicas=STORE_REPLICAS, op_timeout=SYNC_OP_TIMEOUT,
                 rng=self.rng.fork("kv/sitesync-relay"),
-                read_repair=False, hinted_handoff=False,
+                self_healing=False,
             )
             relay.set_handler(relay_kv.handle_response)
             self.replicator = SiteReplicator(
@@ -324,7 +324,7 @@ class YodaService:
             host, self.loop, cluster or self.kv_cluster,
             replicas=STORE_REPLICAS, op_timeout=KV_OP_TIMEOUT,
             rng=self.rng.fork(f"kv/{host.name}"),
-            read_repair=cfg.self_healing, hinted_handoff=cfg.self_healing,
+            self_healing=cfg.self_healing,
         )
         instance = YodaInstance(
             host, self.loop, self.rng, TcpStore(kv),

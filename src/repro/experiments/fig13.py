@@ -14,7 +14,6 @@ fetch stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.stats import mean, median

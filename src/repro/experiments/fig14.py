@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.core.policy import VipPolicy, weighted_split
+from repro.core.policy import weighted_split
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 
 

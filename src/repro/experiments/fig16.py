@@ -23,10 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.stats import mean, median
 from repro.core.assignment.all_to_all import min_instances_for_traffic
-from repro.core.assignment.constraints import transient_overloaded_instances
-from repro.core.assignment.problem import AssignmentProblem, InstanceSpec
+from repro.core.assignment.problem import AssignmentProblem
 from repro.core.assignment.update import plan_update
-from repro.errors import InfeasibleError
 from repro.experiments.harness import ExperimentResult
 from repro.sim.random import SeededRng
 from repro.workload.trace import (

@@ -31,7 +31,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import replace
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.chaos.library import get_scenario
 from repro.chaos.scenario import run_scenario
@@ -40,7 +40,6 @@ from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.l4lb.compact import StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.addresses import Endpoint
-from repro.net.host import Host
 from repro.net.links import FixedLatency
 from repro.net.network import Network
 from repro.net.packet import ACK, SYN, Packet

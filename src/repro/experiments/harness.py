@@ -314,8 +314,8 @@ class Testbed:
         flows = getattr(instance, "flows", None)
         if flows is not None:  # YODA instance
             mid = sum(1 for f in flows.values()
-                      if f.phase.value in ("tunnel", "server_syn_sent",
-                                           "await_header"))
+                      if f.phase.flow_phase.value in (
+                          "tunnel", "server_syn_sent", "await_header"))
             return 2 if mid else (1 if flows else 0)
         conns = instance.stack.connections()  # HAProxy instance
         return 2 if conns else 0

@@ -32,12 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import KvStoreError
 from repro.kvstore.hashring import HashRing
-from repro.kvstore.memcached import (
-    MEMCACHED_PORT,
-    MemcachedServer,
-    Version,
-    version_newer,
-)
+from repro.kvstore.memcached import MemcachedServer, Version, version_newer
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.packet import Packet
@@ -237,10 +232,10 @@ class ReplicatingKvClient:
             ring even if the controller believes it healthy.
         rng: optional randomness for retry jitter (decorrelates the
             retry storms of many clients hitting the same dead server).
-        read_repair: write the newest version back to replicas a read
-            found stale or missing.
-        hinted_handoff: queue replica writes that went unanswered and
-            flush them when the server rejoins the ring.
+        self_healing: write the newest version back to replicas a read
+            found stale or missing (read repair), and queue replica writes
+            that went unanswered to flush when the server rejoins the ring
+            (hinted handoff).
     """
 
     def __init__(
@@ -254,8 +249,7 @@ class ReplicatingKvClient:
         dead_after_timeouts: int = 3,
         quarantine: float = 1.0,
         rng: Optional[SeededRng] = None,
-        read_repair: bool = True,
-        hinted_handoff: bool = True,
+        self_healing: bool = True,
     ):
         if replicas < 1:
             raise KvStoreError(f"replicas must be >= 1, got {replicas}")
@@ -268,8 +262,7 @@ class ReplicatingKvClient:
         self.dead_after_timeouts = dead_after_timeouts
         self.quarantine = quarantine
         self.rng = rng
-        self.read_repair = read_repair
-        self.hinted_handoff = hinted_handoff
+        self.self_healing = self_healing
         # optional tap fed every completed op's KvOpResult (a traced
         # benchmark run collects simulated op latencies here)
         self.latency_listener: Optional[Callable[[KvOpResult], None]] = None
@@ -484,11 +477,11 @@ class ReplicatingKvClient:
             result.value = pending.best_value
             result.version = pending.best_version
             result.ok = ok = ok and result.value is not None
-            if ok:
+            if ok and self.self_healing:
                 self._repair_after_read(pending)
         elif op == "set":
             result.version = pending.version
-            if self.hinted_handoff and pending.value is not None:
+            if self.self_healing and pending.value is not None:
                 for name in pending.targets:
                     if name not in pending.attempt_answered:
                         self._add_hint(name, pending.key, pending.version,
@@ -512,11 +505,11 @@ class ReplicatingKvClient:
         for name in pending.targets:
             if name in pending.replica_versions:
                 held = pending.replica_versions[name]
-                if self.read_repair and version_newer(pending.best_version, held):
+                if version_newer(pending.best_version, held):
                     self._send_direct(name, pending.key, pending.best_value,
                                       pending.best_version)
                     self.metrics.counter("read_repairs").inc()
-            elif name not in pending.attempt_answered and self.hinted_handoff:
+            elif name not in pending.attempt_answered:
                 self._add_hint(name, pending.key, pending.best_version,
                                pending.best_value)
 

@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 
 from repro.obs.profiler import SimProfiler
 from repro.obs.recorder import FlightRecorderHub
-from repro.obs.span import Span, Tracer  # noqa: F401  (re-exported)
+from repro.obs.span import Tracer
 
 
 class ObsPlane:

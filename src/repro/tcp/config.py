@@ -7,7 +7,7 @@ doubles (the 300 ms / 600 ms server retransmissions in Figure 12(b)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 

@@ -13,13 +13,11 @@ Two shapes, matching the paper's two tools:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from repro.http.client import BrowserClient, FetchResult, PageLoadResult
 from repro.net.addresses import Endpoint
 from repro.sim.events import EventLoop
-from repro.sim.random import SeededRng
 from repro.tcp.endpoint import TcpStack
 from repro.workload.website import Website
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.sim.random import SeededRng
 from repro.workload.objects import ObjectCorpus

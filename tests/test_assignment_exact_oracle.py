@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.assignment import (
     AssignmentProblem, IlpSolver, InstanceSpec, VipSpec,

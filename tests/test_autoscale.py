@@ -11,8 +11,6 @@ from repro.autoscale import (
     Autoscaler,
     ElasticPolicy,
     PolicyEngine,
-    ScaleEvent,
-    SignalReader,
     SignalSnapshot,
 )
 from repro.chaos.library import get_scenario
@@ -301,18 +299,17 @@ class TestScaleChurnRegressions:
 
         bed = make_bed()
         inst = bed.yoda.instances[0]
-        policy = inst.policies[bed.vip]
         inst.start_drain()
 
         early = Packet(src=Endpoint("172.16.0.9", 5555),
                        dst=Endpoint(bed.vip, 80), flags=SYN, seq=100)
-        inst._handle_client_packet(early, policy)
+        inst._dispatch(early)
         assert flow_key(early.src, early.dst) in inst.flows
 
         bed.run(DRAIN_SYN_GRACE + 0.1)
         late = Packet(src=Endpoint("172.16.0.10", 5555),
                       dst=Endpoint(bed.vip, 80), flags=SYN, seq=200)
-        inst._handle_client_packet(late, policy)
+        inst._dispatch(late)
         assert flow_key(late.src, late.dst) not in inst.flows
         assert inst.metrics.counter("syns_refused_draining").value == 1
 

@@ -1,7 +1,5 @@
 """HAProxy baseline: proxying works; failure semantics match Section 2.3."""
 
-import pytest
-
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient
 from tests.trace_tools import trace_filter

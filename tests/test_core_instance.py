@@ -4,12 +4,16 @@ Everything here runs against a real wired deployment (L4 LB + instances +
 TCPStore + backends) built by the experiment harness.
 """
 
+import ast
+import functools
 import hashlib
+import inspect
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.flowstate import FlowPhase, yoda_isn
+from repro.core import instance as instance_module
 from repro.core.instance import YodaCostModel, YodaInstance
 from repro.core.policy import VipPolicy
 from repro.core.tcpstore import TcpStore
@@ -24,7 +28,6 @@ from repro.net.packet import ACK, Packet
 from repro.sim.cpu import CpuModel
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
-from repro.sim.tracing import PacketTrace
 from tests.trace_tools import trace_filter
 
 
@@ -307,7 +310,7 @@ class TestPerFlowCost:
                       http_timeout=30.0, retries=0).fetch("/obj/0.bin",
                                                           results.append)
         instance = bed.yoda.instances[0]
-        while not any(flow.phase is FlowPhase.TUNNEL
+        while not any(flow.phase.flow_phase is FlowPhase.TUNNEL
                       for flow in instance.flows.values()):
             bed.loop.run_for(0.001)
         before_tunnel = counts["endpoints"]
@@ -360,8 +363,9 @@ def _real_instance(host, loop, cost, dispatched):
     inst = YodaInstance(host, loop, SeededRng(1), TcpStore(kv),
                         cost_model=cost)
     inst.install_policy(VipPolicy(vip="100.0.0.1", backends={}, rules=[]))
-    # everything past _dispatch's own liveness check is out of scope here
-    inst._handle_client_packet = lambda pkt, policy: dispatched.append(
+    # every packet here is an ACK of a flow the instance does not know, so
+    # _dispatch hands it to the recovery lookup: that is out of scope here
+    inst._recover = lambda rkey, pkt, *lookup: dispatched.append(
         (loop.now().hex(), pkt.packet_id))
     return inst
 
@@ -417,3 +421,73 @@ def test_single_event_dispatch_is_the_two_event_chain(ops, cores, latency,
             assert all(float.fromhex(t) < fail_at for t, _ in dispatched)
         runs.append(dispatched)
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# The flow table is total: every phase names a cell for every event, so a
+# new phase cannot fall through to a default.
+# ---------------------------------------------------------------------------
+_ROWS = {name.strip("_").lower(): row
+         for name, row in vars(instance_module).items()
+         if isinstance(row, instance_module._Phase)}
+_EVENTS = ("client", "server", "replies", "timers")
+
+
+def _is_handler(cell):
+    """A function of core/instance.py (a module function or a static
+    method of one of its classes)."""
+    return (inspect.isfunction(cell)
+            and cell.__module__ == instance_module.__name__)
+
+
+@pytest.mark.parametrize("phase,event",
+                         [(p, e) for p in sorted(_ROWS) for e in _EVENTS])
+def test_flow_table_cell_names_a_handler_or_a_drop(phase, event):
+    cell = getattr(_ROWS[phase], event)
+    if event in ("client", "server"):
+        # a packet cell is one handler; _drop is the explicit drop
+        assert _is_handler(cell), (phase, event, cell)
+        assert list(inspect.signature(cell).parameters) == [
+            "inst", "flow", "pkt", "policy"], (phase, event)
+    else:
+        # the store replies / timers the phase waits on; () drops them all
+        assert isinstance(cell, tuple), (phase, event, cell)
+        assert all(_is_handler(h) for h in cell), (phase, event, cell)
+
+
+def test_every_flow_phase_has_a_row():
+    assert len(_ROWS) == 6
+    assert {row.flow_phase for row in _ROWS.values()} == set(FlowPhase)
+
+
+def test_every_store_reply_and_timer_is_taken_by_some_row():
+    """Each handler a call site routes through ``_on_reply`` / ``_on_timer``
+    (directly, or as the reply of a ``_store`` write) is listed by at least
+    one row of that column: none is dropped in every phase."""
+    tree = ast.parse(inspect.getsource(instance_module))
+    routed = {"replies": set(), "timers": set()}
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        args = call.args
+        if isinstance(call.func, ast.Name) and call.func.id == "_store":
+            routed["replies"].add(ast.unparse(args[4]))
+        for i, arg in enumerate(args):
+            if isinstance(arg, ast.Attribute) and arg.attr in ("_on_reply",
+                                                               "_on_timer"):
+                column = "replies" if arg.attr == "_on_reply" else "timers"
+                routed[column].add(ast.unparse(args[i + 2]))
+    # the reply routed inside _store itself is its parameter, not a handler
+    routed["replies"].discard("reply")
+    assert routed == {
+        "replies": {"_syn_stored", "_TlsFlow.hello_stored",
+                    "_TlsFlow.ticket_checked", "_server_stored"},
+        "timers": {"_connect_server", "_server_syn_rto", "_finish_flow",
+                   "_TlsFlow.resend"},
+    }
+    for column, names in routed.items():
+        taken = {h for row in _ROWS.values() for h in getattr(row, column)}
+        for name in names:
+            handler = functools.reduce(getattr, name.split("."),
+                                       instance_module)
+            assert handler in taken, (column, name)

@@ -5,8 +5,6 @@ randomness flows through SeededRng, and experiments take explicit seeds.
 Without it, no failure timeline in EXPERIMENTS.md would be reviewable.
 """
 
-import pytest
-
 from repro.experiments import fig6, fig15
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.client import BrowserClient

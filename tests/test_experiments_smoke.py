@@ -3,8 +3,11 @@ the expected row/summary structure.  The full-scale shape assertions live
 in benchmarks/."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
 
 from repro.experiments import (
     fig6,
@@ -91,6 +94,23 @@ def test_fig16_smoke():
     assert len(result.rows) == 3
     assert result.summary["limit_migrated_median_pct"] <= \
         result.summary["nolimit_migrated_median_pct"] + 1e-9
+
+
+def test_fig16_rows_do_not_depend_on_the_hash_seed():
+    """Limit mode ranks a set of old instances by their connections, and
+    equal counts by name: the same run prints the same rows under any
+    PYTHONHASHSEED (``solve_s`` is wall time and left out)."""
+    code = ("import json; from repro.experiments import fig16; "
+            "rows = fig16.run(seed=2016, pool_size=170, interval_stride=36).rows; "
+            "print(json.dumps([{k: v for k, v in r.items() if k != 'solve_s'} "
+            "for r in rows]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    printed = [subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+        timeout=120).stdout for seed in ("0", "1")]
+    assert len(json.loads(printed[0])) == 4
+    assert printed[0] == printed[1]
 
 
 def test_fig_overload_smoke():

@@ -1,7 +1,5 @@
 """HTTP/1.1 keep-alive and mid-connection backend switching (Section 5.2)."""
 
-import pytest
-
 from repro.core.policy import weighted_split
 from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http.message import HttpRequest

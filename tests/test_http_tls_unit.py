@@ -1,9 +1,7 @@
 """Unit coverage for the TLS record helpers not exercised elsewhere."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import HttpError
 from repro.http import tls
 
 

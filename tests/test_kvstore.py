@@ -636,7 +636,7 @@ class TestNewestWinsAndReadRepair:
 
     def test_read_repair_can_be_disabled(self, cluster_world):
         loop, servers, cluster, kv = cluster_world
-        kv.read_repair = False
+        kv.self_healing = False
         run_op(loop, lambda cb: kv.set("k", b"v", cb, version=(1, "w")))
         victim = next(s for s in servers if s.peek("k"))
         victim.fail()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import NetworkError
-from repro.l4lb.mux import L4Mux
 from repro.l4lb.service import L4LoadBalancer
 from repro.l4lb.snat import SnatAllocator
 from repro.net.addresses import Endpoint

@@ -109,3 +109,37 @@ def test_every_oracle_is_still_defined_and_still_unused():
     stale = sorted(set(ORACLES) - unused)
     assert not stale, (
         f"allow-listed oracle(s) now used by program code or gone: {stale}")
+
+
+def _unused_imports():
+    """``module:line name`` for every name that an import in a ``src/repro``
+    module other than an ``__init__.py`` binds and the module never names
+    again (the lint job's F401, without ruff)."""
+    unused = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        uses = _references(tree)
+        bound = []
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                uses -= _references(node)  # an import does not use itself
+                bound += [(node.lineno, a.asname or a.name.partition(".")[0])
+                          for a in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:  # a string annotation, e.g. "Dict[str, _Entry]"
+                    uses.update(_references(ast.parse(node.value, mode="eval")))
+                except (SyntaxError, ValueError):
+                    pass
+        rel = path.relative_to(SRC).as_posix()
+        unused += [f"{rel}:{line} {name}" for line, name in bound
+                   if uses[name] <= 0]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = _unused_imports()
+    assert not unused, (
+        f"{len(unused)} imported name(s) never used: {', '.join(unused)}")

@@ -1,7 +1,5 @@
 """Seeded RNG determinism and distribution helpers."""
 
-import math
-
 from hypothesis import given, strategies as st
 
 from repro.sim.random import SeededRng, stable_hash32, stable_hash64

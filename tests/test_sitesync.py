@@ -26,8 +26,7 @@ def sites():
     cluster = MemcachedCluster(servers)
     relay = net.attach(Host("sitesync-relay", ["10.7.0.1"], site="dc"))
     kv = ReplicatingKvClient(relay, loop, cluster, replicas=2,
-                             op_timeout=0.25, read_repair=False,
-                             hinted_handoff=False)
+                             op_timeout=0.25, self_healing=False)
     relay.set_handler(kv.handle_response)
     rep = SiteReplicator(loop, kv, interval=0.05, rate=400.0, burst=80)
     rep.start()

@@ -11,7 +11,6 @@ from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 from repro.tcp.config import TcpConfig
 from repro.tcp.endpoint import ConnectionHandler, TcpStack
-from repro.tcp.state import TcpState
 
 
 class Collector(ConnectionHandler):
@@ -65,7 +64,7 @@ class TestDuplicatesAndReassembly:
     def test_out_of_order_segments_reassembled(self):
         """Deliver a crafted out-of-order segment directly; the receiver
         must hold it until the gap fills."""
-        from repro.net.packet import ACK, PSH, Packet
+        from repro.net.packet import ACK, Packet
 
         loop, net, cs, ss = make_pair()
         server = Collector()

@@ -9,7 +9,6 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http import tls
 from repro.http.client import HttpsFetcher
 from repro.http.message import HttpRequest
-from repro.net.addresses import Endpoint
 from tests.trace_tools import trace_filter
 
 CERT = tls.Certificate("secure.example", size=3_000)
@@ -153,7 +152,7 @@ class TestTlsFailover:
 
         def poll():
             for inst in bed.yoda.instances:
-                if any(f.phase.value == "tunnel" for f in inst.flows.values()):
+                if any(f.phase.flow_phase.value == "tunnel" for f in inst.flows.values()):
                     state["t"] = bed.loop.now()
                     inst.fail()
                     return

@@ -2,9 +2,6 @@
 
 import math
 
-import pytest
-from hypothesis import given, settings, strategies as st
-
 from repro.sim.random import SeededRng
 from repro.workload.objects import (
     MAX_OBJECT_BYTES, MIN_OBJECT_BYTES, build_flat_corpus, build_university_site,
