@@ -48,7 +48,7 @@ def main() -> None:
             old_assignment=old_assignment, old_connections=conns,
             migration_limit=0.10 if old_assignment else None,
         )
-        outcome = plan_update(problem, limit=True, use_lp=False)
+        outcome = plan_update(problem, limit=True)
         baseline = min_instances_for_traffic(problem)
         peak_used = max(peak_used, outcome.instances_used)
         print(f"{interval / 6:5.0f} {sum(traffic_now.values()):9.0f} "

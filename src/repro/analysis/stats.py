@@ -1,4 +1,4 @@
-"""Small statistics helpers shared by experiments (no numpy on hot paths)."""
+"""Small statistics helpers shared by experiments (pure Python)."""
 
 from __future__ import annotations
 

@@ -8,21 +8,19 @@ bounded transient load while the non-atomic L4 update is in flight
 
 The paper's all-to-all baseline (every VIP on every instance: fewest
 instances, most rules) is its instance count,
-:func:`~repro.core.assignment.all_to_all.min_instances_for_traffic`.  Two
-solvers:
-
-- :func:`~repro.core.assignment.greedy.solve_greedy` -- first-fit
-  decreasing with migration awareness; always available, fast.
-- :class:`~repro.core.assignment.ilp.IlpSolver` -- the Figure 7 ILP via LP
-  relaxation (scipy/HiGHS) + rounding + greedy repair (the paper used
-  CPLEX with a 10% optimality gap; we substitute and validate Eq. 1-7
-  explicitly).
+:func:`~repro.core.assignment.all_to_all.min_instances_for_traffic`.  One
+solver, :func:`~repro.core.assignment.update.plan_update`: first-fit
+decreasing with migration awareness
+(:func:`~repro.core.assignment.greedy.solve_greedy`), then an emptying step
+that closes every instance whose replicas fit elsewhere
+(:func:`~repro.core.assignment.greedy.compact_assignment`).  The paper used
+CPLEX with a 10% optimality gap; every emptying here is validated against
+Eq. 1-7 before it is kept.
 """
 
 from repro.core.assignment.constraints import ConstraintReport, validate_assignment
 from repro.core.assignment.exact import solve_exact
 from repro.core.assignment.greedy import solve_greedy
-from repro.core.assignment.ilp import IlpSolver
 from repro.core.assignment.problem import (
     Assignment,
     AssignmentProblem,
@@ -38,7 +36,6 @@ __all__ = [
     "Assignment",
     "solve_greedy",
     "solve_exact",
-    "IlpSolver",
     "validate_assignment",
     "ConstraintReport",
     "plan_update",

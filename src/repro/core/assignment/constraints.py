@@ -1,10 +1,10 @@
 """Explicit validation of the Figure 7 constraints (Eq. 1-7).
 
-Because the ILP is solved approximately here (LP relaxation + rounding
-instead of CPLEX), every produced assignment is checked against the exact
-constraints; the experiments also use this module to *measure* violations
-(e.g. Fig. 16(d): how many instances a no-limit update transiently
-overloads).
+Because the ILP is solved approximately here (greedy first-fit and an
+emptying step instead of CPLEX), every emptying the step keeps is checked
+against the exact constraints; the experiments also use this module to
+*measure* violations (e.g. Fig. 16(d): how many instances a no-limit
+update transiently overloads).
 """
 
 from __future__ import annotations

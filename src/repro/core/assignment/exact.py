@@ -1,9 +1,9 @@
 """Exact branch-and-bound solver for small Figure 7 instances.
 
 Exponential, so only usable for toy sizes -- but that makes it a perfect
-*oracle*: the test suite compares the greedy and LP-rounding heuristics
-against provably optimal instance counts on small random problems,
-turning "the heuristics look reasonable" into a measured optimality gap.
+*oracle*: the test suite compares greedy plus the emptying step against
+provably optimal instance counts on small random problems, turning "the
+heuristic looks reasonable" into a measured optimality gap.
 
 Covers the steady-state formulation (Eq. 1-3); update constraints
 (Eq. 4-7) are heuristic-only territory.
@@ -28,13 +28,15 @@ def solve_exact(problem: AssignmentProblem,
     Raises:
         InfeasibleError: no feasible assignment exists.
         ValueError: the problem is too large for exact search.
+        TimeoutError: the search ran past ``time_budget`` before it
+            proved its incumbent optimal.
     """
     vips = sorted(problem.vips, key=lambda v: -v.per_instance_share)
     instances = list(problem.instances)
     if len(vips) > MAX_VIPS or len(instances) > MAX_INSTANCES:
         raise ValueError(
             f"exact solver is for toy sizes (<= {MAX_VIPS} VIPs x "
-            f"<= {MAX_INSTANCES} instances); use the greedy/LP solvers"
+            f"<= {MAX_INSTANCES} instances); use plan_update"
         )
 
     deadline = time.perf_counter() + time_budget
@@ -48,17 +50,17 @@ def solve_exact(problem: AssignmentProblem,
     best: Dict[str, object] = {"count": None, "mapping": None}
     used_traffic = [0.0] * n_inst
     used_rules = [0] * n_inst
+    # replicas per instance: an instance is open while this is nonzero
+    # (used_traffic can keep float residue after a VIP is taken back off)
+    used_replicas = [0] * n_inst
     chosen: List[Tuple[int, ...]] = []
 
     def search(v: int, opened: int) -> None:
         if time.perf_counter() > deadline:
-            raise TimeoutError
-        if best["count"] is not None and opened >= best["count"] and v < len(vips):
-            # even with zero new instances we cannot beat the incumbent
-            # unless we finish without opening more; keep exploring only
-            # if equality could still win -> prune strictly worse states
-            if opened > best["count"]:
-                return
+            raise TimeoutError(
+                f"exact search ran past {time_budget:g} s without a proof")
+        if best["count"] is not None and opened >= best["count"]:
+            return  # opened never shrinks down a branch: cannot win
         if v == len(vips):
             if best["count"] is None or opened < best["count"]:
                 best["count"] = opened
@@ -70,21 +72,21 @@ def solve_exact(problem: AssignmentProblem,
 
         def combos(start: int, picked: List[int]) -> None:
             if len(picked) == need:
-                new_opened = opened
-                for idx in picked:
-                    if used_rules[idx] == 0 and used_traffic[idx] == 0.0:
-                        new_opened += 1
-                if best["count"] is not None and new_opened > best["count"]:
+                new_opened = opened + sum(
+                    1 for idx in picked if used_replicas[idx] == 0)
+                if best["count"] is not None and new_opened >= best["count"]:
                     return
                 for idx in picked:
                     used_traffic[idx] += shares[v]
                     used_rules[idx] += rules[v]
+                    used_replicas[idx] += 1
                 chosen.append(tuple(picked))
                 search(v + 1, new_opened)
                 chosen.pop()
                 for idx in picked:
                     used_traffic[idx] -= shares[v]
                     used_rules[idx] -= rules[v]
+                    used_replicas[idx] -= 1
                 return
             if start == n_inst:
                 return
@@ -101,10 +103,7 @@ def solve_exact(problem: AssignmentProblem,
 
         combos(0, [])
 
-    try:
-        search(0, 0)
-    except TimeoutError:
-        pass  # best-so-far is still a valid (possibly optimal) answer
+    search(0, 0)
     if best["mapping"] is None:
         raise InfeasibleError("no feasible assignment exists (exact search)")
 

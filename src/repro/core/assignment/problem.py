@@ -95,12 +95,6 @@ class AssignmentProblem:
                 return v
         raise AssignmentError(f"unknown VIP {name!r}")
 
-    def instance(self, name: str) -> InstanceSpec:
-        for i in self.instances:
-            if i.name == name:
-                return i
-        raise AssignmentError(f"unknown instance {name!r}")
-
     def total_traffic(self) -> float:
         return sum(v.traffic for v in self.vips)
 
@@ -128,7 +122,6 @@ class Assignment:
 
     mapping: Dict[str, List[str]]
     solver: str = ""
-    solve_seconds: float = 0.0
 
     def instances_used(self) -> List[str]:
         used = set()
@@ -146,16 +139,6 @@ class Assignment:
             for inst in assigned:
                 out[inst] += rules
         return {k: v for k, v in out.items() if k in set(self.instances_used())}
-
-    def traffic_per_instance(self, problem: AssignmentProblem) -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for vip_name, assigned in self.mapping.items():
-            vip = problem.vip(vip_name)
-            f_v = min(int(len(assigned) * vip.oversub), len(assigned) - 1)
-            share = vip.traffic / max(len(assigned) - f_v, 1)
-            for inst in assigned:
-                out[inst] = out.get(inst, 0.0) + share
-        return out
 
     def migrated_connections(self, problem: AssignmentProblem) -> float:
         """Connections whose (vip, instance) pair disappears (Eq. 6's sum)."""

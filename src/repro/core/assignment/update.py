@@ -2,19 +2,19 @@
 
 ``plan_update`` runs one re-assignment round the way the paper's Section 8
 does: solve under the migration/transient constraints (YODA-limit); if the
-LP is infeasible at the configured delta, relax delta in +10% increments
+problem is infeasible at the configured delta, relax delta in +10% increments
 exactly as the paper reports doing ("the LP gave infeasible assignment at
 two points ... we increased the limit by increments of 10%").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from repro.core.assignment.constraints import transient_overloaded_instances
 from repro.core.assignment.greedy import compact_assignment, solve_greedy
-from repro.core.assignment.ilp import IlpSolver
 from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import InfeasibleError
 
@@ -46,28 +46,23 @@ def _median(values: List[float]) -> float:
 def plan_update(
     problem: AssignmentProblem,
     limit: bool = True,
-    use_lp: bool = True,
     max_relaxations: int = 9,
 ) -> UpdateOutcome:
-    """Compute the next assignment.
+    """Compute the next assignment: greedy, then the emptying step.
 
     Args:
         limit: True = YODA-limit (Eq. 4-7 enforced, delta relaxed by +10%
             on infeasibility); False = YODA-no-limit.
-        use_lp: use the LP-rounding solver (falls back to greedy anyway).
+
+    ``solve_seconds`` is the wall time of the whole solve, relaxed
+    attempts included.
     """
+    start = time.perf_counter()
     relaxations = 0
     work = problem
     while True:
         try:
-            if use_lp:
-                solver = IlpSolver(enforce_update_constraints=limit)
-                assignment = solver.solve(work)
-            else:
-                assignment = solve_greedy(work, enforce_update_constraints=limit)
-                assignment = compact_assignment(
-                    work, assignment, enforce_update_constraints=limit
-                )
+            assignment = solve_greedy(work, enforce_update_constraints=limit)
             break
         except InfeasibleError:
             if not limit or work.migration_limit is None:
@@ -75,13 +70,15 @@ def plan_update(
             relaxations += 1
             if relaxations > max_relaxations:
                 raise
-            work = AssignmentProblem(
-                vips=work.vips,
-                instances=work.instances,
-                old_assignment=work.old_assignment,
-                old_connections=work.old_connections,
-                migration_limit=work.migration_limit + 0.10,
-            )
+            work = replace(work, migration_limit=work.migration_limit + 0.10)
+    step = work
+    if relaxations:
+        # delta was relaxed so that every VIP could be placed; closing
+        # instances migrates no more than that placement needed
+        step = replace(work, migration_limit=assignment.migrated_fraction(work))
+    assignment = compact_assignment(
+        step, assignment, enforce_update_constraints=limit)
+    solve_seconds = time.perf_counter() - start
 
     rules = list(assignment.rules_per_instance(problem).values())
     return UpdateOutcome(
@@ -92,5 +89,5 @@ def plan_update(
         transient_overloaded=transient_overloaded_instances(problem, assignment),
         effective_migration_limit=work.migration_limit,
         relaxations=relaxations,
-        solve_seconds=assignment.solve_seconds,
+        solve_seconds=solve_seconds,
     )

@@ -59,14 +59,8 @@ def run(
     max_replicas: int = 12,
     interval_stride: int = 12,
     migration_limit: float = 0.10,
-    use_lp: bool = False,
 ) -> ExperimentResult:
-    """Run the re-assignment loop over the trace.
-
-    ``use_lp=False`` uses the greedy solver per round (seconds per run);
-    the LP-rounding path is exercised by dedicated benches since it costs
-    several seconds per round at 100x120 scale.
-    """
+    """Run the re-assignment loop over the trace."""
     trace = trace or generate_trace(SeededRng(seed), trace_config)
     instances = uniform_instances(pool_size, instance_capacity, rule_capacity)
     total_rules = trace.total_rules()
@@ -94,7 +88,7 @@ def run(
             ),
             migration_limit=migration_limit if old_limit else None,
         )
-        out_limit = plan_update(prob_limit, limit=True, use_lp=use_lp)
+        out_limit = plan_update(prob_limit, limit=True)
 
         # --- YODA-no-limit: Eq. 1-3 only ---
         prob_nolimit = AssignmentProblem(
@@ -104,7 +98,7 @@ def run(
                 _connections_for(old_nolimit, traffic_now) if old_nolimit else None
             ),
         )
-        out_nolimit = plan_update(prob_nolimit, limit=False, use_lp=use_lp)
+        out_nolimit = plan_update(prob_nolimit, limit=False)
 
         result.rows.append({
             "interval": interval,
@@ -163,8 +157,8 @@ def run(
     }
     result.notes = (
         "all_to_all_min is the paper's reference line (total traffic / "
-        "instance capacity).  Solver: greedy first-fit (LP-rounding "
-        "available via use_lp=True; the paper used CPLEX, so absolute "
-        "solve times are not comparable)."
+        "instance capacity).  Solver: greedy first-fit, then the emptying "
+        "step (the paper used CPLEX, so absolute solve times are not "
+        "comparable)."
     )
     return result

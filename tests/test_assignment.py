@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.assignment import (
     Assignment,
     AssignmentProblem,
-    IlpSolver,
     InstanceSpec,
     VipSpec,
     plan_update,
@@ -139,6 +138,20 @@ class TestGreedy:
         with pytest.raises(InfeasibleError):
             solve_greedy(prob, enforce_update_constraints=True)
 
+    def test_limit_mode_keeps_transient_load_in_capacity(self):
+        # each VIP was whole (70) on one instance and is now split in two
+        # halves of 35: a half of b on y0 would meet a's old 70 there
+        prob = AssignmentProblem(
+            vips=[VipSpec("a", 70, 10, 2, oversub=0.0),
+                  VipSpec("b", 70, 10, 2, oversub=0.0)],
+            instances=insts(3), old_assignment={"a": ["y0"], "b": ["y1"]},
+            old_connections={}, migration_limit=0.10)
+        assert solve_greedy(prob, enforce_update_constraints=False).mapping == {
+            "a": ["y0", "y1"], "b": ["y0", "y1"]}
+        limited = solve_greedy(prob)
+        assert limited.mapping == {"a": ["y0", "y2"], "b": ["y1", "y2"]}
+        assert validate_assignment(prob, limited).ok
+
     def test_old_assignment_skips_a_removed_vip_and_hides_nothing_else(self):
         def solve(old_assignment):
             return solve_greedy(AssignmentProblem(
@@ -162,31 +175,6 @@ class TestGreedy:
             solve({Uncomparable(): ["y0"]})
 
 
-class TestIlp:
-    def test_beats_or_matches_greedy(self):
-        import random
-
-        random.seed(3)
-        vips = [VipSpec(f"v{i}", random.uniform(5, 80), random.randint(10, 900),
-                        random.randint(1, 3)) for i in range(25)]
-        prob = AssignmentProblem(vips=vips, instances=insts(30))
-        greedy = solve_greedy(prob)
-        solver = IlpSolver(enforce_update_constraints=False)
-        ilp = solver.solve(prob)
-        assert validate_assignment(prob, ilp).ok
-        assert ilp.num_instances_used() <= greedy.num_instances_used()
-        assert solver.lp_lower_bound is not None
-        assert ilp.num_instances_used() >= solver.lp_lower_bound - 1e-6
-
-    def test_result_always_validates(self):
-        prob = AssignmentProblem(
-            vips=[VipSpec("a", 50, 100, 2), VipSpec("b", 30, 4900, 1)],
-            instances=insts(4),
-        )
-        assignment = IlpSolver(enforce_update_constraints=False).solve(prob)
-        assert validate_assignment(prob, assignment).ok
-
-
 class TestCompaction:
     def test_compaction_never_increases_instances(self):
         prob = AssignmentProblem(
@@ -199,12 +187,62 @@ class TestCompaction:
         assert compacted.num_instances_used() <= 6
         assert validate_assignment(prob, compacted).ok
 
+    @staticmethod
+    def _empty(traffic, mapping, **old_state):
+        prob = AssignmentProblem(
+            vips=[VipSpec(name, t, 10, len(mapping[name]), oversub=0.0)
+                  for name, t in traffic.items()],
+            instances=insts(3), **old_state)
+        before = Assignment(mapping=mapping)
+        assert validate_assignment(prob, before).ok
+        after = compact_assignment(prob, before,
+                                   enforce_update_constraints=bool(old_state))
+        assert validate_assignment(prob, after).ok
+        return after.mapping
+
+    def test_empties_by_one_ejection(self):
+        # d fits nowhere as it is; a makes way for it and moves to y2
+        after = self._empty({"a": 40, "b": 45, "c": 55, "d": 50},
+                            {"a": ["y0"], "b": ["y0"], "c": ["y2"], "d": ["y1"]})
+        assert after == {"a": ["y2"], "b": ["y0"], "c": ["y2"], "d": ["y0"]}
+
+    def test_empties_by_one_swap(self):
+        # e cannot enter y1 until d (65) leaves it, and d fits y0 only
+        # after b (45) comes back the other way
+        after = self._empty(
+            {"a": 25, "b": 45, "c": 35, "d": 65, "e": 25},
+            {"a": ["y1"], "b": ["y0"], "c": ["y0"], "d": ["y1"], "e": ["y2"]})
+        assert after == {"a": ["y1"], "b": ["y1"], "c": ["y0"], "d": ["y0"],
+                         "e": ["y1"]}
+
+    def test_migration_budget_holds_an_instance_open(self):
+        def emptied(delta):
+            mapping = {"a": ["y0"], "b": ["y1"]}
+            return self._empty(
+                {"a": 10, "b": 10}, mapping, old_assignment=mapping,
+                old_connections={("a", "y0"): 10.0, ("b", "y1"): 10.0},
+                migration_limit=delta)
+
+        # closing either instance migrates half of all connections
+        assert emptied(0.10) == {"a": ["y0"], "b": ["y1"]}
+        assert emptied(0.50) == {"a": ["y1"], "b": ["y1"]}  # y0 goes first: ties by name
+
+    def test_transient_load_holds_an_instance_open(self):
+        # each VIP was whole on one instance and is now split over two:
+        # b on y2 would meet a's old 70 there on top of its own new 35
+        mapping = {"a": ["y2", "y0"], "b": ["y0", "y1"]}
+        old_state = dict(old_assignment={"a": ["y2"], "b": ["y1"]},
+                         old_connections={}, migration_limit=0.10)
+        assert self._empty({"a": 70, "b": 70}, mapping) == {
+            "a": ["y2", "y0"], "b": ["y0", "y2"]}
+        assert self._empty({"a": 70, "b": 70}, mapping, **old_state) == mapping
+
 
 class TestPlanUpdate:
     def _chain(self, limit):
         vips1 = [VipSpec(f"v{i}", 20, 50, 2) for i in range(6)]
         first = plan_update(AssignmentProblem(vips=vips1, instances=insts(10)),
-                            limit=limit, use_lp=False)
+                            limit=limit)
         vips2 = [VipSpec(f"v{i}", 26, 50, 2) for i in range(6)]
         conns = {(v, i): 10.0 for v, lst in first.assignment.mapping.items()
                  for i in lst}
@@ -214,7 +252,7 @@ class TestPlanUpdate:
             old_connections=conns,
             migration_limit=0.10 if limit else None,
         )
-        return plan_update(prob2, limit=limit, use_lp=False)
+        return plan_update(prob2, limit=limit)
 
     def test_limit_mode_bounds_migration(self):
         outcome = self._chain(limit=True)
@@ -235,9 +273,44 @@ class TestPlanUpdate:
             vips=vips, instances=new_pool, old_assignment=base.mapping,
             old_connections=conns, migration_limit=0.10,
         )
-        outcome = plan_update(prob, limit=True, use_lp=False)
+        outcome = plan_update(prob, limit=True)
         assert outcome.relaxations >= 1  # delta was raised in 10% steps
         assert outcome.effective_migration_limit > 0.10
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_worse_than_first_fit(self, seed):
+        import random
+
+        random.seed(seed)
+        vips = [VipSpec(f"v{i}", random.uniform(5, 80), random.randint(10, 900),
+                        random.randint(1, 3)) for i in range(25)]
+        prob = AssignmentProblem(vips=vips, instances=insts(30))
+        outcome = plan_update(prob, limit=False)
+        assert validate_assignment(prob, outcome.assignment).ok
+        assert (outcome.instances_used
+                <= solve_greedy(prob).num_instances_used())
+
+    def test_result_always_validates(self):
+        prob = AssignmentProblem(
+            vips=[VipSpec("a", 50, 100, 2), VipSpec("b", 30, 4900, 1)],
+            instances=insts(4),
+        )
+        outcome = plan_update(prob, limit=False)
+        assert validate_assignment(prob, outcome.assignment).ok
+
+    def test_limit_mode_result_validates_against_eq_4_to_7(self):
+        first = self._chain(limit=True)
+        vips = [VipSpec(f"v{i}", 30, 50, 2) for i in range(6)]
+        conns = {(v, i): 10.0 for v, lst in first.assignment.mapping.items()
+                 for i in lst}
+        prob = AssignmentProblem(
+            vips=vips, instances=insts(10),
+            old_assignment=first.assignment.mapping, old_connections=conns,
+            migration_limit=0.30,
+        )
+        outcome = plan_update(prob, limit=True)
+        assert outcome.relaxations == 0
+        assert validate_assignment(prob, outcome.assignment).ok
 
 
 @settings(max_examples=25, deadline=None)
