@@ -4,8 +4,7 @@ The subsystem splits the loop into three testable layers:
 
 - :mod:`repro.autoscale.signals` -- reads the deployment's live pressure
   signals (per-instance CPU windows, admission-bucket depletion,
-  concurrency-ceiling saturation, sketch latency quantiles, scraped shed
-  rates).
+  concurrency-ceiling saturation).
 - :mod:`repro.autoscale.decision` -- a pure decision engine: hysteresis
   bands around a utilization target, separate scale-out/scale-in
   cooldowns, per-decision step limits, and floor/ceiling bounds.

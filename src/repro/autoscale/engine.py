@@ -57,13 +57,11 @@ class Autoscaler:
         *,
         spawn_instance: Optional[Callable[[], object]] = None,
         spawn_store: Optional[Callable[[], object]] = None,
-        scraper=None,
-        signals: Optional[SignalReader] = None,
     ):
         self.controller = controller
         self.policy = policy or ElasticPolicy()
         self.engine = PolicyEngine(self.policy)
-        self.signals = signals or SignalReader(controller, scraper=scraper)
+        self.signals = SignalReader(controller)
         self.spawn_instance = spawn_instance
         self.spawn_store = spawn_store
         self.events: List[ScaleEvent] = []

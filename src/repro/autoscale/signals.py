@@ -2,16 +2,14 @@
 
 One snapshot per policy tick, pulled straight from the live objects the
 controller already owns (CPU windows, qos admission buckets,
-concurrency ceilings, sketch-backed latency histograms) plus -- when a
-``MetricScraper`` is attached -- the scraped ``*.rate`` series for shed
-traffic.  All reads are pure: collecting a snapshot schedules nothing,
+concurrency ceilings).  All reads are pure: collecting a snapshot schedules nothing,
 which is what keeps a disarmed autoscaler zero-perturbation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 
 @dataclass
@@ -24,18 +22,13 @@ class SignalSnapshot:
     max_cpu: float
     admission_pressure: float  # 0..1: worst token-bucket depletion
     limiter_saturation: float  # 0..1: worst inflight / concurrency ceiling
-    latency_p95: Optional[float] = None  # sketch quantile, seconds
-    shed_rate: float = 0.0  # scraped SYNs shed per second
 
 
 class SignalReader:
     """Collects :class:`SignalSnapshot` from a controller's deployment."""
 
-    def __init__(self, controller, scraper=None,
-                 latency_histogram: str = "server_connect_latency"):
+    def __init__(self, controller):
         self.controller = controller
-        self.scraper = scraper
-        self.latency_histogram = latency_histogram
 
     # -------------------------------------------------------------- helpers --
     def live_instances(self) -> List[object]:
@@ -60,26 +53,6 @@ class SignalReader:
             return 0.0
         return qos.limiter.inflight / qos.limiter.limit
 
-    def _latency_p95(self, live) -> Optional[float]:
-        worst = None
-        for instance in live:
-            hist = instance.metrics.histograms.get(self.latency_histogram)
-            if hist is None or hist.count == 0:
-                continue
-            p95 = hist.percentile(95.0)
-            if worst is None or p95 > worst:
-                worst = p95
-        return worst
-
-    def _shed_rate(self) -> float:
-        if self.scraper is None:
-            return 0.0
-        total = 0.0
-        for name, series in self.scraper.series.items():
-            if name.endswith("syns_shed.rate") and series.values:
-                total += max(0.0, series.values[-1])
-        return total
-
     # -------------------------------------------------------------- collect --
     def collect(self) -> SignalSnapshot:
         ctl = self.controller
@@ -99,6 +72,4 @@ class SignalReader:
             max_cpu=max(utils),
             admission_pressure=admission,
             limiter_saturation=limiter,
-            latency_p95=self._latency_p95(live),
-            shed_rate=self._shed_rate(),
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.policy import VipPolicy
-from repro.core.selector import AllHealthy, BackendView, RuleTable, ScanCostModel
+from repro.core.selector import AllHealthy, BackendView, RuleTable
 from repro.errors import HttpError
 from repro.http.message import HttpRequest
 from repro.http.parser import HttpParser
@@ -32,6 +32,8 @@ from repro.sim.process import PeriodicTask
 from repro.sim.random import SeededRng
 from repro.tcp.config import TcpConfig
 from repro.tcp.endpoint import ConnectionHandler, TcpConnection, TcpStack
+
+CHECK_INTERVAL = 0.6  # seconds between the deployment's health checks
 
 
 @dataclass
@@ -54,23 +56,18 @@ class HAProxyInstance:
         host: Host,
         loop: EventLoop,
         rng: SeededRng,
-        cost_model: Optional[HAProxyCostModel] = None,
-        scan_cost_model: Optional[ScanCostModel] = None,
-        tcp_config: Optional[TcpConfig] = None,
     ):
         self.host = host
         self.loop = loop
         self.rng = rng.fork(f"haproxy/{host.name}")
-        self.cost = cost_model or HAProxyCostModel()
-        self.scan_cost_model = scan_cost_model or ScanCostModel()
+        self.cost = HAProxyCostModel()
         self.cpu = CpuModel(loop, owner=host.name)
         self.metrics = MetricRegistry(host.name)
         self.backend_view: BackendView = AllHealthy()
-        self.stack = TcpStack(host, loop, tcp_config or TcpConfig())
+        self.stack = TcpStack(host, loop, TcpConfig())
         self.policies: Dict[str, VipPolicy] = {}
         self._tables: Dict[str, RuleTable] = {}
         self._listening: set = set()
-        self.active_splices = 0
         self.requests_handled = 0
 
     @property
@@ -89,7 +86,7 @@ class HAProxyInstance:
 
     def install_policy(self, policy: VipPolicy) -> None:
         self.policies[policy.vip] = policy
-        self._tables[policy.vip] = RuleTable(policy.rules, self.scan_cost_model)
+        self._tables[policy.vip] = RuleTable(policy.rules)
         if policy.port not in self._listening:
             self._listening.add(policy.port)
             self.stack.listen(policy.port, self._accept)
@@ -276,14 +273,13 @@ class HAProxyDeployment:
         loop: EventLoop,
         l4lb: L4LoadBalancer,
         instances: List[HAProxyInstance],
-        check_interval: float = 0.6,
     ):
         self.loop = loop
         self.l4lb = l4lb
         self.instances = {i.name: i for i in instances}
         self._alive = {i.name: True for i in instances}
         self.vips: List[str] = []
-        self._checker = PeriodicTask(loop, check_interval, self._check)
+        self._checker = PeriodicTask(loop, CHECK_INTERVAL, self._check)
         self._checker.start()
 
     def add_vip(self, policy: VipPolicy) -> None:

@@ -298,7 +298,7 @@ class StorageBeforeAck(Invariant):
 
     def __init__(self, bed, table: FlowAuditTable):
         super().__init__(bed, table)
-        if bed.yoda is not None and not bed.yoda.config.stateless_enabled:
+        if bed.yoda is not None and not bed.yoda.config.stateless:
             table.on_synack.append(self._on_synack)
             table.on_backend_ack.append(self._on_backend_ack)
 

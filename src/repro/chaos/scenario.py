@@ -135,8 +135,7 @@ class ScenarioEngine:
     """Run one scenario against one LB implementation."""
 
     def __init__(self, scenario: Scenario, lb: str = "yoda", seed: int = 2016,
-                 repair: bool = True, replication: Optional[bool] = None,
-                 taps: Optional[List] = None):
+                 repair: bool = True, replication: Optional[bool] = None):
         self.scenario = scenario
         self.lb = lb
         self.seed = seed
@@ -146,10 +145,6 @@ class ScenarioEngine:
         region = scenario.yoda.region
         self.replication = (replication if replication is not None
                             else region is None or region.replication)
-        # extra packet-trace taps (objects with a ``record(rec)`` method)
-        # attached alongside the invariants' flow table -- the golden-trace
-        # suite uses this to capture the full packet schedule
-        self.taps: List = list(taps or [])
         self.applied: List[AppliedFault] = []
         self.bed: Optional[Testbed] = None
         self.table: Optional[FlowAuditTable] = None
@@ -190,8 +185,6 @@ class ScenarioEngine:
         self.table, self.invariants = attach_suite(
             self.bed, streams=s.streams > 0)
         self.bed.network.start_digest()
-        for tap in self.taps:
-            self.bed.network.add_trace(tap)
         return self.bed
 
     def run(self) -> ScenarioOutcome:
@@ -243,8 +236,7 @@ class ScenarioEngine:
                          and controller.region.failed_over),
             records_lost=(controller.region.failover_records_lost
                           if controller is not None else 0),
-            stateless=(bed.yoda is not None
-                       and bed.yoda.config.stateless_enabled),
+            stateless=bed.yoda is not None and bed.yoda.config.stateless,
             scale_events=sum(len(a.events) for a in (
                 bed.yoda.autoscalers if bed.yoda is not None else ())),
         )

@@ -224,14 +224,12 @@ def _run_obs(args) -> int:
     from repro.obs import OBS
     from repro.obs.export import render_json, render_prometheus
     from repro.obs.report import render_report
-    from repro.obs.scrape import MetricScraper
 
     OBS.enable()
     bed = Testbed(TestbedConfig(
         seed=args.seed, lb="yoda", num_lb_instances=3, num_store_servers=2,
         num_backends=3, corpus="flat", flat_object_bytes=10_000,
     ))
-    scraper = MetricScraper(bed.loop).start()
     gen = bed.open_loop(args.rate)
     # a mid-run instance crash gives the flight recorders and the chaos
     # forensics something real to show
@@ -239,7 +237,6 @@ def _run_obs(args) -> int:
     bed.run(args.duration)
     gen.stop()
     bed.run(1.0)  # drain
-    scraper.stop()
 
     if args.format == "prom":
         text = render_prometheus()
@@ -247,11 +244,6 @@ def _run_obs(args) -> int:
         text = render_json()
     else:
         text = render_report()
-        text += (
-            f"\n\n== scraped time series {'=' * 38}\n"
-            f"{len(scraper.names())} series over {scraper.scrapes} scrapes "
-            f"(e.g. {', '.join(scraper.names()[:3])})\n"
-        )
     OBS.disable()
     if args.out:
         with open(args.out, "w") as fh:
@@ -291,13 +283,12 @@ def _run_chaos(args) -> int:
             from dataclasses import replace
 
             from repro.core.leader import ControllerHAConfig
-            from repro.l4lb.compact import StatelessConfig
             yoda = scenario.yoda
             if args.single_controller:
                 yoda = replace(yoda, controllers=replace(
                     yoda.controllers or ControllerHAConfig(), replicas=1))
             if args.stateless:
-                yoda = replace(yoda, stateless=StatelessConfig(enabled=True))
+                yoda = replace(yoda, stateless=True)
             scenario = replace(scenario, yoda=yoda)
         if (args.no_baseline or args.no_replication
                 or args.single_controller or args.stateless):

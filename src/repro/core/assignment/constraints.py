@@ -84,23 +84,34 @@ def validate_assignment(
     # makes the same observation about Fig. 16(d): "the instances that were
     # overloaded in YODA-limit were already overloaded before starting the
     # new round").
+    # Both sums add the nonzero shares in problem order, which is the sum
+    # over every VIP (x + 0.0 == x), collected in one pass per mapping.
     if check_transient and problem.old_assignment:
+        vips = problem.vips
+        index = {vip.name: k for k, vip in enumerate(vips)}
+        old: Dict[str, Dict[int, float]] = {i.name: {} for i in problem.instances}
+        new: Dict[str, Dict[int, float]] = {i.name: {} for i in problem.instances}
+        for vip_name, assigned in problem.old_assignment.items():
+            k = index.get(vip_name)
+            if k is not None:
+                share = vips[k].share_among(assigned)
+                for name in assigned:
+                    if name in old:
+                        old[name][k] = share
+        for vip_name, assigned in assignment.mapping.items():
+            k = index.get(vip_name)
+            if k is not None:
+                for name in assigned:
+                    if name in new:
+                        new[name][k] = vips[k].per_instance_share
         preexisting = set()
         for inst in problem.instances:
-            old_only = sum(
-                problem.old_share(vip.name, inst.name) for vip in problem.vips
-            )
-            if old_only > inst.traffic_capacity * (1 + 1e-9):
+            olds, news = old[inst.name], new[inst.name]
+            if sum(olds[k] for k in sorted(olds)) > inst.traffic_capacity * (1 + 1e-9):
                 preexisting.add(inst.name)
             transient = 0.0
-            for vip in problem.vips:
-                new_share = (
-                    vip.per_instance_share
-                    if inst.name in assignment.mapping.get(vip.name, [])
-                    else 0.0
-                )
-                old_share = problem.old_share(vip.name, inst.name)
-                transient += max(new_share, old_share)
+            for k in sorted(olds.keys() | news.keys()):
+                transient += max(news.get(k, 0.0), olds.get(k, 0.0))
             if transient > inst.traffic_capacity * (1 + 1e-9):
                 report.overloaded_transient.append(inst.name)
         avoidable = [n for n in report.overloaded_transient if n not in preexisting]

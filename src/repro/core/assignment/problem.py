@@ -46,6 +46,12 @@ class VipSpec:
         failures: t_v / (n_v - f_v)  (Eq. 1's left side per VIP)."""
         return self.traffic / (self.replicas - self.failures_tolerated)
 
+    def share_among(self, assigned: List[str]) -> float:
+        """Traffic each of ``assigned`` carried for this VIP when they
+        served it (the old assignment's share)."""
+        f_old = min(int(len(assigned) * self.oversub), len(assigned) - 1)
+        return self.traffic / max(len(assigned) - f_old, 1)
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
@@ -111,9 +117,7 @@ class AssignmentProblem:
         assigned = self.old_assignment.get(vip_name, [])
         if inst_name not in assigned:
             return 0.0
-        vip = self.vip(vip_name)
-        f_old = min(int(len(assigned) * vip.oversub), len(assigned) - 1)
-        return vip.traffic / max(len(assigned) - f_old, 1)
+        return self.vip(vip_name).share_among(assigned)
 
 
 @dataclass

@@ -18,6 +18,8 @@ from repro.core.assignment.greedy import compact_assignment, solve_greedy
 from repro.core.assignment.problem import Assignment, AssignmentProblem
 from repro.errors import InfeasibleError
 
+MAX_RELAXATIONS = 9  # +10% delta steps tried before an update gives up
+
 
 @dataclass
 class UpdateOutcome:
@@ -46,7 +48,6 @@ def _median(values: List[float]) -> float:
 def plan_update(
     problem: AssignmentProblem,
     limit: bool = True,
-    max_relaxations: int = 9,
 ) -> UpdateOutcome:
     """Compute the next assignment: greedy, then the emptying step.
 
@@ -68,7 +69,7 @@ def plan_update(
             if not limit or work.migration_limit is None:
                 raise
             relaxations += 1
-            if relaxations > max_relaxations:
+            if relaxations > MAX_RELAXATIONS:
                 raise
             work = replace(work, migration_limit=work.migration_limit + 0.10)
     step = work

@@ -49,17 +49,13 @@ class ControllerHealthView:
     Reflects *monitor-detected* state, not instantaneous truth: a backend
     that just died is still selected until enough ping rounds agree.  A
     single dropped probe must not flap a healthy target out of rotation,
-    so a transition needs ``down_after`` consecutive failed probes (and,
-    symmetrically, ``up_after`` consecutive successes to come back).
+    so a transition needs ``DOWN_AFTER_PROBES`` consecutive failed probes
+    (and, symmetrically, ``UP_AFTER_PROBES`` consecutive successes to come
+    back).
     Unknown targets default to healthy, as before.
     """
 
-    def __init__(self, down_after: int = DOWN_AFTER_PROBES,
-                 up_after: int = UP_AFTER_PROBES) -> None:
-        if down_after < 1 or up_after < 1:
-            raise ValueError("hysteresis thresholds must be >= 1")
-        self.down_after = down_after
-        self.up_after = up_after
+    def __init__(self) -> None:
         self._healthy: Dict[str, bool] = {}
         self._load: Dict[str, float] = {}
         self._fail_streak: Dict[str, int] = {}
@@ -78,7 +74,7 @@ class ControllerHealthView:
             self._fail_streak[backend] = 0
             streak = self._ok_streak.get(backend, 0) + 1
             self._ok_streak[backend] = streak
-            if not self._healthy.get(backend, True) and streak >= self.up_after:
+            if not self._healthy.get(backend, True) and streak >= UP_AFTER_PROBES:
                 self._healthy[backend] = True
             if load is not None:
                 self._load[backend] = load
@@ -86,7 +82,7 @@ class ControllerHealthView:
             self._ok_streak[backend] = 0
             streak = self._fail_streak.get(backend, 0) + 1
             self._fail_streak[backend] = streak
-            if self._healthy.get(backend, True) and streak >= self.down_after:
+            if self._healthy.get(backend, True) and streak >= DOWN_AFTER_PROBES:
                 self._healthy[backend] = False
         return self._healthy.get(backend, True)
 
@@ -210,16 +206,14 @@ class YodaController:
         self.active[instance.name] = True
         instance.backend_view = self.health_view
 
-    def add_instance(self, instance: YodaInstance,
-                     assign_all_vips: bool = True) -> None:
+    def add_instance(self, instance: YodaInstance) -> None:
         """Bring a new instance into service without breaking any flow:
         installing policies first, then widening the L4 mappings."""
         self.adopt(instance)
-        if assign_all_vips:
-            for vip, policy in self.policies.items():
-                instance.install_policy(policy, token=self.token)
-                self.assignments[vip].append(instance.name)
-                self.push_mapping(vip)
+        for vip, policy in self.policies.items():
+            instance.install_policy(policy, token=self.token)
+            self.assignments[vip].append(instance.name)
+            self.push_mapping(vip)
         self.metrics.counter("instances_added").inc()
         self.persist()
 
@@ -268,13 +262,11 @@ class YodaController:
         return (bool(self.active.get(name)) and name not in draining
                 and self.instance_health.is_healthy(name))
 
-    def live_instance_names(self, vip: Optional[str] = None) -> List[str]:
+    def live_instance_names(self) -> List[str]:
         """Serving instances, in ``instances`` order (mapping order feeds
-        the hash ring); only those assigned ``vip`` when one is given."""
-        names = self.assignments.get(vip, self.instances) if vip \
-            else self.instances
+        the hash ring)."""
         draining = self.draining
-        return [n for n in names if self._serving(n, draining)]
+        return [n for n in self.instances if self._serving(n, draining)]
 
     # -------------------------------------------------------------- draining --
     @property

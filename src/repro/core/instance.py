@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 from repro.core.flowstate import FlowPhase, FlowState, flow_key, yoda_isn
 from repro.core.policy import VipPolicy
 from repro.core.selector import (AllHealthy, BackendView, RuleTable,
-                                  ScanCostModel, SelectionResult)
+                                  SelectionResult)
 from repro.core.tcpstore import TcpStore
 from repro.errors import HttpError, SlowClientTimeout, SnatExhausted
 from repro.http import tls
@@ -1004,7 +1004,7 @@ class YodaInstance:
 
     def __init__(self, host: Host, loop: EventLoop, rng: SeededRng,
                  tcpstore: TcpStore, cost_model: Optional[YodaCostModel] = None,
-                 scan_cost_model: Optional[ScanCostModel] = None, l4lb=None,
+                 l4lb=None,
                  qos_config: Optional[QosConfig] = None,
                  header_deadline: Optional[float] = None,
                  stateless: bool = False):
@@ -1018,7 +1018,6 @@ class YodaInstance:
         # deliberate tradeoff, demonstrated by the chaos ablation.
         self.stateless = stateless
         self.cost = cost_model or YodaCostModel()
-        self.scan_cost_model = scan_cost_model or ScanCostModel()
         self.l4lb = l4lb
         self.cpu = CpuModel(loop, owner=host.name)
         self.metrics = MetricRegistry(host.name)
@@ -1147,7 +1146,7 @@ class YodaInstance:
         """
         self._admit(token, "install_policy")
         self.policies[policy.vip] = policy
-        self._tables[policy.vip] = RuleTable(policy.rules, self.scan_cost_model)
+        self._tables[policy.vip] = RuleTable(policy.rules)
         self.vip_bytes.setdefault(policy.vip, 0)
 
     def remove_policy(self, vip: str, token=None) -> None:

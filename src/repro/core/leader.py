@@ -8,7 +8,7 @@ module makes the control plane a replicated, leader-elected service:
 - :class:`LeaderElector` — each controller replica competes for a lease
   record in the flow-state store (key ``yoda:ctl:lease``), stamped with
   the PR 2 ``(counter, writer_id)`` versions so concurrent claims resolve
-  newest-wins deterministically.  The holder renews at ``ttl/3`` and
+  newest-wins deterministically.  The holder renews at ``LEASE_TTL/3`` and
   steps down when its renewal is superseded or the lease expires.
 - :class:`FenceGate` — receivers (the L4 LB, every instance) remember the
   highest ``(epoch, holder)`` they have accepted and reject control
@@ -158,7 +158,6 @@ class ControlJournal:
         self.writer_id = writer_id
         self.ledger = VersionLedger(writer_id)
         self.writes = 0
-        self.superseded = 0
 
     def write(self, state: Dict,
               on_done: Optional[Callable[[bool, bool], None]] = None) -> None:
@@ -172,7 +171,6 @@ class ControlJournal:
             superseded = result.superseded_by is not None
             if superseded:
                 self.ledger.adopt(JOURNAL_KEY, result.superseded_by)
-                self.superseded += 1
             if on_done is not None:
                 on_done(result.ok and not superseded, superseded)
 
@@ -197,14 +195,14 @@ class ControlJournal:
 class LeaderElector:
     """One replica's lease state machine: follower → claiming → leader.
 
-    Followers poll the lease at ``ttl/3``.  An absent or expired lease
+    Followers poll the lease at ``LEASE_TTL/3``.  An absent or expired lease
     triggers a claim: a versioned write of ``epoch = highest observed +
     1``, then a settle delay, then a confirm read — the claimant only
     becomes leader if the read shows *its own* record, so when two
     replicas stamp the same counter the ``writer_id`` tie-break picks the
     same winner on every replica and the loser stands down without ever
     acting.  While a live leader renews (bumping the record's version
-    counter every ``ttl/3``), a competitor's claim is refused as
+    counter every ``LEASE_TTL/3``), a competitor's claim is refused as
     superseded — claims only land once renewals stop.
 
     A leader whose renewal is refused steps down immediately with
@@ -215,19 +213,15 @@ class LeaderElector:
     """
 
     def __init__(self, host: Host, loop: EventLoop, kv: ReplicatingKvClient,
-                 cluster: MemcachedCluster, ttl: float = LEASE_TTL,
-                 settle: float = LEASE_SETTLE, grace: float = 0.0,
-                 start_delay: float = 0.0,
-                 metrics: Optional[MetricRegistry] = None):
+                 cluster: MemcachedCluster, grace: float = 0.0,
+                 start_delay: float = 0.0):
         self.host = host
         self.loop = loop
         self.kv = kv
         self.cluster = cluster
-        self.ttl = ttl
-        self.settle = settle
         self.grace = grace
         self.start_delay = start_delay
-        self.metrics = metrics or MetricRegistry(f"{host.name}.elector")
+        self.metrics = MetricRegistry(f"{host.name}.elector")
         self.ledger = VersionLedger(host.name)
         self.state = "idle"  # idle | follower | claiming | leader
         self.epoch = -1              # epoch currently held (leader only)
@@ -235,7 +229,7 @@ class LeaderElector:
         self.lease_expires = 0.0     # local view of our lease's expiry
         self.on_elected: Optional[Callable[[LeaderToken], None]] = None
         self.on_lost: Optional[Callable[[Exception], None]] = None
-        self._poll = PeriodicTask(loop, max(ttl / 3.0, 0.05), self._tick)
+        self._poll = PeriodicTask(loop, max(LEASE_TTL / 3.0, 0.05), self._tick)
         self._gen = 0  # bumped on fail/step-down; stale callbacks no-op
 
     # -- lifecycle -----------------------------------------------------------
@@ -304,7 +298,7 @@ class LeaderElector:
         self.state = "claiming"
         gen = self._gen
         epoch = self.observed_epoch + 1
-        expires = self.loop.now() + self.ttl
+        expires = self.loop.now() + LEASE_TTL
         self.metrics.counter("claims").inc()
 
         def _cb(result: KvOpResult) -> None:
@@ -320,7 +314,7 @@ class LeaderElector:
                 self.state = "follower"
                 self._note_unavailable("claim")
                 return
-            self.loop.call_later(self.settle, self._confirm, gen, epoch)
+            self.loop.call_later(LEASE_SETTLE, self._confirm, gen, epoch)
 
         self.kv.set(LEASE_KEY, self._encode(epoch, expires), _cb,
                     version=self.ledger.stamp(LEASE_KEY))
@@ -359,7 +353,7 @@ class LeaderElector:
                 "lease expired without a successful renewal"))
             return
         gen = self._gen
-        expires = now + self.ttl
+        expires = now + LEASE_TTL
 
         def _cb(result: KvOpResult) -> None:
             if gen != self._gen or self.state != "leader":

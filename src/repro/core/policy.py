@@ -25,21 +25,22 @@ def weighted_split(name: str, url: str, weights: Dict[str, float],
 
 
 def primary_backup(name: str, url: str, primaries: Dict[str, float],
-                   backups: Dict[str, float], priority: int = 2) -> List[Rule]:
+                   backups: Dict[str, float]) -> List[Rule]:
     """Prefer primaries; fall to backups when every primary is down
-    (Table 3, rules 2-3: same match, two priorities)."""
+    (Table 3, rules 2-3: same match, priorities 2 and 1)."""
     return [
-        Rule(f"{name}-primary", priority, Match(url=url), Action(split=dict(primaries))),
-        Rule(f"{name}-backup", priority - 1, Match(url=url), Action(split=dict(backups))),
+        Rule(f"{name}-primary", 2, Match(url=url), Action(split=dict(primaries))),
+        Rule(f"{name}-backup", 1, Match(url=url), Action(split=dict(backups))),
     ]
 
 
 def sticky_sessions(name: str, cookie: str, members: Sequence[str],
-                    priority: int = 0, url: Optional[str] = None) -> Rule:
-    """Pin each session cookie to one backend (Table 3, rule 4)."""
+                    priority: int = 0) -> Rule:
+    """Pin each session cookie, on any URL, to one backend (Table 3,
+    rule 4)."""
     return Rule(
         name, priority,
-        Match(url=url, cookie=cookie),
+        Match(cookie=cookie),
         Action(table=cookie, table_members=tuple(members)),
     )
 

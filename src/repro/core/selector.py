@@ -79,7 +79,6 @@ class RuleTable:
         # stable sort: same priority keeps declaration order
         self._rules = sorted(rules, key=lambda r: -r.priority)
         self.cost_model = cost_model or ScanCostModel()
-        self.lookups = 0
         self.panic_selections = 0
 
     def __len__(self) -> int:
@@ -110,7 +109,6 @@ class RuleTable:
         carry zero weight).
         """
         view = view or AllHealthy()
-        self.lookups += 1
         result = self._scan(request, rng, view)
         if result is None and not isinstance(view, AllHealthy):
             result = self._scan(request, rng, _FailOpen(view))

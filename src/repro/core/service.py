@@ -31,7 +31,6 @@ from repro.kvstore.client import MemcachedCluster, ReplicatingKvClient
 from repro.kvstore.memcached import MemcachedServer
 from repro.kvstore.repair import FlowStateRepairer
 from repro.kvstore.sitesync import SiteReplicator
-from repro.l4lb.compact import StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.host import Host
 from repro.net.network import Network
@@ -72,10 +71,9 @@ class YodaServiceConfig:
     # overload control; a default QosConfig is armed but neutral -- it
     # never sheds, breaks or limits
     qos: Optional[QosConfig] = None
-    # compact stateless fast path; a default StatelessConfig is armed but
-    # inert (snapshots ride every push, dispatch unchanged), enabled=True
-    # flips the mux to O(1) dispatch and the instances to no durable writes
-    stateless: Optional[StatelessConfig] = None
+    # compact stateless fast path: the muxes dispatch from compact tables
+    # and the instances make no durable writes
+    stateless: bool = False
     region: Optional[RegionConfig] = None  # standby region + replication
     controllers: Optional[ControllerHAConfig] = None  # None = one singleton
     # slow-loris guard: kill flows that never complete their request
@@ -86,11 +84,6 @@ class YodaServiceConfig:
     # runs, and the pre-provisioned idle instance VMs it may adopt
     autoscale: Optional[ElasticPolicy] = None
     spare_instances: int = 0
-
-    @property
-    def stateless_enabled(self) -> bool:
-        """Stateless dispatch is on (armed-but-disabled does not count)."""
-        return self.stateless is not None and self.stateless.enabled
 
     def validate(self) -> None:
         """Refuse, before anything is built, what cannot work."""
@@ -121,11 +114,11 @@ class YodaServiceConfig:
             if self.region.standby_site == PRIMARY_SITE:
                 raise ConfigError(
                     f"standby region and primary share the site name {PRIMARY_SITE!r}")
-            if self.stateless_enabled:
+            if self.stateless:
                 raise ConfigError(
                     "stateless dispatch writes no durable flow state, so a "
                     "standby region has nothing to resume established flows "
-                    "from: region and stateless.enabled exclude each other")
+                    "from: region and stateless exclude each other")
 
     def non_default(self) -> List[str]:
         """Names of the options that differ from a default tier."""
@@ -331,7 +324,7 @@ class YodaService:
             cost_model=cfg.cost_model,
             l4lb=l4lb or self.l4lb, qos_config=cfg.qos,
             header_deadline=cfg.header_deadline,
-            stateless=cfg.stateless_enabled,
+            stateless=cfg.stateless,
         )
         if cfg.self_healing:
             repairer = FlowStateRepairer(
@@ -376,8 +369,7 @@ class YodaService:
         if self.config.autoscale is not None:
             self.enable_elastic(self.config.autoscale)
 
-    def enable_elastic(self, policy: ElasticPolicy,
-                       scraper=None) -> List[Autoscaler]:
+    def enable_elastic(self, policy: ElasticPolicy) -> List[Autoscaler]:
         """Arm closed-loop elastic scaling (``repro.autoscale``).
 
         Under controller HA every replica gets its own engine with the
@@ -393,7 +385,6 @@ class YodaService:
                 ctl, policy,
                 spawn_instance=self.new_spare_instance,
                 spawn_store=self.new_spare_store,
-                scraper=scraper,
             ))
             self.autoscalers.append(ctl.autoscaler)
         return self.autoscalers

@@ -66,19 +66,21 @@ class VersionLedger:
         return self._versions.pop(key, None)
 
 
+def _unawaited(ok: bool) -> None:
+    """The callback of a write whose ack nothing waits for."""
+
+
 class TcpStore:
     """One instance's handle on the shared flow-state store."""
 
-    def __init__(self, kv: ReplicatingKvClient, writer_id: Optional[str] = None,
-                 replicator=None):
+    def __init__(self, kv: ReplicatingKvClient):
         self.kv = kv
-        self.writer_id = writer_id or kv.host.name
-        # optional cross-site shipper (kvstore.sitesync.SiteReplicator):
-        # acked writes and teardowns are mirrored to the secondary site.
-        # None (the single-site default) leaves every path untouched.
-        self.replicator = replicator
-        self.storage_a_ops = 0
-        self.storage_b_ops = 0
+        self.writer_id = kv.host.name
+        # cross-site shipper (kvstore.sitesync.SiteReplicator), set when a
+        # standby region is built: acked writes and teardowns are mirrored
+        # to the secondary site.  None (single site) leaves every path
+        # untouched.
+        self.replicator = None
         # per-key: the version of the newest record we wrote or read; the
         # next write for the key is stamped one above its counter
         self._ledger = VersionLedger(self.writer_id)
@@ -127,7 +129,6 @@ class TcpStore:
     def store_client_syn(self, state: FlowState,
                          on_done: Callable[[bool], None]) -> None:
         """storage-a: one set, completing before the SYN-ACK is sent."""
-        self.storage_a_ops += 1
         self._write(state.storage_key(), state.to_bytes(), on_done)
 
     def store_server_conn(self, state: FlowState,
@@ -138,7 +139,6 @@ class TcpStore:
         skey = state.server_storage_key()
         if skey is None:
             raise ValueError("store_server_conn() before a server was selected")
-        self.storage_b_ops += 1
         outcome = {"pending": 2, "ok": True}
 
         def _one(ok: bool) -> None:
@@ -151,31 +151,27 @@ class TcpStore:
         self._write(state.storage_key(), payload, _one)
         self._write(skey, payload, _one)
 
-    def checkpoint(self, state: FlowState,
-                   on_done: Optional[Callable[[bool], None]] = None) -> None:
+    def checkpoint(self, state: FlowState) -> None:
         """Re-persist both records mid-flow.  Long-lived (streaming) flows
         call this as their delivered-bytes watermark advances, so a flow
         resumed after an instance -- or region -- failure knows how much of
         the response the client already holds."""
-        cb = on_done or (lambda ok: None)
         payload = state.to_bytes()
-        self._write(state.storage_key(), payload, cb)
+        self._write(state.storage_key(), payload, _unawaited)
         skey = state.server_storage_key()
         if skey is not None:
-            self._write(skey, payload, cb)
+            self._write(skey, payload, _unawaited)
 
     # -- TLS session tickets (stored alongside flow state, same replication) --
     @staticmethod
     def ticket_storage_key(ticket: str) -> str:
         return f"yoda:tkt:{ticket}"
 
-    def put_ticket(self, ticket: str, sni: str,
-                   on_done: Optional[Callable[[bool], None]] = None) -> None:
+    def put_ticket(self, ticket: str, sni: str) -> None:
         """Persist an issued TLS session ticket.  Riding ``_write`` gives
         it version stamping and -- when a replicator is wired -- cross-site
         shipping, so resumption survives instance *and* region failover."""
-        self._write(self.ticket_storage_key(ticket), sni.encode(),
-                    on_done or (lambda ok: None))
+        self._write(self.ticket_storage_key(ticket), sni.encode(), _unawaited)
 
     def get_ticket(self, ticket: str,
                    on_done: Callable[[Optional[bytes]], None]) -> None:

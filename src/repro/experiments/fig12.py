@@ -26,6 +26,9 @@ from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
 from repro.http.client import FetchResult
 from repro.sim.tracing import endpoint_on_host
 
+HTTP_TIMEOUT = 30.0  # the browsers' per-object timeout
+FAIL_AFTER = 0.35  # Fig. 12(b): seconds into the fetch the instance fails
+
 
 @dataclass
 class ScenarioOutcome:
@@ -70,14 +73,13 @@ def run_scenario(
     fail_count: int = 2,
     fail_at: float = 8.0,
     duration: float = 50.0,
-    http_timeout: float = 30.0,
 ) -> ScenarioOutcome:
     bed = Testbed(TestbedConfig(
         seed=seed, lb=lb, num_lb_instances=num_instances,
         num_store_servers=3, num_backends=6, corpus="university",
         num_pages=40,
     ))
-    procs = bed.closed_loop(processes, http_timeout=http_timeout,
+    procs = bed.closed_loop(processes, http_timeout=HTTP_TIMEOUT,
                             retries=retries)
     bed.run(fail_at)
     victims = bed.fail_lb_instances(fail_count)
@@ -85,7 +87,7 @@ def run_scenario(
     bed.run(duration - fail_at)
     for proc in procs:
         proc.stop()
-    bed.run(http_timeout + 5.0)  # let stragglers time out / finish
+    bed.run(HTTP_TIMEOUT + 5.0)  # let stragglers time out / finish
     results = [fr for proc in procs for fr in proc.object_results()]
     recovered = 0
     if bed.yoda is not None:
@@ -157,7 +159,6 @@ class TimelineEvent:
 def run_timeline(
     seed: int = 42,
     object_bytes: int = 2_000_000,
-    fail_after: float = 0.35,
 ) -> ExperimentResult:
     """Figure 12(b): per-packet view of one recovered flow, captured at the
     backend like the paper's tcpdump."""
@@ -181,13 +182,13 @@ def run_timeline(
                 inst.fail()
                 return
 
-    bed.loop.call_later(fail_after, fail_serving)
+    bed.loop.call_later(FAIL_AFTER, fail_serving)
     bed.run(60.0)
 
     assert results, "fetch never completed"
     fetch = results[0]
     events: List[TimelineEvent] = []
-    t_fail = fail_time.get("t", start + fail_after)
+    t_fail = fail_time.get("t", start + FAIL_AFTER)
     events.append(TimelineEvent(0.0, "instance fails (all local state lost)"))
     backend = next(iter(bed.backends.values()))
     retrans = [

@@ -59,6 +59,8 @@ SCHEMA = "bench-elastic/v1"
 # one instance saturates near ~94 req/s, so the whole day fits in a few
 # thousand simulated requests while preserving utilization trajectories.
 SCALE = 100.0
+HTTP_TIMEOUT = 8.0  # the open-loop client's per-fetch timeout
+SAMPLE_EVERY = 0.25  # seconds between samples of the powered pool
 
 
 def _cpus() -> int:
@@ -114,8 +116,6 @@ def _run_leg(
     spare_instances: int = 0,
     policy: Optional[ElasticPolicy] = None,
     slo_latency: float = 2.5,
-    http_timeout: float = 8.0,
-    sample_every: float = 0.25,
 ) -> Dict[str, object]:
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda",
@@ -153,12 +153,12 @@ def _run_leg(
             "rate": trace.rate_at(bed.loop.now() - t0),
         })
         if bed.loop.now() - t0 < day - 1e-9:
-            bed.loop.call_later(sample_every, sample)
+            bed.loop.call_later(SAMPLE_EVERY, sample)
 
     # ---- the day's load: one open-loop client tracking the trace ----------
     events: List[Dict[str, float]] = []
     t0 = bed.loop.now()
-    gen = bed.open_loop(rate=trace.sim_rates[0], http_timeout=http_timeout)
+    gen = bed.open_loop(rate=trace.sim_rates[0], http_timeout=HTTP_TIMEOUT)
 
     def on_result(result) -> None:
         events.append({
@@ -181,7 +181,7 @@ def _run_leg(
     bed.run(day)
     load_end = bed.loop.now()
     gen.stop()
-    bed.run(http_timeout + 2.0)  # stragglers resolve, final drains finish
+    bed.run(HTTP_TIMEOUT + 2.0)  # stragglers resolve, final drains finish
 
     # ---- verdicts ---------------------------------------------------------
     verdicts: List[Verdict] = [invariant.finalize(RunEnd(load_end=load_end))
@@ -190,8 +190,8 @@ def _run_leg(
     scale_events = sum(len(a.events) for a in autoscalers)
 
     # ---- cost + SLO -------------------------------------------------------
-    instance_seconds = sum(s["instances"] for s in samples) * sample_every
-    store_seconds = sum(s["stores"] for s in samples) * sample_every
+    instance_seconds = sum(s["instances"] for s in samples) * SAMPLE_EVERY
+    store_seconds = sum(s["stores"] for s in samples) * SAMPLE_EVERY
     ok_in_slo = sum(1 for e in events
                     if e["ok"] and e["latency"] <= slo_latency)
     attainment = ok_in_slo / len(events) if events else 0.0

@@ -37,13 +37,13 @@ SCALE = 100.0
 CROWD_PREFIX = "172.16.9."
 
 
-def default_qos(admission_rate: float = 70.0,
-                admission_burst: float = 30.0) -> QosConfig:
-    """The experiment's qos policy: per-instance admission with the crowd
-    in tier 2 (shed first -- only admitted while the bucket is >60%)."""
+def default_qos(admission_rate: float = 70.0) -> QosConfig:
+    """The experiment's qos policy: per-instance admission (bursts of 30)
+    with the crowd in tier 2 (shed first -- only admitted while the bucket
+    is >60%)."""
     return QosConfig(
         admission_rate=admission_rate,
-        admission_burst=admission_burst,
+        admission_burst=30.0,
         tier_floors=(0.0, 0.0, 0.6),
         client_tiers=((CROWD_PREFIX, 2),),
     )

@@ -37,7 +37,6 @@ from repro.chaos.library import get_scenario
 from repro.chaos.scenario import run_scenario
 from repro.core import YodaServiceConfig
 from repro.experiments.harness import ExperimentResult, Testbed, TestbedConfig
-from repro.l4lb.compact import StatelessConfig
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.addresses import Endpoint
 from repro.net.links import FixedLatency
@@ -105,8 +104,7 @@ def run(
     bed = Testbed(TestbedConfig(
         seed=seed, lb="yoda", num_lb_instances=3, num_store_servers=3,
         num_backends=3, corpus="flat", flat_object_bytes=20_000,
-        yoda=YodaServiceConfig(
-            stateless=StatelessConfig(enabled=True) if stateless else None),
+        yoda=YodaServiceConfig(stateless=stateless),
     ))
     sample: Dict[str, int] = {}
     bed.loop.call_later(sample_at, lambda: sample.update(
@@ -149,8 +147,7 @@ def run_speed(flows: int = 256,
         loop = EventLoop()
         net = Network(loop, SeededRng(7), default_latency=FixedLatency(0.0002))
         lb = L4LoadBalancer(
-            loop, net, SeededRng(7), num_muxes=1,
-            stateless=StatelessConfig(enabled=True) if stateless else None)
+            loop, net, SeededRng(7), num_muxes=1, stateless=stateless)
         lb.register_vip(VIP)
         lb.update_mapping(VIP, [f"10.1.0.{i + 1}" for i in range(8)],
                           immediate=True)
@@ -206,8 +203,7 @@ def run_crash_contrast(seed: int = 2016, quick: bool = False):
                        drain=8.0)
     stateful = run_scenario(base, lb="yoda", seed=seed)
     stateless = run_scenario(
-        replace(base, yoda=replace(
-            base.yoda, stateless=StatelessConfig(enabled=True))),
+        replace(base, yoda=replace(base.yoda, stateless=True)),
         lb="yoda", seed=seed)
     return stateful, stateless
 

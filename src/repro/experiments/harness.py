@@ -260,14 +260,13 @@ class Testbed:
 
     # -------------------------------------------------------------- clients --
     def closed_loop(self, processes: int, http_timeout: float = 30.0,
-                    retries: int = 0,
-                    max_pages: Optional[int] = None) -> List[ClosedLoopProcess]:
+                    retries: int = 0) -> List[ClosedLoopProcess]:
         out = []
         for i in range(processes):
             stack = self.client_stacks[i % len(self.client_stacks)]
             proc = ClosedLoopProcess(
                 stack, self.loop, self.target(), self.website,
-                http_timeout=http_timeout, retries=retries, max_pages=max_pages,
+                http_timeout=http_timeout, retries=retries,
             )
             proc.start()
             out.append(proc)
@@ -275,15 +274,13 @@ class Testbed:
 
     def streaming(self, count: int, chunks: int = 40, chunk_bytes: int = 2_000,
                   interval_ms: int = 100, start_at: float = 0.0,
-                  spacing: float = 0.05, stall_timeout: float = 1.0,
-                  max_stalls: int = 20,
-                  http_timeout: float = 120.0) -> StreamingFleet:
+                  spacing: float = 0.05,
+                  max_stalls: int = 20) -> StreamingFleet:
         """Launch long-lived paced downloads (``/stream/...`` paths)."""
         fleet = StreamingFleet(
             self.client_stacks, self.loop, self.target(),
             f"/stream/{chunks}/{chunk_bytes}/{interval_ms}", count,
-            start_at=start_at, spacing=spacing, stall_timeout=stall_timeout,
-            max_stalls=max_stalls, http_timeout=http_timeout,
+            start_at=start_at, spacing=spacing, max_stalls=max_stalls,
         )
         fleet.start()
         return fleet

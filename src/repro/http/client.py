@@ -220,7 +220,6 @@ class BrowserClient:
         target: Endpoint,
         http_timeout: float = DEFAULT_HTTP_TIMEOUT,
         retries: int = 0,
-        host_header: str = "",
         stall_timeout: Optional[float] = None,
     ):
         self.stack = stack
@@ -229,7 +228,6 @@ class BrowserClient:
         self.http_timeout = http_timeout
         self.stall_timeout = stall_timeout
         self.retries = retries
-        self.host_header = host_header
 
     def load_page(
         self,
@@ -241,7 +239,7 @@ class BrowserClient:
 
     def fetch(self, path: str, on_done: Callable[[FetchResult], None]) -> HttpFetcher:
         request = HttpRequest(
-            "GET", path, version="HTTP/1.0", host=self.host_header or self.target.ip
+            "GET", path, version="HTTP/1.0", host=self.target.ip
         )
         fetcher = HttpFetcher(
             self.stack,

@@ -104,19 +104,9 @@ class _PacedBody:
     interval: float
 
 
-@dataclass
-class ServiceTimeModel:
-    """How long the backend takes to produce a response.
-
-    service = base + per_byte * len(body).  The paper's 133 ms no-LB
-    baseline is Internet RTT + this; experiments calibrate ``base``.
-    """
-
-    base: float = 0.004
-    per_byte: float = 0.0
-
-    def delay(self, response: HttpResponse) -> float:
-        return self.base + self.per_byte * len(response.body)
+# How long a backend takes to produce a response.  The paper's 133 ms no-LB
+# baseline is Internet RTT + this.
+SERVICE_TIME = 0.004
 
 
 class BackendHttpServer:
@@ -127,9 +117,6 @@ class BackendHttpServer:
         host: Host,
         loop: EventLoop,
         site: StaticSite,
-        port: int = 80,
-        service_model: Optional[ServiceTimeModel] = None,
-        stack: Optional[TcpStack] = None,
         tls_certificate: Optional["tls.Certificate"] = None,
         progress_deadline: Optional[float] = None,
         session_tickets: bool = False,
@@ -137,16 +124,14 @@ class BackendHttpServer:
         self.host = host
         self.loop = loop
         self.site = site
-        self.port = port
-        self.service_model = service_model or ServiceTimeModel()
-        self.stack = stack or TcpStack(host, loop)
+        self.stack = TcpStack(host, loop)
         self.tls_certificate = tls_certificate
         # slow-loris guard: a connection must complete each request within
         # this many seconds of its first byte, or be reset (None = off)
         self.progress_deadline = progress_deadline
         # issue deterministic TLS session tickets after full handshakes
         self.session_tickets = session_tickets
-        self.stack.listen(port, self._accept)
+        self.stack.listen(80, self._accept)
         self.requests_served = 0
         self.active_requests = 0
         self.bytes_served = 0
@@ -279,10 +264,9 @@ class _ServerConnection(ConnectionHandler):
         keep_alive = _wants_keep_alive(request)
         if not keep_alive:
             response.headers.set("Connection", "close")
-        delay = self.server.service_model.delay(response)
         self.server.loop.call_later(
-            delay, self._finish_request, conn, req_id, response, keep_alive
-        )
+            SERVICE_TIME, self._finish_request, conn, req_id, response,
+            keep_alive)
 
     def _finish_request(
         self, conn: TcpConnection, req_id: int, response: HttpResponse,

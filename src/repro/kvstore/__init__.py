@@ -21,7 +21,7 @@ handoff, and anti-entropy re-replication after membership changes):
 from repro.kvstore.client import KvOpResult, MemcachedCluster, ReplicatingKvClient
 from repro.kvstore.hashring import HashRing
 from repro.kvstore.memcached import MemcachedServer, version_newer
-from repro.kvstore.repair import FlowStateRepairer, TokenBucket
+from repro.kvstore.repair import FlowStateRepairer
 
 __all__ = [
     "MemcachedServer",
@@ -30,6 +30,5 @@ __all__ = [
     "KvOpResult",
     "HashRing",
     "FlowStateRepairer",
-    "TokenBucket",
     "version_newer",
 ]

@@ -45,6 +45,12 @@ KV_CLIENT_PORT = 11210
 
 MAX_HINTS_PER_SERVER = 512
 
+# Consecutive per-server timeouts before a client marks the server dead in
+# the shared cluster view, and the seconds such a server then stays out of
+# the ring even if the controller believes it healthy.
+DEAD_AFTER_TIMEOUTS = 3
+QUARANTINE = 1.0
+
 
 class MemcachedCluster:
     """Shared membership view: which store servers exist and are believed
@@ -226,10 +232,6 @@ class ReplicatingKvClient:
             silence, not errors.
         max_retries: extra attempts (with exponential backoff) when an
             operation times out with zero replica answers.
-        dead_after_timeouts: consecutive per-server timeouts before this
-            client marks the server dead in the shared cluster view.
-        quarantine: seconds a client-marked-dead server stays out of the
-            ring even if the controller believes it healthy.
         rng: optional randomness for retry jitter (decorrelates the
             retry storms of many clients hitting the same dead server).
         self_healing: write the newest version back to replicas a read
@@ -246,8 +248,6 @@ class ReplicatingKvClient:
         replicas: int = 2,
         op_timeout: float = 0.1,
         max_retries: int = 2,
-        dead_after_timeouts: int = 3,
-        quarantine: float = 1.0,
         rng: Optional[SeededRng] = None,
         self_healing: bool = True,
     ):
@@ -259,8 +259,6 @@ class ReplicatingKvClient:
         self.replicas = replicas
         self.op_timeout = op_timeout
         self.max_retries = max_retries
-        self.dead_after_timeouts = dead_after_timeouts
-        self.quarantine = quarantine
         self.rng = rng
         self.self_healing = self_healing
         # optional tap fed every completed op's KvOpResult (a traced
@@ -453,10 +451,10 @@ class ReplicatingKvClient:
         """Count a per-server consecutive timeout; mark dead at threshold."""
         streak = self._consecutive_timeouts.get(name, 0) + 1
         self._consecutive_timeouts[name] = streak
-        if self.dead_after_timeouts and streak >= self.dead_after_timeouts:
+        if streak >= DEAD_AFTER_TIMEOUTS:
             if name in self.cluster.ring:
                 self.cluster.mark_dead(
-                    name, until=self.loop.now() + self.quarantine)
+                    name, until=self.loop.now() + QUARANTINE)
                 self.metrics.counter("servers_marked_dead").inc()
                 if OBS.enabled:
                     OBS.flight(f"{self.host.name}.kv", "mark_dead",

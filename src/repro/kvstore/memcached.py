@@ -1,7 +1,7 @@
 """A Memcached-like key-value server on a simulated VM.
 
 Implements the three operations the paper uses (`set`, `get`, `delete`)
-over a tiny request/response packet protocol, with an LRU-bounded store and
+over a tiny request/response packet protocol, with an unbounded store and
 a CPU model so latency under load and utilization (Figures 10 and 11) are
 emergent rather than scripted.  The server itself is *almost* unmodified in
 the paper's sense: replication lives entirely in the client library.  The
@@ -14,7 +14,6 @@ with newest-wins plus read-repair instead of first-hit-wins.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any, Dict, Optional, Tuple
 
 from repro.net.addresses import Endpoint
@@ -29,7 +28,7 @@ MEMCACHED_PORT = 11211
 # Calibrated so one server reaches ~90% CPU at 160K ops/s -- the paper's
 # "80K client req/sec at 90% CPU" with two set operations per client
 # request (storage-a and storage-b).
-DEFAULT_OP_CPU_COST = 5.6e-6
+OP_CPU_COST = 5.6e-6
 
 # A record version: (monotonic per-key counter, writer id).  Tuples compare
 # lexicographically, so the counter dominates and the writer id breaks
@@ -50,30 +49,18 @@ def version_newer(a: Optional[Version], b: Optional[Version]) -> bool:
 class MemcachedServer:
     """One Memcached VM: store + CPU + protocol handling."""
 
-    def __init__(
-        self,
-        host: Host,
-        loop: EventLoop,
-        max_items: Optional[int] = None,
-        op_cpu_cost: float = DEFAULT_OP_CPU_COST,
-        port: int = MEMCACHED_PORT,
-    ):
+    def __init__(self, host: Host, loop: EventLoop):
         self.host = host
         self.loop = loop
         self.name = host.name
-        self.port = port
         # where requests arrive and replies leave from: the host's primary
         # address and the port are fixed once the server exists
-        self.endpoint = Endpoint(host.ip, port)
-        self.op_cpu_cost = op_cpu_cost
-        self.max_items = max_items
+        self.endpoint = Endpoint(host.ip, MEMCACHED_PORT)
         self.cpu = CpuModel(loop, owner=host.name)
         # key -> (version, value); version None for unversioned writes
-        self._store: "OrderedDict[str, Tuple[Optional[Version], bytes]]" = OrderedDict()
+        self._store: Dict[str, Tuple[Optional[Version], bytes]] = {}
         self.ops: Dict[str, int] = {"set": 0, "get": 0, "delete": 0}
         self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.stale_sets_refused = 0
         self.stale_deletes_refused = 0
         host.set_handler(self._on_packet)
@@ -94,9 +81,9 @@ class MemcachedServer:
     # -- protocol ---------------------------------------------------------
     def _on_packet(self, pkt: Packet) -> None:
         req = pkt.meta.get("kv")
-        if req is None or pkt.dst.port != self.port:
+        if req is None or pkt.dst.port != MEMCACHED_PORT:
             return
-        self.cpu.execute(self.op_cpu_cost, self._serve, pkt, req,
+        self.cpu.execute(OP_CPU_COST, self._serve, pkt, req,
                          phase="kv_op")
 
     def _serve(self, pkt: Packet, req: Dict[str, Any]) -> None:
@@ -149,13 +136,8 @@ class MemcachedServer:
             # a newer record; equal versions are idempotent re-writes
             if version_newer(held_version, version):
                 self.stale_sets_refused += 1
-                self._store.move_to_end(key)
                 return False, held_version
-            self._store.move_to_end(key)
         self._store[key] = (tuple(version) if version else None, value)
-        if self.max_items is not None and len(self._store) > self.max_items:
-            self._store.popitem(last=False)
-            self.evictions += 1
         return True, tuple(version) if version else None
 
     def _delete(self, key: str, version: Optional[Version] = None) -> bool:
@@ -185,9 +167,7 @@ class MemcachedServer:
     def _get(self, key: str) -> Tuple[Optional[Version], Optional[bytes]]:
         record = self._store.get(key)
         if record is None:
-            self.misses += 1
             return None, None
-        self._store.move_to_end(key)
         self.hits += 1
         return record
 

@@ -29,6 +29,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.kvstore.client import ReplicatingKvClient
 from repro.kvstore.memcached import Version
+from repro.sim.bucket import TokenBucket
 from repro.sim.events import EventLoop
 from repro.sim.process import PeriodicTask
 
@@ -40,32 +41,6 @@ REPAIR_BURST = 40  # keys re-replicated in one wake-up, max
 OwnedRecord = Tuple[str, bytes, Optional[Version]]
 
 
-class TokenBucket:
-    """Deterministic token bucket on simulated time."""
-
-    def __init__(self, loop: EventLoop, rate: float, burst: float):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be positive")
-        self.loop = loop
-        self.rate = rate
-        self.burst = float(burst)
-        self._tokens = float(burst)
-        self._refilled_at = loop.now()
-
-    def _refill(self) -> None:
-        now = self.loop.now()
-        self._tokens = min(self.burst,
-                           self._tokens + (now - self._refilled_at) * self.rate)
-        self._refilled_at = now
-
-    def try_take(self, n: float = 1.0) -> bool:
-        self._refill()
-        if self._tokens < n:
-            return False
-        self._tokens -= n
-        return True
-
-
 class FlowStateRepairer:
     """Per-instance anti-entropy sweeper.
 
@@ -75,8 +50,9 @@ class FlowStateRepairer:
         records_fn: returns the records this instance currently owns; the
             :class:`~repro.core.instance.YodaInstance` supplies its live
             flows' storage keys, payloads, and last-written versions.
-        interval: sweep wake-up period.
-        rate/burst: token bucket pacing, in keys per second.
+
+    It wakes every ``REPAIR_INTERVAL`` and re-replicates at most
+    ``REPAIR_RATE`` keys per second, ``REPAIR_BURST`` in one wake-up.
     """
 
     def __init__(
@@ -84,20 +60,17 @@ class FlowStateRepairer:
         loop: EventLoop,
         kv: ReplicatingKvClient,
         records_fn,
-        interval: float = REPAIR_INTERVAL,
-        rate: float = REPAIR_RATE,
-        burst: float = REPAIR_BURST,
     ):
         self.loop = loop
         self.kv = kv
         self.records_fn = records_fn
-        self.bucket = TokenBucket(loop, rate, burst)
+        self.bucket = TokenBucket(REPAIR_RATE, REPAIR_BURST, loop.now())
         self._seen_epoch = kv.cluster.epoch
         self._placed: Dict[str, FrozenSet[str]] = {}
         self._queue: List[OwnedRecord] = []
         self._queued_keys: set = set()
         self.repairs_issued = 0
-        self._task = PeriodicTask(loop, interval, self._tick)
+        self._task = PeriodicTask(loop, REPAIR_INTERVAL, self._tick)
 
     def start(self) -> None:
         self._task.start()
@@ -142,7 +115,7 @@ class FlowStateRepairer:
             self._queue = [r for r in self._queue if r[0] in owned]
 
     def _drain(self) -> None:
-        while self._queue and self.bucket.try_take():
+        while self._queue and self.bucket.try_take(self.loop.now()):
             key, payload, version = self._queue.pop(0)
             self._queued_keys.discard(key)
             placement = frozenset(

@@ -34,8 +34,8 @@ from typing import Dict, Optional, Tuple
 
 from repro.kvstore.client import KvOpResult, ReplicatingKvClient
 from repro.kvstore.memcached import Version
-from repro.kvstore.repair import TokenBucket
 from repro.obs import OBS
+from repro.sim.bucket import TokenBucket
 from repro.sim.events import EventLoop
 from repro.sim.process import PeriodicTask
 
@@ -57,7 +57,9 @@ class SiteReplicator:
             every shipped record pays the real WAN latency and dies with
             the primary region).
         interval: shipping wake-up period.
-        rate/burst: token-bucket pacing, in records per second.
+
+    Shipping is paced by a token bucket at ``SYNC_RATE`` records per
+    second, ``SYNC_BURST`` at most in one wake-up.
     """
 
     def __init__(
@@ -65,19 +67,16 @@ class SiteReplicator:
         loop: EventLoop,
         kv: ReplicatingKvClient,
         interval: float = SYNC_INTERVAL,
-        rate: float = SYNC_RATE,
-        burst: float = SYNC_BURST,
     ):
         self.loop = loop
         self.kv = kv
-        self.bucket = TokenBucket(loop, rate, burst)
+        self.bucket = TokenBucket(SYNC_RATE, SYNC_BURST, loop.now())
         # insertion-ordered; coalescing keeps the FIRST enqueue time so
         # lag() never under-reports how stale the secondary might be
         self._queue: "Dict[str, _Entry]" = {}
         self.promoted = False
         self.records_shipped = 0
         self.deletes_shipped = 0
-        self.ship_failures = 0
         self.max_lag = 0.0
         self.lost_at_promotion = 0
         self._task = PeriodicTask(loop, interval, self._tick)
@@ -151,7 +150,7 @@ class SiteReplicator:
             self.max_lag = lag
         self.kv.metrics.gauge("sitesync_lag").set(lag)
         self.kv.metrics.gauge("sitesync_backlog").set(len(self._queue))
-        while self._queue and self.bucket.try_take():
+        while self._queue and self.bucket.try_take(self.loop.now()):
             key = next(iter(self._queue))
             payload, version, _ = self._queue.pop(key)
             if payload is None:
@@ -169,5 +168,4 @@ class SiteReplicator:
         # compare-and-delete means the secondary already holds a newer
         # incarnation of the recycled key, which is the correct outcome.
         if not result.ok:
-            self.ship_failures += 1
             self.kv.metrics.counter("sitesync_ship_failures").inc()

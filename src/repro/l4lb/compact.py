@@ -25,14 +25,12 @@ those instances.
 
 Determinism contract: everything here derives from seed-independent
 stable hashes (the ring's on the control side, crc32 on the per-packet
-path -- never the simulation RNG) and schedules no events, so a
-constructed-but-disabled :class:`StatelessConfig` is bit-identical on
-the pinned golden traces.
+path -- never the simulation RNG) and schedules no events.  Tables are
+built only when stateless dispatch is on (``YodaServiceConfig.stateless``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 from zlib import crc32
 
@@ -41,18 +39,6 @@ from repro.kvstore.hashring import HashRing
 # Buckets the 5-tuple hash space is cut into; every node computes the
 # same bucket for a flow key.
 NUM_BUCKETS = 512
-
-
-@dataclass(frozen=True)
-class StatelessConfig:
-    """Opt-in switch for the compact fast path.
-
-    ``StatelessConfig()`` (enabled=False) is the *armed* state: tables
-    are built and snapshots ride every mapping push, but dispatch is
-    unchanged -- the configuration the golden-trace pins prove inert.
-    """
-
-    enabled: bool = False
 
 
 def bucket_targets(vip: str, instances: Sequence[str]) -> Tuple[str, ...]:

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.kvstore.hashring import HashRing
 from repro.l4lb.compact import CompactDispatchTable
+from repro.l4lb.snat import SNAT_BASE_PORT
 from repro.net.addresses import Endpoint
 from repro.net.packet import ACK, SYN, Packet
 from repro.obs import OBS
@@ -68,7 +69,6 @@ class L4Mux:
 
     def __init__(self, lb: "L4LoadBalancer", mux_id: int):
         self.lb = lb
-        self.mux_id = mux_id
         self.name = f"mux-{mux_id}"
         self.vips: Dict[str, _VipEntry] = {}
         self.flow_table: Dict[str, _FlowEntry] = {}
@@ -163,7 +163,7 @@ class L4Mux:
         now = self.lb.loop.now()
         flow_key = five_tuple(pkt.src, pkt.dst)
         is_new_flow = pkt.flags & (SYN | ACK) == SYN
-        if self.lb.stateless_enabled and entry.compact is not None:
+        if self.lb.stateless and entry.compact is not None:
             instance_ip = self._route_stateless(entry, flow_key, pkt,
                                                 is_new_flow, now)
         else:
@@ -234,9 +234,9 @@ class L4Mux:
                 if cached is not None:
                     cached.last_used = now
                     return cached.instance_ip
-            # SNAT ranges all live at >= snat.base, so ordinary client
+            # SNAT ranges all live at >= SNAT_BASE_PORT, so ordinary client
             # traffic (dst port 80/443) skips the owner scan entirely
-            if pkt.dst.port >= self.lb.snat.base:
+            if pkt.dst.port >= SNAT_BASE_PORT:
                 owner = self.lb.snat.owner_of(entry.vip, pkt.dst.port)
                 if owner is not None and (owner in entry.instances
                                           or owner in entry.draining):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import NetworkError
-from repro.l4lb.compact import CompactDispatchTable, StatelessConfig
+from repro.l4lb.compact import CompactDispatchTable
 from repro.l4lb.mux import L4Mux, five_tuple
 from repro.l4lb.snat import SnatAllocator
 from repro.net.host import Host
@@ -22,14 +22,16 @@ from repro.sim.events import EventLoop
 from repro.sim.process import PeriodicTask
 from repro.sim.random import SeededRng, stable_hash32
 
+# Max delay (seconds) for a mapping update to reach any single mux; each
+# mux draws uniformly in [0, this].
+MAPPING_PROPAGATION = 0.2
+
 
 class L4LoadBalancer:
     """Ananta-like L4 LB-as-a-service.
 
     Args:
         num_muxes: software mux replicas; each holds its own mapping copy.
-        mapping_propagation: max delay (seconds) for an update to reach any
-            single mux; each mux draws uniformly in [0, this].
         router_ip: address of the internal router host.
     """
 
@@ -39,24 +41,19 @@ class L4LoadBalancer:
         network: Network,
         rng: SeededRng,
         num_muxes: int = 4,
-        mapping_propagation: float = 0.2,
         router_ip: str = "10.255.0.1",
         router_name: str = "l4-router",
         site: str = "dc",
-        stateless: Optional[StatelessConfig] = None,
+        stateless: bool = False,
     ):
         if num_muxes < 1:
             raise NetworkError("need at least one mux")
         self.loop = loop
         self.network = network
         self.rng = rng.fork("l4lb")
-        self.mapping_propagation = mapping_propagation
-        # compact stateless fast path: None = machinery absent (historic
-        # behaviour); StatelessConfig(enabled=False) = armed (tables are
-        # built and ride every push, dispatch unchanged -- the golden
-        # pins hold); enabled=True = muxes dispatch from the snapshots
+        # compact stateless fast path: on, every push builds a compact
+        # table and the muxes dispatch from it
         self.stateless = stateless
-        self.stateless_enabled = stateless is not None and stateless.enabled
         self._compact: Dict[str, CompactDispatchTable] = {}
         self.router = network.attach(Host(router_name, [router_ip], site=site))
         self.router.set_handler(self._on_packet)
@@ -147,7 +144,7 @@ class L4LoadBalancer:
             self.snat.ensure_range(vip, ip, version)
         compact = self._build_compact(vip, instance_ips, version)
         for mux in self.muxes:
-            delay = 0.0 if immediate else self.rng.uniform(0.0, self.mapping_propagation)
+            delay = 0.0 if immediate else self.rng.uniform(0.0, MAPPING_PROPAGATION)
             self.loop.call_later(
                 delay, self._apply_to_mux, mux, vip, list(instance_ips), version,
                 sorted(removed) if flush_removed else [], draining, epoch,
@@ -156,11 +153,10 @@ class L4LoadBalancer:
 
     def _build_compact(self, vip: str, instance_ips: List[str],
                        version: int) -> Optional[CompactDispatchTable]:
-        """Freeze a compact snapshot for this mapping version.  Pure
-        stable-hash computation, no events and no sim-RNG draws -- an
-        armed-but-disabled config stays bit-identical on the pinned
-        golden traces."""
-        if self.stateless is None:
+        """Freeze a compact snapshot for this mapping version (stateless
+        dispatch only).  Pure stable-hash computation, no events and no
+        sim-RNG draws."""
+        if not self.stateless:
             return None
         if not instance_ips:
             self._compact.pop(vip, None)

@@ -23,9 +23,7 @@ SNAT_MAX_PORT = 65000
 class SnatAllocator:
     """Per-VIP SNAT port ranges, one disjoint block per L7 instance."""
 
-    def __init__(self, base: int = SNAT_BASE_PORT, range_size: int = SNAT_RANGE_SIZE):
-        self.base = base
-        self.range_size = range_size
+    def __init__(self):
         # vip -> instance_ip -> (lo, hi) inclusive-exclusive
         self._ranges: Dict[str, Dict[str, Tuple[int, int]]] = {}
         # vip -> instance_ip -> mapping version at FIRST allocation.  The
@@ -46,10 +44,10 @@ class SnatAllocator:
         if instance_ip in per_vip:
             return per_vip[instance_ip]
         used_los: Set[int] = {lo for lo, _ in per_vip.values()}
-        lo = self.base
+        lo = SNAT_BASE_PORT
         while lo in used_los:
-            lo += self.range_size
-        hi = lo + self.range_size
+            lo += SNAT_RANGE_SIZE
+        hi = lo + SNAT_RANGE_SIZE
         if hi > SNAT_MAX_PORT:
             self.exhaustions += 1
             if OBS.enabled:

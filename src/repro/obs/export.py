@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.obs.plane import OBS, ObsPlane
+from repro.obs.plane import OBS
 from repro.sim.metrics import MetricRegistry, all_registries
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
@@ -30,27 +30,22 @@ def _sanitize(name: str) -> str:
     return out
 
 
-def _registries(registries: Optional[List[MetricRegistry]]) -> List[MetricRegistry]:
-    return all_registries() if registries is None else list(registries)
-
-
-def render_prometheus(registries: Optional[List[MetricRegistry]] = None,
-                      prefix: str = "repro") -> str:
+def render_prometheus() -> str:
     """Text exposition format: one block per metric, labelled by registry."""
     lines: List[str] = []
-    for reg in _registries(registries):
+    for reg in all_registries():
         label = f'{{registry="{reg.name}"}}'
         for name in sorted(reg.counters):
-            metric = f"{prefix}_{_sanitize(name)}_total"
+            metric = f"repro_{_sanitize(name)}_total"
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric}{label} {reg.counters[name].value}")
         for name in sorted(reg.gauges):
-            metric = f"{prefix}_{_sanitize(name)}"
+            metric = f"repro_{_sanitize(name)}"
             lines.append(f"# TYPE {metric} gauge")
             lines.append(f"{metric}{label} {reg.gauges[name].value}")
         for name in sorted(reg.histograms):
             hist = reg.histograms[name]
-            metric = f"{prefix}_{_sanitize(name)}"
+            metric = f"repro_{_sanitize(name)}"
             lines.append(f"# TYPE {metric} summary")
             if hist.count:
                 for q in EXPORT_QUANTILES:
@@ -94,10 +89,10 @@ def registry_snapshot(reg: MetricRegistry) -> Dict[str, Any]:
     return out
 
 
-def obs_snapshot(plane: Optional[ObsPlane] = None) -> Dict[str, Any]:
+def obs_snapshot() -> Dict[str, Any]:
     """The observability plane's own state as plain data: span-duration
     sketches, profiler rows, and flight-recorder occupancy."""
-    plane = plane or OBS
+    plane = OBS
     tracer = plane.tracer
     return {
         "enabled": plane.enabled,
@@ -123,13 +118,12 @@ def obs_snapshot(plane: Optional[ObsPlane] = None) -> Dict[str, Any]:
     }
 
 
-def render_json(registries: Optional[List[MetricRegistry]] = None,
-                plane: Optional[ObsPlane] = None, indent: int = 2) -> str:
+def render_json() -> str:
     """Everything -- metric registries plus the obs plane -- as one JSON
     document."""
     doc = {
         "schema": "repro-obs/v1",
-        "registries": [registry_snapshot(r) for r in _registries(registries)],
-        "obs": obs_snapshot(plane),
+        "registries": [registry_snapshot(r) for r in all_registries()],
+        "obs": obs_snapshot(),
     }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True)

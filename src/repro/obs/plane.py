@@ -50,14 +50,12 @@ class ObsPlane:
         self._clock: Optional[Callable[[], float]] = None
 
     # ------------------------------------------------------------ control --
-    def enable(self, clock: Optional[Callable[[], float]] = None) -> None:
+    def enable(self) -> None:
         """Turn the plane on with fresh collectors."""
         self.tracer = Tracer(self)
         self.profiler = SimProfiler()
         self.recorders = FlightRecorderHub()
         self.ctx = None
-        if clock is not None:
-            self._clock = clock
         self.enabled = True
 
     def disable(self) -> None:

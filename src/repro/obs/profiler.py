@@ -56,8 +56,8 @@ class SimProfiler:
         return out
 
     # ----------------------------------------------------------- renderers --
-    def top_table(self, limit: int = 20) -> str:
-        rows = self.rows()[:limit]
+    def top_table(self) -> str:
+        rows = self.rows()[:20]
         if not rows:
             return "(no simulated CPU recorded)"
         total = self.total() or 1.0

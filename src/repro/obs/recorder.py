@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-DEFAULT_RING_CAPACITY = 256
+RING_CAPACITY = 256
 
 # (time, kind, detail)
 FlightEvent = Tuple[float, str, str]
@@ -28,9 +28,9 @@ class FlightRecorder:
 
     __slots__ = ("component", "ring", "total")
 
-    def __init__(self, component: str, capacity: int = DEFAULT_RING_CAPACITY):
+    def __init__(self, component: str):
         self.component = component
-        self.ring: Deque[FlightEvent] = deque(maxlen=capacity)
+        self.ring: Deque[FlightEvent] = deque(maxlen=RING_CAPACITY)
         self.total = 0  # events ever noted, including ones the ring evicted
 
     def note(self, time: float, kind: str, detail: str) -> None:
@@ -56,16 +56,13 @@ class FlightRecorder:
 class FlightRecorderHub:
     """All component rings, keyed by component name."""
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY):
-        self.capacity = capacity
+    def __init__(self):
         self._recorders: Dict[str, FlightRecorder] = {}
 
     def recorder(self, component: str) -> FlightRecorder:
         rec = self._recorders.get(component)
         if rec is None:
-            rec = self._recorders[component] = FlightRecorder(
-                component, self.capacity
-            )
+            rec = self._recorders[component] = FlightRecorder(component)
         return rec
 
     def note(self, time: float, component: str, kind: str, detail: str) -> None:
@@ -78,14 +75,11 @@ class FlightRecorderHub:
         rec = self._recorders.get(component)
         return rec.dump(last) if rec is not None else []
 
-    def dump_tail(self, last: int = 20,
-                  components: Optional[List[str]] = None) -> List[str]:
-        """The most recent ``last`` events across components (or a subset),
-        merged and time-ordered -- the default forensic snapshot."""
+    def dump_tail(self, last: int = 20) -> List[str]:
+        """The most recent ``last`` events across components, merged and
+        time-ordered -- the default forensic snapshot."""
         merged: List[Tuple[float, str, str, str]] = []
         for name, rec in self._recorders.items():
-            if components is not None and name not in components:
-                continue
             for t, kind, detail in rec.ring:
                 merged.append((t, name, kind, detail))
         merged.sort(key=lambda e: e[0])

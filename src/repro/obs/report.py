@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.obs.plane import OBS, ObsPlane
+from repro.obs.plane import OBS
 from repro.obs.span import Span
 
 WATERFALL_WIDTH = 48
@@ -35,7 +35,7 @@ def _depths(spans: List[Span]) -> Dict[int, int]:
     return depths
 
 
-def render_waterfall(spans: List[Span], width: int = WATERFALL_WIDTH) -> str:
+def render_waterfall(spans: List[Span]) -> str:
     """One trace's spans as an indented text waterfall."""
     if not spans:
         return "(empty trace)"
@@ -54,20 +54,20 @@ def render_waterfall(spans: List[Span], width: int = WATERFALL_WIDTH) -> str:
     ]
     for s in spans:
         label = "  " * depths[s.span_id] + f"{s.name} [{s.component or '-'}]"
-        lo = round(width * (s.start - t0) / extent)
+        lo = round(WATERFALL_WIDTH * (s.start - t0) / extent)
         if s.end is None:
             bar = " " * lo + "?"
             dur = "   open"
         else:
-            hi = round(width * (s.end - t0) / extent)
+            hi = round(WATERFALL_WIDTH * (s.end - t0) / extent)
             bar = " " * lo + "#" * max(1, hi - lo)
             dur = f"{(s.end - s.start) * 1e3:7.2f}"
-        lines.append(f"  {label:<{label_width}} |{bar:<{width + 1}}| {dur} ms")
+        lines.append(f"  {label:<{label_width}} |{bar:<{WATERFALL_WIDTH + 1}}| {dur} ms")
     return "\n".join(lines)
 
 
-def _span_summary(plane: ObsPlane) -> str:
-    tracer = plane.tracer
+def _span_summary() -> str:
+    tracer = OBS.tracer
     if not tracer.sketches:
         return "(no spans recorded)"
     lines = [
@@ -88,17 +88,14 @@ def _span_summary(plane: ObsPlane) -> str:
     return "\n".join(lines)
 
 
-def slowest_trace(plane: ObsPlane,
-                  root_name: Optional[str] = None) -> Optional[List[Span]]:
+def slowest_trace() -> Optional[List[Span]]:
     """The finished trace with the slowest root span (for the waterfall)."""
-    traces = plane.tracer.traces()
+    traces = OBS.tracer.traces()
     best: Optional[List[Span]] = None
     best_dur = -1.0
     for spans in traces.values():
         root = next(
-            (s for s in spans
-             if s.parent_id is None and s.end is not None
-             and (root_name is None or s.name == root_name)),
+            (s for s in spans if s.parent_id is None and s.end is not None),
             None,
         )
         if root is None:
@@ -110,16 +107,14 @@ def slowest_trace(plane: ObsPlane,
     return best
 
 
-def render_report(plane: Optional[ObsPlane] = None,
-                  recorder_tail: int = 12) -> str:
+def render_report() -> str:
     """The full text report: span summary, the slowest request's
     waterfall, the sim-CPU profile, and the flight recorders' tail."""
-    plane = plane or OBS
     sections = [
         "== span summary " + "=" * 45,
-        _span_summary(plane),
+        _span_summary(),
     ]
-    slowest = slowest_trace(plane)
+    slowest = slowest_trace()
     if slowest is not None:
         sections += [
             "",
@@ -129,12 +124,12 @@ def render_report(plane: Optional[ObsPlane] = None,
     sections += [
         "",
         "== simulated CPU profile " + "=" * 36,
-        plane.profiler.top_table(),
+        OBS.profiler.top_table(),
         "",
-        plane.profiler.flamegraph(),
+        OBS.profiler.flamegraph(),
         "",
         "== flight recorders (last events) " + "=" * 27,
     ]
-    tail = plane.recorders.dump_tail(last=recorder_tail)
+    tail = OBS.recorders.dump_tail(last=12)
     sections.append("\n".join(tail) if tail else "(no flight-recorder events)")
     return "\n".join(sections)

@@ -25,7 +25,7 @@ Ctx = Tuple[int, int]
 # Bound on retained finished spans: beyond this the tracer keeps counting
 # durations in the sketches but stops retaining span objects, so a long run
 # cannot grow without bound.
-DEFAULT_MAX_SPANS = 250_000
+MAX_SPANS = 250_000
 
 
 class Span:
@@ -70,11 +70,6 @@ class Span:
     def finished(self) -> bool:
         return self.end is not None
 
-    def attr(self, key: str, default: Any = None) -> Any:
-        if self.attrs is None:
-            return default
-        return self.attrs.get(key, default)
-
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
             "trace_id": self.trace_id,
@@ -105,9 +100,8 @@ class Tracer:
     quantile sketch, so quantiles over huge span populations stay O(1).
     """
 
-    def __init__(self, plane, max_spans: int = DEFAULT_MAX_SPANS):
+    def __init__(self, plane):
         self._plane = plane
-        self.max_spans = max_spans
         self.spans: List[Span] = []
         self.dropped = 0
         self.sketches: Dict[Tuple[str, str], QuantileSketch] = {}
@@ -144,7 +138,7 @@ class Tracer:
         )
         if attrs:
             span.attrs = dict(attrs)
-        if len(self.spans) < self.max_spans:
+        if len(self.spans) < MAX_SPANS:
             self.spans.append(span)
         else:
             self.dropped += 1
@@ -196,9 +190,3 @@ class Tracer:
         for spans in out.values():
             spans.sort(key=lambda s: (s.start, s.span_id))
         return out
-
-    def finished(self, name: Optional[str] = None) -> List[Span]:
-        return [
-            s for s in self.spans
-            if s.end is not None and (name is None or s.name == name)
-        ]

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.qos.config import QosConfig
+from repro.sim.bucket import TokenBucket
 
 
 @dataclass(frozen=True)
@@ -30,38 +31,6 @@ class AdmissionDecision:
 
 
 _ADMIT_T0 = AdmissionDecision(admitted=True)
-
-
-class TokenBucket:
-    """A lazily-refilled token bucket (no timers, pure f(now))."""
-
-    __slots__ = ("rate", "capacity", "tokens", "updated")
-
-    def __init__(self, rate: float, capacity: float, now: float = 0.0):
-        if rate <= 0 or capacity <= 0:
-            raise ValueError("token bucket rate and capacity must be positive")
-        self.rate = rate
-        self.capacity = capacity
-        self.tokens = capacity
-        self.updated = now
-
-    def _refill(self, now: float) -> None:
-        if now > self.updated:
-            self.tokens = min(self.capacity,
-                              self.tokens + (now - self.updated) * self.rate)
-            self.updated = now
-
-    def level(self, now: float) -> float:
-        """Current fill fraction in [0, 1]."""
-        self._refill(now)
-        return self.tokens / self.capacity
-
-    def try_take(self, now: float, n: float = 1.0) -> bool:
-        self._refill(now)
-        if self.tokens >= n:
-            self.tokens -= n
-            return True
-        return False
 
 
 class AdmissionController:

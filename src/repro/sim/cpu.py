@@ -5,9 +5,6 @@ instance at 12K req/s, a Memcached server at 80K req/s) and what latency
 work experiences on the way.  :class:`CpuModel` is a single logical queue:
 each unit of work costs some CPU seconds, runs after everything queued
 before it, and utilization is the busy fraction of wall-clock time.
-Multi-core VMs are modeled by dividing per-item cost by the core count
-(the paper's packet driver hash-spreads flows across K per-core queues, so
-aggregate behaviour is what matters).
 """
 
 from __future__ import annotations
@@ -26,45 +23,28 @@ class CpuModel:
     attribute simulated CPU seconds per (component, phase).
     """
 
-    def __init__(self, loop: EventLoop, cores: float = 1.0,
-                 max_queue_delay: Optional[float] = None, owner: str = ""):
-        if cores <= 0:
-            raise ValueError(f"cores must be positive, got {cores}")
+    def __init__(self, loop: EventLoop, owner: str = ""):
         self.loop = loop
-        self.cores = cores
         self.owner = owner
-        self.max_queue_delay = max_queue_delay
         self.slowdown = 1.0  # gray-failure multiplier on per-item cost
         self._busy_until = 0.0
         self._busy_accum = 0.0  # total busy seconds ever scheduled
         self._window_start = 0.0
         self._window_busy_marker = 0.0
-        self.dropped = 0
-        self.executed = 0
 
     def execute(self, cost: float, fn: Optional[Callable[..., Any]] = None,
-                *args: Any, phase: str = "") -> Optional[float]:
+                *args: Any, phase: str = "") -> float:
         """Queue work costing ``cost`` CPU-seconds; run ``fn`` at completion.
 
-        Returns the completion time, or None if the work was shed because
-        the queue delay bound was exceeded.
+        Returns the completion time.
         """
         if cost < 0:
             raise ValueError(f"cost must be >= 0, got {cost}")
         now = self.loop.now()
-        start = max(now, self._busy_until)
-        if self.max_queue_delay is not None and start - now > self.max_queue_delay:
-            self.dropped += 1
-            if OBS.enabled:
-                OBS.flight(self.owner or "cpu", "shed",
-                           f"queue delay {start - now:.6f}s > "
-                           f"{self.max_queue_delay}s, work dropped")
-            return None
-        service = cost * self.slowdown / self.cores
-        finish = start + service
+        service = cost * self.slowdown
+        finish = max(now, self._busy_until) + service
         self._busy_until = finish
         self._busy_accum += service
-        self.executed += 1
         if OBS.enabled:
             OBS.profiler.add(self.owner or "cpu", phase or "work", service)
         if fn is not None:

@@ -86,8 +86,8 @@ class EventLoop:
     ['a', 'b']
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         # ready queue: (time, seq, Event) tuples
         self._heap: List[Tuple[float, int, Event]] = []
         self._counter = itertools.count()
@@ -197,9 +197,9 @@ class EventLoop:
             self._now = until
         return fired
 
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
+    def run_for(self, duration: float) -> int:
         """Run for ``duration`` simulated seconds from the current time."""
-        return self.run(until=self._now + duration, max_events=max_events)
+        return self.run(until=self._now + duration)
 
     def pending_count(self) -> int:
         """Number of pending (non-cancelled) events in the queue."""

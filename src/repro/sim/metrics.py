@@ -6,12 +6,11 @@ dependencies on hot paths.
 
 ``Histogram`` is sketch-backed: every observation feeds a streaming
 DDSketch-style quantile sketch (O(1) memory, guaranteed relative error),
-and raw samples are additionally retained only up to ``max_samples``.
+and raw samples are additionally retained only up to ``MAX_RAW_SAMPLES``.
 Below that cap, percentiles are exact -- so existing experiments and
 tests see bit-identical numbers.  Past the cap the raw samples are
 discarded ("spilled") and quantile reads fall back to the sketch;
-``samples()`` then raises rather than silently degrade.  Tests that need exactness at any size opt
-in with ``exact=True``.  Raw samples are kept as C doubles (``array('d')``:
+``samples()`` then raises rather than silently degrade.  Raw samples are kept as C doubles (``array('d')``:
 8 bytes each, not a boxed float plus a list slot), the values float
 arithmetic on them uses anyway, so every read returns what a list of the
 same samples gives -- as floats, an observed int included.
@@ -51,9 +50,9 @@ class Gauge:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str = "", initial: float = 0.0):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.value = initial
+        self.value = 0.0
 
     def set(self, value: float) -> None:
         self.value = value
@@ -65,26 +64,17 @@ class Gauge:
         return f"Gauge({self.name!r}, {self.value})"
 
 
-# Raw samples retained before a (non-exact) histogram spills to its sketch.
+# Raw samples retained before a histogram spills to its sketch.
 # High enough that every paper experiment stays exact; low enough that a
 # "millions of users" run is bounded.
-DEFAULT_MAX_SAMPLES = 65_536
+MAX_RAW_SAMPLES = 65_536
 
 
 class Histogram:
-    """Latency/value distribution: exact at small n, sketch-backed at scale.
-
-    Args:
-        name: metric name.
-        exact: never spill -- keep every raw sample regardless of size
-            (opt-in for tests that assert exact percentiles on big streams).
-        max_samples: raw-sample retention cap before spilling.
-    """
+    """Latency/value distribution: exact at small n, sketch-backed at scale."""
 
     __slots__ = (
         "name",
-        "exact",
-        "max_samples",
         "_samples",
         "_sorted",
         "_spilled",
@@ -95,11 +85,8 @@ class Histogram:
         "_sketch",
     )
 
-    def __init__(self, name: str = "", exact: bool = False,
-                 max_samples: int = DEFAULT_MAX_SAMPLES):
+    def __init__(self, name: str = ""):
         self.name = name
-        self.exact = exact
-        self.max_samples = max_samples
         self._samples = array("d")
         self._sorted = True
         self._spilled = False
@@ -122,7 +109,7 @@ class Histogram:
         if self._samples and value < self._samples[-1]:
             self._sorted = False
         self._samples.append(value)
-        if not self.exact and len(self._samples) > self.max_samples:
+        if len(self._samples) > MAX_RAW_SAMPLES:
             self._samples = array("d")
             self._sorted = True
             self._spilled = True
@@ -140,9 +127,7 @@ class Histogram:
         if self._spilled:
             raise RuntimeError(
                 f"histogram {self.name!r} spilled its raw samples after "
-                f"{self.max_samples}; {what} needs them -- construct with "
-                f"exact=True (or a larger max_samples) to keep all samples"
-            )
+                f"{MAX_RAW_SAMPLES}; {what} needs them")
 
     @property
     def spilled(self) -> bool:
@@ -256,7 +241,7 @@ class TimeSeries:
         return max(self.values)
 
 
-# Live registries, for the obs exporters/scraper: every MetricRegistry
+# Live registries, for the obs exporters: every MetricRegistry
 # registers itself weakly, so "export all metrics in the process" needs no
 # plumbing and dead testbeds disappear on their own.
 _REGISTRIES: "weakref.WeakSet[MetricRegistry]" = weakref.WeakSet()
@@ -290,9 +275,9 @@ class MetricRegistry:
             self.gauges[name] = Gauge(f"{self.name}.{name}")
         return self.gauges[name]
 
-    def histogram(self, name: str, exact: bool = False) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         if name not in self.histograms:
-            self.histograms[name] = Histogram(f"{self.name}.{name}", exact=exact)
+            self.histograms[name] = Histogram(f"{self.name}.{name}")
         return self.histograms[name]
 
     def timeseries(self, name: str) -> TimeSeries:

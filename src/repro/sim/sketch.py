@@ -25,7 +25,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable
 
-DEFAULT_ALPHA = 0.005  # 0.5 % relative error
+ALPHA = 0.005  # 0.5 % relative error
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
 
 # Values with magnitude below this collapse into the zero bucket; for
 # sim-time latencies (>= microseconds) this loses nothing.
@@ -36,16 +38,9 @@ MAX_TRACKABLE = 1e300
 
 
 class QuantileSketch:
-    """DDSketch-style log-bucketed quantile estimator.
-
-    Args:
-        alpha: relative-error bound for quantile answers, in (0, 1).
-    """
+    """DDSketch-style log-bucketed quantile estimator, within ``ALPHA``."""
 
     __slots__ = (
-        "alpha",
-        "_gamma",
-        "_log_gamma",
         "_buckets",
         "_neg_buckets",
         "_zero",
@@ -55,12 +50,7 @@ class QuantileSketch:
         "_max",
     )
 
-    def __init__(self, alpha: float = DEFAULT_ALPHA):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-        self.alpha = alpha
-        self._gamma = (1.0 + alpha) / (1.0 - alpha)
-        self._log_gamma = math.log(self._gamma)
+    def __init__(self):
         self._buckets: Dict[int, int] = {}
         self._neg_buckets: Dict[int, int] = {}
         self._zero = 0
@@ -78,10 +68,10 @@ class QuantileSketch:
         if value > self._max:
             self._max = value
         if value > MIN_TRACKABLE:
-            idx = math.ceil(math.log(min(value, MAX_TRACKABLE)) / self._log_gamma)
+            idx = math.ceil(math.log(min(value, MAX_TRACKABLE)) / _LOG_GAMMA)
             self._buckets[idx] = self._buckets.get(idx, 0) + 1
         elif value < -MIN_TRACKABLE:
-            idx = math.ceil(math.log(min(-value, MAX_TRACKABLE)) / self._log_gamma)
+            idx = math.ceil(math.log(min(-value, MAX_TRACKABLE)) / _LOG_GAMMA)
             self._neg_buckets[idx] = self._neg_buckets.get(idx, 0) + 1
         else:
             self._zero += 1
@@ -119,7 +109,7 @@ class QuantileSketch:
 
     def _bucket_value(self, idx: int) -> float:
         # midpoint representative: within alpha of every value in bucket idx
-        return 2.0 * self._gamma ** idx / (self._gamma + 1.0)
+        return 2.0 * _GAMMA ** idx / (_GAMMA + 1.0)
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile, ``q`` in [0, 1]."""
@@ -164,7 +154,7 @@ class QuantileSketch:
     def to_dict(self) -> Dict:
         """JSON-friendly summary (used by the exporters)."""
         out: Dict = {
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "count": self._count,
             "buckets": self.bucket_count,
         }
@@ -184,6 +174,6 @@ class QuantileSketch:
 
     def __repr__(self) -> str:
         return (
-            f"QuantileSketch(alpha={self.alpha}, count={self._count}, "
+            f"QuantileSketch(alpha={ALPHA}, count={self._count}, "
             f"buckets={self.bucket_count})"
         )

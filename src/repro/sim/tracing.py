@@ -58,8 +58,7 @@ def endpoint_on_host(endpoint: str, addr: str) -> bool:
 class PacketTrace:
     """Accumulates :class:`TraceRecord` entries."""
 
-    def __init__(self, name: str = "trace"):
-        self.name = name
+    def __init__(self):
         self.records: List[TraceRecord] = []
         self.enabled = True
 

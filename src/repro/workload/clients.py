@@ -33,13 +33,9 @@ class ClosedLoopProcess:
         website: Website,
         http_timeout: float = 30.0,
         retries: int = 0,
-        think_time: float = 0.0,
-        max_pages: Optional[int] = None,
     ):
         self.loop = loop
         self.website = website
-        self.think_time = think_time
-        self.max_pages = max_pages
         self.browser = BrowserClient(
             stack, loop, target, http_timeout=http_timeout, retries=retries
         )
@@ -56,18 +52,12 @@ class ClosedLoopProcess:
     def _next_page(self) -> None:
         if not self._running:
             return
-        if self.max_pages is not None and len(self.results) >= self.max_pages:
-            self._running = False
-            return
         page = self.website.random_page()
         self.browser.load_page(page, self.website.objects_of(page), self._done)
 
     def _done(self, result: PageLoadResult) -> None:
         self.results.append(result)
-        if self.think_time > 0:
-            self.loop.call_later(self.think_time, self._next_page)
-        else:
-            self.loop.call_soon(self._next_page)
+        self.loop.call_soon(self._next_page)
 
     # -- analysis ------------------------------------------------------------
     @property

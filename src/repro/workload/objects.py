@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.http.server import StaticSite
 from repro.sim.random import SeededRng
@@ -48,12 +48,7 @@ def _sample_object_size(rng: SeededRng) -> int:
     return max(MIN_OBJECT_BYTES, min(MAX_OBJECT_BYTES, size))
 
 
-def build_university_site(
-    rng: SeededRng,
-    num_pages: int = 200,
-    objects_per_page: Tuple[int, int] = (3, 12),
-    prefix: str = "",
-) -> ObjectCorpus:
+def build_university_site(rng: SeededRng, num_pages: int = 200) -> ObjectCorpus:
     """Build one emulated university website.
 
     Each page is an HTML document (small) plus several embedded objects
@@ -65,13 +60,13 @@ def build_university_site(
     kinds = ["jpg", "png", "css", "js", "gif"]
     for p in range(num_pages):
         person = "faculty" if p % 3 == 0 else "student"
-        page_path = f"{prefix}/{person}/u{p}/index.html"
+        page_path = f"/{person}/u{p}/index.html"
         html_size = max(MIN_OBJECT_BYTES, int(rng.lognormal(math.log(8_000), 0.6)))
         site.add(page_path, min(html_size, MAX_OBJECT_BYTES))
         objects: List[str] = []
-        for o in range(rng.randint(*objects_per_page)):
+        for o in range(rng.randint(3, 12)):
             kind = rng.choice(kinds)
-            obj_path = f"{prefix}/{person}/u{p}/obj{o}.{kind}"
+            obj_path = f"/{person}/u{p}/obj{o}.{kind}"
             site.add(obj_path, _sample_object_size(rng))
             objects.append(obj_path)
         pages[page_path] = objects
@@ -79,13 +74,13 @@ def build_university_site(
 
 
 def build_flat_corpus(rng: SeededRng, num_objects: int,
-                      size: int = 10_000, prefix: str = "/obj") -> ObjectCorpus:
+                      size: int = 10_000) -> ObjectCorpus:
     """Uniform small-object corpus for the latency/CPU stress experiments
     (Section 7.1 uses 10 KB responses)."""
     site = StaticSite()
     pages: Dict[str, List[str]] = {}
     for i in range(num_objects):
-        path = f"{prefix}/{i}.bin"
+        path = f"/obj/{i}.bin"
         site.add(path, size)
         pages[path] = []
     return ObjectCorpus(site=site, pages=pages)

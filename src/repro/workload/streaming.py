@@ -54,13 +54,15 @@ class StreamResult:
         return self.finished_at - self.started_at
 
 
-class StreamingClient(ConnectionHandler):
-    """Download one paced stream, probing through stalls instead of aborting.
+# Patience per quiet period, not per transfer: every expiry sends a pure ACK
+# and re-arms, up to ``max_stalls`` times.
+STALL_TIMEOUT = 1.0
+# Bounds the whole download as a backstop.
+STREAM_DEADLINE = 120.0
 
-    ``stall_timeout`` is the patience per quiet period, not per transfer;
-    every expiry sends a pure ACK and re-arms, up to ``max_stalls`` times.
-    ``http_timeout`` bounds the whole download as a backstop.
-    """
+
+class StreamingClient(ConnectionHandler):
+    """Download one paced stream, probing through stalls instead of aborting."""
 
     def __init__(
         self,
@@ -69,16 +71,13 @@ class StreamingClient(ConnectionHandler):
         target: Endpoint,
         path: str,
         on_done: Callable[[StreamResult], None],
-        stall_timeout: float = 1.0,
         max_stalls: int = 20,
-        http_timeout: float = 120.0,
     ):
         self.stack = stack
         self.loop = loop
         self.target = target
         self.path = path
         self.on_done = on_done
-        self.stall_timeout = stall_timeout
         self.max_stalls = max_stalls
         self.result = StreamResult(path=path, started_at=loop.now())
         self._parser = HttpParser("response")
@@ -86,11 +85,10 @@ class StreamingClient(ConnectionHandler):
         self._deadline_timer = Timer(loop, lambda: self._abort("timeout"))
         self._conn: Optional[TcpConnection] = None
         self._finished = False
-        self._http_timeout = http_timeout
 
     def start(self) -> "StreamingClient":
-        self._deadline_timer.start(self._http_timeout)
-        self._stall_timer.start(self.stall_timeout)
+        self._deadline_timer.start(STREAM_DEADLINE)
+        self._stall_timer.start(STALL_TIMEOUT)
         self._conn = self.stack.connect(self.target, self)
         return self
 
@@ -105,7 +103,7 @@ class StreamingClient(ConnectionHandler):
     def on_data(self, conn: TcpConnection, data: bytes) -> None:
         if self._finished:
             return
-        self._stall_timer.start(self.stall_timeout)
+        self._stall_timer.start(STALL_TIMEOUT)
         parser, result = self._parser, self.result
         try:
             parsed = parser.feed(data)
@@ -141,7 +139,7 @@ class StreamingClient(ConnectionHandler):
             return
         if self._conn is not None:
             self._conn.probe()
-        self._stall_timer.start(self.stall_timeout)
+        self._stall_timer.start(STALL_TIMEOUT)
 
     def _abort(self, error: str) -> None:
         if self._conn is not None:
@@ -182,9 +180,7 @@ class StreamingFleet:
         count: int,
         start_at: float = 0.0,
         spacing: float = 0.05,
-        stall_timeout: float = 1.0,
         max_stalls: int = 20,
-        http_timeout: float = 120.0,
     ):
         self.stacks = stacks
         self.loop = loop
@@ -193,9 +189,7 @@ class StreamingFleet:
         self.count = count
         self.start_at = start_at
         self.spacing = spacing
-        self.stall_timeout = stall_timeout
         self.max_stalls = max_stalls
-        self.http_timeout = http_timeout
         self.results: List[StreamResult] = []
         self.clients: List[StreamingClient] = []
 
@@ -208,8 +202,7 @@ class StreamingFleet:
     def _launch(self, stack: TcpStack) -> None:
         client = StreamingClient(
             stack, self.loop, self.target, self.path, self.results.append,
-            stall_timeout=self.stall_timeout, max_stalls=self.max_stalls,
-            http_timeout=self.http_timeout,
+            max_stalls=self.max_stalls,
         )
         self.clients.append(client)
         client.start()

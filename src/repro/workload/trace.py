@@ -71,21 +71,21 @@ class ProductionTrace:
         self,
         interval: int,
         instance_capacity: float,
-        replica_factor: float = 4.0,
-        oversub: float = 0.25,
         max_replicas: Optional[int] = None,
     ) -> List[VipSpec]:
         """Build the assignment problem's VIP specs for one interval.
 
         Section 8 sets n_v = 4 * t_v / T_y ("4x more redundancy than using
-        YODA individually"), with at least 2 replicas.
+        YODA individually"), with at least 2 replicas, and an
+        oversubscription of 0.25.
         """
+        oversub = 0.25
         specs = []
         for vip in self.vips:
             t_v = self.traffic[vip][interval]
             if t_v <= 0:
                 continue
-            n_v = max(1, math.ceil(replica_factor * t_v / instance_capacity))
+            n_v = max(1, math.ceil(4.0 * t_v / instance_capacity))
             if max_replicas is not None:
                 n_v = min(n_v, max_replicas)
             # feasibility floor: the per-instance share after f_v failures,

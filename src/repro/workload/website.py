@@ -9,15 +9,15 @@ from repro.workload.objects import ObjectCorpus
 
 
 class Website:
-    """Wraps a corpus with Zipf page popularity for client workloads."""
+    """Wraps a corpus with Zipf (skew 0.9) page popularity for client workloads."""
 
-    def __init__(self, corpus: ObjectCorpus, rng: SeededRng, zipf_skew: float = 0.9):
+    def __init__(self, corpus: ObjectCorpus, rng: SeededRng):
         self.corpus = corpus
         self._rng = rng.fork("website")
         self._pages = corpus.page_paths()
         if not self._pages:
             raise ValueError("corpus has no pages")
-        self._weights = self._rng.zipf_weights(len(self._pages), zipf_skew)
+        self._weights = self._rng.zipf_weights(len(self._pages), 0.9)
 
     @property
     def pages(self) -> List[str]:

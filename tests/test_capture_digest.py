@@ -185,8 +185,9 @@ def definition_runs():
     for name, shrink in DEFINITION_RUNS.items():
         scenario = dataclasses.replace(get_scenario(name), **shrink)
         taps = (PacketTrace(), WirePackets())
-        engine = ScenarioEngine(scenario, lb="yoda", seed=2016,
-                                taps=list(taps))
+        engine = ScenarioEngine(scenario, lb="yoda", seed=2016)
+        for tap in taps:
+            engine.build().network.add_trace(tap)
         outcome = engine.run()
         network, loop = engine.bed.network, engine.bed.loop
         upto = len(taps[0])

@@ -14,12 +14,7 @@ from zlib import crc32
 
 import pytest
 
-from repro.l4lb.compact import (
-    NUM_BUCKETS,
-    CompactDispatchTable,
-    StatelessConfig,
-    bucket_targets,
-)
+from repro.l4lb.compact import NUM_BUCKETS, CompactDispatchTable, bucket_targets
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.network import Network
 from repro.sim.events import EventLoop
@@ -28,10 +23,10 @@ from repro.sim.random import SeededRng
 VIP = "100.0.0.1"
 
 
-def armed_lb(config=None):
+def stateless_lb(stateless=True):
     loop = EventLoop()
     lb = L4LoadBalancer(loop, Network(loop, SeededRng(1)), SeededRng(1),
-                        stateless=config or StatelessConfig())
+                        stateless=stateless)
     lb.register_vip(VIP)
     return lb
 
@@ -58,7 +53,7 @@ def churned_pushes(seed, pushes=40):
 class TestChurnedPushes:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_every_bucket_names_its_target_in_the_live_set(self, seed):
-        lb = armed_lb()
+        lb = stateless_lb()
         for live in churned_pushes(seed):
             lb.update_mapping(VIP, live, immediate=True)
             table = lb.compact_table(VIP)
@@ -71,7 +66,7 @@ class TestChurnedPushes:
         """Two services fed the same pushes publish equal snapshots."""
         tables = []
         for _ in range(2):
-            lb = armed_lb()
+            lb = stateless_lb()
             for live in churned_pushes(7):
                 lb.update_mapping(VIP, live, immediate=True)
             tables.append(lb.compact_table(VIP))
@@ -80,7 +75,7 @@ class TestChurnedPushes:
             t2.version, t2.instances, t2.targets)
 
     def test_snapshot_is_isolated_from_later_mutation(self):
-        lb = armed_lb()
+        lb = stateless_lb()
         lb.update_mapping(VIP, ["a", "b", "c"], immediate=True)
         frozen = lb.compact_table(VIP)
         before = (frozen.version, frozen.instances, frozen.targets)
@@ -127,10 +122,16 @@ class TestBucketAssignment:
 
 
 class TestConfig:
-    def test_default_config_is_armed_but_stateful(self):
-        assert StatelessConfig().enabled is False
-        lb = armed_lb()
-        assert lb.stateless is not None and not lb.stateless_enabled
+    def test_a_stateful_lb_builds_no_tables(self):
+        lb = stateless_lb(stateless=False)
+        lb.update_mapping(VIP, ["10.1.0.1", "10.1.0.2"], immediate=True)
+        lb.loop.run(until=1.0)
+        assert lb.compact_table(VIP) is None
+        assert all(mux.vips[VIP].compact is None for mux in lb.muxes)
 
     def test_enabled_config_switches_mode(self):
-        assert armed_lb(StatelessConfig(enabled=True)).stateless_enabled
+        lb = stateless_lb()
+        lb.update_mapping(VIP, ["10.1.0.1", "10.1.0.2"], immediate=True)
+        lb.loop.run(until=1.0)
+        assert all(mux.vips[VIP].compact is not None for mux in lb.muxes)
+        assert lb.stateless and lb.compact_table(VIP) is not None

@@ -219,17 +219,19 @@ def control_fingerprint(engine) -> str:
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def run_pinned(name: str, taps=None):
-    """Run one library scenario at the pinned seed: (outcome, engine)."""
-    engine = ScenarioEngine(get_scenario(name), lb="yoda", seed=SEED,
-                            taps=taps)
+def run_pinned(name: str, recorder=None):
+    """Run one library scenario at the pinned seed, ``recorder`` tapping
+    its packets: (outcome, engine)."""
+    engine = ScenarioEngine(get_scenario(name), lb="yoda", seed=SEED)
+    if recorder is not None:
+        engine.build().network.add_trace(recorder)
     return engine.run(), engine
 
 
 @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
 def test_control_plane_is_pinned(name):
     recorder = GoldenRecorder() if name in RUN_PINS else None
-    outcome, engine = run_pinned(name, [recorder] if recorder else None)
+    outcome, engine = run_pinned(name, recorder)
     if name in RUN_PINS:
         measured = (outcome.trace_digest, recorder.digest(),
                     [(v.invariant, v.checked, v.violation_count)

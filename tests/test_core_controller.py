@@ -3,6 +3,7 @@
 import pytest
 
 from repro.autoscale import Autoscaler, ElasticPolicy
+from repro.core import controller as controller_module
 from repro.core.controller import ControllerHealthView
 from repro.core.policy import weighted_split
 from repro.errors import ControllerError
@@ -75,35 +76,32 @@ class TestMonitor:
 
 class TestHealthViewHysteresis:
     def test_single_failed_probe_does_not_flap(self):
-        view = ControllerHealthView(down_after=2, up_after=2)
+        view = ControllerHealthView()
         view.observe("b", False)
         assert view.is_healthy("b")
 
     def test_down_after_consecutive_failures(self):
-        view = ControllerHealthView(down_after=2, up_after=2)
+        view = ControllerHealthView()
         view.observe("b", False)
         view.observe("b", False)
         assert not view.is_healthy("b")
 
     def test_interleaved_success_resets_fail_streak(self):
-        view = ControllerHealthView(down_after=2, up_after=2)
+        view = ControllerHealthView()
         view.observe("b", False)
         view.observe("b", True)
         view.observe("b", False)
         assert view.is_healthy("b")
 
-    def test_up_needs_consecutive_successes(self):
-        view = ControllerHealthView(down_after=1, up_after=2)
+    def test_up_needs_consecutive_successes(self, monkeypatch):
+        monkeypatch.setattr(controller_module, "DOWN_AFTER_PROBES", 1)
+        view = ControllerHealthView()
         view.observe("b", False)
         assert not view.is_healthy("b")
         view.observe("b", True)
         assert not view.is_healthy("b")  # one success is not enough
         view.observe("b", True)
         assert view.is_healthy("b")
-
-    def test_invalid_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            ControllerHealthView(down_after=0)
 
     def test_lost_probes_do_not_flap_healthy_instances(self):
         # regression for the probe-loss chaos scenario: sporadic dropped

@@ -382,17 +382,15 @@ _ops = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=_ops, cores=st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0]),
-       latency=st.floats(0.0, 1e-3), fail_at=st.none() | _times)
+@given(ops=_ops, latency=st.floats(0.0, 1e-3), fail_at=st.none() | _times)
 # arrivals early enough behind queued work that now + (finish - now) is
 # not finish: these separate the chain's float from finish + latency
-@example(ops=[("work", 0.0, 2e-3), ("pkt", 3.9105e-05, 61)], cores=1.0,
-         latency=4e-4, fail_at=None)
-@example(ops=[("work", 0.0, 2e-3), ("pkt", 1.7986e-05, 1230)], cores=1.0,
-         latency=4e-4, fail_at=None)
-def test_single_event_dispatch_is_the_two_event_chain(ops, cores, latency,
-                                                      fail_at):
-    """Same arrivals, payload sizes, core counts, slowdown changes and
+@example(ops=[("work", 0.0, 2e-3), ("pkt", 3.9105e-05, 61)], latency=4e-4,
+         fail_at=None)
+@example(ops=[("work", 0.0, 2e-3), ("pkt", 1.7986e-05, 1230)], latency=4e-4,
+         fail_at=None)
+def test_single_event_dispatch_is_the_two_event_chain(ops, latency, fail_at):
+    """Same arrivals, payload sizes, slowdown changes and
     foreign CPU work (rule scans) into both: the (dispatch time, packet)
     sequences are equal as floats, bit for bit, and a host that failed by
     the fire time dispatches nothing in either."""
@@ -403,7 +401,6 @@ def test_single_event_dispatch_is_the_two_event_chain(ops, cores, latency,
         host = Network(loop, SeededRng(1)).attach(Host("yoda", ["10.1.0.1"]))
         dispatched = []
         inst = build(host, loop, cost, dispatched)
-        inst.cpu.cores = cores
         for n, (kind, at, arg) in enumerate(ops):
             if kind == "pkt":
                 pkt = Packet(src=Endpoint("172.16.0.1", 40000),

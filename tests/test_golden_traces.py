@@ -170,8 +170,8 @@ def golden_engine(name: str):
     scenario = dataclasses.replace(get_scenario(name),
                                    **SCENARIO_VARIANTS[name])
     recorder = GoldenRecorder()
-    engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED,
-                            taps=[recorder])
+    engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED)
+    engine.build().network.add_trace(recorder)
     return recorder, engine
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.http.client import BrowserClient, HttpFetcher
 from repro.http.message import HttpRequest
-from repro.http.server import BackendHttpServer, ServiceTimeModel, StaticSite
+from repro.http import server as server_module
+from repro.http.server import BackendHttpServer, StaticSite
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.links import FixedLatency
@@ -15,7 +16,8 @@ from repro.tcp.endpoint import ConnectionHandler, TcpStack
 
 
 @pytest.fixture
-def world():
+def world(monkeypatch):
+    monkeypatch.setattr(server_module, "SERVICE_TIME", 0.002)
     loop = EventLoop()
     net = Network(loop, SeededRng(3), default_latency=FixedLatency(0.001))
     server_host = net.attach(Host("srv", ["10.0.0.2"]))
@@ -25,8 +27,7 @@ def world():
         "/big.bin": 100_000,
         "/a.jpg": 5_000,
     })
-    server = BackendHttpServer(server_host, loop, site,
-                               service_model=ServiceTimeModel(base=0.002))
+    server = BackendHttpServer(server_host, loop, site)
     stack = TcpStack(client_host, loop)
     return loop, server, stack
 
@@ -63,9 +64,9 @@ class TestServer:
         result = fetch(loop, stack, "/a.jpg")
         assert result.response.headers.get("X-Backend") == "srv"
 
-    def test_service_time_delays_response(self, world):
+    def test_service_time_delays_response(self, world, monkeypatch):
         loop, server, stack = world
-        server.service_model = ServiceTimeModel(base=0.5)
+        monkeypatch.setattr(server_module, "SERVICE_TIME", 0.5)
         result = fetch(loop, stack, "/a.jpg")
         assert result.latency > 0.5
 

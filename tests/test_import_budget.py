@@ -57,7 +57,7 @@ def test_a_testbed_serves_a_fetch_without_the_stack():
 from repro.experiments.harness import Testbed, TestbedConfig
 bed = Testbed(TestbedConfig(lb="yoda", num_lb_instances=2, num_store_servers=2,
                             num_backends=2, corpus="flat"))
-procs = bed.closed_loop(1, max_pages=1)
+procs = bed.closed_loop(1)
 bed.run(5.0)
 pages = [r for p in procs for r in p.results]
 assert pages and not any(r.broken for r in pages), pages

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import KvStoreError
+from repro.kvstore import client as client_module
 from repro.kvstore.client import MemcachedCluster, ReplicatingKvClient
 from repro.kvstore.hashring import HashRing
 from repro.kvstore.memcached import MemcachedServer
@@ -88,19 +89,6 @@ def run_op(loop, fn, *args):
 
 
 class TestMemcachedServer:
-    def test_lru_eviction(self):
-        loop = EventLoop()
-        net = Network(loop, SeededRng(1))
-        host = net.attach(Host("mc", ["10.2.0.1"]))
-        server = MemcachedServer(host, loop, max_items=2)
-        server._set("a", b"1")
-        server._set("b", b"2")
-        server._get("a")  # refresh a
-        server._set("c", b"3")  # evicts b
-        assert server.peek("a") and server.peek("c")
-        assert server.peek("b") is None
-        assert server.evictions == 1
-
     def test_recover_comes_back_empty(self):
         loop = EventLoop()
         net = Network(loop, SeededRng(1))
@@ -217,9 +205,11 @@ class TestRetryHardening:
         assert result.ok and result.replicas_answered == 1
         assert kv.metrics.counter("timeouts").value == 1
 
-    def test_all_silent_replicas_trigger_retry(self, cluster_world):
+    def test_all_silent_replicas_trigger_retry(self, cluster_world,
+                                               monkeypatch):
         loop, servers, cluster, kv = cluster_world
-        kv.dead_after_timeouts = 1  # one strike: timeout -> mark dead
+        # one strike: timeout -> mark dead
+        monkeypatch.setattr(client_module, "DEAD_AFTER_TIMEOUTS", 1)
         targets = cluster.replicas_for("k", 2)
         for server in servers:
             if server.name in targets:
@@ -299,14 +289,14 @@ class _TimerArmedClient(ReplicatingKvClient):
         super()._complete(req_id, ok)
 
 
-def _timeout_retry_repick_log(client_cls):
+def _timeout_retry_repick_log(client_cls, monkeypatch):
     """Both replicas of the key and one of the other two servers are
     silent: attempt 1 times out unanswered at T1, its targets are marked
     dead, the retry re-picks the two servers left and times out at T2 with
     one answer.  Foreign events sit at exactly T1 and T2, scheduled before
     and after each timeout was armed."""
     loop, servers, cluster, kv = make_cluster_world(client_cls)
-    kv.dead_after_timeouts = 1
+    monkeypatch.setattr(client_module, "DEAD_AFTER_TIMEOUTS", 1)
     first = cluster.replicas_for("k", 2)
     rest = [s for s in servers if s.name not in first]
     for server in servers:
@@ -340,8 +330,9 @@ def _timeout_retry_repick_log(client_cls):
 
 
 class TestOpTimeoutEvent:
-    def test_op_timeout_event_fires_where_the_timer_did(self):
-        log, scheduled = _timeout_retry_repick_log(ReplicatingKvClient)
+    def test_op_timeout_event_fires_where_the_timer_did(self, monkeypatch):
+        log, scheduled = _timeout_retry_repick_log(ReplicatingKvClient,
+                                                   monkeypatch)
         assert [what for what, _ in log] == [
             "foreign, scheduled before attempt 1 was armed",
             "timeout of attempt 1",
@@ -351,7 +342,8 @@ class TestOpTimeoutEvent:
             "foreign, scheduled after attempt 2 was armed",
         ]
         assert len({at for _, at in log}) == 2  # T1 and T2, to the bit
-        assert (log, scheduled) == _timeout_retry_repick_log(_TimerArmedClient)
+        assert (log, scheduled) == _timeout_retry_repick_log(
+            _TimerArmedClient, monkeypatch)
 
     def test_completed_op_disarms_its_timeout(self, cluster_world):
         loop, _, _, kv = cluster_world

@@ -4,43 +4,42 @@ import pytest
 
 from repro.kvstore.client import MemcachedCluster, ReplicatingKvClient
 from repro.kvstore.memcached import MemcachedServer
-from repro.kvstore.repair import FlowStateRepairer, TokenBucket
+from repro.kvstore import repair
+from repro.kvstore.repair import FlowStateRepairer
 from repro.net.host import Host
 from repro.net.links import FixedLatency
 from repro.net.network import Network
+from repro.sim.bucket import TokenBucket
 from repro.sim.events import EventLoop
 from repro.sim.random import SeededRng
 
 
 class TestTokenBucket:
+    """The one bucket that paces repair (and admission and site sync)."""
+
     def test_burst_bounds_initial_takes(self):
-        loop = EventLoop()
-        bucket = TokenBucket(loop, rate=10.0, burst=3)
-        assert [bucket.try_take() for _ in range(4)] == [True, True, True,
-                                                        False]
+        bucket = TokenBucket(rate=10.0, capacity=3, now=0.0)
+        assert [bucket.try_take(0.0) for _ in range(4)] == [True, True, True,
+                                                           False]
 
     def test_refills_with_simulated_time(self):
-        loop = EventLoop()
-        bucket = TokenBucket(loop, rate=10.0, burst=5)
-        while bucket.try_take():
+        bucket = TokenBucket(rate=10.0, capacity=5, now=0.0)
+        while bucket.try_take(0.0):
             pass
-        loop.run(until=0.25)  # 2.5 tokens accrue
-        assert bucket.try_take()
-        assert bucket.try_take()
-        assert not bucket.try_take()
+        assert bucket.try_take(0.25)  # 2.5 tokens accrue
+        assert bucket.try_take(0.25)
+        assert not bucket.try_take(0.25)
 
     def test_refill_caps_at_burst(self):
-        loop = EventLoop()
-        bucket = TokenBucket(loop, rate=100.0, burst=4)
-        loop.run(until=10.0)  # long idle: tokens must not pile past burst
-        assert [bucket.try_take() for _ in range(5)].count(True) == 4
+        bucket = TokenBucket(rate=100.0, capacity=4, now=0.0)
+        # long idle: tokens must not pile past the capacity
+        assert [bucket.try_take(10.0) for _ in range(5)].count(True) == 4
 
     def test_rejects_nonpositive_parameters(self):
-        loop = EventLoop()
         with pytest.raises(ValueError):
-            TokenBucket(loop, rate=0.0, burst=1)
+            TokenBucket(rate=0.0, capacity=1, now=0.0)
         with pytest.raises(ValueError):
-            TokenBucket(loop, rate=1.0, burst=0)
+            TokenBucket(rate=1.0, capacity=0, now=0.0)
 
 
 @pytest.fixture
@@ -66,28 +65,37 @@ def write(loop, kv, key, value, version):
     assert done and done[0].ok
 
 
+def make_repairer(monkeypatch, loop, kv, records_fn,
+                  rate=repair.REPAIR_RATE, burst=repair.REPAIR_BURST):
+    """A sweeper waking every 0.1 s, paced at ``rate`` / ``burst``."""
+    monkeypatch.setattr(repair, "REPAIR_INTERVAL", 0.1)
+    monkeypatch.setattr(repair, "REPAIR_RATE", rate)
+    monkeypatch.setattr(repair, "REPAIR_BURST", burst)
+    return FlowStateRepairer(loop, kv, records_fn)
+
+
 def holders(servers, key):
     return {s.name for s in servers if s.peek(key) is not None}
 
 
 class TestFlowStateRepairer:
-    def test_idle_when_epoch_unchanged(self, repair_world):
+    def test_idle_when_epoch_unchanged(self, repair_world, monkeypatch):
         loop, servers, cluster, kv = repair_world
         records = [("k", b"v", (1, "yoda-0"))]
-        rep = FlowStateRepairer(loop, kv, lambda: records, interval=0.1)
+        rep = make_repairer(monkeypatch, loop, kv, lambda: records)
         write(loop, kv, "k", b"v", (1, "yoda-0"))
         rep.start()
         loop.run(until=loop.now() + 1.0)
         assert rep.repairs_issued == 0
         assert len(rep._queue) == 0
 
-    def test_rereplicates_after_replica_set_moves(self, repair_world):
+    def test_rereplicates_after_replica_set_moves(self, repair_world, monkeypatch):
         loop, servers, cluster, kv = repair_world
         write(loop, kv, "k", b"v", (1, "yoda-0"))
         before = holders(servers, "k")
         assert len(before) == 2
-        rep = FlowStateRepairer(loop, kv, lambda: [("k", b"v", (1, "yoda-0"))],
-                                interval=0.1)
+        rep = make_repairer(monkeypatch, loop, kv,
+                            lambda: [("k", b"v", (1, "yoda-0"))])
         rep.start()
         loop.run(until=loop.now() + 0.3)  # learn current placement (epoch 0)
         victim = next(s for s in servers if s.name in before)
@@ -101,13 +109,13 @@ class TestFlowStateRepairer:
         assert all(s.peek_version("k") == (1, "yoda-0") for s in servers
                    if s.name in live_holders)
 
-    def test_token_bucket_paces_a_large_backlog(self, repair_world):
+    def test_token_bucket_paces_a_large_backlog(self, repair_world, monkeypatch):
         loop, servers, cluster, kv = repair_world
         records = [(f"k{i}", b"v", (1, "yoda-0")) for i in range(30)]
         for key, value, version in records:
             write(loop, kv, key, value, version)
-        rep = FlowStateRepairer(loop, kv, lambda: records,
-                                interval=0.1, rate=20.0, burst=5)
+        rep = make_repairer(monkeypatch, loop, kv, lambda: records,
+                            rate=20.0, burst=5)
         rep.start()
         victim = next(s for s in servers if not s.host.failed)
         victim.fail()
@@ -118,13 +126,13 @@ class TestFlowStateRepairer:
         loop.run(until=loop.now() + 3.0)  # rate (20/s) drains the rest
         assert len(rep._queue) == 0
 
-    def test_crashed_instance_abandons_its_queue(self, repair_world):
+    def test_crashed_instance_abandons_its_queue(self, repair_world, monkeypatch):
         loop, servers, cluster, kv = repair_world
         records = [(f"k{i}", b"v", (1, "yoda-0")) for i in range(10)]
         for key, value, version in records:
             write(loop, kv, key, value, version)
-        rep = FlowStateRepairer(loop, kv, lambda: records,
-                                interval=0.1, rate=5.0, burst=1)
+        rep = make_repairer(monkeypatch, loop, kv, lambda: records,
+                            rate=5.0, burst=1)
         rep.start()
         victim = next(s for s in servers if not s.host.failed)
         victim.fail()
@@ -135,14 +143,14 @@ class TestFlowStateRepairer:
         loop.run(until=loop.now() + 0.5)
         assert len(rep._queue) == 0
 
-    def test_unowned_keys_are_dropped_from_the_queue(self, repair_world):
+    def test_unowned_keys_are_dropped_from_the_queue(self, repair_world, monkeypatch):
         loop, servers, cluster, kv = repair_world
         records = [("gone", b"v", (1, "yoda-0")), ("kept", b"v", (1, "yoda-0"))]
         for key, value, version in records:
             write(loop, kv, key, value, version)
         owned = list(records)
-        rep = FlowStateRepairer(loop, kv, lambda: list(owned),
-                                interval=0.1, rate=1e-3, burst=1e-3)
+        rep = make_repairer(monkeypatch, loop, kv, lambda: list(owned),
+                            rate=1e-3, burst=1e-3)
         rep.start()
         victim = next(s for s in servers if not s.host.failed)
         victim.fail()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.l4lb import service as l4lb_service, snat
 from repro.l4lb.service import L4LoadBalancer
 from repro.l4lb.snat import SnatAllocator
 from repro.net.addresses import Endpoint
@@ -50,8 +51,10 @@ class TestSnatAllocator:
         assert alloc.owner_of(VIP, r1[0]) is None
         assert alloc.ensure_range(VIP, "b") == r1
 
-    def test_exhaustion(self):
-        alloc = SnatAllocator(base=64000, range_size=1000)
+    def test_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(snat, "SNAT_BASE_PORT", 64000)
+        monkeypatch.setattr(snat, "SNAT_RANGE_SIZE", 1000)
+        alloc = SnatAllocator()
         alloc.ensure_range(VIP, "a")
         with pytest.raises(NetworkError):
             alloc.ensure_range(VIP, "b")
@@ -70,11 +73,11 @@ class TestSnatAllocator:
 
 
 @pytest.fixture
-def world():
+def world(monkeypatch):
+    monkeypatch.setattr(l4lb_service, "MAPPING_PROPAGATION", 0.1)
     loop = EventLoop()
     net = Network(loop, SeededRng(11), default_latency=FixedLatency(0.0002))
-    lb = L4LoadBalancer(loop, net, SeededRng(11), num_muxes=3,
-                        mapping_propagation=0.1)
+    lb = L4LoadBalancer(loop, net, SeededRng(11), num_muxes=3)
     instances = []
     for i in range(3):
         host = net.attach(Host(f"lb-{i}", [f"10.1.0.{i + 1}"]))
@@ -212,7 +215,8 @@ class TestL4LoadBalancer:
         lb.update_mapping(VIP, [instances[0].ip], immediate=True)
         loop.run(until=0.01)
         net.detach(instances[0])
-        OBS.enable(clock=loop.now)
+        OBS.enable()
+        OBS.attach_clock(loop.now)
         try:
             client.send(syn(40000))
             loop.run(until=0.1)

@@ -32,7 +32,8 @@ class TestChaosForensics:
         return AckedByteLoss(bed, FlowAuditTable(bed))
 
     def test_violation_embeds_flight_recorder_tail(self):
-        OBS.enable(clock=lambda: 1.0)
+        OBS.enable()
+        OBS.attach_clock(lambda: 1.0)
         OBS.flight("yoda-0", "drop", "something suspicious")
         OBS.flight("chaos", "fault", "t+0.5s crash lb:0")
         monitor = self._monitor()
@@ -83,7 +84,8 @@ class TestFig9FromSpans:
             num_backends=4, corpus="flat", flat_object_bytes=10_000,
             client_jitter=0.004,
         ))
-        OBS.enable(clock=bed.loop.now)
+        OBS.enable()
+        OBS.attach_clock(bed.loop.now)
         gen = bed.open_loop(60.0)
         bed.run(3.0)
         gen.stop()
@@ -92,7 +94,7 @@ class TestFig9FromSpans:
         for stage in ("storage_a", "storage_b", "server_connect"):
             durations = sorted(s.end - s.start for s in spans
                                if s.name == stage and s.end is not None
-                               and s.attr("ok"))
+                               and (s.attrs or {}).get("ok"))
             samples = sorted(
                 x for inst in bed.yoda.instances
                 for x in inst.metrics.histograms[f"{stage}_latency"].samples())
@@ -105,7 +107,6 @@ class TestObsCli:
         out = capsys.readouterr().out
         assert "span summary" in out
         assert "simulated CPU profile" in out
-        assert "scraped time series" in out
         assert not OBS.enabled  # the CLI turns the plane back off
 
     def test_json_report_to_file(self, tmp_path, capsys):

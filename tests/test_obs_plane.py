@@ -1,5 +1,5 @@
 """Unit tests for the observability plane: spans, flight recorders, the
-sim-time profiler, exporters, the report renderer, and the scraper."""
+sim-time profiler, exporters and the report renderer."""
 
 from __future__ import annotations
 
@@ -8,31 +8,33 @@ import json
 import pytest
 
 from repro.obs import OBS, FlightRecorderHub, SimProfiler, Tracer
+from repro.obs import recorder as recorder_module, span as span_module
 from repro.obs.export import (
     obs_snapshot,
     registry_snapshot,
     render_json,
     render_prometheus,
 )
-from repro.obs.plane import ObsPlane
 from repro.obs.report import render_report, render_waterfall, slowest_trace
-from repro.obs.scrape import MetricScraper
-from repro.sim.events import EventLoop
-from repro.sim.metrics import MetricRegistry
+from repro.sim.metrics import MetricRegistry, all_registries
 
 
-class _TestPlane(ObsPlane):
-    """ObsPlane with a settable test clock (advance via ``plane._t[0]``)."""
+class _TestPlane:
+    """The enabled ``OBS`` plane on a settable test clock (advance via
+    ``plane._t[0]``)."""
 
-    __slots__ = ("_t",)
+    def __init__(self):
+        self._t = [0.0]
+        OBS.enable()
+        OBS.attach_clock(lambda: self._t[0])
+
+    def __getattr__(self, name):
+        return getattr(OBS, name)
 
 
 @pytest.fixture
 def plane():
-    p = _TestPlane()
-    p._t = [0.0]
-    p.enable(clock=lambda: p._t[0])
-    return p
+    return _TestPlane()
 
 
 @pytest.fixture(autouse=True)
@@ -53,7 +55,7 @@ class TestTracer:
         plane._t[0] = 0.7
         plane.tracer.end(child, ok=True)
         assert child.duration == pytest.approx(0.2)
-        assert child.attr("ok") is True
+        assert child.attrs["ok"] is True
         plane.tracer.end(root)
         traces = plane.tracer.traces()
         assert list(traces) == [root.trace_id]
@@ -81,10 +83,9 @@ class TestTracer:
         assert sketch.count == 5
         assert sketch.max() == pytest.approx(0.005)
 
-    def test_retention_cap_keeps_counting(self):
-        p = ObsPlane()
-        p.enable(clock=lambda: 0.0)
-        p.tracer.max_spans = 3
+    def test_retention_cap_keeps_counting(self, monkeypatch):
+        monkeypatch.setattr(span_module, "MAX_SPANS", 3)
+        p = _TestPlane()
         for _ in range(5):
             p.tracer.end(p.tracer.start("x"), end=1.0)
         assert len(p.tracer.spans) == 3
@@ -98,8 +99,9 @@ class TestTracer:
 
 
 class TestFlightRecorder:
-    def test_ring_bounded_and_total_counted(self):
-        hub = FlightRecorderHub(capacity=4)
+    def test_ring_bounded_and_total_counted(self, monkeypatch):
+        monkeypatch.setattr(recorder_module, "RING_CAPACITY", 4)
+        hub = FlightRecorderHub()
         for i in range(10):
             hub.note(float(i), "mux-0", "route", f"flow-{i}")
         rec = hub.recorder("mux-0")
@@ -146,7 +148,8 @@ class TestDisabledPlane:
             pytest.fail("plane must start disabled")
 
     def test_enable_resets_collectors(self):
-        OBS.enable(clock=lambda: 1.0)
+        OBS.enable()
+        OBS.attach_clock(lambda: 1.0)
         OBS.tracer.start("x")
         OBS.flight("c", "k", "d")
         OBS.enable()
@@ -165,7 +168,7 @@ class TestExporters:
 
     def test_prometheus_format(self):
         reg = self._registry()
-        text = render_prometheus([reg])
+        text = render_prometheus()
         assert 'repro_requests_total{registry="test-reg"} 3' in text
         assert 'repro_live{registry="test-reg"} 2.0' in text
         assert '# TYPE repro_latency summary' in text
@@ -180,15 +183,17 @@ class TestExporters:
 
     def test_render_json_round_trips(self):
         reg = self._registry()
-        doc = json.loads(render_json([reg]))
+        doc = json.loads(render_json())
         assert doc["schema"] == "repro-obs/v1"
-        assert doc["registries"][0]["name"] == "test-reg"
+        names = [r.name for r in all_registries()]
+        assert [r["name"] for r in doc["registries"]] == names
+        assert reg.name in names
         assert "obs" in doc
 
     def test_obs_snapshot_includes_sketches(self, plane):
         s = plane.tracer.start("op", "c", start=0.0)
         plane.tracer.end(s, end=0.01)
-        snap = obs_snapshot(plane)
+        snap = obs_snapshot()
         assert snap["spans"]["retained"] == 1
         assert snap["spans"]["sketches"]["c:op"]["count"] == 1
 
@@ -202,39 +207,17 @@ class TestReport:
         plane.tracer.end(root, end=0.1, ok=True)
         plane.profiler.add("yoda-0", "packet", 0.004)
         plane.flight("yoda-0", "route", "x")
-        spans = slowest_trace(plane)
+        spans = slowest_trace()
         assert spans is not None
         waterfall = render_waterfall(spans)
         assert "http.request" in waterfall
         assert "storage_a" in waterfall
-        report = render_report(plane)
+        report = render_report()
         for section in ("span summary", "slowest request",
                         "simulated CPU profile", "flight recorders"):
             assert section in report
 
-    def test_empty_plane_report(self):
-        p = ObsPlane()
-        p.enable(clock=lambda: 0.0)
-        report = render_report(p)
+    def test_empty_plane_report(self, plane):
+        report = render_report()
         assert "(no spans recorded)" in report
 
-
-class TestScraper:
-    def test_scrapes_counters_and_gauges(self):
-        loop = EventLoop()
-        reg = MetricRegistry("scraped")
-        scraper = MetricScraper(loop, registries=[reg], interval=0.5).start()
-        reg.counter("hits").inc(10)
-        reg.gauge("depth").set(3.0)
-        loop.run(until=0.6)  # first scrape: baseline only, no rate point
-        reg.counter("hits").inc(5)
-        loop.run(until=2.0)
-        scraper.stop()
-        total = scraper.get("scraped.hits.total")
-        assert total.values[-1] == 15
-        rate = scraper.get("scraped.hits.rate")
-        # pre-start history (10) is a baseline, never a rate spike; the 5
-        # hits that landed inside one 0.5 s window show up as 10/s
-        assert max(rate.values) == pytest.approx(10.0)
-        assert scraper.get("scraped.depth").values[-1] == 3.0
-        assert scraper.scrapes >= 3

@@ -15,7 +15,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.sketch import QuantileSketch
+from repro.sim.sketch import ALPHA, QuantileSketch
+from repro.sim import metrics
 from repro.sim.metrics import Histogram
 
 QUANTILES = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
@@ -43,12 +44,12 @@ def assert_within_alpha(sketch, values, note=""):
         hi = min(n - 1, int(math.ceil(rank)) + 1)
         candidates = values[lo:hi + 1]
         ok = any(
-            abs(est - v) <= sketch.alpha * abs(v) + 1e-12
+            abs(est - v) <= ALPHA * abs(v) + 1e-12
             for v in candidates
         )
         assert ok, (
             f"{note} q={q}: estimate {est} not within alpha="
-            f"{sketch.alpha} of any of ranks [{lo},{hi}] = {candidates}"
+            f"{ALPHA} of any of ranks [{lo},{hi}] = {candidates}"
         )
 
 
@@ -115,16 +116,18 @@ class TestSketchStreams:
 
 
 class TestHistogramSpill:
-    def test_exact_below_cap(self):
-        hist = Histogram("h", max_samples=1000)
+    def test_exact_below_cap(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_RAW_SAMPLES", 1000)
+        hist = Histogram("h")
         rng = random.Random(5)
         values = [rng.random() for _ in range(1000)]
         hist.extend(values)
         assert not hist.spilled
         assert hist.samples() == sorted(values)
 
-    def test_spill_switches_to_sketch(self):
-        hist = Histogram("h", max_samples=1000)
+    def test_spill_switches_to_sketch(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_RAW_SAMPLES", 1000)
+        hist = Histogram("h")
         rng = random.Random(5)
         values = [rng.lognormvariate(0, 1) for _ in range(5_000)]
         hist.extend(values)
@@ -139,19 +142,12 @@ class TestHistogramSpill:
         for q in (0.1, 0.5, 0.9, 0.99):
             est = hist.quantile(q)
             ref = exact_quantile(values, q)
-            assert abs(est - ref) <= 3 * hist.sketch.alpha * abs(ref)
+            assert abs(est - ref) <= 3 * ALPHA * abs(ref)
 
-    def test_spilled_exact_apis_raise(self):
-        hist = Histogram("h", max_samples=10)
+    def test_spilled_exact_apis_raise(self, monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_RAW_SAMPLES", 10)
+        hist = Histogram("h")
         hist.extend(range(1, 50))
         assert hist.spilled
-        with pytest.raises(RuntimeError, match="exact=True"):
+        with pytest.raises(RuntimeError, match="needs them"):
             hist.samples()
-
-    def test_exact_mode_never_spills(self):
-        hist = Histogram("h", exact=True, max_samples=10)
-        values = list(range(1, 200))
-        hist.extend(values)
-        assert not hist.spilled
-        assert hist.samples() == [float(v) for v in values] or \
-            hist.samples() == values

@@ -51,8 +51,8 @@ def test_idle_qos_is_bit_identical(name):
         **SCENARIO_VARIANTS[name],
     )
     recorder = GoldenRecorder()
-    engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED,
-                            taps=[recorder])
+    engine = ScenarioEngine(scenario, lb="yoda", seed=GOLDEN_SEED)
+    engine.build().network.add_trace(recorder)
     outcome = engine.run()
     # the plane really was constructed on every instance
     assert all(inst.qos is not None for inst in engine.bed.yoda.instances)

@@ -6,6 +6,7 @@ import pytest
 from repro.core import YodaServiceConfig
 from repro.errors import SnatExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
+from repro.l4lb import snat
 from repro.l4lb.snat import SnatAllocator
 from repro.qos.admission import AdmissionController, TokenBucket
 from repro.qos import concurrency
@@ -32,9 +33,9 @@ class TestTokenBucket:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, capacity=5.0)
+            TokenBucket(rate=0.0, capacity=5.0, now=0.0)
         with pytest.raises(ValueError):
-            TokenBucket(rate=1.0, capacity=0.0)
+            TokenBucket(rate=1.0, capacity=0.0, now=0.0)
 
 
 class TestAdmission:
@@ -112,8 +113,9 @@ class TestInstanceQos:
 
 
 class TestSnatExhaustion:
-    def test_exhaustion_is_typed_and_counted(self):
-        alloc = SnatAllocator(base=60000, range_size=3000)
+    def test_exhaustion_is_typed_and_counted(self, monkeypatch):
+        monkeypatch.setattr(snat, "SNAT_BASE_PORT", 60000)
+        alloc = SnatAllocator()
         alloc.ensure_range("vip", "10.1.0.1")  # [60000, 63000)
         with pytest.raises(SnatExhausted) as exc:
             alloc.ensure_range("vip", "10.1.0.2")  # would cross 65000

@@ -105,8 +105,8 @@ def run_region_golden(name: str):
     spec = REGION_VARIANTS[name]
     recorder = GoldenRecorder()
     engine = ScenarioEngine(get_scenario(spec["scenario"]), lb="yoda",
-                            seed=GOLDEN_SEED, taps=[recorder],
-                            replication=spec["replication"])
+                            seed=GOLDEN_SEED, replication=spec["replication"])
+    engine.build().network.add_trace(recorder)
     outcome = engine.run()
     assert wrong_streams(engine.fleet.results) == []
     return recorder, outcome

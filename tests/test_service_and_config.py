@@ -27,7 +27,6 @@ from repro.errors import (
 )
 from repro.experiments import harness
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.l4lb.compact import StatelessConfig
 from repro.net.addresses import Endpoint
 from repro.net.network import Network
 from repro.net.packet import Packet
@@ -126,7 +125,7 @@ class TestYodaService:
 # one of each yoda-tier plane, for "would be silently ignored" refusals
 YODA_ONLY = {
     "qos": QosConfig(),
-    "stateless": StatelessConfig(),
+    "stateless": True,
     "controllers": ControllerHAConfig(),
     "autoscale": ElasticPolicy(),
     "spare_instances": 1,
@@ -140,9 +139,8 @@ REFUSED = [
     (dict(lb="nginx"), "unknown lb kind 'nginx'"),
     *[(dict(lb=lb, yoda=YodaServiceConfig(**{plane: value})), plane)
       for lb in ("haproxy", "none") for plane, value in YODA_ONLY.items()],
-    (dict(yoda=YodaServiceConfig(region=RegionConfig("dc2"),
-                                 stateless=StatelessConfig(enabled=True))),
-     "region and stateless.enabled exclude each other"),
+    (dict(yoda=YodaServiceConfig(region=RegionConfig("dc2"), stateless=True)),
+     "region and stateless exclude each other"),
     (dict(yoda=YodaServiceConfig(region=RegionConfig("dc"))),
      "share the site name 'dc'"),
     (dict(num_lb_instances=0), "num_lb_instances must be >= 1"),
@@ -194,11 +192,6 @@ class TestConfigRejection:
             YodaService(loop, network, rng, YodaServiceConfig(num_instances=0))
         assert not list(network.hosts())
 
-    def test_armed_but_disabled_stateless_composes_with_a_region(self):
-        # pinned bit-identical by test_stateless_golden's region leg
-        TestbedConfig(yoda=YodaServiceConfig(
-            region=RegionConfig("dc2"), stateless=StatelessConfig())).validate()
-
     def test_baseline_leg_refuses_a_region_scenario(self):
         with pytest.raises(ConfigError, match="yoda-only"):
             ScenarioEngine(get_scenario("region-kill"), lb="haproxy").build()
@@ -238,7 +231,7 @@ SHARED_NAMES = {
     "object_bytes", "object_count", "drain", "yoda",
 }
 CONFIGS = [Scenario, TestbedConfig, YodaServiceConfig, RegionConfig,
-           ControllerHAConfig, QosConfig, StatelessConfig, ElasticPolicy]
+           ControllerHAConfig, QosConfig, ElasticPolicy]
 
 
 class TestConfigSurface:
@@ -254,4 +247,4 @@ class TestConfigSurface:
             f"option on its own config and carry a handle")
 
     def test_field_budget(self):
-        assert sum(len(dataclasses.fields(c)) for c in CONFIGS) <= 70
+        assert sum(len(dataclasses.fields(c)) for c in CONFIGS) <= 69

@@ -6,6 +6,7 @@ import struct
 
 import pytest
 
+from repro.sim import metrics
 from repro.sim.metrics import Counter, Gauge, Histogram, MetricRegistry, TimeSeries
 from repro.sim.sketch import QuantileSketch
 
@@ -24,8 +25,9 @@ class TestCounter:
 
 class TestGauge:
     def test_set_and_add(self):
-        g = Gauge("g", initial=10.0)
+        g = Gauge("g")
         g.add(-3)
+        assert g.value == -3
         g.set(5)
         assert g.value == 5
 
@@ -176,8 +178,10 @@ class TestHistogramAgainstAList:
         return out
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_every_read_matches_before_and_after_a_spill(self, seed):
-        h, ref = Histogram(max_samples=self.CAP), ListHistogram(self.CAP)
+    def test_every_read_matches_before_and_after_a_spill(self, seed,
+                                                          monkeypatch):
+        monkeypatch.setattr(metrics, "MAX_RAW_SAMPLES", self.CAP)
+        h, ref = Histogram(), ListHistogram(self.CAP)
         checkpoints = {1, 2, 3, 17, 150, self.CAP, self.CAP + 1, self.CAP + 40}
         for i, value in enumerate(self.stream(seed, self.CAP + 40), 1):
             h.observe(value)
@@ -186,9 +190,10 @@ class TestHistogramAgainstAList:
                 assert h.spilled == ref.spilled == (i > self.CAP)
                 assert reads(h) == reads(ref), f"after {i} samples"
 
-    def test_a_finite_stream_matches_too(self):
+    def test_a_finite_stream_matches_too(self, monkeypatch):
         # without infinities every mean is a number, not fsum's refusal
-        h, ref = Histogram(max_samples=self.CAP), ListHistogram(self.CAP)
+        monkeypatch.setattr(metrics, "MAX_RAW_SAMPLES", self.CAP)
+        h, ref = Histogram(), ListHistogram(self.CAP)
         for value in self.stream(4, 200):
             if math.isfinite(value):
                 h.observe(value)

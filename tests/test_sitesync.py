@@ -28,7 +28,7 @@ def sites():
     kv = ReplicatingKvClient(relay, loop, cluster, replicas=2,
                              op_timeout=0.25, self_healing=False)
     relay.set_handler(kv.handle_response)
-    rep = SiteReplicator(loop, kv, interval=0.05, rate=400.0, burst=80)
+    rep = SiteReplicator(loop, kv, interval=0.05)
     rep.start()
     return loop, servers, rep
 
@@ -75,7 +75,7 @@ class TestShipping:
         for i in range(30):
             rep.note(f"k{i}", b"v", (1, "yoda-0"))
         # burst 80 covers all 30, so cap it tighter for the test
-        rep.bucket.burst = 10
+        rep.bucket.capacity = 10
         rep.bucket.tokens = 10
         loop.run(until=loop.now() + 0.051)
         assert rep.records_shipped == 10

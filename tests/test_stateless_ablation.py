@@ -16,7 +16,7 @@ from repro.chaos.library import get_scenario
 from repro.chaos.scenario import run_scenario
 from repro.errors import SnatExhausted
 from repro.experiments.harness import Testbed, TestbedConfig
-from repro.l4lb.compact import CompactDispatchTable, StatelessConfig
+from repro.l4lb.compact import CompactDispatchTable
 from repro.l4lb.service import L4LoadBalancer
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
@@ -29,7 +29,7 @@ from repro.sim.random import SeededRng
 VIP = "100.0.0.1"
 
 
-def shrunk_double_crash(stateless=None):
+def shrunk_double_crash(stateless=False):
     base = get_scenario("double-crash")
     return dataclasses.replace(
         base, clients=2, object_count=3, duration=8.0, drain=6.0,
@@ -43,7 +43,7 @@ class TestCrashAblation:
     def outcomes(self):
         stateful = run_scenario(shrunk_double_crash(), lb="yoda", seed=2016)
         stateless = run_scenario(
-            shrunk_double_crash(stateless=StatelessConfig(enabled=True)),
+            shrunk_double_crash(stateless=True),
             lb="yoda", seed=2016)
         return stateful, stateless
 
@@ -101,7 +101,7 @@ def stateless_world():
     loop = EventLoop()
     net = Network(loop, SeededRng(11), default_latency=FixedLatency(0.0002))
     lb = L4LoadBalancer(loop, net, SeededRng(11), num_muxes=1,
-                        stateless=StatelessConfig(enabled=True))
+                        stateless=True)
     instances = []
     for i in range(3):
         host = net.attach(Host(f"lb-{i}", [f"10.1.0.{i + 1}"]))

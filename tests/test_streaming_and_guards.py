@@ -13,12 +13,8 @@ from repro.experiments.harness import Testbed, TestbedConfig
 from repro.http import tls
 from repro.http.client import HttpFetcher, HttpsFetcher
 from repro.http.message import HttpRequest
-from repro.http.server import (
-    BackendHttpServer,
-    ServiceTimeModel,
-    StaticSite,
-    parse_stream_path,
-)
+from repro.http import server as server_module
+from repro.http.server import BackendHttpServer, StaticSite, parse_stream_path
 from repro.net.addresses import Endpoint
 from repro.net.host import Host
 from repro.net.links import FixedLatency
@@ -63,7 +59,8 @@ class RawClient(ConnectionHandler):
 
 
 @pytest.fixture
-def world():
+def world(monkeypatch):
+    monkeypatch.setattr(server_module, "SERVICE_TIME", 0.002)
     loop = EventLoop()
     net = Network(loop, SeededRng(3), default_latency=FixedLatency(0.001))
     server_host = net.attach(Host("srv", ["10.0.0.2"]))
@@ -71,7 +68,6 @@ def world():
     site = StaticSite({"/index.html": b"<html>hello</html>"})
     server = BackendHttpServer(
         server_host, loop, site,
-        service_model=ServiceTimeModel(base=0.002),
         progress_deadline=2.0,
     )
     stack = TcpStack(client_host, loop)
@@ -137,7 +133,7 @@ class TestStreamPaths:
         done = []
         client = StreamingClient(
             stack, loop, Endpoint(server.ip, 80), "/stream/5/200/50",
-            done.append, stall_timeout=1.0,
+            done.append,
         )
         client.start()
         loop.run(until=10.0)
@@ -199,7 +195,7 @@ class TestInstanceHeaderDeadline:
 
     def test_normal_traffic_unaffected(self):
         bed = make_bed(yoda=YodaServiceConfig(header_deadline=1.0))
-        procs = bed.closed_loop(2, max_pages=3)
+        procs = bed.closed_loop(2)
         fleet = bed.streaming(1, chunks=20, chunk_bytes=500, interval_ms=100)
         bed.run(12.0)
         assert fleet.completed() == 1
@@ -261,7 +257,8 @@ class TestMalformedRequest:
 
     def test_refusal_is_in_the_flight_recorder(self):
         bed = make_bed()
-        OBS.enable(clock=bed.loop.now)
+        OBS.enable()
+        OBS.attach_clock(bed.loop.now)
         try:
             bad = RawClient(bed.client_stacks[0], bed.loop, bed.target(),
                             [(0.0, NO_COLON)])
